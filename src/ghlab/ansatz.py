@@ -107,6 +107,43 @@ class SliceFrame:
         return self.omega.T @ self.omega
 
 
+class PointRecord:
+    """The fields of the ansatz at one disc point z, before rho enters.
+
+    The homothety X = rho d/drho makes every field a power of rho times
+    a function of z alone, and no field depends on theta.  So the psi
+    jet, phi = -1/psi, the covering data and xi are computed once per z,
+    and the forms are assembled from them: V = Im phi / rho, x = rho p,
+    eta = (Re phi / rho) drho + xi.
+
+    The psi jet is taken on construction.  The covering data is taken
+    on first use, so a caller that needs only psi never evaluates the
+    cover.  No form reads phi's derivatives, so only its value is kept.
+    ``xi`` is filled in by HolomorphicData.xi_at.
+    """
+
+    def __init__(self, z: complex, psi_jet, cover):
+        self.z = z
+        self.psi, self.dpsi, self.d2psi = psi_jet
+        self.phi = -1.0 / self.psi
+        self.xi = None
+        self._cover = cover
+
+    @cached_property
+    def chart(self):
+        """The covering value at z: w, dw/dz and the sphere point p."""
+        return self._cover.value(self.z)
+
+    @cached_property
+    def m(self) -> float:
+        return self.chart.metric_factor()
+
+    @cached_property
+    def sphere(self):
+        """(p, dp/du, dp/dv) on the unit sphere."""
+        return sphere_jacobian(self.chart.w, self.chart.dw_dz)
+
+
 @dataclass
 class HolomorphicData:
     """A covering chart plus a half-plane-valued holomorphic function.
@@ -118,6 +155,9 @@ class HolomorphicData:
 
     v_multiplier rescales the potential only; anything other than 1
     breaks the curl equation on purpose (used to exercise detectors).
+
+    The per-point records live as long as the data; ``replace`` starts
+    a new object with no records, so a changed psi never meets old ones.
     """
 
     cover: object
@@ -125,7 +165,7 @@ class HolomorphicData:
     rho0_kind: str = "canonical"
     rho0_scale: float = 1.0
     v_multiplier: float = 1.0
-    _xi_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rho0_kind not in ("canonical", "constant", "scaled"):
@@ -147,17 +187,31 @@ class HolomorphicData:
     def phi(self) -> HoloFn:
         return self.psi.negate_reciprocal()
 
+    def record(self, z: complex, keep: bool = True) -> PointRecord:
+        """The record at z, kept for reuse unless ``keep`` is False.
+
+        Path quadratures pass keep=False, so that their nodes, which no
+        stencil revisits, are never stored.
+        """
+        z = complex(z)
+        key = (z.real, z.imag)
+        rec = self._records.get(key)
+        if rec is None:
+            rec = PointRecord(z, self.psi.jet(z), self.cover)
+            if keep:
+                self._records[key] = rec
+        return rec
+
     # ---- scalar fields -------------------------------------------------
 
     def rho0_at(self, z: complex) -> float:
-        if self.rho0_kind == "canonical":
-            return self.psi(z).imag
         if self.rho0_kind == "constant":
             return self.rho0_scale
-        return self.rho0_scale * self.psi(z).imag
+        im_psi = self.record(z).psi.imag
+        return im_psi if self.rho0_kind == "canonical" else self.rho0_scale * im_psi
 
     def slice_rho(self, z: complex) -> float:
-        return self.psi(z).imag
+        return self.record(z).psi.imag
 
     def t_slice_at(self, z: complex) -> float:
         return math.log(self.slice_rho(z)) - math.log(self.rho0_at(z))
@@ -165,7 +219,7 @@ class HolomorphicData:
     def potential(self, rho: float, z: complex) -> float:
         if not rho > 0:
             raise ValueError(f"rho = {rho} must be positive")
-        return self.v_multiplier * self.phi(z).imag / rho
+        return self.v_multiplier * self.record(z).phi.imag / rho
 
     def curl_source(self, z: complex) -> float:
         """The du^dv density that d xi must reproduce."""
@@ -174,11 +228,14 @@ class HolomorphicData:
     # ---- the connection ------------------------------------------------
 
     def xi_at(self, z: complex):
-        """(xi_u, xi_v) at z, from the radial homotopy based at 0."""
+        """(xi_u, xi_v) at z, from the radial homotopy based at 0.
+
+        The result is kept in the record at z; the quadrature nodes
+        evaluate curl_source directly and are not recorded.
+        """
         z = complex(z)
-        key = (z.real, z.imag)
-        got = self._xi_cache.get(key)
-        if got is None:
+        rec = self.record(z)
+        if rec.xi is None:
             val, err = quad(
                 lambda s: s * self.curl_source(s * z) if s > 0 else 0.0,
                 0.0,
@@ -189,13 +246,13 @@ class HolomorphicData:
             )
             if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
                 raise PathError(f"homotopy integral unreliable at z = {z}: err {err}")
-            got = (-z.imag * val, z.real * val)
-            self._xi_cache[key] = got
-        return got
+            rec.xi = (-z.imag * val, z.real * val)
+        return rec.xi
 
     def eta_at(self, rho: float, z: complex) -> np.ndarray:
-        xi_u, xi_v = self.xi_at(z)
-        return np.array([self.phi(z).real / rho, xi_u, xi_v])
+        rec = self.record(z)
+        xi_u, xi_v = rec.xi or self.xi_at(z)
+        return np.array([rec.phi.real / rho, xi_u, xi_v])
 
     def theta_at(self, rho: float, z: complex) -> np.ndarray:
         """Theta = dtheta + eta over (drho, du, dv, dtheta)."""
@@ -205,12 +262,11 @@ class HolomorphicData:
     # ---- momentum geometry ---------------------------------------------
 
     def momentum(self, rho: float, z: complex) -> np.ndarray:
-        return rho * self.cover.value(z).p
+        return rho * self.record(z).chart.p
 
     def dx_rows(self, rho: float, z: complex) -> np.ndarray:
         """The three 1-forms dx_i as rows over (drho, du, dv, dtheta)."""
-        val = self.cover.value(z)
-        p, dpu, dpv = sphere_jacobian(val.w, val.dw_dz)
+        p, dpu, dpv = self.record(z).sphere
         rows = np.zeros((3, 4))
         rows[:, 0] = p
         rows[:, 1] = rho * dpu
@@ -219,7 +275,7 @@ class HolomorphicData:
 
     def base_metric(self, rho: float, z: complex) -> np.ndarray:
         """Euclidean metric pulled to (rho, u, v): diag(1, r^2 m, r^2 m)."""
-        m = self.cover.metric_factor(z)
+        m = self.record(z).m
         return np.diag([1.0, rho * rho * m, rho * rho * m])
 
     def symplectic(self, rho: float, z: complex):
@@ -248,9 +304,10 @@ class HolomorphicData:
     # ---- slices --------------------------------------------------------
 
     def _slice_graph(self, z: complex, which: str):
-        dpsi = self.psi.deriv(z)
+        rec = self.record(z)
+        dpsi = rec.dpsi
         if which == "canonical":
-            return self.psi(z).imag, (dpsi.imag, dpsi.real)
+            return rec.psi.imag, (dpsi.imag, dpsi.real)
         if which == "zero":
             if self.rho0_kind == "constant":
                 return self.rho0_scale, (0.0, 0.0)
@@ -282,18 +339,19 @@ class HolomorphicData:
 
     def g_sigma(self, z: complex) -> np.ndarray:
         """Quotient metric on the disc: the canonical-slice metric with
-        the circle direction reduced away."""
-        psi = self.psi(z)
-        dpsi = self.psi.deriv(z)
-        grad = np.array([dpsi.imag, dpsi.real])
+        the circle direction reduced away.  Needs no xi, and keeps no
+        record: path quadratures call it at nodes no stencil revisits."""
+        rec = self.record(z, keep=False)
+        grad = np.array([rec.dpsi.imag, rec.dpsi.real])
         try:
-            m = self.cover.metric_factor(z)
+            m = rec.m
         except PunctureError:
             if abs(z) >= 1.0:
                 raise
             # numerically inside a cusp the conformal factor has decayed
             # below double precision; the radial part still makes sense
             m = 0.0
+        psi = rec.psi
         return (np.outer(grad, grad) + psi.imag**2 * m * np.eye(2)) / abs(psi) ** 2
 
 
@@ -311,10 +369,9 @@ def beta_cross_check(data: HolomorphicData, z: complex):
     """
     z = complex(z)
     frame = data.slice_frame(z, "canonical")
-    psi = data.psi(z)
-    dpsi = data.psi.deriv(z)
+    rec = data.record(z)
+    psi, dpsi, phi = rec.psi, rec.dpsi, rec.phi
     rho = frame.rho
-    phi = data.phi(z)
 
     theta4 = data.theta_at(rho, z)
     pull = np.zeros((4, 3))

@@ -525,10 +525,11 @@ def cmd_build(cfg: ExperimentConfig, out: Path):
     rows = []
     for z in interior_points(cfg.grid.samples, cfg.grid.seed):
         frame = data.slice_frame(z)
-        psi = data.psi(z)
+        rec = data.record(z)
+        psi = rec.psi
         rows.append([
             z.real, z.imag, psi.imag, psi.real,
-            frame.V, data.cover.metric_factor(z), frame.lam0,
+            frame.V, rec.m, frame.lam0,
             frame.beta[2], frame.x[0], frame.x[1], frame.x[2],
         ])
     header = ["u", "v", "im_psi", "re_psi", "potential", "metric_factor",
@@ -567,8 +568,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     for z in points:
         frame = data.slice_frame(z)
         rho = frame.rho
-        psi = data.psi(z)
-        phi = data.phi(z)
+        rec = data.record(z)
+        psi, phi = rec.psi, rec.phi
 
         cr = cauchy_riemann_residual(data.phi, z)
         quat = max(quaternion_check(data, rho, z).values())
@@ -640,7 +641,7 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     for rho in (0.9, 1.1, 1.3):
         for z in zpts:
             coarse, _, noise = curvature_with_noise(
-                fn, [rho, z.real, z.imag, 0.0], h=cfg.fd.curvature_h
+                fn, [rho, z.real, z.imag], h=cfg.fd.curvature_h
             )
             rows.append([
                 rho, z.real, z.imag, coarse.riemann_max, coarse.ricci_max,

@@ -222,6 +222,16 @@ class PhiValue:
     p: np.ndarray
     dw_dz: Optional[complex]
 
+    def metric_factor(self) -> float:
+        """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
+        aw = abs(self.w)
+        ad = abs(self.dw_dz)
+        # near w = infinity the numerator and denominator both overflow
+        # when squared separately, so form the ratio first
+        den = 1.0 + aw * aw
+        q = ad / aw / aw if not math.isfinite(den) else ad / den
+        return 4.0 * q * q
+
 
 class ModularCover:
     """Phi = lambda o cayley with chain-rule derivative."""
@@ -266,14 +276,7 @@ class ModularCover:
 
     def metric_factor(self, z: complex) -> float:
         """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
-        val = self.value(z)
-        aw = abs(val.w)
-        ad = abs(val.dw_dz)
-        # near w = infinity the numerator and denominator both overflow
-        # when squared separately, so form the ratio first
-        den = 1.0 + aw * aw
-        q = ad / aw / aw if not math.isfinite(den) else ad / den
-        return 4.0 * q * q
+        return self.value(z).metric_factor()
 
 
 class IdentityChart:
@@ -287,8 +290,7 @@ class IdentityChart:
         return self.value(z)
 
     def metric_factor(self, z: complex) -> float:
-        s = abs(complex(z)) ** 2
-        return 4.0 / (1.0 + s) ** 2
+        return self.value(z).metric_factor()
 
 
 def puncture_distance(cover, z: complex, j: int) -> float:

@@ -12,17 +12,19 @@ the right half-plane into the sector |arg| < pi/4.  Since B maps the
 disc into itself, 1 - B stays in the right half-plane and psi lands in
 the required sector automatically.
 
-Everything carries analytic first and second derivatives; a HoloFn
-bundles the evaluation rule with those derivative rules so consumers
-never have to difference anything that is known in closed form.
+Everything carries analytic first and second derivatives; a HoloFn is
+the jet (f, f', f'') at a point, so consumers never have to difference
+anything that is known in closed form, and one Blaschke product per
+point serves all three.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .errors import BranchDomainError, InvalidMuError, InvalidZeroError, PoleError
 
@@ -33,33 +35,27 @@ _Q2_HI = 3 * math.pi / 4
 
 @dataclass(frozen=True)
 class HoloFn:
-    """A holomorphic function with analytic derivative rules.
+    """A holomorphic function given by its second-order jet.
 
-    ``df`` must be the exact complex derivative of ``f``; ``d2f`` is
-    optional (root finding on the zero locus needs it, plain tensor
-    assembly does not).  ``domain`` is a cheap predicate used by
-    validation sweeps, not a guarantee enforced per call.
+    ``jet(z)`` returns (f, f', f'') with exact complex derivatives, so
+    one evaluation of the underlying product serves the value and both
+    derivatives; the three views below each take one jet.
     """
 
-    f: Callable[[complex], complex]
-    df: Callable[[complex], complex]
-    d2f: Optional[Callable[[complex], complex]] = None
-    domain: Callable[[complex], bool] = field(default=lambda z: abs(z) < 1.0)
+    jet: Callable[[complex], tuple]
 
     def __call__(self, z: complex) -> complex:
-        return self.f(z)
+        return self.jet(z)[0]
 
     def deriv(self, z: complex) -> complex:
-        return self.df(z)
+        return self.jet(z)[1]
 
     def second(self, z: complex) -> complex:
-        if self.d2f is None:
-            raise ValueError("this HoloFn carries no second-derivative rule")
-        return self.d2f(z)
+        return self.jet(z)[2]
 
     @classmethod
     def constant(cls, c: complex) -> "HoloFn":
-        return cls(f=lambda z, c=c: c, df=lambda z: 0j, d2f=lambda z: 0j)
+        return cls(jet=lambda z, c=c: (c, 0j, 0j))
 
     def negate_reciprocal(self) -> "HoloFn":
         """Return -1/f with derivatives by the quotient rule.
@@ -67,24 +63,13 @@ class HoloFn:
         This is how phi is produced from psi (and vice versa: the map is
         an involution).
         """
-        f, df, d2f = self.f, self.df, self.d2f
+        jet = self.jet
 
-        def val(z: complex) -> complex:
-            return -1.0 / f(z)
+        def nr(z: complex):
+            w, d, d2 = jet(z)
+            return -1.0 / w, d / (w * w), d2 / (w * w) - 2.0 * d * d / (w * w * w)
 
-        def dval(z: complex) -> complex:
-            w = f(z)
-            return df(z) / (w * w)
-
-        dd = None
-        if d2f is not None:
-
-            def dd(z: complex) -> complex:  # noqa: F811
-                w = f(z)
-                d = df(z)
-                return d2f(z) / (w * w) - 2.0 * d * d / (w * w * w)
-
-        return HoloFn(f=val, df=dval, d2f=dd, domain=self.domain)
+        return HoloFn(jet=nr)
 
 
 @dataclass(frozen=True)
@@ -113,11 +98,16 @@ class BlaschkeSpec:
             if not 0.0 < abs(a) < 1.0:
                 raise InvalidZeroError(f"zero {a} not in the punctured open disc")
 
-    def factors(self):
-        """Yield each zero once per multiplicity."""
+    @cached_property
+    def factor_terms(self) -> tuple:
+        """(a, conj(a), conj(a)/|a|, |a|^2 - 1) for each zero, once per
+        multiplicity: the constants of each factor's jet."""
+        terms = []
         for a, mult in self.zeros:
-            for _ in range(mult):
-                yield complex(a)
+            a = complex(a)
+            ac = a.conjugate()
+            terms += [(a, ac, ac / abs(a), abs(a) ** 2 - 1.0)] * mult
+        return tuple(terms)
 
     def degree(self) -> int:
         return self.m + sum(mult for _, mult in self.zeros)
@@ -153,20 +143,6 @@ def blaschke_factor(a: complex, z: complex) -> complex:
     return (a.conjugate() / abs(a)) * (a - z) / den
 
 
-def _factor_with_derivs(a: complex, z: complex):
-    """Value, first and second derivative of one Blaschke factor."""
-    c = a.conjugate() / abs(a)
-    den = 1.0 - a.conjugate() * z
-    if abs(den) < _DENOM_FLOOR:
-        raise PoleError(f"Blaschke factor pole at z={z} for zero a={a}")
-    val = c * (a - z) / den
-    # d/dz [(a-z)/(1-conj(a)z)] = (|a|^2 - 1)/(1-conj(a)z)^2
-    core = (abs(a) ** 2 - 1.0) / (den * den)
-    d1 = c * core
-    d2 = c * core * 2.0 * a.conjugate() / den
-    return val, d1, d2
-
-
 def _power_with_derivs(m: int, z: complex):
     if m == 0:
         return 1.0 + 0j, 0j, 0j
@@ -176,10 +152,21 @@ def _power_with_derivs(m: int, z: complex):
 
 
 def blaschke_derivs(spec: BlaschkeSpec, z: complex):
-    """(B, B', B'') by product-rule accumulation over the factors."""
+    """(B, B', B'') by product-rule accumulation over the factors.
+
+    Factor c (a - z)/den with c = conj(a)/|a| and den = 1 - conj(a) z
+    has derivative c (|a|^2 - 1)/den^2 and second derivative that times
+    2 conj(a)/den.
+    """
     p, d1, d2 = _power_with_derivs(spec.m, z)
-    for a in spec.factors():
-        f, f1, f2 = _factor_with_derivs(a, z)
+    for a, ac, c, k in spec.factor_terms:
+        den = 1.0 - ac * z
+        if abs(den) < _DENOM_FLOOR:
+            raise PoleError(f"Blaschke factor pole at z={z} for zero a={a}")
+        f = c * (a - z) / den
+        core = k / (den * den)
+        f1 = c * core
+        f2 = c * core * 2.0 * ac / den
         d2 = d2 * f + 2.0 * d1 * f1 + p * f2
         d1 = d1 * f + p * f1
         p = p * f
@@ -222,27 +209,22 @@ def psi_from_blaschke(spec: BlaschkeSpec, z: complex) -> complex:
 
 
 def psi_fn(spec: BlaschkeSpec) -> HoloFn:
-    """The full psi = i*sqrt(1-B) as a HoloFn with both derivatives.
+    """The full psi = i*sqrt(1-B) as a HoloFn, one product per jet.
 
     With s = sqrt(1-B):  psi' = -i B' / (2 s)  and
     psi'' = -i [ B''/(2 s) + B'^2/(4 s^3) ].
     """
 
-    def val(z: complex) -> complex:
-        b, _, _ = blaschke_derivs(spec, z)
-        return 1j * sqrt_right_halfplane(1.0 - b)
-
-    def d1(z: complex) -> complex:
-        b, db, _ = blaschke_derivs(spec, z)
-        s = sqrt_right_halfplane(1.0 - b)
-        return -1j * db / (2.0 * s)
-
-    def d2(z: complex) -> complex:
+    def jet(z: complex):
         b, db, ddb = blaschke_derivs(spec, z)
         s = sqrt_right_halfplane(1.0 - b)
-        return -1j * (ddb / (2.0 * s) + db * db / (4.0 * s**3))
+        return (
+            1j * s,
+            -1j * db / (2.0 * s),
+            -1j * (ddb / (2.0 * s) + db * db / (4.0 * s**3)),
+        )
 
-    return HoloFn(f=val, df=d1, d2f=d2)
+    return HoloFn(jet=jet)
 
 
 def in_q2(w: complex) -> bool:
@@ -258,62 +240,31 @@ class MuSpec:
 
     kind "scale": mu(w) = scale * w, scale > 0.
     kind "perturb": mu(w) = w + eps * w^2 for small |eps|.
-    kind "table": a user-supplied HoloFn, validated like the others.
-    All kinds must fix 0 and keep a validation sample of psi values
+    Both kinds fix 0; a validation sample of mu(psi) values must stay
     inside the sector pi/4 < arg < 3pi/4.
     """
 
     kind: str = "scale"
     scale: float = 1.0
     eps: complex = 0.0
-    table: Optional[HoloFn] = None
 
     def __post_init__(self):
-        if self.kind not in ("scale", "perturb", "table"):
+        if self.kind not in ("scale", "perturb"):
             raise InvalidMuError(f"unknown mu kind {self.kind!r}")
         if self.kind == "scale" and not self.scale > 0:
             raise InvalidMuError("scale must be positive")
-        if self.kind == "table" and self.table is None:
-            raise InvalidMuError("table kind requires a HoloFn")
 
     def as_holo(self) -> HoloFn:
         if self.kind == "scale":
             c = self.scale
-            return HoloFn(
-                f=lambda w: c * w,
-                df=lambda w: complex(c),
-                d2f=lambda w: 0j,
-                domain=lambda w: True,
-            )
-        if self.kind == "perturb":
-            e = complex(self.eps)
-            return HoloFn(
-                f=lambda w: w + e * w * w,
-                df=lambda w: 1.0 + 2.0 * e * w,
-                d2f=lambda w: 2.0 * e,
-                domain=lambda w: True,
-            )
-        table = self.table
-        if table.d2f is not None:
-            return table
-        # User tables may lack a second-derivative rule; fall back to a
-        # Richardson-extrapolated central difference of df.
-        h = 1e-5
-
-        def d2(w: complex, t=table) -> complex:
-            coarse = (t.df(w + h) - t.df(w - h)) / (2 * h)
-            fine = (t.df(w + h / 2) - t.df(w - h / 2)) / h
-            return (4.0 * fine - coarse) / 3.0
-
-        return HoloFn(f=table.f, df=table.df, d2f=d2, domain=table.domain)
+            return HoloFn(jet=lambda w: (c * w, complex(c), 0j))
+        e = complex(self.eps)
+        return HoloFn(jet=lambda w: (w + e * w * w, 1.0 + 2.0 * e * w, 2.0 * e))
 
 
 def validate_mu(mu: MuSpec, psi: HoloFn, samples) -> None:
-    """Check mu(0) = 0 and the sector condition on mu(psi(z)) over samples."""
+    """Check the sector condition on mu(psi(z)) over samples."""
     m = mu.as_holo()
-    origin = m(0j)
-    if abs(origin) > 1e-12:
-        raise InvalidMuError(f"mu(0) = {origin}, expected 0")
     for z in samples:
         w = m(psi(complex(z)))
         if not in_q2(w):
@@ -338,20 +289,12 @@ def apply_mu(mu: MuSpec, psi: HoloFn, samples=None) -> HoloFn:
     if samples is None:
         samples = default_mu_samples()
     validate_mu(mu, psi, samples)
-    m = mu.as_holo()
+    inner = psi.jet
+    outer = mu.as_holo().jet
 
-    def val(z: complex) -> complex:
-        return m(psi(z))
+    def jet(z: complex):
+        w, dw, d2w = inner(z)
+        m, dm, d2m = outer(w)
+        return m, dm * dw, d2m * dw * dw + dm * d2w
 
-    def d1(z: complex) -> complex:
-        return m.df(psi(z)) * psi.df(z)
-
-    d2 = None
-    if m.d2f is not None and psi.d2f is not None:
-
-        def d2(z: complex) -> complex:  # noqa: F811
-            w = psi(z)
-            dw = psi.df(z)
-            return m.d2f(w) * dw * dw + m.df(w) * psi.d2f(z)
-
-    return HoloFn(f=val, df=d1, d2f=d2, domain=psi.domain)
+    return HoloFn(jet=jet)

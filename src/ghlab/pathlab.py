@@ -375,8 +375,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
     def variation(s: float, v: np.ndarray) -> float:
         z = path.point(s)
         try:
-            psi = data.psi(z)
-            dpsi = data.psi.deriv(z)
+            psi, dpsi, _ = data.psi.jet(z)
         except PathError:
             raise
         except GHLabError as exc:
@@ -624,4 +623,4 @@ def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
 
 def mu_variant(data: HolomorphicData, mu: MuSpec, samples=None) -> HolomorphicData:
     """Same covering chart, psi post-composed with mu (validated)."""
-    return replace(data, psi=apply_mu(mu, data.psi, samples), _xi_cache={})
+    return replace(data, psi=apply_mu(mu, data.psi, samples))

@@ -151,17 +151,6 @@ class MoebiusMap:
             reflecting=True,
         )
 
-    def unit_circle_error(self, samples: int = 16) -> float:
-        worst = 0.0
-        for k in range(samples):
-            z = complex(math.cos(2 * math.pi * k / samples),
-                        math.sin(2 * math.pi * k / samples))
-            w = self(z)
-            if w is INF:
-                continue
-            worst = max(worst, abs(abs(w) - 1.0))
-        return worst
-
 
 @dataclass(frozen=True)
 class SideGeodesic:
@@ -295,13 +284,6 @@ class Tessellation:
 
     def vertex_index(self, cusp: Cusp):
         return self._cusp_index.get(cusp)
-
-    def locate(self, z: complex, tol: float = 1e-9):
-        """First triangle whose closure contains z, or None."""
-        for tri in self.triangles:
-            if tri.contains(z, tol=tol):
-                return tri
-        return None
 
     def max_boundary_gap(self) -> float:
         angles = sorted(math.atan2(v.z.imag, v.z.real) for v in self.vertices)

@@ -57,33 +57,40 @@ def _partial(field, x, axis, config: FDConfig):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _partials(field, x, config: FDConfig, n: Optional[int] = None) -> np.ndarray:
+    """Partials of field along each coordinate of x, stacked on a new
+    leading axis and padded with zeros up to n coordinates: the field
+    does not depend on the coordinates past x (theta, for the ansatz)."""
+    x = np.asarray(x, dtype=float)
+    parts = [_partial(field, x, a, config) for a in range(x.size)]
+    if n is not None:
+        parts += [np.zeros_like(parts[0])] * (n - x.size)
+    return np.array(parts)
+
+
+def _exterior(P: np.ndarray, k: int) -> np.ndarray:
+    """d of a k-form from its stacked partials P[a] = d_a(form).
+
+    Axes of the form before its last k index a family of forms, so one
+    stencil pass serves several."""
+    if k == 0:
+        return P
+    A = np.moveaxis(P, 0, -k - 1)  # A[..., a, b(, c)] = P[a, ..., b(, c)]
+    if k == 1:
+        return A - np.swapaxes(A, -1, -2)
+    if k == 2:
+        return A - np.swapaxes(A, -3, -2) + np.moveaxis(A, -3, -1)
+    raise ValueError(f"unsupported form degree {k}")
+
+
 def fd_exterior_derivative(field, x, config: FDConfig = _DEFAULT_FD):
     """Exterior derivative of a k-form field (k = 0, 1, 2) by differencing.
 
     ``field`` maps a coordinate vector to a scalar, a component vector,
     or an antisymmetric component matrix.  The result carries one more
     index and is antisymmetric."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    probe = np.asarray(field(x))
-    k = probe.ndim
-    parts = [_partial(field, x, a, config) for a in range(n)]
-    if k == 0:
-        return np.array([float(parts[a]) for a in range(n)])
-    if k == 1:
-        out = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = parts[a][b] - parts[b][a]
-        return out
-    if k == 2:
-        out = np.zeros((n, n, n))
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    out[a, b, c] = parts[a][b, c] - parts[b][a, c] + parts[c][a, b]
-        return out
-    raise ValueError(f"unsupported form degree {k}")
+    P = _partials(field, x, config)
+    return _exterior(P, P.ndim - 1)
 
 
 def cauchy_riemann_residual(f: Callable[[complex], complex], z: complex,
@@ -99,15 +106,16 @@ def cauchy_riemann_residual(f: Callable[[complex], complex], z: complex,
 
 def closure_residual(data: HolomorphicData, rho: float, z: complex,
                      config: FDConfig = _DEFAULT_FD) -> float:
-    """Worst component of d(Omega_i) over (rho, u, v, theta)."""
-    worst = 0.0
-    for i in range(3):
-        def two_form(x, i=i):
-            return data.symplectic(x[0], complex(x[1], x[2]))[i]
+    """Worst component of d(Omega_i) over (rho, u, v, theta).
 
-        d = fd_exterior_derivative(two_form, [rho, z.real, z.imag, 0.0], config)
-        worst = max(worst, float(np.abs(d).max()))
-    return worst
+    All three forms are differenced in one pass per stencil point; they
+    do not depend on theta, so its column of partials is zero."""
+
+    def forms(x):
+        return np.array(data.symplectic(x[0], complex(x[1], x[2])))
+
+    d = _exterior(_partials(forms, [rho, z.real, z.imag], config, n=4), 2)
+    return float(np.abs(d).max())
 
 
 def curl_residual(data: HolomorphicData, rho: float, z: complex,
@@ -117,17 +125,15 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
     The Hodge star of the flat base metric in these coordinates is
     *drho = rho^2 m du^dv, *du = -drho^dv, *dv = drho^du.
     """
-    x0 = [rho, z.real, z.imag]
 
-    def eta_field(x):
-        return data.eta_at(x[0], complex(x[1], x[2]))
+    def eta_and_v(x):
+        zx = complex(x[1], x[2])
+        return np.append(data.eta_at(x[0], zx), data.potential(x[0], zx))
 
-    def v_field(x):
-        return data.potential(x[0], complex(x[1], x[2]))
-
-    d_eta = fd_exterior_derivative(eta_field, x0, config)
-    grad_v = fd_exterior_derivative(v_field, x0, config)
-    m = data.cover.metric_factor(z)
+    P = _partials(eta_and_v, [rho, z.real, z.imag], config)
+    d_eta = _exterior(P[:, :3], 1)
+    grad_v = P[:, 3]
+    m = data.record(z).m
     star_dv = np.zeros((3, 3))
     star_dv[1, 2] = grad_v[0] * rho * rho * m
     star_dv[0, 2] = -grad_v[1]
@@ -184,10 +190,10 @@ class CurvatureReport:
 
 
 def _christoffel(metric_fn, x, h):
-    n = x.size
     G0 = np.asarray(metric_fn(x))
+    n = len(G0)
     dG = np.zeros((n, n, n))
-    for a in range(n):
+    for a in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[a] += h
@@ -204,14 +210,17 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
 
     No Richardson anywhere: the truncation error is honestly O(h^2) so
     halving the step must shrink a known-zero residual fourfold.
+    When x has fewer coordinates than the metric has dimensions, the
+    metric does not depend on the rest (theta, for metric_field): their
+    partials are zero and are not differenced.
     """
     x = np.asarray(x, dtype=float)
     if x[0] <= 2.5 * h:
         raise StencilError(f"rho = {x[0]} too close to the cone point for h = {h}")
-    n = x.size
     Gamma0, G0 = _christoffel(metric_fn, x, h)
+    n = len(G0)
     dGamma = np.zeros((n, n, n, n))
-    for c in range(n):
+    for c in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[c] += h
@@ -249,7 +258,9 @@ def curvature_with_noise(metric_fn, x, h: float = 1e-3):
 
 
 def metric_field(data: HolomorphicData):
-    """The 4-metric as a function of the coordinate vector (rho,u,v,theta)."""
+    """The 4-metric as a function of the coordinate vector (rho,u,v,theta).
+
+    The metric does not depend on theta, so the vector may leave it out."""
 
     def fn(x):
         return data.metric(float(x[0]), complex(x[1], x[2]))
@@ -269,6 +280,17 @@ class StructureFit:
     lam0_predicted: float
 
 
+def _uv_partials(frame_field, z: complex, config: FDConfig):
+    """Partials along u and v of a slice-frame quantity, one slice frame
+    per stencil point; partials along theta vanish."""
+    x0 = np.array([z.real, z.imag])
+
+    def field(x):
+        return frame_field(complex(x[0], x[1]))
+
+    return _partial(field, x0, 0, config), _partial(field, x0, 1, config)
+
+
 def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
                      config: FDConfig = _DEFAULT_FD) -> StructureFit:
     """Fit d(alpha_i) = beta0 ^ alpha_i + lam0 alpha_j ^ alpha_k.
@@ -281,33 +303,16 @@ def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
     z = complex(z)
     frame = data.slice_frame(z, which)
     alpha = frame.omega
-
-    def omega_field(x, i=0):
-        return data.slice_frame(complex(x[0], x[1]), which).omega[i]
+    d_u, d_v = _uv_partials(lambda w: data.slice_frame(w, which).omega, z, config)
 
     pairs = [(0, 1), (0, 2), (1, 2)]
     rows = []
     rhs = []
     for i in range(3):
-        d = fd_exterior_derivative(
-            lambda x, i=i: data.slice_frame(complex(x[0], x[1]), which).omega[i][:2],
-            [z.real, z.imag],
-            config,
-        )
-        # theta-column of the derivative: alpha components are theta-free
-        d_theta_u = _partial(
-            lambda x, i=i: data.slice_frame(complex(x[0], x[1]), which).omega[i][2],
-            np.array([z.real, z.imag]),
-            0,
-            config,
-        )
-        d_theta_v = _partial(
-            lambda x, i=i: data.slice_frame(complex(x[0], x[1]), which).omega[i][2],
-            np.array([z.real, z.imag]),
-            1,
-            config,
-        )
-        d_alpha = {(0, 1): d[0, 1], (0, 2): float(d_theta_u), (1, 2): float(d_theta_v)}
+        # the alpha components are theta-free, so d alpha has only
+        # d_u and d_v terms
+        d_alpha = {(0, 1): d_u[i][1] - d_v[i][0], (0, 2): float(d_u[i][2]),
+                   (1, 2): float(d_v[i][2])}
         j, k = (i + 1) % 3, (i + 2) % 3
         jk = wedge(alpha[j], alpha[k])
         for (a, b) in pairs:
@@ -343,21 +348,10 @@ def contact_ratio(data: HolomorphicData, z: complex,
     """
     z = complex(z)
     frame = data.slice_frame(z, "canonical")
-
-    def beta_field(x):
-        return data.slice_frame(complex(x[0], x[1]), "canonical").beta
-
-    parts = [
-        _partial(beta_field, np.array([z.real, z.imag]), 0, config),
-        _partial(beta_field, np.array([z.real, z.imag]), 1, config),
-        np.zeros(3),
-    ]
-    dbeta = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(3):
-            dbeta[a, b] = parts[a][b] - parts[b][a]
+    d_u, d_v = _uv_partials(lambda w: data.slice_frame(w, "canonical").beta, z, config)
     beta = frame.beta
-    top = beta[0] * dbeta[1, 2] - beta[1] * dbeta[0, 2] + beta[2] * dbeta[0, 1]
+    # dbeta over (u, v, theta) has no theta partials
+    top = beta[0] * d_v[2] - beta[1] * d_u[2] + beta[2] * (d_u[1] - d_v[0])
     vol = float(np.linalg.det(frame.omega))
     if abs(vol) < 1e-300:
         raise DegenerateFrameError(f"coframe volume vanishes at z = {z}")
@@ -393,20 +387,18 @@ def beta_zero_search(data: HolomorphicData, grid: int = 40, radius: float = 0.9,
     if all(abs(psi.deriv(z)) < 1e-13 for z in probes):
         raise InvalidDataError("psi is constant; its contact form vanishes identically")
 
-    def residual(z):
-        d = psi.deriv(z)
-        return np.array([d.real, d.imag, psi(z).real])
-
-    def jacobian(z):
-        d2 = psi.second(z)
-        d1 = psi.deriv(z)
-        return np.array(
+    def system(z):
+        """The residual and its Jacobian from one jet of psi."""
+        w, d1, d2 = psi.jet(z)
+        F = np.array([d1.real, d1.imag, w.real])
+        J = np.array(
             [
                 [d2.real, -d2.imag],
                 [d2.imag, d2.real],
                 [d1.real, -d1.imag],
             ]
         )
+        return F, J
 
     # Zeros of psi' can be degenerate (symmetric data stacks several
     # critical points at the origin), where Gauss-Newton converges only
@@ -420,19 +412,23 @@ def beta_zero_search(data: HolomorphicData, grid: int = 40, radius: float = 0.9,
             z = complex(sx, sy)
             if abs(z) >= radius:
                 continue
+            F = None  # the residual at z, once taken
             for _ in range(max_iter):
-                F = residual(z)
+                F, J = system(z)
                 if not np.all(np.isfinite(F)) or np.linalg.norm(F) < 1e-14:
                     break
-                step, *_ = np.linalg.lstsq(jacobian(z), -F, rcond=None)
+                step, *_ = np.linalg.lstsq(J, -F, rcond=None)
                 if not np.all(np.isfinite(step)):
                     break
                 z = z + complex(step[0], step[1])
+                F = None
                 if abs(z) >= 0.999:
                     break
             if abs(z) >= radius:
                 continue
-            r = float(np.linalg.norm(residual(z)))
+            if F is None:
+                F, _ = system(z)
+            r = float(np.linalg.norm(F))
             if r < 1e-12:
                 candidates.append((r, z))
     candidates.sort(key=lambda t: t[0])

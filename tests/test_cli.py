@@ -1,12 +1,14 @@
 """End-to-end tests for the experiment driver."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ghlab
 from ghlab.cli import (
     DataConfig,
     ExperimentConfig,
@@ -286,10 +288,13 @@ class TestEntryPoints:
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "o"
+        # the child imports the same ghlab as this suite, installed or not
+        src = str(Path(ghlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ghlab.cli", "tessellate",
              "--out", str(out), "--depth", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "command=tessellate status=ok" in proc.stderr

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ghlab.errors import BranchDomainError, InvalidMuError, InvalidZeroError
 from ghlab.holo import (
     BlaschkeSpec,
-    HoloFn,
     MuSpec,
     apply_mu,
     blaschke_derivs,
@@ -188,8 +187,8 @@ class TestPsi:
         psi = psi_fn(FOUR_VERTEX)
         h = 1e-5
         for z in _interior_points(40, radius=0.85):
-            coarse = (psi.df(z + h) - psi.df(z - h)) / (2 * h)
-            fine = (psi.df(z + h / 2) - psi.df(z - h / 2)) / h
+            coarse = (psi.deriv(z + h) - psi.deriv(z - h)) / (2 * h)
+            fine = (psi.deriv(z + h / 2) - psi.deriv(z - h / 2)) / h
             rich = (4 * fine - coarse) / 3
             assert abs(psi.second(z) - rich) <= 1e-6 * max(1.0, abs(rich))
 
@@ -231,15 +230,8 @@ class TestMu:
             rich = (4 * fine - coarse) / 3
             assert abs(composed.deriv(z) - rich) <= 1e-6 * max(1.0, abs(rich))
 
-    def test_rejects_map_not_fixing_origin(self):
-        shifted = HoloFn(f=lambda w: w + 1.0, df=lambda w: 1.0 + 0j)
+    def test_rejects_sector_breaking_perturbation(self):
+        # w + 3 w^2 turns psi values near i*0.9 far past arg 3pi/4
         psi = psi_fn(FOUR_VERTEX)
         with pytest.raises(InvalidMuError):
-            apply_mu(MuSpec(kind="table", table=shifted), psi)
-
-    def test_rejects_sector_breaking_scale(self):
-        # Rotation out of the sector disguised as a table map.
-        rot = HoloFn(f=lambda w: w * cmath.exp(1.2j), df=lambda w: cmath.exp(1.2j))
-        psi = psi_fn(FOUR_VERTEX)
-        with pytest.raises(InvalidMuError):
-            apply_mu(MuSpec(kind="table", table=rot), psi)
+            apply_mu(MuSpec(kind="perturb", eps=3.0), psi)
