@@ -16,15 +16,16 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .ansatz import HolomorphicData, standard_data
 from .covering import puncture_class
-from .errors import ConfigError, GHLabError
+from .errors import ConfigError, GHLabError, InvalidMuError
 from .holo import HoloFn, MuSpec
 from .pathlab import (
     ParamPath,
@@ -34,7 +35,7 @@ from .pathlab import (
     mu_variant,
     radial_graph_fingerprint,
 )
-from .tessellation import tessellate
+from .tessellation import MAX_DEPTH, tessellate
 from .verify import (
     FDConfig,
     cauchy_riemann_residual,
@@ -62,12 +63,6 @@ COMMANDS = (
 # ---- configuration -----------------------------------------------------
 
 
-def _check_keys(mapping: dict, allowed, where: str) -> None:
-    extra = set(mapping) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown {where} keys: {sorted(extra)}")
-
-
 @dataclass(frozen=True)
 class MuConfig:
     kind: str = "scale"
@@ -76,46 +71,25 @@ class MuConfig:
     eps_im: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("scale", "perturb"):
-            raise ConfigError(f"mu kind {self.kind!r} not in (scale, perturb)")
-        if self.kind == "scale" and not self.scale > 0:
-            raise ConfigError("mu scale must be positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MuConfig":
-        _check_keys(d, ("kind", "scale", "eps_re", "eps_im"), "mu")
-        return cls(
-            kind=d.get("kind", "scale"),
-            scale=float(d.get("scale", 1.0)),
-            eps_re=float(d.get("eps_re", 0.0)),
-            eps_im=float(d.get("eps_im", 0.0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scale": self.scale,
-            "eps_re": self.eps_re,
-            "eps_im": self.eps_im,
-        }
+        try:
+            self.as_spec()
+        except InvalidMuError as exc:
+            raise ConfigError(str(exc))
 
     def is_identity(self) -> bool:
         return self.kind == "scale" and self.scale == 1.0
 
     def as_spec(self) -> MuSpec:
-        if self.kind == "scale":
-            return MuSpec(kind="scale", scale=self.scale)
-        return MuSpec(kind="perturb", eps=complex(self.eps_re, self.eps_im))
-
-
-_DEFAULT_VERTICES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+        return MuSpec(kind=self.kind, scale=self.scale,
+                      eps=complex(self.eps_re, self.eps_im))
 
 
 @dataclass(frozen=True)
 class DataConfig:
     kind: str = "blaschke"
-    vertices: tuple = _DEFAULT_VERTICES
-    depths: tuple = (1, 2)
+    vertices: tuple[tuple[float, float], ...] = (
+        (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    depths: tuple[int, ...] = (1, 2)
     ball_radius: float = 0.1
     rho0_kind: str = "canonical"
     rho0_scale: float = 1.0
@@ -133,45 +107,8 @@ class DataConfig:
             raise ConfigError("rho0_scale must be positive")
         if not self.v_multiplier > 0:
             raise ConfigError("v_multiplier must be positive")
-        for pair in self.vertices:
-            if len(pair) != 2:
-                raise ConfigError("vertices must be [re, im] pairs")
-        if not all(isinstance(d, int) and d > 0 for d in self.depths):
-            raise ConfigError("depths must be positive integers")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataConfig":
-        _check_keys(
-            d,
-            ("kind", "vertices", "depths", "ball_radius", "rho0_kind",
-             "rho0_scale", "v_multiplier", "mu"),
-            "data",
-        )
-        return cls(
-            kind=d.get("kind", "blaschke"),
-            vertices=tuple(
-                tuple(float(x) for x in pair)
-                for pair in d.get("vertices", _DEFAULT_VERTICES)
-            ),
-            depths=tuple(int(x) for x in d.get("depths", (1, 2))),
-            ball_radius=float(d.get("ball_radius", 0.1)),
-            rho0_kind=d.get("rho0_kind", "canonical"),
-            rho0_scale=float(d.get("rho0_scale", 1.0)),
-            v_multiplier=float(d.get("v_multiplier", 1.0)),
-            mu=MuConfig.from_dict(d.get("mu", {})),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vertices": [list(p) for p in self.vertices],
-            "depths": list(self.depths),
-            "ball_radius": self.ball_radius,
-            "rho0_kind": self.rho0_kind,
-            "rho0_scale": self.rho0_scale,
-            "v_multiplier": self.v_multiplier,
-            "mu": self.mu.to_dict(),
-        }
+        if not all(d > 0 for d in self.depths):
+            raise ConfigError("depths must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,18 +123,6 @@ class GridConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        _check_keys(d, ("samples", "resolution", "seed"), "grid")
-        return cls(
-            samples=int(d.get("samples", 24)),
-            resolution=int(d.get("resolution", 5)),
-            seed=int(d.get("seed", 0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "resolution": self.resolution, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class FDSettings:
@@ -206,36 +131,15 @@ class FDSettings:
     curvature_h: float = 1e-3
 
     def __post_init__(self):
-        if not self.h > 0 or not self.curvature_h > 0:
-            raise ConfigError("finite-difference steps must be positive")
-        if self.richardson not in (0, 1):
-            raise ConfigError("richardson must be 0 or 1")
+        try:
+            self.as_fd()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        if not self.curvature_h > 0:
+            raise ConfigError("curvature step must be positive")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FDSettings":
-        _check_keys(d, ("h", "richardson", "curvature_h"), "fd")
-        return cls(
-            h=float(d.get("h", 1e-4)),
-            richardson=int(d.get("richardson", 1)),
-            curvature_h=float(d.get("curvature_h", 1e-3)),
-        )
-
-    def to_dict(self) -> dict:
-        return {"h": self.h, "richardson": self.richardson, "curvature_h": self.curvature_h}
-
-
-_TOLERANCE_FIELDS = (
-    "closure",
-    "curl",
-    "quaternion",
-    "cauchy_riemann",
-    "slice_identity",
-    "structure",
-    "beta_cross",
-    "psi_reconstruction",
-    "contact",
-    "fingerprint_separation",
-)
+    def as_fd(self) -> FDConfig:
+        return FDConfig(h=self.h, richardson=self.richardson)
 
 
 @dataclass(frozen=True)
@@ -252,17 +156,9 @@ class Tolerances:
     fingerprint_separation: float = 1e-4
 
     def __post_init__(self):
-        for name in _TOLERANCE_FIELDS:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"tolerance {name} must be positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tolerances":
-        _check_keys(d, _TOLERANCE_FIELDS, "tolerances")
-        return cls(**{k: float(v) for k, v in d.items()})
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _TOLERANCE_FIELDS}
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ConfigError(f"tolerance {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -276,38 +172,59 @@ class ExperimentConfig:
     sweep_floor: float = 0.05
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ConfigError("depth must be nonnegative")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must lie in 0..{MAX_DEPTH}")
         if not self.sweep_floor > 0:
             raise ConfigError("sweep_floor must be positive")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(
-            d,
-            ("data", "grid", "fd", "tolerances", "out_dir", "depth", "sweep_floor"),
-            "config",
-        )
-        return cls(
-            data=DataConfig.from_dict(d.get("data", {})),
-            grid=GridConfig.from_dict(d.get("grid", {})),
-            fd=FDSettings.from_dict(d.get("fd", {})),
-            tolerances=Tolerances.from_dict(d.get("tolerances", {})),
-            out_dir=d.get("out_dir", "out"),
-            depth=int(d.get("depth", 2)),
-            sweep_floor=float(d.get("sweep_floor", 0.05)),
-        )
 
-    def to_dict(self) -> dict:
-        return {
-            "data": self.data.to_dict(),
-            "grid": self.grid.to_dict(),
-            "fd": self.fd.to_dict(),
-            "tolerances": self.tolerances.to_dict(),
-            "out_dir": self.out_dir,
-            "depth": self.depth,
-            "sweep_floor": self.sweep_floor,
-        }
+def _parse(tp, raw, where: str):
+    """Check a decoded JSON value against the annotation ``tp``.
+
+    Dataclasses take JSON objects with no unknown keys, tuples take
+    arrays, ``float`` takes any finite number and ``int``/``str`` take
+    exactly their type; ``bool`` is never a number.  Each failure names
+    its path, e.g. ``config.grid.samples``.
+    """
+    if is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        hints = get_type_hints(tp)
+        unknown = set(raw) - {f.name for f in fields(tp)}
+        if unknown:
+            raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        kwargs = {k: _parse(hints[k], v, f"{where}.{k}") for k, v in raw.items()}
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}")
+    if get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{where} must be a JSON array")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(raw)
+        elif len(raw) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} entries")
+        return tuple(_parse(a, r, f"{where}[{i}]")
+                     for i, (a, r) in enumerate(zip(args, raw)))
+    accepted = (int, float) if tp is float else tp
+    if isinstance(raw, bool) or not isinstance(raw, accepted):
+        raise ConfigError(f"{where} must be of type {tp.__name__}")
+    if tp is float:
+        try:
+            raw = float(raw)
+        except OverflowError:
+            raw = math.inf
+        if not math.isfinite(raw):
+            raise ConfigError(f"{where} must be finite")
+    return raw
+
+
+def parse_config(raw) -> ExperimentConfig:
+    """The config a decoded JSON document describes; absent keys take
+    their defaults."""
+    return _parse(ExperimentConfig, raw, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -318,13 +235,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return parse_config(raw)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -560,7 +475,7 @@ _VERIFY_CHECKS = (
 def cmd_verify(cfg: ExperimentConfig, out: Path):
     data = build_data(cfg.data)
     tol = cfg.tolerances
-    fdc = FDConfig(h=cfg.fd.h, richardson=cfg.fd.richardson)
+    fdc = cfg.fd.as_fd()
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
     rows = []
     maxima = {name: 0.0 for name in _VERIFY_CHECKS}

@@ -74,23 +74,17 @@ class HoloFn:
 
 @dataclass(frozen=True)
 class BlaschkeSpec:
-    """A finite Blaschke product, optionally a declared truncation.
+    """A finite Blaschke product.
 
     ``zeros`` is a tuple of (a, multiplicity) pairs with 0 < |a| < 1.
-    ``tail_residual`` is the sum of (1 - |a|) over zeros omitted from a
-    truncated infinite product; it feeds the evaluation tail bound
-    2/(1-|z|) * tail_residual and is 0 for genuinely finite products.
     """
 
     m: int = 0
     zeros: tuple[tuple[complex, int], ...] = ()
-    tail_residual: float = 0.0
 
     def __post_init__(self):
         if self.m < 0:
             raise InvalidZeroError("leading power m must be nonnegative")
-        if self.tail_residual < 0:
-            raise InvalidZeroError("tail residual must be nonnegative")
         for a, mult in self.zeros:
             a = complex(a)
             if mult < 1:
@@ -113,7 +107,7 @@ class BlaschkeSpec:
         return self.m + sum(mult for _, mult in self.zeros)
 
 
-def vertex_targeted_spec(vertices, depths=(1, 2), tail_residual=0.0) -> BlaschkeSpec:
+def vertex_targeted_spec(vertices, depths=(1, 2)) -> BlaschkeSpec:
     """Place zeros a = (1 - 2^-j) * v for each unit-modulus target v.
 
     Radial accumulation of zeros drives B toward 1 along the radius to
@@ -129,7 +123,7 @@ def vertex_targeted_spec(vertices, depths=(1, 2), tail_residual=0.0) -> Blaschke
             raise InvalidZeroError(f"target vertex {v} must have modulus 1")
         for j in depths:
             zeros.append(((1.0 - 2.0 ** (-j)) * v, 1))
-    return BlaschkeSpec(m=0, zeros=tuple(zeros), tail_residual=tail_residual)
+    return BlaschkeSpec(m=0, zeros=tuple(zeros))
 
 
 def blaschke_factor(a: complex, z: complex) -> complex:
@@ -173,22 +167,6 @@ def blaschke_derivs(spec: BlaschkeSpec, z: complex):
     return p, d1, d2
 
 
-def blaschke_eval(spec: BlaschkeSpec, z: complex):
-    """Evaluate the product; return (value, tail_bound).
-
-    The tail bound is the documented error model for declared
-    truncations: |B_full - B_truncated| <= 2/(1-|z|) * sum of (1-|a|)
-    over the omitted zeros.  It is 0 for finite products and meaningless
-    on |z| = 1 (returned as inf there).
-    """
-    value, _, _ = blaschke_derivs(spec, z)
-    if spec.tail_residual == 0.0:
-        return value, 0.0
-    gap = 1.0 - abs(z)
-    bound = math.inf if gap <= 0.0 else 2.0 * spec.tail_residual / gap
-    return value, bound
-
-
 def sqrt_right_halfplane(w: complex) -> complex:
     """Square root branch on Re w > 0 with values in |arg| < pi/4.
 
@@ -204,7 +182,7 @@ def sqrt_right_halfplane(w: complex) -> complex:
 
 def psi_from_blaschke(spec: BlaschkeSpec, z: complex) -> complex:
     """psi(z) = i * sqrt(1 - B(z)), valued in the sector pi/4..3pi/4."""
-    b, _ = blaschke_eval(spec, z)
+    b = blaschke_derivs(spec, z)[0]
     return 1j * sqrt_right_halfplane(1.0 - b)
 
 

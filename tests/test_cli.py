@@ -1,12 +1,17 @@
 """End-to-end tests for the experiment driver."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghlab
 from ghlab.cli import (
@@ -18,6 +23,7 @@ from ghlab.cli import (
     config_hash,
     load_config,
     main,
+    parse_config,
     sha256_file,
 )
 from ghlab.errors import ConfigError
@@ -28,33 +34,109 @@ def write_config(path: Path, payload: dict) -> Path:
     return path
 
 
+ROUNDTRIP_CONFIG = {
+    "data": {
+        "kind": "blaschke",
+        "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+        "depths": [2],
+        "mu": {"kind": "perturb", "eps_re": 0.05},
+    },
+    "grid": {"samples": 12, "seed": 3},
+    "fd": {"h": 5e-5},
+    "tolerances": {"curl": 2e-4},
+    "depth": 3,
+}
+
+
+def reload(cfg: ExperimentConfig) -> ExperimentConfig:
+    return parse_config(json.loads(json.dumps(asdict(cfg))))
+
+
+def key_paths(tp=ExperimentConfig, prefix=()):
+    """The root and every key path a config may set."""
+    paths = [prefix]
+    for name, hint in get_type_hints(tp).items():
+        if is_dataclass(hint):
+            paths += key_paths(hint, prefix + (name,))
+        else:
+            paths.append(prefix + (name,))
+    return paths
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestConfig:
     def test_roundtrip_identity(self):
-        cfg = ExperimentConfig.from_dict({
-            "data": {
-                "kind": "blaschke",
-                "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
-                "depths": [2],
-                "mu": {"kind": "perturb", "eps_re": 0.05},
-            },
-            "grid": {"samples": 12, "seed": 3},
-            "fd": {"h": 5e-5},
-            "tolerances": {"curl": 2e-4},
-            "depth": 3,
-        })
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = parse_config(ROUNDTRIP_CONFIG)
+        assert reload(cfg) == cfg
 
     def test_defaults_roundtrip(self):
         cfg = ExperimentConfig()
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert reload(cfg) == cfg
+        assert parse_config({}) == cfg
+
+    def test_hash_is_pinned(self):
+        # manifests written by earlier versions keep their config hash
+        assert config_hash(ExperimentConfig()) == (
+            "b7adf2c6cae17a65d40e4a0c05a8c53467eef3ccf680b1d6ebf6838eb9a82dab")
+        assert config_hash(parse_config(ROUNDTRIP_CONFIG)) == (
+            "e3b940f635778d2103b6d8908305a93a34896d288e360e7788b32dcf3a20e31b")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"grids": {}})
+            parse_config({"grids": {}})
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"data": {"verts": []}})
+            parse_config({"data": {"verts": []}})
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"grid": {"samples": "abc"}}, "config.grid.samples must be of type int"),
+        ({"grid": {"samples": 2.7}}, "config.grid.samples must be of type int"),
+        ({"grid": {"seed": True}}, "config.grid.seed must be of type int"),
+        ({"fd": {"h": True}}, "config.fd.h must be of type float"),
+        ({"fd": {"h": math.inf}}, "config.fd.h must be finite"),
+        ({"sweep_floor": math.nan}, "config.sweep_floor must be finite"),
+        ({"sweep_floor": 10**400}, "config.sweep_floor must be finite"),
+        ({"data": {"depths": ["2"]}}, r"config.data.depths\[0\] must be of type int"),
+        ({"data": {"vertices": [[1.0, 0.0, 0.0]]}},
+         r"config.data.vertices\[0\] must have 2 entries"),
+        ({"data": {"vertices": [1.0, 0.0]}},
+         r"config.data.vertices\[0\] must be a JSON array"),
+        ({"data": []}, "config.data must be a JSON object"),
+        ({"out_dir": 5}, "config.out_dir must be of type str"),
+        ({"depth": None}, "config.depth must be of type int"),
+        ({"depth": 13}, "config: depth must lie in 0..12"),
+        ({"data": {"mu": {"kind": "rotate"}}}, "config.data.mu: unknown mu kind"),
+        ({"fd": {"richardson": 2}}, "config.fd: only zero or one Richardson"),
+        ([], "config must be a JSON object"),
+    ])
+    def test_loader_names_the_bad_path(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
+    def test_numbers_widen_to_float(self):
+        cfg = parse_config({"fd": {"h": 1}, "data": {"vertices": [[1, 0]]}})
+        assert type(cfg.fd.h) is float
+        assert cfg.data.vertices == ((1.0, 0.0),)
+        assert all(type(x) is float for x in cfg.data.vertices[0])
+
+    @given(path=st.sampled_from(key_paths()), value=json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_any_json_value_loads_or_is_config_error(self, path, value):
+        for key in reversed(path):
+            value = {key: value}
+        try:
+            cfg = parse_config(value)
+        except ConfigError:
+            return
+        assert reload(cfg) == cfg
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ConfigError):
@@ -80,7 +162,7 @@ class TestConfig:
 
     def test_hash_changes_with_content(self):
         a = ExperimentConfig()
-        b = ExperimentConfig.from_dict({"depth": 3})
+        b = parse_config({"depth": 3})
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(ExperimentConfig())
 
@@ -280,6 +362,36 @@ class TestEntryPoints:
             "out_dir": str(tmp_path / "o"),
         })
         assert main(["build", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("tessellate", '{"data": []}'),
+        ("tessellate", '{"grid": {"samples": "abc"}}'),
+        ("tessellate", '{"tolerances": {"curl": "x"}}'),
+        ("tessellate", '{"depth": null}'),
+        ("tessellate", '{"fd": {"h": Infinity}}'),
+        ("verify", '{"fd": {"h": Infinity}}'),
+        ("verify", '{"fd": {"h": NaN}}'),
+        ("tessellate", '{"out_dir": 5}'),
+        ("tessellate", '{"grid": {"samples": true}}'),
+        ("tessellate", '{"grid": {"samples": 2.7}}'),
+        ("tessellate", '{"data": {"depths": ["2"]}}'),
+        ("tessellate", '{"depth": 13}'),
+        ("tessellate", '[]'),
+    ])
+    def test_unusable_config_exits_two(self, tmp_path, capsys, command, text):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error=config ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_depth_flag_beyond_guard_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["tessellate", "--depth", "13", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error=config ")
+        assert not out.exists()
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
