@@ -36,12 +36,11 @@ from .covering import IdentityChart, ModularCover
 from .errors import (
     DegenerateMetricError,
     InvalidDataError,
+    MetricDomainError,
     PathError,
     PunctureError,
 )
 from .holo import HoloFn, psi_fn, vertex_targeted_spec
-
-AXES = ("rho", "u", "v", "theta")
 
 
 def wedge(a, b):
@@ -49,6 +48,16 @@ def wedge(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.outer(a, b) - np.outer(b, a)
+
+
+def _slice_pullback(grad) -> np.ndarray:
+    """Pull-back of (drho, du, dv, dtheta) to the slice rho = rho_s(u, v)
+    with (du, dv) gradient ``grad``: row a is the a-th form over the
+    slice's (du, dv, dtheta)."""
+    pull = np.zeros((4, 3))
+    pull[0, 0], pull[0, 1] = grad
+    pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
+    return pull
 
 
 def sphere_jacobian(w: complex, dw_dz: complex):
@@ -144,6 +153,14 @@ class PointRecord:
         return sphere_jacobian(self.chart.w, self.chart.dw_dz)
 
 
+def validate_rho0(kind: str, scale: float) -> None:
+    """The rho0 rule of HolomorphicData: a known kind, a positive scale."""
+    if kind not in ("canonical", "constant", "scaled"):
+        raise InvalidDataError(f"unknown rho0 kind {kind!r}")
+    if not scale > 0:
+        raise InvalidDataError("rho0_scale must be positive")
+
+
 @dataclass
 class HolomorphicData:
     """A covering chart plus a half-plane-valued holomorphic function.
@@ -168,10 +185,7 @@ class HolomorphicData:
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rho0_kind not in ("canonical", "constant", "scaled"):
-            raise InvalidDataError(f"unknown rho0 kind {self.rho0_kind!r}")
-        if not self.rho0_scale > 0:
-            raise InvalidDataError("rho0 scale must be positive")
+        validate_rho0(self.rho0_kind, self.rho0_scale)
         for z in _validation_ring():
             if not self.psi(z).imag > 0:
                 raise InvalidDataError(
@@ -210,16 +224,25 @@ class HolomorphicData:
         im_psi = self.record(z).psi.imag
         return im_psi if self.rho0_kind == "canonical" else self.rho0_scale * im_psi
 
-    def slice_rho(self, z: complex) -> float:
-        return self.record(z).psi.imag
-
     def t_slice_at(self, z: complex) -> float:
-        return math.log(self.slice_rho(z)) - math.log(self.rho0_at(z))
+        return math.log(self.record(z).psi.imag) - math.log(self.rho0_at(z))
 
     def potential(self, rho: float, z: complex) -> float:
         if not rho > 0:
             raise ValueError(f"rho = {rho} must be positive")
         return self.v_multiplier * self.record(z).phi.imag / rho
+
+    def metric_factor_in_disc(self, z: complex) -> float:
+        """The conformal factor m at z, read as 0 where z is inside the
+        disc but the chart raises PunctureError: numerically at a cusp,
+        m decays like exp(-c/eps) and is far below double precision.
+        Points outside the disc still raise."""
+        try:
+            return self.cover.metric_factor(z)
+        except PunctureError:
+            if abs(z) >= 1.0:
+                raise
+            return 0.0
 
     def curl_source(self, z: complex) -> float:
         """The du^dv density that d xi must reproduce."""
@@ -289,21 +312,33 @@ class HolomorphicData:
         return forms
 
     def metric(self, rho: float, z: complex) -> np.ndarray:
+        """g over (drho, du, dv, dtheta), checked positive definite.
+
+        In the Gibbons-Hawking coframe (V^-1/2 Theta, V^1/2 dx_i) g is
+        the identity, so it is positive definite exactly when V > 0 and
+        dx has rank 3.  The singular values of dx are 1, rho sqrt(m) and
+        rho sqrt(m), so the rank condition is m > 0; the two conditions
+        are checked directly, since the coordinate Gram matrix can be
+        too ill-conditioned for a factorisation to see them.
+        """
+        V = self.potential(rho, z)
+        if not V > 0:
+            raise DegenerateMetricError(
+                f"metric not positive definite at z = {z}: V = {V}")
+        if not self.record(z).m > 0:
+            raise MetricDomainError(
+                f"conformal factor underflowed to 0 at |z| = {abs(z)}")
         theta = self.theta_at(rho, z)
         dx = self.dx_rows(rho, z)
-        V = self.potential(rho, z)
         G = np.outer(theta, theta) / V
         for i in range(3):
             G = G + V * np.outer(dx[i], dx[i])
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise DegenerateMetricError(f"metric not positive definite at z = {z}")
         return G
 
     # ---- slices --------------------------------------------------------
 
     def _slice_graph(self, z: complex, which: str):
+        """rho on the slice at z, and its gradient over (du, dv)."""
         rec = self.record(z)
         dpsi = rec.dpsi
         if which == "canonical":
@@ -318,9 +353,7 @@ class HolomorphicData:
     def slice_frame(self, z: complex, which: str = "canonical") -> SliceFrame:
         z = complex(z)
         rho_s, grad = self._slice_graph(z, which)
-        pull = np.zeros((4, 3))
-        pull[0, 0], pull[0, 1] = grad
-        pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
+        pull = _slice_pullback(grad)
         G4 = self.metric(rho_s, z)
         X = np.array([rho_s, 0.0, 0.0, 0.0])
         xflat4 = G4 @ X
@@ -343,14 +376,8 @@ class HolomorphicData:
         record: path quadratures call it at nodes no stencil revisits."""
         rec = self.record(z, keep=False)
         grad = np.array([rec.dpsi.imag, rec.dpsi.real])
-        try:
-            m = rec.m
-        except PunctureError:
-            if abs(z) >= 1.0:
-                raise
-            # numerically inside a cusp the conformal factor has decayed
-            # below double precision; the radial part still makes sense
-            m = 0.0
+        # where m reads 0 the radial part still makes sense
+        m = self.metric_factor_in_disc(z)
         psi = rec.psi
         return (np.outer(grad, grad) + psi.imag**2 * m * np.eye(2)) / abs(psi) ** 2
 
@@ -370,15 +397,12 @@ def beta_cross_check(data: HolomorphicData, z: complex):
     z = complex(z)
     frame = data.slice_frame(z, "canonical")
     rec = data.record(z)
-    psi, dpsi, phi = rec.psi, rec.dpsi, rec.phi
+    psi, phi = rec.psi, rec.phi
     rho = frame.rho
 
-    theta4 = data.theta_at(rho, z)
-    pull = np.zeros((4, 3))
-    pull[0, 0], pull[0, 1] = dpsi.imag, dpsi.real
-    pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
-    theta_s = pull.T @ theta4
-    drho_s = np.array([dpsi.imag, dpsi.real, 0.0])
+    pull = _slice_pullback(data._slice_graph(z, "canonical")[1])
+    theta_s = pull.T @ data.theta_at(rho, z)
+    drho_s = pull[0]
 
     A = np.array([[-psi.real, -1.0], [rho * rho, -psi.real]])
     beta = np.zeros(3)

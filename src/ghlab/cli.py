@@ -23,10 +23,10 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .ansatz import HolomorphicData, standard_data
+from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
 from .covering import puncture_class
-from .errors import ConfigError, GHLabError, InvalidMuError
-from .holo import HoloFn, MuSpec
+from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError
+from .holo import MuSpec
 from .pathlab import (
     ParamPath,
     divergence_sweep,
@@ -47,7 +47,6 @@ from .verify import (
     quaternion_check,
     structure_coeffs,
 )
-from .ansatz import beta_cross_check
 
 COMMANDS = (
     "tessellate",
@@ -101,10 +100,10 @@ class DataConfig:
             raise ConfigError(f"data kind {self.kind!r} not in (blaschke, flat)")
         if not 0.0 < self.ball_radius < math.pi / 4:
             raise ConfigError("ball_radius must lie in (0, pi/4)")
-        if self.rho0_kind not in ("canonical", "constant", "scaled"):
-            raise ConfigError(f"unknown rho0 kind {self.rho0_kind!r}")
-        if not self.rho0_scale > 0:
-            raise ConfigError("rho0_scale must be positive")
+        try:
+            validate_rho0(self.rho0_kind, self.rho0_scale)
+        except InvalidDataError as exc:
+            raise ConfigError(str(exc))
         if not self.v_multiplier > 0:
             raise ConfigError("v_multiplier must be positive")
         if not all(d > 0 for d in self.depths):
@@ -253,10 +252,7 @@ def build_data(dc: DataConfig) -> HolomorphicData:
             v_multiplier=dc.v_multiplier,
         )
         if dc.kind == "flat":
-            flat = HolomorphicData.flat_reference()
-            data = HolomorphicData(
-                cover=flat.cover, psi=HoloFn.constant(2j), **common
-            )
+            data = replace(HolomorphicData.flat_reference(), **common)
         else:
             data = standard_data(
                 vertices=tuple(complex(a, b) for a, b in dc.vertices),

@@ -22,14 +22,15 @@ than differencing the series.
 Very close to a cusp the reduced lambda underflows to exactly 0; the
 cusp classes of infinity and 0 then give w = 0 or 1 exactly with zero
 derivative (harmless, the conformal factor vanishes), while the class
-of 1 would need 1/0 and raises PunctureError.
+of 1 would need 1/0: there value() raises PunctureError and
+value_extended() gives the flipped chart 1/w.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,19 +46,8 @@ from .tessellation import (
 )
 
 DEFAULT_BALL_RADIUS = 0.1
-
-
-@dataclass(frozen=True)
-class ThetaConfig:
-    threshold: float = 1e-16
-    max_terms: int = 64
-
-    def __post_init__(self):
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
-
-
-_DEFAULT_THETA = ThetaConfig()
+_THETA_THRESHOLD = 1e-16
+_THETA_TERMS = 64
 
 
 def _check_tau(tau: complex):
@@ -67,83 +57,68 @@ def _check_tau(tau: complex):
         )
 
 
-def theta2(tau: complex, config: ThetaConfig = _DEFAULT_THETA) -> complex:
+def theta2(tau: complex) -> complex:
     """theta2(tau) = 2 sum_{n>=0} exp(i pi tau (n+1/2)^2)."""
     tau = complex(tau)
     _check_tau(tau)
     total = 0j
-    for n in range(config.max_terms):
+    for n in range(_THETA_TERMS):
         term = cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
         total += term
-        if abs(term) < config.threshold:
+        if abs(term) < _THETA_THRESHOLD:
             return 2.0 * total
     raise ConvergenceError(f"theta2 series did not converge at tau = {tau}")
 
 
-def theta3(tau: complex, config: ThetaConfig = _DEFAULT_THETA) -> complex:
+def theta3(tau: complex) -> complex:
     """theta3(tau) = 1 + 2 sum_{n>=1} exp(i pi tau n^2)."""
     tau = complex(tau)
     _check_tau(tau)
     total = 0j
-    for n in range(1, config.max_terms):
+    for n in range(1, _THETA_TERMS):
         term = cmath.exp(1j * math.pi * tau * n * n)
         total += term
-        if abs(term) < config.threshold:
+        if abs(term) < _THETA_THRESHOLD:
             return 1.0 + 2.0 * total
     raise ConvergenceError(f"theta3 series did not converge at tau = {tau}")
 
 
-def theta4(tau: complex, config: ThetaConfig = _DEFAULT_THETA) -> complex:
-    """theta4(tau) = 1 + 2 sum_{n>=1} (-1)^n exp(i pi tau n^2)."""
-    tau = complex(tau)
-    _check_tau(tau)
-    total = 0j
-    sign = -1.0
-    for n in range(1, config.max_terms):
-        term = sign * cmath.exp(1j * math.pi * tau * n * n)
-        total += term
-        if abs(term) < config.threshold:
-            return 1.0 + 2.0 * total
-        sign = -sign
-    raise ConvergenceError(f"theta4 series did not converge at tau = {tau}")
-
-
 # Anharmonic table: parity of g^{-1} = (d, -b, -c, a) selects how lambda
-# at the original point is recovered from lambda at the reduced point,
-# together with the derivative of that fractional-linear map.
-def _anharmonic(pattern):
-    if pattern == (1, 0, 0, 1):
-        return (lambda x: x), (lambda x: 1.0)
-    if pattern == (1, 1, 0, 1):
-        return (lambda x: x / (x - 1.0)), (lambda x: -1.0 / (x - 1.0) ** 2)
-    if pattern == (0, 1, 1, 0):
-        return (lambda x: 1.0 - x), (lambda x: -1.0)
-    if pattern == (1, 1, 1, 0):
-        return (lambda x: (x - 1.0) / x), (lambda x: 1.0 / (x * x))
-    if pattern == (0, 1, 1, 1):
-        return (lambda x: 1.0 / (1.0 - x)), (lambda x: 1.0 / (1.0 - x) ** 2)
-    if pattern == (1, 0, 1, 1):
-        return (lambda x: 1.0 / x), (lambda x: -1.0 / (x * x))
-    raise ValueError(f"matrix parity {pattern} is not invertible mod 2")
+# at the original point is recovered from lambda x at the reduced point:
+# the fractional-linear map, its derivative, and, for the two maps with
+# a pole at x = 0, the flipped chart 1/w as a function of x.
+_ANHARMONIC = {
+    (1, 0, 0, 1): (lambda x: x, lambda x: 1.0, None),
+    (1, 1, 0, 1): (lambda x: x / (x - 1.0), lambda x: -1.0 / (x - 1.0) ** 2, None),
+    (0, 1, 1, 0): (lambda x: 1.0 - x, lambda x: -1.0, None),
+    (1, 1, 1, 0): (lambda x: (x - 1.0) / x, lambda x: 1.0 / (x * x),
+                   lambda x: x / (x - 1.0)),
+    (0, 1, 1, 1): (lambda x: 1.0 / (1.0 - x), lambda x: 1.0 / (1.0 - x) ** 2, None),
+    (1, 0, 1, 1): (lambda x: 1.0 / x, lambda x: -1.0 / (x * x), lambda x: x),
+}
 
 
-def _lambda_core(tau: complex, config: ThetaConfig, want_prime: bool):
+def _lambda_core(tau: complex, want_prime: bool, flip: bool = False):
+    """(lambda(tau), lambda'(tau) or None): the one place tau is
+    reduced and the theta series are summed.
+
+    Deep in a cusp of class 1 the reduced lambda is too small to invert
+    (1e-150 keeps the squared denominators of the derivative away from
+    underflow).  There PunctureError is raised, or with ``flip`` set the
+    flipped chart is returned as (None, 1/lambda).  The other maps need
+    no such guard: on the fundamental domain 1 - lambda =
+    theta4^4/theta3^4 has modulus at least 1/2.
+    """
     tau = complex(tau)
     if not tau.imag > 0:
         raise PunctureError(f"tau = {tau} lies on the boundary (cusp)")
     t_red, (a, b, c, d) = reduce_to_fundamental(tau)
-    t2 = theta2(t_red, config)
-    t3 = theta3(t_red, config)
-    lam_red = (t2 / t3) ** 4
-    pattern = (d % 2, b % 2, c % 2, a % 2)
-    fmap, fprime = _anharmonic(pattern)
-    needs_inverse = pattern in ((1, 1, 1, 0), (1, 0, 1, 1))
-    needs_one_minus = pattern in ((1, 1, 0, 1), (0, 1, 1, 1))
-    # 1e-150 keeps the squared denominators in the derivative factors
-    # away from underflow
-    if needs_inverse and abs(lam_red) < 1e-150:
-        raise PunctureError(f"tau = {tau} is numerically at a cusp")
-    if needs_one_minus and abs(lam_red - 1.0) < 1e-150:
+    t3 = theta3(t_red)
+    lam_red = (theta2(t_red) / t3) ** 4
+    fmap, fprime, fflip = _ANHARMONIC[(d % 2, b % 2, c % 2, a % 2)]
+    if fflip is not None and abs(lam_red) < 1e-150:
+        if flip:
+            return None, fflip(lam_red)
         raise PunctureError(f"tau = {tau} is numerically at a cusp")
     value = fmap(lam_red)
     if not want_prime:
@@ -154,15 +129,15 @@ def _lambda_core(tau: complex, config: ThetaConfig, want_prime: bool):
     return value, prime
 
 
-def lambda_map(tau: complex, config: ThetaConfig = _DEFAULT_THETA) -> complex:
+def lambda_map(tau: complex) -> complex:
     """The modular lambda function, valid on the whole upper half-plane."""
-    value, _ = _lambda_core(tau, config, want_prime=False)
+    value, _ = _lambda_core(tau, want_prime=False)
     return value
 
 
-def lambda_prime(tau: complex, config: ThetaConfig = _DEFAULT_THETA) -> complex:
+def lambda_prime(tau: complex) -> complex:
     """d lambda / d tau via the closed form at the reduced point."""
-    _, prime = _lambda_core(tau, config, want_prime=True)
+    _, prime = _lambda_core(tau, want_prime=True)
     return prime
 
 
@@ -214,8 +189,8 @@ def puncture_class(cusp: Cusp) -> int:
 class PhiValue:
     """One evaluation of the covering map: chart value, sphere point,
     chart derivative.  ``w`` is None when the point sits so deep in a
-    cusp of class 1 that the chart overflowed; ``w_inv`` = 1/w is always
-    available."""
+    cusp of class 1 that the chart overflowed, and ``w_inv`` = 1/w is
+    given in its place."""
 
     w: Optional[complex]
     w_inv: Optional[complex]
@@ -236,43 +211,27 @@ class PhiValue:
 class ModularCover:
     """Phi = lambda o cayley with chain-rule derivative."""
 
-    def __init__(self, theta_config: ThetaConfig = _DEFAULT_THETA):
-        self.theta_config = theta_config
-
     def value(self, z: complex) -> PhiValue:
+        return self._value(z, flip=False)
+
+    def value_extended(self, z: complex) -> PhiValue:
+        """Like value(), but survives chart overflow near w = infinity."""
+        return self._value(z, flip=True)
+
+    def _value(self, z: complex, flip: bool) -> PhiValue:
         z = complex(z)
         if abs(z) >= 1.0:
             raise PunctureError(f"|z| = {abs(z)} is not inside the disc")
         tau = cayley(z)
-        w, lam_p = _lambda_core(tau, self.theta_config, want_prime=True)
+        if tau is INF:
+            raise PunctureError(f"z = {z} is numerically at the cusp -1")
+        w, lam_p = _lambda_core(tau, want_prime=True, flip=flip)
+        if w is None:
+            return PhiValue(w=None, w_inv=lam_p, p=stereo_lift_inverse_chart(lam_p),
+                            dw_dz=None)
         dtau_dz = -2j / (1.0 + z) ** 2
         dw_dz = lam_p * dtau_dz
         return PhiValue(w=w, w_inv=None, p=stereo_lift(w), dw_dz=dw_dz)
-
-    def value_extended(self, z: complex) -> PhiValue:
-        """Like value(), but survives chart overflow near w = infinity."""
-        try:
-            return self.value(z)
-        except PunctureError:
-            pass
-        z = complex(z)
-        tau = cayley(z)
-        if tau is INF:
-            raise PunctureError("z = -1 is itself a cusp")
-        t_red, (a, b, c, d) = reduce_to_fundamental(tau)
-        t2 = theta2(t_red, self.theta_config)
-        t3 = theta3(t_red, self.theta_config)
-        lam_red = (t2 / t3) ** 4
-        pattern = (d % 2, b % 2, c % 2, a % 2)
-        if pattern == (1, 0, 1, 1):  # w = 1/x, so 1/w = x
-            w_inv = lam_red
-        elif pattern == (1, 1, 1, 0):  # w = (x-1)/x, so 1/w = x/(x-1)
-            w_inv = lam_red / (lam_red - 1.0)
-        else:
-            raise PunctureError(f"covering map undefined at z = {z}")
-        return PhiValue(
-            w=None, w_inv=w_inv, p=stereo_lift_inverse_chart(w_inv), dw_dz=None
-        )
 
     def metric_factor(self, z: complex) -> float:
         """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
@@ -298,19 +257,13 @@ def puncture_distance(cover, z: complex, j: int) -> float:
     if j not in (1, 2, 3):
         raise ValueError(f"puncture index {j} out of range")
     val = cover.value_extended(z)
-    if val.w is not None:
-        w = val.w
-        if j == 1:
-            return 2.0 * math.atan(abs(w))
-        if j == 3:
-            return math.pi - 2.0 * math.atan(abs(w))
+    if j == 2:
         return sphere_distance(val.p, punctures()[1])
-    # Flipped chart: w_inv = 1/w is tiny, the point hugs puncture 3.
-    if j == 3:
-        return 2.0 * math.atan(abs(val.w_inv))
-    if j == 1:
-        return math.pi - 2.0 * math.atan(abs(val.w_inv))
-    return sphere_distance(val.p, punctures()[1])
+    # puncture 1 (w = 0) lies 2 atan|w| away and puncture 3 (w = inf)
+    # 2 atan|1/w|; where w overflowed, the flipped chart gives 1/w
+    chart, near = (val.w, 1) if val.w is not None else (val.w_inv, 3)
+    dist = 2.0 * math.atan(abs(chart))
+    return dist if j == near else math.pi - dist
 
 
 def hororegion_test(
@@ -371,7 +324,7 @@ def base_triangle_image_area(rel_tol: float = 1e-3) -> float:
     def integrand(y, x):
         tau = complex(x, y)
         try:
-            value, prime = _lambda_core(tau, _DEFAULT_THETA, want_prime=True)
+            value, prime = _lambda_core(tau, want_prime=True)
         except PunctureError:
             return 0.0
         s = abs(value) ** 2

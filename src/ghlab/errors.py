@@ -46,6 +46,11 @@ class DegenerateMetricError(GHLabError):
     """Assembled metric failed its positive-definiteness check."""
 
 
+class MetricDomainError(DegenerateMetricError):
+    """The conformal factor underflowed to 0: the metric is positive
+    definite there, but beyond what double precision can represent."""
+
+
 class DegenerateFrameError(GHLabError):
     """Coframe solve was too ill-conditioned to trust."""
 

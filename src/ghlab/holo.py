@@ -126,17 +126,6 @@ def vertex_targeted_spec(vertices, depths=(1, 2)) -> BlaschkeSpec:
     return BlaschkeSpec(m=0, zeros=tuple(zeros))
 
 
-def blaschke_factor(a: complex, z: complex) -> complex:
-    """One normalized Blaschke factor (conj(a)/|a|) (a-z)/(1 - conj(a) z)."""
-    a = complex(a)
-    if not 0.0 < abs(a) < 1.0:
-        raise InvalidZeroError(f"zero {a} not in the punctured open disc")
-    den = 1.0 - a.conjugate() * z
-    if abs(den) < _DENOM_FLOOR:
-        raise PoleError(f"Blaschke factor pole at z={z} for zero a={a}")
-    return (a.conjugate() / abs(a)) * (a - z) / den
-
-
 def _power_with_derivs(m: int, z: complex):
     if m == 0:
         return 1.0 + 0j, 0j, 0j
@@ -178,12 +167,6 @@ def sqrt_right_halfplane(w: complex) -> complex:
     if not w.real > 0.0:
         raise BranchDomainError(f"Re w = {w.real} is not positive")
     return cmath.sqrt(w)
-
-
-def psi_from_blaschke(spec: BlaschkeSpec, z: complex) -> complex:
-    """psi(z) = i * sqrt(1 - B(z)), valued in the sector pi/4..3pi/4."""
-    b = blaschke_derivs(spec, z)[0]
-    return 1j * sqrt_right_halfplane(1.0 - b)
 
 
 def psi_fn(spec: BlaschkeSpec) -> HoloFn:

@@ -28,7 +28,7 @@ from .covering import (
     sphere_distance,
     stereo_lift,
 )
-from .errors import GHLabError, PathError, PunctureError, RegionError
+from .errors import GHLabError, PathError, RegionError
 from .holo import MuSpec, apply_mu
 from .tessellation import Cusp
 
@@ -106,10 +106,6 @@ class ParamPath:
         if not 0.0 <= s_lo < s_hi < 1.0:
             raise ValueError(f"window [{s_lo}, {s_hi}] outside [0, 1)")
         return cls.from_complex(lambda s: (s_lo + (s_hi - s_lo) * s) * t)
-
-    @classmethod
-    def slice_path(cls, fn) -> "ParamPath":
-        return cls(fn=fn, dim=3)
 
     @classmethod
     def slice_segment(cls, p0, p1) -> "ParamPath":
@@ -224,15 +220,7 @@ def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
 
     if tag == "sphere":
         def speed(s, p, v):
-            zc = complex(p[0], p[1])
-            try:
-                m = data.cover.metric_factor(zc)
-            except PunctureError:
-                if abs(zc) >= 1.0:
-                    raise
-                # numerically at a cusp: the conformal factor decays like
-                # exp(-c/eps) there and is far below double precision
-                m = 0.0
+            m = data.metric_factor_in_disc(complex(p[0], p[1]))
             return math.sqrt(max(m, 0.0)) * math.hypot(v[0], v[1])
         return speed
 
@@ -250,6 +238,27 @@ def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
     return speed
 
 
+def _guarded(what: str, integrand):
+    """integrand(s, velocity) with evaluation failures along the path
+    surfaced as PathError, naming what failed and where."""
+
+    def guarded(s: float, v: np.ndarray):
+        try:
+            return integrand(s, v)
+        except PathError:
+            raise
+        except GHLabError as exc:
+            raise PathError(f"{what} failed at s = {s}: {exc}") from exc
+
+    return guarded
+
+
+def _speed_integrand(path: ParamPath, tag: str, data: HolomorphicData | None):
+    """integrand(s, velocity) of a length in the tagged metric."""
+    speed = _speed_fn(tag, data, path.dim)
+    return _guarded("metric evaluation", lambda s, v: speed(s, path.at(s), v))
+
+
 def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
                 upto: float = 1.0, tol: float = 1e-6) -> float:
     """Length of path restricted to [0, upto] in the tagged metric.
@@ -263,17 +272,7 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
         raise ValueError(f"upto = {upto} outside (0, 1]")
     if path.proper and upto >= 1.0:
         raise ValueError("proper paths must be truncated below 1")
-    speed = _speed_fn(tag, data, path.dim)
-
-    def integrand(s: float, v: np.ndarray) -> float:
-        p = path.at(s)
-        try:
-            return speed(s, p, v)
-        except PathError:
-            raise
-        except GHLabError as exc:
-            raise PathError(f"metric evaluation failed at s = {s}: {exc}") from exc
-
+    integrand = _speed_integrand(path, tag, data)
     return float(_integrate(path, integrand, 0.0, upto, tol)[0])
 
 
@@ -322,17 +321,7 @@ def divergence_sweep(data: HolomorphicData, target: complex, tag: str,
     if not all(0.0 < a < b < 1.0 for a, b in zip(ladder[:-1], ladder[1:])):
         raise ValueError("ladder must be strictly increasing inside (0, 1)")
     path = ParamPath.radial(target)
-    speed = _speed_fn(tag, data, 2)
-
-    def integrand(s: float, v: np.ndarray) -> float:
-        p = path.at(s)
-        try:
-            return speed(s, p, v)
-        except PathError:
-            raise
-        except GHLabError as exc:
-            raise PathError(f"metric evaluation failed at s = {s}: {exc}") from exc
-
+    integrand = _speed_integrand(path, tag, data)
     entries = []
     total = 0.0
     lo = 0.0
@@ -373,17 +362,12 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
     lhs = path_length(path, "disc", data, upto=upto, tol=tol)
 
     def variation(s: float, v: np.ndarray) -> float:
-        z = path.point(s)
-        try:
-            psi, dpsi, _ = data.psi.jet(z)
-        except PathError:
-            raise
-        except GHLabError as exc:
-            raise PathError(f"psi evaluation failed at s = {s}: {exc}") from exc
+        psi, dpsi, _ = data.psi.jet(path.point(s))
         zdot = complex(v[0], v[1])
         return abs((dpsi * zdot).imag) / psi.imag
 
-    rhs = float(_integrate(path, variation, 0.0, upto, tol)[0]) / math.sqrt(2.0)
+    integrand = _guarded("psi evaluation", variation)
+    rhs = float(_integrate(path, integrand, 0.0, upto, tol)[0]) / math.sqrt(2.0)
     return lhs, rhs
 
 
@@ -412,14 +396,8 @@ def horizontal_length(path: ParamPath, data: HolomorphicData,
         raise ValueError("horizontal length wants a slice path (u, v, theta)")
     state = {"max_beta": 0.0, "rerouted": False}
 
-    def integrand(s: float, v: np.ndarray) -> np.ndarray:
-        p = path.at(s)
-        try:
-            frame = data.slice_frame(complex(p[0], p[1]))
-        except PathError:
-            raise
-        except GHLabError as exc:
-            raise PathError(f"slice frame failed at s = {s}: {exc}") from exc
+    def lengths(s: float, v: np.ndarray) -> np.ndarray:
+        frame = data.slice_frame(path.point(s))
         G3 = frame.g3
         b = frame.beta
         Gb = np.linalg.solve(G3, b)
@@ -435,7 +413,7 @@ def horizontal_length(path: ParamPath, data: HolomorphicData,
             math.sqrt(max(float(vp @ frame.g_s @ vp), 0.0)),
         ])
 
-    out = _integrate(path, integrand, 0.0, upto, tol)
+    out = _integrate(path, _guarded("slice frame", lengths), 0.0, upto, tol)
     return HorizontalReport(g3_length=float(out[0]), gs_length=float(out[1]),
                             max_beta=state["max_beta"], rerouted=state["rerouted"])
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ConvergenceError, SizeError
@@ -81,11 +80,6 @@ class Cusp(NamedTuple):
 
     def disc_point(self) -> complex:
         return (1j * self.q - self.p) / (1j * self.q + self.p)
-
-    def as_fraction(self) -> Optional[Fraction]:
-        if self.q == 0:
-            return None
-        return Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)

@@ -359,7 +359,6 @@ def contact_ratio(data: HolomorphicData, z: complex,
     return {
         "ratio": top / vol,
         "algebraic": -float(np.sum(b * b)),
-        "coefficients": b,
     }
 
 

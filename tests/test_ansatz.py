@@ -11,7 +11,7 @@ from ghlab.ansatz import (
     standard_data,
     wedge,
 )
-from ghlab.errors import DegenerateMetricError, InvalidDataError
+from ghlab.errors import DegenerateMetricError, InvalidDataError, MetricDomainError
 from ghlab.holo import HoloFn
 
 FLAT = HolomorphicData.flat_reference()
@@ -151,6 +151,21 @@ class TestForms:
         bad = standard_data(v_multiplier=-1.0)
         with pytest.raises(DegenerateMetricError):
             bad.metric(1.0, 0.2 + 0.1j)
+
+    @pytest.mark.parametrize("z", [0.8468 + 0.0599j, 0.8, 0.85, 0.9])
+    def test_metric_with_tiny_conformal_factor(self, z):
+        # m is 1e-18 to 1e-44 here, so the coordinate Gram matrix has
+        # condition number beyond 1e16; still V > 0 and dx has rank 3
+        assert 0.0 < DATA.record(z).m < 1e-17
+        G = DATA.metric(1.0, z)
+        assert np.isfinite(G).all()
+        assert np.array_equal(G, G.T)
+
+    def test_underflowed_conformal_factor_is_a_domain_error(self):
+        assert DATA.record(0.99).m == 0.0
+        with pytest.raises(MetricDomainError, match=r"\|z\| = 0\.99"):
+            DATA.metric(1.0, 0.99)
+        assert issubclass(MetricDomainError, DegenerateMetricError)
 
     def test_wedge_antisymmetry(self):
         a = np.array([1.0, 2.0, 0.0, -1.0])

@@ -116,6 +116,7 @@ class TestConfig:
         ({"data": {"mu": {"kind": "rotate"}}}, "config.data.mu: unknown mu kind"),
         ({"fd": {"richardson": 2}}, "config.fd: only zero or one Richardson"),
         ([], "config must be a JSON object"),
+        ({"data": {"rho0_kind": "fancy"}}, "config.data: unknown rho0 kind 'fancy'"),
     ])
     def test_loader_names_the_bad_path(self, raw, message):
         with pytest.raises(ConfigError, match=message):
@@ -377,6 +378,8 @@ class TestEntryPoints:
         ("tessellate", '{"data": {"depths": ["2"]}}'),
         ("tessellate", '{"depth": 13}'),
         ("tessellate", '[]'),
+        ("hororegions", '{"data": {"rho0_kind": "fancy"}}'),
+        ("tessellate", '{"data": {"rho0_scale": -1.0}}'),
     ])
     def test_unusable_config_exits_two(self, tmp_path, capsys, command, text):
         p = tmp_path / "c.json"

@@ -13,10 +13,8 @@ from ghlab.holo import (
     MuSpec,
     apply_mu,
     blaschke_derivs,
-    blaschke_factor,
     in_q2,
     psi_fn,
-    psi_from_blaschke,
     sqrt_right_halfplane,
     vertex_targeted_spec,
 )
@@ -40,6 +38,11 @@ disc_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False).filter(
 zero_points = st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9).filter(
     lambda a: 0.05 <= abs(a) <= 0.9
 )
+
+
+def blaschke_factor(a, z):
+    """One normalized factor, read off a one-zero product."""
+    return blaschke_derivs(BlaschkeSpec(zeros=((a, 1),)), z)[0]
 
 
 class TestBlaschkeFactor:
@@ -151,17 +154,19 @@ class TestSqrtRightHalfplane:
 class TestPsi:
     def test_single_zero_gives_i_at_that_zero(self):
         spec = BlaschkeSpec(zeros=((0.5, 1),))
-        assert psi_from_blaschke(spec, 0.5) == 1j
+        assert psi_fn(spec)(0.5) == 1j
 
     def test_sector_membership_on_sweep(self):
+        psi = psi_fn(FOUR_VERTEX)
         for z in _interior_points(500, radius=0.999):
-            w = psi_from_blaschke(FOUR_VERTEX, z)
+            w = psi(z)
             assert in_q2(w)
             assert abs(w.real) < abs(w.imag)
             assert abs(w) < math.sqrt(2)
 
     def test_small_near_targeted_vertex(self):
-        psis = [abs(psi_from_blaschke(FOUR_VERTEX, s)) for s in (0.9, 0.99, 0.999)]
+        psi = psi_fn(FOUR_VERTEX)
+        psis = [abs(psi(s)) for s in (0.9, 0.99, 0.999)]
         assert psis[0] > psis[1] > psis[2]
         # |1-B| < 1/16 makes |psi| < 0.25
         assert psis[2] < 0.25
