@@ -20,7 +20,9 @@ the slice structure equations come from.
 
 The xi part of the connection is produced by the radial homotopy
 inverse of the exterior derivative, so d xi = Im(phi) m du ^ dv holds
-by construction rather than by a separate integration.
+by construction rather than by a separate integration.  The homotopy
+integral is a graded composite Gauss-Legendre rule whose panels shrink
+toward the circle, evaluated at all its nodes as one batch.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .covering import IdentityChart, ModularCover
 from .errors import (
@@ -74,6 +76,34 @@ def sphere_jacobian(w: complex, dw_dz: complex):
     du = dpa * dw_dz.real + dpb * dw_dz.imag
     dv = -dpa * dw_dz.imag + dpb * dw_dz.real
     return p, du, dv
+
+
+# k -> (nodes, weights): the graded rule of xi_at with k + 1 panels,
+# read-only.  k is at most 53, where 1 - |z| reaches double precision.
+_GRADED_RULES: dict = {}
+
+
+def _graded_rule(k: int):
+    """Nodes s on (0, 1) and a (2, n) weight array for the panels [0, 1/2],
+    [1/2, 3/4], ..., [1 - 2^-k, 1]: row 0 is the 16-node Gauss-Legendre
+    rule on every panel, row 1 the 32-node rule (each weight row is zero
+    on the other rule's nodes).  Built once per k."""
+    rule = _GRADED_RULES.get(k)
+    if rule is None:
+        edges = np.append(1.0 - 0.5 ** np.arange(k + 1), 1.0)
+        lo, half = edges[:-1], 0.5 * np.diff(edges)
+        nodes, weights = [], []
+        for row, order in enumerate((16, 32)):
+            x, w = leggauss(order)
+            nodes.append((lo[:, None] + half[:, None] * (x + 1.0)).ravel())
+            wt = np.zeros((2, half.size * order))
+            wt[row] = (half[:, None] * w).ravel()
+            weights.append(wt)
+        rule = (np.concatenate(nodes), np.hstack(weights))
+        for arr in rule:
+            arr.flags.writeable = False
+        _GRADED_RULES[k] = rule
+    return rule
 
 
 def _validation_ring(n: int = 12):
@@ -125,18 +155,26 @@ class PointRecord:
     and the forms are assembled from them: V = Im phi / rho, x = rho p,
     eta = (Re phi / rho) drho + xi.
 
-    The psi jet is taken on construction.  The covering data is taken
-    on first use, so a caller that needs only psi never evaluates the
-    cover.  No form reads phi's derivatives, so only its value is kept.
-    ``xi`` is filled in by HolomorphicData.xi_at.
+    Each field is taken on first use: a caller that needs only psi never
+    evaluates the cover, and xi_at, which integrates along the radius to
+    z, needs neither.  No form reads phi's derivatives, so only its
+    value is kept.  ``xi`` is filled in by HolomorphicData.xi_at.
     """
 
-    def __init__(self, z: complex, psi_jet, cover):
+    def __init__(self, z: complex, psi: HoloFn, cover):
         self.z = z
-        self.psi, self.dpsi, self.d2psi = psi_jet
-        self.phi = -1.0 / self.psi
         self.xi = None
+        self._psi = psi
         self._cover = cover
+
+    def __getattr__(self, name):
+        # psi, dpsi and phi come from one jet, taken on the first read
+        # of any of them (a plain attribute after that)
+        if name not in ("psi", "dpsi", "phi"):
+            raise AttributeError(name)
+        self.psi, self.dpsi, _ = self._psi.jet(self.z)
+        self.phi = -1.0 / self.psi
+        return self.__dict__[name]
 
     @cached_property
     def chart(self):
@@ -201,19 +239,13 @@ class HolomorphicData:
     def phi(self) -> HoloFn:
         return self.psi.negate_reciprocal()
 
-    def record(self, z: complex, keep: bool = True) -> PointRecord:
-        """The record at z, kept for reuse unless ``keep`` is False.
-
-        Path quadratures pass keep=False, so that their nodes, which no
-        stencil revisits, are never stored.
-        """
+    def record(self, z: complex) -> PointRecord:
+        """The record at z, kept for reuse."""
         z = complex(z)
         key = (z.real, z.imag)
         rec = self._records.get(key)
         if rec is None:
-            rec = PointRecord(z, self.psi.jet(z), self.cover)
-            if keep:
-                self._records[key] = rec
+            rec = self._records[key] = PointRecord(z, self.psi, self.cover)
         return rec
 
     # ---- scalar fields -------------------------------------------------
@@ -244,29 +276,37 @@ class HolomorphicData:
                 raise
             return 0.0
 
-    def curl_source(self, z: complex) -> float:
-        """The du^dv density that d xi must reproduce."""
-        return self.phi(z).imag * self.cover.metric_factor(z)
+    def curl_source(self, zs: np.ndarray) -> np.ndarray:
+        """The du^dv density that d xi must reproduce, at an array of z.
+
+        The cover goes first, so that a batch leaving the disc raises
+        the cover's PunctureError."""
+        m = self.cover.metric_factors(zs)
+        return (-1.0 / self.psi.jet(zs)[0]).imag * m
 
     # ---- the connection ------------------------------------------------
 
     def xi_at(self, z: complex):
         """(xi_u, xi_v) at z, from the radial homotopy based at 0.
 
-        The result is kept in the record at z; the quadrature nodes
-        evaluate curl_source directly and are not recorded.
+        z must lie in the open disc.  The integral of s curl_source(s z)
+        over s in [0, 1] is taken by the graded rule with k =
+        ceil(log2(1/(1 - |z|))), at least 1, so that the last panel is
+        about as wide as the distance to the circle.  The 32-node sum is
+        the value and its gap to the 16-node sum the error estimate.
+        The result is kept in the record at z; the nodes are not
+        recorded.
         """
         z = complex(z)
         rec = self.record(z)
         if rec.xi is None:
-            val, err = quad(
-                lambda s: s * self.curl_source(s * z) if s > 0 else 0.0,
-                0.0,
-                1.0,
-                epsabs=1e-13,
-                epsrel=1e-11,
-                limit=200,
-            )
+            gap = 1.0 - abs(z)
+            if not gap > 0.0:
+                raise PunctureError(f"|z| = {abs(z)} is not inside the disc")
+            k = max(1, math.ceil(-math.log2(gap)))
+            s, weights = _graded_rule(k)
+            coarse, val = (float(x) for x in weights @ (s * self.curl_source(s * z)))
+            err = abs(coarse - val)
             if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
                 raise PathError(f"homotopy integral unreliable at z = {z}: err {err}")
             rec.xi = (-z.imag * val, z.real * val)
@@ -374,11 +414,11 @@ class HolomorphicData:
         """Quotient metric on the disc: the canonical-slice metric with
         the circle direction reduced away.  Needs no xi, and keeps no
         record: path quadratures call it at nodes no stencil revisits."""
-        rec = self.record(z, keep=False)
-        grad = np.array([rec.dpsi.imag, rec.dpsi.real])
+        z = complex(z)
+        psi, dpsi, _ = self.psi.jet(z)
+        grad = np.array([dpsi.imag, dpsi.real])
         # where m reads 0 the radial part still makes sense
         m = self.metric_factor_in_disc(z)
-        psi = rec.psi
         return (np.outer(grad, grad) + psi.imag**2 * m * np.eye(2)) / abs(psi) ** 2
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
-from .covering import puncture_class
+from .covering import check_ball_radius, puncture_class
 from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError
 from .holo import MuSpec
 from .pathlab import (
@@ -98,8 +98,10 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("blaschke", "flat"):
             raise ConfigError(f"data kind {self.kind!r} not in (blaschke, flat)")
-        if not 0.0 < self.ball_radius < math.pi / 4:
-            raise ConfigError("ball_radius must lie in (0, pi/4)")
+        try:
+            check_ball_radius(self.ball_radius)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         try:
             validate_rho0(self.rho0_kind, self.rho0_scale)
         except InvalidDataError as exc:

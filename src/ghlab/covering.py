@@ -24,6 +24,10 @@ cusp classes of infinity and 0 then give w = 0 or 1 exactly with zero
 derivative (harmless, the conformal factor vanishes), while the class
 of 1 would need 1/0: there value() raises PunctureError and
 value_extended() gives the flipped chart 1/w.
+
+metric_factors() takes the conformal factor over an array of z in one
+batch: a masked reduction, theta series with a fixed number of terms
+and the same anharmonic table, with the checks of value().
 """
 
 from __future__ import annotations
@@ -83,31 +87,38 @@ def theta3(tau: complex) -> complex:
     raise ConvergenceError(f"theta3 series did not converge at tau = {tau}")
 
 
-# Anharmonic table: parity of g^{-1} = (d, -b, -c, a) selects how lambda
-# at the original point is recovered from lambda x at the reduced point:
-# the fractional-linear map, its derivative, and, for the two maps with
-# a pole at x = 0, the flipped chart 1/w as a function of x.
+# Anharmonic table: the parity of g^{-1} = (d, -b, -c, a) selects the
+# fractional-linear map x -> (A x + B)/(C x + D) that recovers lambda at
+# the original point from lambda x at the reduced point.  Its derivative
+# is (AD - BC)/(C x + D)^2, and where D = 0 (a pole at x = 0) the
+# flipped chart 1/w is (C x + D)/(A x + B).
 _ANHARMONIC = {
-    (1, 0, 0, 1): (lambda x: x, lambda x: 1.0, None),
-    (1, 1, 0, 1): (lambda x: x / (x - 1.0), lambda x: -1.0 / (x - 1.0) ** 2, None),
-    (0, 1, 1, 0): (lambda x: 1.0 - x, lambda x: -1.0, None),
-    (1, 1, 1, 0): (lambda x: (x - 1.0) / x, lambda x: 1.0 / (x * x),
-                   lambda x: x / (x - 1.0)),
-    (0, 1, 1, 1): (lambda x: 1.0 / (1.0 - x), lambda x: 1.0 / (1.0 - x) ** 2, None),
-    (1, 0, 1, 1): (lambda x: 1.0 / x, lambda x: -1.0 / (x * x), lambda x: x),
+    (1, 0, 0, 1): (1, 0, 0, 1),     # I    x
+    (1, 1, 0, 1): (1, 0, 1, -1),    # T    x/(x-1)
+    (0, 1, 1, 0): (-1, 1, 0, 1),    # S    1-x
+    (1, 1, 1, 0): (1, -1, 1, 0),    # TS   (x-1)/x
+    (0, 1, 1, 1): (0, 1, -1, 1),    # ST   1/(1-x)
+    (1, 0, 1, 1): (0, 1, 1, 0),     # TST  1/x
 }
+# The same table as arrays indexed by the parity code 8d + 4b + 2c + a.
+_MOEBIUS = np.zeros((16, 4))
+for _key, _coeffs in _ANHARMONIC.items():
+    _MOEBIUS[_key[0] * 8 + _key[1] * 4 + _key[2] * 2 + _key[3]] = _coeffs
+_PARITY_WEIGHTS = np.array([1, 4, 2, 8])
+# Below this the reduced lambda is too small to invert: 1e-150 keeps
+# the squared denominators of the derivative away from underflow.
+_LAMBDA_FLOOR = 1e-150
 
 
 def _lambda_core(tau: complex, want_prime: bool, flip: bool = False):
-    """(lambda(tau), lambda'(tau) or None): the one place tau is
-    reduced and the theta series are summed.
+    """(lambda(tau), lambda'(tau) or None): the one place a single tau
+    is reduced and the theta series are summed.
 
-    Deep in a cusp of class 1 the reduced lambda is too small to invert
-    (1e-150 keeps the squared denominators of the derivative away from
-    underflow).  There PunctureError is raised, or with ``flip`` set the
-    flipped chart is returned as (None, 1/lambda).  The other maps need
-    no such guard: on the fundamental domain 1 - lambda =
-    theta4^4/theta3^4 has modulus at least 1/2.
+    Deep in a cusp of class 1 (the maps with D = 0) the reduced lambda
+    is too small to invert.  There PunctureError is raised, or with
+    ``flip`` set the flipped chart is returned as (None, 1/lambda).  The
+    other maps need no such guard: on the fundamental domain 1 - lambda
+    = theta4^4/theta3^4 has modulus at least 1/2.
     """
     tau = complex(tau)
     if not tau.imag > 0:
@@ -115,17 +126,91 @@ def _lambda_core(tau: complex, want_prime: bool, flip: bool = False):
     t_red, (a, b, c, d) = reduce_to_fundamental(tau)
     t3 = theta3(t_red)
     lam_red = (theta2(t_red) / t3) ** 4
-    fmap, fprime, fflip = _ANHARMONIC[(d % 2, b % 2, c % 2, a % 2)]
-    if fflip is not None and abs(lam_red) < 1e-150:
+    A, B, C, D = _ANHARMONIC[(d % 2, b % 2, c % 2, a % 2)]
+    den = C * lam_red + D
+    if D == 0 and abs(lam_red) < _LAMBDA_FLOOR:
         if flip:
-            return None, fflip(lam_red)
+            return None, den / (A * lam_red + B)
         raise PunctureError(f"tau = {tau} is numerically at a cusp")
-    value = fmap(lam_red)
+    value = (A * lam_red + B) / den
     if not want_prime:
         return value, None
     lam_prime_red = 1j * math.pi * lam_red * (1.0 - lam_red) * t3**4
     cz = c * tau + d
-    prime = fprime(lam_red) * lam_prime_red / (cz * cz)
+    prime = (A * D - B * C) / den**2 * lam_prime_red / (cz * cz)
+    return value, prime
+
+
+def _reduce_batch(tau: np.ndarray, max_iter: int = 500):
+    """reduce_to_fundamental over a flat array: the same translate and
+    flip steps, masked to the points that have not settled.  The group
+    elements come back as the rows (a, b, c, d) of one array."""
+    t = tau
+    g = np.zeros((4, t.size), np.int64)
+    g[0] = g[3] = 1
+    active = np.ones(t.shape, bool)
+    for _ in range(max_iter):
+        n = np.where(active, np.floor(t.real + 0.5), 0.0)
+        t = t - n
+        g[:2] -= n.astype(np.int64) * g[2:]
+        active &= abs(t) < 1.0 - 1e-15
+        if not active.any():
+            return t, g
+        t = np.where(active, -1.0 / t, t)
+        g = np.where(active, np.concatenate((-g[2:], g[:2])), g)
+    bad = tau[active][0]
+    raise ConvergenceError(f"fundamental-domain reduction did not settle for {bad}")
+
+
+def _cayley_batch(z: np.ndarray) -> np.ndarray:
+    """tessellation.cayley over a flat array, by CPython's complex
+    division step for step, so that tau matches the scalar chart to the
+    last bit: near a cusp the reduction turns a last-bit change of
+    Re tau into a relative change of about 1e-11 in lambda'."""
+    ar, ai = z.imag, 1.0 - z.real  # i (1 - z)
+    br, bi = 1.0 + z.real, z.imag  # 1 + z
+    first = abs(br) >= abs(bi)
+    big, small = np.where(first, br, bi), np.where(first, bi, br)
+    p, q = np.where(first, ar, ai), np.where(first, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    tau = np.empty(z.shape, complex)
+    tau.real = (p + q * ratio) / denom
+    im = (q - p * ratio) / denom
+    tau.imag = np.where(first, im, -im)
+    return tau
+
+
+def _lambda_batch(tau: np.ndarray):
+    """(lambda, lambda') over a flat array of tau in the upper
+    half-plane, by the reduction and the anharmonic table of
+    _lambda_core.  On the fundamental domain |q| <= exp(-pi sqrt(3)/2)
+    < 0.066, so theta2 with 5 terms and theta3 with 4 terms reach the
+    scalar series' 1e-16 cut-off at every reduced point."""
+    off = ~(tau.imag > 0)
+    if off.any():
+        raise PunctureError(f"tau = {tau[off][0]} lies on the boundary (cusp)")
+    t_red, g = _reduce_batch(tau)
+    # theta2 = 2 q^(1/4) (1 + q^2 + q^6 + q^12 + q^20),
+    # theta3 = 1 + 2 (q + q^4 + q^9 + q^16), with q = exp(i pi tau)
+    q = np.exp(1j * math.pi * t_red)
+    q2 = q * q
+    q4 = q2 * q2
+    q8 = q4 * q4
+    q16 = q8 * q8
+    q6 = q4 * q2
+    t2 = 2.0 * np.exp(0.25j * math.pi * t_red) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
+    t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
+    lam_red = (t2 / t3) ** 4
+    A, B, C, D = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T
+    stuck = (D == 0) & (abs(lam_red) < _LAMBDA_FLOOR)
+    if stuck.any():
+        raise PunctureError(f"tau = {tau[stuck][0]} is numerically at a cusp")
+    den = C * lam_red + D
+    value = (A * lam_red + B) / den
+    lam_prime_red = 1j * math.pi * lam_red * (1.0 - lam_red) * t3**4
+    cz = g[2] * tau + g[3]
+    prime = (A * D - B * C) / (den * den) * lam_prime_red / (cz * cz)
     return value, prime
 
 
@@ -208,6 +293,19 @@ class PhiValue:
         return 4.0 * q * q
 
 
+def _metric_factors(w: np.ndarray, dw_dz: np.ndarray) -> np.ndarray:
+    """PhiValue.metric_factor over arrays of w and dw/dz."""
+    aw = abs(w)
+    ad = abs(dw_dz)
+    with np.errstate(over="ignore"):
+        den = 1.0 + aw * aw
+    q = ad / den
+    big = ~np.isfinite(den)
+    if big.any():
+        q[big] = ad[big] / aw[big] / aw[big]
+    return 4.0 * q * q
+
+
 class ModularCover:
     """Phi = lambda o cayley with chain-rule derivative."""
 
@@ -237,6 +335,21 @@ class ModularCover:
         """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
         return self.value(z).metric_factor()
 
+    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
+        """metric_factor over an array of z, as one batch: the same
+        disc and cusp checks, raised for the first point that fails."""
+        zs = np.asarray(zs, dtype=complex)
+        shape, zs = zs.shape, zs.ravel()
+        outside = abs(zs) >= 1.0
+        if outside.any():
+            raise PunctureError(f"|z| = {abs(zs[outside][0])} is not inside the disc")
+        zp = 1.0 + zs
+        at_cusp = abs(zp) < 1e-15
+        if at_cusp.any():
+            raise PunctureError(f"z = {zs[at_cusp][0]} is numerically at the cusp -1")
+        w, lam_p = _lambda_batch(_cayley_batch(zs))
+        return _metric_factors(w, lam_p * (-2j / (zp * zp))).reshape(shape)
+
 
 class IdentityChart:
     """The trivial covering w = z (flat-reference data)."""
@@ -250,6 +363,10 @@ class IdentityChart:
 
     def metric_factor(self, z: complex) -> float:
         return self.value(z).metric_factor()
+
+    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        return _metric_factors(zs, np.ones_like(zs))
 
 
 def puncture_distance(cover, z: complex, j: int) -> float:
@@ -266,6 +383,13 @@ def puncture_distance(cover, z: complex, j: int) -> float:
     return dist if j == near else math.pi - dist
 
 
+def check_ball_radius(r: float) -> None:
+    """The ball-radius rule: 0 < r < pi/4 keeps the puncture balls
+    disjoint and inside the regime the separation constants assume."""
+    if not 0.0 < r < math.pi / 4:
+        raise ValueError(f"ball radius {r} outside (0, pi/4)")
+
+
 def hororegion_test(
     cover,
     z: complex,
@@ -278,12 +402,10 @@ def hororegion_test(
     """Is Phi(z) inside the (doubled) ball around puncture j, and which
     boundary-vertex component is z in.
 
-    The radius precondition r < pi/4 keeps the ball geometry inside the
-    regime the separation constants assume.  Component naming needs an
+    r must satisfy check_ball_radius.  Component naming needs an
     enumerated tessellation; with tess=None only membership is returned.
     """
-    if not 0.0 < r < math.pi / 4:
-        raise ValueError(f"ball radius {r} outside (0, pi/4)")
+    check_ball_radius(r)
     dist = puncture_distance(cover, z, j)
     member = dist < (2.0 * r if doubled else r)
     if not member or tess is None:

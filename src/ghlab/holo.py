@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
 from .errors import BranchDomainError, InvalidMuError, InvalidZeroError, PoleError
 
 _DENOM_FLOOR = 1e-300
@@ -39,7 +41,8 @@ class HoloFn:
 
     ``jet(z)`` returns (f, f', f'') with exact complex derivatives, so
     one evaluation of the underlying product serves the value and both
-    derivatives; the three views below each take one jet.
+    derivatives; the three views below each take one jet.  A jet also
+    takes an ndarray of z and returns three arrays of its shape.
     """
 
     jet: Callable[[complex], tuple]
@@ -55,7 +58,13 @@ class HoloFn:
 
     @classmethod
     def constant(cls, c: complex) -> "HoloFn":
-        return cls(jet=lambda z, c=c: (c, 0j, 0j))
+        def jet(z):
+            if isinstance(z, np.ndarray):
+                zero = np.zeros(z.shape, complex)
+                return zero + c, zero, zero
+            return c, 0j, 0j
+
+        return cls(jet=jet)
 
     def negate_reciprocal(self) -> "HoloFn":
         """Return -1/f with derivatives by the quotient rule.
@@ -103,6 +112,13 @@ class BlaschkeSpec:
             terms += [(a, ac, ac / abs(a), abs(a) ** 2 - 1.0)] * mult
         return tuple(terms)
 
+    @cached_property
+    def factor_columns(self) -> tuple:
+        """factor_terms as four column arrays (one row per factor), which
+        broadcast against a flat array of z."""
+        cols = np.array(self.factor_terms, dtype=complex).reshape(-1, 4)
+        return tuple(cols[:, j:j + 1] for j in range(4))
+
     def degree(self) -> int:
         return self.m + sum(mult for _, mult in self.zeros)
 
@@ -126,7 +142,7 @@ def vertex_targeted_spec(vertices, depths=(1, 2)) -> BlaschkeSpec:
     return BlaschkeSpec(m=0, zeros=tuple(zeros))
 
 
-def _power_with_derivs(m: int, z: complex):
+def _power_with_derivs(m: int, z):
     if m == 0:
         return 1.0 + 0j, 0j, 0j
     if m == 1:
@@ -134,13 +150,15 @@ def _power_with_derivs(m: int, z: complex):
     return z**m, m * z ** (m - 1), m * (m - 1) * z ** (m - 2)
 
 
-def blaschke_derivs(spec: BlaschkeSpec, z: complex):
+def blaschke_derivs(spec: BlaschkeSpec, z):
     """(B, B', B'') by product-rule accumulation over the factors.
 
     Factor c (a - z)/den with c = conj(a)/|a| and den = 1 - conj(a) z
     has derivative c (|a|^2 - 1)/den^2 and second derivative that times
-    2 conj(a)/den.
+    2 conj(a)/den.  An ndarray z takes the batched path.
     """
+    if isinstance(z, np.ndarray):
+        return _blaschke_batch(spec, z)
     p, d1, d2 = _power_with_derivs(spec.m, z)
     for a, ac, c, k in spec.factor_terms:
         den = 1.0 - ac * z
@@ -156,13 +174,43 @@ def blaschke_derivs(spec: BlaschkeSpec, z: complex):
     return p, d1, d2
 
 
-def sqrt_right_halfplane(w: complex) -> complex:
+def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray):
+    """blaschke_derivs over an array of z: each factor's jet by the same
+    formulas, for all factors at once (one row per factor), then the
+    same product-rule accumulation.  The pole floor applies to the
+    whole batch."""
+    shape, z = z.shape, z.ravel()
+    a, ac, c, k = spec.factor_columns
+    den = 1.0 - ac * z
+    near = abs(den) < _DENOM_FLOOR
+    if near.any():
+        row, col = np.argwhere(near)[0]
+        raise PoleError(f"Blaschke factor pole at z={z[col]} for zero a={a[row, 0]}")
+    f = c * (a - z) / den
+    core = k / (den * den)
+    f1 = c * core
+    f2 = c * core * 2.0 * ac / den
+    p, d1, d2 = _power_with_derivs(spec.m, z)
+    for fk, f1k, f2k in zip(f, f1, f2):
+        d2 = d2 * fk + 2.0 * d1 * f1k + p * f2k
+        d1 = d1 * fk + p * f1k
+        p = p * fk
+    # the leading power alone may leave constants in the jet
+    return tuple(np.broadcast_to(x, z.shape).reshape(shape) for x in (p, d1, d2))
+
+
+def sqrt_right_halfplane(w):
     """Square root branch on Re w > 0 with values in |arg| < pi/4.
 
     The principal square root already does this; the point of the
     wrapper is the hard domain check.  Inputs on the imaginary axis are
-    rejected, not perturbed.
+    rejected, not perturbed.  An ndarray w is checked as a whole.
     """
+    if isinstance(w, np.ndarray):
+        bad = ~(w.real > 0.0)
+        if bad.any():
+            raise BranchDomainError(f"Re w = {w.real[bad][0]} is not positive")
+        return np.sqrt(w)
     w = complex(w)
     if not w.real > 0.0:
         raise BranchDomainError(f"Re w = {w.real} is not positive")
@@ -176,7 +224,7 @@ def psi_fn(spec: BlaschkeSpec) -> HoloFn:
     psi'' = -i [ B''/(2 s) + B'^2/(4 s^3) ].
     """
 
-    def jet(z: complex):
+    def jet(z):
         b, db, ddb = blaschke_derivs(spec, z)
         s = sqrt_right_halfplane(1.0 - b)
         return (

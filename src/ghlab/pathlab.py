@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ansatz import HolomorphicData
 from .covering import (
     DEFAULT_BALL_RADIUS,
+    check_ball_radius,
     halfplane_side_points,
     hororegion_test,
     lambda_map,
@@ -469,6 +469,8 @@ def _puncture_gap(c1: Cusp, c2: Cusp, y: float, r: float) -> float:
 
 
 def _truncated_side(c1: Cusp, c2: Cusp, r: float, n: int) -> np.ndarray:
+    from scipy.optimize import brentq
+
     ys = np.exp(np.linspace(math.log(1e-3), math.log(1e3), n))
     gaps = np.array([_puncture_gap(c1, c2, y, r) for y in ys])
     inside = np.nonzero(gaps > 0.0)[0]
@@ -505,8 +507,7 @@ def hexagon_constants(r: float = DEFAULT_BALL_RADIUS, n_side: int = 512) -> Regi
     boundaries located by root finding) and minimizes pairwise distance
     between distinct sides.
     """
-    if not 0.0 < r < math.pi / 4:
-        raise ValueError(f"ball radius {r} outside (0, pi/4)")
+    check_ball_radius(r)
     P = punctures()
     pair_min = min(
         sphere_distance(P[i], P[j]) for i in range(3) for j in range(i + 1, 3)
@@ -546,6 +547,7 @@ def even_side_crossings(path: ParamPath, data: HolomorphicData,
                         samples: int = 2048) -> CrossingReport:
     if path.dim != 2:
         raise ValueError("crossing count wants a disc path")
+    from scipy.optimize import brentq
 
     def lift(s: float) -> np.ndarray:
         try:

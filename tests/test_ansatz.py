@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -11,7 +12,14 @@ from ghlab.ansatz import (
     standard_data,
     wedge,
 )
-from ghlab.errors import DegenerateMetricError, InvalidDataError, MetricDomainError
+from ghlab.errors import (
+    DegenerateMetricError,
+    GHLabError,
+    InvalidDataError,
+    MetricDomainError,
+    PathError,
+    PunctureError,
+)
 from ghlab.holo import HoloFn
 
 FLAT = HolomorphicData.flat_reference()
@@ -265,3 +273,85 @@ class TestValidation:
         data = standard_data()
         first = data.xi_at(0.22 + 0.13j)
         assert data.xi_at(0.22 + 0.13j) is first
+
+
+# Eight directions that avoid the cusps 1, i, -1 and -i.
+DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
+
+
+def _quad_reference(data, z):
+    """The homotopy integral of xi_at by adaptive quadrature of the
+    scalar integrand, with breakpoints at the panel edges so that it
+    resolves the growth toward the circle; (value, error estimate)."""
+    from scipy.integrate import quad
+
+    def integrand(s):
+        w = s * z
+        return s * (-1.0 / data.psi(w)).imag * data.cover.metric_factor(w)
+
+    k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
+    edges = [1.0 - 0.5**j for j in range(1, k + 1)]
+    return quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=1000, points=edges)
+
+
+class TestHomotopyRule:
+    """xi_at's graded Gauss-Legendre rule against adaptive quadrature."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.62, 0.9, 0.97, 0.99, 0.9999, 0.99999])
+    def test_matches_adaptive_quadrature(self, r):
+        for d in DIRECTIONS:
+            z = r * d
+            data = standard_data()
+            ref, err = _quad_reference(data, z)
+            assert err <= 1e-9 * max(1.0, abs(ref)), (z, err)
+            xi_u, xi_v = data.xi_at(z)
+            tol = 1e-11 * max(1.0, abs(ref))
+            assert abs(xi_u + z.imag * ref) <= tol * abs(z.imag), z
+            assert abs(xi_v - z.real * ref) <= tol * abs(z.real), z
+
+    def test_deep_cusp_raises_like_the_scalar_chart(self):
+        data = standard_data()
+        with pytest.raises(PunctureError):
+            _quad_reference(data, 0.999j)
+        with pytest.raises(PunctureError):
+            data.xi_at(0.999j)
+
+    @pytest.mark.parametrize("z", [1.0, -1.0 + 0j, 1.2, 0.8 + 0.8j, 1j])
+    def test_outside_the_open_disc_is_a_puncture(self, z):
+        for data in (standard_data(), FLAT):
+            with pytest.raises(PunctureError):
+                data.xi_at(z)
+
+    def test_a_jump_in_the_integrand_is_caught(self, monkeypatch):
+        z = 0.6 + 0.3j
+
+        def jump(self, zs):
+            return np.where(abs(zs) < abs(z) / 3, 1.0, 2.0)
+
+        monkeypatch.setattr(HolomorphicData, "curl_source", jump)
+        with pytest.raises(PathError, match="homotopy integral unreliable"):
+            standard_data().xi_at(z)
+
+
+class TestMetricDomain:
+    def test_safe_radius_map(self):
+        """Along eight directions and the real axis metric either returns
+        G or raises MetricDomainError, exactly where m underflows to 0."""
+        radii = np.concatenate([np.linspace(0.0, 0.98, 50), np.linspace(0.981, 0.999, 19)])
+        data = standard_data()
+        underflowed = []
+        for d in DIRECTIONS + [1.0]:
+            for r in radii:
+                z = complex(r * d)
+                m = data.cover.metric_factor(z)
+                try:
+                    data.metric(1.0, z)
+                except MetricDomainError:
+                    assert m == 0.0, z
+                    underflowed.append(z)
+                except GHLabError as exc:
+                    pytest.fail(f"metric at z = {z} raised {exc!r}")
+                else:
+                    assert m > 0.0, z
+        # only the real axis reaches m = 0, at about 0.99
+        assert underflowed and all(z.imag == 0.0 and 0.98 < z.real for z in underflowed)

@@ -148,7 +148,7 @@ class TestConfig:
             MuConfig(kind="rotate")
 
     def test_bad_ball_radius_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"ball radius 1\.0 outside \(0, pi/4\)"):
             DataConfig(ball_radius=1.0)
 
     def test_load_config_bad_json(self, tmp_path):
@@ -380,6 +380,7 @@ class TestEntryPoints:
         ("tessellate", '[]'),
         ("hororegions", '{"data": {"rho0_kind": "fancy"}}'),
         ("tessellate", '{"data": {"rho0_scale": -1.0}}'),
+        ("tessellate", '{"data": {"ball_radius": 0.8}}'),
     ])
     def test_unusable_config_exits_two(self, tmp_path, capsys, command, text):
         p = tmp_path / "c.json"
@@ -400,6 +401,17 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["polish"])
         assert exc.value.code == 2
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only where a root finder or dblquad runs
+        src = str(Path(ghlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ghlab.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "o"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ghlab.covering import (
     IdentityChart,
     ModularCover,
+    _reduce_batch,
     base_triangle_image_area,
     halfplane_side_points,
     hororegion_test,
@@ -23,8 +24,15 @@ from ghlab.covering import (
     theta2,
     theta3,
 )
-from ghlab.errors import ConvergenceError, PunctureError
-from ghlab.tessellation import INF, Cusp, base_triangle, cayley, tessellate
+from ghlab.errors import ConvergenceError, GHLabError, PunctureError
+from ghlab.tessellation import (
+    INF,
+    Cusp,
+    base_triangle,
+    cayley,
+    reduce_to_fundamental,
+    tessellate,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -178,6 +186,75 @@ class TestModularCover:
     def test_outside_disc_rejected(self):
         with pytest.raises(PunctureError):
             self.cover.value(1.2 + 0j)
+
+
+disc_points = st.builds(
+    lambda r, t: r * cmath.exp(1j * t),
+    st.floats(min_value=0.0, max_value=0.99),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+)
+# z = cusp (1 - eps e^{i t}): deep in the cusps 1, i and -i, and now and
+# then just outside the disc
+cusp_points = st.builds(
+    lambda cusp, e, t: cusp * (1.0 - 10.0 ** e * cmath.exp(1j * t)),
+    st.sampled_from([1.0, 1j, -1j]),
+    st.floats(min_value=-9.0, max_value=-1.0),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GHLabError as exc:
+        return exc
+
+
+class TestBatchedCover:
+    """metric_factors against the scalar chart, point by point."""
+
+    cover = ModularCover()
+
+    @given(z=st.one_of(disc_points, cusp_points))
+    @settings(max_examples=300, deadline=None)
+    @example(z=1.2 + 0j)
+    @example(z=0.8 + 0.8j)
+    @example(z=-1.0 + 1e-16j)
+    @example(z=0.999j)
+    def test_agrees_with_scalar_chart(self, z):
+        scalar = _outcome(self.cover.metric_factor, z)
+        batch = _outcome(lambda: self.cover.metric_factors(np.array([z]))[0])
+        if isinstance(scalar, GHLabError):
+            assert type(batch) is type(scalar)
+            assert str(batch) == str(scalar)
+        elif scalar > 1e-250:
+            assert abs(batch - scalar) <= 1e-12 * scalar
+
+    def test_one_batch_matches_each_point(self):
+        zs = np.array(_interior_grid(n=24, rmax=0.99))
+        expect = np.array([self.cover.metric_factor(z) for z in zs])
+        got = self.cover.metric_factors(zs.reshape(2, -1))
+        assert got.shape == (2, zs.size // 2)
+        np.testing.assert_allclose(got.ravel(), expect, rtol=1e-12, atol=0.0)
+
+    def test_first_failing_point_is_reported(self):
+        zs = np.array([0.1, 0.5j, 1.5, -2.0])
+        with pytest.raises(PunctureError, match=r"\|z\| = 1\.5 "):
+            self.cover.metric_factors(zs)
+
+    def test_reduction_budget_is_the_scalar_one(self):
+        tau = 0.3 + 0.01j
+        with pytest.raises(ConvergenceError) as scalar:
+            reduce_to_fundamental(tau, max_iter=2)
+        with pytest.raises(ConvergenceError) as batch:
+            _reduce_batch(np.array([0.1j + 2.0, tau]), max_iter=2)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_identity_chart(self):
+        chart = IdentityChart()
+        zs = np.array([0j, 0.3 + 0.4j, -0.9j, 1.5 + 0j])
+        expect = [chart.metric_factor(z) for z in zs]
+        np.testing.assert_allclose(chart.metric_factors(zs), expect, rtol=1e-15)
 
 
 class TestPunctures:

@@ -3,13 +3,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghlab.errors import BranchDomainError, InvalidMuError, InvalidZeroError
+from ghlab.errors import BranchDomainError, InvalidMuError, InvalidZeroError, PoleError
 from ghlab.holo import (
     BlaschkeSpec,
+    HoloFn,
     MuSpec,
     apply_mu,
     blaschke_derivs,
@@ -232,3 +234,46 @@ class TestMu:
         psi = psi_fn(FOUR_VERTEX)
         with pytest.raises(InvalidMuError):
             apply_mu(MuSpec(kind="perturb", eps=3.0), psi)
+
+
+class TestBatchedJet:
+    """A jet over an ndarray of z equals the scalar jet point by point."""
+
+    points = np.array(_interior_points(200, radius=0.99))
+
+    @pytest.mark.parametrize("name", ["standard", "perturb_mu", "flat"])
+    def test_matches_scalar_jet(self, name):
+        psi = {
+            "standard": psi_fn(FOUR_VERTEX),
+            "perturb_mu": apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
+            "flat": HoloFn.constant(2j),
+        }[name]
+        batch = psi.jet(self.points)
+        for k in range(3):
+            scalar = np.array([psi.jet(complex(z))[k] for z in self.points])
+            assert batch[k].shape == self.points.shape
+            # The four-fold symmetric product is a function of z^4, so
+            # near 0 psi' ~ z^3 is a sum of O(1) factor terms that
+            # nearly cancel; there the rounding of one division in numpy
+            # and in Python differs by 1e-17 absolute, up to 6e-11
+            # relative.  So the bound is relative to the largest value.
+            scale = np.abs(scalar).max()
+            np.testing.assert_allclose(batch[k], scalar, rtol=1e-14, atol=1e-14 * scale)
+
+    def test_shape_is_kept(self):
+        grid = self.points.reshape(10, 20)
+        for spec in (FOUR_VERTEX, BlaschkeSpec(m=1)):
+            jet = blaschke_derivs(spec, grid)
+            assert [x.shape for x in jet] == [grid.shape] * 3
+            assert jet[0][3, 7] == pytest.approx(blaschke_derivs(spec, grid[3, 7])[0], rel=1e-14)
+
+    def test_pole_anywhere_in_the_batch_is_rejected(self):
+        spec = BlaschkeSpec(zeros=((0.5, 1),))
+        with pytest.raises(PoleError, match=r"z=\(2\+0j\)"):
+            blaschke_derivs(spec, np.array([0.1, 2.0 + 0j, 0.3j]))
+
+    def test_branch_domain_applies_to_the_batch(self):
+        assert np.allclose(sqrt_right_halfplane(np.array([4.0 + 0j, 1j + 1.0])) ** 2,
+                           [4.0, 1.0 + 1j])
+        with pytest.raises(BranchDomainError, match="Re w = -0.5"):
+            sqrt_right_halfplane(np.array([1.0 + 0j, -0.5 + 1j]))

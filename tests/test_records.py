@@ -129,6 +129,35 @@ class TestEvaluationCounts:
         assert covers <= len(report.zeros)
 
 
+class TestXiCounts:
+    def test_one_batch_per_cold_xi(self, monkeypatch):
+        data = standard_data()
+        calls = {"jet": [], "batch": 0, "value": 0}
+        jet, batch, value = (ghlab.holo.blaschke_derivs, ModularCover.metric_factors,
+                             ModularCover.value)
+
+        def counted_jet(spec, z):
+            calls["jet"].append(type(z))
+            return jet(spec, z)
+
+        def counted_batch(self, zs):
+            calls["batch"] += 1
+            return batch(self, zs)
+
+        def counted_value(self, z):
+            calls["value"] += 1
+            return value(self, z)
+
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
+        monkeypatch.setattr(ModularCover, "metric_factors", counted_batch)
+        monkeypatch.setattr(ModularCover, "value", counted_value)
+        z = 0.22 + 0.13j
+        first = data.xi_at(z)
+        assert calls == {"jet": [np.ndarray], "batch": 1, "value": 0}
+        assert data.xi_at(z) is first
+        assert calls == {"jet": [np.ndarray], "batch": 1, "value": 0}
+
+
 class TestRecords:
     def test_theta_column_is_exactly_zero(self):
         """The fields on the old 4-D stencil over (rho, u, v, theta):
@@ -184,7 +213,7 @@ class TestRecords:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("g_sigma ran the xi quadrature")
 
-        monkeypatch.setattr("ghlab.ansatz.quad", no_quadrature)
+        monkeypatch.setattr(HolomorphicData, "curl_source", no_quadrature)
         fresh = standard_data()
         assert np.array_equal(fresh.g_sigma(Z), expected)
         assert np.array_equal(fresh.g_sigma(-0.4 + 0.1j), data.g_sigma(-0.4 + 0.1j))
