@@ -51,6 +51,18 @@ class MetricDomainError(DegenerateMetricError):
     definite there, but beyond what double precision can represent."""
 
 
+class CoframeDomainError(MetricDomainError):
+    """The coordinate arrays of the metric and the forms no longer hold
+    the dx block of the Gibbons-Hawking coframe: rho^2 m is below their
+    rounding, although m > 0."""
+
+
+class ZeroCountError(GHLabError):
+    """An argument-principle count could not be certified: the winding
+    number is not an integer, the two rules disagree, the integrand is
+    too small on the circle, or the located zeros do not add up."""
+
+
 class DegenerateFrameError(GHLabError):
     """Coframe solve was too ill-conditioned to trust."""
 

@@ -22,7 +22,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ansatz import HolomorphicData, wedge
-from .errors import DegenerateFrameError, InvalidDataError, StencilError
+from .errors import (
+    CoframeDomainError,
+    DegenerateFrameError,
+    InvalidDataError,
+    StencilError,
+    ZeroCountError,
+)
 
 
 @dataclass(frozen=True)
@@ -148,13 +154,53 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
     }
 
 
+# The largest entry of E^-T G E^-1 - I at which the coordinate arrays
+# still hold the coframe E, a tenth of the quaternion tolerance.
+_FRAME_FLOOR = 1e-9
+
+
+def _coframe_inverse(data: HolomorphicData, rho: float, z: complex) -> np.ndarray:
+    """E^-1 for the Gibbons-Hawking coframe E = (V^-1/2 Theta, V^1/2 dx_i),
+    in which g is the identity.
+
+    The (rho, u, v) block A of dx has orthogonal columns of squared
+    lengths 1, rho^2 m and rho^2 m, so A^-1 is A^T with its rows
+    divided by those; the dtheta column of E is (V^-1/2, 0, 0, 0).
+    """
+    V = data.potential(rho, z)
+    theta = data.theta_at(rho, z)
+    A = data.dx_rows(rho, z)[:, :3]
+    a_inv = A.T / np.einsum("ij,ij->j", A, A)[:, None]
+    sv = math.sqrt(V)
+    inv = np.zeros((4, 4))
+    inv[:3, 1:] = a_inv / sv
+    inv[3, 0] = sv
+    inv[3, 1:] = -(theta[:3] @ a_inv) / sv
+    return inv
+
+
 def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
     """The endomorphisms J_i = -G^-1 Omega_i must satisfy the unit
-    quaternion algebra with J1 J2 = J3, and lower back to the forms."""
+    quaternion algebra with J1 J2 = J3, and lower back to the forms.
+
+    J_i is taken in the Gibbons-Hawking coframe E, where g is the
+    identity, as -E^-T Omega_i E^-1: no solve on G, whose condition
+    grows like 1/m.  The round trip lowers with the frame metric
+    E^-T G E^-1 itself.  Where that metric is off the identity by more
+    than _FRAME_FLOOR, the coordinate arrays have lost the dx block to
+    rounding, and CoframeDomainError reports |z| instead of a residual.
+    """
     G = data.metric(rho, z)
-    forms = data.symplectic(rho, z)
-    J = [-np.linalg.solve(G, om) for om in forms]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = _coframe_inverse(data, rho, z)
+        G_frame = inv.T @ G @ inv
+        forms = [inv.T @ om @ inv for om in data.symplectic(rho, z)]
     eye = np.eye(4)
+    floor = float(np.abs(G_frame - eye).max())
+    if not floor <= _FRAME_FLOOR:
+        raise CoframeDomainError(
+            f"coframe lost to rounding at |z| = {abs(z)}: frame metric off by {floor:.3g}")
+    J = [-om for om in forms]
     unit = max(float(np.abs(J[i] @ J[i] + eye).max()) for i in range(3))
     product = 0.0
     for i in range(3):
@@ -167,7 +213,7 @@ def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
         if i != j
     )
     roundtrip = max(
-        float(np.abs(J[i].T @ G - forms[i]).max()) for i in range(3)
+        float(np.abs(J[i].T @ G_frame - forms[i]).max()) for i in range(3)
     )
     return {
         "unit": unit,
@@ -364,85 +410,179 @@ def contact_ratio(data: HolomorphicData, z: complex,
 
 # ---- the zero locus of the contact form --------------------------------
 
+# Nodes of the circle rule; every other node makes the half rule.  psi
+# branches where B = 1 on the unit circle, so the error of the half
+# rule on |z| = 0.9 is about 0.9^256 = 2e-12 (0.9^128 = 1.4e-6 with 256
+# nodes, above _WINDING_TOL).
+_CIRCLE_NODES = 512
+# The winding number must lie this close to an integer and to its
+# half-rule value.
+_WINDING_TOL = 1e-6
+# Roots closer than this are one zero, and no polishing step moves
+# further.
+_CLUSTER_RADIUS = 1e-3
+# Relative to max |psi'| on the circle: the least |psi'| on the circle
+# that is trusted, and the largest |psi'| at a polished zero.
+_DPSI_FLOOR = 1e-8
+_ZERO_FLOOR = 1e-10
+_POLISH_STEPS = 3
+_RE_PSI_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class BetaZeroReport:
+    """The zeros of beta inside the circle and the certificate of their count.
+
+    ``critical_points`` are the zeros of psi' inside |z| < ``radius`` as
+    (z, multiplicity) pairs, and ``zeros`` those where Re psi vanishes
+    too, with |beta| at each in ``beta_norms``.  ``winding`` is the
+    number of zeros of psi' by the trapezoid rule at ``nodes`` nodes,
+    ``winding_gap`` its distance to the rule on every other node, and
+    ``min_dpsi`` the least |psi'| on the circle.
+    """
+
     zeros: tuple
     beta_norms: tuple
     min_separation: float
+    critical_points: tuple
+    winding: float
+    nodes: int
+    winding_gap: float
+    radius: float
+    min_dpsi: float
 
 
-def beta_zero_search(data: HolomorphicData, grid: int = 40, radius: float = 0.9,
-                     max_iter: int = 40) -> BetaZeroReport:
-    """All zeros of the contact form inside |z| < radius.
+def _power_sum_roots(p: np.ndarray) -> np.ndarray:
+    """Roots of the monic polynomial whose roots have the power sums
+    p[0], ..., p[n-1] (first to n-th), by Newton's identities."""
+    e = [1.0 + 0j]
+    for k in range(1, len(p) + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    return np.roots([(-1) ** k * c for k, c in enumerate(e)])
+
+
+def _clusters(roots) -> list:
+    """(centroid, size) of each group of roots linked by steps shorter
+    than _CLUSTER_RADIUS: the roots of a multiple zero spread on a
+    small circle, wider than the gap between neighbours."""
+    groups = []
+    for r in roots:
+        merged, rest = [r], []
+        for g in groups:
+            if min(abs(r - x) for x in g) < _CLUSTER_RADIUS:
+                merged += g
+            else:
+                rest.append(g)
+        groups = rest + [merged]
+    return [(complex(sum(g) / len(g)), len(g)) for g in groups]
+
+
+def _polish(psi, z: complex, mult: int, radius: float):
+    """Newton steps z <- z - mult psi'/psi'' for a zero of psi' of that
+    multiplicity, each kept only if it shrinks |psi'| and moves less than
+    _CLUSTER_RADIUS inside the circle: near a multiple zero the rounding
+    of psi' can throw a step anywhere.  Returns z, psi and psi' there."""
+    w, d1, d2 = psi.jet(z)
+    for _ in range(_POLISH_STEPS):
+        if d1 == 0 or d2 == 0:
+            break
+        step = z - mult * d1 / d2
+        if not (abs(step - z) < _CLUSTER_RADIUS and abs(step) < radius):
+            break
+        w_s, d1_s, d2_s = psi.jet(step)
+        if not abs(d1_s) < abs(d1):
+            break
+        z, w, d1, d2 = step, w_s, d1_s, d2_s
+    return z, w, d1
+
+
+def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroReport:
+    """All zeros of the contact form inside |z| < radius, with a
+    certified count.
 
     On the canonical slice beta vanishes exactly where psi' = 0 and
-    Re psi = 0 simultaneously, so the search is Gauss-Newton on the
-    three real conditions (Re psi', Im psi', Re psi) with the second
-    derivative of psi supplying the Jacobian.
+    Re psi = 0.  The zeros of psi' inside the circle are counted and
+    located by the argument principle (Delves and Lyness): from one jet
+    of psi at N nodes z_j on the circle, the trapezoid sums
+
+        s_k = (1/N) sum_j z_j^(k+1) psi''(z_j) / psi'(z_j)
+
+    are the power sums of the zeros, and s_0 is their number n.  s_0
+    must lie within _WINDING_TOL of an integer and of the sum over every
+    other node, and |psi'| must stay clear of 0 on the circle; else
+    ZeroCountError.  Newton's identities turn s_1, ..., s_n into a
+    polynomial whose roots are the zeros.  Roots linked by steps under
+    _CLUSTER_RADIUS make one zero of their multiplicity, at their
+    centroid, which a few Newton steps polish; zeros that polish to
+    within _CLUSTER_RADIUS of each other merge.  The multiplicities of
+    the zeros confirmed by |psi'| must add up to n, else ZeroCountError.
+    The zeros of beta are those where Re psi vanishes as well.
+
+    A zero of psi' of multiplicity six or more splits, in double
+    precision, into roots too far apart to merge: it comes back as
+    several simple zeros within about 1e-2 of it.
     """
     psi = data.psi
-    probes = [0.3, 0.5j, -0.4 + 0.2j, 0.6 - 0.3j, -0.2 - 0.55j]
-    if all(abs(psi.deriv(z)) < 1e-13 for z in probes):
+    n_nodes = _CIRCLE_NODES
+    nodes = radius * np.exp(2j * math.pi * np.arange(n_nodes) / n_nodes)
+    _, d1, d2 = psi.jet(nodes)
+    size = np.abs(d1)
+    scale, min_dpsi = float(size.max()), float(size.min())
+    if scale < 1e-13:
         raise InvalidDataError("psi is constant; its contact form vanishes identically")
+    if not min_dpsi >= _DPSI_FLOOR * scale:
+        raise ZeroCountError(
+            f"|psi'| falls to {min_dpsi:.3g} on |z| = {radius}: a zero is on or near the circle")
+    q = nodes * d2 / d1
+    winding = complex(q.mean())
+    gap = abs(winding - complex(q[::2].mean()))
+    n = round(winding.real)
+    if not (abs(winding - n) <= _WINDING_TOL and gap <= _WINDING_TOL):
+        raise ZeroCountError(
+            f"winding number {winding:.9g} on |z| = {radius}, {gap:.3g} from the half "
+            f"rule, is not a count")
+    power_sums = (nodes ** np.arange(1, n + 1)[:, None] * q).mean(axis=1)
 
-    def system(z):
-        """The residual and its Jacobian from one jet of psi."""
-        w, d1, d2 = psi.jet(z)
-        F = np.array([d1.real, d1.imag, w.real])
-        J = np.array(
-            [
-                [d2.real, -d2.imag],
-                [d2.imag, d2.real],
-                [d1.real, -d1.imag],
-            ]
-        )
-        return F, J
+    located = []  # (z, multiplicity, psi there)
+    pending = _clusters(_power_sum_roots(power_sums))
+    while pending:
+        centre, mult = pending.pop()
+        if abs(centre) >= radius:
+            continue
+        z, w, dpsi = _polish(psi, centre, mult, radius)
+        if abs(dpsi) > _ZERO_FLOOR * scale:
+            continue
+        near = [t for t in located if abs(t[0] - z) < _CLUSTER_RADIUS]
+        if near:
+            # the roots of one multiple zero spread wider than the
+            # cluster radius and polished towards it: merge them
+            located = [t for t in located if t not in near]
+            total = mult + sum(t[1] for t in near)
+            pending.append(((mult * z + sum(t[1] * t[0] for t in near)) / total, total))
+        else:
+            located.append((z, mult, w))
+    found = sum(mult for _, mult, _ in located)
+    if found != n:
+        raise ZeroCountError(
+            f"located {found} zeros of psi' inside |z| = {radius}, the winding number is {n}")
+    located.sort(key=lambda t: (round(abs(t[0]), 9), math.atan2(t[0].imag, t[0].real)))
 
-    # Zeros of psi' can be degenerate (symmetric data stacks several
-    # critical points at the origin), where Gauss-Newton converges only
-    # linearly and never takes a provably tiny step.  So candidates are
-    # judged purely on the final residual and clustered, keeping the
-    # best representative of each cluster.
-    candidates = []
-    seeds = np.linspace(-radius, radius, grid)
-    for sx in seeds:
-        for sy in seeds:
-            z = complex(sx, sy)
-            if abs(z) >= radius:
-                continue
-            F = None  # the residual at z, once taken
-            for _ in range(max_iter):
-                F, J = system(z)
-                if not np.all(np.isfinite(F)) or np.linalg.norm(F) < 1e-14:
-                    break
-                step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                z = z + complex(step[0], step[1])
-                F = None
-                if abs(z) >= 0.999:
-                    break
-            if abs(z) >= radius:
-                continue
-            if F is None:
-                F, _ = system(z)
-            r = float(np.linalg.norm(F))
-            if r < 1e-12:
-                candidates.append((r, z))
-    candidates.sort(key=lambda t: t[0])
-    found = []
-    for _, z in candidates:
-        if all(abs(z - seen) > 1e-3 for seen in found):
-            found.append(z)
-    found.sort(key=lambda w: (round(abs(w), 9), math.atan2(w.imag, w.real)))
+    zeros = [z for z, _, w in located if abs(w.real) < _RE_PSI_TOL]
     norms = tuple(
-        float(np.linalg.norm(data.slice_frame(z, "canonical").beta)) for z in found
+        float(np.linalg.norm(data.slice_frame(z, "canonical").beta)) for z in zeros
     )
-    if len(found) > 1:
-        sep = min(
-            abs(a - b) for a, b in itertools.combinations(found, 2)
-        )
+    if len(zeros) > 1:
+        sep = min(abs(a - b) for a, b in itertools.combinations(zeros, 2))
     else:
         sep = math.inf
-    return BetaZeroReport(zeros=tuple(found), beta_norms=norms, min_separation=sep)
+    return BetaZeroReport(
+        zeros=tuple(zeros),
+        beta_norms=norms,
+        min_separation=sep,
+        critical_points=tuple((z, mult) for z, mult, _ in located),
+        winding=winding.real,
+        nodes=n_nodes,
+        winding_gap=gap,
+        radius=radius,
+        min_dpsi=min_dpsi,
+    )

@@ -152,7 +152,7 @@ def test_contact_structure_suite():
         signs_ok = signs_ok and ct["ratio"] < 0.0
     structure = max(structure_coeffs(DATA, z, "zero").residual
                     for z in points[:25])
-    zeros = beta_zero_search(DATA, grid=40)
+    zeros = beta_zero_search(DATA)
     locus_ok = (len(zeros.zeros) == 5
                 and np.isfinite(zeros.min_separation)
                 and zeros.min_separation > 1e-3)

@@ -103,30 +103,34 @@ class TestEvaluationCounts:
         assert _taken(counts, lambda: data.g_sigma(Z)) == (1, 1)
         assert _taken(counts, lambda: data.g_sigma(Z)) == (1, 1)
 
-    def test_zero_search_takes_one_jet_per_iterate(self, counts, monkeypatch):
-        steps = []
-        lstsq = np.linalg.lstsq
+    def test_zero_search_takes_one_circle_batch(self, counts, monkeypatch):
+        kinds = []  # per Blaschke jet outside xi: was z an array
+        counted = ghlab.holo.blaschke_derivs
 
-        def counted_lstsq(*args, **kwargs):
-            steps.append(1)
-            return lstsq(*args, **kwargs)
+        def typed_jet(spec, z):
+            if not counts["in_xi"]:
+                kinds.append(isinstance(z, np.ndarray))
+            return counted(spec, z)
 
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        data = standard_data(vertices=(1, -1, 1j))
-        grid = 8
-        report = None
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", typed_jet)
+        for vertices, count in (((1, 1j, -1, -1j), 5), ((1, -1, 1j), 1)):
+            data = standard_data(vertices=vertices)
+            report = None
 
-        def search():
-            nonlocal report
-            report = beta_zero_search(data, grid=grid)
+            def search():
+                nonlocal report
+                report = beta_zero_search(data)
 
-        jets, covers = _taken(counts, search)
-        # one jet per Gauss-Newton step, plus per seed at most the jet
-        # that stops the iteration and one for the final residual; then
-        # 5 probes for constant data and one slice frame per zero
-        assert jets <= len(steps) + 2 * grid * grid + 5 + len(report.zeros)
-        assert len(report.zeros) == 1
-        assert covers <= len(report.zeros)
+            kinds.clear()
+            jets, covers = _taken(counts, search)
+            assert jets == len(kinds)
+            # one batch on the circle; per zero of psi' a jet at the
+            # centroid and at most three Newton steps; then one slice
+            # frame per zero of beta
+            assert kinds.count(True) == 1
+            assert kinds.count(False) <= 4 * len(report.critical_points) + len(report.zeros)
+            assert len(report.zeros) == count
+            assert covers <= len(report.zeros)
 
 
 class TestXiCounts:

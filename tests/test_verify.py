@@ -1,10 +1,21 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ghlab.ansatz import HolomorphicData, standard_data
-from ghlab.errors import InvalidDataError, StencilError
+from ghlab.covering import ModularCover
+from ghlab.errors import (
+    GHLabError,
+    InvalidDataError,
+    MetricDomainError,
+    StencilError,
+    ZeroCountError,
+)
+from ghlab.holo import BlaschkeSpec, psi_fn
 from ghlab.verify import (
     BetaZeroReport,
     FDConfig,
@@ -101,6 +112,40 @@ class TestGibbonsHawking:
         assert out["roundtrip"] < 1e-12
 
 
+DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
+
+
+class TestQuaternionDomain:
+    def test_residual_or_domain_error(self):
+        """Along eight directions and the real axis up to |z| = 0.95, at
+        rho = 1 and on the canonical slice, quaternion_check returns
+        residuals below 1e-8 or raises MetricDomainError, and nothing
+        else."""
+        limited = []
+        for d in DIRECTIONS + [1.0]:
+            for r in np.linspace(0.0, 0.95, 39):
+                z = complex(r * d)
+                for rho in (1.0, DATA.psi(z).imag):
+                    try:
+                        out = quaternion_check(DATA, rho, z)
+                    except MetricDomainError:
+                        limited.append(z)
+                    except GHLabError as exc:
+                        pytest.fail(f"quaternion_check at z = {z} raised {exc!r}")
+                    else:
+                        assert max(out.values()) < 1e-8, (z, rho, out)
+        # m decays fastest along the real axis, and only there the
+        # coordinate arrays lose the coframe
+        assert limited and all(z.imag == 0.0 and z.real > 0.6 for z in limited)
+
+    def test_ill_conditioned_metric(self):
+        """At the worst point of verify --grid 400 --seed 16, where
+        cond(G) is 2.5e5, the coframe keeps the algebra exact."""
+        z = 0.6014 - 0.0001j
+        out = quaternion_check(DATA, DATA.psi(z).imag, z)
+        assert max(out.values()) < 1e-11
+
+
 class TestCurvature:
     def test_flat_reference_is_flat(self):
         rep = curvature(metric_field(FLAT), [1.3, 0.2, 0.1, 0.0], h=1e-3)
@@ -165,7 +210,7 @@ _ZERO_CACHE = []
 
 def _zeros() -> BetaZeroReport:
     if not _ZERO_CACHE:
-        _ZERO_CACHE.append(beta_zero_search(DATA, grid=40))
+        _ZERO_CACHE.append(beta_zero_search(DATA))
     return _ZERO_CACHE[0]
 
 
@@ -194,7 +239,7 @@ class TestBetaZeros:
         assert _zeros().min_separation > 0.6
 
     def test_three_vertex_variant(self):
-        rep = beta_zero_search(standard_data(vertices=(1, -1, 1j)), grid=24)
+        rep = beta_zero_search(standard_data(vertices=(1, -1, 1j)))
         assert len(rep.zeros) == 1
         assert rep.zeros[0] == pytest.approx(0.658269j, abs=1e-4)
         assert rep.min_separation == math.inf
@@ -202,3 +247,59 @@ class TestBetaZeros:
     def test_constant_data_rejected(self):
         with pytest.raises(InvalidDataError):
             beta_zero_search(FLAT)
+
+    def test_origin_is_a_triple_critical_point(self):
+        rep = _zeros()
+        (centre, mult), = [(z, k) for z, k in rep.critical_points if abs(z) < 1e-3]
+        assert mult == 3
+        assert abs(centre) < 1e-12
+        assert centre in rep.zeros
+
+    def test_certificate(self):
+        rep = _zeros()
+        assert rep.winding == pytest.approx(7.0, abs=1e-6)
+        assert sum(k for _, k in rep.critical_points) == 7
+        assert rep.winding_gap <= 1e-6
+        assert rep.radius == 0.9
+        assert rep.nodes % 2 == 0
+        assert rep.min_dpsi > 0.1
+
+    @pytest.mark.parametrize("radius", [0.665, 0.66253])
+    def test_zero_near_the_circle_is_not_counted(self, radius):
+        """At 0.665 four zeros lie 0.0025 inside the circle, at 0.66253
+        just outside: the trapezoid sums have not converged."""
+        with pytest.raises(ZeroCountError):
+            beta_zero_search(DATA, radius=radius)
+
+
+@st.composite
+def blaschke_specs(draw):
+    """Degree 2 to 9: up to z^4 times zeros of multiplicity 1 or 2 with
+    0.01 <= |a| <= 0.8, at least 0.05 apart.  Zeros stacked at one
+    point would make a zero of psi' of any multiplicity, and past five
+    its roots split beyond the cluster radius in double precision."""
+    degree = draw(st.integers(2, 9))
+    m = draw(st.integers(0, min(4, degree)))
+    zeros = []
+    left = degree - m
+    while left:
+        mult = draw(st.integers(1, min(2, left)))
+        a = cmath.rect(draw(st.floats(0.01, 0.8)), draw(st.floats(0.0, 2 * math.pi)))
+        assume(all(abs(a - b) >= 0.05 for b, _ in zeros))
+        zeros.append((a, mult))
+        left -= mult
+    return BlaschkeSpec(m=m, zeros=tuple(zeros))
+
+
+class TestZeroCount:
+    @given(spec=blaschke_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_critical_points_of_blaschke_products(self, spec):
+        """A Blaschke product of degree n has n - 1 critical points in
+        the disc (Walsh), and so psi' has n - 1 zeros."""
+        data = HolomorphicData(cover=ModularCover(), psi=psi_fn(spec))
+        rep = beta_zero_search(data)
+        n = spec.degree()
+        assert rep.winding == pytest.approx(n - 1, abs=1e-6)
+        assert sum(k for _, k in rep.critical_points) == n - 1
+        assert set(rep.zeros) <= {z for z, _ in rep.critical_points}
