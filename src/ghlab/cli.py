@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
 from .covering import check_ball_radius, puncture_class
-from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError
+from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError, StencilError
 from .holo import MuSpec
 from .pathlab import (
     ParamPath,
@@ -553,9 +553,13 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     zpts = interior_points(cfg.grid.resolution, cfg.grid.seed, radius=0.45)
     for rho in (0.9, 1.1, 1.3):
         for z in zpts:
-            coarse, _, noise = curvature_with_noise(
-                fn, [rho, z.real, z.imag], h=cfg.fd.curvature_h
-            )
+            try:
+                coarse, _, noise = curvature_with_noise(
+                    fn, [rho, z.real, z.imag], h=cfg.fd.curvature_h
+                )
+            except StencilError as exc:
+                # the scan's rho values are fixed, so the step is at fault
+                raise ConfigError(f"fd.curvature_h: {exc}") from exc
             rows.append([
                 rho, z.real, z.imag, coarse.riemann_max, coarse.ricci_max,
                 coarse.scalar, noise["riemann"], noise["ricci"],

@@ -7,7 +7,9 @@ the quotient metric on the disc ("disc"), and the two slice metrics
 sweeps toward boundary targets, extracts the separation constants of the
 truncated-triangle hexagon, bounds lengths below by the total variation
 of log Im psi, and measures horizontal (kernel-of-beta) lengths where
-the two slice metrics must agree.
+the two slice metrics must agree.  Every length is the integral of a
+pointwise speed on adaptive 8-node Gauss-Legendre panels, halved until
+a panel and its two halves agree to within its share of the tolerance.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .ansatz import HolomorphicData
 from .covering import (
@@ -162,47 +165,39 @@ def _velocity(path: ParamPath, s: float, lo: float, hi: float) -> np.ndarray:
     return (path.at(s + h) - path.at(s - h)) / (2.0 * h)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 28):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or np.max(np.abs(err)) < 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_recurse(f, a, m, fa, flm, fm, left, half, depth - 1) + (
-        _simpson_recurse(f, m, b, fm, frm, fb, right, half, depth - 1)
-    )
-
-
-# Irrationally spaced panel seeds (fractional parts of multiples of the
-# golden ratio).  Dyadic-only probing can alias against integrands whose
-# zeros sit at rational parameters, e.g. speeds with a rotational
-# symmetry; these nodes never line up with such patterns.
-_PANEL_SEEDS = (0.0, 0.090170, 0.236068, 0.472136, 0.618034, 0.708204, 0.854102, 1.0)
+# Nodes of the Gauss-Legendre rule on each panel; the depth cap ends the
+# halving where a speed never settles (a jump the breaks do not name).
+_GL_NODES, _GL_WEIGHTS = leggauss(8)
+_MAX_DEPTH = 28
 
 
 def _integrate(path: ParamPath, integrand, lo: float, hi: float, tol: float):
-    """Integrate integrand(s, velocity) piecewise between smoothness breaks."""
+    """Integrate integrand(s, velocity) piecewise between smoothness breaks.
+
+    Each piece starts as one panel.  A panel is accepted as the sum over
+    its two halves when that sum is within the panel's share of the
+    piece tolerance of the panel's own Gauss-Legendre sum; otherwise
+    both halves are split again, each carrying its sum."""
     cuts = [lo] + [b for b in sorted(path.breaks) if lo < b < hi] + [hi]
-    total = None
+    total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        def f(s: float, a=a, b=b):
-            return np.atleast_1d(integrand(s, _velocity(path, s, a, b)))
+        def gauss(p: float, q: float, a=a, b=b):
+            half = 0.5 * (q - p)
+            vals = [np.atleast_1d(integrand(s, _velocity(path, s, a, b)))
+                    for s in p + half * (_GL_NODES + 1.0)]
+            return half * (_GL_WEIGHTS @ np.array(vals))
 
         piece_tol = tol * max((b - a) / (hi - lo), 1e-3)
-        for sa, sb in zip(_PANEL_SEEDS[:-1], _PANEL_SEEDS[1:]):
-            na, nb = a + (b - a) * sa, a + (b - a) * sb
-            part = _adaptive_simpson(f, na, nb, piece_tol * (sb - sa))
-            total = part if total is None else total + part
+        stack = [(a, b, gauss(a, b), 0)]
+        while stack:
+            p, q, whole, depth = stack.pop()
+            m = 0.5 * (p + q)
+            left, right = gauss(p, m), gauss(m, q)
+            gap = np.max(np.abs(left + right - whole))
+            if depth >= _MAX_DEPTH or gap <= piece_tol * (q - p) / (b - a):
+                total = total + left + right
+            else:
+                stack += [(m, q, right, depth + 1), (p, m, left, depth + 1)]
     return total
 
 
@@ -263,7 +258,7 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
                 upto: float = 1.0, tol: float = 1e-6) -> float:
     """Length of path restricted to [0, upto] in the tagged metric.
 
-    Adaptive Simpson quadrature of the pointwise speed, absolute
+    Adaptive Gauss-Legendre quadrature of the pointwise speed, absolute
     tolerance tol; velocities by finite differences over parameter step
     1e-4.  Metric evaluation failures along the path surface as
     PathError.

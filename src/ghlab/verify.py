@@ -235,16 +235,9 @@ class CurvatureReport:
     scalar: float
 
 
-def _christoffel(metric_fn, x, h):
+def _christoffel(metric_fn, x, config: FDConfig):
     G0 = np.asarray(metric_fn(x))
-    n = len(G0)
-    dG = np.zeros((n, n, n))
-    for a in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[a] += h
-        xm[a] -= h
-        dG[a] = (np.asarray(metric_fn(xp)) - np.asarray(metric_fn(xm))) / (2.0 * h)
+    dG = _partials(metric_fn, x, config, n=len(G0))
     Ginv = np.linalg.inv(G0)
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
     inner = np.einsum("bdc->dbc", dG) + np.einsum("cbd->dbc", dG) - dG
@@ -263,17 +256,10 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     x = np.asarray(x, dtype=float)
     if x[0] <= 2.5 * h:
         raise StencilError(f"rho = {x[0]} too close to the cone point for h = {h}")
-    Gamma0, G0 = _christoffel(metric_fn, x, h)
-    n = len(G0)
-    dGamma = np.zeros((n, n, n, n))
-    for c in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[c] += h
-        xm[c] -= h
-        dGamma[c] = (_christoffel(metric_fn, xp, h)[0] - _christoffel(metric_fn, xm, h)[0]) / (
-            2.0 * h
-        )
+    config = FDConfig(h, richardson=0)
+    Gamma0, G0 = _christoffel(metric_fn, x, config)
+    dGamma = _partials(lambda y: _christoffel(metric_fn, y, config)[0], x, config,
+                       n=len(G0))
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + quadratic terms
     riem = (
         np.einsum("cadb->abcd", dGamma)

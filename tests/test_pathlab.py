@@ -10,6 +10,7 @@ from ghlab.ansatz import HolomorphicData, standard_data
 from ghlab.errors import InvalidMuError, PathError, RegionError
 from ghlab.holo import MuSpec
 from ghlab.pathlab import (
+    DEFAULT_LADDER,
     LengthProfile,
     ParamPath,
     RegionConstants,
@@ -158,6 +159,51 @@ class TestSweeps:
     def test_bad_ladder(self):
         with pytest.raises(ValueError):
             divergence_sweep(DATA, GENERIC, "sphere", ladder=(0.9, 0.5))
+
+
+def _quad_lengths(target, tag, ladder):
+    """Cumulative lengths of the radial path at each rung by adaptive
+    quadrature of the exact radial speed; (lengths, error estimates)."""
+    from scipy.integrate import quad
+
+    t = complex(target) / abs(target)
+    v = np.array([t.real, t.imag])
+    if tag == "sphere":
+        def speed(r):
+            return math.sqrt(max(DATA.metric_factor_in_disc(r * t), 0.0))
+    else:
+        def speed(r):
+            return math.sqrt(max(float(v @ DATA.g_sigma(r * t) @ v), 0.0))
+
+    total, lo, lengths, errs = 0.0, 0.0, [], []
+    for r in ladder:
+        val, err = quad(speed, lo, r, epsabs=1e-12, epsrel=1e-12, limit=1000)
+        total += val
+        lengths.append(total)
+        errs.append(err)
+        lo = r
+    return lengths, errs
+
+
+class TestSweepQuadrature:
+    """Sweep lengths against adaptive quadrature with exact velocities."""
+
+    @pytest.mark.parametrize("tag", ["sphere", "disc"])
+    @pytest.mark.parametrize("target", [1.0, 1j, -1.0, GENERIC])
+    def test_every_rung_within_tol(self, target, tag):
+        rep = divergence_sweep(DATA, target, tag, tol=1e-6)
+        ladder = [r for r, _ in rep.profile.entries]
+        ref, errs = _quad_lengths(target, tag, ladder)
+        assert max(errs) < 1e-10
+        for (r, length), want in zip(rep.profile.entries, ref):
+            assert abs(length - want) <= 1e-6, (target, tag, r)
+
+    def test_generic_sphere_at_tight_tol(self):
+        rep = divergence_sweep(DATA, GENERIC, "sphere", tol=1e-9)
+        ref, errs = _quad_lengths(GENERIC, "sphere", DEFAULT_LADDER)
+        assert max(errs) < 1e-10
+        for (r, length), want in zip(rep.profile.entries, ref):
+            assert abs(length - want) <= 1e-9, r
 
 
 class TestLogVariation:

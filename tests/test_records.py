@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import ghlab.holo
+import ghlab.pathlab
 from ghlab.ansatz import HolomorphicData, standard_data
+from ghlab.cli import main
 from ghlab.covering import ModularCover
 from ghlab.holo import MuSpec
 from ghlab.pathlab import mu_variant
@@ -131,6 +133,29 @@ class TestEvaluationCounts:
             assert kinds.count(False) <= 4 * len(report.critical_points) + len(report.zeros)
             assert len(report.zeros) == count
             assert covers <= len(report.zeros)
+
+    def test_default_sweep_speed_evaluations(self, monkeypatch, tmp_path):
+        """Speed evaluations of one default sweep: 8 Gauss-Legendre nodes
+        on each panel, and each halved panel's sum carried down."""
+        calls = [0]
+        factory = ghlab.pathlab._speed_fn
+
+        def counted_factory(*args):
+            speed = factory(*args)
+
+            def counted(*point):
+                calls[0] += 1
+                return speed(*point)
+
+            return counted
+
+        monkeypatch.setattr(ghlab.pathlab, "_speed_fn", counted_factory)
+        taken = []
+        for run in range(2):
+            calls[0] = 0
+            assert main(["sweep", "--out", str(tmp_path / str(run))]) == 0
+            taken.append(calls[0])
+        assert taken[0] == taken[1] <= 3920
 
 
 class TestXiCounts:
