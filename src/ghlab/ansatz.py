@@ -46,10 +46,11 @@ from .holo import HoloFn, psi_fn, vertex_targeted_spec
 
 
 def wedge(a, b):
-    """Antisymmetric matrix of the wedge of two 1-forms (covector arrays)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.outer(a, b) - np.outer(b, a)
+    """Antisymmetric matrices of the wedges of 1-forms: covectors on the
+    last axis, leading axes broadcast against each other."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ab = a[..., :, None] * b[..., None, :]
+    return ab - np.swapaxes(ab, -1, -2)
 
 
 def _slice_pullback(grad) -> np.ndarray:
@@ -341,15 +342,12 @@ class HolomorphicData:
         m = self.record(z).m
         return np.diag([1.0, rho * rho * m, rho * rho * m])
 
-    def symplectic(self, rho: float, z: complex):
-        theta = self.theta_at(rho, z)
+    def symplectic(self, rho: float, z: complex) -> np.ndarray:
+        """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as
+        one (3, 4, 4) array over (drho, du, dv, dtheta)."""
         dx = self.dx_rows(rho, z)
-        V = self.potential(rho, z)
-        forms = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            forms.append(wedge(theta, dx[i]) + V * wedge(dx[j], dx[k]))
-        return forms
+        return (wedge(self.theta_at(rho, z), dx)
+                + self.potential(rho, z) * wedge(dx[[1, 2, 0]], dx[[2, 0, 1]]))
 
     def metric(self, rho: float, z: complex) -> np.ndarray:
         """g over (drho, du, dv, dtheta), checked positive definite.
@@ -370,10 +368,7 @@ class HolomorphicData:
                 f"conformal factor underflowed to 0 at |z| = {abs(z)}")
         theta = self.theta_at(rho, z)
         dx = self.dx_rows(rho, z)
-        G = np.outer(theta, theta) / V
-        for i in range(3):
-            G = G + V * np.outer(dx[i], dx[i])
-        return G
+        return np.outer(theta, theta) / V + V * (dx.T @ dx)
 
     # ---- slices --------------------------------------------------------
 
@@ -397,7 +392,7 @@ class HolomorphicData:
         G4 = self.metric(rho_s, z)
         X = np.array([rho_s, 0.0, 0.0, 0.0])
         xflat4 = G4 @ X
-        omega = np.array([pull.T @ (X @ om) for om in self.symplectic(rho_s, z)])
+        omega = X @ self.symplectic(rho_s, z) @ pull
         return SliceFrame(
             z=z,
             rho=rho_s,

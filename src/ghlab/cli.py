@@ -551,11 +551,17 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     fn = metric_field(data)
     rows = []
     zpts = interior_points(cfg.grid.resolution, cfg.grid.seed, radius=0.45)
+    h = cfg.fd.curvature_h
+    # the nested stencil around z reaches z + h (s + i t) with |s| + |t| <= 2
+    reach = max(abs(z + 2.0 * h * e) for z in zpts for e in (1, 1j, -1, -1j))
+    if not reach < 1.0:
+        raise ConfigError(
+            f"fd.curvature_h: the stencil of h = {h} leaves the disc (|z| = {reach})")
     for rho in (0.9, 1.1, 1.3):
         for z in zpts:
             try:
                 coarse, _, noise = curvature_with_noise(
-                    fn, [rho, z.real, z.imag], h=cfg.fd.curvature_h
+                    fn, [rho, z.real, z.imag], h=h
                 )
             except StencilError as exc:
                 # the scan's rho values are fixed, so the step is at fault

@@ -8,9 +8,10 @@ plane minus {0, 1}.  Stereographic projection then lands everything on
 the unit sphere with punctures at the images of w = 0, 1, infinity.
 
 Evaluation strategy: reduce tau into the standard fundamental domain
-(where Im tau >= sqrt(3)/2 and the theta series converge in a handful
-of terms) while tracking the group element g, evaluate lambda there,
-then undo g through the six-element anharmonic table
+while tracking the group element g.  There Im tau >= sqrt(3)/2, so
+|q| < 0.066 and theta2 and theta3 are sums of five and four terms,
+exact to double precision.  Evaluate lambda there by that one fixed
+series, then undo g through the six-element anharmonic table
 
     g^-1 mod 2 :  I -> x         T -> x/(x-1)    S -> 1-x
                   TS -> (x-1)/x  ST -> 1/(1-x)   TST -> 1/x
@@ -26,8 +27,8 @@ of 1 would need 1/0: there value() raises PunctureError and
 value_extended() gives the flipped chart 1/w.
 
 metric_factors() takes the conformal factor over an array of z in one
-batch: a masked reduction, theta series with a fixed number of terms
-and the same anharmonic table, with the checks of value().
+batch: a masked reduction, then the same series and anharmonic table
+(written once for a point and an array), with the checks of value().
 """
 
 from __future__ import annotations
@@ -50,41 +51,6 @@ from .tessellation import (
 )
 
 DEFAULT_BALL_RADIUS = 0.1
-_THETA_THRESHOLD = 1e-16
-_THETA_TERMS = 64
-
-
-def _check_tau(tau: complex):
-    if not tau.imag > 0.05:
-        raise ConvergenceError(
-            f"Im tau = {tau.imag} below series guard 0.05; reduce first"
-        )
-
-
-def theta2(tau: complex) -> complex:
-    """theta2(tau) = 2 sum_{n>=0} exp(i pi tau (n+1/2)^2)."""
-    tau = complex(tau)
-    _check_tau(tau)
-    total = 0j
-    for n in range(_THETA_TERMS):
-        term = cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
-        total += term
-        if abs(term) < _THETA_THRESHOLD:
-            return 2.0 * total
-    raise ConvergenceError(f"theta2 series did not converge at tau = {tau}")
-
-
-def theta3(tau: complex) -> complex:
-    """theta3(tau) = 1 + 2 sum_{n>=1} exp(i pi tau n^2)."""
-    tau = complex(tau)
-    _check_tau(tau)
-    total = 0j
-    for n in range(1, _THETA_TERMS):
-        term = cmath.exp(1j * math.pi * tau * n * n)
-        total += term
-        if abs(term) < _THETA_THRESHOLD:
-            return 1.0 + 2.0 * total
-    raise ConvergenceError(f"theta3 series did not converge at tau = {tau}")
 
 
 # Anharmonic table: the parity of g^{-1} = (d, -b, -c, a) selects the
@@ -110,9 +76,38 @@ _PARITY_WEIGHTS = np.array([1, 4, 2, 8])
 _LAMBDA_FLOOR = 1e-150
 
 
-def _lambda_core(tau: complex, want_prime: bool, flip: bool = False):
-    """(lambda(tau), lambda'(tau) or None): the one place a single tau
-    is reduced and the theta series are summed.
+def _lambda_reduced(t, exp):
+    """(lambda, lambda') at reduced points t of the fundamental domain,
+    with exp = cmath.exp for one point or np.exp for an array.  There
+    |q| <= exp(-pi sqrt(3)/2) < 0.066, so the first term left out of
+    either theta series is below 1e-29 of its sum."""
+    # theta2 = 2 q^(1/4) (1 + q^2 + q^6 + q^12 + q^20),
+    # theta3 = 1 + 2 (q + q^4 + q^9 + q^16), with q = exp(i pi tau)
+    q = exp(1j * math.pi * t)
+    q2 = q * q
+    q4 = q2 * q2
+    q8 = q4 * q4
+    q16 = q8 * q8
+    q6 = q4 * q2
+    t2 = 2.0 * exp(0.25j * math.pi * t) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
+    t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
+    lam = (t2 / t3) ** 4
+    return lam, 1j * math.pi * lam * (1.0 - lam) * t3**4
+
+
+def _undo_reduction(lam, prime, moebius, tau, c, d):
+    """(lambda, lambda') at tau from their values at the reduced point
+    (a tau + b)/(c tau + d): the anharmonic map (A, B, C, D), and the
+    chain rule through d(g tau)/d tau = 1/(c tau + d)^2."""
+    A, B, C, D = moebius
+    den = C * lam + D
+    cz = c * tau + d
+    return (A * lam + B) / den, (A * D - B * C) / (den * den) * prime / (cz * cz)
+
+
+def _lambda_core(tau: complex, flip: bool = False):
+    """(lambda(tau), lambda'(tau)): the one place a single tau is
+    reduced.
 
     Deep in a cusp of class 1 (the maps with D = 0) the reduced lambda
     is too small to invert.  There PunctureError is raised, or with
@@ -124,21 +119,13 @@ def _lambda_core(tau: complex, want_prime: bool, flip: bool = False):
     if not tau.imag > 0:
         raise PunctureError(f"tau = {tau} lies on the boundary (cusp)")
     t_red, (a, b, c, d) = reduce_to_fundamental(tau)
-    t3 = theta3(t_red)
-    lam_red = (theta2(t_red) / t3) ** 4
-    A, B, C, D = _ANHARMONIC[(d % 2, b % 2, c % 2, a % 2)]
-    den = C * lam_red + D
-    if D == 0 and abs(lam_red) < _LAMBDA_FLOOR:
+    lam, prime = _lambda_reduced(t_red, cmath.exp)
+    A, B, C, D = moebius = _ANHARMONIC[(d % 2, b % 2, c % 2, a % 2)]
+    if D == 0 and abs(lam) < _LAMBDA_FLOOR:
         if flip:
-            return None, den / (A * lam_red + B)
+            return None, (C * lam + D) / (A * lam + B)
         raise PunctureError(f"tau = {tau} is numerically at a cusp")
-    value = (A * lam_red + B) / den
-    if not want_prime:
-        return value, None
-    lam_prime_red = 1j * math.pi * lam_red * (1.0 - lam_red) * t3**4
-    cz = c * tau + d
-    prime = (A * D - B * C) / den**2 * lam_prime_red / (cz * cz)
-    return value, prime
+    return _undo_reduction(lam, prime, moebius, tau, c, d)
 
 
 def _reduce_batch(tau: np.ndarray, max_iter: int = 500):
@@ -183,47 +170,27 @@ def _cayley_batch(z: np.ndarray) -> np.ndarray:
 
 def _lambda_batch(tau: np.ndarray):
     """(lambda, lambda') over a flat array of tau in the upper
-    half-plane, by the reduction and the anharmonic table of
-    _lambda_core.  On the fundamental domain |q| <= exp(-pi sqrt(3)/2)
-    < 0.066, so theta2 with 5 terms and theta3 with 4 terms reach the
-    scalar series' 1e-16 cut-off at every reduced point."""
+    half-plane: _lambda_core with the reduction masked over the array."""
     off = ~(tau.imag > 0)
     if off.any():
         raise PunctureError(f"tau = {tau[off][0]} lies on the boundary (cusp)")
     t_red, g = _reduce_batch(tau)
-    # theta2 = 2 q^(1/4) (1 + q^2 + q^6 + q^12 + q^20),
-    # theta3 = 1 + 2 (q + q^4 + q^9 + q^16), with q = exp(i pi tau)
-    q = np.exp(1j * math.pi * t_red)
-    q2 = q * q
-    q4 = q2 * q2
-    q8 = q4 * q4
-    q16 = q8 * q8
-    q6 = q4 * q2
-    t2 = 2.0 * np.exp(0.25j * math.pi * t_red) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
-    t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
-    lam_red = (t2 / t3) ** 4
-    A, B, C, D = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T
-    stuck = (D == 0) & (abs(lam_red) < _LAMBDA_FLOOR)
+    lam, prime = _lambda_reduced(t_red, np.exp)
+    moebius = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T
+    stuck = (moebius[3] == 0) & (abs(lam) < _LAMBDA_FLOOR)
     if stuck.any():
         raise PunctureError(f"tau = {tau[stuck][0]} is numerically at a cusp")
-    den = C * lam_red + D
-    value = (A * lam_red + B) / den
-    lam_prime_red = 1j * math.pi * lam_red * (1.0 - lam_red) * t3**4
-    cz = g[2] * tau + g[3]
-    prime = (A * D - B * C) / (den * den) * lam_prime_red / (cz * cz)
-    return value, prime
+    return _undo_reduction(lam, prime, moebius, tau, g[2], g[3])
 
 
 def lambda_map(tau: complex) -> complex:
     """The modular lambda function, valid on the whole upper half-plane."""
-    value, _ = _lambda_core(tau, want_prime=False)
-    return value
+    return _lambda_core(tau)[0]
 
 
 def lambda_prime(tau: complex) -> complex:
     """d lambda / d tau via the closed form at the reduced point."""
-    _, prime = _lambda_core(tau, want_prime=True)
-    return prime
+    return _lambda_core(tau)[1]
 
 
 def stereo_lift(w: complex) -> np.ndarray:
@@ -323,7 +290,7 @@ class ModularCover:
         tau = cayley(z)
         if tau is INF:
             raise PunctureError(f"z = {z} is numerically at the cusp -1")
-        w, lam_p = _lambda_core(tau, want_prime=True, flip=flip)
+        w, lam_p = _lambda_core(tau, flip)
         if w is None:
             return PhiValue(w=None, w_inv=lam_p, p=stereo_lift_inverse_chart(lam_p),
                             dw_dz=None)
@@ -446,7 +413,7 @@ def base_triangle_image_area(rel_tol: float = 1e-3) -> float:
     def integrand(y, x):
         tau = complex(x, y)
         try:
-            value, prime = _lambda_core(tau, want_prime=True)
+            value, prime = _lambda_core(tau)
         except PunctureError:
             return 0.0
         s = abs(value) ** 2

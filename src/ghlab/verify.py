@@ -25,6 +25,7 @@ from .ansatz import HolomorphicData, wedge
 from .errors import (
     CoframeDomainError,
     DegenerateFrameError,
+    DegenerateMetricError,
     InvalidDataError,
     StencilError,
     ZeroCountError,
@@ -118,7 +119,7 @@ def closure_residual(data: HolomorphicData, rho: float, z: complex,
     do not depend on theta, so its column of partials is zero."""
 
     def forms(x):
-        return np.array(data.symplectic(x[0], complex(x[1], x[2])))
+        return data.symplectic(x[0], complex(x[1], x[2]))
 
     d = _exterior(_partials(forms, [rho, z.real, z.imag], config, n=4), 2)
     return float(np.abs(d).max())
@@ -194,32 +195,18 @@ def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = _coframe_inverse(data, rho, z)
         G_frame = inv.T @ G @ inv
-        forms = [inv.T @ om @ inv for om in data.symplectic(rho, z)]
-    eye = np.eye(4)
-    floor = float(np.abs(G_frame - eye).max())
+        forms = inv.T @ data.symplectic(rho, z) @ inv
+    floor = float(np.abs(G_frame - np.eye(4)).max())
     if not floor <= _FRAME_FLOOR:
         raise CoframeDomainError(
             f"coframe lost to rounding at |z| = {abs(z)}: frame metric off by {floor:.3g}")
-    J = [-om for om in forms]
-    unit = max(float(np.abs(J[i] @ J[i] + eye).max()) for i in range(3))
-    product = 0.0
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        product = max(product, float(np.abs(J[i] @ J[j] - J[k]).max()))
-    anticommute = max(
-        float(np.abs(J[i] @ J[j] + J[j] @ J[i]).max())
-        for i in range(3)
-        for j in range(3)
-        if i != j
-    )
-    roundtrip = max(
-        float(np.abs(J[i].T @ G_frame - forms[i]).max()) for i in range(3)
-    )
+    J = -forms
+    J_next = J[[1, 2, 0]]  # J_j beside J_i, (i, j, k) cyclic
     return {
-        "unit": unit,
-        "product": product,
-        "anticommute": anticommute,
-        "roundtrip": roundtrip,
+        "unit": float(np.abs(J @ J + np.eye(4)).max()),
+        "product": float(np.abs(J @ J_next - J[[2, 0, 1]]).max()),
+        "anticommute": float(np.abs(J @ J_next + J_next @ J).max()),
+        "roundtrip": float(np.abs(np.swapaxes(J, 1, 2) @ G_frame - forms).max()),
     }
 
 
@@ -238,7 +225,10 @@ class CurvatureReport:
 def _christoffel(metric_fn, x, config: FDConfig):
     G0 = np.asarray(metric_fn(x))
     dG = _partials(metric_fn, x, config, n=len(G0))
-    Ginv = np.linalg.inv(G0)
+    try:
+        Ginv = np.linalg.inv(G0)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(f"metric singular at x = {x.tolist()}") from exc
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
     inner = np.einsum("bdc->dbc", dG) + np.einsum("cbd->dbc", dG) - dG
     return 0.5 * np.einsum("ad,dbc->abc", Ginv, inner), G0
@@ -313,14 +303,10 @@ class StructureFit:
 
 
 def _uv_partials(frame_field, z: complex, config: FDConfig):
-    """Partials along u and v of a slice-frame quantity, one slice frame
-    per stencil point; partials along theta vanish."""
-    x0 = np.array([z.real, z.imag])
-
-    def field(x):
-        return frame_field(complex(x[0], x[1]))
-
-    return _partial(field, x0, 0, config), _partial(field, x0, 1, config)
+    """Partials along (u, v, theta) of a slice-frame quantity, one slice
+    frame per stencil point; the partials along theta vanish."""
+    return _partials(lambda x: frame_field(complex(x[0], x[1])), [z.real, z.imag],
+                     config, n=3)
 
 
 def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
@@ -335,27 +321,14 @@ def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
     z = complex(z)
     frame = data.slice_frame(z, which)
     alpha = frame.omega
-    d_u, d_v = _uv_partials(lambda w: data.slice_frame(w, which).omega, z, config)
-
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    rows = []
-    rhs = []
-    for i in range(3):
-        # the alpha components are theta-free, so d alpha has only
-        # d_u and d_v terms
-        d_alpha = {(0, 1): d_u[i][1] - d_v[i][0], (0, 2): float(d_u[i][2]),
-                   (1, 2): float(d_v[i][2])}
-        j, k = (i + 1) % 3, (i + 2) % 3
-        jk = wedge(alpha[j], alpha[k])
-        for (a, b) in pairs:
-            row = np.zeros(4)
-            row[a] += alpha[i][b]
-            row[b] -= alpha[i][a]
-            row[3] = jk[a, b]
-            rows.append(row)
-            rhs.append(d_alpha[(a, b)])
-    M = np.array(rows)
-    y = np.array(rhs)
+    P = _uv_partials(lambda w: data.slice_frame(w, which).omega, z, config)
+    # one row per component a < b of each d alpha_i: its coefficients
+    # in beta0 ^ alpha_i (one per component of beta0) and alpha_j ^ alpha_k
+    a, b = np.triu_indices(3, 1)
+    beta_part = wedge(np.eye(3)[:, None], alpha)[:, :, a, b].reshape(3, -1)
+    lam_part = wedge(alpha[[1, 2, 0]], alpha[[2, 0, 1]])[:, a, b].ravel()
+    M = np.column_stack((beta_part.T, lam_part))
+    y = _exterior(P, 1)[:, a, b].ravel()
     if np.linalg.matrix_rank(M) < 4:
         raise DegenerateFrameError(f"coframe too degenerate to fit at z = {z}")
     coeffs, _, _, _ = np.linalg.lstsq(M, y, rcond=None)
@@ -380,7 +353,7 @@ def contact_ratio(data: HolomorphicData, z: complex,
     """
     z = complex(z)
     frame = data.slice_frame(z, "canonical")
-    d_u, d_v = _uv_partials(lambda w: data.slice_frame(w, "canonical").beta, z, config)
+    d_u, d_v, _ = _uv_partials(lambda w: data.slice_frame(w, "canonical").beta, z, config)
     beta = frame.beta
     # dbeta over (u, v, theta) has no theta partials
     top = beta[0] * d_v[2] - beta[1] * d_u[2] + beta[2] * (d_u[1] - d_v[0])

@@ -181,6 +181,18 @@ class TestForms:
         W = wedge(a, b)
         assert np.abs(W + W.T).max() == 0.0
         assert np.abs(wedge(a, b) + wedge(b, a)).max() == 0.0
+        # (3, 4) stacks wedge row by row, and the symplectic triple is
+        # one stacked wedge expression
+        A = np.array([a, b, a - 2.0 * b])
+        B = np.array([b, -a, 0.5 * a + b])
+        stack = wedge(A, B)
+        assert stack.shape == (3, 4, 4)
+        for r in range(3):
+            assert np.array_equal(stack[r], wedge(A[r], B[r]))
+            assert np.array_equal(stack[r], np.outer(A[r], B[r]) - np.outer(B[r], A[r]))
+        forms = DATA.symplectic(1.1, 0.3 + 0.2j)
+        assert isinstance(forms, np.ndarray) and forms.shape == (3, 4, 4)
+        assert np.abs(forms + np.swapaxes(forms, 1, 2)).max() == 0.0
 
 
 class TestCanonicalSlice:

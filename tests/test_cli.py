@@ -392,14 +392,17 @@ class TestEntryPoints:
         assert not out.exists()
 
     def test_curvature_step_past_the_scan_exits_two(self, tmp_path, capsys):
-        # the scan starts at rho = 0.9, and curvature wants rho > 2.5 h
-        p = write_config(tmp_path / "c.json", {"fd": {"curvature_h": 0.4}})
-        out = tmp_path / "o"
-        assert main(["curvature-scan", "--config", str(p), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error=config ") and err.count("\n") == 1
-        assert "curvature_h" in err
-        assert not (out / "manifest.json").exists()
+        # the scan starts at rho = 0.9, and curvature wants rho > 2.5 h;
+        # its points reach |z| = 0.45, and the nested stencil two steps
+        # further, out of the disc from about h = 0.295 on
+        for h in (0.3, 0.35, 0.4):
+            p = write_config(tmp_path / f"c{h}.json", {"fd": {"curvature_h": h}})
+            out = tmp_path / f"o{h}"
+            assert main(["curvature-scan", "--config", str(p), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error=config ") and err.count("\n") == 1
+            assert "curvature_h" in err
+            assert not (out / "manifest.json").exists()
 
     def test_depth_flag_beyond_guard_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"

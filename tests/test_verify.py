@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ghlab.ansatz import HolomorphicData, standard_data
 from ghlab.covering import ModularCover
 from ghlab.errors import (
+    DegenerateMetricError,
     GHLabError,
     InvalidDataError,
     MetricDomainError,
@@ -170,6 +171,10 @@ class TestCurvature:
     def test_cone_point_guard(self):
         with pytest.raises(StencilError):
             curvature(metric_field(FLAT), [1e-3, 0.1, 0.1, 0.0], h=1e-3)
+
+    def test_singular_metric_is_a_degenerate_metric(self):
+        with pytest.raises(DegenerateMetricError, match=r"x = \[1\.0, 0\.0, 0\.0\]"):
+            curvature(lambda x: np.zeros((4, 4)), [1.0, 0.0, 0.0])
 
 
 class TestStructureEquations:
