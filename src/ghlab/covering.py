@@ -76,11 +76,11 @@ _PARITY_WEIGHTS = np.array([1, 4, 2, 8])
 _LAMBDA_FLOOR = 1e-150
 
 
-def _lambda_reduced(t, exp):
-    """(lambda, lambda') at reduced points t of the fundamental domain,
-    with exp = cmath.exp for one point or np.exp for an array.  There
-    |q| <= exp(-pi sqrt(3)/2) < 0.066, so the first term left out of
-    either theta series is below 1e-29 of its sum."""
+def _theta_series(t, exp):
+    """(theta2, theta3) at t by the fixed series, with exp = cmath.exp
+    for one point or np.exp for an array.  At reduced points |q| <=
+    exp(-pi sqrt(3)/2) < 0.066, so the first term left out of either
+    series is below 1e-29 of its sum."""
     # theta2 = 2 q^(1/4) (1 + q^2 + q^6 + q^12 + q^20),
     # theta3 = 1 + 2 (q + q^4 + q^9 + q^16), with q = exp(i pi tau)
     q = exp(1j * math.pi * t)
@@ -91,6 +91,13 @@ def _lambda_reduced(t, exp):
     q6 = q4 * q2
     t2 = 2.0 * exp(0.25j * math.pi * t) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
     t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
+    return t2, t3
+
+
+def _lambda_reduced(t, exp):
+    """(lambda, lambda') at reduced points t of the fundamental domain,
+    from the fixed theta series."""
+    t2, t3 = _theta_series(t, exp)
     lam = (t2 / t3) ** 4
     return lam, 1j * math.pi * lam * (1.0 - lam) * t3**4
 

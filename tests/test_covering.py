@@ -11,6 +11,7 @@ from ghlab.covering import (
     IdentityChart,
     ModularCover,
     _reduce_batch,
+    _theta_series,
     base_triangle_image_area,
     halfplane_side_points,
     hororegion_test,
@@ -62,6 +63,32 @@ cover_points = st.builds(
 def _mp_theta(n, tau):
     q = cmath.exp(1j * math.pi * tau)
     return complex(mpmath.jtheta(n, 0, mpmath.mpc(q)))
+
+
+def theta2(tau):
+    return _theta_series(tau, cmath.exp)[0]
+
+
+def theta3(tau):
+    return _theta_series(tau, cmath.exp)[1]
+
+
+class TestTheta:
+    """The fixed theta series that lambda is summed from.  Its first
+    left-out term is below 1e-26 wherever Im tau >= 0.8, which covers
+    the reduced points and every sample here."""
+
+    @pytest.mark.parametrize("tau", THETA_SAMPLES)
+    @pytest.mark.parametrize("n,fn", [(2, theta2), (3, theta3)])
+    def test_against_mpmath(self, tau, n, fn):
+        assert abs(fn(tau) - _mp_theta(n, tau)) < 1e-14
+
+    def test_batch_matches_point(self):
+        taus = np.array(THETA_SAMPLES)
+        t2, t3 = _theta_series(taus, np.exp)
+        for k, tau in enumerate(THETA_SAMPLES):
+            assert abs(t2[k] - theta2(tau)) < 1e-15
+            assert abs(t3[k] - theta3(tau)) < 1e-15
 
 
 class TestLambda:
