@@ -107,11 +107,11 @@ def _graded_rule(k: int):
     return rule
 
 
-def _validation_ring(n: int = 12):
+def _validation_ring():
     pts = [0j]
     for r in (0.55, 0.85):
-        for k in range(n):
-            ang = 2.0 * math.pi * k / n + 0.17
+        for k in range(12):
+            ang = 2.0 * math.pi * k / 12 + 0.17
             pts.append(r * complex(math.cos(ang), math.sin(ang)))
     return pts
 
@@ -256,9 +256,6 @@ class HolomorphicData:
             return self.rho0_scale
         im_psi = self.record(z).psi.imag
         return im_psi if self.rho0_kind == "canonical" else self.rho0_scale * im_psi
-
-    def t_slice_at(self, z: complex) -> float:
-        return math.log(self.record(z).psi.imag) - math.log(self.rho0_at(z))
 
     def potential(self, rho: float, z: complex) -> float:
         if not rho > 0:

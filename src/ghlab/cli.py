@@ -28,7 +28,6 @@ from .covering import check_ball_radius, puncture_class
 from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError, StencilError
 from .holo import MuSpec
 from .pathlab import (
-    ParamPath,
     divergence_sweep,
     fingerprint_distance,
     fingerprint_samples,
@@ -230,12 +229,12 @@ def parse_config(raw) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}")
     return parse_config(raw)
 
 
@@ -362,15 +361,15 @@ def update_manifest(out: Path, cfg: ExperimentConfig, command: str,
                     columns: dict) -> None:
     man_path = out / "manifest.json"
     h = config_hash(cfg)
-    manifest = {}
+    manifest = None
     if man_path.exists():
         try:
-            manifest = json.loads(man_path.read_text())
-        except json.JSONDecodeError:
-            manifest = {}
-    if manifest.get("config_hash") != h:
+            manifest = json.loads(man_path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            pass
+    if not (isinstance(manifest, dict) and manifest.get("config_hash") == h
+            and isinstance(manifest.get("commands"), dict)):
         manifest = {"config_hash": h, "package_version": __version__, "commands": {}}
-    manifest.setdefault("commands", {})
     manifest["commands"][command] = {
         "status": status,
         "files": {p.name: sha256_file(p) for p in files},
@@ -496,7 +495,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
         fit = structure_coeffs(data, z, "zero", config=fdc)
         structure = max(
             fit.residual,
-            abs(fit.lam0 - math.exp(data.t_slice_at(z))),
+            abs(fit.lam0 - math.exp(frame.t_slice)),
         )
         cross = beta_cross_check(data, z)
         beta_gap = max(
@@ -622,7 +621,7 @@ def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
     ]
     if not cfg.data.mu.is_identity():
         variants.append(("config", cfg.data.mu.as_spec()))
-    samples = fingerprint_samples(100)
+    samples = fingerprint_samples()
     prints = {}
     for name, spec in variants:
         data = base if spec is None else mu_variant(base, spec)
@@ -693,12 +692,15 @@ def main(argv=None) -> int:
                                             resolution=args.grid))
         if args.seed is not None:
             cfg = replace(cfg, grid=replace(cfg.grid, seed=args.seed))
+        out = Path(cfg.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out_dir {cfg.out_dir!r} is not a usable directory: {exc}")
     except ConfigError as exc:
         print(f"error=config detail={exc}", file=sys.stderr)
         return 2
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         ok, files, summary, columns = _DISPATCH[args.command](cfg, out)
     except ConfigError as exc:

@@ -371,20 +371,20 @@ def hororegion_test(
     r: float = DEFAULT_BALL_RADIUS,
     doubled: bool = False,
     tess: Optional[Tessellation] = None,
-    classify_min_height: float = 1.0,
 ):
     """Is Phi(z) inside the (doubled) ball around puncture j, and which
     boundary-vertex component is z in.
 
     r must satisfy check_ball_radius.  Component naming needs an
-    enumerated tessellation; with tess=None only membership is returned.
+    enumerated tessellation, and a cusp height of at least 1; with
+    tess=None only membership is returned.
     """
     check_ball_radius(r)
     dist = puncture_distance(cover, z, j)
     member = dist < (2.0 * r if doubled else r)
     if not member or tess is None:
         return member, None
-    idx = cusp_classify(z, tess, min_height=classify_min_height)
+    idx = cusp_classify(z, tess, min_height=1.0)
     if idx is None:
         return member, None
     if puncture_class(tess.vertices[idx].cusp) != j:
@@ -408,12 +408,13 @@ def halfplane_side_points(c1: Cusp, c2: Cusp, n: int = 512,
     return [(p1 * 1j * y + p2) / (q1 * 1j * y + q2) for y in ys]
 
 
-def base_triangle_image_area(rel_tol: float = 1e-3) -> float:
+def base_triangle_image_area() -> float:
     """Spherical area of the covering image of the base triangle.
 
     Computed in the half-plane as the integral of |lambda'|^2 times the
     spherical chart factor over the ideal triangle with cusps 0, 1,
-    infinity.  The exact answer is 2 pi (two triangles tile the sphere).
+    infinity, to absolute and relative tolerance 1e-3.  The exact answer
+    is 2 pi (two triangles tile the sphere).
     """
     from scipy.integrate import dblquad
 
@@ -430,5 +431,5 @@ def base_triangle_image_area(rel_tol: float = 1e-3) -> float:
         return math.sqrt(max(0.0, 0.25 - (x - 0.5) ** 2))
 
     area, _ = dblquad(integrand, 0.0, 1.0, y_floor, math.inf,
-                      epsabs=rel_tol, epsrel=rel_tol)
+                      epsabs=1e-3, epsrel=1e-3)
     return area

@@ -41,7 +41,7 @@ class HoloFn:
 
     ``jet(z)`` returns (f, f', f'') with exact complex derivatives, so
     one evaluation of the underlying product serves the value and both
-    derivatives; the three views below each take one jet.  A jet also
+    derivatives; calling a HoloFn takes one jet for its value.  A jet also
     takes an ndarray of z and returns three arrays of its shape.
     """
 
@@ -49,12 +49,6 @@ class HoloFn:
 
     def __call__(self, z: complex) -> complex:
         return self.jet(z)[0]
-
-    def deriv(self, z: complex) -> complex:
-        return self.jet(z)[1]
-
-    def second(self, z: complex) -> complex:
-        return self.jet(z)[2]
 
     @classmethod
     def constant(cls, c: complex) -> "HoloFn":
@@ -282,22 +276,21 @@ def validate_mu(mu: MuSpec, psi: HoloFn, samples) -> None:
             )
 
 
-def default_mu_samples(n: int = 48):
-    """Deterministic interior sample ring used for mu validation."""
+def default_mu_samples():
+    """Deterministic interior sample rings of 48 points each, and the
+    origin, used for mu validation."""
     pts = []
-    for k in range(n):
-        ang = 2.0 * math.pi * k / n
+    for k in range(48):
+        ang = 2.0 * math.pi * k / 48
         pts.append(0.55 * cmath.exp(1j * ang))
-        pts.append(0.85 * cmath.exp(1j * (ang + math.pi / n)))
+        pts.append(0.85 * cmath.exp(1j * (ang + math.pi / 48)))
     pts.append(0j)
     return pts
 
 
-def apply_mu(mu: MuSpec, psi: HoloFn, samples=None) -> HoloFn:
+def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:
     """Validated composition mu o psi with chain-rule derivatives."""
-    if samples is None:
-        samples = default_mu_samples()
-    validate_mu(mu, psi, samples)
+    validate_mu(mu, psi, default_mu_samples())
     inner = psi.jet
     outer = mu.as_holo().jet
 

@@ -42,19 +42,17 @@ _FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ParamPath:
-    """Piecewise-smooth parametrized path sampled on [0, 1].
+    """Smooth parametrized path sampled on [0, 1].
 
     ``fn`` maps a parameter to coordinates: (u, v) for disc paths or
-    (u, v, theta) for slice paths.  ``breaks`` lists interior parameters
-    where smoothness may fail (concatenation seams); velocity stencils
-    never straddle them.  ``proper`` marks paths running to the disc
-    boundary as s -> 1, which must then only be sampled on [0, 1).
+    (u, v, theta) for slice paths.  ``proper`` marks paths running to
+    the disc boundary as s -> 1, which must then only be sampled on
+    [0, 1).
     """
 
     fn: object
     dim: int = 2
     proper: bool = False
-    breaks: tuple = ()
 
     def at(self, s: float) -> np.ndarray:
         out = np.asarray(self.fn(float(s)), dtype=float)
@@ -128,28 +126,6 @@ class ParamPath:
 
         return cls(fn=fn, dim=3)
 
-    @classmethod
-    def constant(cls, point) -> "ParamPath":
-        vec = np.atleast_1d(np.asarray(point, dtype=float))
-        if np.iscomplexobj(point) or isinstance(point, complex):
-            z = complex(point)
-            vec = np.array([z.real, z.imag])
-        return cls(fn=lambda s: vec.copy(), dim=len(vec))
-
-    def concat(self, other: "ParamPath") -> "ParamPath":
-        if self.dim != other.dim:
-            raise ValueError("cannot concatenate paths of different dimension")
-
-        def fn(s: float, a=self.fn, b=other.fn) -> np.ndarray:
-            if s < 0.5:
-                return np.asarray(a(2.0 * s), dtype=float)
-            return np.asarray(b(2.0 * s - 1.0), dtype=float)
-
-        breaks = tuple(x / 2.0 for x in self.breaks) + (0.5,) + tuple(
-            0.5 + x / 2.0 for x in other.breaks
-        )
-        return ParamPath(fn=fn, dim=self.dim, proper=other.proper, breaks=breaks)
-
 
 def _velocity(path: ParamPath, s: float, lo: float, hi: float) -> np.ndarray:
     """Second-order velocity whose stencil stays inside [lo, hi]."""
@@ -166,38 +142,35 @@ def _velocity(path: ParamPath, s: float, lo: float, hi: float) -> np.ndarray:
 
 
 # Nodes of the Gauss-Legendre rule on each panel; the depth cap ends the
-# halving where a speed never settles (a jump the breaks do not name).
+# halving where a speed never settles (a jump inside the interval).
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _MAX_DEPTH = 28
 
 
 def _integrate(path: ParamPath, integrand, lo: float, hi: float, tol: float):
-    """Integrate integrand(s, velocity) piecewise between smoothness breaks.
+    """Integrate integrand(s, velocity) over [lo, hi] to absolute tolerance tol.
 
-    Each piece starts as one panel.  A panel is accepted as the sum over
-    its two halves when that sum is within the panel's share of the
-    piece tolerance of the panel's own Gauss-Legendre sum; otherwise
-    both halves are split again, each carrying its sum."""
-    cuts = [lo] + [b for b in sorted(path.breaks) if lo < b < hi] + [hi]
+    [lo, hi] starts as one panel.  A panel is accepted as the sum over
+    its two halves when that sum is within the panel's share of tol of
+    the panel's own Gauss-Legendre sum; otherwise both halves are split
+    again, each carrying its sum."""
+    def gauss(p: float, q: float):
+        half = 0.5 * (q - p)
+        vals = [np.atleast_1d(integrand(s, _velocity(path, s, lo, hi)))
+                for s in p + half * (_GL_NODES + 1.0)]
+        return half * (_GL_WEIGHTS @ np.array(vals))
+
     total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        def gauss(p: float, q: float, a=a, b=b):
-            half = 0.5 * (q - p)
-            vals = [np.atleast_1d(integrand(s, _velocity(path, s, a, b)))
-                    for s in p + half * (_GL_NODES + 1.0)]
-            return half * (_GL_WEIGHTS @ np.array(vals))
-
-        piece_tol = tol * max((b - a) / (hi - lo), 1e-3)
-        stack = [(a, b, gauss(a, b), 0)]
-        while stack:
-            p, q, whole, depth = stack.pop()
-            m = 0.5 * (p + q)
-            left, right = gauss(p, m), gauss(m, q)
-            gap = np.max(np.abs(left + right - whole))
-            if depth >= _MAX_DEPTH or gap <= piece_tol * (q - p) / (b - a):
-                total = total + left + right
-            else:
-                stack += [(m, q, right, depth + 1), (p, m, left, depth + 1)]
+    stack = [(lo, hi, gauss(lo, hi), 0)]
+    while stack:
+        p, q, whole, depth = stack.pop()
+        m = 0.5 * (p + q)
+        left, right = gauss(p, m), gauss(m, q)
+        gap = np.max(np.abs(left + right - whole))
+        if depth >= _MAX_DEPTH or gap <= tol * (q - p) / (hi - lo):
+            total = total + left + right
+        else:
+            stack += [(m, q, right, depth + 1), (p, m, left, depth + 1)]
     return total
 
 
@@ -304,23 +277,21 @@ class SweepReport:
 
 
 def divergence_sweep(data: HolomorphicData, target: complex, tag: str,
-                     ladder=DEFAULT_LADDER, floor: float = 0.05,
-                     tol: float = 1e-6) -> SweepReport:
+                     floor: float = 0.05, tol: float = 1e-6) -> SweepReport:
     """Radial-path length ladder toward a boundary target, classified.
 
-    The verdict is "divergent-evidence" when every ladder increment
-    exceeds the floor, "bounded-evidence" otherwise.  A desk-scale
-    surrogate: nothing here proves infinite length, it only reports
-    whether growth keeps clearing a fixed positive bar.
+    The lengths are taken at the radii of DEFAULT_LADDER.  The verdict
+    is "divergent-evidence" when every ladder increment exceeds the
+    floor, "bounded-evidence" otherwise.  A desk-scale surrogate:
+    nothing here proves infinite length, it only reports whether growth
+    keeps clearing a fixed positive bar.
     """
-    if not all(0.0 < a < b < 1.0 for a, b in zip(ladder[:-1], ladder[1:])):
-        raise ValueError("ladder must be strictly increasing inside (0, 1)")
     path = ParamPath.radial(target)
     integrand = _speed_integrand(path, tag, data)
     entries = []
     total = 0.0
     lo = 0.0
-    for r in ladder:
+    for r in DEFAULT_LADDER:
         total += float(_integrate(path, integrand, lo, r, tol)[0])
         entries.append((r, total))
         lo = r
@@ -332,29 +303,27 @@ def divergence_sweep(data: HolomorphicData, target: complex, tag: str,
 
 
 def log_variation_check(path: ParamPath, data: HolomorphicData,
-                        upto: float = 1.0, tol: float = 1e-6,
-                        region: int | None = None,
-                        ball_radius: float = DEFAULT_BALL_RADIUS,
-                        region_samples: int = 64):
+                        region: int | None = None):
     """Disc-metric length against the total-variation lower bound.
 
     Returns (lhs, rhs) with lhs the g_D length of the path and rhs
-    (1/sqrt 2) times the total variation of log Im psi along it; the
-    sector position of psi makes lhs >= rhs up to quadrature slack.
-    With region set to a puncture class, every sample of the path must
-    lie in the doubled ball region of that class, else RegionError.
+    (1/sqrt 2) times the total variation of log Im psi along it, both
+    to absolute tolerance 1e-6; the sector position of psi makes
+    lhs >= rhs up to quadrature slack.  With region set to a puncture
+    class, each of 64 evenly spaced samples of the path must lie in the
+    doubled ball region of that class, else RegionError.
     """
     if path.dim != 2:
         raise ValueError("log variation check wants a disc path")
     if region is not None:
-        for s in np.linspace(0.0, upto, region_samples):
+        for s in np.linspace(0.0, 1.0, 64):
             member, _ = hororegion_test(data.cover, path.point(s), region,
-                                        r=ball_radius, doubled=True)
+                                        doubled=True)
             if not member:
                 raise RegionError(
                     f"path left the doubled class-{region} region at s = {s}"
                 )
-    lhs = path_length(path, "disc", data, upto=upto, tol=tol)
+    lhs = path_length(path, "disc", data)
 
     def variation(s: float, v: np.ndarray) -> float:
         psi, dpsi, _ = data.psi.jet(path.point(s))
@@ -362,7 +331,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
         return abs((dpsi * zdot).imag) / psi.imag
 
     integrand = _guarded("psi evaluation", variation)
-    rhs = float(_integrate(path, integrand, 0.0, upto, tol)[0]) / math.sqrt(2.0)
+    rhs = float(_integrate(path, integrand, 0.0, 1.0, 1e-6)[0]) / math.sqrt(2.0)
     return lhs, rhs
 
 
@@ -377,9 +346,9 @@ class HorizontalReport:
     rerouted: bool
 
 
-def horizontal_length(path: ParamPath, data: HolomorphicData,
-                      upto: float = 1.0, tol: float = 1e-6) -> HorizontalReport:
-    """Lengths of a slice path after projecting velocities into ker beta.
+def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalReport:
+    """Lengths of a slice path after projecting velocities into ker beta,
+    to absolute tolerance 1e-6.
 
     The projection is g3-orthogonal; where beta degenerates (its metric
     square below 1e-18, i.e. at a contact-form zero) the velocity is
@@ -408,7 +377,7 @@ def horizontal_length(path: ParamPath, data: HolomorphicData,
             math.sqrt(max(float(vp @ frame.g_s @ vp), 0.0)),
         ])
 
-    out = _integrate(path, _guarded("slice frame", lengths), 0.0, upto, tol)
+    out = _integrate(path, _guarded("slice frame", lengths), 0.0, 1.0, 1e-6)
     return HorizontalReport(g3_length=float(out[0]), gs_length=float(out[1]),
                             max_beta=state["max_beta"], rerouted=state["rerouted"])
 
@@ -493,12 +462,12 @@ def _pairwise_min(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(dots).min())
 
 
-def hexagon_constants(r: float = DEFAULT_BALL_RADIUS, n_side: int = 512) -> RegionConstants:
+def hexagon_constants(r: float = DEFAULT_BALL_RADIUS) -> RegionConstants:
     """Separation constants of the base triangle with puncture balls removed.
 
     c3 is the ball radius itself and c2 the least pairwise puncture
     distance minus two radii, both exact.  c1 discretizes the three
-    truncated side images on the sphere (n_side points each, ball
+    truncated side images on the sphere (512 points each, ball
     boundaries located by root finding) and minimizes pairwise distance
     between distinct sides.
     """
@@ -507,7 +476,7 @@ def hexagon_constants(r: float = DEFAULT_BALL_RADIUS, n_side: int = 512) -> Regi
     pair_min = min(
         sphere_distance(P[i], P[j]) for i in range(3) for j in range(i + 1, 3)
     )
-    sides = [_truncated_side(c1, c2, r, n_side) for c1, c2 in _BASE_SIDES]
+    sides = [_truncated_side(c1, c2, r, 512) for c1, c2 in _BASE_SIDES]
     c1 = min(
         _pairwise_min(sides[i], sides[j])
         for i in range(3)
@@ -537,9 +506,9 @@ def _arc_label(p: np.ndarray) -> int:
     return 0 if p[2] < 0.0 else 1
 
 
-def even_side_crossings(path: ParamPath, data: HolomorphicData,
-                        r: float = DEFAULT_BALL_RADIUS, upto: float = 1.0,
-                        samples: int = 2048) -> CrossingReport:
+def even_side_crossings(path: ParamPath, data: HolomorphicData) -> CrossingReport:
+    """Crossings located between 2048 evenly spaced samples of the path;
+    those inside a puncture ball of the default radius are left out."""
     if path.dim != 2:
         raise ValueError("crossing count wants a disc path")
     from scipy.optimize import brentq
@@ -550,17 +519,17 @@ def even_side_crossings(path: ParamPath, data: HolomorphicData,
         except GHLabError as exc:
             raise PathError(f"covering evaluation failed at s = {s}: {exc}") from exc
 
-    svals = np.linspace(0.0, upto, samples)
+    svals = np.linspace(0.0, 1.0, 2048)
     heights = np.array([lift(s)[1] for s in svals])
     labels = []
     params = []
-    for k in range(samples - 1):
+    for k in range(len(svals) - 1):
         ya, yb = heights[k], heights[k + 1]
         if ya == 0.0 or ya * yb >= 0.0:
             continue
         s_star = brentq(lambda s: lift(s)[1], svals[k], svals[k + 1], xtol=1e-12)
         p = lift(s_star)
-        if min(sphere_distance(p, q) for q in punctures()) < r:
+        if min(sphere_distance(p, q) for q in punctures()) < DEFAULT_BALL_RADIUS:
             continue
         labels.append(_arc_label(p))
         params.append(s_star)
@@ -571,12 +540,13 @@ def even_side_crossings(path: ParamPath, data: HolomorphicData,
 # ---- radial-graph fingerprints -----------------------------------------
 
 
-def fingerprint_samples(n: int = 100) -> list:
-    """Deterministic interior sample spiral shared by fingerprint runs."""
+def fingerprint_samples() -> list:
+    """Deterministic interior sample spiral of 100 points shared by
+    fingerprint runs."""
     golden = math.pi * (3.0 - math.sqrt(5.0))
     pts = []
-    for k in range(n):
-        rad = 0.85 * math.sqrt((k + 0.5) / n)
+    for k in range(100):
+        rad = 0.85 * math.sqrt((k + 0.5) / 100)
         ang = golden * k
         pts.append(rad * complex(math.cos(ang), math.sin(ang)))
     return pts
@@ -596,6 +566,6 @@ def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if len(a) else 0.0
 
 
-def mu_variant(data: HolomorphicData, mu: MuSpec, samples=None) -> HolomorphicData:
+def mu_variant(data: HolomorphicData, mu: MuSpec) -> HolomorphicData:
     """Same covering chart, psi post-composed with mu (validated)."""
-    return replace(data, psi=apply_mu(mu, data.psi, samples))
+    return replace(data, psi=apply_mu(mu, data.psi))

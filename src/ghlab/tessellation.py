@@ -83,70 +83,6 @@ class Cusp(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MoebiusMap:
-    """A Moebius or anti-Moebius map, matrix up to scale.
-
-    Acts as z -> (a w + b)/(c w + d) where w = conj(z) when
-    ``reflecting`` is set.  Composition conjugates the right factor's
-    matrix when the left factor reflects, so the matrix calculus stays
-    closed for mixed products.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    reflecting: bool = False
-
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def __call__(self, z):
-        if z is INF:
-            w = INF
-        else:
-            w = complex(z).conjugate() if self.reflecting else complex(z)
-        if w is INF:
-            if abs(self.c) < 1e-300:
-                return INF
-            return self.a / self.c
-        den = self.c * w + self.d
-        if abs(den) < 1e-300:
-            return INF
-        return (self.a * w + self.b) / den
-
-    def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        if self.reflecting:
-            oa, ob, oc, od = (
-                other.a.conjugate(),
-                other.b.conjugate(),
-                other.c.conjugate(),
-                other.d.conjugate(),
-            )
-        else:
-            oa, ob, oc, od = other.a, other.b, other.c, other.d
-        return MoebiusMap(
-            self.a * oa + self.b * oc,
-            self.a * ob + self.b * od,
-            self.c * oa + self.d * oc,
-            self.c * ob + self.d * od,
-            reflecting=self.reflecting != other.reflecting,
-        )
-
-    def inverse(self) -> "MoebiusMap":
-        if not self.reflecting:
-            return MoebiusMap(self.d, -self.b, -self.c, self.a, reflecting=False)
-        # T(z) = M conj(z) inverts to T^-1(w) = conj(M^-1) conj(w).
-        return MoebiusMap(
-            self.d.conjugate(),
-            (-self.b).conjugate(),
-            (-self.c).conjugate(),
-            self.a.conjugate(),
-            reflecting=True,
-        )
-
-
-@dataclass(frozen=True)
 class SideGeodesic:
     """A disc geodesic: circle orthogonal to the unit circle, or diameter."""
 
@@ -182,12 +118,6 @@ class SideGeodesic:
             return self.direction**2 * z.conjugate()
         c = self.center
         return c + (self.radius**2) / (z.conjugate() - c.conjugate())
-
-    def as_moebius(self) -> MoebiusMap:
-        if self.kind == "diameter":
-            return MoebiusMap(self.direction**2, 0j, 0j, 1 + 0j, reflecting=True)
-        c = self.center
-        return MoebiusMap(c, -1.0 + 0j, 1.0 + 0j, -c.conjugate(), reflecting=True)
 
 
 def halfplane_reflection_matrix(c1: Cusp, c2: Cusp):

@@ -125,7 +125,7 @@ def test_canonical_slice_identities():
     lam_gap = 0.0
     for z in points[:10]:
         fit = structure_coeffs(DATA, z, "zero")
-        lam_gap = max(lam_gap, abs(fit.lam0 - math.exp(DATA.t_slice_at(z))))
+        lam_gap = max(lam_gap, abs(fit.lam0 - math.exp(DATA.slice_frame(z).t_slice)))
     ok = (potential < 1e-8 and radius < 1e-8 and twist < 1e-8
           and lam_gap < 1e-4)
     _report(4, "canonical slice identities", ok,
@@ -224,7 +224,7 @@ def test_horizontal_paths_realize_short_metric():
 
 
 def test_mu_family_fingerprints_separate():
-    samples = fingerprint_samples(100)
+    samples = fingerprint_samples()
     prints = [
         radial_graph_fingerprint(DATA, samples),
         radial_graph_fingerprint(

@@ -237,12 +237,13 @@ class TestZeroSlice:
     @pytest.mark.parametrize("z", [0.3 + 0.2j, -0.2 + 0.4j])
     def test_structure_constant_is_exp_t(self, z):
         frame = self.data.slice_frame(z, "zero")
-        assert frame.lam0 == pytest.approx(math.exp(self.data.t_slice_at(z)), rel=1e-12)
-        assert abs(self.data.t_slice_at(z)) > 1e-3  # canonical slice genuinely elsewhere
+        t_slice = self.data.slice_frame(z).t_slice
+        assert frame.lam0 == pytest.approx(math.exp(t_slice), rel=1e-12)
+        assert abs(t_slice) > 1e-3  # canonical slice genuinely elsewhere
 
     def test_scaled_rho0_shifts_t_uniformly(self):
         data = standard_data(rho0_kind="scaled", rho0_scale=2.0)
-        ts = {round(data.t_slice_at(z), 12) for z in SAMPLE_POINTS}
+        ts = {round(data.slice_frame(z).t_slice, 12) for z in SAMPLE_POINTS}
         assert ts == {round(-math.log(2.0), 12)}
 
     def test_zero_slice_structure_equation(self):

@@ -1,0 +1,71 @@
+"""Every definition in ghlab has a use inside ghlab, or a reason to exist.
+
+A top-level function or class, or a public method, counts as used when
+its name appears as a name or an attribute anywhere in the package.  The
+definitions that only tests reach are the oracles and the acceptance
+experiments below; anything else nothing calls is dead API.
+"""
+
+import ast
+from pathlib import Path
+
+import ghlab
+
+PACKAGE = Path(ghlab.__file__).parent
+
+ALLOWED = {
+    "ansatz.HolomorphicData.base_metric":
+        "oracle: the dx rows are orthogonal with squared lengths (1, rho^2 m, rho^2 m)",
+    "covering.lambda_prime": "the only scalar path to lambda', compared with mpmath",
+    "covering.base_triangle_image_area": "oracle: the base triangle covers half the sphere",
+    "holo.BlaschkeSpec.degree": "oracle: a product of degree n has n - 1 critical points",
+    "pathlab.ParamPath.segment": "path constructor of the length and crossing oracles",
+    "pathlab.ParamPath.circle": "path constructor of the classical-length oracles",
+    "pathlab.ParamPath.radial_window": "hororegion paths of acceptance criterion 6",
+    "pathlab.ParamPath.slice_segment": "horizontal paths of acceptance criterion 7",
+    "pathlab.ParamPath.theta_circle": "control loop of acceptance criterion 7",
+    "pathlab.log_variation_check": "acceptance criterion 6: the log-variation inequality",
+    "pathlab.horizontal_length": "acceptance criterion 7: horizontal lengths",
+    "pathlab.hexagon_constants": "acceptance criterion 6: the region constants",
+    "pathlab.even_side_crossings": "oracle: crossings times c1 bound the spherical length",
+    "tessellation.cayley_inv": "oracle: the inverse of cayley, INF to -1",
+    "tessellation.SideGeodesic.reflect_point":
+        "oracle: side reflections move vertices and leave the cover invariant",
+    "tessellation.IdealTriangle.contains": "oracle: the triangles of a tessellation are disjoint",
+    "verify.fd_exterior_derivative":
+        "the general stencil that closure_residual's one-pass stencil is tested against",
+    "verify.beta_zero_search": "acceptance criterion 5 and the beta-zeros benchmark",
+}
+
+
+def _surface():
+    """(definitions as {qualified name: name}, every name used)."""
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return defined, used
+
+
+def test_every_unused_definition_is_allowed():
+    defined, used = _surface()
+    unused = {q for q, name in defined.items() if name not in used}
+    assert sorted(unused - set(ALLOWED)) == []
+
+
+def test_allow_list_is_current():
+    # an entry that is gone, or that the package now uses, is stale
+    defined, used = _surface()
+    stale = [q for q in ALLOWED if q not in defined or defined[q] in used]
+    assert stale == []

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -316,6 +316,22 @@ class TestManifest:
         man = json.loads((out / "manifest.json").read_text())
         assert set(man["commands"]) == {"tessellate", "hororegions"}
 
+    @pytest.mark.parametrize("stale", [
+        "[]",
+        '{"config_hash": "%s", "commands": []}',
+        '{"config_hash": "%s"}',
+        "\xff",
+    ])
+    def test_manifest_not_an_object_starts_afresh(self, tmp_path, stale):
+        out = tmp_path / "o"
+        out.mkdir()
+        h = config_hash(replace(ExperimentConfig(), out_dir=str(out)))
+        (out / "manifest.json").write_bytes((stale.replace("%s", h)).encode("latin-1"))
+        assert main(["tessellate", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config_hash"] == h
+        assert set(man["commands"]) == {"tessellate"}
+
     def test_manifest_resets_on_config_change(self, tmp_path):
         out = tmp_path / "o"
         main(["tessellate", "--out", str(out)])
@@ -381,10 +397,11 @@ class TestEntryPoints:
         ("hororegions", '{"data": {"rho0_kind": "fancy"}}'),
         ("tessellate", '{"data": {"rho0_scale": -1.0}}'),
         ("tessellate", '{"data": {"ball_radius": 0.8}}'),
+        ("tessellate", b"\xff\xfe"),
     ])
     def test_unusable_config_exits_two(self, tmp_path, capsys, command, text):
         p = tmp_path / "c.json"
-        p.write_text(text)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "o"
         assert main([command, "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -403,6 +420,16 @@ class TestEntryPoints:
             assert err.startswith("error=config ") and err.count("\n") == 1
             assert "curvature_h" in err
             assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("target", ["file", "file/o"])
+    def test_unusable_out_dir_exits_two(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / target
+        assert main(["tessellate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error=config ") and err.count("\n") == 1
+        assert "out_dir" in err
+        assert (tmp_path / "file").read_text() == "x"
 
     def test_depth_flag_beyond_guard_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -190,7 +190,7 @@ class TestStructureEquations:
         data = standard_data(rho0_kind="constant", rho0_scale=0.7)
         fit = structure_coeffs(data, z, "zero")
         assert fit.residual < 1e-8
-        assert fit.lam0 == pytest.approx(math.exp(data.t_slice_at(z)), rel=1e-6)
+        assert fit.lam0 == pytest.approx(math.exp(data.slice_frame(z).t_slice), rel=1e-6)
         assert fit.lam0 == pytest.approx(fit.lam0_predicted, rel=1e-8)
         assert np.abs(fit.beta0 - fit.beta0_predicted).max() < 1e-8
 
