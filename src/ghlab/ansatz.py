@@ -53,14 +53,10 @@ def wedge(a, b):
     return ab - np.swapaxes(ab, -1, -2)
 
 
-def _slice_pullback(grad) -> np.ndarray:
-    """Pull-back of (drho, du, dv, dtheta) to the slice rho = rho_s(u, v)
-    with (du, dv) gradient ``grad``: row a is the a-th form over the
-    slice's (du, dv, dtheta)."""
-    pull = np.zeros((4, 3))
-    pull[0, 0], pull[0, 1] = grad
-    pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
-    return pull
+def gh_forms(V: float, theta, dx) -> np.ndarray:
+    """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as one
+    (3, 4, 4) array, from the fields of HolomorphicData._fields."""
+    return wedge(theta, dx) + V * wedge(dx[[1, 2, 0]], dx[[2, 0, 1]])
 
 
 def sphere_jacobian(w: complex, dw_dz: complex):
@@ -121,10 +117,11 @@ class SliceFrame:
     """One slice point: coframe, scaling-field data, induced metric.
 
     ``omega`` rows are the three coframe 1-forms over (du, dv, dtheta);
-    ``xflat`` is the pullback of the metric dual of the scaling field.
+    ``xflat`` is the pullback of the metric dual of the scaling field,
+    and ``theta`` and ``drho`` the pullbacks of Theta and drho.  The
+    arrays are read-only: a frame is kept and shared.
     """
 
-    z: complex
     rho: float
     t_slice: float
     V: float
@@ -133,6 +130,8 @@ class SliceFrame:
     xflat: np.ndarray
     x_norm_sq: float
     g3: np.ndarray
+    theta: np.ndarray
+    drho: np.ndarray
 
     @property
     def lam0(self) -> float:
@@ -159,12 +158,14 @@ class PointRecord:
     Each field is taken on first use: a caller that needs only psi never
     evaluates the cover, and xi_at, which integrates along the radius to
     z, needs neither.  No form reads phi's derivatives, so only its
-    value is kept.  ``xi`` is filled in by HolomorphicData.xi_at.
+    value is kept.  ``xi`` and ``frames`` (the slice frames at z, by
+    slice) are filled in by HolomorphicData.xi_at and .slice_frame.
     """
 
     def __init__(self, z: complex, psi: HoloFn, cover):
         self.z = z
         self.xi = None
+        self.frames = {}
         self._psi = psi
         self._cover = cover
 
@@ -212,8 +213,11 @@ class HolomorphicData:
     v_multiplier rescales the potential only; anything other than 1
     breaks the curl equation on purpose (used to exercise detectors).
 
-    The per-point records live as long as the data; ``replace`` starts
-    a new object with no records, so a changed psi never meets old ones.
+    Every form at (rho, z) is built from one assembly of V, Theta and
+    dx out of the record at z (``_fields``), and each slice frame is
+    built once per (z, slice) and kept in that record.  The records live
+    as long as the data; ``replace`` starts a new object with no
+    records, so a changed psi never meets old ones.
     """
 
     cover: object
@@ -250,17 +254,6 @@ class HolomorphicData:
         return rec
 
     # ---- scalar fields -------------------------------------------------
-
-    def rho0_at(self, z: complex) -> float:
-        if self.rho0_kind == "constant":
-            return self.rho0_scale
-        im_psi = self.record(z).psi.imag
-        return im_psi if self.rho0_kind == "canonical" else self.rho0_scale * im_psi
-
-    def potential(self, rho: float, z: complex) -> float:
-        if not rho > 0:
-            raise ValueError(f"rho = {rho} must be positive")
-        return self.v_multiplier * self.record(z).phi.imag / rho
 
     def metric_factor_in_disc(self, z: complex) -> float:
         """The conformal factor m at z, read as 0 where z is inside the
@@ -310,29 +303,41 @@ class HolomorphicData:
             rec.xi = (-z.imag * val, z.real * val)
         return rec.xi
 
-    def eta_at(self, rho: float, z: complex) -> np.ndarray:
+    # ---- the Gibbons-Hawking fields ------------------------------------
+
+    def _fields(self, rho: float, z: complex):
+        """(V, Theta, dx) at (rho, z) from the record at z: Theta over
+        (drho, du, dv, dtheta) and the three dx_i as rows over them."""
+        if not rho > 0:
+            raise ValueError(f"rho = {rho} must be positive")
         rec = self.record(z)
+        p, dpu, dpv = rec.sphere
+        dx = np.zeros((3, 4))
+        dx[:, 0] = p
+        dx[:, 1] = rho * dpu
+        dx[:, 2] = rho * dpv
         xi_u, xi_v = rec.xi or self.xi_at(z)
-        return np.array([rec.phi.real / rho, xi_u, xi_v])
+        theta = np.array([rec.phi.real / rho, xi_u, xi_v, 1.0])
+        return self.v_multiplier * rec.phi.imag / rho, theta, dx
 
-    def theta_at(self, rho: float, z: complex) -> np.ndarray:
-        """Theta = dtheta + eta over (drho, du, dv, dtheta)."""
-        eta = self.eta_at(rho, z)
-        return np.array([eta[0], eta[1], eta[2], 1.0])
+    def _metric_from(self, z: complex, V: float, theta, dx) -> np.ndarray:
+        """g = V^-1 Theta^2 + V sum dx_i^2 from the fields at z, checked
+        positive definite.
 
-    # ---- momentum geometry ---------------------------------------------
-
-    def momentum(self, rho: float, z: complex) -> np.ndarray:
-        return rho * self.record(z).chart.p
-
-    def dx_rows(self, rho: float, z: complex) -> np.ndarray:
-        """The three 1-forms dx_i as rows over (drho, du, dv, dtheta)."""
-        p, dpu, dpv = self.record(z).sphere
-        rows = np.zeros((3, 4))
-        rows[:, 0] = p
-        rows[:, 1] = rho * dpu
-        rows[:, 2] = rho * dpv
-        return rows
+        In the Gibbons-Hawking coframe (V^-1/2 Theta, V^1/2 dx_i) g is
+        the identity, so it is positive definite exactly when V > 0 and
+        dx has rank 3.  The singular values of dx are 1, rho sqrt(m) and
+        rho sqrt(m), so the rank condition is m > 0; the two conditions
+        are checked directly, since the coordinate Gram matrix can be
+        too ill-conditioned for a factorisation to see them.
+        """
+        if not V > 0:
+            raise DegenerateMetricError(
+                f"metric not positive definite at z = {z}: V = {V}")
+        if not self.record(z).m > 0:
+            raise MetricDomainError(
+                f"conformal factor underflowed to 0 at |z| = {abs(z)}")
+        return np.outer(theta, theta) / V + V * (dx.T @ dx)
 
     def base_metric(self, rho: float, z: complex) -> np.ndarray:
         """Euclidean metric pulled to (rho, u, v): diag(1, r^2 m, r^2 m)."""
@@ -342,65 +347,62 @@ class HolomorphicData:
     def symplectic(self, rho: float, z: complex) -> np.ndarray:
         """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as
         one (3, 4, 4) array over (drho, du, dv, dtheta)."""
-        dx = self.dx_rows(rho, z)
-        return (wedge(self.theta_at(rho, z), dx)
-                + self.potential(rho, z) * wedge(dx[[1, 2, 0]], dx[[2, 0, 1]]))
+        return gh_forms(*self._fields(rho, z))
 
     def metric(self, rho: float, z: complex) -> np.ndarray:
-        """g over (drho, du, dv, dtheta), checked positive definite.
-
-        In the Gibbons-Hawking coframe (V^-1/2 Theta, V^1/2 dx_i) g is
-        the identity, so it is positive definite exactly when V > 0 and
-        dx has rank 3.  The singular values of dx are 1, rho sqrt(m) and
-        rho sqrt(m), so the rank condition is m > 0; the two conditions
-        are checked directly, since the coordinate Gram matrix can be
-        too ill-conditioned for a factorisation to see them.
-        """
-        V = self.potential(rho, z)
-        if not V > 0:
-            raise DegenerateMetricError(
-                f"metric not positive definite at z = {z}: V = {V}")
-        if not self.record(z).m > 0:
-            raise MetricDomainError(
-                f"conformal factor underflowed to 0 at |z| = {abs(z)}")
-        theta = self.theta_at(rho, z)
-        dx = self.dx_rows(rho, z)
-        return np.outer(theta, theta) / V + V * (dx.T @ dx)
+        """g over (drho, du, dv, dtheta), checked positive definite."""
+        return self._metric_from(z, *self._fields(rho, z))
 
     # ---- slices --------------------------------------------------------
 
-    def _slice_graph(self, z: complex, which: str):
-        """rho on the slice at z, and its gradient over (du, dv)."""
-        rec = self.record(z)
-        dpsi = rec.dpsi
-        if which == "canonical":
-            return rec.psi.imag, (dpsi.imag, dpsi.real)
-        if which == "zero":
-            if self.rho0_kind == "constant":
-                return self.rho0_scale, (0.0, 0.0)
-            scale = 1.0 if self.rho0_kind == "canonical" else self.rho0_scale
-            return self.rho0_at(z), (scale * dpsi.imag, scale * dpsi.real)
-        raise ValueError(f"unknown slice {which!r}")
-
     def slice_frame(self, z: complex, which: str = "canonical") -> SliceFrame:
+        """The frame of the slice ``which`` at z, built on first use and
+        kept in the record at z.  With rho0_kind "canonical" the zero
+        slice is the canonical one and shares its frame."""
+        if which not in ("canonical", "zero"):
+            raise ValueError(f"unknown slice {which!r}")
         z = complex(z)
-        rho_s, grad = self._slice_graph(z, which)
-        pull = _slice_pullback(grad)
-        G4 = self.metric(rho_s, z)
+        if which == "zero" and self.rho0_kind == "canonical":
+            which = "canonical"
+        rec = self.record(z)
+        frame = rec.frames.get(which)
+        if frame is not None:
+            return frame
+        # each slice is a graph (rho over the disc, its (du, dv) gradient);
+        # the zero slice is the graph of rho0
+        psi, dpsi, k = rec.psi, rec.dpsi, self.rho0_scale
+        canonical = psi.imag, (dpsi.imag, dpsi.real)
+        if self.rho0_kind == "canonical":
+            zero = canonical
+        elif self.rho0_kind == "constant":
+            zero = k, (0.0, 0.0)
+        else:
+            zero = k * psi.imag, (k * dpsi.imag, k * dpsi.real)
+        rho_s, grad = canonical if which == "canonical" else zero
+        # row a is the pull-back of the a-th of (drho, du, dv, dtheta) to
+        # the slice, over its (du, dv, dtheta)
+        pull = np.zeros((4, 3))
+        pull[0, 0], pull[0, 1] = grad
+        pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
+        V, theta, dx = self._fields(rho_s, z)
+        G4 = self._metric_from(z, V, theta, dx)
         X = np.array([rho_s, 0.0, 0.0, 0.0])
         xflat4 = G4 @ X
-        omega = X @ self.symplectic(rho_s, z) @ pull
-        return SliceFrame(
-            z=z,
+        frame = rec.frames[which] = SliceFrame(
             rho=rho_s,
-            t_slice=math.log(rho_s) - math.log(self.rho0_at(z)),
-            V=self.potential(rho_s, z),
-            x=self.momentum(rho_s, z),
-            omega=omega,
+            t_slice=math.log(rho_s) - math.log(zero[0]),
+            V=V,
+            x=rho_s * rec.chart.p,
+            omega=X @ gh_forms(V, theta, dx) @ pull,
             xflat=pull.T @ xflat4,
             x_norm_sq=float(X @ xflat4),
             g3=pull.T @ G4 @ pull,
+            theta=pull.T @ theta,
+            drho=pull[0],
         )
+        for arr in (frame.x, frame.omega, frame.xflat, frame.g3, frame.theta, frame.drho):
+            arr.flags.writeable = False
+        return frame
 
     def g_sigma(self, z: complex) -> np.ndarray:
         """Quotient metric on the disc: the canonical-slice metric with
@@ -432,15 +434,11 @@ def beta_cross_check(data: HolomorphicData, z: complex):
     psi, phi = rec.psi, rec.phi
     rho = frame.rho
 
-    pull = _slice_pullback(data._slice_graph(z, "canonical")[1])
-    theta_s = pull.T @ data.theta_at(rho, z)
-    drho_s = pull[0]
-
     A = np.array([[-psi.real, -1.0], [rho * rho, -psi.real]])
     beta = np.zeros(3)
     gamma = np.zeros(3)
     for a in range(3):
-        rhs = np.array([theta_s[a] / abs(phi) ** 2, rho * drho_s[a]])
+        rhs = np.array([frame.theta[a] / abs(phi) ** 2, rho * frame.drho[a]])
         beta[a], gamma[a] = np.linalg.solve(A, rhs)
     gamma_direct = frame.x @ frame.omega
     return {

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import combinations
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -469,11 +470,20 @@ _VERIFY_CHECKS = (
 )
 
 
+def _check_stencil_reach(key: str, h: float, steps: int, points) -> None:
+    """A stencil of step h around each point reaches z + steps h e, e in
+    (1, i, -1, -i); ConfigError naming the key if that leaves the disc."""
+    reach = max(abs(z + steps * h * e) for z in points for e in (1, 1j, -1, -1j))
+    if not reach < 1.0:
+        raise ConfigError(f"{key}: the stencil of h = {h} leaves the disc (|z| = {reach})")
+
+
 def cmd_verify(cfg: ExperimentConfig, out: Path):
     data = build_data(cfg.data)
     tol = cfg.tolerances
     fdc = cfg.fd.as_fd()
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
+    _check_stencil_reach("fd.h", fdc.h, 1, points)
     rows = []
     maxima = {name: 0.0 for name in _VERIFY_CHECKS}
     contact_signs_ok = True
@@ -552,10 +562,7 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     zpts = interior_points(cfg.grid.resolution, cfg.grid.seed, radius=0.45)
     h = cfg.fd.curvature_h
     # the nested stencil around z reaches z + h (s + i t) with |s| + |t| <= 2
-    reach = max(abs(z + 2.0 * h * e) for z in zpts for e in (1, 1j, -1, -1j))
-    if not reach < 1.0:
-        raise ConfigError(
-            f"fd.curvature_h: the stencil of h = {h} leaves the disc (|z| = {reach})")
+    _check_stencil_reach("fd.curvature_h", h, 2, zpts)
     for rho in (0.9, 1.1, 1.3):
         for z in zpts:
             try:
@@ -634,14 +641,10 @@ def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
     csv_path = out / "fingerprints.csv"
     cols = write_csv(csv_path, header, rows)
 
-    dist_rows = []
-    min_dist = math.inf
     names = [name for name, _ in variants]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            d = fingerprint_distance(prints[names[i]], prints[names[j]])
-            min_dist = min(min_dist, d)
-            dist_rows.append([names[i], names[j], d])
+    dist_rows = [[a, b, fingerprint_distance(prints[a], prints[b])]
+                 for a, b in combinations(names, 2)]
+    min_dist = min(row[2] for row in dist_rows)
     dist_path = out / "fingerprint_distances.csv"
     dist_cols = write_csv(dist_path, ["a", "b", "distance"], dist_rows)
 
@@ -703,6 +706,12 @@ def main(argv=None) -> int:
 
     try:
         ok, files, summary, columns = _DISPATCH[args.command](cfg, out)
+        status = "ok" if ok else "failed"
+        update_manifest(out, cfg, args.command, status, files, summary, columns)
+    except OSError as exc:
+        print(f"error=config detail=out_dir {cfg.out_dir!r} holds an unusable "
+              f"artifact path: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"error=config detail={exc}", file=sys.stderr)
         return 2
@@ -711,8 +720,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    status = "ok" if ok else "failed"
-    update_manifest(out, cfg, args.command, status, files, summary, columns)
     print(f"command={args.command} status={status} out={out}", file=sys.stderr)
     return 0 if ok else 1
 

@@ -265,32 +265,28 @@ class MuSpec:
         return HoloFn(jet=lambda w: (w + e * w * w, 1.0 + 2.0 * e * w, 2.0 * e))
 
 
-def validate_mu(mu: MuSpec, psi: HoloFn, samples) -> None:
-    """Check the sector condition on mu(psi(z)) over samples."""
+# The points where validate_mu checks mu o psi: rings of 48 points at
+# radii 0.55 and 0.85, the outer one turned by half a step, and 0.
+_MU_SAMPLES = tuple(
+    r * cmath.exp(1j * (2.0 * math.pi * k / 48 + turn))
+    for k in range(48) for r, turn in ((0.55, 0.0), (0.85, math.pi / 48))
+) + (0j,)
+
+
+def validate_mu(mu: MuSpec, psi: HoloFn) -> None:
+    """Check the sector condition on mu(psi(z)) over _MU_SAMPLES."""
     m = mu.as_holo()
-    for z in samples:
-        w = m(psi(complex(z)))
+    for z in _MU_SAMPLES:
+        w = m(psi(z))
         if not in_q2(w):
             raise InvalidMuError(
                 f"mu(psi({z})) = {w} left the sector pi/4 < arg < 3pi/4"
             )
 
 
-def default_mu_samples():
-    """Deterministic interior sample rings of 48 points each, and the
-    origin, used for mu validation."""
-    pts = []
-    for k in range(48):
-        ang = 2.0 * math.pi * k / 48
-        pts.append(0.55 * cmath.exp(1j * ang))
-        pts.append(0.85 * cmath.exp(1j * (ang + math.pi / 48)))
-    pts.append(0j)
-    return pts
-
-
 def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:
     """Validated composition mu o psi with chain-rule derivatives."""
-    validate_mu(mu, psi, default_mu_samples())
+    validate_mu(mu, psi)
     inner = psi.jet
     outer = mu.as_holo().jet
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -408,6 +409,9 @@ _BASE_SIDES = (
     (Cusp(0, 1), Cusp(1, 1)),
     (Cusp(1, 1), Cusp(1, 0)),
 )
+# Log-spaced parameters y in [1e-3, 1e3] per side: the samples that
+# bracket the truncation points and then trace the truncated side.
+_SIDE_SAMPLES = 512
 
 
 def _side_point(c1: Cusp, c2: Cusp, y: float) -> np.ndarray | None:
@@ -432,9 +436,10 @@ def _puncture_gap(c1: Cusp, c2: Cusp, y: float, r: float) -> float:
     return min(sphere_distance(p, q) for q in punctures()) - r
 
 
-def _truncated_side(c1: Cusp, c2: Cusp, r: float, n: int) -> np.ndarray:
+def _truncated_side(c1: Cusp, c2: Cusp, r: float) -> np.ndarray:
     from scipy.optimize import brentq
 
+    n = _SIDE_SAMPLES
     ys = np.exp(np.linspace(math.log(1e-3), math.log(1e3), n))
     gaps = np.array([_puncture_gap(c1, c2, y, r) for y in ys])
     inside = np.nonzero(gaps > 0.0)[0]
@@ -472,16 +477,9 @@ def hexagon_constants(r: float = DEFAULT_BALL_RADIUS) -> RegionConstants:
     between distinct sides.
     """
     check_ball_radius(r)
-    P = punctures()
-    pair_min = min(
-        sphere_distance(P[i], P[j]) for i in range(3) for j in range(i + 1, 3)
-    )
-    sides = [_truncated_side(c1, c2, r, 512) for c1, c2 in _BASE_SIDES]
-    c1 = min(
-        _pairwise_min(sides[i], sides[j])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    pair_min = min(sphere_distance(p, q) for p, q in combinations(punctures(), 2))
+    sides = [_truncated_side(c1, c2, r) for c1, c2 in _BASE_SIDES]
+    c1 = min(_pairwise_min(a, b) for a, b in combinations(sides, 2))
     return RegionConstants(c1=c1, c2=pair_min - 2.0 * r, c3=r)
 
 

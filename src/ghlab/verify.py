@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ansatz import HolomorphicData, wedge
+from .ansatz import HolomorphicData, gh_forms, wedge
 from .errors import (
     CoframeDomainError,
     DegenerateFrameError,
@@ -134,8 +134,8 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
     """
 
     def eta_and_v(x):
-        zx = complex(x[1], x[2])
-        return np.append(data.eta_at(x[0], zx), data.potential(x[0], zx))
+        V, theta, _ = data._fields(x[0], complex(x[1], x[2]))
+        return np.append(theta[:3], V)
 
     P = _partials(eta_and_v, [rho, z.real, z.imag], config)
     d_eta = _exterior(P[:, :3], 1)
@@ -160,7 +160,7 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
 _FRAME_FLOOR = 1e-9
 
 
-def _coframe_inverse(data: HolomorphicData, rho: float, z: complex) -> np.ndarray:
+def _coframe_inverse(V: float, theta, dx) -> np.ndarray:
     """E^-1 for the Gibbons-Hawking coframe E = (V^-1/2 Theta, V^1/2 dx_i),
     in which g is the identity.
 
@@ -168,9 +168,7 @@ def _coframe_inverse(data: HolomorphicData, rho: float, z: complex) -> np.ndarra
     lengths 1, rho^2 m and rho^2 m, so A^-1 is A^T with its rows
     divided by those; the dtheta column of E is (V^-1/2, 0, 0, 0).
     """
-    V = data.potential(rho, z)
-    theta = data.theta_at(rho, z)
-    A = data.dx_rows(rho, z)[:, :3]
+    A = dx[:, :3]
     a_inv = A.T / np.einsum("ij,ij->j", A, A)[:, None]
     sv = math.sqrt(V)
     inv = np.zeros((4, 4))
@@ -191,11 +189,12 @@ def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
     than _FRAME_FLOOR, the coordinate arrays have lost the dx block to
     rounding, and CoframeDomainError reports |z| instead of a residual.
     """
-    G = data.metric(rho, z)
+    fields = data._fields(rho, z)
+    G = data._metric_from(z, *fields)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = _coframe_inverse(data, rho, z)
+        inv = _coframe_inverse(*fields)
         G_frame = inv.T @ G @ inv
-        forms = inv.T @ data.symplectic(rho, z) @ inv
+        forms = inv.T @ gh_forms(*fields) @ inv
     floor = float(np.abs(G_frame - np.eye(4)).max())
     if not floor <= _FRAME_FLOOR:
         raise CoframeDomainError(

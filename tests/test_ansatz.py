@@ -50,8 +50,8 @@ def fd_closure_residual(data, rho, z, h=1e-5):
 
 class TestFlatReference:
     def test_potential(self):
-        assert FLAT.potential(2.0, 0.1 + 0.1j) == pytest.approx(0.25)
-        assert FLAT.potential(0.5, 0j) == pytest.approx(1.0)
+        assert FLAT._fields(2.0, 0.1 + 0.1j)[0] == pytest.approx(0.25)
+        assert FLAT._fields(0.5, 0j)[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("z", [0.3 + 0.2j, -0.5 + 0.1j, 0.7j])
     def test_xi_closed_form(self, z):
@@ -96,11 +96,12 @@ class TestSphereJacobian:
     def test_momentum_jacobian_gram(self, rho, z):
         # conformality of the covering: the dx rows are orthogonal with
         # the squared lengths (1, rho^2 m, rho^2 m)
-        dx = DATA.dx_rows(rho, z)[:, :3]
+        dx = DATA._fields(rho, z)[2][:, :3]
         assert np.abs(dx.T @ dx - DATA.base_metric(rho, z)).max() < 1e-12
 
     def test_momentum_length(self):
-        assert np.linalg.norm(DATA.momentum(1.3, 0.2 + 0.1j)) == pytest.approx(1.3)
+        frame = DATA.slice_frame(0.2 + 0.1j)
+        assert np.linalg.norm(frame.x) == pytest.approx(frame.rho)
 
 
 class TestHomogeneity:
@@ -121,7 +122,7 @@ class TestHomogeneity:
 
     def test_potential_degree_minus_one(self):
         z = 0.1 + 0.4j
-        assert DATA.potential(2.6, z) == pytest.approx(DATA.potential(1.3, z) / 2)
+        assert DATA._fields(2.6, z)[0] == pytest.approx(DATA._fields(1.3, z)[0] / 2)
 
 
 class TestForms:
@@ -141,7 +142,8 @@ class TestForms:
         dv = (
             DATA.slice_frame(z + 1j * h).omega - DATA.slice_frame(z - 1j * h).omega
         ) / (2 * h)
-        rho_s, grad = DATA._slice_graph(z, "canonical")
+        frame = DATA.slice_frame(z)
+        rho_s, grad = frame.rho, frame.drho[:2]
         pull = np.zeros((4, 3))
         pull[0, 0], pull[0, 1] = grad
         pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
@@ -280,7 +282,7 @@ class TestValidation:
 
     def test_nonpositive_rho_rejected(self):
         with pytest.raises(ValueError):
-            DATA.potential(0.0, 0.1j)
+            DATA._fields(0.0, 0.1j)
 
     def test_xi_memoized(self):
         data = standard_data()

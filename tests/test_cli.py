@@ -431,6 +431,28 @@ class TestEntryPoints:
         assert "out_dir" in err
         assert (tmp_path / "file").read_text() == "x"
 
+    @pytest.mark.parametrize("name", ["manifest.json", "triangles.csv"])
+    def test_artifact_path_that_is_a_directory_exits_two(self, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main(["tessellate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error=config ") and err.count("\n") == 1
+        assert "out_dir" in err and name in err
+
+    def test_fd_step_past_the_disc_exits_two(self, tmp_path, capsys):
+        # the verify points reach |z| = 0.62 and a little jitter, and
+        # every stencil one step further: out of the disc from about
+        # h = 0.384 on, with the default grid
+        for h in (0.385, 0.4):
+            p = write_config(tmp_path / f"c{h}.json", {"fd": {"h": h}})
+            out = tmp_path / f"o{h}"
+            assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error=config ") and err.count("\n") == 1
+            assert "fd.h" in err
+            assert not (out / "manifest.json").exists()
+
     def test_depth_flag_beyond_guard_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["tessellate", "--depth", "13", "--out", str(out)]) == 2

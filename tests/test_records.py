@@ -11,6 +11,7 @@ the sharing shows as a count rather than as timing noise.
 import numpy as np
 import pytest
 
+import ghlab.ansatz
 import ghlab.holo
 import ghlab.pathlab
 from ghlab.ansatz import HolomorphicData, standard_data
@@ -158,6 +159,41 @@ class TestEvaluationCounts:
         assert taken[0] == taken[1] <= 3920
 
 
+class TestSharedFrames:
+    """Each slice frame is built once per (z, slice) and then shared."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        tally = [0]
+        cls = ghlab.ansatz.SliceFrame
+
+        def counted(*args, **kwargs):
+            tally[0] += 1
+            return cls(*args, **kwargs)
+
+        monkeypatch.setattr(ghlab.ansatz, "SliceFrame", counted)
+        return tally
+
+    def test_verify_builds_one_frame_per_stencil_point(self, built, tmp_path):
+        # 10 centres, each with 8 stencil points at h and h/2 along u and v
+        assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert built[0] == 90
+
+    def test_zero_slice_is_the_canonical_slice(self, built):
+        # with rho0_kind "canonical" both stencils take the same nine frames
+        data = standard_data()
+        structure_coeffs(data, Z, "zero")
+        contact_ratio(data, Z)
+        assert built[0] == 9
+        assert data.slice_frame(Z, "zero") is data.slice_frame(Z)
+
+    def test_kept_frames_are_read_only(self):
+        frame = standard_data().slice_frame(Z)
+        for name in ("x", "omega", "xflat", "g3", "theta", "drho"):
+            with pytest.raises(ValueError):
+                getattr(frame, name)[0] = 1.0
+
+
 class TestXiCounts:
     def test_one_batch_per_cold_xi(self, monkeypatch):
         data = standard_data()
@@ -196,7 +232,7 @@ class TestRecords:
         x = np.array([RHO, Z.real, Z.imag, 0.0])
         fields = {
             "omega": lambda x: np.array(data.symplectic(x[0], complex(x[1], x[2]))),
-            "eta": lambda x: data.eta_at(x[0], complex(x[1], x[2])),
+            "theta": lambda x: data._fields(x[0], complex(x[1], x[2]))[1],
             "metric": lambda x: data.metric(x[0], complex(x[1], x[2])),
         }
         for config in (FDConfig(richardson=0), FDConfig(richardson=1)):
@@ -232,7 +268,8 @@ class TestRecords:
         assert rec.xi is None
         assert rec.psi == 2.0 * old.psi
         # phi halves with psi doubled, and so do V and xi
-        assert variant.potential(RHO, Z) == pytest.approx(data.potential(RHO, Z) / 2, rel=1e-14)
+        V, V_variant = data._fields(RHO, Z)[0], variant._fields(RHO, Z)[0]
+        assert V_variant == pytest.approx(V / 2, rel=1e-14)
         np.testing.assert_allclose(variant.xi_at(Z), np.array(data.xi_at(Z)) / 2, rtol=1e-9)
 
     def test_g_sigma_computes_no_xi(self, monkeypatch):
