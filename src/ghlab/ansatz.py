@@ -22,7 +22,9 @@ The xi part of the connection is produced by the radial homotopy
 inverse of the exterior derivative, so d xi = Im(phi) m du ^ dv holds
 by construction rather than by a separate integration.  The homotopy
 integral is a graded composite Gauss-Legendre rule whose panels shrink
-toward the circle, evaluated at all its nodes as one batch.
+toward the circle.  xi depends on z alone, so a pass takes every xi it
+needs in one fill_xi, in batches of whole points of up to 512 nodes,
+and the integrand reads the value of psi only.
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ def sphere_jacobian(w: complex, dw_dz: complex):
     return p, du, dv
 
 
-# k -> (nodes, weights): the graded rule of xi_at with k + 1 panels,
+# k -> (nodes, weights): the graded rule of xi with k + 1 panels,
 # read-only.  k is at most 53, where 1 - |z| reaches double precision.
 _GRADED_RULES: dict = {}
+_XI_CHUNK_NODES = 512  # nodes per curl_source batch of fill_xi, whole points
 
 
 def _graded_rule(k: int):
@@ -156,10 +159,10 @@ class PointRecord:
     eta = (Re phi / rho) drho + xi.
 
     Each field is taken on first use: a caller that needs only psi never
-    evaluates the cover, and xi_at, which integrates along the radius to
-    z, needs neither.  No form reads phi's derivatives, so only its
+    evaluates the cover, and fill_xi, which integrates along the radius
+    to z, needs neither.  No form reads phi's derivatives, so only its
     value is kept.  ``xi`` and ``frames`` (the slice frames at z, by
-    slice) are filled in by HolomorphicData.xi_at and .slice_frame.
+    slice) are filled in by HolomorphicData.fill_xi and .slice_frame.
     """
 
     def __init__(self, z: complex, psi: HoloFn, cover):
@@ -271,37 +274,47 @@ class HolomorphicData:
         """The du^dv density that d xi must reproduce, at an array of z.
 
         The cover goes first, so that a batch leaving the disc raises
-        the cover's PunctureError."""
+        the cover's PunctureError.  Only psi's value is read."""
         m = self.cover.metric_factors(zs)
-        return (-1.0 / self.psi.jet(zs)[0]).imag * m
+        return (-1.0 / self.psi(zs)).imag * m
 
     # ---- the connection ------------------------------------------------
 
-    def xi_at(self, z: complex):
-        """(xi_u, xi_v) at z, from the radial homotopy based at 0.
+    def fill_xi(self, zs) -> None:
+        """Fill xi into the record of every z in zs that has none.
 
-        z must lie in the open disc.  The integral of s curl_source(s z)
-        over s in [0, 1] is taken by the graded rule with k =
-        ceil(log2(1/(1 - |z|))), at least 1, so that the last panel is
-        about as wide as the distance to the circle.  The 32-node sum is
-        the value and its gap to the 16-node sum the error estimate.
-        The result is kept in the record at z; the nodes are not
-        recorded.
-        """
-        z = complex(z)
-        rec = self.record(z)
-        if rec.xi is None:
-            gap = 1.0 - abs(z)
-            if not gap > 0.0:
-                raise PunctureError(f"|z| = {abs(z)} is not inside the disc")
-            k = max(1, math.ceil(-math.log2(gap)))
+        xi(z) = (-Im z, Re z) times the integral of s curl_source(s z)
+        over s in [0, 1], the radial homotopy based at 0; every z must lie
+        in the open disc, checked before any quadrature.  The graded rule
+        has k = ceil(log2(1/(1 - |z|))) >= 1, so its last panel is about
+        as wide as the distance to the circle; the 32-node sum is the
+        value, its gap to the 16-node sum the error.  Points of one k share
+        curl_source batches of up to _XI_CHUNK_NODES nodes; each point's
+        sums are its own weights @ row."""
+        by_k = {}
+        for z in zs:
+            rec = self.record(z)
+            if rec.xi is None:
+                if not abs(rec.z) < 1.0:
+                    raise PunctureError(f"|z| = {abs(rec.z)} is not inside the disc")
+                by_k.setdefault(max(1, math.ceil(-math.log2(1.0 - abs(rec.z)))), {})[rec.z] = rec
+        for k, recs in by_k.items():
             s, weights = _graded_rule(k)
-            coarse, val = (float(x) for x in weights @ (s * self.curl_source(s * z)))
-            err = abs(coarse - val)
-            if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-                raise PathError(f"homotopy integral unreliable at z = {z}: err {err}")
-            rec.xi = (-z.imag * val, z.real * val)
-        return rec.xi
+            recs, step = list(recs.values()), max(1, _XI_CHUNK_NODES // s.size)
+            for chunk in (recs[i:i + step] for i in range(0, len(recs), step)):
+                rows = self.curl_source(np.array([r.z for r in chunk])[:, None] * s)
+                for rec, row in zip(chunk, rows):
+                    coarse, val = (float(x) for x in weights @ (s * row))
+                    err = abs(coarse - val)
+                    if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
+                        raise PathError(
+                            f"homotopy integral unreliable at z = {rec.z}: err {err}")
+                    rec.xi = (-rec.z.imag * val, rec.z.real * val)
+
+    def xi_at(self, z: complex):
+        """(xi_u, xi_v) at z: fill_xi on z alone, kept in the record."""
+        self.fill_xi([z])
+        return self.record(z).xi
 
     # ---- the Gibbons-Hawking fields ------------------------------------
 

@@ -45,6 +45,7 @@ from .verify import (
     curvature_with_noise,
     metric_field,
     quaternion_check,
+    stencil_points,
     structure_coeffs,
 )
 
@@ -484,6 +485,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     fdc = cfg.fd.as_fd()
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
     _check_stencil_reach("fd.h", fdc.h, 1, points)
+    data.fill_xi([w for z in points for w in stencil_points(z, fdc)])
     rows = []
     maxima = {name: 0.0 for name in _VERIFY_CHECKS}
     contact_signs_ok = True
@@ -563,6 +565,8 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     h = cfg.fd.curvature_h
     # the nested stencil around z reaches z + h (s + i t) with |s| + |t| <= 2
     _check_stencil_reach("fd.curvature_h", h, 2, zpts)
+    data.fill_xi([w for z in zpts for step in (h, h / 2.0)
+                  for w in stencil_points(z, FDConfig(step, richardson=0), depth=2)])
     for rho in (0.9, 1.1, 1.3):
         for z in zpts:
             try:

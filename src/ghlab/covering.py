@@ -392,20 +392,14 @@ def hororegion_test(
     return member, idx
 
 
-def halfplane_side_points(c1: Cusp, c2: Cusp, n: int = 512,
-                          y_lo: float = 1e-4, y_hi: float = 1e4):
-    """Sample the half-plane geodesic joining two cusps.
-
-    Returns tau values at log-spaced parameters; endpoints themselves
-    (the cusps) are never included.
-    """
-    ys = np.exp(np.linspace(math.log(y_lo), math.log(y_hi), n))
+def geodesic_point(c1: Cusp, c2: Cusp, y: float) -> complex:
+    """The point at parameter y > 0 on the half-plane geodesic joining
+    two cusps: y -> infinity runs to c1 and y -> 0 to c2."""
     p1, q1, p2, q2 = c1.p, c1.q, c2.p, c2.q
     if p1 * q2 - p2 * q1 < 0:
         p1, q1 = -p1, -q1
-    # columns are the two cusps, so y -> infinity runs to c1 and
-    # y -> 0 runs to c2, staying in the upper half-plane throughout
-    return [(p1 * 1j * y + p2) / (q1 * 1j * y + q2) for y in ys]
+    # columns of positive determinant keep i y in the upper half-plane
+    return (p1 * 1j * y + p2) / (q1 * 1j * y + q2)
 
 
 def base_triangle_image_area() -> float:

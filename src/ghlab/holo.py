@@ -41,13 +41,17 @@ class HoloFn:
 
     ``jet(z)`` returns (f, f', f'') with exact complex derivatives, so
     one evaluation of the underlying product serves the value and both
-    derivatives; calling a HoloFn takes one jet for its value.  A jet also
-    takes an ndarray of z and returns three arrays of its shape.
+    derivatives.  A jet also takes an ndarray of z and returns three
+    arrays of its shape.  Calling a HoloFn gives jet(z)[0] bit for bit,
+    on an ndarray from ``value`` (no derivatives) where given.
     """
 
     jet: Callable[[complex], tuple]
+    value: Callable | None = None
 
     def __call__(self, z: complex) -> complex:
+        if self.value is not None and isinstance(z, np.ndarray):
+            return self.value(z)
         return self.jet(z)[0]
 
     @classmethod
@@ -72,7 +76,7 @@ class HoloFn:
             w, d, d2 = jet(z)
             return -1.0 / w, d / (w * w), d2 / (w * w) - 2.0 * d * d / (w * w * w)
 
-        return HoloFn(jet=nr)
+        return HoloFn(jet=nr, value=lambda z: -1.0 / self(z))
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,12 @@ def blaschke_derivs(spec: BlaschkeSpec, z):
     return p, d1, d2
 
 
-def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray):
+def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray, derivs: bool = True):
     """blaschke_derivs over an array of z: each factor's jet by the same
     formulas, for all factors at once (one row per factor), then the
     same product-rule accumulation.  The pole floor applies to the
-    whole batch."""
+    whole batch.  With derivs False, B alone: the same factors and
+    products, bit for bit the first array of the jet."""
     shape, z = z.shape, z.ravel()
     a, ac, c, k = spec.factor_columns
     den = 1.0 - ac * z
@@ -181,10 +186,14 @@ def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray):
         row, col = np.argwhere(near)[0]
         raise PoleError(f"Blaschke factor pole at z={z[col]} for zero a={a[row, 0]}")
     f = c * (a - z) / den
+    p, d1, d2 = _power_with_derivs(spec.m, z)
+    if not derivs:
+        for fk in f:
+            p = p * fk
+        return np.broadcast_to(p, z.shape).reshape(shape)
     core = k / (den * den)
     f1 = c * core
     f2 = c * core * 2.0 * ac / den
-    p, d1, d2 = _power_with_derivs(spec.m, z)
     for fk, f1k, f2k in zip(f, f1, f2):
         d2 = d2 * fk + 2.0 * d1 * f1k + p * f2k
         d1 = d1 * fk + p * f1k
@@ -227,7 +236,8 @@ def psi_fn(spec: BlaschkeSpec) -> HoloFn:
             -1j * (ddb / (2.0 * s) + db * db / (4.0 * s**3)),
         )
 
-    return HoloFn(jet=jet)
+    return HoloFn(jet=jet, value=lambda z: 1j * sqrt_right_halfplane(
+        1.0 - _blaschke_batch(spec, z, derivs=False)))
 
 
 def in_q2(w: complex) -> bool:
@@ -295,4 +305,4 @@ def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:
         m, dm, d2m = outer(w)
         return m, dm * dw, d2m * dw * dw + dm * d2w
 
-    return HoloFn(jet=jet)
+    return HoloFn(jet=jet, value=lambda z: outer(psi(z))[0])

@@ -25,7 +25,7 @@ from .ansatz import HolomorphicData
 from .covering import (
     DEFAULT_BALL_RADIUS,
     check_ball_radius,
-    halfplane_side_points,
+    geodesic_point,
     hororegion_test,
     lambda_map,
     punctures,
@@ -415,9 +415,8 @@ _SIDE_SAMPLES = 512
 
 
 def _side_point(c1: Cusp, c2: Cusp, y: float) -> np.ndarray | None:
-    tau = halfplane_side_points(c1, c2, 1, y, y)[0]
     try:
-        w = lambda_map(tau)
+        w = lambda_map(geodesic_point(c1, c2, y))
     except GHLabError:
         return None
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):

@@ -47,15 +47,18 @@ class FDConfig:
 _DEFAULT_FD = FDConfig()
 
 
+def _shifted(x, axis, h):
+    """x moved by +h and by -h along axis, as two new float vectors."""
+    xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
+    xp[axis] += h
+    xm[axis] -= h
+    return xp, xm
+
+
 def _partial(field, x, axis, config: FDConfig):
     def central(h):
-        xp = np.array(x, dtype=float)
-        xm = np.array(x, dtype=float)
-        xp[axis] += h
-        xm[axis] -= h
-        return (np.asarray(field(xp), dtype=float) - np.asarray(field(xm), dtype=float)) / (
-            2.0 * h
-        )
+        fp, fm = (np.asarray(field(y), dtype=float) for y in _shifted(x, axis, h))
+        return (fp - fm) / (2.0 * h)
 
     coarse = central(config.h)
     if config.richardson == 0:
@@ -73,6 +76,18 @@ def _partials(field, x, config: FDConfig, n: Optional[int] = None) -> np.ndarray
     if n is not None:
         parts += [np.zeros_like(parts[0])] * (n - x.size)
     return np.array(parts)
+
+
+def stencil_points(z: complex, config: FDConfig, depth: int = 1) -> list:
+    """Every z at which `depth` nested _partials along (u, v) around z
+    evaluate their field, z included, from the same float steps: the
+    stencils of verify (depth 1) and of curvature (depth 2)."""
+    steps = (config.h,) if config.richardson == 0 else (config.h, config.h / 2.0)
+    pts = {(z.real, z.imag)}
+    for _ in range(depth):
+        pts |= {(float(y[0]), float(y[1])) for x in pts for axis in (0, 1)
+                for h in steps for y in _shifted(x, axis, h)}
+    return [complex(u, v) for u, v in pts]
 
 
 def _exterior(P: np.ndarray, k: int) -> np.ndarray:
@@ -328,9 +343,12 @@ def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
     lam_part = wedge(alpha[[1, 2, 0]], alpha[[2, 0, 1]])[:, a, b].ravel()
     M = np.column_stack((beta_part.T, lam_part))
     y = _exterior(P, 1)[:, a, b].ravel()
-    if np.linalg.matrix_rank(M) < 4:
-        raise DegenerateFrameError(f"coframe too degenerate to fit at z = {z}")
-    coeffs, _, _, _ = np.linalg.lstsq(M, y, rcond=None)
+    try:
+        if np.linalg.matrix_rank(M) < 4:
+            raise DegenerateFrameError(f"coframe too degenerate to fit at z = {z}")
+        coeffs, _, _, _ = np.linalg.lstsq(M, y, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFrameError(f"coframe fit failed at z = {z}: {exc}") from exc
     residual = float(np.abs(M @ coeffs - y).max())
     return StructureFit(
         beta0=coeffs[:3],
@@ -356,10 +374,12 @@ def contact_ratio(data: HolomorphicData, z: complex,
     beta = frame.beta
     # dbeta over (u, v, theta) has no theta partials
     top = beta[0] * d_v[2] - beta[1] * d_u[2] + beta[2] * (d_u[1] - d_v[0])
-    vol = float(np.linalg.det(frame.omega))
-    if abs(vol) < 1e-300:
-        raise DegenerateFrameError(f"coframe volume vanishes at z = {z}")
-    b = np.linalg.solve(frame.omega.T, beta)
+    try:
+        vol, b = float(np.linalg.det(frame.omega)), np.linalg.solve(frame.omega.T, beta)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFrameError(f"coframe solve failed at z = {z}: {exc}") from exc
+    if not abs(vol) >= 1e-300:
+        raise DegenerateFrameError(f"coframe volume {vol:.3g} vanishes at z = {z}")
     return {
         "ratio": top / vol,
         "algebraic": -float(np.sum(b * b)),

@@ -7,6 +7,7 @@ import pytest
 
 from ghlab.ansatz import (
     HolomorphicData,
+    _graded_rule,
     beta_cross_check,
     sphere_jacobian,
     standard_data,
@@ -20,7 +21,8 @@ from ghlab.errors import (
     PathError,
     PunctureError,
 )
-from ghlab.holo import HoloFn
+from ghlab.holo import HoloFn, MuSpec
+from ghlab.pathlab import mu_variant
 
 FLAT = HolomorphicData.flat_reference()
 DATA = standard_data()
@@ -123,6 +125,22 @@ class TestHomogeneity:
     def test_potential_degree_minus_one(self):
         z = 0.1 + 0.4j
         assert DATA._fields(2.6, z)[0] == pytest.approx(DATA._fields(1.3, z)[0] / 2)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.3, 2.7])
+    def test_metric_is_a_diagonal_rescaling(self, lam):
+        """g(lam rho, z) = D g(rho, z) D with D = diag(lam^w) and weights
+        w = (-1/2, 1/2, 1/2, 1/2) over (rho, u, v, theta), to rounding:
+        the exact rho-dependence of every metric component."""
+        rng = np.random.default_rng(5)
+        D = lam ** np.array([-0.5, 0.5, 0.5, 0.5])
+        radii, turns = np.sqrt(rng.uniform(size=200)), rng.uniform(size=200)
+        zs = 0.62 * radii * np.exp(2j * math.pi * turns)
+        rhos = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=200))
+        data = standard_data()
+        data.fill_xi(zs)
+        for rho, z in zip(rhos, zs):
+            g, g_lam = data.metric(rho, z), data.metric(lam * rho, z)
+            assert np.abs(g_lam - D[:, None] * g * D).max() <= 1e-15 * np.abs(g_lam).max()
 
 
 class TestForms:
@@ -346,6 +364,67 @@ class TestHomotopyRule:
         monkeypatch.setattr(HolomorphicData, "curl_source", jump)
         with pytest.raises(PathError, match="homotopy integral unreliable"):
             standard_data().xi_at(z)
+
+
+def _xi_alone(data, z):
+    """xi at z by the graded rule on z alone, written out."""
+    k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
+    s, weights = _graded_rule(k)
+    val = float((weights @ (s * data.curl_source(s * z)))[1])
+    return (-z.imag * val, z.real * val)
+
+
+def _mixed_radii_points():
+    """Random points in |z| < 0.62 and DIRECTIONS at radii up to 0.99999
+    (k = 1 to 17), shuffled so that a batch mixes rules, with one point
+    twice."""
+    rng = np.random.default_rng(8)
+    inner = 0.62 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * math.pi * rng.uniform(size=40))
+    outer = [r * d for r in (0.9, 0.99, 0.999, 0.9999, 0.99999) for d in DIRECTIONS]
+    zs = [complex(z) for z in [*inner, *outer]]
+    rng.shuffle(zs)
+    return zs + zs[:1]
+
+
+class TestBatchedXi:
+    """fill_xi against the graded rule applied to one point at a time."""
+
+    @pytest.mark.parametrize("make", [
+        standard_data,
+        lambda: mu_variant(standard_data(), MuSpec(kind="perturb", eps=0.05 + 0.02j)),
+        HolomorphicData.flat_reference,
+    ], ids=["standard", "perturb_mu", "flat"])
+    def test_bit_for_bit_per_point(self, make):
+        zs = _mixed_radii_points()
+        ks = {max(1, math.ceil(-math.log2(1.0 - abs(z)))) for z in zs}
+        assert len(ks) >= 5 and max(ks) >= 17
+        batch, single = make(), make()
+        batch.xi_at(zs[3])  # a point that already has xi is left alone
+        kept = batch.record(zs[3]).xi
+        batch.fill_xi(zs)
+        assert batch.record(zs[3]).xi is kept
+        for z in zs:
+            xi = batch.record(z).xi
+            assert xi == single.xi_at(z) == _xi_alone(batch, z), z
+
+    def test_outside_the_disc_stops_the_batch_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(self, zs):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(HolomorphicData, "curl_source", no_quadrature)
+        data = standard_data()
+        with pytest.raises(PunctureError, match=r"^\|z\| = 1\.2 is not inside the disc"):
+            data.fill_xi([0.1, 0.3j, 1.2, 0.5, 1.5j])
+        assert all(data.record(z).xi is None for z in (0.1, 0.3j, 0.5))
+
+    def test_a_jump_names_its_point(self, monkeypatch):
+        def jump(self, zs):
+            return np.where(abs(zs) < 0.2, 1.0, 2.0)
+
+        monkeypatch.setattr(HolomorphicData, "curl_source", jump)
+        data = standard_data()
+        with pytest.raises(PathError, match=r"unreliable at z = \(0\.5\+0\.3j\)"):
+            data.fill_xi([0.1 + 0.05j, 0.15j, 0.5 + 0.3j])
 
 
 class TestMetricDomain:

@@ -13,7 +13,7 @@ from ghlab.covering import (
     _reduce_batch,
     _theta_series,
     base_triangle_image_area,
-    halfplane_side_points,
+    geodesic_point,
     hororegion_test,
     lambda_map,
     lambda_prime,
@@ -379,6 +379,12 @@ class TestHororegions:
             hororegion_test(self.cover, 0j, 1, r=1.0)
         with pytest.raises(ValueError):
             hororegion_test(self.cover, 0j, 1, r=0.0)
+
+
+def halfplane_side_points(c1, c2, n):
+    """The geodesic joining two cusps at n log-spaced y in [1e-4, 1e4]."""
+    ys = np.exp(np.linspace(math.log(1e-4), math.log(1e4), n))
+    return [geodesic_point(c1, c2, y) for y in ys]
 
 
 class TestSidePoints:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghlab.holo
 from ghlab.errors import BranchDomainError, InvalidMuError, InvalidZeroError, PoleError
 from ghlab.holo import (
     BlaschkeSpec,
@@ -277,3 +278,37 @@ class TestBatchedJet:
                            [4.0, 1.0 + 1j])
         with pytest.raises(BranchDomainError, match="Re w = -0.5"):
             sqrt_right_halfplane(np.array([1.0 + 0j, -0.5 + 1j]))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestValuePath:
+    """Calling a HoloFn gives jet(z)[0] bit for bit, and psi's value of
+    an array takes no derivatives."""
+
+    points = np.array(_interior_points(200, radius=0.99)).reshape(10, 20)
+
+    @pytest.mark.parametrize("name", ["standard", "perturb_mu", "flat"])
+    def test_value_is_the_jet_value(self, name):
+        psi = {
+            "standard": psi_fn(FOUR_VERTEX),
+            "perturb_mu": apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
+            "flat": HoloFn.constant(2j),
+        }[name]
+        for f in (psi, psi.negate_reciprocal()):
+            assert _same_bits(f(self.points), f.jet(self.points)[0])
+            for z in self.points.ravel()[::7]:
+                assert _same_bits(f(complex(z)), f.jet(complex(z))[0])
+
+    def test_array_value_takes_no_jet(self, monkeypatch):
+        def no_jet(spec, z):
+            raise AssertionError("a jet was taken")
+
+        psi = psi_fn(FOUR_VERTEX)
+        expected = psi.jet(self.points)[0]
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", no_jet)
+        assert _same_bits(psi(self.points), expected)
+        assert _same_bits(psi.negate_reciprocal()(self.points), -1.0 / expected)

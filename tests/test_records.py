@@ -8,6 +8,8 @@ covering values (calls of ``ModularCover.value``), so a regression in
 the sharing shows as a count rather than as timing noise.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -197,13 +199,18 @@ class TestSharedFrames:
 class TestXiCounts:
     def test_one_batch_per_cold_xi(self, monkeypatch):
         data = standard_data()
-        calls = {"jet": [], "batch": 0, "value": 0}
+        calls = {"jet": [], "values": 0, "batch": 0, "value": 0}
         jet, batch, value = (ghlab.holo.blaschke_derivs, ModularCover.metric_factors,
                              ModularCover.value)
+        products = ghlab.holo._blaschke_batch
 
         def counted_jet(spec, z):
             calls["jet"].append(type(z))
             return jet(spec, z)
+
+        def counted_products(spec, z, derivs=True):
+            calls["values"] += not derivs
+            return products(spec, z, derivs)
 
         def counted_batch(self, zs):
             calls["batch"] += 1
@@ -214,13 +221,67 @@ class TestXiCounts:
             return value(self, z)
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
+        monkeypatch.setattr(ghlab.holo, "_blaschke_batch", counted_products)
         monkeypatch.setattr(ModularCover, "metric_factors", counted_batch)
         monkeypatch.setattr(ModularCover, "value", counted_value)
         z = 0.22 + 0.13j
         first = data.xi_at(z)
-        assert calls == {"jet": [np.ndarray], "batch": 1, "value": 0}
+        # the integrand reads psi's value: one batch of B, and no jet
+        assert calls == {"jet": [], "values": 1, "batch": 1, "value": 0}
         assert data.xi_at(z) is first
-        assert calls == {"jet": [np.ndarray], "batch": 1, "value": 0}
+        assert calls == {"jet": [], "values": 1, "batch": 1, "value": 0}
+
+
+def _xi_chunks(data, zs) -> int:
+    """The curl_source batches fill_xi needs for the points of zs that
+    have no xi: per graded rule, whole points of at most
+    _XI_CHUNK_NODES nodes each, one point if its rule is larger."""
+    per_k = {}
+    for z in zs:
+        rec = data.record(z)
+        if rec.xi is None:
+            k = max(1, math.ceil(-math.log2(1.0 - abs(rec.z))))
+            per_k.setdefault(k, set()).add(id(rec))
+    chunks = 0
+    for k, recs in per_k.items():
+        size = ghlab.ansatz._graded_rule(k)[0].size
+        chunks += math.ceil(len(recs) / max(1, ghlab.ansatz._XI_CHUNK_NODES // size))
+    return chunks
+
+
+class TestXiPrefetch:
+    """verify and curvature-scan take every xi of the pass in one
+    fill_xi before it: no quadrature runs outside that call, and inside
+    it each curl_source batch holds several whole points."""
+
+    @pytest.mark.parametrize("argv", [["verify", "--grid", "10"],
+                                      ["curvature-scan", "--grid", "2"]],
+                             ids=["verify", "curvature-scan"])
+    def test_one_prefetch_in_batches(self, argv, monkeypatch, tmp_path):
+        state = {"phase": "before", "before": 0, "during": 0, "after": 0,
+                 "points": 0, "chunks": 0}
+        fill, source = HolomorphicData.fill_xi, HolomorphicData.curl_source
+
+        def counted_fill(self, zs):
+            if state["phase"] == "before":
+                zs = list(zs)
+                state["points"] = len({(complex(z).real, complex(z).imag) for z in zs})
+                state["chunks"] = _xi_chunks(self, zs)
+                state["phase"] = "during"
+                fill(self, zs)
+                state["phase"] = "after"
+            else:
+                fill(self, zs)
+
+        def counted_source(self, zs):
+            state[state["phase"]] += 1
+            return source(self, zs)
+
+        monkeypatch.setattr(HolomorphicData, "fill_xi", counted_fill)
+        monkeypatch.setattr(HolomorphicData, "curl_source", counted_source)
+        assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
+        assert state["before"] == state["after"] == 0
+        assert 1 <= state["during"] <= state["chunks"] < state["points"]
 
 
 class TestRecords:

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from ghlab.ansatz import HolomorphicData, standard_data
 from ghlab.covering import ModularCover
 from ghlab.errors import (
+    DegenerateFrameError,
     DegenerateMetricError,
     GHLabError,
     InvalidDataError,
@@ -208,6 +211,43 @@ class TestContactRatio:
         out = contact_ratio(DATA, ring)
         assert abs(out["algebraic"]) < 1e-12
         assert abs(out["ratio"]) < 1e-8
+
+
+class TestDegenerateFrames:
+    """Linear algebra that fails on a frame is a DegenerateFrameError
+    naming z, never a bare LinAlgError."""
+
+    Z = 0.3 + 0.2j
+
+    @pytest.fixture
+    def nan_frames(self, monkeypatch):
+        data = standard_data()
+        frame = data.slice_frame
+
+        def nan_omega(z, which="canonical"):
+            return dataclasses.replace(frame(z, which), omega=np.full((3, 3), np.nan))
+
+        monkeypatch.setattr(data, "slice_frame", nan_omega)
+        return data
+
+    def test_structure_fit(self, nan_frames):
+        with pytest.raises(DegenerateFrameError, match=re.escape(f"z = {self.Z}")):
+            structure_coeffs(nan_frames, self.Z)
+
+    def test_contact_ratio(self, nan_frames):
+        with pytest.raises(DegenerateFrameError, match=re.escape(f"z = {self.Z}")):
+            contact_ratio(nan_frames, self.Z)
+
+    def test_contact_solve(self, monkeypatch):
+        data = standard_data()
+        data.slice_frame(self.Z)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(DegenerateFrameError, match="Singular matrix"):
+            contact_ratio(data, self.Z)
 
 
 _ZERO_CACHE = []
