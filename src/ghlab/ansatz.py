@@ -22,9 +22,9 @@ The xi part of the connection is produced by the radial homotopy
 inverse of the exterior derivative, so d xi = Im(phi) m du ^ dv holds
 by construction rather than by a separate integration.  The homotopy
 integral is a graded composite Gauss-Legendre rule whose panels shrink
-toward the circle.  xi depends on z alone, so a pass takes every xi it
-needs in one fill_xi, in batches of whole points of up to 512 nodes,
-and the integrand reads the value of psi only.
+toward the circle; its integrand reads the value of psi only.  The
+per-z fields, xi among them, are made for every new point of a pass in
+one eager batch, HolomorphicData.fill, and kept in a PointRecord each.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .covering import IdentityChart, ModularCover
+from .covering import IdentityChart, ModularCover, _metric_factors
 from .errors import (
     DegenerateMetricError,
     InvalidDataError,
@@ -61,10 +61,12 @@ def gh_forms(V: float, theta, dx) -> np.ndarray:
     return wedge(theta, dx) + V * wedge(dx[[1, 2, 0]], dx[[2, 0, 1]])
 
 
-def sphere_jacobian(w: complex, dw_dz: complex):
+def sphere_jacobian(w, dw_dz):
     """Sphere point under the stereographic lift of w(z), with its
-    partials in the disc coordinates (u, v).  Matches the
+    partials in the disc coordinates (u, v), over arrays of w and dw/dz:
+    three arrays with the components on a new last axis.  Matches the
     orientation-preserving lift used by the covering charts."""
+    w, dw_dz = np.asarray(w, dtype=complex), np.asarray(dw_dz, dtype=complex)
     a, b = w.real, w.imag
     s = a * a + b * b
     den = 1.0 + s
@@ -74,13 +76,13 @@ def sphere_jacobian(w: complex, dw_dz: complex):
     dpb = np.array([-4.0 * a * b / d2, -(2.0 + 2.0 * s - 4.0 * b * b) / d2, 4.0 * b / d2])
     du = dpa * dw_dz.real + dpb * dw_dz.imag
     dv = -dpa * dw_dz.imag + dpb * dw_dz.real
-    return p, du, dv
+    return tuple(np.moveaxis(x, 0, -1) for x in (p, du, dv))
 
 
 # k -> (nodes, weights): the graded rule of xi with k + 1 panels,
 # read-only.  k is at most 53, where 1 - |z| reaches double precision.
 _GRADED_RULES: dict = {}
-_XI_CHUNK_NODES = 512  # nodes per curl_source batch of fill_xi, whole points
+_XI_CHUNK_NODES = 512  # nodes per curl_source batch of fill, whole points
 
 
 def _graded_rule(k: int):
@@ -149,51 +151,28 @@ class SliceFrame:
         return self.omega.T @ self.omega
 
 
+@dataclass
 class PointRecord:
     """The fields of the ansatz at one disc point z, before rho enters.
 
     The homothety X = rho d/drho makes every field a power of rho times
-    a function of z alone, and no field depends on theta.  So the psi
-    jet, phi = -1/psi, the covering data and xi are computed once per z,
+    a function of z alone, and no field depends on theta.  So psi, psi',
+    phi = -1/psi, the conformal factor m, the sphere point p with its
+    (u, v) partials and xi are made once per z by HolomorphicData.fill,
     and the forms are assembled from them: V = Im phi / rho, x = rho p,
-    eta = (Re phi / rho) drho + xi.
-
-    Each field is taken on first use: a caller that needs only psi never
-    evaluates the cover, and fill_xi, which integrates along the radius
-    to z, needs neither.  No form reads phi's derivatives, so only its
-    value is kept.  ``xi`` and ``frames`` (the slice frames at z, by
-    slice) are filled in by HolomorphicData.fill_xi and .slice_frame.
+    eta = (Re phi / rho) drho + xi.  ``frames`` holds the slice frames.
     """
 
-    def __init__(self, z: complex, psi: HoloFn, cover):
-        self.z = z
-        self.xi = None
-        self.frames = {}
-        self._psi = psi
-        self._cover = cover
-
-    def __getattr__(self, name):
-        # psi, dpsi and phi come from one jet, taken on the first read
-        # of any of them (a plain attribute after that)
-        if name not in ("psi", "dpsi", "phi"):
-            raise AttributeError(name)
-        self.psi, self.dpsi, _ = self._psi.jet(self.z)
-        self.phi = -1.0 / self.psi
-        return self.__dict__[name]
-
-    @cached_property
-    def chart(self):
-        """The covering value at z: w, dw/dz and the sphere point p."""
-        return self._cover.value(self.z)
-
-    @cached_property
-    def m(self) -> float:
-        return self.chart.metric_factor()
-
-    @cached_property
-    def sphere(self):
-        """(p, dp/du, dp/dv) on the unit sphere."""
-        return sphere_jacobian(self.chart.w, self.chart.dw_dz)
+    z: complex
+    psi: complex
+    dpsi: complex
+    phi: complex
+    m: float
+    p: np.ndarray
+    dp_du: np.ndarray
+    dp_dv: np.ndarray
+    xi: tuple
+    frames: dict = field(default_factory=dict)
 
 
 def validate_rho0(kind: str, scale: float) -> None:
@@ -218,9 +197,9 @@ class HolomorphicData:
 
     Every form at (rho, z) is built from one assembly of V, Theta and
     dx out of the record at z (``_fields``), and each slice frame is
-    built once per (z, slice) and kept in that record.  The records live
-    as long as the data; ``replace`` starts a new object with no
-    records, so a changed psi never meets old ones.
+    built once per (z, slice) and kept in that record.  ``fill`` makes
+    the records; they live as long as the data, and ``replace`` starts a
+    new object with none, so a changed psi never meets old ones.
     """
 
     cover: object
@@ -248,13 +227,12 @@ class HolomorphicData:
         return self.psi.negate_reciprocal()
 
     def record(self, z: complex) -> PointRecord:
-        """The record at z, kept for reuse."""
+        """The record at z: fill on z alone, kept for reuse."""
         z = complex(z)
         key = (z.real, z.imag)
-        rec = self._records.get(key)
-        if rec is None:
-            rec = self._records[key] = PointRecord(z, self.psi, self.cover)
-        return rec
+        if key not in self._records:
+            self.fill([z])
+        return self._records[key]
 
     # ---- scalar fields -------------------------------------------------
 
@@ -278,42 +256,63 @@ class HolomorphicData:
         m = self.cover.metric_factors(zs)
         return (-1.0 / self.psi(zs)).imag * m
 
-    # ---- the connection ------------------------------------------------
+    # ---- the records -------------------------------------------------
 
-    def fill_xi(self, zs) -> None:
-        """Fill xi into the record of every z in zs that has none.
+    def fill(self, zs) -> None:
+        """Make the record of every z in zs that has none, in one batch.
 
+        Every such z must lie in the open disc, checked before anything
+        is evaluated; no record is kept unless the whole batch succeeds.
+        One psi jet and one cover batch of (w, dw/dz) serve all points.
         xi(z) = (-Im z, Re z) times the integral of s curl_source(s z)
-        over s in [0, 1], the radial homotopy based at 0; every z must lie
-        in the open disc, checked before any quadrature.  The graded rule
-        has k = ceil(log2(1/(1 - |z|))) >= 1, so its last panel is about
-        as wide as the distance to the circle; the 32-node sum is the
-        value, its gap to the 16-node sum the error.  Points of one k share
-        curl_source batches of up to _XI_CHUNK_NODES nodes; each point's
-        sums are its own weights @ row."""
+        over s in [0, 1] by the graded rule of k = ceil(log2(1/(1 -
+        |z|))) >= 1, whose last panel is about as wide as the distance to
+        the circle: the 32-node sum is the value, its gap to the 16-node
+        sum the error.  Points of one k share curl_source batches of up
+        to _XI_CHUNK_NODES nodes."""
+        new = {}
+        for z in map(complex, zs):
+            key = (z.real, z.imag)
+            if key not in self._records and key not in new:
+                if not abs(z) < 1.0:
+                    raise PunctureError(f"|z| = {abs(z)} is not inside the disc")
+                new[key] = z
+        if not new:
+            return
+        points = list(new.values())
+        z = np.array(points)
+        psi, dpsi, _ = self.psi.jet(z)
+        w, dw_dz = self.cover.values(z)
+        phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
+        p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
+        xi = self._xi(points)
+        for i, (key, zi) in enumerate(new.items()):
+            self._records[key] = PointRecord(
+                zi, complex(psi[i]), complex(dpsi[i]), complex(phi[i]), float(m[i]),
+                p[i], dp_du[i], dp_dv[i], xi[i])
+
+    def _xi(self, zs: list) -> list:
+        """(xi_u, xi_v) at each disc point of zs, by the rule of fill."""
         by_k = {}
-        for z in zs:
-            rec = self.record(z)
-            if rec.xi is None:
-                if not abs(rec.z) < 1.0:
-                    raise PunctureError(f"|z| = {abs(rec.z)} is not inside the disc")
-                by_k.setdefault(max(1, math.ceil(-math.log2(1.0 - abs(rec.z)))), {})[rec.z] = rec
-        for k, recs in by_k.items():
+        for i, z in enumerate(zs):
+            by_k.setdefault(max(1, math.ceil(-math.log2(1.0 - abs(z)))), []).append(i)
+        xi = [None] * len(zs)
+        for k, idx in by_k.items():
             s, weights = _graded_rule(k)
-            recs, step = list(recs.values()), max(1, _XI_CHUNK_NODES // s.size)
-            for chunk in (recs[i:i + step] for i in range(0, len(recs), step)):
-                rows = self.curl_source(np.array([r.z for r in chunk])[:, None] * s)
-                for rec, row in zip(chunk, rows):
+            step = max(1, _XI_CHUNK_NODES // s.size)
+            for chunk in (idx[i:i + step] for i in range(0, len(idx), step)):
+                rows = self.curl_source(np.array([zs[i] for i in chunk])[:, None] * s)
+                for i, row in zip(chunk, rows):
                     coarse, val = (float(x) for x in weights @ (s * row))
                     err = abs(coarse - val)
                     if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
                         raise PathError(
-                            f"homotopy integral unreliable at z = {rec.z}: err {err}")
-                    rec.xi = (-rec.z.imag * val, rec.z.real * val)
+                            f"homotopy integral unreliable at z = {zs[i]}: err {err}")
+                    xi[i] = (-zs[i].imag * val, zs[i].real * val)
+        return xi
 
     def xi_at(self, z: complex):
-        """(xi_u, xi_v) at z: fill_xi on z alone, kept in the record."""
-        self.fill_xi([z])
+        """(xi_u, xi_v) at z, from the record at z."""
         return self.record(z).xi
 
     # ---- the Gibbons-Hawking fields ------------------------------------
@@ -324,12 +323,11 @@ class HolomorphicData:
         if not rho > 0:
             raise ValueError(f"rho = {rho} must be positive")
         rec = self.record(z)
-        p, dpu, dpv = rec.sphere
         dx = np.zeros((3, 4))
-        dx[:, 0] = p
-        dx[:, 1] = rho * dpu
-        dx[:, 2] = rho * dpv
-        xi_u, xi_v = rec.xi or self.xi_at(z)
+        dx[:, 0] = rec.p
+        dx[:, 1] = rho * rec.dp_du
+        dx[:, 2] = rho * rec.dp_dv
+        xi_u, xi_v = rec.xi
         theta = np.array([rec.phi.real / rho, xi_u, xi_v, 1.0])
         return self.v_multiplier * rec.phi.imag / rho, theta, dx
 
@@ -405,7 +403,7 @@ class HolomorphicData:
             rho=rho_s,
             t_slice=math.log(rho_s) - math.log(zero[0]),
             V=V,
-            x=rho_s * rec.chart.p,
+            x=rho_s * rec.p,
             omega=X @ gh_forms(V, theta, dx) @ pull,
             xflat=pull.T @ xflat4,
             x_norm_sq=float(X @ xflat4),

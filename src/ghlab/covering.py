@@ -26,9 +26,10 @@ derivative (harmless, the conformal factor vanishes), while the class
 of 1 would need 1/0: there value() raises PunctureError and
 value_extended() gives the flipped chart 1/w.
 
-metric_factors() takes the conformal factor over an array of z in one
-batch: a masked reduction, then the same series and anharmonic table
-(written once for a point and an array), with the checks of value().
+values() takes (w, dw/dz) over an array of z in one batch: a masked
+reduction, then the same series and anharmonic table (written once for
+a point and an array), with the checks of value(); metric_factors()
+reads the conformal factor off them.
 """
 
 from __future__ import annotations
@@ -309,9 +310,10 @@ class ModularCover:
         """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
         return self.value(z).metric_factor()
 
-    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
-        """metric_factor over an array of z, as one batch: the same
-        disc and cusp checks, raised for the first point that fails."""
+    def values(self, zs: np.ndarray):
+        """(w, dw/dz) over an array of z, as one batch: the same disc
+        and cusp checks as value(), raised for the first point that
+        fails."""
         zs = np.asarray(zs, dtype=complex)
         shape, zs = zs.shape, zs.ravel()
         outside = abs(zs) >= 1.0
@@ -322,7 +324,11 @@ class ModularCover:
         if at_cusp.any():
             raise PunctureError(f"z = {zs[at_cusp][0]} is numerically at the cusp -1")
         w, lam_p = _lambda_batch(_cayley_batch(zs))
-        return _metric_factors(w, lam_p * (-2j / (zp * zp))).reshape(shape)
+        return w.reshape(shape), (lam_p * (-2j / (zp * zp))).reshape(shape)
+
+    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
+        """metric_factor over an array of z, as one batch."""
+        return _metric_factors(*self.values(zs))
 
 
 class IdentityChart:
@@ -338,9 +344,12 @@ class IdentityChart:
     def metric_factor(self, z: complex) -> float:
         return self.value(z).metric_factor()
 
-    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
+    def values(self, zs: np.ndarray):
         zs = np.asarray(zs, dtype=complex)
-        return _metric_factors(zs, np.ones_like(zs))
+        return zs, np.ones_like(zs)
+
+    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
+        return _metric_factors(*self.values(zs))
 
 
 def puncture_distance(cover, z: complex, j: int) -> float:

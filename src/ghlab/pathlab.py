@@ -38,20 +38,19 @@ from .tessellation import Cusp
 
 METRIC_TAGS = ("euclid", "sphere", "disc", "g3", "gs")
 
-_FD_STEP = 1e-4
-
 
 @dataclass(frozen=True)
 class ParamPath:
     """Smooth parametrized path sampled on [0, 1].
 
     ``fn`` maps a parameter to coordinates: (u, v) for disc paths or
-    (u, v, theta) for slice paths.  ``proper`` marks paths running to
-    the disc boundary as s -> 1, which must then only be sampled on
-    [0, 1).
+    (u, v, theta) for slice paths, and ``vel`` to their exact
+    derivative.  ``proper`` marks paths running to the disc boundary as
+    s -> 1, which must then only be sampled on [0, 1).
     """
 
     fn: object
+    vel: object
     dim: int = 2
     proper: bool = False
 
@@ -68,28 +67,32 @@ class ParamPath:
     # ---- constructors --------------------------------------------------
 
     @classmethod
-    def from_complex(cls, zfn, proper: bool = False) -> "ParamPath":
-        def fn(s: float, zf=zfn) -> np.ndarray:
-            z = complex(zf(s))
-            return np.array([z.real, z.imag])
-
-        return cls(fn=fn, dim=2, proper=proper)
+    def _line(cls, a, b, proper: bool = False) -> "ParamPath":
+        """a + s (b - a): the constructors below but circle are lines."""
+        a = np.asarray(a, dtype=float)
+        d = np.asarray(b, dtype=float) - a
+        return cls(fn=lambda s: a + s * d, vel=lambda s: d, dim=a.size, proper=proper)
 
     @classmethod
     def segment(cls, z0: complex, z1: complex) -> "ParamPath":
         z0, z1 = complex(z0), complex(z1)
-        return cls.from_complex(lambda s: z0 + s * (z1 - z0))
+        return cls._line([z0.real, z0.imag], [z1.real, z1.imag])
 
     @classmethod
     def circle(cls, center: complex, radius: float, turns: float = 1.0,
                phase: float = 0.0) -> "ParamPath":
-        center = complex(center)
+        center, rate = complex(center), 2.0 * math.pi * turns
 
-        def zfn(s: float) -> complex:
-            ang = phase + 2.0 * math.pi * turns * s
-            return center + radius * complex(math.cos(ang), math.sin(ang))
+        def fn(s: float) -> np.ndarray:
+            ang = phase + rate * s
+            return np.array([center.real + radius * math.cos(ang),
+                             center.imag + radius * math.sin(ang)])
 
-        return cls.from_complex(zfn)
+        def vel(s: float) -> np.ndarray:
+            ang = phase + rate * s
+            return rate * radius * np.array([-math.sin(ang), math.cos(ang)])
+
+        return cls(fn=fn, vel=vel)
 
     @classmethod
     def radial(cls, target: complex) -> "ParamPath":
@@ -98,7 +101,7 @@ class ParamPath:
         if abs(t) == 0:
             raise ValueError("radial target must be nonzero")
         t /= abs(t)
-        return cls.from_complex(lambda s: s * t, proper=True)
+        return cls._line([0.0, 0.0], [t.real, t.imag], proper=True)
 
     @classmethod
     def radial_window(cls, target: complex, s_lo: float, s_hi: float) -> "ParamPath":
@@ -107,39 +110,19 @@ class ParamPath:
         t /= abs(t)
         if not 0.0 <= s_lo < s_hi < 1.0:
             raise ValueError(f"window [{s_lo}, {s_hi}] outside [0, 1)")
-        return cls.from_complex(lambda s: (s_lo + (s_hi - s_lo) * s) * t)
+        return cls._line([s_lo * t.real, s_lo * t.imag], [s_hi * t.real, s_hi * t.imag])
 
     @classmethod
     def slice_segment(cls, p0, p1) -> "ParamPath":
-        a = np.asarray(p0, dtype=float)
-        b = np.asarray(p1, dtype=float)
-        if a.shape != (3,) or b.shape != (3,):
+        if np.shape(p0) != (3,) or np.shape(p1) != (3,):
             raise ValueError("slice endpoints need (u, v, theta) coordinates")
-        return cls(fn=lambda s: a + s * (b - a), dim=3)
+        return cls._line(p0, p1)
 
     @classmethod
     def theta_circle(cls, z0: complex, turns: float = 1.0) -> "ParamPath":
         """Circle-fiber loop over a fixed disc point."""
         z0 = complex(z0)
-
-        def fn(s: float) -> np.ndarray:
-            return np.array([z0.real, z0.imag, 2.0 * math.pi * turns * s])
-
-        return cls(fn=fn, dim=3)
-
-
-def _velocity(path: ParamPath, s: float, lo: float, hi: float) -> np.ndarray:
-    """Second-order velocity whose stencil stays inside [lo, hi]."""
-    h = min(_FD_STEP, 0.25 * (hi - lo))
-    if not h > 0.0:
-        raise ValueError(f"piece [{lo}, {hi}] has no interior")
-    if s - lo < h:
-        f0, f1, f2 = path.at(s), path.at(s + h), path.at(s + 2.0 * h)
-        return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-    if hi - s < h:
-        f0, f1, f2 = path.at(s), path.at(s - h), path.at(s - 2.0 * h)
-        return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-    return (path.at(s + h) - path.at(s - h)) / (2.0 * h)
+        return cls._line([z0.real, z0.imag, 0.0], [z0.real, z0.imag, 2.0 * math.pi * turns])
 
 
 # Nodes of the Gauss-Legendre rule on each panel; the depth cap ends the
@@ -157,7 +140,7 @@ def _integrate(path: ParamPath, integrand, lo: float, hi: float, tol: float):
     again, each carrying its sum."""
     def gauss(p: float, q: float):
         half = 0.5 * (q - p)
-        vals = [np.atleast_1d(integrand(s, _velocity(path, s, lo, hi)))
+        vals = [np.atleast_1d(integrand(s, path.vel(s)))
                 for s in p + half * (_GL_NODES + 1.0)]
         return half * (_GL_WEIGHTS @ np.array(vals))
 
@@ -233,9 +216,8 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
     """Length of path restricted to [0, upto] in the tagged metric.
 
     Adaptive Gauss-Legendre quadrature of the pointwise speed, absolute
-    tolerance tol; velocities by finite differences over parameter step
-    1e-4.  Metric evaluation failures along the path surface as
-    PathError.
+    tolerance tol, with the path's exact velocity.  Metric evaluation
+    failures along the path surface as PathError.
     """
     if not 0.0 < upto <= 1.0:
         raise ValueError(f"upto = {upto} outside (0, 1]")

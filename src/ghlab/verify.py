@@ -546,6 +546,7 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     located.sort(key=lambda t: (round(abs(t[0]), 9), math.atan2(t[0].imag, t[0].real)))
 
     zeros = [z for z, _, w in located if abs(w.real) < _RE_PSI_TOL]
+    data.fill(zeros)
     norms = tuple(
         float(np.linalg.norm(data.slice_frame(z, "canonical").beta)) for z in zeros
     )

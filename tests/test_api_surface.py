@@ -14,6 +14,7 @@ import ghlab
 PACKAGE = Path(ghlab.__file__).parent
 
 ALLOWED = {
+    "ansatz.HolomorphicData.xi_at": "traced by name in perfbench/layers.py (ansatz.xi)",
     "ansatz.HolomorphicData.base_metric":
         "oracle: the dx rows are orthogonal with squared lengths (1, rho^2 m, rho^2 m)",
     "covering.lambda_prime": "the only scalar path to lambda', compared with mpmath",

@@ -255,6 +255,23 @@ class TestCommands:
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["commands"]["verify"]["status"] == "failed"
 
+    def test_verify_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
+        # a NaN contact ratio at the third centre must not pass as a small value
+        calls = [0]
+        contact_ratio = ghlab.cli.contact_ratio
+
+        def nan_at_third(*args, **kwargs):
+            calls[0] += 1
+            out = contact_ratio(*args, **kwargs)
+            return {**out, "ratio": math.nan} if calls[0] == 3 else out
+
+        monkeypatch.setattr(ghlab.cli, "contact_ratio", nan_at_third)
+        assert main(["verify", "--grid", "5", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "check=contact max=nan" in err
+        assert "status=fail" in err.split("check=contact ")[1].splitlines()[0]
+        assert "failed_check=contact" in err.splitlines()
+
     def test_sweep_flat(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "data": {"kind": "flat"},

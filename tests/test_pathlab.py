@@ -55,9 +55,24 @@ class TestParamPath:
             ParamPath.radial_window(1.0, 0.5, 0.4)
 
     def test_sampler_shape_checked(self):
-        bad = ParamPath(fn=lambda s: np.zeros(4), dim=2)
+        bad = ParamPath(fn=lambda s: np.zeros(4), vel=lambda s: np.zeros(4), dim=2)
         with pytest.raises(ValueError):
             bad.at(0.3)
+
+    @pytest.mark.parametrize("path", [
+        ParamPath.segment(0.1 + 0.2j, -0.4 + 0.6j),
+        ParamPath.circle(0.1 - 0.2j, 0.3, turns=1.5, phase=0.4),
+        ParamPath.radial(-0.3 + 0.8j),
+        ParamPath.radial_window(0.6 - 0.2j, 0.3, 0.95),
+        ParamPath.slice_segment([0.1, -0.2, 0.3], [-0.25, 0.3, 2.0]),
+        ParamPath.theta_circle(0.2 + 0.1j, turns=2.0),
+    ], ids=["segment", "circle", "radial", "radial_window", "slice_segment",
+            "theta_circle"])
+    def test_exact_velocity_matches_the_sampler(self, path):
+        h = 1e-5
+        for s in np.linspace(h, 1.0 - h, 11):
+            fd = (path.at(s + h) - path.at(s - h)) / (2.0 * h)
+            assert np.abs(path.vel(s) - fd).max() < 1e-8, s
 
 
 class TestLength:

@@ -2,12 +2,16 @@
 
 Every field of the ansatz is a power of rho times a function of z, and
 none depends on theta, so the psi jet, the covering value and xi are
-taken once per disc point and shared by every form assembled there.
-These tests count Blaschke jets (calls of ``blaschke_derivs``) and
-covering values (calls of ``ModularCover.value``), so a regression in
-the sharing shows as a count rather than as timing noise.
+taken once per disc point, by one eager HolomorphicData.fill for every
+new point of a batch, and shared by every form assembled there.  These
+tests count Blaschke jets (calls of ``blaschke_derivs``) and covering
+evaluations (calls of ``ModularCover.value`` and ``.values``), a batch
+counting once, so a regression in the sharing shows as a count rather
+than as timing noise.  They also pin the batched records against the
+scalar point functions.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 import ghlab.ansatz
 import ghlab.holo
 import ghlab.pathlab
-from ghlab.ansatz import HolomorphicData, standard_data
+from ghlab.ansatz import HolomorphicData, sphere_jacobian, standard_data
 from ghlab.cli import main
 from ghlab.covering import ModularCover
 from ghlab.holo import MuSpec
@@ -39,13 +43,13 @@ RHO = 1.1
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Jets and covering values taken outside the xi quadrature.
+    """Jets and covering evaluations taken outside the xi quadrature.
 
-    The quadrature evaluates its integrand at nodes no stencil
-    revisits; those evaluations belong to xi, not to the point."""
+    The quadrature evaluates its integrand (curl_source) at nodes no
+    stencil revisits; those evaluations belong to xi, not to the point."""
     tally = {"jets": 0, "covers": 0, "in_xi": 0}
-    jet, value = ghlab.holo.blaschke_derivs, ModularCover.value
-    xi_at = HolomorphicData.xi_at
+    jet, value, values = ghlab.holo.blaschke_derivs, ModularCover.value, ModularCover.values
+    source = HolomorphicData.curl_source
 
     def counted_jet(spec, z):
         if not tally["in_xi"]:
@@ -57,16 +61,22 @@ def counts(monkeypatch):
             tally["covers"] += 1
         return value(self, z)
 
-    def quiet_xi(self, z):
+    def counted_values(self, zs):
+        if not tally["in_xi"]:
+            tally["covers"] += 1
+        return values(self, zs)
+
+    def quiet_source(self, zs):
         tally["in_xi"] += 1
         try:
-            return xi_at(self, z)
+            return source(self, zs)
         finally:
             tally["in_xi"] -= 1
 
     monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
     monkeypatch.setattr(ModularCover, "value", counted_value)
-    monkeypatch.setattr(HolomorphicData, "xi_at", quiet_xi)
+    monkeypatch.setattr(ModularCover, "values", counted_values)
+    monkeypatch.setattr(HolomorphicData, "curl_source", quiet_source)
     return tally
 
 
@@ -130,9 +140,9 @@ class TestEvaluationCounts:
             jets, covers = _taken(counts, search)
             assert jets == len(kinds)
             # one batch on the circle; per zero of psi' a jet at the
-            # centroid and at most three Newton steps; then one slice
-            # frame per zero of beta
-            assert kinds.count(True) == 1
+            # centroid and at most three Newton steps; then one record
+            # batch for the zeros of beta
+            assert kinds.count(True) == 2
             assert kinds.count(False) <= 4 * len(report.critical_points) + len(report.zeros)
             assert len(report.zeros) == count
             assert covers <= len(report.zeros)
@@ -199,73 +209,90 @@ class TestSharedFrames:
 class TestXiCounts:
     def test_one_batch_per_cold_xi(self, monkeypatch):
         data = standard_data()
-        calls = {"jet": [], "values": 0, "batch": 0, "value": 0}
-        jet, batch, value = (ghlab.holo.blaschke_derivs, ModularCover.metric_factors,
-                             ModularCover.value)
-        products = ghlab.holo._blaschke_batch
+        calls = {"xi": [], "record": []}
+        phase = ["record"]
+        jet, values, value = (ghlab.holo.blaschke_derivs, ModularCover.values,
+                              ModularCover.value)
+        products, source = ghlab.holo._blaschke_batch, HolomorphicData.curl_source
 
         def counted_jet(spec, z):
-            calls["jet"].append(type(z))
+            calls[phase[0]].append("jet batch" if isinstance(z, np.ndarray) else "jet")
             return jet(spec, z)
 
         def counted_products(spec, z, derivs=True):
-            calls["values"] += not derivs
+            if not derivs:
+                calls[phase[0]].append("B batch")
             return products(spec, z, derivs)
 
-        def counted_batch(self, zs):
-            calls["batch"] += 1
-            return batch(self, zs)
+        def counted_values(self, zs):
+            calls[phase[0]].append("cover batch")
+            return values(self, zs)
 
         def counted_value(self, z):
-            calls["value"] += 1
+            calls[phase[0]].append("cover")
             return value(self, z)
+
+        def counted_source(self, zs):
+            phase[0] = "xi"
+            try:
+                return source(self, zs)
+            finally:
+                phase[0] = "record"
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
         monkeypatch.setattr(ghlab.holo, "_blaschke_batch", counted_products)
-        monkeypatch.setattr(ModularCover, "metric_factors", counted_batch)
+        monkeypatch.setattr(ModularCover, "values", counted_values)
         monkeypatch.setattr(ModularCover, "value", counted_value)
+        monkeypatch.setattr(HolomorphicData, "curl_source", counted_source)
         z = 0.22 + 0.13j
         first = data.xi_at(z)
-        # the integrand reads psi's value: one batch of B, and no jet
-        assert calls == {"jet": [], "values": 1, "batch": 1, "value": 0}
+        # the integrand reads psi's value: one batch of B, and no jet;
+        # the rest of the record takes one jet batch and one cover batch
+        expected = {"xi": ["B batch", "cover batch"], "record": ["cover batch", "jet batch"]}
+        assert {k: sorted(v) for k, v in calls.items()} == expected
         assert data.xi_at(z) is first
-        assert calls == {"jet": [], "values": 1, "batch": 1, "value": 0}
+        assert {k: sorted(v) for k, v in calls.items()} == expected
 
 
 def _xi_chunks(data, zs) -> int:
-    """The curl_source batches fill_xi needs for the points of zs that
-    have no xi: per graded rule, whole points of at most
-    _XI_CHUNK_NODES nodes each, one point if its rule is larger."""
+    """The curl_source batches fill needs for the points of zs that
+    have no record: per graded rule, whole points of at most
+    _XI_CHUNK_NODES nodes each, one point if its rule is larger.  k is
+    read off z, and no record is made."""
     per_k = {}
-    for z in zs:
-        rec = data.record(z)
-        if rec.xi is None:
-            k = max(1, math.ceil(-math.log2(1.0 - abs(rec.z))))
-            per_k.setdefault(k, set()).add(id(rec))
+    for z in map(complex, zs):
+        if (z.real, z.imag) not in data._records:
+            k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
+            per_k.setdefault(k, set()).add(z)
     chunks = 0
-    for k, recs in per_k.items():
+    for k, points in per_k.items():
         size = ghlab.ansatz._graded_rule(k)[0].size
-        chunks += math.ceil(len(recs) / max(1, ghlab.ansatz._XI_CHUNK_NODES // size))
+        chunks += math.ceil(len(points) / max(1, ghlab.ansatz._XI_CHUNK_NODES // size))
     return chunks
 
 
 class TestXiPrefetch:
-    """verify and curvature-scan take every xi of the pass in one
-    fill_xi before it: no quadrature runs outside that call, and inside
-    it each curl_source batch holds several whole points."""
+    """verify and curvature-scan make every record of the pass in one
+    fill before it: after that call no record is made, no cover is
+    evaluated and no quadrature runs, and inside it each curl_source
+    batch holds several whole points."""
 
     @pytest.mark.parametrize("argv", [["verify", "--grid", "10"],
                                       ["curvature-scan", "--grid", "2"]],
                              ids=["verify", "curvature-scan"])
     def test_one_prefetch_in_batches(self, argv, monkeypatch, tmp_path):
-        state = {"phase": "before", "before": 0, "during": 0, "after": 0,
-                 "points": 0, "chunks": 0}
-        fill, source = HolomorphicData.fill_xi, HolomorphicData.curl_source
+        phases = ("before", "during", "after")
+        state = {"phase": "before", "points": 0, "chunks": 0,
+                 "sources": dict.fromkeys(phases, 0), "made": dict.fromkeys(phases, 0),
+                 "covers": dict.fromkeys(phases, 0)}
+        fill, source = HolomorphicData.fill, HolomorphicData.curl_source
+        values, value = ModularCover.values, ModularCover.value
+        record = ghlab.ansatz.PointRecord
 
         def counted_fill(self, zs):
             if state["phase"] == "before":
                 zs = list(zs)
-                state["points"] = len({(complex(z).real, complex(z).imag) for z in zs})
+                state["points"] = len(set(map(complex, zs)))
                 state["chunks"] = _xi_chunks(self, zs)
                 state["phase"] = "during"
                 fill(self, zs)
@@ -273,15 +300,72 @@ class TestXiPrefetch:
             else:
                 fill(self, zs)
 
-        def counted_source(self, zs):
-            state[state["phase"]] += 1
-            return source(self, zs)
+        def counted(kind, fn):
+            def call(*args):
+                state[kind][state["phase"]] += 1
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(HolomorphicData, "fill_xi", counted_fill)
-        monkeypatch.setattr(HolomorphicData, "curl_source", counted_source)
+        monkeypatch.setattr(HolomorphicData, "fill", counted_fill)
+        monkeypatch.setattr(HolomorphicData, "curl_source", counted("sources", source))
+        monkeypatch.setattr(ModularCover, "values", counted("covers", values))
+        monkeypatch.setattr(ModularCover, "value", counted("covers", value))
+        monkeypatch.setattr(ghlab.ansatz, "PointRecord", counted("made", record))
         assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
-        assert state["before"] == state["after"] == 0
-        assert 1 <= state["during"] <= state["chunks"] < state["points"]
+        assert state["sources"]["before"] == state["sources"]["after"] == 0
+        assert state["made"]["after"] == state["covers"]["after"] == 0
+        assert state["made"]["during"] == state["points"]
+        assert 1 <= state["sources"]["during"] <= state["chunks"] < state["points"]
+
+
+# Eight directions that avoid the cusps 1, i, -1 and -i.
+DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
+
+
+class TestBatchAgainstPoint:
+    """A record's fields come from one batch.  They agree with the
+    scalar point functions to rounding, not bit for bit: numpy and
+    CPython divide complex numbers differently."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        rng = np.random.default_rng(12)
+        radii, turns = np.sqrt(rng.uniform(size=200)), rng.uniform(size=200)
+        inner = 0.62 * radii * np.exp(2j * math.pi * turns)
+        outer = [r * d for r in (0.9, 0.92, 0.94, 0.96, 0.98) for d in DIRECTIONS]
+        zs = [complex(z) for z in [*inner, *outer]]
+        data = standard_data()
+        data.fill(zs)
+        return data, zs
+
+    def test_psi_jet(self, sample):
+        data, zs = sample
+        recs = [data.record(z) for z in zs]
+        jets = [data.psi.jet(z) for z in zs]
+        for name, got, want in (("psi", [r.psi for r in recs], [j[0] for j in jets]),
+                                ("dpsi", [r.dpsi for r in recs], [j[1] for j in jets])):
+            got, want = np.array(got), np.array(want)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+    def test_conformal_factor(self, sample):
+        data, zs = sample
+        for z in zs:
+            m = data.cover.metric_factor(z)
+            assert abs(data.record(z).m - m) <= 1e-13 * m, z
+        assert data.record(0.99).m == data.cover.metric_factor(0.99) == 0.0
+
+    def test_sphere_point(self, sample):
+        data, zs = sample
+        for z in zs:
+            assert np.abs(data.record(z).p - data.cover.value(z).p).max() <= 1e-13, z
+
+    def test_sphere_jacobian_on_an_array_is_per_point(self, sample):
+        data, zs = sample
+        w, dw_dz = data.cover.values(np.array(zs))
+        batch = sphere_jacobian(w, dw_dz)
+        for i in range(len(zs)):
+            for got, want in zip(batch, sphere_jacobian(w[i], dw_dz[i])):
+                assert np.array_equal(got[i], want), zs[i]
 
 
 class TestRecords:
@@ -326,7 +410,6 @@ class TestRecords:
         variant = mu_variant(data, MuSpec(kind="scale", scale=2.0))
         rec = variant.record(Z)
         assert rec is not old
-        assert rec.xi is None
         assert rec.psi == 2.0 * old.psi
         # phi halves with psi doubled, and so do V and xi
         V, V_variant = data._fields(RHO, Z)[0], variant._fields(RHO, Z)[0]
