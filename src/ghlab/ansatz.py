@@ -48,17 +48,28 @@ from .holo import HoloFn, psi_fn, vertex_targeted_spec
 
 
 def wedge(a, b):
-    """Antisymmetric matrices of the wedges of 1-forms: covectors on the
-    last axis, leading axes broadcast against each other."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """Antisymmetric matrices of the wedges of 1-forms: float arrays of
+    covectors on the last axis, leading axes broadcast against each other."""
     ab = a[..., :, None] * b[..., None, :]
-    return ab - np.swapaxes(ab, -1, -2)
+    return ab - ab.swapaxes(-1, -2)
 
 
-def gh_forms(V: float, theta, dx) -> np.ndarray:
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])  # j and k beside i
+
+
+def gh_forms(V, theta, dx) -> np.ndarray:
     """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as one
-    (3, 4, 4) array, from the fields of HolomorphicData._fields."""
-    return wedge(theta, dx) + V * wedge(dx[[1, 2, 0]], dx[[2, 0, 1]])
+    (..., 3, 4, 4) array over the batch axes of the fields of
+    HolomorphicData._fields."""
+    V = np.asarray(V)[..., None, None, None]
+    return (wedge(theta[..., None, :], dx)
+            + V * wedge(dx.take(_NEXT, axis=-2), dx.take(_AFTER, axis=-2)))
+
+
+def _least(a: np.ndarray):
+    """The least entry of a, or its first NaN: so it is positive exactly
+    when every entry is."""
+    return a.flat[a.argmin()]
 
 
 def sphere_jacobian(w, dw_dz):
@@ -160,7 +171,9 @@ class PointRecord:
     phi = -1/psi, the conformal factor m, the sphere point p with its
     (u, v) partials and xi are made once per z by HolomorphicData.fill,
     and the forms are assembled from them: V = Im phi / rho, x = rho p,
-    eta = (Re phi / rho) drho + xi.  ``frames`` holds the slice frames.
+    eta = (Re phi / rho) drho + xi.  ``row`` holds V, Theta and the rows
+    of dx at rho = 1, read-only: the 17 numbers that _fields scales by
+    powers of rho.  ``frames`` holds the slice frames.
     """
 
     z: complex
@@ -172,6 +185,7 @@ class PointRecord:
     dp_du: np.ndarray
     dp_dv: np.ndarray
     xi: tuple
+    row: np.ndarray
     frames: dict = field(default_factory=dict)
 
 
@@ -195,9 +209,10 @@ class HolomorphicData:
     v_multiplier rescales the potential only; anything other than 1
     breaks the curl equation on purpose (used to exercise detectors).
 
-    Every form at (rho, z) is built from one assembly of V, Theta and
-    dx out of the record at z (``_fields``), and each slice frame is
-    built once per (z, slice) and kept in that record.  ``fill`` makes
+    The forms and metrics at a stack of (rho, z) are built from one
+    assembly of V, Theta and dx out of the records at z (``_fields``),
+    and each slice frame is built once per (z, slice) and kept in the
+    record at z.  ``fill`` makes
     the records; they live as long as the data, and ``replace`` starts a
     new object with none, so a changed psi never meets old ones.
     """
@@ -208,6 +223,8 @@ class HolomorphicData:
     rho0_scale: float = 1.0
     v_multiplier: float = 1.0
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the z of the records whose conformal factor m underflowed to 0
+    _underflowed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_rho0(self.rho0_kind, self.rho0_scale)
@@ -286,10 +303,17 @@ class HolomorphicData:
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         xi = self._xi(points)
+        rows = np.zeros((len(points), 17))
+        rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4] = (
+            self.v_multiplier * phi.imag, phi.real, xi, 1.0)
+        dx = rows[:, 5:].reshape(-1, 3, 4)
+        dx[..., 0], dx[..., 1], dx[..., 2] = p, dp_du, dp_dv
+        rows.flags.writeable = False
         for i, (key, zi) in enumerate(new.items()):
             self._records[key] = PointRecord(
                 zi, complex(psi[i]), complex(dpsi[i]), complex(phi[i]), float(m[i]),
-                p[i], dp_du[i], dp_dv[i], xi[i])
+                p[i], dp_du[i], dp_dv[i], xi[i], rows[i])
+        self._underflowed.update(zi for zi, mi in zip(points, m) if not mi > 0)
 
     def _xi(self, zs: list) -> list:
         """(xi_u, xi_v) at each disc point of zs, by the rule of fill."""
@@ -316,24 +340,42 @@ class HolomorphicData:
         return self.record(z).xi
 
     # ---- the Gibbons-Hawking fields ------------------------------------
+    #
+    # rho and z broadcast to one batch shape, and every field carries it
+    # as leading axes; a scalar (rho, z) is a batch of one.
 
-    def _fields(self, rho: float, z: complex):
-        """(V, Theta, dx) at (rho, z) from the record at z: Theta over
-        (drho, du, dv, dtheta) and the three dx_i as rows over them."""
-        if not rho > 0:
-            raise ValueError(f"rho = {rho} must be positive")
-        rec = self.record(z)
-        dx = np.zeros((3, 4))
-        dx[:, 0] = rec.p
-        dx[:, 1] = rho * rec.dp_du
-        dx[:, 2] = rho * rec.dp_dv
-        xi_u, xi_v = rec.xi
-        theta = np.array([rec.phi.real / rho, xi_u, xi_v, 1.0])
-        return self.v_multiplier * rec.phi.imag / rho, theta, dx
+    def _records_at(self, z: np.ndarray) -> list:
+        """The records at the z of an array, in order; fill makes those
+        that have none first, in one batch."""
+        zs = z.ravel().tolist()
+        records = self._records
+        try:
+            return [records[(w.real, w.imag)] for w in zs]
+        except KeyError:
+            self.fill(zs)
+            return [records[(w.real, w.imag)] for w in zs]
 
-    def _metric_from(self, z: complex, V: float, theta, dx) -> np.ndarray:
+    def _fields(self, rho, z):
+        """(V, Theta, dx) at (rho, z) from the records at z: Theta over
+        (drho, du, dv, dtheta) on the last axis and the three dx_i as
+        rows over them on the last two."""
+        rho = np.asarray(rho, dtype=float)
+        if not _least(rho) > 0:
+            raise ValueError(f"rho = {float(rho[~(rho > 0)][0])} must be positive")
+        z = np.asarray(z, dtype=complex)
+        if z.shape != rho.shape:
+            z = np.broadcast_to(z, np.broadcast(rho, z).shape)
+        F = np.array([r.row for r in self._records_at(z)]).reshape(z.shape + (17,))
+        dx = F[..., 5:].reshape(z.shape + (3, 4))
+        # the homothety: V and Theta_rho go as 1/rho, the du and dv columns of dx as rho
+        inverse, linear, rho = F[..., :2], dx[..., 1:3], rho[..., None]
+        inverse /= rho
+        linear *= rho[..., None]
+        return F[..., 0], F[..., 1:5], dx
+
+    def _metric_from(self, z, V, theta, dx) -> np.ndarray:
         """g = V^-1 Theta^2 + V sum dx_i^2 from the fields at z, checked
-        positive definite.
+        positive definite; each check names the first z that fails it.
 
         In the Gibbons-Hawking coframe (V^-1/2 Theta, V^1/2 dx_i) g is
         the identity, so it is positive definite exactly when V > 0 and
@@ -342,26 +384,33 @@ class HolomorphicData:
         are checked directly, since the coordinate Gram matrix can be
         too ill-conditioned for a factorisation to see them.
         """
-        if not V > 0:
+        V = np.asarray(V)
+        if not _least(V) > 0:
+            i = int((~(V > 0)).argmax())
+            z = np.broadcast_to(np.asarray(z, dtype=complex), V.shape).flat[i]
             raise DegenerateMetricError(
-                f"metric not positive definite at z = {z}: V = {V}")
-        if not self.record(z).m > 0:
-            raise MetricDomainError(
-                f"conformal factor underflowed to 0 at |z| = {abs(z)}")
-        return np.outer(theta, theta) / V + V * (dx.T @ dx)
+                f"metric not positive definite at z = {complex(z)}: V = {float(V.flat[i])}")
+        if self._underflowed:
+            bad = [w for w in np.ravel(z).tolist() if w in self._underflowed]
+            if bad:
+                raise MetricDomainError(
+                    f"conformal factor underflowed to 0 at |z| = {abs(bad[0])}")
+        V = V[..., None, None]
+        return theta[..., :, None] * theta[..., None, :] / V + V * (dx.swapaxes(-1, -2) @ dx)
 
     def base_metric(self, rho: float, z: complex) -> np.ndarray:
         """Euclidean metric pulled to (rho, u, v): diag(1, r^2 m, r^2 m)."""
         m = self.record(z).m
         return np.diag([1.0, rho * rho * m, rho * rho * m])
 
-    def symplectic(self, rho: float, z: complex) -> np.ndarray:
+    def symplectic(self, rho, z) -> np.ndarray:
         """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as
-        one (3, 4, 4) array over (drho, du, dv, dtheta)."""
+        one (..., 3, 4, 4) array over (drho, du, dv, dtheta)."""
         return gh_forms(*self._fields(rho, z))
 
-    def metric(self, rho: float, z: complex) -> np.ndarray:
-        """g over (drho, du, dv, dtheta), checked positive definite."""
+    def metric(self, rho, z) -> np.ndarray:
+        """g over (drho, du, dv, dtheta), checked positive definite: one
+        (..., 4, 4) array."""
         return self._metric_from(z, *self._fields(rho, z))
 
     # ---- slices --------------------------------------------------------
@@ -402,7 +451,7 @@ class HolomorphicData:
         frame = rec.frames[which] = SliceFrame(
             rho=rho_s,
             t_slice=math.log(rho_s) - math.log(zero[0]),
-            V=V,
+            V=float(V),
             x=rho_s * rec.p,
             omega=X @ gh_forms(V, theta, dx) @ pull,
             xflat=pull.T @ xflat4,

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ansatz import HolomorphicData, gh_forms, wedge
+from .ansatz import _AFTER, _NEXT, HolomorphicData, gh_forms, wedge
 from .errors import (
     CoframeDomainError,
     DegenerateFrameError,
@@ -47,47 +47,72 @@ class FDConfig:
 _DEFAULT_FD = FDConfig()
 
 
-def _shifted(x, axis, h):
-    """x moved by +h and by -h along axis, as two new float vectors."""
-    xp, xm = np.array(x, dtype=float), np.array(x, dtype=float)
-    xp[axis] += h
-    xm[axis] -= h
-    return xp, xm
+def _steps(config: FDConfig) -> np.ndarray:
+    """The central-difference steps of config: h, and h/2 for Richardson."""
+    return np.array((config.h,) if config.richardson == 0 else (config.h, config.h / 2.0))
 
 
-def _partial(field, x, axis, config: FDConfig):
-    def central(h):
-        fp, fm = (np.asarray(field(y), dtype=float) for y in _shifted(x, axis, h))
-        return (fp - fm) / (2.0 * h)
-
-    coarse = central(config.h)
-    if config.richardson == 0:
-        return coarse
-    fine = central(config.h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _partials(field, x, config: FDConfig, n: Optional[int] = None) -> np.ndarray:
-    """Partials of field along each coordinate of x, stacked on a new
-    leading axis and padded with zeros up to n coordinates: the field
-    does not depend on the coordinates past x (theta, for the ansatz)."""
+def _stencil(x, steps) -> np.ndarray:
+    """The points x + h e_a and x - h e_a around every centre of x
+    (..., d), for each step h of steps: an (..., steps, d, 2, d) array."""
     x = np.asarray(x, dtype=float)
-    parts = [_partial(field, x, a, config) for a in range(x.size)]
+    d = x.shape[-1]
+    pts = np.empty(x.shape[:-1] + (len(steps), d, 2, d))
+    pts[...] = x[..., None, None, None, :]
+    # in each (d, 2, d) block the moved coordinates lie 2d + 1 apart
+    block, h = pts.reshape(pts.shape[:-3] + (-1,)), np.asarray(steps)[:, None]
+    plus, minus = block[..., ::2 * d + 1], block[..., d::2 * d + 1]
+    plus += h
+    minus -= h
+    return pts
+
+
+def _complex(u, v) -> np.ndarray:
+    """u + iv over arrays, bit for bit."""
+    z = np.empty(np.shape(u), dtype=complex)
+    z.real, z.imag = u, v
+    return z
+
+
+def _partials(field, x, config: FDConfig, n: Optional[int] = None, value: bool = False):
+    """Partials of a stacked field along each coordinate at x.
+
+    ``field`` maps an (M, d) array of points to an (M, ...) array of
+    values, and is called once: on every shifted point of every centre
+    of x, at both steps of a Richardson level, and on the centres first
+    with ``value``.  x is one centre (d,) or a stack of them (N, d).  The
+    partials are stacked on a new axis after the centre axes, (d, ...)
+    or (N, d, ...), padded with zeros up to n coordinates: the field does
+    not depend on the coordinates past x (theta, for the ansatz).  With
+    ``value`` the result is (field at x, partials)."""
+    x = np.asarray(x, dtype=float)
+    centres = x.reshape(-1, x.shape[-1])
+    (N, d), steps = centres.shape, _steps(config)
+    pts = _stencil(centres, steps).reshape(-1, d)
+    if value:
+        pts = np.concatenate((centres, pts))
+    F = np.asarray(field(pts), dtype=float)
+    rest = F.shape[1:]
+    if value:
+        F0, F = F[:N].reshape(x.shape[:-1] + rest), F[N:]
+    F = F.reshape((N, len(steps), d, 2) + rest)
+    two_h = (2.0 * steps).reshape((-1,) + (1,) * (1 + len(rest)))
+    D = (F[:, :, :, 0] - F[:, :, :, 1]) / two_h
+    P = D[:, 0] if config.richardson == 0 else (4.0 * D[:, 1] - D[:, 0]) / 3.0
     if n is not None:
-        parts += [np.zeros_like(parts[0])] * (n - x.size)
-    return np.array(parts)
+        P = np.concatenate((P, np.zeros((N, n - d) + rest)), axis=1)
+    P = P.reshape(x.shape[:-1] + P.shape[1:])
+    return (F0, P) if value else P
 
 
 def stencil_points(z: complex, config: FDConfig, depth: int = 1) -> list:
     """Every z at which `depth` nested _partials along (u, v) around z
-    evaluate their field, z included, from the same float steps: the
+    evaluate their field, z included, from the same shift builder: the
     stencils of verify (depth 1) and of curvature (depth 2)."""
-    steps = (config.h,) if config.richardson == 0 else (config.h, config.h / 2.0)
-    pts = {(z.real, z.imag)}
+    pts = np.array([[z.real, z.imag]])
     for _ in range(depth):
-        pts |= {(float(y[0]), float(y[1])) for x in pts for axis in (0, 1)
-                for h in steps for y in _shifted(x, axis, h)}
-    return [complex(u, v) for u, v in pts]
+        pts = np.concatenate((pts, _stencil(pts, _steps(config)).reshape(-1, 2)))
+    return [complex(u, v) for u, v in dict.fromkeys(map(tuple, pts.tolist()))]
 
 
 def _exterior(P: np.ndarray, k: int) -> np.ndarray:
@@ -108,19 +133,23 @@ def _exterior(P: np.ndarray, k: int) -> np.ndarray:
 def fd_exterior_derivative(field, x, config: FDConfig = _DEFAULT_FD):
     """Exterior derivative of a k-form field (k = 0, 1, 2) by differencing.
 
-    ``field`` maps a coordinate vector to a scalar, a component vector,
-    or an antisymmetric component matrix.  The result carries one more
-    index and is antisymmetric."""
-    P = _partials(field, x, config)
+    ``field`` maps one coordinate vector to a scalar, a component
+    vector, or an antisymmetric component matrix.  The result carries
+    one more index and is antisymmetric."""
+    P = _partials(lambda X: [field(y) for y in X], x, config)
     return _exterior(P, P.ndim - 1)
 
 
 def cauchy_riemann_residual(f: Callable[[complex], complex], z: complex,
                             h: float = 1e-6) -> float:
     """|dbar f| at z by central differences in each real direction."""
-    du = (f(z + h) - f(z - h)) / (2.0 * h)
-    dv = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
-    return 0.5 * abs(du + 1j * dv)
+
+    def parts(X):
+        return [(w.real, w.imag) for w in (f(complex(u, v)) for u, v in X)]
+
+    (du_re, du_im), (dv_re, dv_im) = _partials(parts, [z.real, z.imag],
+                                               FDConfig(h, richardson=0))
+    return 0.5 * abs(complex(du_re - dv_im, du_im + dv_re))
 
 
 # ---- Gibbons-Hawking equation checks -----------------------------------
@@ -130,11 +159,12 @@ def closure_residual(data: HolomorphicData, rho: float, z: complex,
                      config: FDConfig = _DEFAULT_FD) -> float:
     """Worst component of d(Omega_i) over (rho, u, v, theta).
 
-    All three forms are differenced in one pass per stencil point; they
-    do not depend on theta, so its column of partials is zero."""
+    All three forms are differenced in one symplectic call over the
+    stencil; they do not depend on theta, so its column of partials is
+    zero."""
 
-    def forms(x):
-        return data.symplectic(x[0], complex(x[1], x[2]))
+    def forms(X):
+        return data.symplectic(X[:, 0], _complex(X[:, 1], X[:, 2]))
 
     d = _exterior(_partials(forms, [rho, z.real, z.imag], config, n=4), 2)
     return float(np.abs(d).max())
@@ -148,9 +178,9 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
     *drho = rho^2 m du^dv, *du = -drho^dv, *dv = drho^du.
     """
 
-    def eta_and_v(x):
-        V, theta, _ = data._fields(x[0], complex(x[1], x[2]))
-        return np.append(theta[:3], V)
+    def eta_and_v(X):
+        V, theta, _ = data._fields(X[:, 0], _complex(X[:, 1], X[:, 2]))
+        return np.column_stack((theta[:, :3], V))
 
     P = _partials(eta_and_v, [rho, z.real, z.imag], config)
     d_eta = _exterior(P[:, :3], 1)
@@ -173,6 +203,7 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
 # The largest entry of E^-T G E^-1 - I at which the coordinate arrays
 # still hold the coframe E, a tenth of the quaternion tolerance.
 _FRAME_FLOOR = 1e-9
+_EYE4 = np.eye(4)
 
 
 def _coframe_inverse(V: float, theta, dx) -> np.ndarray:
@@ -210,17 +241,18 @@ def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
         inv = _coframe_inverse(*fields)
         G_frame = inv.T @ G @ inv
         forms = inv.T @ gh_forms(*fields) @ inv
-    floor = float(np.abs(G_frame - np.eye(4)).max())
+    floor = float(np.abs(G_frame - _EYE4).max())
     if not floor <= _FRAME_FLOOR:
         raise CoframeDomainError(
             f"coframe lost to rounding at |z| = {abs(z)}: frame metric off by {floor:.3g}")
     J = -forms
-    J_next = J[[1, 2, 0]]  # J_j beside J_i, (i, j, k) cyclic
+    J_next = J.take(_NEXT, axis=0)  # J_j beside J_i, (i, j, k) cyclic
+    product = J @ J_next
     return {
-        "unit": float(np.abs(J @ J + np.eye(4)).max()),
-        "product": float(np.abs(J @ J_next - J[[2, 0, 1]]).max()),
-        "anticommute": float(np.abs(J @ J_next + J_next @ J).max()),
-        "roundtrip": float(np.abs(np.swapaxes(J, 1, 2) @ G_frame - forms).max()),
+        "unit": float(np.abs(J @ J + _EYE4).max()),
+        "product": float(np.abs(product - J.take(_AFTER, axis=0)).max()),
+        "anticommute": float(np.abs(product + J_next @ J).max()),
+        "roundtrip": float(np.abs(J.swapaxes(1, 2) @ G_frame - forms).max()),
     }
 
 
@@ -236,20 +268,15 @@ class CurvatureReport:
     scalar: float
 
 
-def _christoffel(metric_fn, x, config: FDConfig):
-    G0 = np.asarray(metric_fn(x))
-    dG = _partials(metric_fn, x, config, n=len(G0))
-    try:
-        Ginv = np.linalg.inv(G0)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"metric singular at x = {x.tolist()}") from exc
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
-    inner = np.einsum("bdc->dbc", dG) + np.einsum("cbd->dbc", dG) - dG
-    return 0.5 * np.einsum("ad,dbc->abc", Ginv, inner), G0
-
-
 def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     """Riemann and Ricci by plain nested central differences.
+
+    ``metric_fn`` is a stacked field: it maps an (M, d) array of points
+    to the (M, n, n) stack of metrics there.  The nested stencil is one
+    call on (1 + 2d)^2 points: the centre x and its 2d neighbours, each
+    with its own 2d neighbours.  The Christoffel symbols of those 1 + 2d
+    centres come from one inverse and one contraction over the stack,
+    and their partials at x read them by row.
 
     No Richardson anywhere: the truncation error is honestly O(h^2) so
     halving the step must shrink a known-zero residual fourfold.
@@ -261,18 +288,31 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     if x[0] <= 2.5 * h:
         raise StencilError(f"rho = {x[0]} too close to the cone point for h = {h}")
     config = FDConfig(h, richardson=0)
-    Gamma0, G0 = _christoffel(metric_fn, x, config)
-    dGamma = _partials(lambda y: _christoffel(metric_fn, y, config)[0], x, config,
-                       n=len(G0))
+    centres = np.concatenate((x[None], _stencil(x, (h,)).reshape(-1, x.size)))
+    G, dG = _partials(metric_fn, centres, config, value=True)
+    dim = G.shape[-1]
+    dG = np.pad(dG, [(0, 0), (0, dim - x.size), (0, 0), (0, 0)])
+    try:
+        Ginv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        first = next((k for k, g in enumerate(G) if np.linalg.matrix_rank(g) < dim), 0)
+        raise DegenerateMetricError(
+            f"metric singular at x = {centres[first].tolist()}") from None
+    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
+    inner = np.einsum("nbdc->ndbc", dG) + np.einsum("ncbd->ndbc", dG) - dG
+    Gamma = 0.5 * np.einsum("nad,ndbc->nabc", Ginv, inner)
+    row = {c: k for k, c in enumerate(map(tuple, centres.tolist()))}
+    dGamma = _partials(lambda X: Gamma[[row[c] for c in map(tuple, X.tolist())]],
+                       x, config, n=dim)
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + quadratic terms
     riem = (
         np.einsum("cadb->abcd", dGamma)
         - np.einsum("dacb->abcd", dGamma)
-        + np.einsum("ace,edb->abcd", Gamma0, Gamma0)
-        - np.einsum("ade,ecb->abcd", Gamma0, Gamma0)
+        + np.einsum("ace,edb->abcd", Gamma[0], Gamma[0])
+        - np.einsum("ade,ecb->abcd", Gamma[0], Gamma[0])
     )
     ricci = np.einsum("abad->bd", riem)
-    scalar = float(np.einsum("bd,bd->", np.linalg.inv(G0), ricci))
+    scalar = float(np.einsum("bd,bd->", Ginv[0], ricci))
     return CurvatureReport(
         x=x,
         h=h,
@@ -294,12 +334,13 @@ def curvature_with_noise(metric_fn, x, h: float = 1e-3):
 
 
 def metric_field(data: HolomorphicData):
-    """The 4-metric as a function of the coordinate vector (rho,u,v,theta).
+    """The 4-metric as a stacked field: an (N, d) array of coordinate
+    vectors (rho, u, v, theta) to the (N, 4, 4) stack of metrics, in one
+    metric call.  The metric does not depend on theta, so the vectors
+    may leave it out."""
 
-    The metric does not depend on theta, so the vector may leave it out."""
-
-    def fn(x):
-        return data.metric(float(x[0]), complex(x[1], x[2]))
+    def fn(X):
+        return data.metric(X[:, 0], _complex(X[:, 1], X[:, 2]))
 
     return fn
 
@@ -317,10 +358,11 @@ class StructureFit:
 
 
 def _uv_partials(frame_field, z: complex, config: FDConfig):
-    """Partials along (u, v, theta) of a slice-frame quantity, one slice
-    frame per stencil point; the partials along theta vanish."""
-    return _partials(lambda x: frame_field(complex(x[0], x[1])), [z.real, z.imag],
-                     config, n=3)
+    """Partials along (u, v, theta) of a slice-frame quantity, read off
+    the kept slice frame of each row of the stencil; the partials along
+    theta vanish."""
+    return _partials(lambda X: [frame_field(complex(u, v)) for u, v in X.tolist()],
+                     [z.real, z.imag], config, n=3)
 
 
 def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
@@ -375,7 +417,9 @@ def contact_ratio(data: HolomorphicData, z: complex,
     # dbeta over (u, v, theta) has no theta partials
     top = beta[0] * d_v[2] - beta[1] * d_u[2] + beta[2] * (d_u[1] - d_v[0])
     try:
-        vol, b = float(np.linalg.det(frame.omega)), np.linalg.solve(frame.omega.T, beta)
+        # a NaN frame reads as a vanishing volume below, not as a warning
+        with np.errstate(invalid="ignore"):
+            vol, b = float(np.linalg.det(frame.omega)), np.linalg.solve(frame.omega.T, beta)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFrameError(f"coframe solve failed at z = {z}: {exc}") from exc
     if not abs(vol) >= 1e-300:

@@ -27,7 +27,8 @@ from ghlab.holo import MuSpec
 from ghlab.pathlab import mu_variant
 from ghlab.verify import (
     FDConfig,
-    _partial,
+    _complex,
+    _partials,
     beta_zero_search,
     closure_residual,
     contact_ratio,
@@ -91,7 +92,7 @@ def _taken(tally, call):
 OPERATIONS = [
     ("slice_frame", lambda d: d.slice_frame(Z), 1),
     ("structure_coeffs", lambda d: structure_coeffs(d, Z, "zero"), 20),
-    ("closure_residual", lambda d: closure_residual(d, RHO, Z), 10),
+    ("closure_residual", lambda d: closure_residual(d, RHO, Z), 1),
     ("contact_ratio", lambda d: contact_ratio(d, Z), 10),
 ]
 
@@ -105,6 +106,28 @@ class TestEvaluationCounts:
         assert covers <= bound
         # a second call at the same z finds every record, xi included
         assert _taken(counts, lambda: call(data)) == (0, 0)
+
+    def test_cold_closure_takes_one_batch(self, counts):
+        # the nine z of the stencil come from one psi jet and one cover batch
+        data = standard_data()
+        assert _taken(counts, lambda: closure_residual(data, RHO, Z)) == (1, 1)
+
+    @pytest.mark.parametrize("x,points", [([RHO, Z.real, Z.imag], 49),
+                                          ([RHO, Z.real, Z.imag, 0.0], 81)],
+                             ids=["rho-u-v", "with-theta"])
+    def test_curvature_takes_one_metric_stack(self, monkeypatch, x, points):
+        taken = {"calls": 0, "points": 0}
+        metric = HolomorphicData.metric
+
+        def counted(self, rho, z):
+            taken["calls"] += 1
+            taken["points"] += np.size(z)
+            return metric(self, rho, z)
+
+        monkeypatch.setattr(HolomorphicData, "metric", counted)
+        curvature(metric_field(standard_data()), x, h=1e-3)
+        assert taken["calls"] <= 4
+        assert taken["points"] == points
 
     def test_rho_steps_need_no_evaluation(self, counts):
         data = standard_data()
@@ -376,13 +399,13 @@ class TestRecords:
         data = standard_data()
         x = np.array([RHO, Z.real, Z.imag, 0.0])
         fields = {
-            "omega": lambda x: np.array(data.symplectic(x[0], complex(x[1], x[2]))),
-            "theta": lambda x: data._fields(x[0], complex(x[1], x[2]))[1],
-            "metric": lambda x: data.metric(x[0], complex(x[1], x[2])),
+            "omega": lambda X: data.symplectic(X[:, 0], _complex(X[:, 1], X[:, 2])),
+            "theta": lambda X: data._fields(X[:, 0], _complex(X[:, 1], X[:, 2]))[1],
+            "metric": lambda X: data.metric(X[:, 0], _complex(X[:, 1], X[:, 2])),
         }
         for config in (FDConfig(richardson=0), FDConfig(richardson=1)):
             for name, field in fields.items():
-                column = _partial(field, x, 3, config)
+                column = _partials(field, x, config)[3]
                 assert np.all(column == 0.0), name
 
     def test_closure_matches_the_four_dimensional_stencil(self):

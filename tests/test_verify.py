@@ -23,6 +23,8 @@ from ghlab.holo import BlaschkeSpec, psi_fn
 from ghlab.verify import (
     BetaZeroReport,
     FDConfig,
+    _complex,
+    _partials,
     beta_zero_search,
     cauchy_riemann_residual,
     closure_residual,
@@ -33,6 +35,7 @@ from ghlab.verify import (
     fd_exterior_derivative,
     metric_field,
     quaternion_check,
+    stencil_points,
     structure_coeffs,
 )
 
@@ -70,6 +73,37 @@ class TestFDEngine:
         # central difference of x^3 carries error h^2 exactly
         assert abs(plain[0] - 0.75) == pytest.approx(1e-4, rel=1e-6)
         assert abs(rich[0] - 0.75) < 1e-12
+
+    @pytest.mark.parametrize("richardson", [0, 1])
+    def test_stacked_stencil(self, richardson):
+        """A stack of centres is differenced as each centre alone, bit for
+        bit, and stencil_points lists exactly the z a stencil evaluates."""
+        config = FDConfig(h=1e-3, richardson=richardson)
+        seen = set()
+
+        def forms(X):
+            z = _complex(X[:, 1], X[:, 2])
+            seen.update(z.tolist())
+            return DATA.symplectic(X[:, 0], z)
+
+        centres = np.array([[1.1, 0.3, 0.2], [0.7, -0.2, -0.35], [1.3, 0.05, 0.4]])
+        value, stacked = _partials(forms, centres, config, n=4, value=True)
+        for x, v, P in zip(centres, value, stacked):
+            assert np.array_equal(P, _partials(forms, x, config, n=4))
+            assert np.array_equal(v, DATA.symplectic(x[0], complex(x[1], x[2])))
+        for x in centres:
+            seen.clear()
+            _partials(forms, x, config)
+            assert seen == set(stencil_points(complex(x[1], x[2]), config))
+
+        def metric(X):
+            seen.update(_complex(X[:, 1], X[:, 2]).tolist())
+            return metric_field(DATA)(X)
+
+        seen.clear()
+        curvature(metric, centres[0], h=1e-3)
+        z = complex(*centres[0, 1:])
+        assert seen == set(stencil_points(z, FDConfig(1e-3, richardson=0), depth=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -177,7 +211,7 @@ class TestCurvature:
 
     def test_singular_metric_is_a_degenerate_metric(self):
         with pytest.raises(DegenerateMetricError, match=r"x = \[1\.0, 0\.0, 0\.0\]"):
-            curvature(lambda x: np.zeros((4, 4)), [1.0, 0.0, 0.0])
+            curvature(lambda X: np.zeros((len(X), 4, 4)), [1.0, 0.0, 0.0])
 
 
 class TestStructureEquations:
