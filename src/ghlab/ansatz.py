@@ -67,8 +67,7 @@ def gh_forms(V, theta, dx) -> np.ndarray:
 
 
 def _least(a: np.ndarray):
-    """The least entry of a, or its first NaN: so it is positive exactly
-    when every entry is."""
+    """The least entry of a, or its first NaN: positive only if all are."""
     return a.flat[a.argmin()]
 
 
@@ -168,12 +167,11 @@ class PointRecord:
 
     The homothety X = rho d/drho makes every field a power of rho times
     a function of z alone, and no field depends on theta.  So psi, psi',
-    phi = -1/psi, the conformal factor m, the sphere point p with its
-    (u, v) partials and xi are made once per z by HolomorphicData.fill,
-    and the forms are assembled from them: V = Im phi / rho, x = rho p,
-    eta = (Re phi / rho) drho + xi.  ``row`` holds V, Theta and the rows
-    of dx at rho = 1, read-only: the 17 numbers that _fields scales by
-    powers of rho.  ``frames`` holds the slice frames.
+    phi = -1/psi, the conformal factor m, the sphere point p and xi are
+    made once per z by HolomorphicData.fill, and the forms are scaled
+    from them: V = Im phi / rho, x = rho p, eta = (Re phi / rho) drho +
+    xi.  ``row`` holds V, Theta and the rows of dx at rho = 1, read-only.
+    ``frames`` holds the slice frames.
     """
 
     z: complex
@@ -182,8 +180,6 @@ class PointRecord:
     phi: complex
     m: float
     p: np.ndarray
-    dp_du: np.ndarray
-    dp_dv: np.ndarray
     xi: tuple
     row: np.ndarray
     frames: dict = field(default_factory=dict)
@@ -212,9 +208,9 @@ class HolomorphicData:
     The forms and metrics at a stack of (rho, z) are built from one
     assembly of V, Theta and dx out of the records at z (``_fields``),
     and each slice frame is built once per (z, slice) and kept in the
-    record at z.  ``fill`` makes
-    the records; they live as long as the data, and ``replace`` starts a
-    new object with none, so a changed psi never meets old ones.
+    record at z.  ``fill`` makes the records; they live as long as the
+    data, and ``replace`` starts a new object with none, so a changed
+    psi never meets old ones.
     """
 
     cover: object
@@ -304,15 +300,14 @@ class HolomorphicData:
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         xi = self._xi(points)
         rows = np.zeros((len(points), 17))
-        rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4] = (
-            self.v_multiplier * phi.imag, phi.real, xi, 1.0)
-        dx = rows[:, 5:].reshape(-1, 3, 4)
-        dx[..., 0], dx[..., 1], dx[..., 2] = p, dp_du, dp_dv
+        rows[:, 0], rows[:, 1], rows[:, 4] = self.v_multiplier * phi.imag, phi.real, 1.0
+        rows[:, 2:4] = xi
+        rows[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
         rows.flags.writeable = False
         for i, (key, zi) in enumerate(new.items()):
             self._records[key] = PointRecord(
-                zi, complex(psi[i]), complex(dpsi[i]), complex(phi[i]), float(m[i]),
-                p[i], dp_du[i], dp_dv[i], xi[i], rows[i])
+                zi, complex(psi[i]), complex(dpsi[i]), complex(phi[i]), float(m[i]), p[i], xi[i],
+                rows[i])
         self._underflowed.update(zi for zi, mi in zip(points, m) if not mi > 0)
 
     def _xi(self, zs: list) -> list:
@@ -340,32 +335,27 @@ class HolomorphicData:
         return self.record(z).xi
 
     # ---- the Gibbons-Hawking fields ------------------------------------
-    #
-    # rho and z broadcast to one batch shape, and every field carries it
-    # as leading axes; a scalar (rho, z) is a batch of one.
-
-    def _records_at(self, z: np.ndarray) -> list:
-        """The records at the z of an array, in order; fill makes those
-        that have none first, in one batch."""
-        zs = z.ravel().tolist()
-        records = self._records
-        try:
-            return [records[(w.real, w.imag)] for w in zs]
-        except KeyError:
-            self.fill(zs)
-            return [records[(w.real, w.imag)] for w in zs]
+    # rho and z broadcast to the batch axes that lead every field; a
+    # scalar (rho, z) is a batch of one.
 
     def _fields(self, rho, z):
-        """(V, Theta, dx) at (rho, z) from the records at z: Theta over
-        (drho, du, dv, dtheta) on the last axis and the three dx_i as
-        rows over them on the last two."""
+        """(V, Theta, dx) at (rho, z) from the records at z, which fill
+        makes first where missing, in one batch: Theta over (drho, du,
+        dv, dtheta) on the last axis and the three dx_i as rows over
+        them on the last two."""
         rho = np.asarray(rho, dtype=float)
         if not _least(rho) > 0:
             raise ValueError(f"rho = {float(rho[~(rho > 0)][0])} must be positive")
         z = np.asarray(z, dtype=complex)
         if z.shape != rho.shape:
             z = np.broadcast_to(z, np.broadcast(rho, z).shape)
-        F = np.array([r.row for r in self._records_at(z)]).reshape(z.shape + (17,))
+        zs = z.ravel().tolist()
+        try:
+            rows = [self._records[(w.real, w.imag)].row for w in zs]
+        except KeyError:
+            self.fill(zs)
+            rows = [self._records[(w.real, w.imag)].row for w in zs]
+        F = np.array(rows).reshape(z.shape + (17,))
         dx = F[..., 5:].reshape(z.shape + (3, 4))
         # the homothety: V and Theta_rho go as 1/rho, the du and dv columns of dx as rho
         inverse, linear, rho = F[..., :2], dx[..., 1:3], rho[..., None]

@@ -53,56 +53,41 @@ def _steps(config: FDConfig) -> np.ndarray:
 
 
 def _stencil(x, steps) -> np.ndarray:
-    """The points x + h e_a and x - h e_a around every centre of x
-    (..., d), for each step h of steps: an (..., steps, d, 2, d) array."""
-    x = np.asarray(x, dtype=float)
+    """x + h e_a and x - h e_a around every centre of x (..., d), for each
+    step h of steps: an (..., steps, d, 2, d) array."""
+    x, h = np.asarray(x, dtype=float), np.asarray(steps)[:, None]
     d = x.shape[-1]
-    pts = np.empty(x.shape[:-1] + (len(steps), d, 2, d))
+    pts = np.empty(x.shape[:-1] + (len(h), d, 2, d))
     pts[...] = x[..., None, None, None, :]
-    # in each (d, 2, d) block the moved coordinates lie 2d + 1 apart
-    block, h = pts.reshape(pts.shape[:-3] + (-1,)), np.asarray(steps)[:, None]
+    block = pts.reshape(pts.shape[:-3] + (-1,))  # moved coordinates lie 2d + 1 apart
     plus, minus = block[..., ::2 * d + 1], block[..., d::2 * d + 1]
     plus += h
     minus -= h
     return pts
 
 
-def _complex(u, v) -> np.ndarray:
-    """u + iv over arrays, bit for bit."""
-    z = np.empty(np.shape(u), dtype=complex)
-    z.real, z.imag = u, v
-    return z
-
-
 def _partials(field, x, config: FDConfig, n: Optional[int] = None, value: bool = False):
     """Partials of a stacked field along each coordinate at x.
 
     ``field`` maps an (M, d) array of points to an (M, ...) array of
-    values, and is called once: on every shifted point of every centre
-    of x, at both steps of a Richardson level, and on the centres first
-    with ``value``.  x is one centre (d,) or a stack of them (N, d).  The
-    partials are stacked on a new axis after the centre axes, (d, ...)
-    or (N, d, ...), padded with zeros up to n coordinates: the field does
-    not depend on the coordinates past x (theta, for the ansatz).  With
-    ``value`` the result is (field at x, partials)."""
+    values.  It is called once: on every shifted point of every centre
+    of x at each step of config, after the centres with ``value``.  x is
+    one centre (d,) or a stack (N, d); the partials are stacked on a new
+    axis after the centre axes and padded with zeros up to n: the field
+    does not depend on the coordinates past x (theta, for the ansatz).
+    With ``value`` the result is (field at x, partials)."""
     x = np.asarray(x, dtype=float)
-    centres = x.reshape(-1, x.shape[-1])
-    (N, d), steps = centres.shape, _steps(config)
-    pts = _stencil(centres, steps).reshape(-1, d)
-    if value:
-        pts = np.concatenate((centres, pts))
-    F = np.asarray(field(pts), dtype=float)
-    rest = F.shape[1:]
-    if value:
-        F0, F = F[:N].reshape(x.shape[:-1] + rest), F[N:]
-    F = F.reshape((N, len(steps), d, 2) + rest)
-    two_h = (2.0 * steps).reshape((-1,) + (1,) * (1 + len(rest)))
-    D = (F[:, :, :, 0] - F[:, :, :, 1]) / two_h
-    P = D[:, 0] if config.richardson == 0 else (4.0 * D[:, 1] - D[:, 0]) / 3.0
+    centres, steps = x.reshape(-1, x.shape[-1]), _steps(config)
+    (N, d), S = centres.shape, len(steps)
+    pts, head = _stencil(centres, steps).reshape(-1, d), N if value else 0
+    F = np.asarray(field(np.concatenate((centres, pts)) if value else pts), dtype=float)
+    F0, F = F[:head], F[head:].reshape((N, S, d, 2) + F.shape[1:])
+    D = (F[:, :, :, 0] - F[:, :, :, 1]) / (2.0 * steps).reshape((S,) + (1,) * (F.ndim - 3))
+    P = D[:, 0] if S == 1 else (4.0 * D[:, 1] - D[:, 0]) / 3.0
     if n is not None:
-        P = np.concatenate((P, np.zeros((N, n - d) + rest)), axis=1)
+        P = np.concatenate((P, np.zeros((N, n - d) + P.shape[2:])), axis=1)
     P = P.reshape(x.shape[:-1] + P.shape[1:])
-    return (F0, P) if value else P
+    return (F0.reshape(x.shape[:-1] + F0.shape[1:]), P) if value else P
 
 
 def stencil_points(z: complex, config: FDConfig, depth: int = 1) -> list:
@@ -145,11 +130,10 @@ def cauchy_riemann_residual(f: Callable[[complex], complex], z: complex,
     """|dbar f| at z by central differences in each real direction."""
 
     def parts(X):
-        return [(w.real, w.imag) for w in (f(complex(u, v)) for u, v in X)]
+        return [(w.real, w.imag) for w in map(f, (X[:, 0] + 1j * X[:, 1]).tolist())]
 
-    (du_re, du_im), (dv_re, dv_im) = _partials(parts, [z.real, z.imag],
-                                               FDConfig(h, richardson=0))
-    return 0.5 * abs(complex(du_re - dv_im, du_im + dv_re))
+    du, dv = _partials(parts, [z.real, z.imag], FDConfig(h, richardson=0))
+    return 0.5 * abs(complex(du[0] - dv[1], du[1] + dv[0]))
 
 
 # ---- Gibbons-Hawking equation checks -----------------------------------
@@ -164,7 +148,7 @@ def closure_residual(data: HolomorphicData, rho: float, z: complex,
     zero."""
 
     def forms(X):
-        return data.symplectic(X[:, 0], _complex(X[:, 1], X[:, 2]))
+        return data.symplectic(X[:, 0], X[:, 1] + 1j * X[:, 2])
 
     d = _exterior(_partials(forms, [rho, z.real, z.imag], config, n=4), 2)
     return float(np.abs(d).max())
@@ -179,7 +163,7 @@ def curl_residual(data: HolomorphicData, rho: float, z: complex,
     """
 
     def eta_and_v(X):
-        V, theta, _ = data._fields(X[:, 0], _complex(X[:, 1], X[:, 2]))
+        V, theta, _ = data._fields(X[:, 0], X[:, 1] + 1j * X[:, 2])
         return np.column_stack((theta[:, :3], V))
 
     P = _partials(eta_and_v, [rho, z.real, z.imag], config)
@@ -271,17 +255,15 @@ class CurvatureReport:
 def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     """Riemann and Ricci by plain nested central differences.
 
-    ``metric_fn`` is a stacked field: it maps an (M, d) array of points
-    to the (M, n, n) stack of metrics there.  The nested stencil is one
-    call on (1 + 2d)^2 points: the centre x and its 2d neighbours, each
-    with its own 2d neighbours.  The Christoffel symbols of those 1 + 2d
-    centres come from one inverse and one contraction over the stack,
-    and their partials at x read them by row.
-
+    ``metric_fn`` maps an (M, d) array of points to the (M, n, n) stack
+    of metrics there, and is called once, on (1 + 2d)^2 points: x and
+    its 2d neighbours, each with its own stencil.  The Christoffel
+    symbols of those 1 + 2d centres come from one inverse and one
+    contraction over the stack; their partials at x read them by row.
     No Richardson anywhere: the truncation error is honestly O(h^2) so
-    halving the step must shrink a known-zero residual fourfold.
-    When x has fewer coordinates than the metric has dimensions, the
-    metric does not depend on the rest (theta, for metric_field): their
+    halving the step must shrink a known-zero residual fourfold.  When x
+    has fewer coordinates than the metric has dimensions, the metric
+    does not depend on the rest (theta, for metric_field): their
     partials are zero and are not differenced.
     """
     x = np.asarray(x, dtype=float)
@@ -340,7 +322,7 @@ def metric_field(data: HolomorphicData):
     may leave it out."""
 
     def fn(X):
-        return data.metric(X[:, 0], _complex(X[:, 1], X[:, 2]))
+        return data.metric(X[:, 0], X[:, 1] + 1j * X[:, 2])
 
     return fn
 

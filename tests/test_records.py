@@ -27,7 +27,6 @@ from ghlab.holo import MuSpec
 from ghlab.pathlab import mu_variant
 from ghlab.verify import (
     FDConfig,
-    _complex,
     _partials,
     beta_zero_search,
     closure_residual,
@@ -399,9 +398,9 @@ class TestRecords:
         data = standard_data()
         x = np.array([RHO, Z.real, Z.imag, 0.0])
         fields = {
-            "omega": lambda X: data.symplectic(X[:, 0], _complex(X[:, 1], X[:, 2])),
-            "theta": lambda X: data._fields(X[:, 0], _complex(X[:, 1], X[:, 2]))[1],
-            "metric": lambda X: data.metric(X[:, 0], _complex(X[:, 1], X[:, 2])),
+            "omega": lambda X: data.symplectic(X[:, 0], X[:, 1] + 1j * X[:, 2]),
+            "theta": lambda X: data._fields(X[:, 0], X[:, 1] + 1j * X[:, 2])[1],
+            "metric": lambda X: data.metric(X[:, 0], X[:, 1] + 1j * X[:, 2]),
         }
         for config in (FDConfig(richardson=0), FDConfig(richardson=1)):
             for name, field in fields.items():

@@ -23,7 +23,6 @@ from ghlab.holo import BlaschkeSpec, psi_fn
 from ghlab.verify import (
     BetaZeroReport,
     FDConfig,
-    _complex,
     _partials,
     beta_zero_search,
     cauchy_riemann_residual,
@@ -82,7 +81,7 @@ class TestFDEngine:
         seen = set()
 
         def forms(X):
-            z = _complex(X[:, 1], X[:, 2])
+            z = X[:, 1] + 1j * X[:, 2]
             seen.update(z.tolist())
             return DATA.symplectic(X[:, 0], z)
 
@@ -97,7 +96,7 @@ class TestFDEngine:
             assert seen == set(stencil_points(complex(x[1], x[2]), config))
 
         def metric(X):
-            seen.update(_complex(X[:, 1], X[:, 2]).tolist())
+            seen.update((X[:, 1] + 1j * X[:, 2]).tolist())
             return metric_field(DATA)(X)
 
         seen.clear()
