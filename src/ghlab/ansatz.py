@@ -247,20 +247,6 @@ class HolomorphicData:
             self.fill([z])
         return self._records[key]
 
-    # ---- scalar fields -------------------------------------------------
-
-    def metric_factor_in_disc(self, z: complex) -> float:
-        """The conformal factor m at z, read as 0 where z is inside the
-        disc but the chart raises PunctureError: numerically at a cusp,
-        m decays like exp(-c/eps) and is far below double precision.
-        Points outside the disc still raise."""
-        try:
-            return self.cover.metric_factor(z)
-        except PunctureError:
-            if abs(z) >= 1.0:
-                raise
-            return 0.0
-
     def curl_source(self, zs: np.ndarray) -> np.ndarray:
         """The du^dv density that d xi must reproduce, at an array of z.
 
@@ -454,16 +440,18 @@ class HolomorphicData:
             arr.flags.writeable = False
         return frame
 
-    def g_sigma(self, z: complex) -> np.ndarray:
+    def g_sigma(self, z) -> np.ndarray:
         """Quotient metric on the disc: the canonical-slice metric with
-        the circle direction reduced away.  Needs no xi, and keeps no
-        record: path quadratures call it at nodes no stencil revisits."""
-        z = complex(z)
+        the circle direction reduced away, over an array of z as one
+        (..., 2, 2) array.  Needs no xi, and keeps no record: path
+        quadratures call it at nodes no stencil revisits."""
+        z = np.asarray(z, dtype=complex)
         psi, dpsi, _ = self.psi.jet(z)
-        grad = np.array([dpsi.imag, dpsi.real])
+        grad = np.stack((dpsi.imag, dpsi.real), axis=-1)
         # where m reads 0 the radial part still makes sense
-        m = self.metric_factor_in_disc(z)
-        return (np.outer(grad, grad) + psi.imag**2 * m * np.eye(2)) / abs(psi) ** 2
+        m = self.cover.metric_factors_in_disc(z)
+        G = grad[..., :, None] * grad[..., None, :] + (psi.imag**2 * m)[..., None, None] * np.eye(2)
+        return G / (np.abs(psi) ** 2)[..., None, None]
 
 
 def beta_cross_check(data: HolomorphicData, z: complex):

@@ -20,36 +20,27 @@ and push the derivative through the same chain, using the closed form
 lambda' = i pi lambda (1-lambda) theta3^4 at the reduced point rather
 than differencing the series.
 
-Very close to a cusp the reduced lambda underflows to exactly 0; the
-cusp classes of infinity and 0 then give w = 0 or 1 exactly with zero
-derivative (harmless, the conformal factor vanishes), while the class
-of 1 would need 1/0: there value() raises PunctureError and
-value_extended() gives the flipped chart 1/w.
-
-values() takes (w, dw/dz) over an array of z in one batch: a masked
-reduction, then the same series and anharmonic table (written once for
-a point and an array), with the checks of value(); metric_factors()
-reads the conformal factor off them.
+Every evaluation takes an array of points in one batch: a masked
+reduction, then the series and the anharmonic table over the whole
+array.  Very close to a cusp the reduced lambda underflows to exactly
+0; the cusp classes of infinity and 0 then give w = 0 or 1 exactly
+with zero derivative (harmless, the conformal factor vanishes), while
+the class of 1 would need 1/0.  The batch marks those points and gives
+the flipped chart 1/w there, and each caller applies its own rule:
+chart() passes the flipped chart on (puncture_distance reads it),
+values() raises PunctureError, and metric_factors_in_disc() reads the
+conformal factor there as 0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, PunctureError
-from .tessellation import (
-    INF,
-    Cusp,
-    Tessellation,
-    cayley,
-    cusp_classify,
-    reduce_to_fundamental,
-)
+from .tessellation import Cusp, Tessellation, cusp_classify
 
 DEFAULT_BALL_RADIUS = 0.1
 
@@ -75,6 +66,9 @@ _PARITY_WEIGHTS = np.array([1, 4, 2, 8])
 # Below this the reduced lambda is too small to invert: 1e-150 keeps
 # the squared denominators of the derivative away from underflow.
 _LAMBDA_FLOOR = 1e-150
+# Closer than this to -1 a disc point is numerically at that cusp, as
+# for tessellation.cayley.
+_AT_MINUS_ONE = 1e-15
 
 
 def _theta_series(t, exp):
@@ -93,47 +87,6 @@ def _theta_series(t, exp):
     t2 = 2.0 * exp(0.25j * math.pi * t) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
     t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
     return t2, t3
-
-
-def _lambda_reduced(t, exp):
-    """(lambda, lambda') at reduced points t of the fundamental domain,
-    from the fixed theta series."""
-    t2, t3 = _theta_series(t, exp)
-    lam = (t2 / t3) ** 4
-    return lam, 1j * math.pi * lam * (1.0 - lam) * t3**4
-
-
-def _undo_reduction(lam, prime, moebius, tau, c, d):
-    """(lambda, lambda') at tau from their values at the reduced point
-    (a tau + b)/(c tau + d): the anharmonic map (A, B, C, D), and the
-    chain rule through d(g tau)/d tau = 1/(c tau + d)^2."""
-    A, B, C, D = moebius
-    den = C * lam + D
-    cz = c * tau + d
-    return (A * lam + B) / den, (A * D - B * C) / (den * den) * prime / (cz * cz)
-
-
-def _lambda_core(tau: complex, flip: bool = False):
-    """(lambda(tau), lambda'(tau)): the one place a single tau is
-    reduced.
-
-    Deep in a cusp of class 1 (the maps with D = 0) the reduced lambda
-    is too small to invert.  There PunctureError is raised, or with
-    ``flip`` set the flipped chart is returned as (None, 1/lambda).  The
-    other maps need no such guard: on the fundamental domain 1 - lambda
-    = theta4^4/theta3^4 has modulus at least 1/2.
-    """
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise PunctureError(f"tau = {tau} lies on the boundary (cusp)")
-    t_red, (a, b, c, d) = reduce_to_fundamental(tau)
-    lam, prime = _lambda_reduced(t_red, cmath.exp)
-    A, B, C, D = moebius = _ANHARMONIC[(d % 2, b % 2, c % 2, a % 2)]
-    if D == 0 and abs(lam) < _LAMBDA_FLOOR:
-        if flip:
-            return None, (C * lam + D) / (A * lam + B)
-        raise PunctureError(f"tau = {tau} is numerically at a cusp")
-    return _undo_reduction(lam, prime, moebius, tau, c, d)
 
 
 def _reduce_batch(tau: np.ndarray, max_iter: int = 500):
@@ -157,6 +110,13 @@ def _reduce_batch(tau: np.ndarray, max_iter: int = 500):
     raise ConvergenceError(f"fundamental-domain reduction did not settle for {bad}")
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| over an array, rounded as CPython's abs(complex) rounds it
+    (numpy's abs can round |z| = 1 down), so that the disc check agrees
+    with that of HolomorphicData.fill."""
+    return np.hypot(z.real, z.imag)
+
+
 def _cayley_batch(z: np.ndarray) -> np.ndarray:
     """tessellation.cayley over a flat array, by CPython's complex
     division step for step, so that tau matches the scalar chart to the
@@ -177,57 +137,59 @@ def _cayley_batch(z: np.ndarray) -> np.ndarray:
 
 
 def _lambda_batch(tau: np.ndarray):
-    """(lambda, lambda') over a flat array of tau in the upper
-    half-plane: _lambda_core with the reduction masked over the array."""
+    """(lambda, lambda', flipped) over a flat array of tau in the upper
+    half-plane, in one batch: the masked reduction, the fixed series at
+    the reduced points, then the anharmonic map (A, B, C, D) of g^-1 and
+    the chain rule through d(g tau)/d tau = 1/(c tau + d)^2.
+
+    Deep in a cusp of class 1 (the maps with D = 0) the reduced lambda
+    is too small to invert.  flipped marks those points, and there the
+    first two arrays hold the flipped chart 1/lambda = (C x + D)/(A x +
+    B) and its derivative.  The other maps need no such guard: on the
+    fundamental domain 1 - lambda = theta4^4/theta3^4 has modulus at
+    least 1/2.
+    """
     off = ~(tau.imag > 0)
     if off.any():
         raise PunctureError(f"tau = {tau[off][0]} lies on the boundary (cusp)")
     t_red, g = _reduce_batch(tau)
-    lam, prime = _lambda_reduced(t_red, np.exp)
-    moebius = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T
-    stuck = (moebius[3] == 0) & (abs(lam) < _LAMBDA_FLOOR)
-    if stuck.any():
-        raise PunctureError(f"tau = {tau[stuck][0]} is numerically at a cusp")
-    return _undo_reduction(lam, prime, moebius, tau, g[2], g[3])
+    t2, t3 = _theta_series(t_red, np.exp)
+    x = (t2 / t3) ** 4
+    prime = 1j * math.pi * x * (1.0 - x) * t3**4
+    A, B, C, D = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T
+    flipped = (D == 0) & (abs(x) < _LAMBDA_FLOOR)
+    if flipped.any():
+        A, B, C, D = np.where(flipped, (C, D, A, B), (A, B, C, D))
+    den, cz = C * x + D, g[2] * tau + g[3]
+    return (A * x + B) / den, (A * D - B * C) / (den * den) * prime / (cz * cz), flipped
 
 
-def lambda_map(tau: complex) -> complex:
-    """The modular lambda function, valid on the whole upper half-plane."""
-    return _lambda_core(tau)[0]
+def _lambda_values(tau):
+    """(lambda, lambda') at tau, an array or one point; PunctureError
+    where tau is numerically at a cusp."""
+    tau = np.asarray(tau, dtype=complex)
+    lam, prime, flipped = _lambda_batch(tau.ravel())
+    if flipped.any():
+        raise PunctureError(f"tau = {tau.ravel()[flipped][0]} is numerically at a cusp")
+    return lam.reshape(tau.shape)[()], prime.reshape(tau.shape)[()]
 
 
-def lambda_prime(tau: complex) -> complex:
+def lambda_map(tau):
+    """The modular lambda function, valid on the whole upper half-plane,
+    at an array of tau or at one tau."""
+    return _lambda_values(tau)[0]
+
+
+def lambda_prime(tau):
     """d lambda / d tau via the closed form at the reduced point."""
-    return _lambda_core(tau)[1]
+    return _lambda_values(tau)[1]
 
 
-def stereo_lift(w: complex) -> np.ndarray:
-    """Stereographic chart point to unit sphere.
-
-    The sign of the middle coordinate is chosen so the chart is
-    orientation-preserving onto the outward-oriented sphere; without it
-    the wedge-product bookkeeping downstream picks up a global sign and
-    the assembled 2-forms stop being closed.
-    """
-    w = complex(w)
-    s = w.real * w.real + w.imag * w.imag
-    den = 1.0 + s
-    return np.array([2.0 * w.real / den, -2.0 * w.imag / den, (s - 1.0) / den])
-
-
-def stereo_lift_inverse_chart(w_inv: complex) -> np.ndarray:
-    """Lift from the flipped chart w_inv = 1/w (covers a puncture at w = inf)."""
-    w_inv = complex(w_inv)
-    s = w_inv.real * w_inv.real + w_inv.imag * w_inv.imag
-    den = 1.0 + s
-    return np.array([2.0 * w_inv.real / den, 2.0 * w_inv.imag / den, (1.0 - s) / den])
-
-
-def sphere_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Great-circle distance between unit vectors, robust near 0 and pi."""
-    cross = np.linalg.norm(np.cross(p, q))
-    dot = float(np.dot(p, q))
-    return math.atan2(cross, dot)
+def sphere_distance(p: np.ndarray, q: np.ndarray):
+    """Great-circle distance between unit vectors, components on the
+    last axis, robust near 0 and pi."""
+    cross = np.linalg.norm(np.cross(p, q), axis=-1)
+    return np.arctan2(cross, np.sum(p * q, axis=-1))[()]
 
 
 def punctures():
@@ -245,33 +207,13 @@ def puncture_class(cusp: Cusp) -> int:
     return {(1, 0): 1, (0, 1): 2, (1, 1): 3}[pattern]
 
 
-@dataclass(frozen=True)
-class PhiValue:
-    """One evaluation of the covering map: chart value, sphere point,
-    chart derivative.  ``w`` is None when the point sits so deep in a
-    cusp of class 1 that the chart overflowed, and ``w_inv`` = 1/w is
-    given in its place."""
-
-    w: Optional[complex]
-    w_inv: Optional[complex]
-    p: np.ndarray
-    dw_dz: Optional[complex]
-
-    def metric_factor(self) -> float:
-        """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
-        aw = abs(self.w)
-        ad = abs(self.dw_dz)
-        # near w = infinity the numerator and denominator both overflow
-        # when squared separately, so form the ratio first
-        den = 1.0 + aw * aw
-        q = ad / aw / aw if not math.isfinite(den) else ad / den
-        return 4.0 * q * q
-
-
 def _metric_factors(w: np.ndarray, dw_dz: np.ndarray) -> np.ndarray:
-    """PhiValue.metric_factor over arrays of w and dw/dz."""
+    """The conformal factor m with Phi* g_sphere = m (du^2 + dv^2) over
+    arrays of w and dw/dz."""
     aw = abs(w)
     ad = abs(dw_dz)
+    # near w = infinity the numerator and denominator both overflow
+    # when squared separately, so form the ratio first
     with np.errstate(over="ignore"):
         den = 1.0 + aw * aw
     q = ad / den
@@ -281,89 +223,87 @@ def _metric_factors(w: np.ndarray, dw_dz: np.ndarray) -> np.ndarray:
     return 4.0 * q * q
 
 
-class ModularCover:
+class _Chart:
+    """What a covering chart gives over an array of z, from its
+    ``chart(zs)`` = (w, dw/dz, flipped)."""
+
+    def values(self, zs):
+        """(w, dw/dz) over an array of z, as one batch: the checks of
+        chart(), and PunctureError for the first point numerically at a
+        cusp."""
+        w, dw_dz, flipped = self.chart(zs)
+        if flipped.any():
+            raise PunctureError(f"z = {np.asarray(zs)[flipped][0]} is numerically at a cusp")
+        return w, dw_dz
+
+    def metric_factors(self, zs) -> np.ndarray:
+        """The conformal factor m over an array of z, as one batch."""
+        return _metric_factors(*self.values(zs))
+
+    def metric_factors_in_disc(self, zs) -> np.ndarray:
+        """metric_factors, read as 0 where z is inside the disc but
+        numerically at a cusp: there m decays like exp(-c/eps) and is far
+        below double precision.  Points outside the disc still raise."""
+        w, dw_dz, flipped = self.chart(zs)
+        return np.where(flipped, 0.0, _metric_factors(w, dw_dz))
+
+
+class ModularCover(_Chart):
     """Phi = lambda o cayley with chain-rule derivative."""
 
-    def value(self, z: complex) -> PhiValue:
-        return self._value(z, flip=False)
+    def value(self, z: complex):
+        """(w, dw/dz) at one z: values() on a batch of one."""
+        w, dw_dz = self.values(np.array([z], dtype=complex))
+        return complex(w[0]), complex(dw_dz[0])
 
-    def value_extended(self, z: complex) -> PhiValue:
-        """Like value(), but survives chart overflow near w = infinity."""
-        return self._value(z, flip=True)
-
-    def _value(self, z: complex, flip: bool) -> PhiValue:
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise PunctureError(f"|z| = {abs(z)} is not inside the disc")
-        tau = cayley(z)
-        if tau is INF:
-            raise PunctureError(f"z = {z} is numerically at the cusp -1")
-        w, lam_p = _lambda_core(tau, flip)
-        if w is None:
-            return PhiValue(w=None, w_inv=lam_p, p=stereo_lift_inverse_chart(lam_p),
-                            dw_dz=None)
-        dtau_dz = -2j / (1.0 + z) ** 2
-        dw_dz = lam_p * dtau_dz
-        return PhiValue(w=w, w_inv=None, p=stereo_lift(w), dw_dz=dw_dz)
-
-    def metric_factor(self, z: complex) -> float:
-        """Conformal factor m with Phi* g_sphere = m (du^2 + dv^2)."""
-        return self.value(z).metric_factor()
-
-    def values(self, zs: np.ndarray):
-        """(w, dw/dz) over an array of z, as one batch: the same disc
-        and cusp checks as value(), raised for the first point that
-        fails."""
+    def chart(self, zs):
+        """(w, dw/dz, flipped) over an array of z, as one batch.  A point
+        outside the disc or at the cusp -1 raises PunctureError, for the
+        first such point.  flipped marks the points so deep in a cusp of
+        class 1 that w overflowed; there the flipped chart 1/w and its
+        derivative are given in its place."""
         zs = np.asarray(zs, dtype=complex)
         shape, zs = zs.shape, zs.ravel()
-        outside = abs(zs) >= 1.0
+        outside = _modulus(zs) >= 1.0
         if outside.any():
-            raise PunctureError(f"|z| = {abs(zs[outside][0])} is not inside the disc")
+            raise PunctureError(f"|z| = {_modulus(zs[outside])[0]} is not inside the disc")
         zp = 1.0 + zs
-        at_cusp = abs(zp) < 1e-15
+        at_cusp = abs(zp) < _AT_MINUS_ONE
         if at_cusp.any():
             raise PunctureError(f"z = {zs[at_cusp][0]} is numerically at the cusp -1")
-        w, lam_p = _lambda_batch(_cayley_batch(zs))
-        return w.reshape(shape), (lam_p * (-2j / (zp * zp))).reshape(shape)
+        w, lam_p, flipped = _lambda_batch(_cayley_batch(zs))
+        dw_dz = lam_p * (-2j / (zp * zp))
+        return w.reshape(shape), dw_dz.reshape(shape), flipped.reshape(shape)
 
-    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
-        """metric_factor over an array of z, as one batch."""
-        return _metric_factors(*self.values(zs))
+    def metric_factors_in_disc(self, zs) -> np.ndarray:
+        # the cusp -1 reads 0 as well
+        zs = np.asarray(zs, dtype=complex)
+        at_cusp = (abs(1.0 + zs) < _AT_MINUS_ONE) & (_modulus(zs) < 1.0)
+        return np.where(at_cusp, 0.0, super().metric_factors_in_disc(np.where(at_cusp, 0.0, zs)))
 
 
-class IdentityChart:
+class IdentityChart(_Chart):
     """The trivial covering w = z (flat-reference data)."""
 
-    def value(self, z: complex) -> PhiValue:
-        z = complex(z)
-        return PhiValue(w=z, w_inv=None, p=stereo_lift(z), dw_dz=1.0 + 0j)
-
-    def value_extended(self, z: complex) -> PhiValue:
-        return self.value(z)
-
-    def metric_factor(self, z: complex) -> float:
-        return self.value(z).metric_factor()
-
-    def values(self, zs: np.ndarray):
+    def chart(self, zs):
         zs = np.asarray(zs, dtype=complex)
-        return zs, np.ones_like(zs)
-
-    def metric_factors(self, zs: np.ndarray) -> np.ndarray:
-        return _metric_factors(*self.values(zs))
+        return zs, np.ones_like(zs), np.zeros(zs.shape, bool)
 
 
-def puncture_distance(cover, z: complex, j: int) -> float:
-    """Spherical distance from Phi(z) to puncture j (1, 2 or 3)."""
+def puncture_distance(cover, z, j: int):
+    """Spherical distance from Phi(z) to puncture j (1, 2 or 3), at an
+    array of z or at one z."""
     if j not in (1, 2, 3):
         raise ValueError(f"puncture index {j} out of range")
-    val = cover.value_extended(z)
+    # x is w, or the flipped chart 1/w where w overflowed
+    x, _, flipped = cover.chart(z)
     if j == 2:
-        return sphere_distance(val.p, punctures()[1])
+        # w = 1 lies 2 atan|(w - 1)/(w + 1)| away, the same for x = 1/w
+        return 2.0 * np.arctan2(abs(x - 1.0), abs(x + 1.0))
     # puncture 1 (w = 0) lies 2 atan|w| away and puncture 3 (w = inf)
-    # 2 atan|1/w|; where w overflowed, the flipped chart gives 1/w
-    chart, near = (val.w, 1) if val.w is not None else (val.w_inv, 3)
-    dist = 2.0 * math.atan(abs(chart))
-    return dist if j == near else math.pi - dist
+    # 2 atan|1/w|
+    dist = 2.0 * np.arctan(abs(x))
+    return np.where(flipped == (j == 3), dist, math.pi - dist)[()]
 
 
 def check_ball_radius(r: float) -> None:
@@ -385,13 +325,12 @@ def hororegion_test(
     boundary-vertex component is z in.
 
     r must satisfy check_ball_radius.  Component naming needs an
-    enumerated tessellation, and a cusp height of at least 1; with
-    tess=None only membership is returned.
+    enumerated tessellation, one z and a cusp height of at least 1; with
+    tess=None only membership is returned, and z may be an array.
     """
     check_ball_radius(r)
-    dist = puncture_distance(cover, z, j)
-    member = dist < (2.0 * r if doubled else r)
-    if not member or tess is None:
+    member = puncture_distance(cover, z, j) < (2.0 * r if doubled else r)
+    if tess is None or not member:
         return member, None
     idx = cusp_classify(z, tess, min_height=1.0)
     if idx is None:
@@ -401,9 +340,10 @@ def hororegion_test(
     return member, idx
 
 
-def geodesic_point(c1: Cusp, c2: Cusp, y: float) -> complex:
-    """The point at parameter y > 0 on the half-plane geodesic joining
-    two cusps: y -> infinity runs to c1 and y -> 0 to c2."""
+def geodesic_point(c1: Cusp, c2: Cusp, y):
+    """The point at parameter y > 0 (or an array of them) on the
+    half-plane geodesic joining two cusps: y -> infinity runs to c1 and
+    y -> 0 to c2."""
     p1, q1, p2, q2 = c1.p, c1.q, c2.p, c2.q
     if p1 * q2 - p2 * q1 < 0:
         p1, q1 = -p1, -q1
@@ -422,9 +362,8 @@ def base_triangle_image_area() -> float:
     from scipy.integrate import dblquad
 
     def integrand(y, x):
-        tau = complex(x, y)
         try:
-            value, prime = _lambda_core(tau)
+            value, prime = _lambda_values(complex(x, y))
         except PunctureError:
             return 0.0
         s = abs(value) ** 2

@@ -10,6 +10,8 @@ of log Im psi, and measures horizontal (kernel-of-beta) lengths where
 the two slice metrics must agree.  Every length is the integral of a
 pointwise speed on adaptive 8-node Gauss-Legendre panels, halved until
 a panel and its two halves agree to within its share of the tolerance.
+Paths, speeds and integrands take arrays, so each refinement is one
+batch of 16 nodes.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from numpy.polynomial.legendre import leggauss
 from .ansatz import HolomorphicData
 from .covering import (
     DEFAULT_BALL_RADIUS,
+    _lambda_batch,
     check_ball_radius,
     geodesic_point,
     hororegion_test,
-    lambda_map,
     punctures,
     sphere_distance,
-    stereo_lift,
 )
 from .errors import GHLabError, PathError, RegionError
 from .holo import MuSpec, apply_mu
@@ -39,14 +40,23 @@ from .tessellation import Cusp
 METRIC_TAGS = ("euclid", "sphere", "disc", "g3", "gs")
 
 
+def _unit_target(target: complex) -> complex:
+    """target/|target|, the boundary point a radial path runs to."""
+    t = complex(target)
+    if abs(t) == 0:
+        raise ValueError("radial target must be nonzero")
+    return t / abs(t)
+
+
 @dataclass(frozen=True)
 class ParamPath:
     """Smooth parametrized path sampled on [0, 1].
 
-    ``fn`` maps a parameter to coordinates: (u, v) for disc paths or
-    (u, v, theta) for slice paths, and ``vel`` to their exact
-    derivative.  ``proper`` marks paths running to the disc boundary as
-    s -> 1, which must then only be sampled on [0, 1).
+    ``fn`` maps an array of parameters to coordinates on a new last
+    axis: (u, v) for disc paths or (u, v, theta) for slice paths, and
+    ``vel`` to their exact derivative.  ``proper`` marks paths running
+    to the disc boundary as s -> 1, which must then only be sampled on
+    [0, 1).
     """
 
     fn: object
@@ -54,15 +64,18 @@ class ParamPath:
     dim: int = 2
     proper: bool = False
 
-    def at(self, s: float) -> np.ndarray:
-        out = np.asarray(self.fn(float(s)), dtype=float)
-        if out.shape != (self.dim,):
-            raise ValueError(f"sampler returned shape {out.shape}, expected ({self.dim},)")
+    def at(self, s) -> np.ndarray:
+        """The coordinates at s, one parameter or an array of them."""
+        s = np.asarray(s, dtype=float)
+        out = np.asarray(self.fn(s), dtype=float)
+        if out.shape != s.shape + (self.dim,):
+            raise ValueError(f"sampler returned shape {out.shape}, "
+                             f"expected {s.shape + (self.dim,)}")
         return out
 
-    def point(self, s: float) -> complex:
-        out = self.at(s)
-        return complex(out[0], out[1])
+    def point(self, s):
+        """The disc point u + i v at s, one parameter or an array."""
+        return _disc(self.at(s))
 
     # ---- constructors --------------------------------------------------
 
@@ -71,7 +84,9 @@ class ParamPath:
         """a + s (b - a): the constructors below but circle are lines."""
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
-        return cls(fn=lambda s: a + s * d, vel=lambda s: d, dim=a.size, proper=proper)
+        return cls(fn=lambda s: a + np.multiply.outer(s, d),
+                   vel=lambda s: np.broadcast_to(d, np.shape(s) + d.shape),
+                   dim=a.size, proper=proper)
 
     @classmethod
     def segment(cls, z0: complex, z1: complex) -> "ParamPath":
@@ -83,31 +98,27 @@ class ParamPath:
                phase: float = 0.0) -> "ParamPath":
         center, rate = complex(center), 2.0 * math.pi * turns
 
-        def fn(s: float) -> np.ndarray:
+        def fn(s):
             ang = phase + rate * s
-            return np.array([center.real + radius * math.cos(ang),
-                             center.imag + radius * math.sin(ang)])
+            return np.stack((center.real + radius * np.cos(ang),
+                             center.imag + radius * np.sin(ang)), axis=-1)
 
-        def vel(s: float) -> np.ndarray:
+        def vel(s):
             ang = phase + rate * s
-            return rate * radius * np.array([-math.sin(ang), math.cos(ang)])
+            return rate * radius * np.stack((-np.sin(ang), np.cos(ang)), axis=-1)
 
         return cls(fn=fn, vel=vel)
 
     @classmethod
     def radial(cls, target: complex) -> "ParamPath":
         """Straight run from the origin to the boundary point target/|target|."""
-        t = complex(target)
-        if abs(t) == 0:
-            raise ValueError("radial target must be nonzero")
-        t /= abs(t)
+        t = _unit_target(target)
         return cls._line([0.0, 0.0], [t.real, t.imag], proper=True)
 
     @classmethod
     def radial_window(cls, target: complex, s_lo: float, s_hi: float) -> "ParamPath":
         """The radius-[s_lo, s_hi] portion of the radial path, on [0, 1]."""
-        t = complex(target)
-        t /= abs(t)
+        t = _unit_target(target)
         if not 0.0 <= s_lo < s_hi < 1.0:
             raise ValueError(f"window [{s_lo}, {s_hi}] outside [0, 1)")
         return cls._line([s_lo * t.real, s_lo * t.imag], [s_hi * t.real, s_hi * t.imag])
@@ -125,6 +136,11 @@ class ParamPath:
         return cls._line([z0.real, z0.imag, 0.0], [z0.real, z0.imag, 2.0 * math.pi * turns])
 
 
+def _disc(x: np.ndarray):
+    """The disc points u + i v of coordinates x, (u, v, ...) on the last axis."""
+    return x[..., 0] + 1j * x[..., 1]
+
+
 # Nodes of the Gauss-Legendre rule on each panel; the depth cap ends the
 # halving where a speed never settles (a jump inside the interval).
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
@@ -132,24 +148,31 @@ _MAX_DEPTH = 28
 
 
 def _integrate(path: ParamPath, integrand, lo: float, hi: float, tol: float):
-    """Integrate integrand(s, velocity) over [lo, hi] to absolute tolerance tol.
+    """Integrate integrand(s, points, velocities) over [lo, hi] to
+    absolute tolerance tol > 0.
 
     [lo, hi] starts as one panel.  A panel is accepted as the sum over
     its two halves when that sum is within the panel's share of tol of
     the panel's own Gauss-Legendre sum; otherwise both halves are split
-    again, each carrying its sum."""
-    def gauss(p: float, q: float):
+    again, each carrying its sum.  The integrand takes arrays: one call
+    gives the first panel's nodes, and one call both halves' nodes."""
+    if not tol > 0:
+        raise ValueError(f"tol = {tol} must be positive")
+
+    def gauss(*edges: float):
+        """The Gauss-Legendre sums of the panels between edges."""
+        p, q = np.array(edges[:-1]), np.array(edges[1:])
         half = 0.5 * (q - p)
-        vals = [np.atleast_1d(integrand(s, path.vel(s)))
-                for s in p + half * (_GL_NODES + 1.0)]
-        return half * (_GL_WEIGHTS @ np.array(vals))
+        s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
+        vals = np.asarray(integrand(s, path.at(s), path.vel(s)), dtype=float)
+        return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
 
     total = 0.0
-    stack = [(lo, hi, gauss(lo, hi), 0)]
+    stack = [(lo, hi, gauss(lo, hi)[0], 0)]
     while stack:
         p, q, whole, depth = stack.pop()
         m = 0.5 * (p + q)
-        left, right = gauss(p, m), gauss(m, q)
+        left, right = gauss(p, m, q)
         gap = np.max(np.abs(left + right - whole))
         if depth >= _MAX_DEPTH or gap <= tol * (q - p) / (hi - lo):
             total = total + left + right
@@ -158,11 +181,26 @@ def _integrate(path: ParamPath, integrand, lo: float, hi: float, tol: float):
     return total
 
 
+def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sqrt(v M v) over a batch of velocities and metrics, negative
+    rounding read as 0."""
+    return np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", v, M, v), 0.0))
+
+
+def _frames(data: HolomorphicData, x: np.ndarray) -> list:
+    """The canonical slice frames at the disc points of x, after one
+    fill for the points that have no record."""
+    zs = _disc(x)
+    data.fill(zs)
+    return [data.slice_frame(z) for z in zs]
+
+
 def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
+    """speed(s, points, velocities) of the tagged metric over arrays."""
     if tag not in METRIC_TAGS:
         raise ValueError(f"unknown metric tag {tag!r}")
     if tag == "euclid":
-        return lambda s, p, v: float(np.linalg.norm(v))
+        return lambda s, x, v: np.linalg.norm(v, axis=-1)
     if data is None:
         raise ValueError(f"metric tag {tag!r} needs holomorphic data")
     if tag in ("sphere", "disc") and dim != 2:
@@ -171,44 +209,34 @@ def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
         raise ValueError(f"metric tag {tag!r} measures slice paths (dim 3)")
 
     if tag == "sphere":
-        def speed(s, p, v):
-            m = data.metric_factor_in_disc(complex(p[0], p[1]))
-            return math.sqrt(max(m, 0.0)) * math.hypot(v[0], v[1])
+        def speed(s, x, v):
+            m = data.cover.metric_factors_in_disc(_disc(x))
+            return np.sqrt(np.maximum(m, 0.0)) * np.hypot(v[:, 0], v[:, 1])
         return speed
 
     if tag == "disc":
-        def speed(s, p, v):
-            G = data.g_sigma(complex(p[0], p[1]))
-            return math.sqrt(max(float(v @ G @ v), 0.0))
-        return speed
+        return lambda s, x, v: _quadratic(v, data.g_sigma(_disc(x)))
 
-    def speed(s, p, v):
-        frame = data.slice_frame(complex(p[0], p[1]))
-        M = frame.g3 if tag == "g3" else frame.g_s
-        return math.sqrt(max(float(v @ M @ v), 0.0))
+    def speed(s, x, v):
+        frames = _frames(data, x)
+        return _quadratic(v, np.array([f.g3 if tag == "g3" else f.g_s for f in frames]))
 
     return speed
 
 
 def _guarded(what: str, integrand):
-    """integrand(s, velocity) with evaluation failures along the path
-    surfaced as PathError, naming what failed and where."""
+    """integrand(s, points, velocities) with evaluation failures along
+    the path surfaced as PathError, naming what failed and where."""
 
-    def guarded(s: float, v: np.ndarray):
+    def guarded(s: np.ndarray, x: np.ndarray, v: np.ndarray):
         try:
-            return integrand(s, v)
+            return integrand(s, x, v)
         except PathError:
             raise
         except GHLabError as exc:
-            raise PathError(f"{what} failed at s = {s}: {exc}") from exc
+            raise PathError(f"{what} failed for s in [{s[0]}, {s[-1]}]: {exc}") from exc
 
     return guarded
-
-
-def _speed_integrand(path: ParamPath, tag: str, data: HolomorphicData | None):
-    """integrand(s, velocity) of a length in the tagged metric."""
-    speed = _speed_fn(tag, data, path.dim)
-    return _guarded("metric evaluation", lambda s, v: speed(s, path.at(s), v))
 
 
 def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
@@ -223,7 +251,7 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
         raise ValueError(f"upto = {upto} outside (0, 1]")
     if path.proper and upto >= 1.0:
         raise ValueError("proper paths must be truncated below 1")
-    integrand = _speed_integrand(path, tag, data)
+    integrand = _guarded("metric evaluation", _speed_fn(tag, data, path.dim))
     return float(_integrate(path, integrand, 0.0, upto, tol)[0])
 
 
@@ -270,7 +298,7 @@ def divergence_sweep(data: HolomorphicData, target: complex, tag: str,
     keeps clearing a fixed positive bar.
     """
     path = ParamPath.radial(target)
-    integrand = _speed_integrand(path, tag, data)
+    integrand = _guarded("metric evaluation", _speed_fn(tag, data, path.dim))
     entries = []
     total = 0.0
     lo = 0.0
@@ -282,7 +310,7 @@ def divergence_sweep(data: HolomorphicData, target: complex, tag: str,
     grows = all(d > floor for d in profile.increments())
     verdict = "divergent-evidence" if grows else "bounded-evidence"
     return SweepReport(profile=profile, verdict=verdict, floor=floor,
-                       target=path.point(0.5) / abs(path.point(0.5)))
+                       target=_unit_target(target))
 
 
 def log_variation_check(path: ParamPath, data: HolomorphicData,
@@ -299,19 +327,16 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
     if path.dim != 2:
         raise ValueError("log variation check wants a disc path")
     if region is not None:
-        for s in np.linspace(0.0, 1.0, 64):
-            member, _ = hororegion_test(data.cover, path.point(s), region,
-                                        doubled=True)
-            if not member:
-                raise RegionError(
-                    f"path left the doubled class-{region} region at s = {s}"
-                )
+        svals = np.linspace(0.0, 1.0, 64)
+        member, _ = hororegion_test(data.cover, path.point(svals), region, doubled=True)
+        if not member.all():
+            raise RegionError(
+                f"path left the doubled class-{region} region at s = {svals[~member][0]}")
     lhs = path_length(path, "disc", data)
 
-    def variation(s: float, v: np.ndarray) -> float:
-        psi, dpsi, _ = data.psi.jet(path.point(s))
-        zdot = complex(v[0], v[1])
-        return abs((dpsi * zdot).imag) / psi.imag
+    def variation(s, x, v):
+        psi, dpsi, _ = data.psi.jet(_disc(x))
+        return abs((dpsi * _disc(v)).imag) / psi.imag
 
     integrand = _guarded("psi evaluation", variation)
     rhs = float(_integrate(path, integrand, 0.0, 1.0, 1e-6)[0]) / math.sqrt(2.0)
@@ -343,22 +368,19 @@ def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalRepor
         raise ValueError("horizontal length wants a slice path (u, v, theta)")
     state = {"max_beta": 0.0, "rerouted": False}
 
-    def lengths(s: float, v: np.ndarray) -> np.ndarray:
-        frame = data.slice_frame(path.point(s))
-        G3 = frame.g3
-        b = frame.beta
-        Gb = np.linalg.solve(G3, b)
-        q = float(b @ Gb)
-        if q < 1e-18:
-            vp = v
-            state["rerouted"] = True
-        else:
-            vp = v - (float(b @ v) / q) * Gb
-        state["max_beta"] = max(state["max_beta"], abs(float(b @ vp)))
-        return np.array([
-            math.sqrt(max(float(vp @ G3 @ vp), 0.0)),
-            math.sqrt(max(float(vp @ frame.g_s @ vp), 0.0)),
-        ])
+    def lengths(s, x, v):
+        frames = _frames(data, x)
+        G3, Gs, b = (np.array([getattr(f, name) for f in frames])
+                     for name in ("g3", "g_s", "beta"))
+        Gb = np.linalg.solve(G3, b[..., None])[..., 0]
+        q = np.einsum("ni,ni->n", b, Gb)
+        flat = q < 1e-18
+        state["rerouted"] |= bool(flat.any())
+        along = np.where(flat, 0.0, np.einsum("ni,ni->n", b, v) / np.where(flat, 1.0, q))
+        vp = v - along[:, None] * Gb
+        beta = np.abs(np.einsum("ni,ni->n", b, vp)).max()
+        state["max_beta"] = max(state["max_beta"], float(beta))
+        return np.stack((_quadratic(vp, G3), _quadratic(vp, Gs)), axis=-1)
 
     out = _integrate(path, _guarded("slice frame", lengths), 0.0, 1.0, 1e-6)
     return HorizontalReport(g3_length=float(out[0]), gs_length=float(out[1]),
@@ -396,25 +418,30 @@ _BASE_SIDES = (
 _SIDE_SAMPLES = 512
 
 
-def _side_point(c1: Cusp, c2: Cusp, y: float) -> np.ndarray | None:
-    try:
-        w = lambda_map(geodesic_point(c1, c2, y))
-    except GHLabError:
-        return None
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        return None
-    if abs(w) > 1e100:
-        return np.array([0.0, 0.0, 1.0])
-    return stereo_lift(w)
+def _lift(w: np.ndarray) -> np.ndarray:
+    """The sphere points of an array of chart values w, components on a
+    new last axis: the lift of ansatz.sphere_jacobian, without its
+    derivatives, so that it holds for any finite w."""
+    s = w.real * w.real + w.imag * w.imag
+    den = 1.0 + s
+    return np.stack((2.0 * w.real / den, -2.0 * w.imag / den, (s - 1.0) / den), axis=-1)
 
 
-def _puncture_gap(c1: Cusp, c2: Cusp, y: float, r: float) -> float:
-    """Distance from the side point at parameter y to the nearest
-    puncture, minus r; negative means inside a ball (or unevaluable)."""
-    p = _side_point(c1, c2, y)
-    if p is None:
-        return -r
-    return min(sphere_distance(p, q) for q in punctures()) - r
+def _side_points(c1: Cusp, c2: Cusp, ys) -> np.ndarray:
+    """The sphere points of the side from c1 to c2 at an array of
+    parameters y, from one lambda batch; where w is numerically
+    infinite the point is the puncture there."""
+    w, _, flipped = _lambda_batch(np.atleast_1d(geodesic_point(c1, c2, ys)))
+    p = _lift(w)
+    p[flipped] = punctures()[2]
+    return p
+
+
+def _puncture_gaps(c1: Cusp, c2: Cusp, ys, r: float) -> np.ndarray:
+    """Distance from the side points at parameters ys to the nearest
+    puncture, minus r; negative means inside a ball."""
+    p = _side_points(c1, c2, ys)
+    return np.min([sphere_distance(p, q) for q in punctures()], axis=0) - r
 
 
 def _truncated_side(c1: Cusp, c2: Cusp, r: float) -> np.ndarray:
@@ -422,14 +449,14 @@ def _truncated_side(c1: Cusp, c2: Cusp, r: float) -> np.ndarray:
 
     n = _SIDE_SAMPLES
     ys = np.exp(np.linspace(math.log(1e-3), math.log(1e3), n))
-    gaps = np.array([_puncture_gap(c1, c2, y, r) for y in ys])
+    gaps = _puncture_gaps(c1, c2, ys, r)
     inside = np.nonzero(gaps > 0.0)[0]
     if len(inside) == 0:
         raise ValueError("truncation removed the whole side; radius too large")
     lo_i, hi_i = inside[0], inside[-1]
 
     def gap(logy: float) -> float:
-        return _puncture_gap(c1, c2, math.exp(logy), r)
+        return float(_puncture_gaps(c1, c2, math.exp(logy), r)[0])
 
     log_lo = math.log(ys[lo_i])
     if lo_i > 0:
@@ -437,10 +464,7 @@ def _truncated_side(c1: Cusp, c2: Cusp, r: float) -> np.ndarray:
     log_hi = math.log(ys[hi_i])
     if hi_i < n - 1:
         log_hi = brentq(gap, math.log(ys[hi_i]), math.log(ys[hi_i + 1]), xtol=1e-13)
-
-    grid = np.exp(np.linspace(log_lo, log_hi, n))
-    pts = [_side_point(c1, c2, y) for y in grid]
-    return np.array([p for p in pts if p is not None])
+    return _side_points(c1, c2, np.exp(np.linspace(log_lo, log_hi, n)))
 
 
 def _pairwise_min(a: np.ndarray, b: np.ndarray) -> float:
@@ -486,27 +510,30 @@ def _arc_label(p: np.ndarray) -> int:
 
 
 def even_side_crossings(path: ParamPath, data: HolomorphicData) -> CrossingReport:
-    """Crossings located between 2048 evenly spaced samples of the path;
-    those inside a puncture ball of the default radius are left out."""
+    """Crossings located between 2048 evenly spaced samples of the path,
+    lifted in one batch; a sign change through samples on the circle
+    counts once.  Crossings inside a puncture ball of the default radius
+    are left out."""
     if path.dim != 2:
         raise ValueError("crossing count wants a disc path")
     from scipy.optimize import brentq
 
-    def lift(s: float) -> np.ndarray:
+    def lift(s):
         try:
-            return data.cover.value(path.point(s)).p
+            return _lift(data.cover.values(path.point(s))[0])
         except GHLabError as exc:
-            raise PathError(f"covering evaluation failed at s = {s}: {exc}") from exc
+            raise PathError(f"covering evaluation failed for s in "
+                            f"[{np.min(s)}, {np.max(s)}]: {exc}") from exc
 
     svals = np.linspace(0.0, 1.0, 2048)
-    heights = np.array([lift(s)[1] for s in svals])
+    heights = lift(svals)[:, 1]
+    off = np.flatnonzero(heights)
     labels = []
     params = []
-    for k in range(len(svals) - 1):
-        ya, yb = heights[k], heights[k + 1]
-        if ya == 0.0 or ya * yb >= 0.0:
+    for a, b in zip(off[:-1], off[1:]):
+        if (heights[a] > 0.0) == (heights[b] > 0.0):
             continue
-        s_star = brentq(lambda s: lift(s)[1], svals[k], svals[k + 1], xtol=1e-12)
+        s_star = brentq(lambda s: lift(s)[1], svals[a], svals[b], xtol=1e-12)
         p = lift(s_star)
         if min(sphere_distance(p, q) for q in punctures()) < DEFAULT_BALL_RADIUS:
             continue

@@ -17,7 +17,9 @@ ALLOWED = {
     "ansatz.HolomorphicData.xi_at": "traced by name in perfbench/layers.py (ansatz.xi)",
     "ansatz.HolomorphicData.base_metric":
         "oracle: the dx rows are orthogonal with squared lengths (1, rho^2 m, rho^2 m)",
-    "covering.lambda_prime": "the only scalar path to lambda', compared with mpmath",
+    "covering.lambda_map": "oracle: the batched series and reduction against mpmath",
+    "covering.lambda_prime":
+        "oracle: lambda' by its closed form against mpmath and a difference quotient",
     "covering.base_triangle_image_area": "oracle: the base triangle covers half the sphere",
     "holo.BlaschkeSpec.degree": "oracle: a product of degree n has n - 1 critical points",
     "pathlab.ParamPath.segment": "path constructor of the length and crossing oracles",

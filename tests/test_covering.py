@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ghlab.covering import (
     IdentityChart,
     ModularCover,
+    _metric_factors,
     _reduce_batch,
     _theta_series,
     base_triangle_image_area,
@@ -21,8 +22,8 @@ from ghlab.covering import (
     puncture_distance,
     punctures,
     sphere_distance,
-    stereo_lift,
 )
+from ghlab.ansatz import sphere_jacobian
 from ghlab.errors import ConvergenceError, GHLabError, PunctureError
 from ghlab.tessellation import (
     INF,
@@ -161,15 +162,15 @@ class TestModularCover:
     cover = ModularCover()
 
     def test_origin_value(self):
-        val = self.cover.value(0j)
-        assert abs(val.w - 0.5) < 1e-14
-        assert np.allclose(val.p, [0.8, 0.0, -0.6], atol=1e-14)
+        w, dw_dz = self.cover.value(0j)
+        assert abs(w - 0.5) < 1e-14
+        assert np.allclose(sphere_jacobian(w, dw_dz)[0], [0.8, 0.0, -0.6], atol=1e-14)
 
     @pytest.mark.parametrize("z", [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.55j])
     def test_chart_derivative_matches_fd(self, z):
         h = 1e-6
-        fd = (self.cover.value(z + h).w - self.cover.value(z - h).w) / (2 * h)
-        an = self.cover.value(z).dw_dz
+        fd = (self.cover.value(z + h)[0] - self.cover.value(z - h)[0]) / (2 * h)
+        an = self.cover.value(z)[1]
         assert abs(fd - an) / abs(an) < 1e-8
 
     def test_metric_factor_is_sphere_speed(self):
@@ -177,14 +178,13 @@ class TestModularCover:
         # squared speed of the sphere curve u -> p(z + u) is exactly m.
         z = 0.25 + 0.3j
         h = 1e-6
-        pa = self.cover.value(z + h).p
-        pb = self.cover.value(z - h).p
+        pa, pb = sphere_jacobian(*self.cover.values(np.array([z + h, z - h])))[0]
         speed_sq = (np.linalg.norm(pa - pb) / (2 * h)) ** 2
-        assert speed_sq == pytest.approx(self.cover.metric_factor(z), rel=1e-8)
+        assert speed_sq == pytest.approx(self.cover.metric_factors(z), rel=1e-8)
 
     def test_derivative_nonvanishing_on_grid(self):
         for z in _interior_grid(50):
-            assert abs(self.cover.value(z).dw_dz) > 1e-12
+            assert abs(self.cover.value(z)[1]) > 1e-12
 
     def test_deck_invariance(self):
         tess = tessellate(1)
@@ -196,7 +196,7 @@ class TestModularCover:
                 gz = sa.reflect_point(sb.reflect_point(z))
                 if abs(gz) >= 0.999:
                     continue
-                assert abs(self.cover.value(gz).w - self.cover.value(z).w) < 1e-10
+                assert abs(self.cover.value(gz)[0] - self.cover.value(z)[0]) < 1e-10
                 checked += 1
         assert checked >= 20
 
@@ -228,7 +228,7 @@ def _outcome(fn, *args):
 
 
 class TestBatchedCover:
-    """metric_factors against the scalar chart, point by point."""
+    """metric_factors against the chart at one point, value(z)."""
 
     cover = ModularCover()
 
@@ -239,8 +239,9 @@ class TestBatchedCover:
     @example(z=-1.0 + 1e-16j)
     @example(z=0.999j)
     def test_agrees_with_scalar_chart(self, z):
-        scalar = _outcome(self.cover.metric_factor, z)
-        batch = _outcome(lambda: self.cover.metric_factors(np.array([z]))[0])
+        # z alone, and z inside a batch with points that settle at once
+        scalar = _outcome(lambda: _metric_factors(*self.cover.value(z)))
+        batch = _outcome(lambda: self.cover.metric_factors(np.array([0.1, z, -0.3j]))[1])
         if isinstance(scalar, GHLabError):
             assert type(batch) is type(scalar)
             assert str(batch) == str(scalar)
@@ -249,7 +250,7 @@ class TestBatchedCover:
 
     def test_one_batch_matches_each_point(self):
         zs = np.array(_interior_grid(n=24, rmax=0.99))
-        expect = np.array([self.cover.metric_factor(z) for z in zs])
+        expect = np.array([_metric_factors(*self.cover.value(z)) for z in zs])
         got = self.cover.metric_factors(zs.reshape(2, -1))
         assert got.shape == (2, zs.size // 2)
         np.testing.assert_allclose(got.ravel(), expect, rtol=1e-12, atol=0.0)
@@ -267,10 +268,22 @@ class TestBatchedCover:
             _reduce_batch(np.array([0.1j + 2.0, tau]), max_iter=2)
         assert str(batch.value) == str(scalar.value)
 
+    def test_in_disc_factor_reads_cusps_as_zero(self):
+        # deep in the cusp at i the chart flips; -1 + 1e-16 is at the cusp -1
+        zs = np.array([0.3 + 0.2j, 0.9999j, -0.9999999999999999])
+        m = self.cover.metric_factors_in_disc(zs)
+        assert m[0] == self.cover.metric_factors(zs[0]) > 0.0
+        assert m[1] == m[2] == 0.0
+        for z in zs[1:]:
+            with pytest.raises(PunctureError, match="numerically at"):
+                self.cover.metric_factors(z)
+        with pytest.raises(PunctureError, match="not inside the disc"):
+            self.cover.metric_factors_in_disc(np.array([0.3, 1.2]))
+
     def test_identity_chart(self):
         chart = IdentityChart()
         zs = np.array([0j, 0.3 + 0.4j, -0.9j, 1.5 + 0j])
-        expect = [chart.metric_factor(z) for z in zs]
+        expect = [4.0 / (1.0 + abs(z) ** 2) ** 2 for z in zs]
         np.testing.assert_allclose(chart.metric_factors(zs), expect, rtol=1e-15)
 
 
@@ -304,9 +317,9 @@ class TestPunctures:
     def test_chart_overflow_near_vertex_i(self):
         with pytest.raises(PunctureError):
             self.cover.value(0.9999j)
-        ext = self.cover.value_extended(0.9999j)
-        assert ext.w is None
-        assert abs(ext.w_inv) < 1e-200
+        w_inv, _, flipped = self.cover.chart(0.9999j)
+        assert flipped
+        assert abs(w_inv) < 1e-200
         assert puncture_distance(self.cover, 0.9999j, 3) < 1e-100
 
     @given(z=cover_points)
@@ -318,25 +331,24 @@ class TestPunctures:
     def test_extended_chart_agrees_with_plain_chart(self, z):
         if abs(z) >= 1.0 or cayley(z) is INF:
             # outside the disc, or numerically at the cusp z = -1
-            for fn in (self.cover.value, self.cover.value_extended):
+            for fn in (self.cover.value, self.cover.chart):
                 with pytest.raises(PunctureError):
                     fn(z)
             return
-        ext = self.cover.value_extended(z)
+        w, dw_dz, flipped = self.cover.chart(z)
         try:
             val = self.cover.value(z)
         except PunctureError:
             # the chart overflowed next to the puncture at w = infinity
-            assert ext.w is None
-            assert np.abs(ext.p - punctures()[2]).max() < 1e-12
+            assert flipped
+            assert puncture_distance(self.cover, z, 3) < 1e-12
             return
-        assert ext.w == val.w
-        assert ext.dw_dz == val.dw_dz
-        assert np.array_equal(ext.p, val.p)
+        assert not flipped
+        assert (w, dw_dz) == val
 
     def test_moderate_points_keep_plain_chart(self):
-        val = self.cover.value_extended(0.3 + 0.1j)
-        assert val.w is not None and val.dw_dz is not None
+        _, _, flipped = self.cover.chart(0.3 + 0.1j)
+        assert not flipped
 
 
 class TestHororegions:
@@ -425,15 +437,18 @@ class TestIdentityChart:
     chart = IdentityChart()
 
     def test_value_is_identity(self):
-        val = self.chart.value(0.3 + 0.4j)
-        assert val.w == 0.3 + 0.4j
-        assert val.dw_dz == 1.0
+        w, dw_dz = self.chart.values(0.3 + 0.4j)
+        assert w == 0.3 + 0.4j
+        assert dw_dz == 1.0
 
     def test_metric_factor(self):
         z = 0.3 + 0.4j
         expect = 4.0 / (1.0 + abs(z) ** 2) ** 2
-        assert self.chart.metric_factor(z) == pytest.approx(expect, rel=1e-15)
+        assert self.chart.metric_factors(z) == pytest.approx(expect, rel=1e-15)
 
     def test_lift_matches_stereo(self):
+        # the orientation-preserving stereographic lift of w = z
         z = 0.2 - 0.5j
-        assert np.allclose(self.chart.value(z).p, stereo_lift(z))
+        s = abs(z) ** 2
+        stereo = np.array([2.0 * z.real, -2.0 * z.imag, s - 1.0]) / (1.0 + s)
+        assert np.allclose(sphere_jacobian(*self.chart.values(z))[0], stereo)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghlab.covering
 from ghlab.ansatz import HolomorphicData, standard_data
-from ghlab.errors import InvalidMuError, PathError, RegionError
+from ghlab.errors import ConvergenceError, InvalidMuError, PathError, RegionError
 from ghlab.holo import MuSpec
 from ghlab.pathlab import (
     DEFAULT_LADDER,
@@ -54,6 +55,10 @@ class TestParamPath:
         with pytest.raises(ValueError):
             ParamPath.radial_window(1.0, 0.5, 0.4)
 
+    def test_window_rejects_zero_target(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            ParamPath.radial_window(0, 0.1, 0.5)
+
     def test_sampler_shape_checked(self):
         bad = ParamPath(fn=lambda s: np.zeros(4), vel=lambda s: np.zeros(4), dim=2)
         with pytest.raises(ValueError):
@@ -95,6 +100,15 @@ class TestLength:
         with pytest.raises(ValueError):
             path_length(seg, "g3", DATA)  # disc path under a slice tag
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan], ids=["zero", "negative", "nan"])
+    def test_tolerance_must_be_positive(self, tol):
+        # a tolerance no panel can meet would halve toward 2^28 panels
+        seg = ParamPath.segment(0.1, 0.5 + 0.2j)
+        with pytest.raises(ValueError, match="must be positive"):
+            path_length(seg, "disc", DATA, tol=tol)
+        with pytest.raises(ValueError, match="must be positive"):
+            divergence_sweep(DATA, GENERIC, "sphere", tol=tol)
+
     def test_proper_path_needs_truncation(self):
         with pytest.raises(ValueError):
             path_length(ParamPath.radial(1j), "sphere", DATA, upto=1.0)
@@ -103,6 +117,14 @@ class TestLength:
         seg = ParamPath.segment(0.9, 1.2)
         with pytest.raises(PathError):
             path_length(seg, "sphere", DATA)
+
+    def test_reduction_failure_becomes_path_error(self, monkeypatch):
+        def unsettled(tau, max_iter=500):
+            raise ConvergenceError("fundamental-domain reduction did not settle")
+
+        monkeypatch.setattr(ghlab.covering, "_reduce_batch", unsettled)
+        with pytest.raises(PathError, match="did not settle"):
+            path_length(ParamPath.segment(0.1, 0.5), "sphere", DATA)
 
     def test_profile_monotone_validation(self):
         with pytest.raises(ValueError):
@@ -169,7 +191,7 @@ def _quad_lengths(target, tag, ladder):
     v = np.array([t.real, t.imag])
     if tag == "sphere":
         def speed(r):
-            return math.sqrt(max(DATA.metric_factor_in_disc(r * t), 0.0))
+            return math.sqrt(max(float(DATA.cover.metric_factors_in_disc(r * t)), 0.0))
     else:
         def speed(r):
             return math.sqrt(max(float(v @ DATA.g_sigma(r * t) @ v), 0.0))
@@ -295,6 +317,13 @@ class TestCrossings:
         hc = hexagon_constants(0.1)
         length = path_length(arc, "sphere", DATA)
         assert length >= rep.count * hc.c1 - 1e-6
+
+    @pytest.mark.parametrize("z0", [-0.1023j, -0.10231j], ids=["on-a-sample", "between"])
+    def test_crossing_on_a_sample_counts_once(self, z0):
+        # from -0.1023j the real axis falls exactly on sample 1023 of 2048
+        rep = even_side_crossings(ParamPath.segment(z0, 0.1024j), DATA)
+        assert rep.labels == (0,)
+        assert rep.params == pytest.approx((-z0.imag / (0.1024 - z0.imag),), abs=1e-9)
 
     def test_labels_are_arcs(self):
         rep = even_side_crossings(ParamPath.segment(0.0, 0.95 * GENERIC), DATA)

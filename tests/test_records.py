@@ -5,10 +5,10 @@ none depends on theta, so the psi jet, the covering value and xi are
 taken once per disc point, by one eager HolomorphicData.fill for every
 new point of a batch, and shared by every form assembled there.  These
 tests count Blaschke jets (calls of ``blaschke_derivs``) and covering
-evaluations (calls of ``ModularCover.value`` and ``.values``), a batch
-counting once, so a regression in the sharing shows as a count rather
-than as timing noise.  They also pin the batched records against the
-scalar point functions.
+evaluations (calls of ``ModularCover.chart``, which every cover
+evaluation goes through), a batch counting once, so a regression in the
+sharing shows as a count rather than as timing noise.  They also pin
+the batched records against the point functions.
 """
 
 import cmath
@@ -48,7 +48,7 @@ def counts(monkeypatch):
     The quadrature evaluates its integrand (curl_source) at nodes no
     stencil revisits; those evaluations belong to xi, not to the point."""
     tally = {"jets": 0, "covers": 0, "in_xi": 0}
-    jet, value, values = ghlab.holo.blaschke_derivs, ModularCover.value, ModularCover.values
+    jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
     source = HolomorphicData.curl_source
 
     def counted_jet(spec, z):
@@ -56,15 +56,10 @@ def counts(monkeypatch):
             tally["jets"] += 1
         return jet(spec, z)
 
-    def counted_value(self, z):
+    def counted_chart(self, zs):
         if not tally["in_xi"]:
             tally["covers"] += 1
-        return value(self, z)
-
-    def counted_values(self, zs):
-        if not tally["in_xi"]:
-            tally["covers"] += 1
-        return values(self, zs)
+        return chart(self, zs)
 
     def quiet_source(self, zs):
         tally["in_xi"] += 1
@@ -74,8 +69,7 @@ def counts(monkeypatch):
             tally["in_xi"] -= 1
 
     monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
-    monkeypatch.setattr(ModularCover, "value", counted_value)
-    monkeypatch.setattr(ModularCover, "values", counted_values)
+    monkeypatch.setattr(ModularCover, "chart", counted_chart)
     monkeypatch.setattr(HolomorphicData, "curl_source", quiet_source)
     return tally
 
@@ -171,26 +165,47 @@ class TestEvaluationCounts:
 
     def test_default_sweep_speed_evaluations(self, monkeypatch, tmp_path):
         """Speed evaluations of one default sweep: 8 Gauss-Legendre nodes
-        on each panel, and each halved panel's sum carried down."""
-        calls = [0]
+        on each panel, and each halved panel's sum carried down.  The
+        speed takes arrays: one call per first panel and one per
+        refinement, so at most one call per 8 nodes."""
+        taken = {"calls": 0, "nodes": 0}
         factory = ghlab.pathlab._speed_fn
 
         def counted_factory(*args):
             speed = factory(*args)
 
-            def counted(*point):
-                calls[0] += 1
-                return speed(*point)
+            def counted(s, x, v):
+                taken["calls"] += 1
+                taken["nodes"] += len(s)
+                return speed(s, x, v)
 
             return counted
 
         monkeypatch.setattr(ghlab.pathlab, "_speed_fn", counted_factory)
-        taken = []
+        runs = []
         for run in range(2):
-            calls[0] = 0
+            taken.update(calls=0, nodes=0)
             assert main(["sweep", "--out", str(tmp_path / str(run))]) == 0
-            taken.append(calls[0])
-        assert taken[0] == taken[1] <= 3920
+            runs.append(dict(taken))
+        assert runs[0] == runs[1]
+        assert runs[0]["nodes"] <= 3920
+        assert runs[0]["calls"] <= 490
+
+    def test_horizontal_length_fills_each_batch_once(self, monkeypatch):
+        # one first panel of 8 nodes and one refinement of 16: two fills,
+        # and no slice frame fills its point alone
+        sizes = []
+        fill = HolomorphicData.fill
+
+        def counted(self, zs):
+            zs = list(zs)
+            sizes.append(len(zs))
+            return fill(self, zs)
+
+        monkeypatch.setattr(HolomorphicData, "fill", counted)
+        seg = ghlab.pathlab.ParamPath.slice_segment((0.1, 0.05, 0.0), (0.45, 0.3, 1.2))
+        ghlab.pathlab.horizontal_length(seg, standard_data())
+        assert sizes == [8, 16]
 
 
 class TestSharedFrames:
@@ -233,8 +248,7 @@ class TestXiCounts:
         data = standard_data()
         calls = {"xi": [], "record": []}
         phase = ["record"]
-        jet, values, value = (ghlab.holo.blaschke_derivs, ModularCover.values,
-                              ModularCover.value)
+        jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
         products, source = ghlab.holo._blaschke_batch, HolomorphicData.curl_source
 
         def counted_jet(spec, z):
@@ -246,13 +260,9 @@ class TestXiCounts:
                 calls[phase[0]].append("B batch")
             return products(spec, z, derivs)
 
-        def counted_values(self, zs):
+        def counted_chart(self, zs):
             calls[phase[0]].append("cover batch")
-            return values(self, zs)
-
-        def counted_value(self, z):
-            calls[phase[0]].append("cover")
-            return value(self, z)
+            return chart(self, zs)
 
         def counted_source(self, zs):
             phase[0] = "xi"
@@ -263,8 +273,7 @@ class TestXiCounts:
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
         monkeypatch.setattr(ghlab.holo, "_blaschke_batch", counted_products)
-        monkeypatch.setattr(ModularCover, "values", counted_values)
-        monkeypatch.setattr(ModularCover, "value", counted_value)
+        monkeypatch.setattr(ModularCover, "chart", counted_chart)
         monkeypatch.setattr(HolomorphicData, "curl_source", counted_source)
         z = 0.22 + 0.13j
         first = data.xi_at(z)
@@ -308,7 +317,6 @@ class TestXiPrefetch:
                  "sources": dict.fromkeys(phases, 0), "made": dict.fromkeys(phases, 0),
                  "covers": dict.fromkeys(phases, 0)}
         fill, source = HolomorphicData.fill, HolomorphicData.curl_source
-        values, value = ModularCover.values, ModularCover.value
         record = ghlab.ansatz.PointRecord
 
         def counted_fill(self, zs):
@@ -330,8 +338,7 @@ class TestXiPrefetch:
 
         monkeypatch.setattr(HolomorphicData, "fill", counted_fill)
         monkeypatch.setattr(HolomorphicData, "curl_source", counted("sources", source))
-        monkeypatch.setattr(ModularCover, "values", counted("covers", values))
-        monkeypatch.setattr(ModularCover, "value", counted("covers", value))
+        monkeypatch.setattr(ModularCover, "chart", counted("covers", ModularCover.chart))
         monkeypatch.setattr(ghlab.ansatz, "PointRecord", counted("made", record))
         assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
         assert state["sources"]["before"] == state["sources"]["after"] == 0
@@ -346,8 +353,9 @@ DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
 
 class TestBatchAgainstPoint:
     """A record's fields come from one batch.  They agree with the
-    scalar point functions to rounding, not bit for bit: numpy and
-    CPython divide complex numbers differently."""
+    point functions (the scalar psi jet, the cover on a batch of one) to
+    rounding: the scalar jet divides complex numbers as CPython does,
+    not as numpy does."""
 
     @pytest.fixture(scope="class")
     def sample(self):
@@ -372,14 +380,15 @@ class TestBatchAgainstPoint:
     def test_conformal_factor(self, sample):
         data, zs = sample
         for z in zs:
-            m = data.cover.metric_factor(z)
+            m = data.cover.metric_factors(z)
             assert abs(data.record(z).m - m) <= 1e-13 * m, z
-        assert data.record(0.99).m == data.cover.metric_factor(0.99) == 0.0
+        assert data.record(0.99).m == data.cover.metric_factors(0.99) == 0.0
 
     def test_sphere_point(self, sample):
         data, zs = sample
         for z in zs:
-            assert np.abs(data.record(z).p - data.cover.value(z).p).max() <= 1e-13, z
+            p = sphere_jacobian(*data.cover.value(z))[0]
+            assert np.abs(data.record(z).p - p).max() <= 1e-13, z
 
     def test_sphere_jacobian_on_an_array_is_per_point(self, sample):
         data, zs = sample

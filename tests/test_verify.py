@@ -118,7 +118,7 @@ class TestFDEngine:
 
     def test_covering_chart_is_holomorphic(self):
         for z in (0.25 + 0.1j, -0.3 + 0.4j):
-            res = cauchy_riemann_residual(lambda w: DATA.cover.value(w).w, z)
+            res = cauchy_riemann_residual(lambda w: DATA.cover.value(w)[0], z)
             assert res < 1e-8
 
 
@@ -135,7 +135,7 @@ class TestGibbonsHawking:
         bad = standard_data(v_multiplier=1.01)
         z = 0.3 + 0.2j
         out = curl_residual(bad, 1.1, z)
-        expected = -0.01 * bad.phi(z).imag * bad.cover.metric_factor(z)
+        expected = -0.01 * bad.phi(z).imag * bad.cover.metric_factors(z)
         assert out["du^dv"] == pytest.approx(expected, rel=1e-4)
         assert out["max"] > 1e-3
 
