@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ghlab.ansatz import sphere_jacobian
 from ghlab.covering import (
     IdentityChart,
     ModularCover,
@@ -23,7 +24,6 @@ from ghlab.covering import (
     punctures,
     sphere_distance,
 )
-from ghlab.ansatz import sphere_jacobian
 from ghlab.errors import ConvergenceError, GHLabError, PunctureError
 from ghlab.tessellation import (
     INF,
