@@ -66,6 +66,12 @@ def gh_forms(V, theta, dx) -> np.ndarray:
             + V * wedge(dx.take(_NEXT, axis=-2), dx.take(_AFTER, axis=-2)))
 
 
+def stacked(items, *names) -> list:
+    """The attributes ``names`` of items (records or slice frames), each
+    as one array stacked over the items."""
+    return [np.array([getattr(item, name) for item in items]) for name in names]
+
+
 def _least(a: np.ndarray):
     """The least entry of a, or its first NaN: positive only if all are."""
     return a.flat[a.argmin()]
@@ -81,9 +87,14 @@ def sphere_jacobian(w, dw_dz):
     s = a * a + b * b
     den = 1.0 + s
     p = np.array([2.0 * a / den, -2.0 * b / den, (s - 1.0) / den])
-    d2 = den * den
-    dpa = np.array([(2.0 + 2.0 * s - 4.0 * a * a) / d2, 4.0 * a * b / d2, 4.0 * a / d2])
-    dpb = np.array([-4.0 * a * b / d2, -(2.0 + 2.0 * s - 4.0 * b * b) / d2, 4.0 * b / d2])
+    with np.errstate(over="ignore"):
+        d2 = den * den
+    # den^2 overflows for |w| beyond about 1e77, den does not: there the
+    # partials are divided by den twice
+    big = ~np.isfinite(d2)
+    first, d2 = np.where(big, den, 1.0), np.where(big, den, d2)
+    dpa = np.array([2.0 + 2.0 * s - 4.0 * a * a, 4.0 * a * b, 4.0 * a]) / first / d2
+    dpb = np.array([-4.0 * a * b, -(2.0 + 2.0 * s - 4.0 * b * b), 4.0 * b]) / first / d2
     du = dpa * dw_dz.real + dpb * dw_dz.imag
     dv = -dpa * dw_dz.imag + dpb * dw_dz.real
     return tuple(np.moveaxis(x, 0, -1) for x in (p, du, dv))
@@ -391,54 +402,71 @@ class HolomorphicData:
 
     # ---- slices --------------------------------------------------------
 
-    def slice_frame(self, z: complex, which: str = "canonical") -> SliceFrame:
-        """The frame of the slice ``which`` at z, built on first use and
-        kept in the record at z.  With rho0_kind "canonical" the zero
-        slice is the canonical one and shares its frame."""
+    def slice_frames(self, zs, which: str = "canonical") -> list:
+        """The frames of the slice ``which`` at the z of zs, in order.
+
+        After one fill, every frame not yet kept is built in one stacked
+        assembly and kept in the record at its z, read-only.  With
+        rho0_kind "canonical" the zero slice is the canonical one and
+        shares its frames."""
         if which not in ("canonical", "zero"):
             raise ValueError(f"unknown slice {which!r}")
-        z = complex(z)
         if which == "zero" and self.rho0_kind == "canonical":
             which = "canonical"
-        rec = self.record(z)
-        frame = rec.frames.get(which)
-        if frame is not None:
-            return frame
+        zs = np.ravel(np.asarray(zs, dtype=complex)).tolist()
+        self.fill(zs)
+        recs = [self._records[(z.real, z.imag)] for z in zs]
+        new = list({id(r): r for r in recs if which not in r.frames}.values())
+        if new:
+            self._build_frames(new, which)
+        return [r.frames[which] for r in recs]
+
+    def slice_frame(self, z: complex, which: str = "canonical") -> SliceFrame:
+        """The frame of the slice ``which`` at z: slice_frames on z alone."""
+        return self.slice_frames([z], which)[0]
+
+    def _build_frames(self, recs: list, which: str) -> None:
+        """Build and keep the frames of the slice ``which`` at the records
+        recs, as one stack: one field assembly, one metric, one set of
+        forms, and each per-frame product as one matmul over the stack."""
+        n = len(recs)
+        z, psi, dpsi, p = stacked(recs, "z", "psi", "dpsi", "p")
         # each slice is a graph (rho over the disc, its (du, dv) gradient);
         # the zero slice is the graph of rho0
-        psi, dpsi, k = rec.psi, rec.dpsi, self.rho0_scale
-        canonical = psi.imag, (dpsi.imag, dpsi.real)
+        k = self.rho0_scale
+        canonical = psi.imag, np.stack((dpsi.imag, dpsi.real), axis=-1)
         if self.rho0_kind == "canonical":
             zero = canonical
         elif self.rho0_kind == "constant":
-            zero = k, (0.0, 0.0)
+            zero = np.full(n, k), np.zeros((n, 2))
         else:
-            zero = k * psi.imag, (k * dpsi.imag, k * dpsi.real)
-        rho_s, grad = canonical if which == "canonical" else zero
-        # row a is the pull-back of the a-th of (drho, du, dv, dtheta) to
-        # the slice, over its (du, dv, dtheta)
-        pull = np.zeros((4, 3))
-        pull[0, 0], pull[0, 1] = grad
-        pull[1, 0] = pull[2, 1] = pull[3, 2] = 1.0
-        V, theta, dx = self._fields(rho_s, z)
+            zero = k * psi.imag, k * canonical[1]
+        rho, grad = canonical if which == "canonical" else zero
+        # row a of pull is the pull-back of the a-th of (drho, du, dv,
+        # dtheta) to the slice, over its (du, dv, dtheta)
+        pull = np.zeros((n, 4, 3))
+        pull[:, 0, :2] = grad
+        pull[:, 1, 0] = pull[:, 2, 1] = pull[:, 3, 2] = 1.0
+        pull_t = pull.swapaxes(1, 2)
+        V, theta, dx = self._fields(rho, z)
         G4 = self._metric_from(z, V, theta, dx)
-        X = np.array([rho_s, 0.0, 0.0, 0.0])
-        xflat4 = G4 @ X
-        frame = rec.frames[which] = SliceFrame(
-            rho=rho_s,
-            t_slice=math.log(rho_s) - math.log(zero[0]),
-            V=float(V),
-            x=rho_s * rec.p,
-            omega=X @ gh_forms(V, theta, dx) @ pull,
-            xflat=pull.T @ xflat4,
-            x_norm_sq=float(X @ xflat4),
-            g3=pull.T @ G4 @ pull,
-            theta=pull.T @ theta,
-            drho=pull[0],
-        )
-        for arr in (frame.x, frame.omega, frame.xflat, frame.g3, frame.theta, frame.drho):
+        # contractions with the scaling field X = rho d/drho
+        xflat4 = rho[:, None, None] * G4[..., :1]
+        x = rho[:, None] * p
+        omega = rho[:, None, None] * gh_forms(V, theta, dx)[:, :, 0] @ pull
+        xflat = (pull_t @ xflat4)[..., 0]
+        g3 = pull_t @ G4 @ pull
+        theta = (pull_t @ theta[..., None])[..., 0]
+        drho = pull[:, 0]
+        for arr in (x, omega, xflat, g3, theta, drho):
             arr.flags.writeable = False
-        return frame
+        x_norm_sq = (rho * xflat4[:, 0, 0]).tolist()
+        rho, V = rho.tolist(), V.tolist()
+        t_slice = [math.log(a) - math.log(b) for a, b in zip(rho, zero[0].tolist())]
+        # iterating a stack gives the per-frame views
+        for rec, *columns in zip(recs, rho, t_slice, V, x, omega, xflat, x_norm_sq, g3,
+                                 theta, drho):
+            rec.frames[which] = SliceFrame(*columns)
 
     def g_sigma(self, z) -> np.ndarray:
         """Quotient metric on the disc: the canonical-slice metric with
@@ -454,7 +482,7 @@ class HolomorphicData:
         return G / (np.abs(psi) ** 2)[..., None, None]
 
 
-def beta_cross_check(data: HolomorphicData, z: complex):
+def beta_cross_check(data: HolomorphicData, z):
     """Recover (beta, gamma) from the connection and radius forms alone.
 
     On the canonical slice the pair (beta, gamma = sum x_i omega_i)
@@ -464,27 +492,26 @@ def beta_cross_check(data: HolomorphicData, z: complex):
          [ rho^2,  -Re psi]] [gamma_a]  =  [ rho (drho)_a     ]
 
     with determinant |psi|^2.  Returns both the solved pair and the
-    directly assembled one so callers can compare the two routes.
+    directly assembled one so callers can compare the two routes: each
+    an array of the shape of z with the three components last.
     """
-    z = complex(z)
-    frame = data.slice_frame(z, "canonical")
-    rec = data.record(z)
-    psi, phi = rec.psi, rec.phi
-    rho = frame.rho
-
-    A = np.array([[-psi.real, -1.0], [rho * rho, -psi.real]])
-    beta = np.zeros(3)
-    gamma = np.zeros(3)
-    for a in range(3):
-        rhs = np.array([frame.theta[a] / abs(phi) ** 2, rho * frame.drho[a]])
-        beta[a], gamma[a] = np.linalg.solve(A, rhs)
-    gamma_direct = frame.x @ frame.omega
-    return {
-        "beta_solved": beta,
-        "gamma_solved": gamma,
-        "beta_direct": frame.beta,
-        "gamma_direct": gamma_direct,
+    z = np.asarray(z, dtype=complex)
+    rho, theta, drho, x, omega, beta = stacked(
+        data.slice_frames(z, "canonical"), "rho", "theta", "drho", "x", "omega", "beta")
+    psi, phi = stacked([data.record(w) for w in z.ravel().tolist()], "psi", "phi")
+    A = np.empty((len(rho), 1, 2, 2))
+    A[:, 0, 0, 0] = A[:, 0, 1, 1] = -psi.real
+    A[:, 0, 0, 1], A[:, 0, 1, 0] = -1.0, rho * rho
+    # |phi| as CPython's abs rounds it
+    rhs = np.stack((theta / np.hypot(phi.real, phi.imag)[:, None] ** 2, rho[:, None] * drho), -1)
+    solved = np.linalg.solve(A, rhs[..., None])[..., 0]
+    out = {
+        "beta_solved": solved[..., 0],
+        "gamma_solved": solved[..., 1],
+        "beta_direct": beta,
+        "gamma_direct": (x[:, None] @ omega)[:, 0],
     }
+    return {name: arr.reshape(z.shape + (3,)) for name, arr in out.items()}
 
 
 def standard_data(vertices=(1, 1j, -1, -1j), depths=(1, 2), **kwargs) -> HolomorphicData:

@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
+from .ansatz import HolomorphicData, beta_cross_check, stacked, standard_data, validate_rho0
 from .covering import check_ball_radius, puncture_class
 from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError, StencilError
 from .holo import MuSpec
@@ -438,16 +438,10 @@ def cmd_build(cfg: ExperimentConfig, out: Path):
     data = build_data(cfg.data)
     rows = []
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
-    data.fill(points)
-    for z in points:
-        frame = data.slice_frame(z)
+    for z, frame in zip(points, data.slice_frames(points)):
         rec = data.record(z)
-        psi = rec.psi
-        rows.append([
-            z.real, z.imag, psi.imag, psi.real,
-            frame.V, rec.m, frame.lam0,
-            frame.beta[2], frame.x[0], frame.x[1], frame.x[2],
-        ])
+        rows.append([z.real, z.imag, rec.psi.imag, rec.psi.real, frame.V, rec.m,
+                     frame.lam0, frame.beta[2], *frame.x])
     header = ["u", "v", "im_psi", "re_psi", "potential", "metric_factor",
               "lam0", "beta_theta", "x1", "x2", "x3"]
     csv_path = out / "fields.csv"
@@ -487,58 +481,39 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     fdc = cfg.fd.as_fd()
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
     _check_stencil_reach("fd.h", fdc.h, 1, points)
-    data.fill([w for z in points for w in stencil_points(z, fdc)])
-    rows = []
-    maxima = {name: 0.0 for name in _VERIFY_CHECKS}
-    contact_signs_ok = True
-    for z in points:
-        frame = data.slice_frame(z)
-        rho = frame.rho
-        rec = data.record(z)
-        psi, phi = rec.psi, rec.phi
-
-        cr = cauchy_riemann_residual(data.phi, z)
-        quat = max(quaternion_check(data, rho, z).values())
-        clo = closure_residual(data, rho, z, config=fdc)
-        curl = curl_residual(data, rho, z, config=fdc)["max"]
-        slice_id = max(
-            abs(frame.V - abs(phi) ** 2),
-            abs(frame.rho - psi.imag),
-            abs(frame.t_slice),
-        )
-        fit = structure_coeffs(data, z, "zero", config=fdc)
-        structure = max(
-            fit.residual,
-            abs(fit.lam0 - math.exp(frame.t_slice)),
-        )
-        cross = beta_cross_check(data, z)
-        beta_gap = max(
-            np.abs(cross["beta_solved"] - cross["beta_direct"]).max(),
-            np.abs(cross["gamma_solved"] - cross["gamma_direct"]).max(),
-        )
-        psi_rec = abs(complex(-frame.beta[2], frame.rho) - psi)
-        contact = contact_ratio(data, z, config=fdc)
-        contact_gap = abs(contact["ratio"] - contact["algebraic"])
-        # the ratio must come out negative wherever it is genuinely nonzero
-        if contact["algebraic"] < -tol.contact and contact["ratio"] >= 0.0:
-            contact_signs_ok = False
-
-        values = {
-            "cauchy_riemann": cr,
-            "quaternion": quat,
-            "closure": clo,
-            "curl": curl,
-            "slice_identity": slice_id,
-            "structure": structure,
-            "beta_cross": beta_gap,
-            "psi_reconstruction": psi_rec,
-            "contact": contact_gap,
-        }
-        for name, value in values.items():
-            # np.maximum keeps a NaN, where max() would drop it
-            maxima[name] = float(np.maximum(maxima[name], value))
-        rows.append([z.real, z.imag] + [values[n] for n in _VERIFY_CHECKS]
-                    + [contact["ratio"]])
+    # one fill and one frame assembly for every stencil point of the pass
+    data.slice_frames([w for z in points for w in stencil_points(z, fdc)])
+    # every check runs once, over the stack of centres
+    z = np.array(points)
+    rho, V, t_slice, beta = stacked(data.slice_frames(z), "rho", "V", "t_slice", "beta")
+    psi, phi = stacked([data.record(w) for w in points], "psi", "phi")
+    values = {
+        "cauchy_riemann": np.array([cauchy_riemann_residual(data.phi, w) for w in points]),
+        "quaternion": np.max(list(quaternion_check(data, rho, z).values()), axis=0),
+        "closure": closure_residual(data, rho, z, config=fdc),
+        "curl": curl_residual(data, rho, z, config=fdc)["max"],
+        # |phi| and |psi - psi_rec| as CPython's abs rounds them
+        "slice_identity": np.max([abs(V - np.hypot(phi.real, phi.imag) ** 2),
+                                  abs(rho - psi.imag), abs(t_slice)], axis=0),
+    }
+    fit = structure_coeffs(data, z, "zero", config=fdc)
+    cross = beta_cross_check(data, z)
+    contact = contact_ratio(data, z, config=fdc)
+    ratio, algebraic = contact["ratio"], contact["algebraic"]
+    values.update({
+        "structure": np.maximum(fit.residual, abs(fit.lam0 - np.exp(t_slice))),
+        "beta_cross": np.maximum(
+            abs(cross["beta_solved"] - cross["beta_direct"]).max(axis=1),
+            abs(cross["gamma_solved"] - cross["gamma_direct"]).max(axis=1)),
+        "psi_reconstruction": np.hypot(-beta[:, 2] - psi.real, rho - psi.imag),
+        "contact": abs(ratio - algebraic),
+    })
+    # the ratio must come out negative wherever it is genuinely nonzero
+    contact_signs_ok = not np.any((algebraic < -tol.contact) & (ratio >= 0.0))
+    # np.max keeps a NaN, where max() would drop it
+    maxima = {name: float(np.max(values[name], initial=0.0)) for name in _VERIFY_CHECKS}
+    rows = [[w.real, w.imag] + [values[n][i] for n in _VERIFY_CHECKS] + [ratio[i]]
+            for i, w in enumerate(points)]
 
     header = ["u", "v"] + list(_VERIFY_CHECKS) + ["contact_value"]
     csv_path = out / "verify.csv"

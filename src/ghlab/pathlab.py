@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ansatz import HolomorphicData
+from .ansatz import HolomorphicData, stacked
 from .covering import (
     DEFAULT_BALL_RADIUS,
     _lambda_batch,
@@ -187,14 +187,6 @@ def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", v, M, v), 0.0))
 
 
-def _frames(data: HolomorphicData, x: np.ndarray) -> list:
-    """The canonical slice frames at the disc points of x, after one
-    fill for the points that have no record."""
-    zs = _disc(x)
-    data.fill(zs)
-    return [data.slice_frame(z) for z in zs]
-
-
 def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
     """speed(s, points, velocities) of the tagged metric over arrays."""
     if tag not in METRIC_TAGS:
@@ -218,7 +210,7 @@ def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
         return lambda s, x, v: _quadratic(v, data.g_sigma(_disc(x)))
 
     def speed(s, x, v):
-        frames = _frames(data, x)
+        frames = data.slice_frames(_disc(x))
         return _quadratic(v, np.array([f.g3 if tag == "g3" else f.g_s for f in frames]))
 
     return speed
@@ -369,9 +361,7 @@ def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalRepor
     state = {"max_beta": 0.0, "rerouted": False}
 
     def lengths(s, x, v):
-        frames = _frames(data, x)
-        G3, Gs, b = (np.array([getattr(f, name) for f in frames])
-                     for name in ("g3", "g_s", "beta"))
+        G3, Gs, b = stacked(data.slice_frames(_disc(x)), "g3", "g_s", "beta")
         Gb = np.linalg.solve(G3, b[..., None])[..., 0]
         q = np.einsum("ni,ni->n", b, Gb)
         flat = q < 1e-18

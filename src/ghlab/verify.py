@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ansatz import _AFTER, _NEXT, HolomorphicData, gh_forms, wedge
+from .ansatz import _AFTER, _NEXT, HolomorphicData, gh_forms, stacked, wedge
 from .errors import (
     CoframeDomainError,
     DegenerateFrameError,
@@ -100,14 +100,15 @@ def stencil_points(z: complex, config: FDConfig, depth: int = 1) -> list:
     return [complex(u, v) for u, v in dict.fromkeys(map(tuple, pts.tolist()))]
 
 
-def _exterior(P: np.ndarray, k: int) -> np.ndarray:
-    """d of a k-form from its stacked partials P[a] = d_a(form).
+def _exterior(P: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
+    """d of a k-form from its stacked partials, d_a(form) at index a of
+    ``axis`` (after the centre axes of a stack of centres).
 
     Axes of the form before its last k index a family of forms, so one
     stencil pass serves several."""
     if k == 0:
         return P
-    A = np.moveaxis(P, 0, -k - 1)  # A[..., a, b(, c)] = P[a, ..., b(, c)]
+    A = np.moveaxis(P, axis, -k - 1)  # A[..., a, b(, c)] = P[a, ..., b(, c)]
     if k == 1:
         return A - np.swapaxes(A, -1, -2)
     if k == 2:
@@ -137,50 +138,70 @@ def cauchy_riemann_residual(f: Callable[[complex], complex], z: complex,
 
 
 # ---- Gibbons-Hawking equation checks -----------------------------------
+# Each check takes arrays of rho and z, broadcast together, and runs once
+# over the whole stack of centres; its results take their shape, and a
+# scalar call returns floats.  An error names the first failing centre.
 
 
-def closure_residual(data: HolomorphicData, rho: float, z: complex,
-                     config: FDConfig = _DEFAULT_FD) -> float:
+def _centres(z, rho=0.0):
+    """The centres (z, rho) broadcast together and flattened, and their shape."""
+    z, rho = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(rho, dtype=float))
+    return z.ravel(), rho.ravel(), z.shape
+
+
+def _shaped(a: np.ndarray, shape):
+    """a over a flat stack of centres in the shape of the centres: a
+    float for a scalar centre."""
+    a = a.reshape(shape + a.shape[1:])
+    return float(a) if a.ndim == 0 else a
+
+
+def _worst(a: np.ndarray, shape):
+    """The largest |entry| of a at each centre, in their shape."""
+    return _shaped(np.abs(a).reshape(len(a), -1).max(axis=1), shape)
+
+
+def closure_residual(data: HolomorphicData, rho, z, config: FDConfig = _DEFAULT_FD):
     """Worst component of d(Omega_i) over (rho, u, v, theta).
 
-    All three forms are differenced in one symplectic call over the
-    stencil; they do not depend on theta, so its column of partials is
-    zero."""
+    All three forms at every centre are differenced in one symplectic
+    call over the stencil; they do not depend on theta, so its column
+    of partials is zero."""
+    z, rho, shape = _centres(z, rho)
 
     def forms(X):
         return data.symplectic(X[:, 0], X[:, 1] + 1j * X[:, 2])
 
-    d = _exterior(_partials(forms, [rho, z.real, z.imag], config, n=4), 2)
-    return float(np.abs(d).max())
+    x = np.stack((rho, z.real, z.imag), axis=-1)
+    return _worst(_exterior(_partials(forms, x, config, n=4), 2, axis=1), shape)
 
 
-def curl_residual(data: HolomorphicData, rho: float, z: complex,
-                  config: FDConfig = _DEFAULT_FD) -> dict:
+def curl_residual(data: HolomorphicData, rho, z, config: FDConfig = _DEFAULT_FD) -> dict:
     """Components of d(eta) + *dV over (rho, u, v).
 
     The Hodge star of the flat base metric in these coordinates is
     *drho = rho^2 m du^dv, *du = -drho^dv, *dv = drho^du.
     """
+    z, rho, shape = _centres(z, rho)
 
     def eta_and_v(X):
         V, theta, _ = data._fields(X[:, 0], X[:, 1] + 1j * X[:, 2])
         return np.column_stack((theta[:, :3], V))
 
-    P = _partials(eta_and_v, [rho, z.real, z.imag], config)
-    d_eta = _exterior(P[:, :3], 1)
-    grad_v = P[:, 3]
-    m = data.record(z).m
-    star_dv = np.zeros((3, 3))
-    star_dv[1, 2] = grad_v[0] * rho * rho * m
-    star_dv[0, 2] = -grad_v[1]
-    star_dv[0, 1] = grad_v[2]
-    star_dv = star_dv - star_dv.T
-    resid = d_eta + star_dv
+    P = _partials(eta_and_v, np.stack((rho, z.real, z.imag), axis=-1), config)
+    d_eta = _exterior(P[:, :, :3], 1, axis=1)
+    grad_v = P[:, :, 3]
+    m = np.array([data.record(w).m for w in z.tolist()])
+    star_dv = np.zeros((len(z), 3, 3))
+    star_dv[:, 1, 2] = grad_v[:, 0] * rho * rho * m
+    star_dv[:, 0, 2] = -grad_v[:, 1]
+    star_dv[:, 0, 1] = grad_v[:, 2]
+    resid = d_eta + (star_dv - star_dv.swapaxes(1, 2))
     return {
-        "du^dv": float(resid[1, 2]),
-        "drho^du": float(resid[0, 1]),
-        "drho^dv": float(resid[0, 2]),
-        "max": float(np.abs(resid).max()),
+        "du^dv": _shaped(resid[:, 1, 2], shape),
+        "drho^du": _shaped(resid[:, 0, 1], shape),
+        "drho^dv": _shaped(resid[:, 0, 2], shape),
+        "max": _worst(resid, shape),
     }
 
 
@@ -190,25 +211,25 @@ _FRAME_FLOOR = 1e-9
 _EYE4 = np.eye(4)
 
 
-def _coframe_inverse(V: float, theta, dx) -> np.ndarray:
+def _coframe_inverse(V, theta, dx) -> np.ndarray:
     """E^-1 for the Gibbons-Hawking coframe E = (V^-1/2 Theta, V^1/2 dx_i),
-    in which g is the identity.
+    in which g is the identity, over a stack of fields.
 
     The (rho, u, v) block A of dx has orthogonal columns of squared
     lengths 1, rho^2 m and rho^2 m, so A^-1 is A^T with its rows
     divided by those; the dtheta column of E is (V^-1/2, 0, 0, 0).
     """
-    A = dx[:, :3]
-    a_inv = A.T / np.einsum("ij,ij->j", A, A)[:, None]
-    sv = math.sqrt(V)
-    inv = np.zeros((4, 4))
-    inv[:3, 1:] = a_inv / sv
-    inv[3, 0] = sv
-    inv[3, 1:] = -(theta[:3] @ a_inv) / sv
+    A = dx[..., :3]
+    a_inv = A.swapaxes(-1, -2) / np.einsum("nij,nij->nj", A, A)[..., None]
+    sv = np.sqrt(V)[:, None]
+    inv = np.zeros((len(V), 4, 4))
+    inv[:, :3, 1:] = a_inv / sv[..., None]
+    inv[:, 3, 0] = sv[:, 0]
+    inv[:, 3, 1:] = -(theta[:, None, :3] @ a_inv)[:, 0] / sv
     return inv
 
 
-def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
+def quaternion_check(data: HolomorphicData, rho, z) -> dict:
     """The endomorphisms J_i = -G^-1 Omega_i must satisfy the unit
     quaternion algebra with J1 J2 = J3, and lower back to the forms.
 
@@ -219,24 +240,28 @@ def quaternion_check(data: HolomorphicData, rho: float, z: complex) -> dict:
     than _FRAME_FLOOR, the coordinate arrays have lost the dx block to
     rounding, and CoframeDomainError reports |z| instead of a residual.
     """
+    z, rho, shape = _centres(z, rho)
     fields = data._fields(rho, z)
     G = data._metric_from(z, *fields)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = _coframe_inverse(*fields)
-        G_frame = inv.T @ G @ inv
-        forms = inv.T @ gh_forms(*fields) @ inv
-    floor = float(np.abs(G_frame - _EYE4).max())
-    if not floor <= _FRAME_FLOOR:
-        raise CoframeDomainError(
-            f"coframe lost to rounding at |z| = {abs(z)}: frame metric off by {floor:.3g}")
+        inv_t = inv.swapaxes(1, 2)
+        G_frame = inv_t @ G @ inv
+        forms = inv_t[:, None] @ gh_forms(*fields) @ inv[:, None]
+    floor = np.abs(G_frame - _EYE4).reshape(len(z), -1).max(axis=1)
+    lost = ~(floor <= _FRAME_FLOOR)
+    if lost.any():
+        i = int(lost.argmax())
+        raise CoframeDomainError(f"coframe lost to rounding at |z| = {abs(complex(z[i]))}: "
+                                 f"frame metric off by {floor[i]:.3g}")
     J = -forms
-    J_next = J.take(_NEXT, axis=0)  # J_j beside J_i, (i, j, k) cyclic
+    J_next = J.take(_NEXT, axis=1)  # J_j beside J_i, (i, j, k) cyclic
     product = J @ J_next
     return {
-        "unit": float(np.abs(J @ J + _EYE4).max()),
-        "product": float(np.abs(product - J.take(_AFTER, axis=0)).max()),
-        "anticommute": float(np.abs(product + J_next @ J).max()),
-        "roundtrip": float(np.abs(J.swapaxes(1, 2) @ G_frame - forms).max()),
+        "unit": _worst(J @ J + _EYE4, shape),
+        "product": _worst(product - J.take(_AFTER, axis=1), shape),
+        "anticommute": _worst(product + J_next @ J, shape),
+        "roundtrip": _worst(J.swapaxes(-1, -2) @ G_frame[:, None] - forms, shape),
     }
 
 
@@ -332,6 +357,9 @@ def metric_field(data: HolomorphicData):
 
 @dataclass(frozen=True)
 class StructureFit:
+    """The fit at each centre, in the shape of the centres (the three
+    components of beta0 last); floats for one centre."""
+
     beta0: np.ndarray
     lam0: float
     residual: float
@@ -339,52 +367,64 @@ class StructureFit:
     lam0_predicted: float
 
 
-def _uv_partials(frame_field, z: complex, config: FDConfig):
-    """Partials along (u, v, theta) of a slice-frame quantity, read off
-    the kept slice frame of each row of the stencil; the partials along
-    theta vanish."""
-    return _partials(lambda X: [frame_field(complex(u, v)) for u, v in X.tolist()],
-                     [z.real, z.imag], config, n=3)
+def _uv_partials(data: HolomorphicData, z: np.ndarray, which: str, name: str,
+                 config: FDConfig):
+    """The slice-frame array ``name`` at every centre of z and its
+    partials along (u, v, theta), an (N, 3, ...) stack: both read off
+    the slice frames of the centres and their stencils, taken in one
+    batch.  The partials along theta vanish."""
+    return _partials(lambda X: stacked(data.slice_frames(X[:, 0] + 1j * X[:, 1], which), name)[0],
+                     np.stack((z.real, z.imag), axis=-1), config, n=3, value=True)
 
 
-def structure_coeffs(data: HolomorphicData, z: complex, which: str = "zero",
+_UPPER = np.triu_indices(3, 1)
+
+
+def structure_coeffs(data: HolomorphicData, z, which: str = "zero",
                      config: FDConfig = _DEFAULT_FD) -> StructureFit:
     """Fit d(alpha_i) = beta0 ^ alpha_i + lam0 alpha_j ^ alpha_k.
 
     The nine independent 2-form components over (u, v, theta) are fit
     by least squares in the four unknowns (beta0, lam0), and the result
     is compared against the scaling-field prediction carried by the
-    slice frame itself.
+    slice frame itself.  One SVD of the stacked 9 x 4 systems fits every
+    centre of z; each field of the fit takes the shape of z.
     """
-    z = complex(z)
-    frame = data.slice_frame(z, which)
-    alpha = frame.omega
-    P = _uv_partials(lambda w: data.slice_frame(w, which).omega, z, config)
+    z, _, shape = _centres(z)
+    alpha, P = _uv_partials(data, z, which, "omega", config)
     # one row per component a < b of each d alpha_i: its coefficients
     # in beta0 ^ alpha_i (one per component of beta0) and alpha_j ^ alpha_k
-    a, b = np.triu_indices(3, 1)
-    beta_part = wedge(np.eye(3)[:, None], alpha)[:, :, a, b].reshape(3, -1)
-    lam_part = wedge(alpha[[1, 2, 0]], alpha[[2, 0, 1]])[:, a, b].ravel()
-    M = np.column_stack((beta_part.T, lam_part))
-    y = _exterior(P, 1)[:, a, b].ravel()
+    a, b = _UPPER
+    n = len(z)
+    beta_part = wedge(np.eye(3)[:, None], alpha[:, None])[..., a, b].reshape(n, 3, -1)
+    lam_part = wedge(alpha[:, [1, 2, 0]], alpha[:, [2, 0, 1]])[..., a, b].reshape(n, -1, 1)
+    M = np.concatenate((beta_part.swapaxes(1, 2), lam_part), axis=2)
+    y = _exterior(P, 1, axis=1)[..., a, b].reshape(n, -1)
     try:
-        if np.linalg.matrix_rank(M) < 4:
-            raise DegenerateFrameError(f"coframe too degenerate to fit at z = {z}")
-        coeffs, _, _, _ = np.linalg.lstsq(M, y, rcond=None)
+        U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateFrameError(f"coframe fit failed at z = {z}: {exc}") from exc
-    residual = float(np.abs(M @ coeffs - y).max())
+        if n > 1:  # the first centre whose own fit fails raises
+            for w in z:
+                structure_coeffs(data, w, which, config)
+        raise DegenerateFrameError(f"coframe fit failed at z = {complex(z[0])}: {exc}") from exc
+    # the rank rule of numpy's matrix_rank, which is lstsq's cut-off
+    rank = (sv > sv.max(axis=1, keepdims=True) * max(M.shape[1:]) * np.finfo(float).eps).sum(1)
+    if (rank < 4).any():
+        w = complex(z[int((rank < 4).argmax())])
+        raise DegenerateFrameError(f"coframe too degenerate to fit at z = {w}")
+    coeffs = (Vt.swapaxes(1, 2) @ ((U.swapaxes(1, 2) @ y[..., None]) / sv[..., None]))[..., 0]
+    residual = np.abs((M @ coeffs[..., None])[..., 0] - y).max(axis=1)
+    beta0_predicted, lam0_predicted = stacked(data.slice_frames(z, which), "beta", "lam0")
     return StructureFit(
-        beta0=coeffs[:3],
-        lam0=float(coeffs[3]),
-        residual=residual,
-        beta0_predicted=frame.beta,
-        lam0_predicted=frame.lam0,
+        beta0=_shaped(coeffs[:, :3], shape),
+        lam0=_shaped(coeffs[:, 3], shape),
+        residual=_shaped(residual, shape),
+        beta0_predicted=_shaped(beta0_predicted, shape),
+        lam0_predicted=_shaped(lam0_predicted, shape),
     )
 
 
-def contact_ratio(data: HolomorphicData, z: complex,
-                  config: FDConfig = _DEFAULT_FD) -> dict:
+def contact_ratio(data: HolomorphicData, z, config: FDConfig = _DEFAULT_FD) -> dict:
     """beta ^ dbeta against the coframe volume, two ways.
 
     Direct route: difference the contact form and wedge.  Algebraic
@@ -392,23 +432,31 @@ def contact_ratio(data: HolomorphicData, z: complex,
     structure equations force the two to agree, with a negative sign
     wherever beta does not vanish.
     """
-    z = complex(z)
-    frame = data.slice_frame(z, "canonical")
-    d_u, d_v, _ = _uv_partials(lambda w: data.slice_frame(w, "canonical").beta, z, config)
-    beta = frame.beta
+    z, _, shape = _centres(z)
+    beta, P = _uv_partials(data, z, "canonical", "beta", config)
+    d_u, d_v = P[:, 0], P[:, 1]
+    omega, = stacked(data.slice_frames(z), "omega")
     # dbeta over (u, v, theta) has no theta partials
-    top = beta[0] * d_v[2] - beta[1] * d_u[2] + beta[2] * (d_u[1] - d_v[0])
+    top = (beta[:, 0] * d_v[:, 2] - beta[:, 1] * d_u[:, 2]
+           + beta[:, 2] * (d_u[:, 1] - d_v[:, 0]))
     try:
         # a NaN frame reads as a vanishing volume below, not as a warning
         with np.errstate(invalid="ignore"):
-            vol, b = float(np.linalg.det(frame.omega)), np.linalg.solve(frame.omega.T, beta)
+            vol = np.linalg.det(omega)
+            b = np.linalg.solve(omega.swapaxes(1, 2), beta[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise DegenerateFrameError(f"coframe solve failed at z = {z}: {exc}") from exc
-    if not abs(vol) >= 1e-300:
-        raise DegenerateFrameError(f"coframe volume {vol:.3g} vanishes at z = {z}")
+        if len(z) > 1:  # the first centre whose own solve fails raises
+            for w in z:
+                contact_ratio(data, w, config)
+        raise DegenerateFrameError(f"coframe solve failed at z = {complex(z[0])}: {exc}") from exc
+    flat = ~(np.abs(vol) >= 1e-300)
+    if flat.any():
+        i = int(flat.argmax())
+        raise DegenerateFrameError(
+            f"coframe volume {vol[i]:.3g} vanishes at z = {complex(z[i])}")
     return {
-        "ratio": top / vol,
-        "algebraic": -float(np.sum(b * b)),
+        "ratio": _shaped(top / vol, shape),
+        "algebraic": _shaped(-np.sum(b * b, axis=1), shape),
     }
 
 
@@ -572,10 +620,7 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     located.sort(key=lambda t: (round(abs(t[0]), 9), math.atan2(t[0].imag, t[0].real)))
 
     zeros = [z for z, _, w in located if abs(w.real) < _RE_PSI_TOL]
-    data.fill(zeros)
-    norms = tuple(
-        float(np.linalg.norm(data.slice_frame(z, "canonical").beta)) for z in zeros
-    )
+    norms = tuple(float(np.linalg.norm(f.beta)) for f in data.slice_frames(zeros))
     if len(zeros) > 1:
         sep = min(abs(a - b) for a, b in itertools.combinations(zeros, 2))
     else:

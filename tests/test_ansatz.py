@@ -103,6 +103,22 @@ class TestSphereJacobian:
         frame = DATA.slice_frame(0.2 + 0.1j)
         assert np.linalg.norm(frame.x) == pytest.approx(frame.rho)
 
+    @pytest.mark.parametrize("r", [0.98289659, 0.984, 0.988, 0.99, 0.991])
+    def test_stretch_on_the_way_into_a_cusp(self, r):
+        """Toward the cusp at i, |w| grows from 7.7e77 to 5.1e149 before
+        the chart flips, where (1 + |w|^2)^2 overflows.  The partials of
+        the sphere point each keep the conformal stretch 2|w'|/(1+|w|^2)."""
+        z = r * 1j
+        data = standard_data()
+        data.fill([z])
+        (w,), (dw_dz,) = data.cover.values(np.array([z]))
+        assert 1e70 <= abs(w) <= 1e150
+        stretch = 2.0 * abs(dw_dz) / (1.0 + abs(w) ** 2)
+        # row 5: holds dx at rho = 1, whose columns are (p, dp/du, dp/dv, 0)
+        dp = data.record(z).row[5:].reshape(3, 4)
+        for column in (1, 2):
+            assert np.linalg.norm(dp[:, column]) == pytest.approx(stretch, rel=1e-12)
+
 
 class TestHomogeneity:
     @pytest.mark.parametrize("s", [0.5, 2.7])

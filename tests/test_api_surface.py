@@ -15,6 +15,8 @@ PACKAGE = Path(ghlab.__file__).parent
 
 ALLOWED = {
     "ansatz.HolomorphicData.xi_at": "traced by name in perfbench/layers.py (ansatz.xi)",
+    "ansatz.HolomorphicData.slice_frame":
+        "traced by name in perfbench/layers.py (ansatz.slice_frame)",
     "ansatz.HolomorphicData.base_metric":
         "oracle: the dx rows are orthogonal with squared lengths (1, rho^2 m, rho^2 m)",
     "covering.lambda_map": "oracle: the batched series and reduction against mpmath",

@@ -12,6 +12,7 @@ the batched records against the point functions.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ import ghlab.ansatz
 import ghlab.holo
 import ghlab.pathlab
 from ghlab.ansatz import HolomorphicData, sphere_jacobian, standard_data
-from ghlab.cli import main
+from ghlab.cli import interior_points, main
 from ghlab.covering import ModularCover
 from ghlab.holo import MuSpec
 from ghlab.pathlab import mu_variant
@@ -34,6 +35,7 @@ from ghlab.verify import (
     curvature,
     fd_exterior_derivative,
     metric_field,
+    stencil_points,
     structure_coeffs,
 )
 
@@ -227,6 +229,42 @@ class TestSharedFrames:
         # 10 centres, each with 8 stencil points at h and h/2 along u and v
         assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
         assert built[0] == 90
+
+    @pytest.mark.parametrize("kind,code", [("canonical", 0), ("constant", 1)])
+    def test_verify_counts_do_not_grow_with_the_grid(self, built, monkeypatch, tmp_path,
+                                                     kind, code):
+        """verify builds each frame once, in one assembly per slice kind,
+        and makes as many field assemblies at 20 centres as at 5: each
+        check runs once over the stack of centres.  (With a constant
+        rho0 the zero slice is not the unit slice, so slice_identity
+        fails by design; the counts are the same either way.)"""
+        taken = {"fields": 0, "builds": []}
+        fields, build = HolomorphicData._fields, HolomorphicData._build_frames
+
+        def counted_fields(self, rho, z):
+            taken["fields"] += 1
+            return fields(self, rho, z)
+
+        def counted_build(self, recs, which):
+            taken["builds"].append(which)
+            return build(self, recs, which)
+
+        monkeypatch.setattr(HolomorphicData, "_fields", counted_fields)
+        monkeypatch.setattr(HolomorphicData, "_build_frames", counted_build)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": {"rho0_kind": kind, "rho0_scale": 0.7}}))
+        kinds = ["canonical"] if kind == "canonical" else ["canonical", "zero"]
+        field_calls = []
+        for n in (5, 20):
+            built[0] = 0
+            taken.update(fields=0, builds=[])
+            argv = ["verify", "--config", str(config), "--grid", str(n), "--seed", "0"]
+            assert main(argv + ["--out", str(tmp_path / str(n))]) == code
+            stencils = {w for z in interior_points(n, 0) for w in stencil_points(z, FDConfig())}
+            assert built[0] == len(kinds) * len(stencils)
+            assert sorted(taken["builds"]) == kinds
+            field_calls.append(taken["fields"])
+        assert field_calls[0] == field_calls[1]
 
     def test_zero_slice_is_the_canonical_slice(self, built):
         # with rho0_kind "canonical" both stencils take the same nine frames

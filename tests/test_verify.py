@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghlab.ansatz import HolomorphicData, standard_data
+from ghlab.ansatz import HolomorphicData, beta_cross_check, standard_data
+from ghlab.cli import interior_points
 from ghlab.covering import ModularCover
 from ghlab.errors import (
+    CoframeDomainError,
     DegenerateFrameError,
     DegenerateMetricError,
     GHLabError,
@@ -183,6 +185,87 @@ class TestQuaternionDomain:
         assert max(out.values()) < 1e-11
 
 
+def _agree(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-15)), what
+
+
+class TestStackedChecks:
+    """Each check runs once over a stack of centres.  At every one of
+    the 100 verify centres it gives what the one-centre call gives, and
+    its results take the shape of the centres."""
+
+    @pytest.fixture(scope="class")
+    def centres(self):
+        z = np.array(interior_points(100, 0))
+        rho = np.array([f.rho for f in DATA.slice_frames(z)])
+        return rho.reshape(10, 10), z.reshape(10, 10)
+
+    @staticmethod
+    def _each(stacked, one, rho, z):
+        """Compare stacked (a float, dict or fit per centre, on the
+        (10, 10) grid) with one(rho, z) at each centre."""
+        for idx in np.ndindex(z.shape):
+            want = one(float(rho[idx]), complex(z[idx]))
+            if isinstance(want, float):
+                want = {"value": want}
+                got = {"value": stacked[idx]}
+            elif isinstance(want, dict):
+                got = {k: v[idx] for k, v in stacked.items()}
+            else:
+                want = vars(want)
+                got = {k: v[idx] for k, v in vars(stacked).items()}
+            assert got.keys() == want.keys()
+            for key in want:
+                _agree(got[key], want[key], (key, z[idx]))
+
+    def test_closure(self, centres):
+        self._each(closure_residual(DATA, *centres),
+                   lambda rho, z: closure_residual(DATA, rho, z), *centres)
+
+    def test_curl(self, centres):
+        self._each(curl_residual(DATA, *centres),
+                   lambda rho, z: curl_residual(DATA, rho, z), *centres)
+
+    def test_quaternion(self, centres):
+        self._each(quaternion_check(DATA, *centres),
+                   lambda rho, z: quaternion_check(DATA, rho, z), *centres)
+
+    @pytest.mark.parametrize("which", ["zero", "canonical"])
+    def test_structure(self, centres, which):
+        data = standard_data(rho0_kind="scaled", rho0_scale=0.7)
+        self._each(structure_coeffs(data, centres[1], which),
+                   lambda rho, z: structure_coeffs(data, z, which), *centres)
+
+    def test_contact(self, centres):
+        self._each(contact_ratio(DATA, centres[1]),
+                   lambda rho, z: contact_ratio(DATA, z), *centres)
+
+    def test_beta_cross(self, centres):
+        self._each(beta_cross_check(DATA, centres[1]),
+                   lambda rho, z: beta_cross_check(DATA, z), *centres)
+
+    def test_scalar_calls_give_floats(self):
+        z = 0.3 + 0.2j
+        assert type(closure_residual(DATA, 1.1, z)) is float
+        assert all(type(v) is float for v in curl_residual(DATA, 1.1, z).values())
+        assert all(type(v) is float for v in quaternion_check(DATA, 1.1, z).values())
+        assert all(type(v) is float for v in contact_ratio(DATA, z).values())
+        fit = structure_coeffs(DATA, z)
+        assert (type(fit.lam0), type(fit.residual), type(fit.lam0_predicted)) == (float,) * 3
+        assert fit.beta0.shape == fit.beta0_predicted.shape == (3,)
+
+    def test_domain_limited_centre_is_named(self, centres):
+        """A stack with a centre where rounding has taken the coframe,
+        on the real axis at |z| = 0.7 on the canonical slice, raises
+        for that centre, the first limited one in point order."""
+        z = np.concatenate((centres[1].ravel()[:5], [0.7, 0.75], centres[1].ravel()[5:9]))
+        rho = DATA.psi(z).imag
+        with pytest.raises(CoframeDomainError, match=re.escape("|z| = 0.7:")):
+            quaternion_check(DATA, rho, z)
+
+
 class TestCurvature:
     def test_flat_reference_is_flat(self):
         rep = curvature(metric_field(FLAT), [1.3, 0.2, 0.1, 0.0], h=1e-3)
@@ -255,13 +338,21 @@ class TestDegenerateFrames:
     @pytest.fixture
     def nan_frames(self, monkeypatch):
         data = standard_data()
-        frame = data.slice_frame
+        frames = data.slice_frames
 
-        def nan_omega(z, which="canonical"):
-            return dataclasses.replace(frame(z, which), omega=np.full((3, 3), np.nan))
+        def nan_omega(zs, which="canonical"):
+            # a NaN coframe at Z alone
+            return [dataclasses.replace(f, omega=np.full((3, 3), np.nan)) if z == self.Z else f
+                    for z, f in zip(np.ravel(zs), frames(zs, which))]
 
-        monkeypatch.setattr(data, "slice_frame", nan_omega)
+        monkeypatch.setattr(data, "slice_frames", nan_omega)
         return data
+
+    @pytest.mark.parametrize("check", [structure_coeffs, contact_ratio])
+    def test_stack_names_the_failing_centre(self, nan_frames, check):
+        zs = np.array([-0.2 + 0.1j, self.Z, 0.1 - 0.3j])
+        with pytest.raises(DegenerateFrameError, match=re.escape(f"z = {self.Z}")):
+            check(nan_frames, zs)
 
     def test_structure_fit(self, nan_frames):
         with pytest.raises(DegenerateFrameError, match=re.escape(f"z = {self.Z}")):
