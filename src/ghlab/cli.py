@@ -49,17 +49,6 @@ from .verify import (
     structure_coeffs,
 )
 
-COMMANDS = (
-    "tessellate",
-    "hororegions",
-    "build",
-    "verify",
-    "curvature-scan",
-    "sweep",
-    "fingerprint",
-)
-
-
 # ---- configuration -----------------------------------------------------
 
 
@@ -488,7 +477,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     rho, V, t_slice, beta = stacked(data.slice_frames(z), "rho", "V", "t_slice", "beta")
     psi, phi = stacked([data.record(w) for w in points], "psi", "phi")
     values = {
-        "cauchy_riemann": np.array([cauchy_riemann_residual(data.phi, w) for w in points]),
+        "cauchy_riemann": cauchy_riemann_residual(data.phi, z),
         "quaternion": np.max(list(quaternion_check(data, rho, z).values()), axis=0),
         "closure": closure_residual(data, rho, z, config=fdc),
         "curl": curl_residual(data, rho, z, config=fdc)["max"],
@@ -658,7 +647,7 @@ def main(argv=None) -> int:
         prog="ghlab",
         description="Gibbons-Hawking laboratory experiment driver",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", help="JSON experiment config path")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--depth", type=int, help="tessellation depth override")

@@ -20,8 +20,8 @@ and push the derivative through the same chain, using the closed form
 lambda' = i pi lambda (1-lambda) theta3^4 at the reduced point rather
 than differencing the series.
 
-Every evaluation takes an array of points in one batch: a masked
-reduction, then the series and the anharmonic table over the whole
+Every evaluation takes an array of points in one batch: the Cayley map
+and the masked reduction of the tessellation module, then the series and the anharmonic table over the whole
 array.  Very close to a cusp the reduced lambda underflows to exactly
 0; the cusp classes of infinity and 0 then give w = 0 or 1 exactly
 with zero derivative (harmless, the conformal factor vanishes), while
@@ -39,8 +39,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, PunctureError
-from .tessellation import Cusp, Tessellation, cusp_classify
+from .errors import PunctureError
+from .tessellation import (
+    AT_MINUS_ONE,
+    Cusp,
+    Tessellation,
+    cayley,
+    cusp_classify,
+    reduce_to_fundamental,
+)
 
 DEFAULT_BALL_RADIUS = 0.1
 
@@ -66,9 +73,6 @@ _PARITY_WEIGHTS = np.array([1, 4, 2, 8])
 # Below this the reduced lambda is too small to invert: 1e-150 keeps
 # the squared denominators of the derivative away from underflow.
 _LAMBDA_FLOOR = 1e-150
-# Closer than this to -1 a disc point is numerically at that cusp, as
-# for tessellation.cayley.
-_AT_MINUS_ONE = 1e-15
 
 
 def _theta_series(t, exp):
@@ -89,27 +93,6 @@ def _theta_series(t, exp):
     return t2, t3
 
 
-def _reduce_batch(tau: np.ndarray, max_iter: int = 500):
-    """reduce_to_fundamental over a flat array: the same translate and
-    flip steps, masked to the points that have not settled.  The group
-    elements come back as the rows (a, b, c, d) of one array."""
-    t = tau
-    g = np.zeros((4, t.size), np.int64)
-    g[0] = g[3] = 1
-    active = np.ones(t.shape, bool)
-    for _ in range(max_iter):
-        n = np.where(active, np.floor(t.real + 0.5), 0.0)
-        t = t - n
-        g[:2] -= n.astype(np.int64) * g[2:]
-        active &= abs(t) < 1.0 - 1e-15
-        if not active.any():
-            return t, g
-        t = np.where(active, -1.0 / t, t)
-        g = np.where(active, np.concatenate((-g[2:], g[:2])), g)
-    bad = tau[active][0]
-    raise ConvergenceError(f"fundamental-domain reduction did not settle for {bad}")
-
-
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| over an array, rounded as CPython's abs(complex) rounds it
     (numpy's abs can round |z| = 1 down), so that the disc check agrees
@@ -117,28 +100,9 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _cayley_batch(z: np.ndarray) -> np.ndarray:
-    """tessellation.cayley over a flat array, by CPython's complex
-    division step for step, so that tau matches the scalar chart to the
-    last bit: near a cusp the reduction turns a last-bit change of
-    Re tau into a relative change of about 1e-11 in lambda'."""
-    ar, ai = z.imag, 1.0 - z.real  # i (1 - z)
-    br, bi = 1.0 + z.real, z.imag  # 1 + z
-    first = abs(br) >= abs(bi)
-    big, small = np.where(first, br, bi), np.where(first, bi, br)
-    p, q = np.where(first, ar, ai), np.where(first, ai, ar)
-    ratio = small / big
-    denom = big + small * ratio
-    tau = np.empty(z.shape, complex)
-    tau.real = (p + q * ratio) / denom
-    im = (q - p * ratio) / denom
-    tau.imag = np.where(first, im, -im)
-    return tau
-
-
 def _lambda_batch(tau: np.ndarray):
     """(lambda, lambda', flipped) over a flat array of tau in the upper
-    half-plane, in one batch: the masked reduction, the fixed series at
+    half-plane, in one batch: the reduction, the fixed series at
     the reduced points, then the anharmonic map (A, B, C, D) of g^-1 and
     the chain rule through d(g tau)/d tau = 1/(c tau + d)^2.
 
@@ -152,7 +116,7 @@ def _lambda_batch(tau: np.ndarray):
     off = ~(tau.imag > 0)
     if off.any():
         raise PunctureError(f"tau = {tau[off][0]} lies on the boundary (cusp)")
-    t_red, g = _reduce_batch(tau)
+    t_red, g = reduce_to_fundamental(tau)
     t2, t3 = _theta_series(t_red, np.exp)
     x = (t2 / t3) ** 4
     prime = 1j * math.pi * x * (1.0 - x) * t3**4
@@ -268,17 +232,17 @@ class ModularCover(_Chart):
         if outside.any():
             raise PunctureError(f"|z| = {_modulus(zs[outside])[0]} is not inside the disc")
         zp = 1.0 + zs
-        at_cusp = abs(zp) < _AT_MINUS_ONE
+        at_cusp = abs(zp) < AT_MINUS_ONE
         if at_cusp.any():
             raise PunctureError(f"z = {zs[at_cusp][0]} is numerically at the cusp -1")
-        w, lam_p, flipped = _lambda_batch(_cayley_batch(zs))
+        w, lam_p, flipped = _lambda_batch(cayley(zs))
         dw_dz = lam_p * (-2j / (zp * zp))
         return w.reshape(shape), dw_dz.reshape(shape), flipped.reshape(shape)
 
     def metric_factors_in_disc(self, zs) -> np.ndarray:
         # the cusp -1 reads 0 as well
         zs = np.asarray(zs, dtype=complex)
-        at_cusp = (abs(1.0 + zs) < _AT_MINUS_ONE) & (_modulus(zs) < 1.0)
+        at_cusp = (abs(1.0 + zs) < AT_MINUS_ONE) & (_modulus(zs) < 1.0)
         return np.where(at_cusp, 0.0, super().metric_factors_in_disc(np.where(at_cusp, 0.0, zs)))
 
 
@@ -333,9 +297,7 @@ def hororegion_test(
     if tess is None or not member:
         return member, None
     idx = cusp_classify(z, tess, min_height=1.0)
-    if idx is None:
-        return member, None
-    if puncture_class(tess.vertices[idx].cusp) != j:
+    if idx is None or puncture_class(tess.vertices[idx].cusp) != j:
         return member, None
     return member, idx
 

@@ -18,17 +18,19 @@ inverse Cayley map z = (i q - p)/(i q + p).
 
 The orientation-preserving words of even length form the level-two
 congruence group: their integer matrices are congruent to the identity
-mod 2.  That group is also what the covering module reduces by, so cusp
-classification (which boundary vertex a near-boundary point is
-approaching) is done here by the standard fundamental-domain reduction
-with the group element tracked.
+mod 2.  That group is also what the covering module reduces by, so the
+Cayley map and the standard fundamental-domain reduction with the group
+element tracked live here, over arrays, for the covering chart and for
+cusp classification (which boundary vertex a point is approaching).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConvergenceError, SizeError
 
@@ -36,29 +38,33 @@ MAX_DEPTH = 12
 DEFAULT_MIN_HEIGHT = 4.0
 
 
-class _PointAtInfinity:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _PointAtInfinity()
+# Closer than this to -1 a disc point is numerically at the cusp
+# infinity, where cayley divides by zero; callers test it first.
+AT_MINUS_ONE = 1e-15
 
 
 def cayley(z):
-    """Disc to half-plane: tau = i(1-z)/(1+z).  z = -1 maps to INF."""
-    z = complex(z)
-    if abs(z + 1.0) < 1e-15:
-        return INF
-    return 1j * (1.0 - z) / (1.0 + z)
+    """Disc to half-plane: tau = i(1-z)/(1+z), at an array of z or at one
+    z, by CPython's complex division step for step.  tau matches
+    1j*(1-z)/(1+z) to the last bit: near a cusp the reduction turns a
+    last-bit change of Re tau into a relative change of 1e-11 in lambda'."""
+    z = np.asarray(z, dtype=complex)
+    ar, ai = z.imag, 1.0 - z.real  # i (1 - z)
+    br, bi = 1.0 + z.real, z.imag  # 1 + z
+    first = abs(br) >= abs(bi)
+    big, small = np.where(first, br, bi), np.where(first, bi, br)
+    p, q = np.where(first, ar, ai), np.where(first, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    tau = np.empty(z.shape, complex)
+    tau.real = (p + q * ratio) / denom
+    im = (q - p * ratio) / denom
+    tau.imag = np.where(first, im, -im)
+    return tau[()]
 
 
 def cayley_inv(tau):
-    """Half-plane to disc: z = (i - tau)/(i + tau).  INF maps to -1."""
-    if tau is INF:
-        return complex(-1.0)
-    tau = complex(tau)
+    """Half-plane to disc: z = (i - tau)/(i + tau)."""
     return (1j - tau) / (1j + tau)
 
 
@@ -249,59 +255,56 @@ def tessellate(depth: int) -> Tessellation:
     return Tessellation(depth=depth, triangles=tuple(triangles), vertices=tuple(records))
 
 
-def reduce_to_fundamental(tau: complex, max_iter: int = 500):
-    """Reduce tau into the standard fundamental domain |Re| <= 1/2, |tau| >= 1.
+def reduce_to_fundamental(tau, max_iter: int = 500):
+    """Reduce tau, an array or one point, into the standard fundamental
+    domain |Re| <= 1/2, |tau| >= 1.
 
-    Returns (tau_reduced, g) with g = (a, b, c, d) in SL(2, Z) such that
-    tau_reduced = g(tau).  The reduced imaginary part is >= sqrt(3)/2,
-    which is what the theta series downstream rely on.
+    Returns (tau_reduced, g) with g an integer array of shape (4,) + tau's
+    whose rows (a, b, c, d) give g in SL(2, Z) with tau_reduced = g(tau).
+    The reduced imaginary part is >= sqrt(3)/2, which is what the theta
+    series downstream rely on.
     """
-    t = complex(tau)
-    if not t.imag > 0.0:
-        raise ConvergenceError(f"tau = {tau} is not in the upper half-plane")
-    a, b, c, d = 1, 0, 0, 1
+    t = tau = np.asarray(tau, dtype=complex)
+    off = ~(tau.imag > 0.0)
+    if off.any():
+        raise ConvergenceError(f"tau = {tau[off][0]} is not in the upper half-plane")
+    g = np.zeros((4,) + t.shape, np.int64)
+    g[0] = g[3] = 1
+    active = np.ones(t.shape, bool)
     for _ in range(max_iter):
-        n = math.floor(t.real + 0.5)
-        if n != 0:
-            t = t - n
-            a, b = a - n * c, b - n * d
-        if abs(t) < 1.0 - 1e-15:
-            t = -1.0 / t
-            a, b, c, d = -c, -d, a, b
-        else:
-            return t, (a, b, c, d)
-    raise ConvergenceError(f"fundamental-domain reduction did not settle for {tau}")
+        n = np.where(active, np.floor(t.real + 0.5), 0.0)
+        t = t - n
+        g[:2] -= n.astype(np.int64) * g[2:]
+        active &= abs(t) < 1.0 - 1e-15
+        if not active.any():
+            return t[()], g
+        t = np.where(active, -1.0 / t, t)
+        g = np.where(active, np.concatenate((-g[2:], g[:2])), g)
+    raise ConvergenceError(f"fundamental-domain reduction did not settle for {tau[active][0]}")
 
 
-def nearest_cusp(tau: complex):
-    """The cusp of maximal invariant height for tau, with that height.
+def nearest_cusp(tau):
+    """The cusp of maximal invariant height for tau, with that height, at
+    an array of tau (the cusps as an object array) or at one tau.
 
     The height of tau at p/q is Im(tau)/|q tau - p|^2 (Im(tau) at
     infinity); it is the sup over the orbit and is attained at
-    g^{-1}(infinity) once g reduces tau to the fundamental domain.
+    g^{-1}(infinity) = d/(-c) once g reduces tau to the fundamental domain.
     """
-    t, (a, b, c, d) = reduce_to_fundamental(tau)
-    if c == 0:
-        cusp = Cusp(1, 0)
-    else:
-        cusp = Cusp.make(d, -c)
-    return cusp, t.imag
+    t, g = reduce_to_fundamental(tau)
+    return np.frompyfunc(Cusp.make, 2, 1)(g[3], -g[2]), t.imag
 
 
-def cusp_classify(
-    z: complex,
-    tess: Tessellation,
-    min_height: float = DEFAULT_MIN_HEIGHT,
-) -> Optional[int]:
-    """Which enumerated boundary vertex is z approaching, if any.
-
-    Returns the vertex index, or None when z sits below the height
-    threshold in every cusp or its cusp was not enumerated.
-    """
-    tau = cayley(z)
-    if tau is INF:
-        return tess.vertex_index(Cusp(1, 0))
-    cusp, height = nearest_cusp(tau)
-    if height < min_height:
-        return None
-    return tess.vertex_index(cusp)
+def cusp_classify(z, tess: Tessellation, min_height: float = DEFAULT_MIN_HEIGHT):
+    """Which enumerated boundary vertex z is approaching, at an array of z
+    (an object array) or at one z: the vertex index, or None where z sits
+    below the height threshold in every cusp or its cusp was not
+    enumerated.  A z numerically at -1 is at the cusp infinity."""
+    z = np.asarray(z, dtype=complex)
+    at_inf = abs(1.0 + z.ravel()) < AT_MINUS_ONE
+    # 0 stands in for a z at -1: its cusp is infinity too, at height 1
+    cusps, heights = nearest_cusp(cayley(np.where(at_inf, 0.0, z.ravel())))
+    heights[at_inf] = math.inf
+    index = [tess.vertex_index(c) if h >= min_height else None
+             for c, h in zip(cusps, heights.tolist())]
+    return np.array(index, object).reshape(z.shape)[()]

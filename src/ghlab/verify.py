@@ -126,15 +126,18 @@ def fd_exterior_derivative(field, x, config: FDConfig = _DEFAULT_FD):
     return _exterior(P, P.ndim - 1)
 
 
-def cauchy_riemann_residual(f: Callable[[complex], complex], z: complex,
-                            h: float = 1e-6) -> float:
-    """|dbar f| at z by central differences in each real direction."""
+def cauchy_riemann_residual(f: Callable, z, h: float = 1e-6):
+    """|dbar f| at each z, an array or one point, by central differences
+    in each real direction, in one call of f on an array of z."""
+    z, _, shape = _centres(z)
 
     def parts(X):
-        return [(w.real, w.imag) for w in map(f, (X[:, 0] + 1j * X[:, 1]).tolist())]
+        w = np.asarray(f(X[:, 0] + 1j * X[:, 1]))
+        return np.stack((w.real, w.imag), axis=-1)
 
-    du, dv = _partials(parts, [z.real, z.imag], FDConfig(h, richardson=0))
-    return 0.5 * abs(complex(du[0] - dv[1], du[1] + dv[0]))
+    P = _partials(parts, np.stack((z.real, z.imag), axis=-1), FDConfig(h, richardson=0))
+    du, dv = P.swapaxes(0, 1)
+    return _shaped(0.5 * np.hypot(du[:, 0] - dv[:, 1], du[:, 1] + dv[:, 0]), shape)
 
 
 # ---- Gibbons-Hawking equation checks -----------------------------------
@@ -400,13 +403,15 @@ def structure_coeffs(data: HolomorphicData, z, which: str = "zero",
     lam_part = wedge(alpha[:, [1, 2, 0]], alpha[:, [2, 0, 1]])[..., a, b].reshape(n, -1, 1)
     M = np.concatenate((beta_part.swapaxes(1, 2), lam_part), axis=2)
     y = _exterior(P, 1, axis=1)[..., a, b].reshape(n, -1)
+    bad = ~np.isfinite(M).all(axis=(1, 2))  # a NaN frame would fail the SVD of the stack
+    if bad.any():
+        w = complex(z[int(bad.argmax())])
+        raise DegenerateFrameError(f"coframe fit failed at z = {w}: the fit system is not finite")
     try:
         U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        if n > 1:  # the first centre whose own fit fails raises
-            for w in z:
-                structure_coeffs(data, w, which, config)
-        raise DegenerateFrameError(f"coframe fit failed at z = {complex(z[0])}: {exc}") from exc
+        raise DegenerateFrameError(
+            f"coframe fit failed on the stack from z = {complex(z[0])}: {exc}") from exc
     # the rank rule of numpy's matrix_rank, which is lstsq's cut-off
     rank = (sv > sv.max(axis=1, keepdims=True) * max(M.shape[1:]) * np.finfo(float).eps).sum(1)
     if (rank < 4).any():
@@ -439,21 +444,20 @@ def contact_ratio(data: HolomorphicData, z, config: FDConfig = _DEFAULT_FD) -> d
     # dbeta over (u, v, theta) has no theta partials
     top = (beta[:, 0] * d_v[:, 2] - beta[:, 1] * d_u[:, 2]
            + beta[:, 2] * (d_u[:, 1] - d_v[:, 0]))
-    try:
-        # a NaN frame reads as a vanishing volume below, not as a warning
-        with np.errstate(invalid="ignore"):
-            vol = np.linalg.det(omega)
-            b = np.linalg.solve(omega.swapaxes(1, 2), beta[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        if len(z) > 1:  # the first centre whose own solve fails raises
-            for w in z:
-                contact_ratio(data, w, config)
-        raise DegenerateFrameError(f"coframe solve failed at z = {complex(z[0])}: {exc}") from exc
+    # a NaN frame reads as a vanishing volume, not as a warning; a
+    # volume that vanishes would fail the solve of the whole stack
+    with np.errstate(invalid="ignore"):
+        vol = np.linalg.det(omega)
     flat = ~(np.abs(vol) >= 1e-300)
     if flat.any():
         i = int(flat.argmax())
         raise DegenerateFrameError(
             f"coframe volume {vol[i]:.3g} vanishes at z = {complex(z[i])}")
+    try:
+        b = np.linalg.solve(omega.swapaxes(1, 2), beta[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFrameError(
+            f"coframe solve failed on the stack from z = {complex(z[0])}: {exc}") from exc
     return {
         "ratio": _shaped(top / vol, shape),
         "algebraic": _shaped(-np.sum(b * b, axis=1), shape),

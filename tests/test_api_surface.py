@@ -33,7 +33,7 @@ ALLOWED = {
     "pathlab.horizontal_length": "acceptance criterion 7: horizontal lengths",
     "pathlab.hexagon_constants": "acceptance criterion 6: the region constants",
     "pathlab.even_side_crossings": "oracle: crossings times c1 bound the spherical length",
-    "tessellation.cayley_inv": "oracle: the inverse of cayley, INF to -1",
+    "tessellation.cayley_inv": "oracle: the inverse of cayley",
     "tessellation.SideGeodesic.reflect_point":
         "oracle: side reflections move vertices and leave the cover invariant",
     "tessellation.IdealTriangle.contains": "oracle: the triangles of a tessellation are disjoint",

@@ -122,7 +122,7 @@ class TestLength:
         def unsettled(tau, max_iter=500):
             raise ConvergenceError("fundamental-domain reduction did not settle")
 
-        monkeypatch.setattr(ghlab.covering, "_reduce_batch", unsettled)
+        monkeypatch.setattr(ghlab.covering, "reduce_to_fundamental", unsettled)
         with pytest.raises(PathError, match="did not settle"):
             path_length(ParamPath.segment(0.1, 0.5), "sphere", DATA)
 

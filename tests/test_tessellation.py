@@ -4,11 +4,12 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ghlab.errors import SizeError
 from ghlab.tessellation import (
-    INF,
+    AT_MINUS_ONE,
     Cusp,
     base_triangle,
     cayley,
@@ -35,7 +36,6 @@ class TestCayley:
     def test_boundary_values(self):
         assert abs(cayley(1)) < 1e-15
         assert abs(cayley(1j) - 1) < 1e-15
-        assert cayley(-1) is INF
 
     def test_round_trip(self):
         for k in range(40):
@@ -43,13 +43,20 @@ class TestCayley:
             if abs(z) >= 1:
                 continue
             assert abs(cayley_inv(cayley(z)) - z) < 1e-12
-        assert cayley_inv(INF) == -1
 
     def test_upper_half_plane_image(self):
         for k in range(50):
             z = (k / 50.0) * 0.98 * cmath.exp(2.3j * k)
             tau = cayley(z)
-            assert tau is not INF and tau.imag > 0
+            assert tau.imag > 0
+
+    def test_bit_identical_to_complex_division(self):
+        # near the circle the reduction magnifies a last-bit change of tau
+        rng = np.random.default_rng(5)
+        zs = (1.0 - np.logspace(-12, 0, 20_000)) * np.exp(2j * np.pi * rng.random(20_000))
+        expect = np.array([1j * (1 - z) / (1 + z) for z in zs.tolist()])
+        assert np.array_equal(cayley(zs), expect)
+        assert cayley(complex(zs[7])) == expect[7]
 
 
 class TestBaseTriangle:
@@ -183,9 +190,10 @@ class TestTessellate:
 class TestReduction:
     def test_reduced_point_lies_in_fundamental_domain(self):
         rng = random.Random(3)
-        for _ in range(200):
-            tau = complex(4 * rng.random() - 2, 0.02 + 2 * rng.random())
-            t, (a, b, c, d) = reduce_to_fundamental(tau)
+        taus = [complex(4 * rng.random() - 2, 0.02 + 2 * rng.random()) for _ in range(200)]
+        ts, g = reduce_to_fundamental(np.array(taus))
+        assert g.shape == (4, 200) and g.dtype.kind == "i"
+        for tau, t, (a, b, c, d) in zip(taus, ts.tolist(), g.T.tolist()):
             assert a * d - b * c == 1
             assert abs(t.real) <= 0.5 + 1e-9
             assert abs(t) >= 1 - 1e-9
@@ -195,12 +203,11 @@ class TestReduction:
             assert abs(image - t) < 1e-9 * max(1.0, abs(t))
 
     def test_nearest_cusp_heights(self):
-        cusp, h = nearest_cusp(cayley(0.99))
-        assert cusp == Cusp(0, 1)
-        assert h == pytest.approx(199.0, rel=1e-9)
-        cusp, h = nearest_cusp(cayley(0.99j))
-        assert cusp == Cusp(1, 1)
-        assert h == pytest.approx(99.5, rel=1e-9)
+        cusps, heights = nearest_cusp(cayley(np.array([[0.99, 0.99j]])))
+        assert cusps.shape == heights.shape == (1, 2)
+        assert cusps.tolist() == [[Cusp(0, 1), Cusp(1, 1)]]
+        assert heights[0] == pytest.approx([199.0, 99.5], rel=1e-9)
+        assert nearest_cusp(cayley(0.99j)) == (Cusp(1, 1), heights[0, 1])
 
 
 class TestCuspClassify:
@@ -227,3 +234,15 @@ class TestCuspClassify:
         assert cusp_classify(z, tess) is None
         deeper = tessellate(1)
         assert cusp_classify(z, deeper) is not None
+
+    def test_array_matches_each_point(self):
+        tess = tessellate(3)
+        rng = np.random.default_rng(2)
+        zs = (1.0 - np.logspace(-5, -0.5, 60)) * np.exp(2j * np.pi * rng.random(60))
+        # within AT_MINUS_ONE of -1 the point is at the cusp infinity
+        zs = np.append(zs, [-1.0 + AT_MINUS_ONE / 2, 0.6 * cmath.exp(0.3j)]).reshape(2, -1)
+        got = cusp_classify(zs, tess)
+        assert got.shape == zs.shape
+        assert got.tolist() == [[cusp_classify(z, tess) for z in row] for row in zs.tolist()]
+        assert got[1, -2] == tess.vertex_index(Cusp(1, 0))
+        assert got[1, -1] is None and any(i is not None for i in got.ravel())

@@ -120,7 +120,7 @@ class TestFDEngine:
 
     def test_covering_chart_is_holomorphic(self):
         for z in (0.25 + 0.1j, -0.3 + 0.4j):
-            res = cauchy_riemann_residual(lambda w: DATA.cover.value(w)[0], z)
+            res = cauchy_riemann_residual(lambda w: DATA.cover.values(w)[0], z)
             assert res < 1e-8
 
 
