@@ -21,15 +21,15 @@ lambda' = i pi lambda (1-lambda) theta3^4 at the reduced point rather
 than differencing the series.
 
 Every evaluation takes an array of points in one batch: the Cayley map
-and the masked reduction of the tessellation module, then the series and the anharmonic table over the whole
-array.  Very close to a cusp the reduced lambda underflows to exactly
-0; the cusp classes of infinity and 0 then give w = 0 or 1 exactly
-with zero derivative (harmless, the conformal factor vanishes), while
-the class of 1 would need 1/0.  The batch marks those points and gives
-the flipped chart 1/w there, and each caller applies its own rule:
-chart() passes the flipped chart on (puncture_distance reads it),
-values() raises PunctureError, and metric_factors_in_disc() reads the
-conformal factor there as 0.
+and the reduction of the tessellation module, then the series and the
+anharmonic table over the whole array.  Very close to a cusp the
+reduced lambda underflows to exactly 0; the cusp classes of infinity
+and 0 then give w = 0 or 1 exactly with zero derivative (harmless, the
+conformal factor vanishes), while the class of 1 would need 1/0.  The
+batch marks those points and gives the flipped chart 1/w there, and
+each caller applies its own rule: chart() passes the flipped chart on
+(puncture_distance reads it), values() raises PunctureError, and
+metric_factors_in_disc() reads the conformal factor there as 0.
 """
 
 from __future__ import annotations

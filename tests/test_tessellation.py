@@ -36,6 +36,9 @@ class TestCayley:
     def test_boundary_values(self):
         assert abs(cayley(1)) < 1e-15
         assert abs(cayley(1j) - 1) < 1e-15
+        # -1 itself is the cusp infinity, tested before the map
+        tess = tessellate(0)
+        assert cusp_classify(-1, tess) == tess.vertex_index(Cusp(1, 0))
 
     def test_round_trip(self):
         for k in range(40):

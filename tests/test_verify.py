@@ -114,6 +114,10 @@ class TestFDEngine:
 
     def test_cauchy_riemann(self):
         assert cauchy_riemann_residual(lambda z: z * z, 0.3 + 0.2j) < 1e-9
+        zs = np.array([[0.3 + 0.2j, -0.5 + 0.1j]])
+        got = cauchy_riemann_residual(np.conj, zs)
+        assert got.shape == zs.shape
+        assert got.tolist() == [[cauchy_riemann_residual(np.conj, z) for z in zs[0]]]
         assert cauchy_riemann_residual(lambda z: z.conjugate(), 0.3 + 0.2j) == (
             pytest.approx(1.0, abs=1e-9)
         )
