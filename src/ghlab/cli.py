@@ -571,9 +571,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path):
     rows = []
     verdicts = {}
     elements = _tessellation_elements(tessellate(cfg.depth))
+    sweeps = {tag: divergence_sweep(data, targets, tag, floor=cfg.sweep_floor)
+              for tag in ("sphere", "disc")}
     for k, target in enumerate(targets):
-        for tag in ("sphere", "disc"):
-            rep = divergence_sweep(data, target, tag, floor=cfg.sweep_floor)
+        for tag, reports in sweeps.items():
+            rep = reports[k]
             verdicts[f"{_g(target.real)}+{_g(target.imag)}j/{tag}"] = rep.verdict
             for r, length in rep.profile.entries:
                 rows.append([target.real, target.imag, tag, r, length,

@@ -10,15 +10,16 @@ of log Im psi, and measures horizontal (kernel-of-beta) lengths where
 the two slice metrics must agree.  Every length is the integral of a
 pointwise speed on adaptive 8-node Gauss-Legendre panels, halved until
 a panel and its two halves agree to within its share of the tolerance.
-Paths, speeds and integrands take arrays, so each refinement is one
-batch of 16 nodes.
+Paths, speeds and integrands take arrays, and one driver halves the
+panels of many intervals in rounds: a sweep's rungs and targets share
+one speed call per round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -142,43 +143,91 @@ def _disc(x: np.ndarray):
 
 
 # Nodes of the Gauss-Legendre rule on each panel; the depth cap ends the
-# halving where a speed never settles (a jump inside the interval).
+# halving where a speed never settles (a jump inside the interval).  A
+# round refines at most _ROUND_PANELS panels, so that a tolerance no panel
+# can meet costs time but not memory.
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _MAX_DEPTH = 28
+_ROUND_PANELS = 1024
 
 
-def _integrate(path: ParamPath, integrand, lo: float, hi: float, tol: float):
-    """Integrate integrand(s, points, velocities) over [lo, hi] to
-    absolute tolerance tol > 0.
+def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
+    """Integrate integrand(s, points, velocities) over each job
+    (path, lo, hi) to absolute tolerance tol > 0: one row of sums per job.
 
-    [lo, hi] starts as one panel.  A panel is accepted as the sum over
-    its two halves when that sum is within the panel's share of tol of
-    the panel's own Gauss-Legendre sum; otherwise both halves are split
-    again, each carrying its sum.  The integrand takes arrays: one call
-    gives the first panel's nodes, and one call both halves' nodes."""
+    Each [lo, hi] starts as one panel.  A panel is accepted as the sum
+    over its two halves when that sum is within the panel's share of tol
+    of the panel's own Gauss-Legendre sum; otherwise both halves are split
+    again, each carrying its sum.  The halving runs in rounds over the open
+    panels of every job: one integrand call per round, on both halves of
+    each panel, with each path sampled once over all of its panels.  A job
+    sums its accepted halves left to right, so its sum does not depend on
+    the other jobs.  Evaluation failures surface as PathError, naming what
+    failed, the path and job, and an s interval holding the failing node."""
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
+    slot = {}
+    on_path = np.array([slot.setdefault(path, len(slot)) for path, _, _ in jobs])
+    paths = list(slot)
+    lo, hi = np.array([job[1:] for job in jobs], dtype=float).T
 
-    def gauss(*edges: float):
-        """The Gauss-Legendre sums of the panels between edges."""
-        p, q = np.array(edges[:-1]), np.array(edges[1:])
+    def gauss(job, p, q):
+        """The Gauss-Legendre sums of the panels [p, q] of the jobs job."""
         half = 0.5 * (q - p)
         s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
-        vals = np.asarray(integrand(s, path.at(s), path.vel(s)), dtype=float)
+        node_job = np.repeat(job, _GL_NODES.size)
+        node_path = on_path[node_job]
+        x = np.empty(s.shape + (paths[0].dim,))
+        v = np.empty_like(x)
+        for k, path in enumerate(paths):
+            at = node_path == k
+            x[at], v[at] = path.at(s[at]), path.vel(s[at])
+        try:
+            vals = np.asarray(integrand(s, x, v), dtype=float)
+        except PathError:
+            raise
+        except GHLabError as exc:
+            # name the first job whose own nodes fail again
+            for j in np.unique(job):
+                at = node_job == j
+                try:
+                    integrand(s[at], x[at], v[at])
+                except GHLabError as again:
+                    raise PathError(f"{what} failed on path {on_path[j]} (job {j}) for s in "
+                                    f"[{s[at].min()}, {s[at].max()}]: {again}") from again
+            raise PathError(f"{what} failed: {exc}") from exc
         return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
 
-    total = 0.0
-    stack = [(lo, hi, gauss(lo, hi)[0], 0)]
-    while stack:
-        p, q, whole, depth = stack.pop()
+    def chunks(panels):
+        """The panels (job, p, q, sum, depth), in rounds of at most
+        _ROUND_PANELS."""
+        return [tuple(a[k:k + _ROUND_PANELS] for a in panels)
+                for k in range(0, panels[0].size, _ROUND_PANELS)]
+
+    job = np.arange(len(jobs))
+    rounds = chunks((job, lo, hi, gauss(job, lo, hi), np.zeros(job.size, dtype=int)))
+    accepted = []
+    while rounds:
+        job, p, q, whole, depth = rounds.pop()
         m = 0.5 * (p + q)
-        left, right = gauss(p, m, q)
-        gap = np.max(np.abs(left + right - whole))
-        if depth >= _MAX_DEPTH or gap <= tol * (q - p) / (hi - lo):
-            total = total + left + right
-        else:
-            stack += [(m, q, right, depth + 1), (p, m, left, depth + 1)]
-    return total
+        # both halves of each panel, in order: the next round's panels
+        halves = np.repeat(job, 2), np.stack((p, m), 1).ravel(), np.stack((m, q), 1).ravel()
+        sums = gauss(*halves)
+        left, right = sums[0::2], sums[1::2]
+        gap = np.max(np.abs(left + right - whole), axis=-1)
+        done = (depth >= _MAX_DEPTH) | (gap <= tol * (q - p) / (hi - lo)[job])
+        accepted.append((job[done], p[done], left[done], right[done]))
+        again = np.repeat(~done, 2)
+        split = *(a[again] for a in halves), sums[again], np.repeat(depth + 1, 2)[again]
+        rounds += chunks(split)
+
+    # each job adds its accepted halves from 0.0 in s order, the order of
+    # the depth-first stack, so that no other job moves its rounding
+    job, p, left, right = (np.concatenate(a) for a in zip(*accepted))
+    totals = np.zeros((len(jobs), left.shape[-1]))
+    for k in np.lexsort((p, job)):
+        totals[job[k]] = totals[job[k]] + left[k] + right[k]
+    return totals
 
 
 def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -210,25 +259,10 @@ def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
         return lambda s, x, v: _quadratic(v, data.g_sigma(_disc(x)))
 
     def speed(s, x, v):
-        frames = data.slice_frames(_disc(x))
-        return _quadratic(v, np.array([f.g3 if tag == "g3" else f.g_s for f in frames]))
+        (M,) = stacked(data.slice_frames(_disc(x)), "g3" if tag == "g3" else "g_s")
+        return _quadratic(v, M)
 
     return speed
-
-
-def _guarded(what: str, integrand):
-    """integrand(s, points, velocities) with evaluation failures along
-    the path surfaced as PathError, naming what failed and where."""
-
-    def guarded(s: np.ndarray, x: np.ndarray, v: np.ndarray):
-        try:
-            return integrand(s, x, v)
-        except PathError:
-            raise
-        except GHLabError as exc:
-            raise PathError(f"{what} failed for s in [{s[0]}, {s[-1]}]: {exc}") from exc
-
-    return guarded
 
 
 def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
@@ -243,8 +277,8 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
         raise ValueError(f"upto = {upto} outside (0, 1]")
     if path.proper and upto >= 1.0:
         raise ValueError("proper paths must be truncated below 1")
-    integrand = _guarded("metric evaluation", _speed_fn(tag, data, path.dim))
-    return float(_integrate(path, integrand, 0.0, upto, tol)[0])
+    speed = _speed_fn(tag, data, path.dim)
+    return float(_integrate_all([(path, 0.0, upto)], speed, tol, "metric evaluation")[0, 0])
 
 
 # ---- truncation-ladder sweeps ------------------------------------------
@@ -279,30 +313,31 @@ class SweepReport:
     target: complex
 
 
-def divergence_sweep(data: HolomorphicData, target: complex, tag: str,
-                     floor: float = 0.05, tol: float = 1e-6) -> SweepReport:
-    """Radial-path length ladder toward a boundary target, classified.
+def divergence_sweep(data: HolomorphicData, targets, tag: str,
+                     floor: float = 0.05, tol: float = 1e-6):
+    """Radial-path length ladders toward boundary targets, classified:
+    a SweepReport for one target, a list of them for a sequence.
 
-    The lengths are taken at the radii of DEFAULT_LADDER.  The verdict
-    is "divergent-evidence" when every ladder increment exceeds the
-    floor, "bounded-evidence" otherwise.  A desk-scale surrogate:
-    nothing here proves infinite length, it only reports whether growth
-    keeps clearing a fixed positive bar.
+    The lengths are taken at the radii of DEFAULT_LADDER, every rung of
+    every target in one adaptive quadrature.  The verdict is
+    "divergent-evidence" when every ladder increment exceeds the floor,
+    "bounded-evidence" otherwise.  A desk-scale surrogate: nothing here
+    proves infinite length, it only reports whether growth keeps
+    clearing a fixed positive bar.
     """
-    path = ParamPath.radial(target)
-    integrand = _guarded("metric evaluation", _speed_fn(tag, data, path.dim))
-    entries = []
-    total = 0.0
-    lo = 0.0
-    for r in DEFAULT_LADDER:
-        total += float(_integrate(path, integrand, lo, r, tol)[0])
-        entries.append((r, total))
-        lo = r
-    profile = LengthProfile(tag=tag, entries=tuple(entries))
-    grows = all(d > floor for d in profile.increments())
-    verdict = "divergent-evidence" if grows else "bounded-evidence"
-    return SweepReport(profile=profile, verdict=verdict, floor=floor,
-                       target=_unit_target(target))
+    single = np.ndim(targets) == 0
+    targets = [targets] if single else list(targets)
+    jobs = [(path, lo, r) for path in map(ParamPath.radial, targets)
+            for lo, r in zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER)]
+    pieces = _integrate_all(jobs, _speed_fn(tag, data, 2), tol, "metric evaluation")
+    reports = []
+    for target, rungs in zip(targets, pieces.reshape(len(targets), -1).tolist()):
+        profile = LengthProfile(tag=tag, entries=tuple(zip(DEFAULT_LADDER, accumulate(rungs))))
+        grows = all(d > floor for d in profile.increments())
+        verdict = "divergent-evidence" if grows else "bounded-evidence"
+        reports.append(SweepReport(profile=profile, verdict=verdict, floor=floor,
+                                   target=_unit_target(target)))
+    return reports[0] if single else reports
 
 
 def log_variation_check(path: ParamPath, data: HolomorphicData,
@@ -330,9 +365,8 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
         psi, dpsi, _ = data.psi.jet(_disc(x))
         return abs((dpsi * _disc(v)).imag) / psi.imag
 
-    integrand = _guarded("psi evaluation", variation)
-    rhs = float(_integrate(path, integrand, 0.0, 1.0, 1e-6)[0]) / math.sqrt(2.0)
-    return lhs, rhs
+    (rhs,) = _integrate_all([(path, 0.0, 1.0)], variation, 1e-6, "psi evaluation")[0]
+    return lhs, float(rhs) / math.sqrt(2.0)
 
 
 # ---- horizontal (kernel-of-beta) lengths -------------------------------
@@ -372,7 +406,7 @@ def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalRepor
         state["max_beta"] = max(state["max_beta"], float(beta))
         return np.stack((_quadratic(vp, G3), _quadratic(vp, Gs)), axis=-1)
 
-    out = _integrate(path, _guarded("slice frame", lengths), 0.0, 1.0, 1e-6)
+    (out,) = _integrate_all([(path, 0.0, 1.0)], lengths, 1e-6, "slice frame")
     return HorizontalReport(g3_length=float(out[0]), gs_length=float(out[1]),
                             max_beta=state["max_beta"], rerouted=state["rerouted"])
 
@@ -551,7 +585,7 @@ def fingerprint_samples() -> list:
 def radial_graph_fingerprint(data: HolomorphicData, samples) -> np.ndarray:
     """Im psi over the sample set: the height function whose graph over
     the disc is the geometry's radial graph."""
-    return np.array([data.psi(complex(z)).imag for z in samples])
+    return data.psi(np.asarray(samples, dtype=complex)).imag
 
 
 def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:

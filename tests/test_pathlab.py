@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,14 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghlab.covering
+import ghlab.pathlab
 from ghlab.ansatz import HolomorphicData, standard_data
-from ghlab.errors import ConvergenceError, InvalidMuError, PathError, RegionError
+from ghlab.errors import (
+    ConvergenceError,
+    InvalidMuError,
+    PathError,
+    PunctureError,
+    RegionError,
+)
 from ghlab.holo import MuSpec
 from ghlab.pathlab import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _MAX_DEPTH,
     DEFAULT_LADDER,
     LengthProfile,
     ParamPath,
     RegionConstants,
+    _integrate_all,
+    _speed_fn,
     divergence_sweep,
     even_side_crossings,
     fingerprint_distance,
@@ -225,6 +238,135 @@ class TestSweepQuadrature:
         assert max(errs) < 1e-10
         for (r, length), want in zip(rep.profile.entries, ref):
             assert abs(length - want) <= 1e-9, r
+
+
+def _depth_first(path, integrand, lo, hi, tol):
+    """The depth-first quadrature that the round-based driver replaced,
+    kept as its oracle: the same panels, accept rule, depth cap and order
+    of summation, with one integrand call per panel pair."""
+
+    def gauss(*edges):
+        p, q = np.array(edges[:-1]), np.array(edges[1:])
+        half = 0.5 * (q - p)
+        s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
+        vals = np.asarray(integrand(s, path.at(s), path.vel(s)), dtype=float)
+        return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
+
+    total = 0.0
+    stack = [(lo, hi, gauss(lo, hi)[0], 0)]
+    while stack:
+        p, q, whole, depth = stack.pop()
+        m = 0.5 * (p + q)
+        left, right = gauss(p, m, q)
+        gap = np.max(np.abs(left + right - whole))
+        if depth >= _MAX_DEPTH or gap <= tol * (q - p) / (hi - lo):
+            total = total + left + right
+        else:
+            stack += [(m, q, right, depth + 1), (p, m, left, depth + 1)]
+    return total
+
+
+_RADIAL = ParamPath.radial(GENERIC)
+_DISC_JOBS = [
+    (ParamPath.segment(0.1 + 0.2j, -0.4 + 0.6j), 0.0, 1.0),
+    (ParamPath.circle(0.1 - 0.2j, 0.3, turns=1.5, phase=0.4), 0.25, 0.9),
+    (_RADIAL, 0.0, 0.9),
+    (ParamPath.radial_window(1.0, *WINDOW), 0.1, 0.95),
+    (_RADIAL, 0.9, 0.999),
+]
+# a mixed job list per metric tag: paths shared between jobs, and unequal
+# intervals
+FRONTIER_JOBS = {
+    "euclid": _DISC_JOBS[:2] + [(ParamPath.circle(0.0, 0.5, turns=0.5), 0.3, 0.55)],
+    "sphere": _DISC_JOBS,
+    "disc": _DISC_JOBS,
+    "g3": [
+        (ParamPath.slice_segment((0.1, 0.05, 0.0), (0.45, 0.3, 1.2)), 0.0, 1.0),
+        (ParamPath.slice_segment((-0.3, 0.2, 0.5), (0.2, -0.1, -0.7)), 0.2, 0.7),
+        (ParamPath.theta_circle(-0.3587 + 0.6011j), 0.0, 0.5),
+    ],
+}
+
+
+class TestFrontier:
+    """The round-based driver against the depth-first oracle, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-9])
+    @pytest.mark.parametrize("tag", sorted(FRONTIER_JOBS))
+    def test_sums_match_the_depth_first_oracle(self, tag, tol):
+        jobs = FRONTIER_JOBS[tag]
+        speed = _speed_fn(tag, DATA, jobs[0][0].dim)
+        got = _integrate_all(jobs, speed, tol, "metric evaluation")
+        for k, (path, lo, hi) in enumerate(jobs):
+            assert np.array_equal(got[k], _depth_first(path, speed, lo, hi, tol)), k
+
+    def test_round_cap_changes_calls_not_sums(self, monkeypatch):
+        speed = _speed_fn("disc", DATA, 2)
+        sizes = []
+
+        def counted(s, x, v):
+            sizes.append(len(s))
+            return speed(s, x, v)
+
+        whole = _integrate_all(_DISC_JOBS, counted, 1e-9, "metric evaluation")
+        calls = len(sizes)
+        sizes.clear()
+        monkeypatch.setattr(ghlab.pathlab, "_ROUND_PANELS", 2)
+        capped = _integrate_all(_DISC_JOBS, counted, 1e-9, "metric evaluation")
+        assert np.array_equal(capped, whole)
+        assert len(sizes) > calls
+        # the first call takes every job's first panel; then at most two
+        # panels, both halves each, per call
+        assert max(sizes[1:]) <= 2 * 2 * _GL_NODES.size
+
+    def test_depth_cap_ends_a_jump(self):
+        seg = ParamPath.segment(0.0, 1.0)
+        calls = []
+
+        def step(s, x, v):
+            calls.append(len(s))
+            return (x[:, 0] > 1.0 / 3.0).astype(float)
+
+        (got,) = _integrate_all([(seg, 0.0, 1.0)], step, 1e-12, "step")
+        # the first panel, then one round per depth 0 .. _MAX_DEPTH
+        assert len(calls) == _MAX_DEPTH + 2
+        assert np.array_equal(got, _depth_first(seg, step, 0.0, 1.0, 1e-12))
+        assert abs(got[0] - 2.0 / 3.0) <= 2.0 ** -_MAX_DEPTH
+
+    def test_failure_names_its_path_and_interval(self, monkeypatch):
+        """A round holds every target's rungs; the PathError names the one
+        path that fails and an s interval of it holding a failing node."""
+        factory = ghlab.pathlab._speed_fn
+
+        def failing_factory(*args):
+            speed = factory(*args)
+
+            def failing(s, x, v):
+                # the GENERIC radius fails beyond 0.95
+                bad = (np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
+                if bad.any():
+                    raise PunctureError(f"z = {_disc(x)[bad][0]} is numerically at a cusp")
+                return speed(s, x, v)
+
+            return failing
+
+        monkeypatch.setattr(ghlab.pathlab, "_speed_fn", failing_factory)
+        with pytest.raises(PathError) as info:
+            divergence_sweep(DATA, [1.0, GENERIC, 1j], "sphere")
+        found = re.search(r"on path (\d+) \(job (\d+)\) for s in \[(\S+), (\S+)\]",
+                          str(info.value))
+        assert found, str(info.value)
+        path, job = int(found[1]), int(found[2])
+        a, b = float(found[3]), float(found[4])
+        assert path == 1
+        # the GENERIC jobs are 5..9, one per rung; job 6 is [0.9, 0.99]
+        lo, hi = ((0.0,) + DEFAULT_LADDER)[job - 5], DEFAULT_LADDER[job - 5]
+        assert 5 <= job < 10
+        assert lo <= a < b <= hi and b > 0.95
+
+
+def _disc(x):
+    return x[..., 0] + 1j * x[..., 1]
 
 
 class TestLogVariation:
