@@ -26,6 +26,7 @@ from ghlab.pathlab import (
     LengthProfile,
     ParamPath,
     RegionConstants,
+    _disc,
     _integrate_all,
     _speed_fn,
     divergence_sweep,
@@ -363,10 +364,6 @@ class TestFrontier:
         lo, hi = ((0.0,) + DEFAULT_LADDER)[job - 5], DEFAULT_LADDER[job - 5]
         assert 5 <= job < 10
         assert lo <= a < b <= hi and b > 0.95
-
-
-def _disc(x):
-    return x[..., 0] + 1j * x[..., 1]
 
 
 class TestLogVariation:
