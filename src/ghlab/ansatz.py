@@ -21,7 +21,7 @@ the slice structure equations come from.
 The xi part of the connection is produced by the radial homotopy
 inverse of the exterior derivative, so d xi = Im(phi) m du ^ dv holds
 by construction rather than by a separate integration.  The homotopy
-integral is a graded composite Gauss-Legendre rule whose panels shrink
+integral is a graded composite Gauss-Kronrod rule whose panels shrink
 toward the circle; its integrand reads the value of psi only.  The
 per-z fields, xi among them, are made for every new point of a pass in
 one eager batch, HolomorphicData.fill, and kept in a PointRecord each.
@@ -100,29 +100,58 @@ def sphere_jacobian(w, dw_dz):
     return tuple(np.moveaxis(x, 0, -1) for x in (p, du, dv))
 
 
+# The 33-node Kronrod extension of the 16-node Gauss-Legendre rule on
+# [-1, 1] (D. P. Laurie, Math. Comp. 66 (1997) 1133), rounded from an
+# 80-digit construction: the non-negative nodes it adds to leggauss(16),
+# and its weights at all of its non-negative nodes, ascending from 0.
+_KRONROD_NODES = (
+    0.0, 0.18916857901808373, 0.37148378087841627, 0.5404076763521397,
+    0.6897411066817623, 0.8142402870624444, 0.9091576670123429,
+    0.9715059509693926, 0.9982392741454446,
+)
+_KRONROD_WEIGHTS = (
+    0.0951542160804983, 0.09472840124723005, 0.09343867406092123,
+    0.09129203282819166, 0.08833750257911273, 0.08459580379259064,
+    0.08005394126371929, 0.07476982388559955, 0.06886299519153125,
+    0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
+    0.039512951202421966, 0.031260543647380526, 0.022498859440049444,
+    0.013257930688091158, 0.004742777049247318,
+)
+
+
+def _kronrod_rule():
+    """The 33 nodes on [-1, 1], ascending, with leggauss(16) at the odd
+    indices, and a (2, 33) weight array: row 0 the G16 rule (zero on the
+    added nodes), row 1 the K33 rule."""
+    gauss, gauss_w = leggauss(16)
+    # the added nodes interlace with the Gauss nodes
+    half = np.empty(17)
+    half[0::2], half[1::2] = _KRONROD_NODES, gauss[8:]
+    weights = np.zeros((2, 33))
+    weights[0, 1::2] = gauss_w
+    weights[1] = np.concatenate((_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS))
+    return np.concatenate((-half[:0:-1], half)), weights
+
+
+_K33 = _kronrod_rule()
 # k -> (nodes, weights): the graded rule of xi with k + 1 panels,
 # read-only.  k is at most 53, where 1 - |z| reaches double precision.
 _GRADED_RULES: dict = {}
-_XI_CHUNK_NODES = 512  # nodes per curl_source batch of fill, whole points
+_XI_CHUNK_NODES = 2048  # nodes per curl_source batch of fill, whole points
 
 
 def _graded_rule(k: int):
     """Nodes s on (0, 1) and a (2, n) weight array for the panels [0, 1/2],
-    [1/2, 3/4], ..., [1 - 2^-k, 1]: row 0 is the 16-node Gauss-Legendre
-    rule on every panel, row 1 the 32-node rule (each weight row is zero
-    on the other rule's nodes).  Built once per k."""
+    [1/2, 3/4], ..., [1 - 2^-k, 1], 33 nodes on each: row 0 is the
+    16-node Gauss-Legendre rule on every panel, on every other node, and
+    row 1 its 33-node Kronrod extension.  Built once per k."""
     rule = _GRADED_RULES.get(k)
     if rule is None:
         edges = np.append(1.0 - 0.5 ** np.arange(k + 1), 1.0)
         lo, half = edges[:-1], 0.5 * np.diff(edges)
-        nodes, weights = [], []
-        for row, order in enumerate((16, 32)):
-            x, w = leggauss(order)
-            nodes.append((lo[:, None] + half[:, None] * (x + 1.0)).ravel())
-            wt = np.zeros((2, half.size * order))
-            wt[row] = (half[:, None] * w).ravel()
-            weights.append(wt)
-        rule = (np.concatenate(nodes), np.hstack(weights))
+        x, w = _K33
+        rule = ((lo[:, None] + half[:, None] * (x + 1.0)).ravel(),
+                (half[:, None] * w[:, None, :]).reshape(2, -1))
         for arr in rule:
             arr.flags.writeable = False
         _GRADED_RULES[k] = rule
@@ -277,9 +306,10 @@ class HolomorphicData:
         xi(z) = (-Im z, Re z) times the integral of s curl_source(s z)
         over s in [0, 1] by the graded rule of k = ceil(log2(1/(1 -
         |z|))) >= 1, whose last panel is about as wide as the distance to
-        the circle: the 32-node sum is the value, its gap to the 16-node
-        sum the error.  Points of one k share curl_source batches of up
-        to _XI_CHUNK_NODES nodes."""
+        the circle: the K33 sum is the value, its gap to the G16 sum on
+        the shared nodes the error.  Points of one k share curl_source
+        batches of up to _XI_CHUNK_NODES nodes, and each point keeps its
+        own two sums."""
         new = {}
         for z in map(complex, zs):
             key = (z.real, z.imag)
@@ -318,13 +348,15 @@ class HolomorphicData:
             step = max(1, _XI_CHUNK_NODES // s.size)
             for chunk in (idx[i:i + step] for i in range(0, len(idx), step)):
                 rows = self.curl_source(np.array([zs[i] for i in chunk])[:, None] * s)
-                for i, row in zip(chunk, rows):
-                    coarse, val = (float(x) for x in weights @ (s * row))
-                    err = abs(coarse - val)
-                    if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-                        raise PathError(
-                            f"homotopy integral unreliable at z = {zs[i]}: err {err}")
-                    xi[i] = (-zs[i].imag * val, zs[i].real * val)
+                coarse, val = np.array([weights @ (s * row) for row in rows]).T
+                err = abs(coarse - val)
+                bad = ~(np.isfinite(val) & (err <= 1e-9 * np.maximum(1.0, abs(val))))
+                if bad.any():
+                    j = int(bad.argmax())
+                    raise PathError(f"homotopy integral unreliable at z = {zs[chunk[j]]}: "
+                                    f"err {float(err[j])}")
+                for i, v in zip(chunk, val.tolist()):
+                    xi[i] = (-zs[i].imag * v, zs[i].real * v)
         return xi
 
     def xi_at(self, z: complex):

@@ -172,6 +172,18 @@ def blaschke_derivs(spec: BlaschkeSpec, z):
     return p, d1, d2
 
 
+def _factor_values(a, ac, c, z):
+    """den = 1 - conj(a) z and the factor values c (a - z) / den over a
+    flat array of z, one row per factor of the columns given, after the
+    pole floor, which names the first factor and z that breach it."""
+    den = 1.0 - ac * z
+    near = abs(den) < _DENOM_FLOOR
+    if near.any():
+        row, col = np.argwhere(near)[0]
+        raise PoleError(f"Blaschke factor pole at z={z[col]} for zero a={a[row, 0]}")
+    return den, c * (a - z) / den
+
+
 def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray, derivs: bool = True):
     """blaschke_derivs over an array of z: each factor's jet by the same
     formulas, for all factors at once (one row per factor), then the
@@ -180,17 +192,13 @@ def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray, derivs: bool = True):
     products, bit for bit the first array of the jet."""
     shape, z = z.shape, z.ravel()
     a, ac, c, k = spec.factor_columns
-    den = 1.0 - ac * z
-    near = abs(den) < _DENOM_FLOOR
-    if near.any():
-        row, col = np.argwhere(near)[0]
-        raise PoleError(f"Blaschke factor pole at z={z[col]} for zero a={a[row, 0]}")
-    f = c * (a - z) / den
     p, d1, d2 = _power_with_derivs(spec.m, z)
     if not derivs:
-        for fk in f:
-            p = p * fk
+        # a factor at a time: the same products, and no (factor, z) array
+        for j in range(len(a)):
+            p = p * _factor_values(a[j:j + 1], ac[j:j + 1], c[j:j + 1], z)[1][0]
         return np.broadcast_to(p, z.shape).reshape(shape)
+    den, f = _factor_values(a, ac, c, z)
     core = k / (den * den)
     f1 = c * core
     f2 = c * core * 2.0 * ac / den

@@ -162,7 +162,8 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
     panels of every job: one integrand call per round, on both halves of
     each panel, with each path sampled once over all of its panels.  A job
     sums its accepted halves left to right, so its sum does not depend on
-    the other jobs.  Evaluation failures surface as PathError, naming what
+    the other jobs.  Evaluation failures, and a panel sum that is not
+    finite, surface as PathError in the round they happen, naming what
     failed, the path and job, and an s interval holding the failing node."""
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
@@ -170,6 +171,9 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
     on_path = np.array([slot.setdefault(path, len(slot)) for path, _, _ in jobs])
     paths = list(slot)
     lo, hi = np.array([job[1:] for job in jobs], dtype=float).T
+
+    def failure(j, a, b, why):
+        return PathError(f"{what} failed on path {on_path[j]} (job {j}) for s in [{a}, {b}]: {why}")
 
     def gauss(job, p, q):
         """The Gauss-Legendre sums of the panels [p, q] of the jobs job."""
@@ -193,10 +197,15 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
                 try:
                     integrand(s[at], x[at], v[at])
                 except GHLabError as again:
-                    raise PathError(f"{what} failed on path {on_path[j]} (job {j}) for s in "
-                                    f"[{s[at].min()}, {s[at].max()}]: {again}") from again
+                    raise failure(j, s[at].min(), s[at].max(), again) from again
             raise PathError(f"{what} failed: {exc}") from exc
-        return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
+        sums = half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
+        # a NaN gap never converges: without this it halves to _MAX_DEPTH
+        bad = ~np.isfinite(sums).all(axis=-1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise failure(job[i], p[i], q[i], "the panel sum is not finite")
+        return sums
 
     def chunks(panels):
         """The panels (job, p, q, sum, depth), in rounds of at most

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from ghlab.ansatz import (
     HolomorphicData,
     _graded_rule,
+    _K33,
     beta_cross_check,
     sphere_jacobian,
     standard_data,
@@ -342,7 +344,7 @@ def _quad_reference(data, z):
 
 
 class TestHomotopyRule:
-    """xi_at's graded Gauss-Legendre rule against adaptive quadrature."""
+    """xi_at's graded Gauss-Kronrod rule against adaptive quadrature."""
 
     @pytest.mark.parametrize("r", [0.3, 0.62, 0.9, 0.97, 0.99, 0.9999, 0.99999])
     def test_matches_adaptive_quadrature(self, r):
@@ -378,6 +380,106 @@ class TestHomotopyRule:
         monkeypatch.setattr(HolomorphicData, "curl_source", jump)
         with pytest.raises(PathError, match="homotopy integral unreliable"):
             standard_data().xi_at(z)
+
+
+def _legendre_rows(n, xs):
+    """P_0 .. P_{n-1} at the points xs by the three-term recurrence, in
+    the arithmetic of the points."""
+    rows = [[1 for _ in xs], list(xs)]
+    for j in range(1, n - 1):
+        rows.append([((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                     for x, p0, p1 in zip(xs, rows[-2], rows[-1])])
+    return rows[:n]
+
+
+@pytest.fixture(scope="module")
+def kronrod_oracle():
+    """The Gauss-Kronrod 16/33 rule on [-1, 1] at 70 digits, built apart
+    from the package: the added nodes are the zeros of the Stieltjes
+    polynomial E_17 (odd, monic, orthogonal to x^k P_16 for k < 17),
+    whose coefficients solve an exact rational system; the weights solve
+    sum w_i P_j(x_i) = 2 delta_j0 for j = 0 .. 32.  Nodes ascending."""
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    # P_16 as exact monomial coefficients
+    p0, p1 = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, 16):
+        p2 = [Fraction(0)] + [Fraction(2 * k + 1, k + 1) * c for c in p1]
+        for i, c in enumerate(p0):
+            p2[i] -= Fraction(k, k + 1) * c
+        p0, p1 = p1, p2
+
+    def moment(m):  # the integral of x^m P_16 over [-1, 1]
+        return sum(c * Fraction(2, i + m + 1) for i, c in enumerate(p1) if (i + m) % 2 == 0)
+
+    # E_17 = x (y^8 + c_7 y^7 + ... + c_0) with y = x^2; the conditions
+    # for even k hold by parity
+    odd = range(1, 17, 2)
+    system = [[moment(j + k) for j in odd] + [-moment(17 + k)] for k in odd]
+    for col in range(8):  # Gauss-Jordan elimination over the rationals
+        pivot = next(r for r in range(col, 8) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        system[col] = [v / system[col][col] for v in system[col]]
+        for r in range(8):
+            if r != col and system[r][col] != 0:
+                system[r] = [a - system[r][col] * b for a, b in zip(system[r], system[col])]
+    with mpmath.workdps(70):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        def positive_roots(coeffs):  # the even polynomial sum c_j y^j, y = x^2
+            ys = mpmath.polyroots([mp(c) for c in reversed(coeffs)], maxsteps=200, extraprec=300)
+            return [mpmath.sqrt(mpmath.re(y)) for y in ys]
+
+        added = positive_roots([system[r][8] for r in range(8)] + [Fraction(1)])
+        gauss = positive_roots(p1[0::2])
+        half = sorted(added + gauss)
+        nodes = [-x for x in reversed(half)] + [mpmath.mpf(0)] + half
+        A = mpmath.matrix(_legendre_rows(33, nodes))
+        weights = mpmath.lu_solve(A, mpmath.matrix([2] + [0] * 32))
+        return (np.array([float(x) for x in nodes]),
+                np.array([float(w) for w in weights]),
+                [float(x) for x in gauss])
+
+
+class TestKronrodRule:
+    """The graded rule's 33-node panel rule against its definition."""
+
+    def test_nodes_and_weights_against_mpmath(self, kronrod_oracle):
+        nodes, weights, _ = kronrod_oracle
+        x, w = _K33
+        assert x[16] == 0.0
+        assert np.all(np.abs(x - nodes) <= 4 * np.spacing(np.abs(nodes)))
+        assert np.all(np.abs(w[1] - weights) <= 4 * np.spacing(weights))
+
+    def test_gauss_is_leggauss_on_the_odd_nodes(self, kronrod_oracle):
+        x, w = _K33
+        gauss, gauss_w = leggauss(16)
+        assert np.array_equal(x[1::2], gauss)
+        assert np.array_equal(w[0, 1::2], gauss_w)
+        assert not w[0, 0::2].any()
+        # and the Gauss nodes interlace with the added ones
+        assert np.all(np.diff(x) > 0)
+        assert np.allclose(gauss[8:], kronrod_oracle[2], rtol=0, atol=1e-16)
+
+    def test_every_weight_is_positive(self):
+        assert np.all(_K33[1][1] > 0)
+
+    def test_degree_of_exactness(self):
+        x, w = _K33
+        k33 = w[1]
+        # x^48 integrates to 2/49; a node rounded by half an ulp moves
+        # its 48th power by up to 24 ulp
+        assert abs(k33 @ x**48 - 2.0 / 49.0) <= 48 * np.finfo(float).eps * (2.0 / 49.0)
+        # x^50's error, about 5e-18, lies below double precision; P_50
+        # carries it times its leading coefficient, about 9e13, while
+        # P_0 .. P_49 integrate exactly
+        rows = np.array(_legendre_rows(51, x))
+        exact = np.zeros(51)
+        exact[0] = 2.0
+        assert np.all(np.abs(rows[:50] @ k33 - exact[:50]) <= 1e-14)
+        assert abs(rows[50] @ k33) > 1e-5
 
 
 def _xi_alone(data, z):

@@ -334,6 +334,28 @@ class TestFrontier:
         assert np.array_equal(got, _depth_first(seg, step, 0.0, 1.0, 1e-12))
         assert abs(got[0] - 2.0 / 3.0) <= 2.0 ** -_MAX_DEPTH
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_integrand_stops_in_its_first_round(self, bad):
+        """A NaN gap never converges: the round that meets a non-finite
+        panel sum raises, at the full depth cap, and names its job."""
+        assert _MAX_DEPTH == 28
+        jobs = [(ParamPath.segment(0.0, 0.5), 0.0, 1.0),
+                (ParamPath.segment(0.1j, 0.6j), 0.25, 0.75),
+                (ParamPath.segment(0.2, 0.7 + 0.1j), 0.0, 1.0)]
+        calls = []
+
+        def poisoned(s, x, v):
+            calls.append(len(s))
+            # the second segment alone is all NaN (or inf)
+            on_second = np.abs(_disc(v) - 0.5j) < 1e-12
+            return np.where(on_second, bad, np.linalg.norm(v, axis=-1))
+
+        with pytest.raises(PathError, match=re.escape(
+                "integrand failed on path 1 (job 1) for s in [0.25, 0.75]: "
+                "the panel sum is not finite")):
+            _integrate_all(jobs, poisoned, 1e-9, "integrand")
+        assert calls == [3 * _GL_NODES.size]
+
     def test_failure_names_its_path_and_interval(self, monkeypatch):
         """A round holds every target's rungs; the PathError names the one
         path that fails and an s interval of it holding a failing node."""

@@ -386,6 +386,31 @@ class TestXiPrefetch:
         assert 1 <= state["sources"]["during"] <= state["chunks"] < state["points"]
 
 
+class TestXiNodes:
+    def test_verify_prefetch_node_count(self, monkeypatch, tmp_path):
+        """verify --grid 10 sends 33 (k + 1) nodes through curl_source
+        for each point of its prefetch, the k + 1 panels of its graded
+        rule, and no others: a count that no machine moves."""
+        seen = {"points": None, "nodes": 0}
+        fill, source = HolomorphicData.fill, HolomorphicData.curl_source
+
+        def first_fill(self, zs):
+            if seen["points"] is None:
+                seen["points"] = set(map(complex, zs))
+            fill(self, zs)
+
+        def counted(self, zs):
+            seen["nodes"] += zs.size
+            return source(self, zs)
+
+        monkeypatch.setattr(HolomorphicData, "fill", first_fill)
+        monkeypatch.setattr(HolomorphicData, "curl_source", counted)
+        assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
+        panels = sum(max(1, math.ceil(-math.log2(1.0 - abs(z)))) + 1 for z in seen["points"])
+        assert len(seen["points"]) == 90
+        assert seen["nodes"] == 33 * panels == 6_831
+
+
 # Eight directions that avoid the cusps 1, i, -1 and -i.
 DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
 
