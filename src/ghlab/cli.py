@@ -535,18 +535,15 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     data.fill([w for z in zpts for step in (h, h / 2.0)
                for w in stencil_points(z, FDConfig(step, richardson=0), depth=2)])
     for rho in (0.9, 1.1, 1.3):
-        for z in zpts:
-            try:
-                coarse, _, noise = curvature_with_noise(
-                    fn, [rho, z.real, z.imag], h=h
-                )
-            except StencilError as exc:
-                # the scan's rho values are fixed, so the step is at fault
-                raise ConfigError(f"fd.curvature_h: {exc}") from exc
-            rows.append([
-                rho, z.real, z.imag, coarse.riemann_max, coarse.ricci_max,
-                coarse.scalar, noise["riemann"], noise["ricci"],
-            ])
+        x = np.array([[rho, z.real, z.imag] for z in zpts])
+        try:
+            coarse, _, noise = curvature_with_noise(fn, x, h=h)
+        except StencilError as exc:
+            # the scan's rho values are fixed, so the step is at fault
+            raise ConfigError(f"fd.curvature_h: {exc}") from exc
+        columns = np.column_stack((coarse.riemann_max, coarse.ricci_max, coarse.scalar,
+                                   noise["riemann"], noise["ricci"]))
+        rows += [[rho, z.real, z.imag, *c] for z, c in zip(zpts, columns.tolist())]
     header = ["rho", "u", "v", "riemann_max", "ricci_max", "scalar",
               "noise_riemann", "noise_ricci"]
     csv_path = out / "curvature.csv"

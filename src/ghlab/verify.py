@@ -66,6 +66,17 @@ def _stencil(x, steps) -> np.ndarray:
     return pts
 
 
+def _differences(F: np.ndarray, steps, n: Optional[int] = None) -> np.ndarray:
+    """The partials at N centres from the values F (N, steps, d, 2, ...)
+    of a field on their stencils, in _stencil order, as _partials."""
+    S, d = F.shape[1:3]
+    D = (F[:, :, :, 0] - F[:, :, :, 1]) / (2.0 * steps).reshape((S,) + (1,) * (F.ndim - 3))
+    P = D[:, 0] if S == 1 else (4.0 * D[:, 1] - D[:, 0]) / 3.0
+    if n is not None:
+        P = np.concatenate((P, np.zeros((len(P), n - d) + P.shape[2:])), axis=1)
+    return P
+
+
 def _partials(field, x, config: FDConfig, n: Optional[int] = None, value: bool = False):
     """Partials of a stacked field along each coordinate at x.
 
@@ -74,7 +85,8 @@ def _partials(field, x, config: FDConfig, n: Optional[int] = None, value: bool =
     of x at each step of config, after the centres with ``value``.  x is
     one centre (d,) or a stack (N, d); the partials are stacked on a new
     axis after the centre axes and padded with zeros up to n: the field
-    does not depend on the coordinates past x (theta, for the ansatz).
+    does not depend on the coordinates past x (theta, for the ansatz);
+    n = -1 pads up to the length of the field's last axis (a metric's).
     With ``value`` the result is (field at x, partials)."""
     x = np.asarray(x, dtype=float)
     centres, steps = x.reshape(-1, x.shape[-1]), _steps(config)
@@ -82,10 +94,7 @@ def _partials(field, x, config: FDConfig, n: Optional[int] = None, value: bool =
     pts, head = _stencil(centres, steps).reshape(-1, d), N if value else 0
     F = np.asarray(field(np.concatenate((centres, pts)) if value else pts), dtype=float)
     F0, F = F[:head], F[head:].reshape((N, S, d, 2) + F.shape[1:])
-    D = (F[:, :, :, 0] - F[:, :, :, 1]) / (2.0 * steps).reshape((S,) + (1,) * (F.ndim - 3))
-    P = D[:, 0] if S == 1 else (4.0 * D[:, 1] - D[:, 0]) / 3.0
-    if n is not None:
-        P = np.concatenate((P, np.zeros((N, n - d) + P.shape[2:])), axis=1)
+    P = _differences(F, steps, F.shape[-1] if n == -1 else n)
     P = P.reshape(x.shape[:-1] + P.shape[1:])
     return (F0.reshape(x.shape[:-1] + F0.shape[1:]), P) if value else P
 
@@ -271,8 +280,16 @@ def quaternion_check(data: HolomorphicData, rho, z) -> dict:
 # ---- curvature ---------------------------------------------------------
 
 
+# Centres per metric_fn call of curvature.  A centre holds about 32 KiB
+# while its stencil is in use, so a full stack stays below one xi chunk
+# of the prefetch that precedes a scan (about 570 KiB, by tracemalloc).
+_CURVATURE_CHUNK = 16
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
+    """In the shape of the centres of x; floats for one centre."""
+
     x: np.ndarray
     h: float
     riemann_max: float
@@ -280,60 +297,65 @@ class CurvatureReport:
     scalar: float
 
 
-def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
-    """Riemann and Ricci by plain nested central differences.
-
-    ``metric_fn`` maps an (M, d) array of points to the (M, n, n) stack
-    of metrics there, and is called once, on (1 + 2d)^2 points: x and
-    its 2d neighbours, each with its own stencil.  The Christoffel
-    symbols of those 1 + 2d centres come from one inverse and one
-    contraction over the stack; their partials at x read them by row.
-    No Richardson anywhere: the truncation error is honestly O(h^2) so
-    halving the step must shrink a known-zero residual fourfold.  When x
-    has fewer coordinates than the metric has dimensions, the metric
-    does not depend on the rest (theta, for metric_field): their
-    partials are zero and are not differenced.
-    """
-    x = np.asarray(x, dtype=float)
-    if x[0] <= 2.5 * h:
-        raise StencilError(f"rho = {x[0]} too close to the cone point for h = {h}")
-    config = FDConfig(h, richardson=0)
-    centres = np.concatenate((x[None], _stencil(x, (h,)).reshape(-1, x.size)))
-    G, dG = _partials(metric_fn, centres, config, value=True)
+def _curvature_stack(metric_fn, centres: np.ndarray, h: float):
+    """The largest |Riemann| and |Ricci| and the scalar at each of N centres."""
+    (N, d), steps = centres.shape, np.array((h,))
+    pts = np.concatenate((centres, _stencil(centres, steps).reshape(-1, d)))
+    G, dG = _partials(metric_fn, pts, FDConfig(h, richardson=0), n=-1, value=True)
     dim = G.shape[-1]
-    dG = np.pad(dG, [(0, 0), (0, dim - x.size), (0, 0), (0, 0)])
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        first = next((k for k, g in enumerate(G) if np.linalg.matrix_rank(g) < dim), 0)
-        raise DegenerateMetricError(
-            f"metric singular at x = {centres[first].tolist()}") from None
+        first = int((np.linalg.matrix_rank(G) < dim).argmax())
+        raise DegenerateMetricError(f"metric singular at x = {pts[first].tolist()}") from None
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
     inner = np.einsum("nbdc->ndbc", dG) + np.einsum("ncbd->ndbc", dG) - dG
     Gamma = 0.5 * np.einsum("nad,ndbc->nabc", Ginv, inner)
-    row = {c: k for k, c in enumerate(map(tuple, centres.tolist()))}
-    dGamma = _partials(lambda X: Gamma[[row[c] for c in map(tuple, X.tolist())]],
-                       x, config, n=dim)
+    # the rows after the centres' are their stencils, in _stencil order
+    dGamma = _differences(Gamma[N:].reshape(N, 1, d, 2, dim, dim, dim), steps, dim)
+    G0 = Gamma[:N]
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + quadratic terms
     riem = (
-        np.einsum("cadb->abcd", dGamma)
-        - np.einsum("dacb->abcd", dGamma)
-        + np.einsum("ace,edb->abcd", Gamma[0], Gamma[0])
-        - np.einsum("ade,ecb->abcd", Gamma[0], Gamma[0])
+        np.einsum("ncadb->nabcd", dGamma)
+        - np.einsum("ndacb->nabcd", dGamma)
+        + np.einsum("nace,nedb->nabcd", G0, G0)
+        - np.einsum("nade,necb->nabcd", G0, G0)
     )
-    ricci = np.einsum("abad->bd", riem)
-    scalar = float(np.einsum("bd,bd->", Ginv[0], ricci))
-    return CurvatureReport(
-        x=x,
-        h=h,
-        riemann_max=float(np.abs(riem).max()),
-        ricci_max=float(np.abs(ricci).max()),
-        scalar=scalar,
-    )
+    ricci = np.einsum("nabad->nbd", riem)
+    scalar = np.einsum("nbd,nbd->n", Ginv[:N], ricci)
+    return _worst(riem, (N,)), _worst(ricci, (N,)), scalar
+
+
+def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
+    """Riemann and Ricci by plain nested central differences at a centre
+    x (d,) or a stack of them (N, d), an error naming the first failing one.
+
+    ``metric_fn`` maps an (M, d) array of points to the (M, n, n) stack
+    of metrics there, and is called once per _CURVATURE_CHUNK centres,
+    on (1 + 2d)^2 points each: the centre and its 2d neighbours, each
+    with its own stencil.  The Christoffel symbols of those neighbours
+    come from one inverse and one contraction over the stack; their
+    partials at each centre read them by row.  No Richardson anywhere:
+    the truncation error is honestly O(h^2) so halving the step must
+    shrink a known-zero residual fourfold.  When x has fewer coordinates
+    than the metric has dimensions, the metric does not depend on the
+    rest (theta, for metric_field): their partials are zero and are not
+    differenced.
+    """
+    x = np.asarray(x, dtype=float)
+    centres = x.reshape(-1, x.shape[-1])
+    low = ~(centres[:, 0] > 2.5 * h)
+    if low.any():
+        raise StencilError(f"rho = {centres[low.argmax(), 0]} too close to the cone point "
+                           f"for h = {h}")
+    parts = [_curvature_stack(metric_fn, centres[k:k + _CURVATURE_CHUNK], h)
+             for k in range(0, len(centres), _CURVATURE_CHUNK)]
+    riemann, ricci, scalar = (_shaped(np.concatenate(p), x.shape[:-1]) for p in zip(*parts))
+    return CurvatureReport(x=x, h=h, riemann_max=riemann, ricci_max=ricci, scalar=scalar)
 
 
 def curvature_with_noise(metric_fn, x, h: float = 1e-3):
-    """The report at h together with a floor estimated from h/2."""
+    """The reports at h and h/2 and the floors taken from them, at x as curvature."""
     coarse = curvature(metric_fn, x, h)
     fine = curvature(metric_fn, x, h / 2.0)
     noise = {

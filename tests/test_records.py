@@ -121,8 +121,22 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(HolomorphicData, "metric", counted)
         curvature(metric_field(standard_data()), x, h=1e-3)
-        assert taken["calls"] <= 4
+        assert taken["calls"] == 1
         assert taken["points"] == points
+
+    def test_curvature_scan_takes_one_metric_stack_per_row_and_step(self, monkeypatch,
+                                                                    tmp_path):
+        # three rho rows, each at the steps h and h/2
+        taken = {"calls": 0}
+        metric = HolomorphicData.metric
+
+        def counted(self, rho, z):
+            taken["calls"] += 1
+            return metric(self, rho, z)
+
+        monkeypatch.setattr(HolomorphicData, "metric", counted)
+        assert main(["curvature-scan", "--grid", "2", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert taken["calls"] == 6
 
     def test_rho_steps_need_no_evaluation(self, counts):
         data = standard_data()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ghlab.verify
 from ghlab.ansatz import HolomorphicData, beta_cross_check, standard_data
 from ghlab.cli import interior_points
 from ghlab.covering import ModularCover
@@ -298,6 +299,55 @@ class TestCurvature:
     def test_singular_metric_is_a_degenerate_metric(self):
         with pytest.raises(DegenerateMetricError, match=r"x = \[1\.0, 0\.0, 0\.0\]"):
             curvature(lambda X: np.zeros((len(X), 4, 4)), [1.0, 0.0, 0.0])
+
+
+class TestStackedCurvature:
+    """curvature over a stack of centres equals the one-centre calls bit
+    for bit, and its errors name the first failing centre."""
+
+    @staticmethod
+    def centres(width):
+        zs = interior_points(8, 3, radius=0.45)
+        rho = np.linspace(0.8, 1.4, len(zs))
+        x = np.array([[r, z.real, z.imag, 0.3 * k] for k, (r, z) in enumerate(zip(rho, zs))])
+        return x[:, :width]
+
+    @pytest.mark.parametrize("chunk", [16, 3], ids=["one-stack", "chunked"])
+    @pytest.mark.parametrize("width", [3, 4], ids=["rho-u-v", "with-theta"])
+    @pytest.mark.parametrize("data", [FLAT, DATA], ids=["flat", "blaschke"])
+    def test_stack_matches_one_centre_calls(self, monkeypatch, data, width, chunk):
+        monkeypatch.setattr(ghlab.verify, "_CURVATURE_CHUNK", chunk)
+        fn, x = metric_field(data), self.centres(width)
+        coarse, fine, noise = curvature_with_noise(fn, x, h=1e-3)
+        for i, xi in enumerate(x):
+            c, f, n = curvature_with_noise(fn, xi, h=1e-3)
+            for stack, one in ((coarse, c), (fine, f)):
+                assert (stack.riemann_max[i], stack.ricci_max[i], stack.scalar[i]) == (
+                    one.riemann_max, one.ricci_max, one.scalar)
+            assert (noise["riemann"][i], noise["ricci"][i]) == (n["riemann"], n["ricci"])
+        grid = curvature(fn, x.reshape(2, 4, width), h=1e-3)
+        assert grid.riemann_max.shape == (2, 4)
+        assert np.array_equal(grid.scalar.ravel(), coarse.scalar)
+
+    @pytest.mark.parametrize("rho", [1e-3, float("nan")], ids=["low", "nan"])
+    def test_a_low_centre_names_its_rho(self, rho):
+        x = self.centres(3)
+        x[5, 0] = rho
+        x[6, 0] = 2e-3
+        with pytest.raises(StencilError, match=f"^rho = {rho} too close"):
+            curvature(metric_field(FLAT), x, h=1e-3)
+
+    def test_a_singular_centre_is_named(self):
+        x = self.centres(3)
+
+        def metric(X):
+            G = metric_field(FLAT)(X)
+            G[X[:, 1] == x[4, 1]] = 0.0  # singular on the line u = u_4
+            return G
+
+        with pytest.raises(DegenerateMetricError,
+                           match=re.escape(f"x = {x[4].tolist()}")):
+            curvature(metric, x, h=1e-3)
 
 
 class TestStructureEquations:
