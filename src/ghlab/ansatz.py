@@ -24,7 +24,8 @@ by construction rather than by a separate integration.  The homotopy
 integral is a graded composite Gauss-Kronrod rule whose panels shrink
 toward the circle; its integrand reads the value of psi only.  The
 per-z fields, xi among them, are made for every new point of a pass in
-one eager batch, HolomorphicData.fill, and kept in a PointRecord each.
+one eager batch, HolomorphicData.fill, and kept as one row of the
+data's columnar store.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ def gh_forms(V, theta, dx) -> np.ndarray:
     V = np.asarray(V)[..., None, None, None]
     return (wedge(theta[..., None, :], dx)
             + V * wedge(dx.take(_NEXT, axis=-2), dx.take(_AFTER, axis=-2)))
-
-
-def stacked(items, *names) -> list:
-    """The attributes ``names`` of items (records or slice frames), each
-    as one array stacked over the items."""
-    return [np.array([getattr(item, name) for item in items]) for name in names]
 
 
 def _least(a: np.ndarray):
@@ -169,12 +164,12 @@ def _validation_ring():
 
 @dataclass(frozen=True)
 class SliceFrame:
-    """One slice point: coframe, scaling-field data, induced metric.
+    """A stack of slice points: coframe, scaling-field data, induced
+    metric, in the shape of the points (floats for one point).
 
     ``omega`` rows are the three coframe 1-forms over (du, dv, dtheta);
     ``xflat`` is the pullback of the metric dual of the scaling field,
-    and ``theta`` and ``drho`` the pullbacks of Theta and drho.  The
-    arrays are read-only: a frame is kept and shared.
+    and ``theta`` and ``drho`` the pullbacks of Theta and drho.
     """
 
     rho: float
@@ -194,24 +189,24 @@ class SliceFrame:
 
     @property
     def beta(self) -> np.ndarray:
-        return self.xflat / self.x_norm_sq
+        return self.xflat / np.expand_dims(self.x_norm_sq, -1)
 
     @property
     def g_s(self) -> np.ndarray:
-        return self.omega.T @ self.omega
+        return self.omega.swapaxes(-1, -2) @ self.omega
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointRecord:
-    """The fields of the ansatz at one disc point z, before rho enters.
+    """The fields of the ansatz at a stack of disc points z, before rho
+    enters, in the shape of the points (Python scalars for one).
 
     The homothety X = rho d/drho makes every field a power of rho times
     a function of z alone, and no field depends on theta.  So psi, psi',
     phi = -1/psi, the conformal factor m, the sphere point p and xi are
     made once per z by HolomorphicData.fill, and the forms are scaled
     from them: V = Im phi / rho, x = rho p, eta = (Re phi / rho) drho +
-    xi.  ``row`` holds V, Theta and the rows of dx at rho = 1, read-only.
-    ``frames`` holds the slice frames.
+    xi.  ``row`` holds V, Theta and the rows of dx at rho = 1.
     """
 
     z: complex
@@ -220,9 +215,25 @@ class PointRecord:
     phi: complex
     m: float
     p: np.ndarray
-    xi: tuple
     row: np.ndarray
-    frames: dict = field(default_factory=dict)
+
+
+_FRAME = np.dtype([("rho", float), ("t_slice", float), ("V", float), ("x", float, 3),
+                   ("omega", float, (3, 3)), ("xflat", float, 3), ("x_norm_sq", float),
+                   ("g3", float, (3, 3)), ("theta", float, 3), ("drho", float, 3),
+                   ("built", bool)])
+# One row of the store of HolomorphicData per disc point: the record that
+# fill appends, and the frame on each slice that _build_frames writes.
+_STORE = np.dtype([("z", complex), ("psi", complex), ("dpsi", complex), ("phi", complex),
+                   ("m", float), ("p", float, 3), ("row", float, 17),
+                   ("canonical", _FRAME), ("zero", _FRAME)])
+
+
+def _gather(cls, store: np.ndarray, rows: np.ndarray):
+    """One cls of the fields of the store at rows, each a copy in the
+    shape of rows: a Python scalar where that shape is ()."""
+    fields = {name: store[name].take(rows, axis=0) for name in cls.__dataclass_fields__}
+    return cls(**{name: a.item() if a.ndim == 0 else a for name, a in fields.items()})
 
 
 def validate_rho0(kind: str, scale: float) -> None:
@@ -245,12 +256,13 @@ class HolomorphicData:
     v_multiplier rescales the potential only; anything other than 1
     breaks the curl equation on purpose (used to exercise detectors).
 
-    The forms and metrics at a stack of (rho, z) are built from one
-    assembly of V, Theta and dx out of the records at z (``_fields``),
-    and each slice frame is built once per (z, slice) and kept in the
-    record at z.  ``fill`` makes the records; they live as long as the
-    data, and ``replace`` starts a new object with none, so a changed
-    psi never meets old ones.
+    The per-z fields are kept in one store of columns: ``_index`` maps
+    each z that fill has met to its row, which holds its record and its
+    frame on each slice once built.  The forms and metrics at a stack
+    of (rho, z) come from one assembly of V, Theta and dx gathered at
+    z (``_fields``); each slice frame is built once per (z, slice).
+    The store lives as long as the data, and ``replace`` starts a new
+    object with none, so a changed psi never meets old rows.
     """
 
     cover: object
@@ -258,9 +270,9 @@ class HolomorphicData:
     rho0_kind: str = "canonical"
     rho0_scale: float = 1.0
     v_multiplier: float = 1.0
-    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the z of the records whose conformal factor m underflowed to 0
-    _underflowed: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _store: np.ndarray = field(default_factory=lambda: np.zeros(0, _STORE), init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         validate_rho0(self.rho0_kind, self.rho0_scale)
@@ -279,13 +291,10 @@ class HolomorphicData:
     def phi(self) -> HoloFn:
         return self.psi.negate_reciprocal()
 
-    def record(self, z: complex) -> PointRecord:
-        """The record at z: fill on z alone, kept for reuse."""
-        z = complex(z)
-        key = (z.real, z.imag)
-        if key not in self._records:
-            self.fill([z])
-        return self._records[key]
+    def record(self, zs) -> PointRecord:
+        """The records at the z of zs, in its shape, filled where missing."""
+        rows = self._rows(zs)  # may fill: read the store after it
+        return _gather(PointRecord, self._store, rows)
 
     def curl_source(self, zs: np.ndarray) -> np.ndarray:
         """The du^dv density that d xi must reproduce, at an array of z.
@@ -297,11 +306,22 @@ class HolomorphicData:
 
     # ---- the records -------------------------------------------------
 
+    def _rows(self, zs) -> np.ndarray:
+        """The store rows of the z of zs, in its shape, after one fill of
+        the missing ones.  Each distinct z is looked up once."""
+        z = np.asarray(zs, dtype=complex)
+        distinct, inverse = np.unique(z, return_inverse=True)
+        keys = distinct.tolist()
+        if not self._index.keys() >= set(keys):
+            self.fill(z.ravel())
+        rows = np.array([self._index[w] for w in keys], dtype=np.intp)
+        return rows[inverse.ravel()].reshape(z.shape)
+
     def fill(self, zs) -> None:
-        """Make the record of every z in zs that has none, in one batch.
+        """Append the record of every z in zs that has none, in one batch.
 
         Every such z must lie in the open disc, checked before anything
-        is evaluated; no record is kept unless the whole batch succeeds.
+        is evaluated; no row is kept unless the whole batch succeeds.
         One psi jet and one cover batch of (w, dw/dz) serve all points.
         xi(z) = (-Im z, Re z) times the integral of s curl_source(s z)
         over s in [0, 1] by the graded rule of k = ceil(log2(1/(1 -
@@ -310,44 +330,41 @@ class HolomorphicData:
         the shared nodes the error.  Points of one k share curl_source
         batches of up to _XI_CHUNK_NODES nodes, and each point keeps its
         own two sums."""
-        new = {}
-        for z in map(complex, zs):
-            key = (z.real, z.imag)
-            if key not in self._records and key not in new:
-                if not abs(z) < 1.0:
-                    raise PunctureError(f"|z| = {abs(z)} is not inside the disc")
-                new[key] = z
+        index = self._index
+        new = [z for z in dict.fromkeys(np.ravel(np.asarray(zs, dtype=complex)).tolist())
+               if z not in index]
         if not new:
             return
-        points = list(new.values())
-        z = np.array(points)
+        outside = next((z for z in new if not abs(z) < 1.0), None)
+        if outside is not None:
+            raise PunctureError(f"|z| = {abs(outside)} is not inside the disc")
+        z = np.array(new)
         psi, dpsi, _ = self.psi.jet(z)
         w, dw_dz = self.cover.values(z)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
-        xi = self._xi(points)
-        rows = np.zeros((len(points), 17))
-        rows[:, 0], rows[:, 1], rows[:, 4] = self.v_multiplier * phi.imag, phi.real, 1.0
-        rows[:, 2:4] = xi
-        rows[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
-        rows.flags.writeable = False
-        for i, (key, zi) in enumerate(new.items()):
-            self._records[key] = PointRecord(
-                zi, complex(psi[i]), complex(dpsi[i]), complex(phi[i]), float(m[i]), p[i], xi[i],
-                rows[i])
-        self._underflowed.update(zi for zi, mi in zip(points, m) if not mi > 0)
+        rec = np.zeros(len(new), _STORE)  # no frame built yet
+        rec["z"], rec["psi"], rec["dpsi"], rec["phi"], rec["m"], rec["p"] = z, psi, dpsi, phi, m, p
+        row = rec["row"]  # a view: the writes below fill rec
+        row[:, 0], row[:, 1], row[:, 4] = self.v_multiplier * phi.imag, phi.real, 1.0
+        row[:, 2:4] = self._xi(new)
+        row[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
+        index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
+        self._store = np.concatenate((self._store, rec))
 
-    def _xi(self, zs: list) -> list:
-        """(xi_u, xi_v) at each disc point of zs, by the rule of fill."""
+    def _xi(self, zs: list) -> np.ndarray:
+        """(xi_u, xi_v) at each disc point of zs, by the rule of fill: an
+        (N, 2) array."""
         by_k = {}
         for i, z in enumerate(zs):
             by_k.setdefault(max(1, math.ceil(-math.log2(1.0 - abs(z)))), []).append(i)
-        xi = [None] * len(zs)
+        xi = np.empty((len(zs), 2))
         for k, idx in by_k.items():
             s, weights = _graded_rule(k)
             step = max(1, _XI_CHUNK_NODES // s.size)
             for chunk in (idx[i:i + step] for i in range(0, len(idx), step)):
-                rows = self.curl_source(np.array([zs[i] for i in chunk])[:, None] * s)
+                z = np.array([zs[i] for i in chunk])
+                rows = self.curl_source(z[:, None] * s)
                 coarse, val = np.array([weights @ (s * row) for row in rows]).T
                 err = abs(coarse - val)
                 bad = ~(np.isfinite(val) & (err <= 1e-9 * np.maximum(1.0, abs(val))))
@@ -355,20 +372,19 @@ class HolomorphicData:
                     j = int(bad.argmax())
                     raise PathError(f"homotopy integral unreliable at z = {zs[chunk[j]]}: "
                                     f"err {float(err[j])}")
-                for i, v in zip(chunk, val.tolist()):
-                    xi[i] = (-zs[i].imag * v, zs[i].real * v)
+                xi[chunk] = np.stack((-z.imag * val, z.real * val), axis=-1)
         return xi
 
     def xi_at(self, z: complex):
         """(xi_u, xi_v) at z, from the record at z."""
-        return self.record(z).xi
+        return tuple(self.record(z).row[2:4].tolist())
 
     # ---- the Gibbons-Hawking fields ------------------------------------
     # rho and z broadcast to the batch axes that lead every field; a
     # scalar (rho, z) is a batch of one.
 
     def _fields(self, rho, z):
-        """(V, Theta, dx) at (rho, z) from the records at z, which fill
+        """(V, Theta, dx) at (rho, z) from the rows of z, which fill
         makes first where missing, in one batch: Theta over (drho, du,
         dv, dtheta) on the last axis and the three dx_i as rows over
         them on the last two."""
@@ -378,13 +394,8 @@ class HolomorphicData:
         z = np.asarray(z, dtype=complex)
         if z.shape != rho.shape:
             z = np.broadcast_to(z, np.broadcast(rho, z).shape)
-        zs = z.ravel().tolist()
-        try:
-            rows = [self._records[(w.real, w.imag)].row for w in zs]
-        except KeyError:
-            self.fill(zs)
-            rows = [self._records[(w.real, w.imag)].row for w in zs]
-        F = np.array(rows).reshape(z.shape + (17,))
+        rows = self._rows(z)  # may fill: read the store after it
+        F = self._store["row"].take(rows, axis=0)
         dx = F[..., 5:].reshape(z.shape + (3, 4))
         # the homothety: V and Theta_rho go as 1/rho, the du and dv columns of dx as rho
         inverse, linear, rho = F[..., :2], dx[..., 1:3], rho[..., None]
@@ -409,11 +420,12 @@ class HolomorphicData:
             z = np.broadcast_to(np.asarray(z, dtype=complex), V.shape).flat[i]
             raise DegenerateMetricError(
                 f"metric not positive definite at z = {complex(z)}: V = {float(V.flat[i])}")
-        if self._underflowed:
-            bad = [w for w in np.ravel(z).tolist() if w in self._underflowed]
-            if bad:
-                raise MetricDomainError(
-                    f"conformal factor underflowed to 0 at |z| = {abs(bad[0])}")
+        m = self._store["m"]
+        if not _least(m) > 0:  # some conformal factor underflowed to 0: is one at z?
+            bad = ~(m.take(self._rows(z)) > 0)
+            if bad.any():
+                w = complex(np.ravel(z)[bad.argmax()])
+                raise MetricDomainError(f"conformal factor underflowed to 0 at |z| = {abs(w)}")
         V = V[..., None, None]
         return theta[..., :, None] * theta[..., None, :] / V + V * (dx.swapaxes(-1, -2) @ dx)
 
@@ -434,35 +446,34 @@ class HolomorphicData:
 
     # ---- slices --------------------------------------------------------
 
-    def slice_frames(self, zs, which: str = "canonical") -> list:
-        """The frames of the slice ``which`` at the z of zs, in order.
+    def slice_frames(self, zs, which: str = "canonical") -> SliceFrame:
+        """The frames of the slice ``which`` at the z of zs, in its shape.
 
-        After one fill, every frame not yet kept is built in one stacked
-        assembly and kept in the record at its z, read-only.  With
+        After one fill, every frame not yet built is built in one stacked
+        assembly and kept in the store, at the row of its z.  With
         rho0_kind "canonical" the zero slice is the canonical one and
         shares its frames."""
         if which not in ("canonical", "zero"):
             raise ValueError(f"unknown slice {which!r}")
         if which == "zero" and self.rho0_kind == "canonical":
             which = "canonical"
-        zs = np.ravel(np.asarray(zs, dtype=complex)).tolist()
-        self.fill(zs)
-        recs = [self._records[(z.real, z.imag)] for z in zs]
-        new = list({id(r): r for r in recs if which not in r.frames}.values())
-        if new:
+        rows = self._rows(zs)
+        new = np.unique(rows[~self._store[which]["built"].take(rows)])
+        if new.size:
             self._build_frames(new, which)
-        return [r.frames[which] for r in recs]
+        return _gather(SliceFrame, self._store[which], rows)
 
     def slice_frame(self, z: complex, which: str = "canonical") -> SliceFrame:
         """The frame of the slice ``which`` at z: slice_frames on z alone."""
-        return self.slice_frames([z], which)[0]
+        return self.slice_frames(z, which)
 
-    def _build_frames(self, recs: list, which: str) -> None:
-        """Build and keep the frames of the slice ``which`` at the records
-        recs, as one stack: one field assembly, one metric, one set of
-        forms, and each per-frame product as one matmul over the stack."""
-        n = len(recs)
-        z, psi, dpsi, p = stacked(recs, "z", "psi", "dpsi", "p")
+    def _build_frames(self, rows: np.ndarray, which: str) -> None:
+        """Build the frames of the slice ``which`` at the store rows, as
+        one stack, and write them to those rows: one field assembly, one
+        metric, one set of forms, and each per-frame product as one
+        matmul over the stack."""
+        n = len(rows)
+        z, psi, dpsi, p = (self._store[name][rows] for name in ("z", "psi", "dpsi", "p"))
         # each slice is a graph (rho over the disc, its (du, dv) gradient);
         # the zero slice is the graph of rho0
         k = self.rho0_scale
@@ -484,21 +495,14 @@ class HolomorphicData:
         G4 = self._metric_from(z, V, theta, dx)
         # contractions with the scaling field X = rho d/drho
         xflat4 = rho[:, None, None] * G4[..., :1]
-        x = rho[:, None] * p
-        omega = rho[:, None, None] * gh_forms(V, theta, dx)[:, :, 0] @ pull
-        xflat = (pull_t @ xflat4)[..., 0]
-        g3 = pull_t @ G4 @ pull
-        theta = (pull_t @ theta[..., None])[..., 0]
-        drho = pull[:, 0]
-        for arr in (x, omega, xflat, g3, theta, drho):
-            arr.flags.writeable = False
-        x_norm_sq = (rho * xflat4[:, 0, 0]).tolist()
-        rho, V = rho.tolist(), V.tolist()
-        t_slice = [math.log(a) - math.log(b) for a, b in zip(rho, zero[0].tolist())]
-        # iterating a stack gives the per-frame views
-        for rec, *columns in zip(recs, rho, t_slice, V, x, omega, xflat, x_norm_sq, g3,
-                                 theta, drho):
-            rec.frames[which] = SliceFrame(*columns)
+        f = np.zeros(n, _FRAME)
+        f["rho"], f["V"], f["x"] = rho, V, rho[:, None] * p
+        f["t_slice"] = [math.log(a) - math.log(b) for a, b in zip(rho.tolist(), zero[0].tolist())]
+        f["omega"] = rho[:, None, None] * gh_forms(V, theta, dx)[:, :, 0] @ pull
+        f["xflat"], f["x_norm_sq"] = (pull_t @ xflat4)[..., 0], rho * xflat4[:, 0, 0]
+        f["g3"], f["theta"] = pull_t @ G4 @ pull, (pull_t @ theta[..., None])[..., 0]
+        f["drho"], f["built"] = pull[:, 0], True
+        self._store[which][rows] = f
 
     def g_sigma(self, z) -> np.ndarray:
         """Quotient metric on the disc: the canonical-slice metric with
@@ -528,20 +532,20 @@ def beta_cross_check(data: HolomorphicData, z):
     an array of the shape of z with the three components last.
     """
     z = np.asarray(z, dtype=complex)
-    rho, theta, drho, x, omega, beta = stacked(
-        data.slice_frames(z, "canonical"), "rho", "theta", "drho", "x", "omega", "beta")
-    psi, phi = stacked([data.record(w) for w in z.ravel().tolist()], "psi", "phi")
+    f, rec = data.slice_frames(z.ravel(), "canonical"), data.record(z.ravel())
+    rho, phi = f.rho, rec.phi
     A = np.empty((len(rho), 1, 2, 2))
-    A[:, 0, 0, 0] = A[:, 0, 1, 1] = -psi.real
+    A[:, 0, 0, 0] = A[:, 0, 1, 1] = -rec.psi.real
     A[:, 0, 0, 1], A[:, 0, 1, 0] = -1.0, rho * rho
     # |phi| as CPython's abs rounds it
-    rhs = np.stack((theta / np.hypot(phi.real, phi.imag)[:, None] ** 2, rho[:, None] * drho), -1)
+    rhs = np.stack((f.theta / np.hypot(phi.real, phi.imag)[:, None] ** 2, rho[:, None] * f.drho),
+                   -1)
     solved = np.linalg.solve(A, rhs[..., None])[..., 0]
     out = {
         "beta_solved": solved[..., 0],
         "gamma_solved": solved[..., 1],
-        "beta_direct": beta,
-        "gamma_direct": (x[:, None] @ omega)[:, 0],
+        "beta_direct": f.beta,
+        "gamma_direct": (f.x[:, None] @ f.omega)[:, 0],
     }
     return {name: arr.reshape(z.shape + (3,)) for name, arr in out.items()}
 

@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .ansatz import HolomorphicData, beta_cross_check, stacked, standard_data, validate_rho0
+from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
 from .covering import check_ball_radius, puncture_class
 from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError, StencilError
 from .holo import MuSpec
@@ -425,12 +425,10 @@ def cmd_hororegions(cfg: ExperimentConfig, out: Path):
 
 def cmd_build(cfg: ExperimentConfig, out: Path):
     data = build_data(cfg.data)
-    rows = []
-    points = interior_points(cfg.grid.samples, cfg.grid.seed)
-    for z, frame in zip(points, data.slice_frames(points)):
-        rec = data.record(z)
-        rows.append([z.real, z.imag, rec.psi.imag, rec.psi.real, frame.V, rec.m,
-                     frame.lam0, frame.beta[2], *frame.x])
+    z = np.array(interior_points(cfg.grid.samples, cfg.grid.seed))
+    frame, rec = data.slice_frames(z), data.record(z)
+    rows = np.column_stack((z.real, z.imag, rec.psi.imag, rec.psi.real, frame.V, rec.m,
+                            frame.lam0, frame.beta[:, 2], frame.x)).tolist()
     header = ["u", "v", "im_psi", "re_psi", "potential", "metric_factor",
               "lam0", "beta_theta", "x1", "x2", "x3"]
     csv_path = out / "fields.csv"
@@ -474,15 +472,15 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     data.slice_frames([w for z in points for w in stencil_points(z, fdc)])
     # every check runs once, over the stack of centres
     z = np.array(points)
-    rho, V, t_slice, beta = stacked(data.slice_frames(z), "rho", "V", "t_slice", "beta")
-    psi, phi = stacked([data.record(w) for w in points], "psi", "phi")
+    frame, rec = data.slice_frames(z), data.record(z)
+    rho, t_slice, psi, phi = frame.rho, frame.t_slice, rec.psi, rec.phi
     values = {
         "cauchy_riemann": cauchy_riemann_residual(data.phi, z),
         "quaternion": np.max(list(quaternion_check(data, rho, z).values()), axis=0),
         "closure": closure_residual(data, rho, z, config=fdc),
         "curl": curl_residual(data, rho, z, config=fdc)["max"],
         # |phi| and |psi - psi_rec| as CPython's abs rounds them
-        "slice_identity": np.max([abs(V - np.hypot(phi.real, phi.imag) ** 2),
+        "slice_identity": np.max([abs(frame.V - np.hypot(phi.real, phi.imag) ** 2),
                                   abs(rho - psi.imag), abs(t_slice)], axis=0),
     }
     fit = structure_coeffs(data, z, "zero", config=fdc)
@@ -494,15 +492,14 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
         "beta_cross": np.maximum(
             abs(cross["beta_solved"] - cross["beta_direct"]).max(axis=1),
             abs(cross["gamma_solved"] - cross["gamma_direct"]).max(axis=1)),
-        "psi_reconstruction": np.hypot(-beta[:, 2] - psi.real, rho - psi.imag),
+        "psi_reconstruction": np.hypot(-frame.beta[:, 2] - psi.real, rho - psi.imag),
         "contact": abs(ratio - algebraic),
     })
     # the ratio must come out negative wherever it is genuinely nonzero
     contact_signs_ok = not np.any((algebraic < -tol.contact) & (ratio >= 0.0))
     # np.max keeps a NaN, where max() would drop it
     maxima = {name: float(np.max(values[name], initial=0.0)) for name in _VERIFY_CHECKS}
-    rows = [[w.real, w.imag] + [values[n][i] for n in _VERIFY_CHECKS] + [ratio[i]]
-            for i, w in enumerate(points)]
+    rows = np.column_stack((z.real, z.imag, *(values[n] for n in _VERIFY_CHECKS), ratio)).tolist()
 
     header = ["u", "v"] + list(_VERIFY_CHECKS) + ["contact_value"]
     csv_path = out / "verify.csv"

@@ -75,20 +75,19 @@ _PARITY_WEIGHTS = np.array([1, 4, 2, 8])
 _LAMBDA_FLOOR = 1e-150
 
 
-def _theta_series(t, exp):
-    """(theta2, theta3) at t by the fixed series, with exp = cmath.exp
-    for one point or np.exp for an array.  At reduced points |q| <=
-    exp(-pi sqrt(3)/2) < 0.066, so the first term left out of either
-    series is below 1e-29 of its sum."""
+def _theta_series(t):
+    """(theta2, theta3) over an array of t by the fixed series.  At
+    reduced points |q| <= exp(-pi sqrt(3)/2) < 0.066, so the first term
+    left out of either series is below 1e-29 of its sum."""
     # theta2 = 2 q^(1/4) (1 + q^2 + q^6 + q^12 + q^20),
     # theta3 = 1 + 2 (q + q^4 + q^9 + q^16), with q = exp(i pi tau)
-    q = exp(1j * math.pi * t)
+    q = np.exp(1j * math.pi * t)
     q2 = q * q
     q4 = q2 * q2
     q8 = q4 * q4
     q16 = q8 * q8
     q6 = q4 * q2
-    t2 = 2.0 * exp(0.25j * math.pi * t) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
+    t2 = 2.0 * np.exp(0.25j * math.pi * t) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
     t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
     return t2, t3
 
@@ -117,7 +116,7 @@ def _lambda_batch(tau: np.ndarray):
     if off.any():
         raise PunctureError(f"tau = {tau[off][0]} lies on the boundary (cusp)")
     t_red, g = reduce_to_fundamental(tau)
-    t2, t3 = _theta_series(t_red, np.exp)
+    t2, t3 = _theta_series(t_red)
     x = (t2 / t3) ** 4
     prime = 1j * math.pi * x * (1.0 - x) * t3**4
     A, B, C, D = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T

@@ -24,7 +24,7 @@ from itertools import accumulate, combinations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ansatz import HolomorphicData, stacked
+from .ansatz import HolomorphicData
 from .covering import (
     DEFAULT_BALL_RADIUS,
     _lambda_batch,
@@ -268,8 +268,8 @@ def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
         return lambda s, x, v: _quadratic(v, data.g_sigma(_disc(x)))
 
     def speed(s, x, v):
-        (M,) = stacked(data.slice_frames(_disc(x)), "g3" if tag == "g3" else "g_s")
-        return _quadratic(v, M)
+        frame = data.slice_frames(_disc(x))
+        return _quadratic(v, frame.g3 if tag == "g3" else frame.g_s)
 
     return speed
 
@@ -404,7 +404,8 @@ def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalRepor
     state = {"max_beta": 0.0, "rerouted": False}
 
     def lengths(s, x, v):
-        G3, Gs, b = stacked(data.slice_frames(_disc(x)), "g3", "g_s", "beta")
+        frame = data.slice_frames(_disc(x))
+        G3, Gs, b = frame.g3, frame.g_s, frame.beta
         Gb = np.linalg.solve(G3, b[..., None])[..., 0]
         q = np.einsum("ni,ni->n", b, Gb)
         flat = q < 1e-18

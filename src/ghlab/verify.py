@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ansatz import _AFTER, _NEXT, HolomorphicData, gh_forms, stacked, wedge
+from .ansatz import _AFTER, _NEXT, HolomorphicData, gh_forms, wedge
 from .errors import (
     CoframeDomainError,
     DegenerateFrameError,
@@ -203,7 +203,7 @@ def curl_residual(data: HolomorphicData, rho, z, config: FDConfig = _DEFAULT_FD)
     P = _partials(eta_and_v, np.stack((rho, z.real, z.imag), axis=-1), config)
     d_eta = _exterior(P[:, :, :3], 1, axis=1)
     grad_v = P[:, :, 3]
-    m = np.array([data.record(w).m for w in z.tolist()])
+    m = data.record(z).m
     star_dv = np.zeros((len(z), 3, 3))
     star_dv[:, 1, 2] = grad_v[:, 0] * rho * rho * m
     star_dv[:, 0, 2] = -grad_v[:, 1]
@@ -290,8 +290,6 @@ _CURVATURE_CHUNK = 16
 class CurvatureReport:
     """In the shape of the centres of x; floats for one centre."""
 
-    x: np.ndarray
-    h: float
     riemann_max: float
     ricci_max: float
     scalar: float
@@ -351,7 +349,7 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     parts = [_curvature_stack(metric_fn, centres[k:k + _CURVATURE_CHUNK], h)
              for k in range(0, len(centres), _CURVATURE_CHUNK)]
     riemann, ricci, scalar = (_shaped(np.concatenate(p), x.shape[:-1]) for p in zip(*parts))
-    return CurvatureReport(x=x, h=h, riemann_max=riemann, ricci_max=ricci, scalar=scalar)
+    return CurvatureReport(riemann_max=riemann, ricci_max=ricci, scalar=scalar)
 
 
 def curvature_with_noise(metric_fn, x, h: float = 1e-3):
@@ -398,7 +396,7 @@ def _uv_partials(data: HolomorphicData, z: np.ndarray, which: str, name: str,
     partials along (u, v, theta), an (N, 3, ...) stack: both read off
     the slice frames of the centres and their stencils, taken in one
     batch.  The partials along theta vanish."""
-    return _partials(lambda X: stacked(data.slice_frames(X[:, 0] + 1j * X[:, 1], which), name)[0],
+    return _partials(lambda X: getattr(data.slice_frames(X[:, 0] + 1j * X[:, 1], which), name),
                      np.stack((z.real, z.imag), axis=-1), config, n=3, value=True)
 
 
@@ -441,13 +439,13 @@ def structure_coeffs(data: HolomorphicData, z, which: str = "zero",
         raise DegenerateFrameError(f"coframe too degenerate to fit at z = {w}")
     coeffs = (Vt.swapaxes(1, 2) @ ((U.swapaxes(1, 2) @ y[..., None]) / sv[..., None]))[..., 0]
     residual = np.abs((M @ coeffs[..., None])[..., 0] - y).max(axis=1)
-    beta0_predicted, lam0_predicted = stacked(data.slice_frames(z, which), "beta", "lam0")
+    frames = data.slice_frames(z, which)
     return StructureFit(
         beta0=_shaped(coeffs[:, :3], shape),
         lam0=_shaped(coeffs[:, 3], shape),
         residual=_shaped(residual, shape),
-        beta0_predicted=_shaped(beta0_predicted, shape),
-        lam0_predicted=_shaped(lam0_predicted, shape),
+        beta0_predicted=_shaped(frames.beta, shape),
+        lam0_predicted=_shaped(frames.lam0, shape),
     )
 
 
@@ -462,7 +460,7 @@ def contact_ratio(data: HolomorphicData, z, config: FDConfig = _DEFAULT_FD) -> d
     z, _, shape = _centres(z)
     beta, P = _uv_partials(data, z, "canonical", "beta", config)
     d_u, d_v = P[:, 0], P[:, 1]
-    omega, = stacked(data.slice_frames(z), "omega")
+    omega = data.slice_frames(z).omega
     # dbeta over (u, v, theta) has no theta partials
     top = (beta[:, 0] * d_v[:, 2] - beta[:, 1] * d_u[:, 2]
            + beta[:, 2] * (d_u[:, 1] - d_v[:, 0]))
@@ -646,7 +644,7 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     located.sort(key=lambda t: (round(abs(t[0]), 9), math.atan2(t[0].imag, t[0].real)))
 
     zeros = [z for z, _, w in located if abs(w.real) < _RE_PSI_TOL]
-    norms = tuple(float(np.linalg.norm(f.beta)) for f in data.slice_frames(zeros))
+    norms = tuple(np.linalg.norm(data.slice_frames(zeros).beta, axis=-1).tolist())
     if len(zeros) > 1:
         sep = min(abs(a - b) for a, b in itertools.combinations(zeros, 2))
     else:

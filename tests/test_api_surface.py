@@ -17,8 +17,6 @@ ALLOWED = {
     "ansatz.HolomorphicData.xi_at": "traced by name in perfbench/layers.py (ansatz.xi)",
     "ansatz.HolomorphicData.slice_frame":
         "traced by name in perfbench/layers.py (ansatz.slice_frame)",
-    "ansatz.SliceFrame.g_s":
-        "read by its name through ansatz.stacked: the gs speed and horizontal lengths",
     "ansatz.HolomorphicData.base_metric":
         "oracle: the dx rows are orthogonal with squared lengths (1, rho^2 m, rho^2 m)",
     "covering.lambda_map": "oracle: the batched series and reduction against mpmath",

@@ -64,11 +64,11 @@ def _mp_theta(n, tau):
 
 
 def theta2(tau):
-    return _theta_series(tau, cmath.exp)[0]
+    return complex(_theta_series(np.array([tau]))[0][0])
 
 
 def theta3(tau):
-    return _theta_series(tau, cmath.exp)[1]
+    return complex(_theta_series(np.array([tau]))[1][0])
 
 
 class TestTheta:
@@ -83,7 +83,7 @@ class TestTheta:
 
     def test_batch_matches_point(self):
         taus = np.array(THETA_SAMPLES)
-        t2, t3 = _theta_series(taus, np.exp)
+        t2, t3 = _theta_series(taus)
         for k, tau in enumerate(THETA_SAMPLES):
             assert abs(t2[k] - theta2(tau)) < 1e-15
             assert abs(t3[k] - theta3(tau)) < 1e-15

@@ -21,10 +21,10 @@ import pytest
 import ghlab.ansatz
 import ghlab.holo
 import ghlab.pathlab
-from ghlab.ansatz import HolomorphicData, sphere_jacobian, standard_data
+from ghlab.ansatz import HolomorphicData, SliceFrame, sphere_jacobian, standard_data
 from ghlab.cli import interior_points, main
-from ghlab.covering import ModularCover
-from ghlab.holo import MuSpec
+from ghlab.covering import IdentityChart, ModularCover
+from ghlab.holo import HoloFn, MuSpec
 from ghlab.pathlab import mu_variant
 from ghlab.verify import (
     FDConfig,
@@ -225,19 +225,29 @@ class TestEvaluationCounts:
         assert sizes == [8, 16]
 
 
+def _bits(item) -> dict:
+    """The bytes of each field of a record or slice frame, the derived
+    fields of a frame included."""
+    names = [*item.__dataclass_fields__]
+    if isinstance(item, SliceFrame):
+        names += ["lam0", "beta", "g_s"]
+    return {name: np.asarray(getattr(item, name)).tobytes() for name in names}
+
+
 class TestSharedFrames:
     """Each slice frame is built once per (z, slice) and then shared."""
 
     @pytest.fixture
     def built(self, monkeypatch):
+        # the frames _build_frames writes to the store, one per row
         tally = [0]
-        cls = ghlab.ansatz.SliceFrame
+        build = HolomorphicData._build_frames
 
-        def counted(*args, **kwargs):
-            tally[0] += 1
-            return cls(*args, **kwargs)
+        def counted(self, rows, which):
+            tally[0] += len(rows)
+            return build(self, rows, which)
 
-        monkeypatch.setattr(ghlab.ansatz, "SliceFrame", counted)
+        monkeypatch.setattr(HolomorphicData, "_build_frames", counted)
         return tally
 
     def test_verify_builds_one_frame_per_stencil_point(self, built, tmp_path):
@@ -260,9 +270,9 @@ class TestSharedFrames:
             taken["fields"] += 1
             return fields(self, rho, z)
 
-        def counted_build(self, recs, which):
+        def counted_build(self, rows, which):
             taken["builds"].append(which)
-            return build(self, recs, which)
+            return build(self, rows, which)
 
         monkeypatch.setattr(HolomorphicData, "_fields", counted_fields)
         monkeypatch.setattr(HolomorphicData, "_build_frames", counted_build)
@@ -287,13 +297,71 @@ class TestSharedFrames:
         structure_coeffs(data, Z, "zero")
         contact_ratio(data, Z)
         assert built[0] == 9
-        assert data.slice_frame(Z, "zero") is data.slice_frame(Z)
+        assert _bits(data.slice_frame(Z, "zero")) == _bits(data.slice_frame(Z))
+        assert built[0] == 9
 
     def test_kept_frames_are_read_only(self):
-        frame = standard_data().slice_frame(Z)
-        for name in ("x", "omega", "xflat", "g3", "theta", "drho"):
-            with pytest.raises(ValueError):
+        # a caller gets copies: writing to them leaves the kept frame alone
+        data = standard_data()
+        names = ("x", "omega", "xflat", "g3", "theta", "drho")
+        for zs in (Z, [Z, -Z]):
+            frame = data.slice_frames(zs)
+            kept = {name: getattr(frame, name).copy() for name in names}
+            for name in names:
                 getattr(frame, name)[0] = 1.0
+            again = data.slice_frames(zs)
+            for name in names:
+                assert np.array_equal(getattr(again, name), kept[name]), (zs, name)
+
+
+def _data(make: str, kind: str) -> HolomorphicData:
+    """Blaschke or flat data with the rho0 kind ``kind``."""
+    if make == "blaschke":
+        return standard_data(rho0_kind=kind, rho0_scale=0.7)
+    return HolomorphicData(cover=IdentityChart(), psi=HoloFn.constant(2j),
+                           rho0_kind=kind, rho0_scale=0.7)
+
+
+class TestGather:
+    """record(zs) and slice_frames(zs, which) gather one stack in the
+    shape of zs from the store; each entry is what the one-point call
+    gives, bit for bit, Python scalars where a field has one value."""
+
+    @pytest.mark.parametrize("kind", ["canonical", "constant", "scaled"])
+    @pytest.mark.parametrize("make", ["blaschke", "flat"])
+    def test_stack_equals_one_point_calls(self, make, kind):
+        # repeated z, in a (2, 3) stack, against one-point calls on data
+        # that builds every point alone
+        zs = np.array([[Z, -0.2 + 0.1j, Z], [0.1 - 0.3j, 0.4j, -0.2 + 0.1j]])
+        stack, single = _data(make, kind), _data(make, kind)
+        got = [stack.record(zs), stack.slice_frames(zs, "canonical"),
+               stack.slice_frames(zs, "zero")]
+        assert len(stack._index) == 4
+        for idx in np.ndindex(zs.shape):
+            z = complex(zs[idx])
+            want = [single.record(z), single.slice_frame(z, "canonical"),
+                    single.slice_frame(z, "zero")]
+            for stacked, one in zip(got, want):
+                for name, bits in _bits(one).items():
+                    value, alone = getattr(stacked, name), getattr(one, name)
+                    assert value.shape == zs.shape + np.shape(alone), name
+                    assert value[idx].tobytes() == bits, (name, z)
+                    if np.ndim(alone) == 0:
+                        assert type(alone) in (float, complex), name
+
+    @pytest.mark.parametrize("make", ["blaschke", "flat"])
+    def test_empty_input(self, make):
+        # beta_zero_search passes [] when it finds no zero
+        data = _data(make, "constant")
+        rec = data.record([])
+        assert (rec.z.shape, rec.m.shape, rec.p.shape) == ((0,), (0,), (0, 3))
+        assert rec.row.shape == (0, 17)
+        for which in ("canonical", "zero"):
+            frame = data.slice_frames([], which)
+            assert frame.rho.shape == frame.lam0.shape == (0,)
+            assert frame.omega.shape == frame.g_s.shape == (0, 3, 3)
+            assert frame.beta.shape == (0, 3)
+        assert data._index == {}
 
 
 class TestXiCounts:
@@ -334,7 +402,7 @@ class TestXiCounts:
         # the rest of the record takes one jet batch and one cover batch
         expected = {"xi": ["B batch", "cover batch"], "record": ["cover batch", "jet batch"]}
         assert {k: sorted(v) for k, v in calls.items()} == expected
-        assert data.xi_at(z) is first
+        assert data.xi_at(z) == first
         assert {k: sorted(v) for k, v in calls.items()} == expected
 
 
@@ -345,7 +413,7 @@ def _xi_chunks(data, zs) -> int:
     read off z, and no record is made."""
     per_k = {}
     for z in map(complex, zs):
-        if (z.real, z.imag) not in data._records:
+        if z not in data._index:
             k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
             per_k.setdefault(k, set()).add(z)
     chunks = 0
@@ -370,18 +438,21 @@ class TestXiPrefetch:
                  "sources": dict.fromkeys(phases, 0), "made": dict.fromkeys(phases, 0),
                  "covers": dict.fromkeys(phases, 0)}
         fill, source = HolomorphicData.fill, HolomorphicData.curl_source
-        record = ghlab.ansatz.PointRecord
 
         def counted_fill(self, zs):
+            # rows appended to the store, per phase
+            rows = len(self._index)
             if state["phase"] == "before":
                 zs = list(zs)
                 state["points"] = len(set(map(complex, zs)))
                 state["chunks"] = _xi_chunks(self, zs)
                 state["phase"] = "during"
                 fill(self, zs)
+                state["made"]["during"] += len(self._index) - rows
                 state["phase"] = "after"
             else:
                 fill(self, zs)
+                state["made"][state["phase"]] += len(self._index) - rows
 
         def counted(kind, fn):
             def call(*args):
@@ -392,7 +463,6 @@ class TestXiPrefetch:
         monkeypatch.setattr(HolomorphicData, "fill", counted_fill)
         monkeypatch.setattr(HolomorphicData, "curl_source", counted("sources", source))
         monkeypatch.setattr(ModularCover, "chart", counted("covers", ModularCover.chart))
-        monkeypatch.setattr(ghlab.ansatz, "PointRecord", counted("made", record))
         assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
         assert state["sources"]["before"] == state["sources"]["after"] == 0
         assert state["made"]["after"] == state["covers"]["after"] == 0

@@ -204,7 +204,7 @@ class TestStackedChecks:
     @pytest.fixture(scope="class")
     def centres(self):
         z = np.array(interior_points(100, 0))
-        rho = np.array([f.rho for f in DATA.slice_frames(z)])
+        rho = DATA.slice_frames(z).rho
         return rho.reshape(10, 10), z.reshape(10, 10)
 
     @staticmethod
@@ -396,8 +396,9 @@ class TestDegenerateFrames:
 
         def nan_omega(zs, which="canonical"):
             # a NaN coframe at Z alone
-            return [dataclasses.replace(f, omega=np.full((3, 3), np.nan)) if z == self.Z else f
-                    for z, f in zip(np.ravel(zs), frames(zs, which))]
+            f = frames(zs, which)
+            at_z = (np.asarray(zs) == self.Z)[..., None, None]
+            return dataclasses.replace(f, omega=np.where(at_z, np.nan, f.omega))
 
         monkeypatch.setattr(data, "slice_frames", nan_omega)
         return data
