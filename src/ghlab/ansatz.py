@@ -189,7 +189,7 @@ class SliceFrame:
 
     @property
     def beta(self) -> np.ndarray:
-        return self.xflat / np.expand_dims(self.x_norm_sq, -1)
+        return self.xflat / np.asarray(self.x_norm_sq)[..., None]
 
     @property
     def g_s(self) -> np.ndarray:
@@ -230,8 +230,7 @@ _STORE = np.dtype([("z", complex), ("psi", complex), ("dpsi", complex), ("phi", 
 
 
 def _gather(cls, store: np.ndarray, rows: np.ndarray):
-    """One cls of the fields of the store at rows, each a copy in the
-    shape of rows: a Python scalar where that shape is ()."""
+    """cls of the store's fields at rows: copies in the shape of rows, scalars for ()."""
     fields = {name: store[name].take(rows, axis=0) for name in cls.__dataclass_fields__}
     return cls(**{name: a.item() if a.ndim == 0 else a for name, a in fields.items()})
 
@@ -307,15 +306,15 @@ class HolomorphicData:
     # ---- the records -------------------------------------------------
 
     def _rows(self, zs) -> np.ndarray:
-        """The store rows of the z of zs, in its shape, after one fill of
-        the missing ones.  Each distinct z is looked up once."""
+        """The store rows of the z of zs, in its shape, filled where missing."""
         z = np.asarray(zs, dtype=complex)
-        distinct, inverse = np.unique(z, return_inverse=True)
-        keys = distinct.tolist()
-        if not self._index.keys() >= set(keys):
-            self.fill(z.ravel())
-        rows = np.array([self._index[w] for w in keys], dtype=np.intp)
-        return rows[inverse.ravel()].reshape(z.shape)
+        keys = z.ravel().tolist()
+        try:
+            rows = [self._index[w] for w in keys]
+        except KeyError:
+            self.fill(keys)
+            rows = [self._index[w] for w in keys]
+        return np.array(rows, dtype=np.intp).reshape(z.shape)
 
     def fill(self, zs) -> None:
         """Append the record of every z in zs that has none, in one batch.
@@ -330,9 +329,8 @@ class HolomorphicData:
         the shared nodes the error.  Points of one k share curl_source
         batches of up to _XI_CHUNK_NODES nodes, and each point keeps its
         own two sums."""
-        index = self._index
         new = [z for z in dict.fromkeys(np.ravel(np.asarray(zs, dtype=complex)).tolist())
-               if z not in index]
+               if z not in self._index]
         if not new:
             return
         outside = next((z for z in new if not abs(z) < 1.0), None)
@@ -349,8 +347,9 @@ class HolomorphicData:
         row[:, 0], row[:, 1], row[:, 4] = self.v_multiplier * phi.imag, phi.real, 1.0
         row[:, 2:4] = self._xi(new)
         row[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
-        index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
-        self._store = np.concatenate((self._store, rec))
+        self._index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
+        raw = (np.void, _STORE.itemsize)  # numpy copies structured rows field by field
+        self._store = np.concatenate((self._store.view(raw), rec.view(raw))).view(_STORE)
 
     def _xi(self, zs: list) -> np.ndarray:
         """(xi_u, xi_v) at each disc point of zs, by the rule of fill: an
@@ -458,7 +457,8 @@ class HolomorphicData:
         if which == "zero" and self.rho0_kind == "canonical":
             which = "canonical"
         rows = self._rows(zs)
-        new = np.unique(rows[~self._store[which]["built"].take(rows)])
+        wanted = np.bincount(rows.ravel(), minlength=len(self._store)) > 0  # each row once
+        new = np.flatnonzero(wanted & ~self._store[which]["built"])
         if new.size:
             self._build_frames(new, which)
         return _gather(SliceFrame, self._store[which], rows)
