@@ -341,11 +341,11 @@ class HolomorphicData:
         w, dw_dz = self.cover.values(z)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
+        xi = self._xi(new)  # before rec: its chunks set the peak of a fill
         rec = np.zeros(len(new), _STORE)  # no frame built yet
         rec["z"], rec["psi"], rec["dpsi"], rec["phi"], rec["m"], rec["p"] = z, psi, dpsi, phi, m, p
         row = rec["row"]  # a view: the writes below fill rec
-        row[:, 0], row[:, 1], row[:, 4] = self.v_multiplier * phi.imag, phi.real, 1.0
-        row[:, 2:4] = self._xi(new)
+        row[:, 0], row[:, 1], row[:, 2:4], row[:, 4] = self.v_multiplier * phi.imag, phi.real, xi, 1
         row[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
         self._index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
         raw = (np.void, _STORE.itemsize)  # numpy copies structured rows field by field
