@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .covering import IdentityChart, ModularCover, _metric_factors
+from .covering import IdentityChart, ModularCover, _metric_factors, _stereo_lift
 from .errors import (
     DegenerateMetricError,
     InvalidDataError,
@@ -79,9 +79,7 @@ def sphere_jacobian(w, dw_dz):
     orientation-preserving lift used by the covering charts."""
     w, dw_dz = np.asarray(w, dtype=complex), np.asarray(dw_dz, dtype=complex)
     a, b = w.real, w.imag
-    s = a * a + b * b
-    den = 1.0 + s
-    p = np.array([2.0 * a / den, -2.0 * b / den, (s - 1.0) / den])
+    p, s, den = _stereo_lift(w)
     with np.errstate(over="ignore"):
         d2 = den * den
     # den^2 overflows for |w| beyond about 1e77, den does not: there the
@@ -92,7 +90,7 @@ def sphere_jacobian(w, dw_dz):
     dpb = np.array([-4.0 * a * b, -(2.0 + 2.0 * s - 4.0 * b * b), 4.0 * b]) / first / d2
     du = dpa * dw_dz.real + dpb * dw_dz.imag
     dv = -dpa * dw_dz.imag + dpb * dw_dz.real
-    return tuple(np.moveaxis(x, 0, -1) for x in (p, du, dv))
+    return p, np.moveaxis(du, 0, -1), np.moveaxis(dv, 0, -1)
 
 
 # The 33-node Kronrod extension of the 16-node Gauss-Legendre rule on
@@ -153,13 +151,12 @@ def _graded_rule(k: int):
     return rule
 
 
-def _validation_ring():
-    pts = [0j]
-    for r in (0.55, 0.85):
-        for k in range(12):
-            ang = 2.0 * math.pi * k / 12 + 0.17
-            pts.append(r * complex(math.cos(ang), math.sin(ang)))
-    return pts
+# The points where HolomorphicData checks that psi lands in the upper
+# half-plane: 0 and rings of 12 points at radii 0.55 and 0.85.
+_VALIDATION_RING = np.array([0j] + [
+    r * complex(math.cos(ang), math.sin(ang))
+    for r in (0.55, 0.85) for ang in (2.0 * math.pi * k / 12 + 0.17 for k in range(12))
+])
 
 
 @dataclass(frozen=True)
@@ -275,11 +272,12 @@ class HolomorphicData:
 
     def __post_init__(self):
         validate_rho0(self.rho0_kind, self.rho0_scale)
-        for z in _validation_ring():
-            if not self.psi(z).imag > 0:
-                raise InvalidDataError(
-                    f"psi({z}) = {self.psi(z)} left the upper half-plane"
-                )
+        w = self.psi(_VALIDATION_RING)
+        bad = ~(w.imag > 0)
+        if bad.any():
+            i = bad.argmax()
+            raise InvalidDataError(f"psi({complex(_VALIDATION_RING[i])}) = {complex(w[i])} "
+                                   "left the upper half-plane")
 
     @classmethod
     def flat_reference(cls) -> "HolomorphicData":
@@ -427,11 +425,6 @@ class HolomorphicData:
                 raise MetricDomainError(f"conformal factor underflowed to 0 at |z| = {abs(w)}")
         V = V[..., None, None]
         return theta[..., :, None] * theta[..., None, :] / V + V * (dx.swapaxes(-1, -2) @ dx)
-
-    def base_metric(self, rho: float, z: complex) -> np.ndarray:
-        """Euclidean metric pulled to (rho, u, v): diag(1, r^2 m, r^2 m)."""
-        m = self.record(z).m
-        return np.diag([1.0, rho * rho * m, rho * rho * m])
 
     def symplectic(self, rho, z) -> np.ndarray:
         """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as

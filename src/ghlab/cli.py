@@ -267,12 +267,11 @@ def _g(x) -> str:
     return "%.17g" % float(x)
 
 
-def write_csv(path: Path, header: list, rows) -> list:
+def write_csv(path: Path, header: list, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(c if isinstance(c, str) else _g(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
-    return header
 
 
 def sha256_file(path: Path) -> str:
@@ -347,9 +346,15 @@ def write_svg(path: Path, elements: list) -> None:
     path.write_text("\n".join(_svg_open() + elements + ["</svg>"]) + "\n")
 
 
+def _csv_header(path: Path) -> list:
+    with path.open(encoding="utf-8") as f:
+        return f.readline().rstrip("\n").split(",")
+
+
 def update_manifest(out: Path, cfg: ExperimentConfig, command: str,
-                    status: str, files: list, summary: dict,
-                    columns: dict) -> None:
+                    status: str, files: list, summary: dict) -> None:
+    """Record a command's status, its files' sha256, the header of each
+    CSV it wrote and its summary in out/manifest.json."""
     man_path = out / "manifest.json"
     h = config_hash(cfg)
     manifest = None
@@ -364,7 +369,7 @@ def update_manifest(out: Path, cfg: ExperimentConfig, command: str,
     manifest["commands"][command] = {
         "status": status,
         "files": {p.name: sha256_file(p) for p in files},
-        "csv_columns": columns,
+        "csv_columns": {p.name: _csv_header(p) for p in files if p.suffix == ".csv"},
         "summary": summary,
     }
     man_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -386,7 +391,7 @@ def cmd_tessellate(cfg: ExperimentConfig, out: Path):
     header = ["index", "depth", "word", "p0", "q0", "p1", "q1", "p2", "q2",
               "v0x", "v0y", "v1x", "v1y", "v2x", "v2y"]
     csv_path = out / "triangles.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     svg_path = out / "tessellation.svg"
     write_svg(svg_path, _tessellation_elements(tess))
     summary = {
@@ -394,7 +399,7 @@ def cmd_tessellate(cfg: ExperimentConfig, out: Path):
         "vertices": len(tess.vertices),
         "max_boundary_gap": tess.max_boundary_gap(),
     }
-    return True, [csv_path, svg_path], summary, {"triangles.csv": cols}
+    return True, [csv_path, svg_path], summary
 
 
 def cmd_hororegions(cfg: ExperimentConfig, out: Path):
@@ -410,7 +415,7 @@ def cmd_hororegions(cfg: ExperimentConfig, out: Path):
         elements.append(_svg_circle(rec.z, marker, _PALETTE[j - 1]))
     header = ["index", "p", "q", "class", "x", "y"]
     csv_path = out / "hororegions.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     svg_path = out / "hororegions.svg"
     write_svg(svg_path, elements)
     summary = {
@@ -420,7 +425,7 @@ def cmd_hororegions(cfg: ExperimentConfig, out: Path):
         "class_3": counts[3],
         "ball_radius": cfg.data.ball_radius,
     }
-    return True, [csv_path, svg_path], summary, {"hororegions.csv": cols}
+    return True, [csv_path, svg_path], summary
 
 
 def cmd_build(cfg: ExperimentConfig, out: Path):
@@ -432,13 +437,13 @@ def cmd_build(cfg: ExperimentConfig, out: Path):
     header = ["u", "v", "im_psi", "re_psi", "potential", "metric_factor",
               "lam0", "beta_theta", "x1", "x2", "x3"]
     csv_path = out / "fields.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     summary = {
         "points": len(rows),
         "min_im_psi": min(r[2] for r in rows),
         "max_potential": max(r[4] for r in rows),
     }
-    return True, [csv_path], summary, {"fields.csv": cols}
+    return True, [csv_path], summary
 
 
 _VERIFY_CHECKS = (
@@ -503,7 +508,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
 
     header = ["u", "v"] + list(_VERIFY_CHECKS) + ["contact_value"]
     csv_path = out / "verify.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
 
     failed = [name for name in _VERIFY_CHECKS
               if not maxima[name] <= getattr(tol, name)]
@@ -518,7 +523,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
 
     summary = {"points": len(points), "failed": sorted(failed),
                "maxima": {k: maxima[k] for k in sorted(maxima)}}
-    return not failed, [csv_path], summary, {"verify.csv": cols}
+    return not failed, [csv_path], summary
 
 
 def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
@@ -544,7 +549,7 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     header = ["rho", "u", "v", "riemann_max", "ricci_max", "scalar",
               "noise_riemann", "noise_ricci"]
     csv_path = out / "curvature.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     summary = {
         "points": len(rows),
         "max_riemann": max(r[3] for r in rows),
@@ -552,7 +557,7 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
         "max_ricci": max(r[4] for r in rows),
         "max_noise_ricci": max(r[7] for r in rows),
     }
-    return True, [csv_path], summary, {"curvature.csv": cols}
+    return True, [csv_path], summary
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path):
@@ -579,11 +584,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path):
                                       _PALETTE[k % len(_PALETTE)], 0.006))
     header = ["target_re", "target_im", "tag", "r", "length", "verdict", "floor"]
     csv_path = out / "sweeps.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     svg_path = out / "sweep_paths.svg"
     write_svg(svg_path, elements)
     summary = {"targets": len(targets), "verdicts": verdicts}
-    return True, [csv_path, svg_path], summary, {"sweeps.csv": cols}
+    return True, [csv_path, svg_path], summary
 
 
 def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
@@ -606,14 +611,14 @@ def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
         rows.append([i, z.real, z.imag] + [prints[name][i] for name, _ in variants])
     header = ["index", "u", "v"] + [name for name, _ in variants]
     csv_path = out / "fingerprints.csv"
-    cols = write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
 
     names = [name for name, _ in variants]
     dist_rows = [[a, b, fingerprint_distance(prints[a], prints[b])]
                  for a, b in combinations(names, 2)]
     min_dist = min(row[2] for row in dist_rows)
     dist_path = out / "fingerprint_distances.csv"
-    dist_cols = write_csv(dist_path, ["a", "b", "distance"], dist_rows)
+    write_csv(dist_path, ["a", "b", "distance"], dist_rows)
 
     ok = min_dist > cfg.tolerances.fingerprint_separation
     if not ok:
@@ -622,9 +627,7 @@ def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
           f"tol={cfg.tolerances.fingerprint_separation:.6g} "
           f"status={'pass' if ok else 'fail'}", file=sys.stderr)
     summary = {"variants": names, "min_distance": min_dist}
-    return ok, [csv_path, dist_path], summary, {
-        "fingerprints.csv": cols, "fingerprint_distances.csv": dist_cols,
-    }
+    return ok, [csv_path, dist_path], summary
 
 
 _DISPATCH = {
@@ -672,9 +675,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        ok, files, summary, columns = _DISPATCH[args.command](cfg, out)
+        ok, files, summary = _DISPATCH[args.command](cfg, out)
         status = "ok" if ok else "failed"
-        update_manifest(out, cfg, args.command, status, files, summary, columns)
+        update_manifest(out, cfg, args.command, status, files, summary)
     except OSError as exc:
         print(f"error=config detail=out_dir {cfg.out_dir!r} holds an unusable "
               f"artifact path: {exc}", file=sys.stderr)

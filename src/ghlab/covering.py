@@ -127,27 +127,6 @@ def _lambda_batch(tau: np.ndarray):
     return (A * x + B) / den, (A * D - B * C) / (den * den) * prime / (cz * cz), flipped
 
 
-def _lambda_values(tau):
-    """(lambda, lambda') at tau, an array or one point; PunctureError
-    where tau is numerically at a cusp."""
-    tau = np.asarray(tau, dtype=complex)
-    lam, prime, flipped = _lambda_batch(tau.ravel())
-    if flipped.any():
-        raise PunctureError(f"tau = {tau.ravel()[flipped][0]} is numerically at a cusp")
-    return lam.reshape(tau.shape)[()], prime.reshape(tau.shape)[()]
-
-
-def lambda_map(tau):
-    """The modular lambda function, valid on the whole upper half-plane,
-    at an array of tau or at one tau."""
-    return _lambda_values(tau)[0]
-
-
-def lambda_prime(tau):
-    """d lambda / d tau via the closed form at the reduced point."""
-    return _lambda_values(tau)[1]
-
-
 def sphere_distance(p: np.ndarray, q: np.ndarray):
     """Great-circle distance between unit vectors, components on the
     last axis, robust near 0 and pi."""
@@ -168,6 +147,15 @@ def puncture_class(cusp: Cusp) -> int:
     """Which puncture (1, 2, 3) a cusp maps to, by parity of (p, q)."""
     pattern = (cusp.p % 2, cusp.q % 2)
     return {(1, 0): 1, (0, 1): 2, (1, 1): 3}[pattern]
+
+
+def _stereo_lift(w: np.ndarray):
+    """(p, s, den) over an array of chart values w: the sphere points p
+    of the orientation-preserving stereographic lift, components on a
+    new last axis, with s = |w|^2 and den = 1 + s."""
+    s = w.real * w.real + w.imag * w.imag
+    den = 1.0 + s
+    return np.stack((2.0 * w.real / den, -2.0 * w.imag / den, (s - 1.0) / den), axis=-1), s, den
 
 
 def _metric_factors(w: np.ndarray, dw_dz: np.ndarray) -> np.ndarray:
@@ -311,28 +299,3 @@ def geodesic_point(c1: Cusp, c2: Cusp, y):
     # columns of positive determinant keep i y in the upper half-plane
     return (p1 * 1j * y + p2) / (q1 * 1j * y + q2)
 
-
-def base_triangle_image_area() -> float:
-    """Spherical area of the covering image of the base triangle.
-
-    Computed in the half-plane as the integral of |lambda'|^2 times the
-    spherical chart factor over the ideal triangle with cusps 0, 1,
-    infinity, to absolute and relative tolerance 1e-3.  The exact answer
-    is 2 pi (two triangles tile the sphere).
-    """
-    from scipy.integrate import dblquad
-
-    def integrand(y, x):
-        try:
-            value, prime = _lambda_values(complex(x, y))
-        except PunctureError:
-            return 0.0
-        s = abs(value) ** 2
-        return abs(prime) ** 2 * 4.0 / (1.0 + s) ** 2
-
-    def y_floor(x):
-        return math.sqrt(max(0.0, 0.25 - (x - 0.5) ** 2))
-
-    area, _ = dblquad(integrand, 0.0, 1.0, y_floor, math.inf,
-                      epsabs=1e-3, epsrel=1e-3)
-    return area

@@ -117,9 +117,6 @@ class BlaschkeSpec:
         cols = np.array(self.factor_terms, dtype=complex).reshape(-1, 4)
         return tuple(cols[:, j:j + 1] for j in range(4))
 
-    def degree(self) -> int:
-        return self.m + sum(mult for _, mult in self.zeros)
-
 
 def vertex_targeted_spec(vertices, depths=(1, 2)) -> BlaschkeSpec:
     """Place zeros a = (1 - 2^-j) * v for each unit-modulus target v.
@@ -248,11 +245,11 @@ def psi_fn(spec: BlaschkeSpec) -> HoloFn:
         1.0 - _blaschke_batch(spec, z, derivs=False)))
 
 
-def in_q2(w: complex) -> bool:
-    """True when w lies strictly inside the sector pi/4 < arg w < 3pi/4."""
-    if w == 0:
-        return False
-    return _Q2_LO < cmath.phase(w) < _Q2_HI
+def in_q2(w):
+    """True where w, one point or an array, lies strictly inside the
+    sector pi/4 < arg w < 3pi/4 (w = 0 has arg 0)."""
+    arg = np.angle(w)
+    return (_Q2_LO < arg) & (arg < _Q2_HI)
 
 
 @dataclass(frozen=True)
@@ -285,21 +282,21 @@ class MuSpec:
 
 # The points where validate_mu checks mu o psi: rings of 48 points at
 # radii 0.55 and 0.85, the outer one turned by half a step, and 0.
-_MU_SAMPLES = tuple(
+_MU_SAMPLES = np.array([
     r * cmath.exp(1j * (2.0 * math.pi * k / 48 + turn))
     for k in range(48) for r, turn in ((0.55, 0.0), (0.85, math.pi / 48))
-) + (0j,)
+] + [0j])
 
 
 def validate_mu(mu: MuSpec, psi: HoloFn) -> None:
-    """Check the sector condition on mu(psi(z)) over _MU_SAMPLES."""
-    m = mu.as_holo()
-    for z in _MU_SAMPLES:
-        w = m(psi(z))
-        if not in_q2(w):
-            raise InvalidMuError(
-                f"mu(psi({z})) = {w} left the sector pi/4 < arg < 3pi/4"
-            )
+    """Check the sector condition on mu(psi(z)) over _MU_SAMPLES, in
+    one batch; InvalidMuError names the first sample that fails."""
+    w = mu.as_holo()(psi(_MU_SAMPLES))
+    bad = ~in_q2(w)
+    if bad.any():
+        i = bad.argmax()
+        raise InvalidMuError(f"mu(psi({complex(_MU_SAMPLES[i])})) = {complex(w[i])} "
+                             "left the sector pi/4 < arg < 3pi/4")
 
 
 def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:

@@ -28,6 +28,7 @@ from .ansatz import HolomorphicData
 from .covering import (
     DEFAULT_BALL_RADIUS,
     _lambda_batch,
+    _stereo_lift,
     check_ball_radius,
     geodesic_point,
     hororegion_test,
@@ -49,30 +50,37 @@ def _unit_target(target: complex) -> complex:
     return t / abs(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamPath:
-    """Smooth parametrized path sampled on [0, 1].
+    """The straight path start + s (end - start), s in [0, 1].
 
-    ``fn`` maps an array of parameters to coordinates on a new last
-    axis: (u, v) for disc paths or (u, v, theta) for slice paths, and
-    ``vel`` to their exact derivative.  ``proper`` marks paths running
-    to the disc boundary as s -> 1, which must then only be sampled on
-    [0, 1).
+    Coordinates are (u, v) for disc paths or (u, v, theta) for slice
+    paths.  ``proper`` marks paths running to the disc boundary as
+    s -> 1, which must then only be sampled on [0, 1).  Paths compare by
+    identity: the quadrature driver numbers them so.
     """
 
-    fn: object
-    vel: object
-    dim: int = 2
+    start: np.ndarray
+    end: np.ndarray
     proper: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
+        object.__setattr__(self, "end", np.asarray(self.end, dtype=float))
+
+    @property
+    def dim(self) -> int:
+        return len(self.start)
+
     def at(self, s) -> np.ndarray:
-        """The coordinates at s, one parameter or an array of them."""
-        s = np.asarray(s, dtype=float)
-        out = np.asarray(self.fn(s), dtype=float)
-        if out.shape != s.shape + (self.dim,):
-            raise ValueError(f"sampler returned shape {out.shape}, "
-                             f"expected {s.shape + (self.dim,)}")
-        return out
+        """The coordinates at s, one parameter or an array of them, on a
+        new last axis."""
+        return self.start + np.multiply.outer(np.asarray(s, dtype=float), self.end - self.start)
+
+    def vel(self, s) -> np.ndarray:
+        """The constant velocity end - start at each s."""
+        d = self.end - self.start
+        return np.broadcast_to(d, np.shape(s) + d.shape)
 
     def point(self, s):
         """The disc point u + i v at s, one parameter or an array."""
@@ -81,40 +89,10 @@ class ParamPath:
     # ---- constructors --------------------------------------------------
 
     @classmethod
-    def _line(cls, a, b, proper: bool = False) -> "ParamPath":
-        """a + s (b - a): the constructors below but circle are lines."""
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
-        return cls(fn=lambda s: a + np.multiply.outer(s, d),
-                   vel=lambda s: np.broadcast_to(d, np.shape(s) + d.shape),
-                   dim=a.size, proper=proper)
-
-    @classmethod
-    def segment(cls, z0: complex, z1: complex) -> "ParamPath":
-        z0, z1 = complex(z0), complex(z1)
-        return cls._line([z0.real, z0.imag], [z1.real, z1.imag])
-
-    @classmethod
-    def circle(cls, center: complex, radius: float, turns: float = 1.0,
-               phase: float = 0.0) -> "ParamPath":
-        center, rate = complex(center), 2.0 * math.pi * turns
-
-        def fn(s):
-            ang = phase + rate * s
-            return np.stack((center.real + radius * np.cos(ang),
-                             center.imag + radius * np.sin(ang)), axis=-1)
-
-        def vel(s):
-            ang = phase + rate * s
-            return rate * radius * np.stack((-np.sin(ang), np.cos(ang)), axis=-1)
-
-        return cls(fn=fn, vel=vel)
-
-    @classmethod
     def radial(cls, target: complex) -> "ParamPath":
         """Straight run from the origin to the boundary point target/|target|."""
         t = _unit_target(target)
-        return cls._line([0.0, 0.0], [t.real, t.imag], proper=True)
+        return cls([0.0, 0.0], [t.real, t.imag], proper=True)
 
     @classmethod
     def radial_window(cls, target: complex, s_lo: float, s_hi: float) -> "ParamPath":
@@ -122,19 +100,19 @@ class ParamPath:
         t = _unit_target(target)
         if not 0.0 <= s_lo < s_hi < 1.0:
             raise ValueError(f"window [{s_lo}, {s_hi}] outside [0, 1)")
-        return cls._line([s_lo * t.real, s_lo * t.imag], [s_hi * t.real, s_hi * t.imag])
+        return cls([s_lo * t.real, s_lo * t.imag], [s_hi * t.real, s_hi * t.imag])
 
     @classmethod
     def slice_segment(cls, p0, p1) -> "ParamPath":
         if np.shape(p0) != (3,) or np.shape(p1) != (3,):
             raise ValueError("slice endpoints need (u, v, theta) coordinates")
-        return cls._line(p0, p1)
+        return cls(p0, p1)
 
     @classmethod
     def theta_circle(cls, z0: complex, turns: float = 1.0) -> "ParamPath":
         """Circle-fiber loop over a fixed disc point."""
         z0 = complex(z0)
-        return cls._line([z0.real, z0.imag, 0.0], [z0.real, z0.imag, 2.0 * math.pi * turns])
+        return cls([z0.real, z0.imag, 0.0], [z0.real, z0.imag, 2.0 * math.pi * turns])
 
 
 def _disc(x: np.ndarray):
@@ -452,21 +430,12 @@ _BASE_SIDES = (
 _SIDE_SAMPLES = 512
 
 
-def _lift(w: np.ndarray) -> np.ndarray:
-    """The sphere points of an array of chart values w, components on a
-    new last axis: the lift of ansatz.sphere_jacobian, without its
-    derivatives, so that it holds for any finite w."""
-    s = w.real * w.real + w.imag * w.imag
-    den = 1.0 + s
-    return np.stack((2.0 * w.real / den, -2.0 * w.imag / den, (s - 1.0) / den), axis=-1)
-
-
 def _side_points(c1: Cusp, c2: Cusp, ys) -> np.ndarray:
     """The sphere points of the side from c1 to c2 at an array of
     parameters y, from one lambda batch; where w is numerically
     infinite the point is the puncture there."""
     w, _, flipped = _lambda_batch(np.atleast_1d(geodesic_point(c1, c2, ys)))
-    p = _lift(w)
+    p = _stereo_lift(w)[0]
     p[flipped] = punctures()[2]
     return p
 
@@ -520,61 +489,6 @@ def hexagon_constants(r: float = DEFAULT_BALL_RADIUS) -> RegionConstants:
     sides = [_truncated_side(c1, c2, r) for c1, c2 in _BASE_SIDES]
     c1 = min(_pairwise_min(a, b) for a, b in combinations(sides, 2))
     return RegionConstants(c1=c1, c2=pair_min - 2.0 * r, c3=r)
-
-
-# ---- even-side crossing counts -----------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossingReport:
-    """Transversal crossings of the even-side great circle, labelled by
-    which truncated side arc was hit; count is the number of consecutive
-    distinct-label pairs, each of which forces at least c1 of spherical
-    length."""
-
-    count: int
-    labels: tuple
-    params: tuple
-
-
-def _arc_label(p: np.ndarray) -> int:
-    if p[0] < 0.0:
-        return 2
-    return 0 if p[2] < 0.0 else 1
-
-
-def even_side_crossings(path: ParamPath, data: HolomorphicData) -> CrossingReport:
-    """Crossings located between 2048 evenly spaced samples of the path,
-    lifted in one batch; a sign change through samples on the circle
-    counts once.  Crossings inside a puncture ball of the default radius
-    are left out."""
-    if path.dim != 2:
-        raise ValueError("crossing count wants a disc path")
-    from scipy.optimize import brentq
-
-    def lift(s):
-        try:
-            return _lift(data.cover.values(path.point(s))[0])
-        except GHLabError as exc:
-            raise PathError(f"covering evaluation failed for s in "
-                            f"[{np.min(s)}, {np.max(s)}]: {exc}") from exc
-
-    svals = np.linspace(0.0, 1.0, 2048)
-    heights = lift(svals)[:, 1]
-    off = np.flatnonzero(heights)
-    labels = []
-    params = []
-    for a, b in zip(off[:-1], off[1:]):
-        if (heights[a] > 0.0) == (heights[b] > 0.0):
-            continue
-        s_star = brentq(lambda s: lift(s)[1], svals[a], svals[b], xtol=1e-12)
-        p = lift(s_star)
-        if min(sphere_distance(p, q) for q in punctures()) < DEFAULT_BALL_RADIUS:
-            continue
-        labels.append(_arc_label(p))
-        params.append(s_star)
-    count = sum(1 for a, b in zip(labels[:-1], labels[1:]) if a != b)
-    return CrossingReport(count=count, labels=tuple(labels), params=tuple(params))
 
 
 # ---- radial-graph fingerprints -----------------------------------------

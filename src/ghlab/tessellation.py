@@ -63,11 +63,6 @@ def cayley(z):
     return tau[()]
 
 
-def cayley_inv(tau):
-    """Half-plane to disc: z = (i - tau)/(i + tau)."""
-    return (1j - tau) / (1j + tau)
-
-
 class Cusp(NamedTuple):
     """A boundary cusp p/q in lowest terms, q >= 0; (1, 0) is infinity."""
 
@@ -113,18 +108,6 @@ class SideGeodesic:
         radius = math.sqrt(abs(center) ** 2 - 1.0)
         return cls(kind="circle", center=center, radius=radius, endpoints=(va, vb))
 
-    def side_sign(self, z: complex) -> float:
-        """Signed side function: 0 on the geodesic, sign labels the sides."""
-        if self.kind == "diameter":
-            return (z * self.direction.conjugate()).imag
-        return abs(z - self.center) - self.radius
-
-    def reflect_point(self, z: complex) -> complex:
-        if self.kind == "diameter":
-            return self.direction**2 * z.conjugate()
-        c = self.center
-        return c + (self.radius**2) / (z.conjugate() - c.conjugate())
-
 
 def halfplane_reflection_matrix(c1: Cusp, c2: Cusp):
     """Integer matrix (a, b, c, d) of the half-plane reflection, acting on
@@ -158,17 +141,6 @@ class IdealTriangle:
     def sides(self) -> tuple:
         v = self.vertices
         return tuple(SideGeodesic.through(v[k], v[(k + 1) % 3]) for k in range(3))
-
-    def contains(self, z: complex, tol: float = 1e-9) -> bool:
-        """Closed-triangle membership: boundary within tol counts."""
-        z = complex(z)
-        v = self.vertices
-        for k, side in enumerate(self.sides):
-            ref = side.side_sign(v[(k + 2) % 3])
-            s = side.side_sign(z)
-            if s * math.copysign(1.0, ref) < -tol:
-                return False
-        return True
 
 
 def base_triangle() -> IdealTriangle:

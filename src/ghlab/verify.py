@@ -125,16 +125,6 @@ def _exterior(P: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
     raise ValueError(f"unsupported form degree {k}")
 
 
-def fd_exterior_derivative(field, x, config: FDConfig = _DEFAULT_FD):
-    """Exterior derivative of a k-form field (k = 0, 1, 2) by differencing.
-
-    ``field`` maps one coordinate vector to a scalar, a component
-    vector, or an antisymmetric component matrix.  The result carries
-    one more index and is antisymmetric."""
-    P = _partials(lambda X: [field(y) for y in X], x, config)
-    return _exterior(P, P.ndim - 1)
-
-
 def cauchy_riemann_residual(f: Callable, z, h: float = 1e-6):
     """|dbar f| at each z, an array or one point, by central differences
     in each real direction, in one call of f on an array of z."""

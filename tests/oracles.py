@@ -1,0 +1,208 @@
+"""Reference computations that the tests compare the package against.
+
+Nothing in ghlab calls these: each is an independent route to a value
+the package computes another way (a double integral, a root-bracketed
+crossing count, a general finite-difference stencil, point-by-point
+geodesic geometry), or a path the lab itself never runs (a circle).
+They live beside the tests that use them, as plain functions.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from ghlab.covering import (
+    DEFAULT_BALL_RADIUS,
+    _lambda_batch,
+    _stereo_lift,
+    punctures,
+    sphere_distance,
+)
+from ghlab.errors import GHLabError, PathError, PunctureError
+from ghlab.pathlab import ParamPath, _disc
+from ghlab.verify import FDConfig, _exterior, _partials
+
+# ---- the modular lambda function ----------------------------------------
+
+
+def lambda_values(tau):
+    """(lambda, lambda') at tau, an array or one point, from the batch
+    every chart takes; PunctureError where tau is numerically at a cusp."""
+    tau = np.asarray(tau, dtype=complex)
+    lam, prime, flipped = _lambda_batch(tau.ravel())
+    if flipped.any():
+        raise PunctureError(f"tau = {tau.ravel()[flipped][0]} is numerically at a cusp")
+    return lam.reshape(tau.shape)[()], prime.reshape(tau.shape)[()]
+
+
+def base_triangle_image_area() -> float:
+    """Spherical area of the covering image of the base triangle.
+
+    Computed in the half-plane as the integral of |lambda'|^2 times the
+    spherical chart factor over the ideal triangle with cusps 0, 1,
+    infinity, to absolute and relative tolerance 1e-3.  The exact answer
+    is 2 pi (two triangles tile the sphere).
+    """
+    from scipy.integrate import dblquad
+
+    def integrand(y, x):
+        try:
+            value, prime = lambda_values(complex(x, y))
+        except PunctureError:
+            return 0.0
+        s = abs(value) ** 2
+        return abs(prime) ** 2 * 4.0 / (1.0 + s) ** 2
+
+    def y_floor(x):
+        return math.sqrt(max(0.0, 0.25 - (x - 0.5) ** 2))
+
+    area, _ = dblquad(integrand, 0.0, 1.0, y_floor, math.inf,
+                      epsabs=1e-3, epsrel=1e-3)
+    return area
+
+
+# ---- geodesics and triangles of the tessellation ------------------------
+
+
+def cayley_inv(tau):
+    """Half-plane to disc: z = (i - tau)/(i + tau)."""
+    return (1j - tau) / (1j + tau)
+
+
+def side_sign(side, z: complex) -> float:
+    """Signed side function of a SideGeodesic: 0 on the geodesic, sign
+    labels the sides."""
+    if side.kind == "diameter":
+        return (z * side.direction.conjugate()).imag
+    return abs(z - side.center) - side.radius
+
+
+def reflect_point(side, z: complex) -> complex:
+    """The reflection of z in a SideGeodesic."""
+    if side.kind == "diameter":
+        return side.direction**2 * z.conjugate()
+    c = side.center
+    return c + (side.radius**2) / (z.conjugate() - c.conjugate())
+
+
+def contains(tri, z: complex, tol: float = 1e-9) -> bool:
+    """Closed membership of z in an IdealTriangle: boundary within tol
+    counts."""
+    z = complex(z)
+    v = tri.vertices
+    for k, side in enumerate(tri.sides):
+        ref = side_sign(side, v[(k + 2) % 3])
+        s = side_sign(side, z)
+        if s * math.copysign(1.0, ref) < -tol:
+            return False
+    return True
+
+
+# ---- exterior derivatives ------------------------------------------------
+
+
+def fd_exterior_derivative(field, x, config: FDConfig = FDConfig()):
+    """Exterior derivative of a k-form field (k = 0, 1, 2) by differencing.
+
+    ``field`` maps one coordinate vector to a scalar, a component
+    vector, or an antisymmetric component matrix.  The result carries
+    one more index and is antisymmetric."""
+    P = _partials(lambda X: [field(y) for y in X], x, config)
+    return _exterior(P, P.ndim - 1)
+
+
+# ---- paths ----------------------------------------------------------------
+
+
+def segment(z0: complex, z1: complex) -> ParamPath:
+    """The disc segment from z0 to z1."""
+    z0, z1 = complex(z0), complex(z1)
+    return ParamPath([z0.real, z0.imag], [z1.real, z1.imag])
+
+
+@dataclass(frozen=True, eq=False)
+class CirclePath:
+    """The disc path center + radius e^(i (phase + 2 pi turns s)), with
+    the interface of ParamPath that the path quadrature reads."""
+
+    center: complex
+    radius: float
+    turns: float = 1.0
+    phase: float = 0.0
+    dim = 2
+    proper = False
+
+    def _angle(self, s):
+        return self.phase + 2.0 * math.pi * self.turns * np.asarray(s, dtype=float)
+
+    def at(self, s) -> np.ndarray:
+        ang = self._angle(s)
+        center = complex(self.center)
+        return np.stack((center.real + self.radius * np.cos(ang),
+                         center.imag + self.radius * np.sin(ang)), axis=-1)
+
+    def vel(self, s) -> np.ndarray:
+        ang = self._angle(s)
+        return 2.0 * math.pi * self.turns * self.radius * np.stack(
+            (-np.sin(ang), np.cos(ang)), axis=-1)
+
+    def point(self, s):
+        return _disc(self.at(s))
+
+
+# ---- even-side crossing counts ------------------------------------------
+
+
+@dataclass(frozen=True)
+class CrossingReport:
+    """Transversal crossings of the even-side great circle, labelled by
+    which truncated side arc was hit; count is the number of consecutive
+    distinct-label pairs, each of which forces at least c1 of spherical
+    length."""
+
+    count: int
+    labels: tuple
+    params: tuple
+
+
+def _arc_label(p: np.ndarray) -> int:
+    if p[0] < 0.0:
+        return 2
+    return 0 if p[2] < 0.0 else 1
+
+
+def even_side_crossings(path, data) -> CrossingReport:
+    """Crossings located between 2048 evenly spaced samples of the path,
+    lifted in one batch; a sign change through samples on the circle
+    counts once.  Crossings inside a puncture ball of the default radius
+    are left out."""
+    if path.dim != 2:
+        raise ValueError("crossing count wants a disc path")
+    from scipy.optimize import brentq
+
+    def lift(s):
+        try:
+            return _stereo_lift(data.cover.values(path.point(s))[0])[0]
+        except GHLabError as exc:
+            raise PathError(f"covering evaluation failed for s in "
+                            f"[{np.min(s)}, {np.max(s)}]: {exc}") from exc
+
+    svals = np.linspace(0.0, 1.0, 2048)
+    heights = lift(svals)[:, 1]
+    off = np.flatnonzero(heights)
+    labels = []
+    params = []
+    for a, b in zip(off[:-1], off[1:]):
+        if (heights[a] > 0.0) == (heights[b] > 0.0):
+            continue
+        s_star = brentq(lambda s: lift(s)[1], svals[a], svals[b], xtol=1e-12)
+        p = lift(s_star)
+        if min(sphere_distance(p, q) for q in punctures()) < DEFAULT_BALL_RADIUS:
+            continue
+        labels.append(_arc_label(p))
+        params.append(s_star)
+    count = sum(1 for a, b in zip(labels[:-1], labels[1:]) if a != b)
+    return CrossingReport(count=count, labels=tuple(labels), params=tuple(params))

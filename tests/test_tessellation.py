@@ -13,7 +13,6 @@ from ghlab.tessellation import (
     Cusp,
     base_triangle,
     cayley,
-    cayley_inv,
     cusp_classify,
     halfplane_reflection_matrix,
     nearest_cusp,
@@ -21,6 +20,7 @@ from ghlab.tessellation import (
     reflect,
     tessellate,
 )
+from oracles import cayley_inv, contains, reflect_point
 
 
 def _mat_mul(m1, m2):
@@ -73,9 +73,9 @@ class TestBaseTriangle:
         # The origin lies exactly on the diameter side joining -1 and 1,
         # so closed membership holds while open membership fails.
         bt = base_triangle()
-        assert bt.contains(0)
-        assert not bt.contains(0, tol=-1e-12)
-        assert bt.contains(0.05 + 0.2j)
+        assert contains(bt, 0)
+        assert not contains(bt, 0, tol=-1e-12)
+        assert contains(bt, 0.05 + 0.2j)
 
     def test_sides_orthogonal_to_unit_circle(self):
         for side in base_triangle().sides:
@@ -100,8 +100,8 @@ class TestReflect:
         for side in range(3):
             child = reflect(bt, side)
             for z in probes:
-                if bt.contains(z, tol=-1e-9):
-                    assert not child.contains(z, tol=-1e-9)
+                if contains(bt, z, tol=-1e-9):
+                    assert not contains(child, z, tol=-1e-9)
 
     def test_vertices_stay_on_circle(self):
         tri = base_triangle()
@@ -115,7 +115,7 @@ class TestReflect:
         for side in range(3):
             child = reflect(bt, side)
             moved = (side + 2) % 3
-            img = bt.sides[side].reflect_point(bt.vertices[moved])
+            img = reflect_point(bt.sides[side], bt.vertices[moved])
             assert abs(img - child.vertices[moved]) < 1e-12
 
 
@@ -153,7 +153,7 @@ class TestTessellate:
         for _ in range(1000):
             r = math.sqrt(rng.random()) * 0.995
             z = r * cmath.exp(2j * math.pi * rng.random())
-            hits = sum(1 for t in tess.triangles if t.contains(z, tol=-1e-9))
+            hits = sum(1 for t in tess.triangles if contains(t, z, tol=-1e-9))
             assert hits <= 1
 
     def test_boundary_gap_strictly_decreasing(self):
