@@ -12,6 +12,7 @@ from ghlab.ansatz import (
     HolomorphicData,
     _graded_rule,
     _K33,
+    _rule_toward_the_circle,
     beta_cross_check,
     sphere_jacobian,
     standard_data,
@@ -502,12 +503,117 @@ class TestKronrodRule:
         assert abs(rows[50] @ k33) > 1e-5
 
 
-def _xi_alone(data, z):
-    """xi at z by the graded rule on z alone, written out."""
-    k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
-    s, weights = _graded_rule(k)
+def _k(z) -> int:
+    """The panel count of xi at z."""
+    return max(1, math.ceil(-math.log2(1.0 - abs(z))))
+
+
+def _rule_alone(z):
+    """The rule of xi at z != 0, written out: K33 on the k panels between
+    the edges (1 - (1 - |z|)^(j/k))/|z|, j = 0 .. k.  Nodes s and a (2,
+    n) weight array, G16 in row 0 and K33 in row 1."""
+    k = _k(z)
+    r = np.array([abs(z)])
+    edges = (-np.expm1(np.log1p(-r)[:, None] * (np.arange(k + 1) / k)) / r[:, None])[0]
+    x, w = _K33
+    halves = [0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])]
+    return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges, halves)]),
+            np.concatenate([h * w for h in halves], axis=1))
+
+
+def _xi_on(data, z, rule):
+    """xi at z on the nodes and weights of rule, z alone."""
+    s, weights = rule
     val = float((weights @ (s * data.curl_source(s * z)))[1])
     return (-z.imag * val, z.real * val)
+
+
+def _xi_alone(data, z):
+    """xi at z by the rule of fill on z alone, written out."""
+    return _xi_on(data, z, _rule_alone(z))
+
+
+# DIRECTIONS and the eight directions halfway between them.
+DIRECTIONS_16 = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 16)) for j in range(16)]
+
+
+def _reference_rule(z, n=120):
+    """n K33 panels graded toward 1/|z| in the naive form of their edges,
+    R - R ((R - 1)/R)^(j/n) with R = 1/|z|, which holds its digits for
+    |z| >= 0.2: nodes and a (2, 33 n) weight array."""
+    R = 1.0 / abs(z)
+    edges = R - R * ((R - 1.0) / R) ** (np.arange(n + 1) / n)
+    halves = 0.5 * np.diff(edges)
+    x, w = _K33
+    return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges, halves)]),
+            np.concatenate([h * w for h in halves], axis=1))
+
+
+class TestRuleTowardTheCircle:
+    """The k panels graded toward 1/|z| against a 120-panel reference,
+    at the centre, below double precision, and where they fail."""
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.75, 0.85, 0.95, 0.999, 0.9999])
+    def test_against_120_panels(self, r):
+        data = standard_data()
+        for d in DIRECTIONS_16:
+            z = r * d
+            s, weights = _reference_rule(z)
+            ref = float((weights @ (s * data.curl_source(s * z)))[1])
+            ref_xi = (-z.imag * ref, z.real * ref)
+            xi = data.xi_at(z)
+            assert max(abs(a - b) for a, b in zip(xi, ref_xi)) <= 1e-12 * max(1.0, abs(z * ref)), z
+            s, weights = _rule_alone(z)
+            coarse, val = weights @ (s * data.curl_source(s * z))
+            assert abs(coarse - val) <= 1e-9 * max(1.0, abs(val)), z
+        assert data.xi_fallbacks == 0
+
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-17, 0.3, 0.9, 0.99999])
+    def test_the_panels_cover_the_unit_interval(self, r):
+        k = _k(r)
+        s, weights = _rule_toward_the_circle(np.array([r]), k)
+        assert s.shape == (1, 33 * k) and weights.shape == (1, 2, 33 * k)
+        assert 0.0 < s.min() and s.max() < 1.0 and np.all(np.diff(s) > 0)
+        # both rows integrate 1 and s over [0, 1]
+        assert np.allclose(weights[0] @ np.ones(33 * k), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(weights[0] @ s[0], 0.5, rtol=0, atol=1e-15)
+        if r < 1e-16:  # the limit r -> 0: k equal panels
+            assert np.allclose(s, _graded_rule(1)[0][:33] * 2, rtol=0, atol=1e-16)
+
+    def test_the_centre_and_radii_below_double_precision(self):
+        data = standard_data()
+        assert data.xi_at(0j) == (0.0, 0.0)
+        c0 = float(data.curl_source(np.array([0j]))[0])
+        for r in (1e-17, 1e-300):
+            for d in DIRECTIONS:
+                z = r * d
+                xi = data.xi_at(z)
+                assert all(map(math.isfinite, xi)), z
+                # the integrand is s curl_source(0) to double precision
+                assert xi == pytest.approx((-z.imag * c0 / 2, z.real * c0 / 2), rel=1e-14), z
+        assert data.xi_fallbacks == 0
+
+    def test_a_failure_falls_back_to_the_graded_rule(self, monkeypatch):
+        """A NaN at a node of the new rule alone sends its point, and no
+        other, to the graded rule of k + 1 panels: bit for bit its value,
+        and one fallback."""
+        z, other = 0.6 + 0.3j, 0.5 + 0.5j
+        assert _k(z) == _k(other) == 2
+        node = _rule_alone(z)[0][40]  # in the second panel
+        assert node not in _graded_rule(2)[0]
+        clean = standard_data()
+        expected = _xi_on(clean, z, _graded_rule(2)), _xi_alone(clean, other)
+        assert expected[0] != _xi_alone(clean, z)
+        source, poisoned = HolomorphicData.curl_source, z * np.array([node])[0]
+
+        def nan_at_node(self, zs):
+            return np.where(zs == poisoned, np.nan, source(self, zs))
+
+        monkeypatch.setattr(HolomorphicData, "curl_source", nan_at_node)
+        data = standard_data()
+        data.fill([z, other])
+        assert (data.xi_at(z), data.xi_at(other)) == expected
+        assert data.xi_fallbacks == 1
 
 
 def _mixed_radii_points():

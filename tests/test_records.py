@@ -408,9 +408,9 @@ class TestXiCounts:
 
 def _xi_chunks(data, zs) -> int:
     """The curl_source batches fill needs for the points of zs that
-    have no record: per graded rule, whole points of at most
-    _XI_CHUNK_NODES nodes each, one point if its rule is larger.  k is
-    read off z, and no record is made."""
+    have no record: per panel count k, whole points of 33 k nodes, at
+    most _XI_CHUNK_NODES nodes a batch, one point if its rule is larger.
+    k is read off z, and no record is made."""
     per_k = {}
     for z in map(complex, zs):
         if z not in data._index:
@@ -418,7 +418,7 @@ def _xi_chunks(data, zs) -> int:
             per_k.setdefault(k, set()).add(z)
     chunks = 0
     for k, points in per_k.items():
-        size = ghlab.ansatz._graded_rule(k)[0].size
+        size = 33 * k
         chunks += math.ceil(len(points) / max(1, ghlab.ansatz._XI_CHUNK_NODES // size))
     return chunks
 
@@ -472,9 +472,10 @@ class TestXiPrefetch:
 
 class TestXiNodes:
     def test_verify_prefetch_node_count(self, monkeypatch, tmp_path):
-        """verify --grid 10 sends 33 (k + 1) nodes through curl_source
-        for each point of its prefetch, the k + 1 panels of its graded
-        rule, and no others: a count that no machine moves."""
+        """verify --grid 10 sends 33 k nodes through curl_source for each
+        point of its prefetch, the k panels of its rule, and no others:
+        a count that no machine moves.  A point redone on the fallback
+        rule would add 33 (k + 1) nodes."""
         seen = {"points": None, "nodes": 0}
         fill, source = HolomorphicData.fill, HolomorphicData.curl_source
 
@@ -490,9 +491,9 @@ class TestXiNodes:
         monkeypatch.setattr(HolomorphicData, "fill", first_fill)
         monkeypatch.setattr(HolomorphicData, "curl_source", counted)
         assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
-        panels = sum(max(1, math.ceil(-math.log2(1.0 - abs(z)))) + 1 for z in seen["points"])
+        panels = sum(max(1, math.ceil(-math.log2(1.0 - abs(z)))) for z in seen["points"])
         assert len(seen["points"]) == 90
-        assert seen["nodes"] == 33 * panels == 6_831
+        assert seen["nodes"] == 33 * panels == 3_861
 
 
 # Eight directions that avoid the cusps 1, i, -1 and -i.
