@@ -508,17 +508,21 @@ def _k(z) -> int:
     return max(1, math.ceil(-math.log2(1.0 - abs(z))))
 
 
-def _rule_alone(z):
-    """The rule of xi at z != 0, written out: K33 on the k panels between
-    the edges (1 - (1 - |z|)^(j/k))/|z|, j = 0 .. k.  Nodes s and a (2,
-    n) weight array, G16 in row 0 and K33 in row 1."""
-    k = _k(z)
-    r = np.array([abs(z)])
-    edges = (-np.expm1(np.log1p(-r)[:, None] * (np.arange(k + 1) / k)) / r[:, None])[0]
+def _panels(edges):
+    """K33 on the panels between consecutive edges: nodes s and a (2, n)
+    weight array, G16 in row 0 and K33 in row 1."""
     x, w = _K33
-    halves = [0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])]
+    halves = 0.5 * np.diff(edges)
     return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges, halves)]),
             np.concatenate([h * w for h in halves], axis=1))
+
+
+def _rule_alone(z):
+    """The rule of xi at z != 0, written out: the k panels between the
+    edges (1 - (1 - |z|)^(j/k))/|z|, j = 0 .. k."""
+    k = _k(z)
+    r = np.array([abs(z)])
+    return _panels((-np.expm1(np.log1p(-r)[:, None] * (np.arange(k + 1) / k)) / r[:, None])[0])
 
 
 def _xi_on(data, z, rule):
@@ -542,11 +546,7 @@ def _reference_rule(z, n=120):
     R - R ((R - 1)/R)^(j/n) with R = 1/|z|, which holds its digits for
     |z| >= 0.2: nodes and a (2, 33 n) weight array."""
     R = 1.0 / abs(z)
-    edges = R - R * ((R - 1.0) / R) ** (np.arange(n + 1) / n)
-    halves = 0.5 * np.diff(edges)
-    x, w = _K33
-    return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges, halves)]),
-            np.concatenate([h * w for h in halves], axis=1))
+    return _panels(R - R * ((R - 1.0) / R) ** (np.arange(n + 1) / n))
 
 
 class TestRuleTowardTheCircle:
@@ -577,8 +577,8 @@ class TestRuleTowardTheCircle:
         # both rows integrate 1 and s over [0, 1]
         assert np.allclose(weights[0] @ np.ones(33 * k), 1.0, rtol=0, atol=1e-15)
         assert np.allclose(weights[0] @ s[0], 0.5, rtol=0, atol=1e-15)
-        if r < 1e-16:  # the limit r -> 0: k equal panels
-            assert np.allclose(s, _graded_rule(1)[0][:33] * 2, rtol=0, atol=1e-16)
+        if r < 1e-16:  # the limit r -> 0: one panel, [0, 1]
+            assert np.allclose(s, (_K33[0] + 1.0) / 2, rtol=0, atol=1e-16)
 
     def test_the_centre_and_radii_below_double_precision(self):
         data = standard_data()
