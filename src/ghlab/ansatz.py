@@ -132,45 +132,24 @@ _K33 = _kronrod_rule()
 _XI_CHUNK_NODES = 2048  # nodes per curl_source batch of fill, whole points
 
 
-def _graded_rule(k: int):
-    """Nodes s on (0, 1) and a (2, n) weight array for the panels [0, 1/2],
-    [1/2, 3/4], ..., [1 - 2^-k, 1], 33 nodes on each: row 0 is the
-    16-node Gauss-Legendre rule on every panel, on every other node, and
-    row 1 its 33-node Kronrod extension.  The fallback rule of xi,
-    graded toward s = 1."""
-    edges = np.append(1.0 - 0.5 ** np.arange(k + 1), 1.0)
-    lo, half = edges[:-1], 0.5 * np.diff(edges)
-    x, w = _K33
-    return ((lo[:, None] + half[:, None] * (x + 1.0)).ravel(),
-            (half[:, None] * w[:, None, :]).reshape(2, -1))
-
-
 def _rule_toward_the_circle(r: np.ndarray, n: int):
     """The rule of xi at the radii r = |z| of N points: nodes s, an (N,
-    33 n) array, and an (N, 2, 33 n) weight array with the rows of
-    _graded_rule.  s z meets the circle at s = 1/r, where the integrand
-    s curl_source(s z) stops being analytic, so the n panels shrink
-    geometrically toward 1/r, not toward 1: their edges are s_j = (1 -
-    (1 - r)^(j/n))/r, j = 0 .. n, and so s_n = 1.  In the form below
-    they tend to j/n as r -> 0 and are j/n at r = 0, where 1/r - 1/r
-    (1 - r)^(j/n) would lose every digit once r < 2^-53.  On a panel,
-    Gauss-Legendre converges at the rate of the largest Bernstein
-    ellipse that misses the singularity (L. N. Trefethen, Approximation
-    Theory and Approximation Practice, ch. 19)."""
+    33 n) array, and the half-widths of their n panels, an (N, n) array,
+    which scale the weights _K33[1] of each panel.  s z meets the circle
+    at s = 1/r, where the integrand s curl_source(s z) stops being
+    analytic, so the panels shrink geometrically toward 1/r, not toward
+    1: their edges are s_j = (1 - (1 - r)^(j/n))/r, j = 0 .. n, and so
+    s_n = 1.  In the form below they tend to j/n as r -> 0 and are j/n
+    at r = 0, where 1/r - 1/r (1 - r)^(j/n) would lose every digit once
+    r < 2^-53.  On a panel, Gauss-Legendre converges at the rate of the
+    largest Bernstein ellipse that misses the singularity (L. N.
+    Trefethen, Approximation Theory and Approximation Practice, ch. 19)."""
     frac = np.arange(n + 1) / n
     edges = np.tile(frac, (len(r), 1))
     np.divide(-np.expm1(np.log1p(-r)[:, None] * frac), r[:, None], out=edges,
               where=r[:, None] > 0)
-    lo, half = edges[:, :-1, None], 0.5 * np.diff(edges)[:, :, None]
-    x, w = _K33
-    return ((lo + half * (x + 1.0)).reshape(len(r), -1),
-            (half[:, None] * w[:, None, :]).reshape(len(r), 2, -1))
-
-
-def _unreliable(val: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Where the K33 sums val fail the guard of xi: not finite, or their
-    gap err to the G16 sums above 1e-9 max(1, |val|)."""
-    return ~(np.isfinite(val) & (err <= 1e-9 * np.maximum(1.0, abs(val))))
+    half = 0.5 * np.diff(edges)
+    return (edges[:, :-1, None] + half[:, :, None] * (_K33[0] + 1.0)).reshape(len(r), -1), half
 
 
 # The points where HolomorphicData checks that psi lands in the upper
@@ -281,8 +260,6 @@ class HolomorphicData:
     z (``_fields``); each slice frame is built once per (z, slice).
     The store lives as long as the data, and ``replace`` starts a new
     object with none, so a changed psi never meets old rows.
-    ``xi_fallbacks`` counts the points whose xi fill had to redo on the
-    fallback rule.
     """
 
     cover: object
@@ -293,7 +270,6 @@ class HolomorphicData:
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _store: np.ndarray = field(default_factory=lambda: np.zeros(0, _STORE), init=False,
                                repr=False, compare=False)
-    xi_fallbacks: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_rho0(self.rho0_kind, self.rho0_scale)
@@ -349,10 +325,8 @@ class HolomorphicData:
         over s in [0, 1], on k = max(1, ceil(log2(1/(1 - |z|)))) panels
         graded toward 1/|z| (_rule_toward_the_circle): the K33 sum is
         the value, its gap to the G16 sum on the shared nodes the error,
-        which must stay within 1e-9 max(1, |value|).  A point that fails
-        this is redone on the k + 1 panels of _graded_rule, graded toward
-        1, and counted in xi_fallbacks; only a failure there raises
-        PathError.  Points of one k share curl_source batches of up to
+        which must stay within 1e-9 max(1, |value|), or PathError is
+        raised.  Points of one k share curl_source batches of up to
         _XI_CHUNK_NODES nodes, and each point keeps its own two sums."""
         new = [z for z in dict.fromkeys(np.ravel(np.asarray(zs, dtype=complex)).tolist())
                if z not in self._index]
@@ -388,28 +362,19 @@ class HolomorphicData:
             step = max(1, _XI_CHUNK_NODES // (_K33[0].size * k))
             for chunk in (idx[i:i + step] for i in range(0, len(idx), step)):
                 z = all_z[chunk]
-                val, err = self._homotopy_sums(z, *_rule_toward_the_circle(radii[chunk], k))
-                bad = np.flatnonzero(_unreliable(val, err))
-                if bad.size:  # redo on the graded rule: only its failure raises
-                    self.xi_fallbacks += bad.size
-                    val[bad], err = self._homotopy_sums(z[bad], *_graded_rule(k))
-                    failed = _unreliable(val[bad], err)
-                    if failed.any():
-                        j = int(failed.argmax())
-                        raise PathError(f"homotopy integral unreliable at z = "
-                                        f"{zs[chunk[bad[j]]]}: err {float(err[j])}")
+                s, half = _rule_toward_the_circle(radii[chunk], k)
+                f = s * self.curl_source(z[:, None] * s)
+                # each point's G16 and K33 sums on each panel, then over its panels
+                panels = f.reshape(len(chunk), k, -1) @ _K33[1].T
+                coarse, val = (half[:, None, :] @ panels)[:, 0].T
+                err = abs(coarse - val)
+                bad = ~(np.isfinite(val) & (err <= 1e-9 * np.maximum(1.0, abs(val))))
+                if bad.any():
+                    j = int(bad.argmax())
+                    raise PathError(f"homotopy integral unreliable at z = {zs[chunk[j]]}: "
+                                    f"err {float(err[j])}")
                 xi[chunk] = np.stack((-z.imag * val, z.real * val), axis=-1)
         return xi
-
-    def _homotopy_sums(self, z: np.ndarray, s: np.ndarray, weights: np.ndarray):
-        """The K33 sums of s curl_source(s z) over [0, 1] at the points
-        of z, and their gaps to the G16 sums: two arrays.  The nodes s
-        and the (2, n) weights are shared by all points, or given per
-        point on a leading axis; each point's two sums are its own."""
-        f = s * self.curl_source(z[:, None] * s)
-        weights = np.broadcast_to(weights, f.shape[:1] + weights.shape[-2:])
-        coarse, val = np.array([w @ row for w, row in zip(weights, f)]).T
-        return val, abs(coarse - val)
 
     def xi_at(self, z: complex):
         """(xi_u, xi_v) at z, from the record at z."""

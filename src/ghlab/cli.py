@@ -520,7 +520,6 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
               f"tol={getattr(tol, name):.6g} status={status}", file=sys.stderr)
     for name in failed:
         print(f"failed_check={name}", file=sys.stderr)
-    print(f"xi_fallbacks={data.xi_fallbacks}", file=sys.stderr)
 
     summary = {"points": len(points), "failed": sorted(failed),
                "maxima": {k: maxima[k] for k in sorted(maxima)}}
@@ -558,7 +557,6 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
         "max_ricci": max(r[4] for r in rows),
         "max_noise_ricci": max(r[7] for r in rows),
     }
-    print(f"xi_fallbacks={data.xi_fallbacks}", file=sys.stderr)
     return True, [csv_path], summary
 
 

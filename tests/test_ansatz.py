@@ -10,7 +10,6 @@ from numpy.polynomial.legendre import leggauss
 import ghlab.ansatz
 from ghlab.ansatz import (
     HolomorphicData,
-    _graded_rule,
     _K33,
     _rule_toward_the_circle,
     beta_cross_check,
@@ -347,6 +346,8 @@ class TestValidation:
 
 # Eight directions that avoid the cusps 1, i, -1 and -i.
 DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
+# DIRECTIONS and the eight directions halfway between them.
+DIRECTIONS_16 = [cmath.exp(1j * (0.5 + math.pi * j / 8)) for j in range(16)]
 
 
 def _quad_reference(data, z):
@@ -365,11 +366,13 @@ def _quad_reference(data, z):
 
 
 class TestHomotopyRule:
-    """xi_at's graded Gauss-Kronrod rule against adaptive quadrature."""
+    """xi_at's Gauss-Kronrod rule against adaptive quadrature, with the
+    gap of its G16 and K33 sums."""
 
-    @pytest.mark.parametrize("r", [0.3, 0.62, 0.9, 0.97, 0.99, 0.9999, 0.99999])
+    @pytest.mark.parametrize("r", [0.2, 0.3, 0.5, 0.62, 0.75, 0.85, 0.9, 0.95, 0.97,
+                                   0.99, 0.999, 0.9999, 0.99999])
     def test_matches_adaptive_quadrature(self, r):
-        for d in DIRECTIONS:
+        for d in DIRECTIONS_16:
             z = r * d
             data = standard_data()
             ref, err = _quad_reference(data, z)
@@ -378,6 +381,8 @@ class TestHomotopyRule:
             tol = 1e-11 * max(1.0, abs(ref))
             assert abs(xi_u + z.imag * ref) <= tol * abs(z.imag), z
             assert abs(xi_v - z.real * ref) <= tol * abs(z.real), z
+            coarse, val = _sums_alone(data, z)
+            assert abs(coarse - val) <= 1e-9 * max(1.0, abs(val)), z
 
     def test_deep_cusp_raises_like_the_scalar_chart(self):
         data = standard_data()
@@ -508,75 +513,40 @@ def _k(z) -> int:
     return max(1, math.ceil(-math.log2(1.0 - abs(z))))
 
 
-def _panels(edges):
-    """K33 on the panels between consecutive edges: nodes s and a (2, n)
-    weight array, G16 in row 0 and K33 in row 1."""
-    x, w = _K33
-    halves = 0.5 * np.diff(edges)
-    return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges, halves)]),
-            np.concatenate([h * w for h in halves], axis=1))
-
-
-def _rule_alone(z):
-    """The rule of xi at z != 0, written out: the k panels between the
-    edges (1 - (1 - |z|)^(j/k))/|z|, j = 0 .. k."""
-    k = _k(z)
-    r = np.array([abs(z)])
-    return _panels((-np.expm1(np.log1p(-r)[:, None] * (np.arange(k + 1) / k)) / r[:, None])[0])
-
-
-def _xi_on(data, z, rule):
-    """xi at z on the nodes and weights of rule, z alone."""
-    s, weights = rule
-    val = float((weights @ (s * data.curl_source(s * z)))[1])
-    return (-z.imag * val, z.real * val)
+def _sums_alone(data, z):
+    """The G16 and K33 sums of xi's homotopy integral at z != 0 by the
+    rule of fill on z alone, written out: the k panels between the edges
+    (1 - (1 - |z|)^(j/k))/|z|, j = 0 .. k, each summed with the K33
+    table, then weighted by its half-width.  numpy on one-point arrays."""
+    k, r = _k(z), np.array([abs(z)])
+    edges = (-np.expm1(np.log1p(-r)[:, None] * (np.arange(k + 1) / k)) / r[:, None])[0]
+    half = 0.5 * np.diff(edges)
+    s = (edges[:-1, None] + half[:, None] * (_K33[0] + 1.0)).ravel()
+    f = s * data.curl_source(s * z)
+    return half @ (f.reshape(k, -1) @ _K33[1].T)
 
 
 def _xi_alone(data, z):
     """xi at z by the rule of fill on z alone, written out."""
-    return _xi_on(data, z, _rule_alone(z))
-
-
-# DIRECTIONS and the eight directions halfway between them.
-DIRECTIONS_16 = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 16)) for j in range(16)]
-
-
-def _reference_rule(z, n=120):
-    """n K33 panels graded toward 1/|z| in the naive form of their edges,
-    R - R ((R - 1)/R)^(j/n) with R = 1/|z|, which holds its digits for
-    |z| >= 0.2: nodes and a (2, 33 n) weight array."""
-    R = 1.0 / abs(z)
-    return _panels(R - R * ((R - 1.0) / R) ** (np.arange(n + 1) / n))
+    val = float(_sums_alone(data, z)[1])
+    return (-z.imag * val, z.real * val)
 
 
 class TestRuleTowardTheCircle:
-    """The k panels graded toward 1/|z| against a 120-panel reference,
-    at the centre, below double precision, and where they fail."""
-
-    @pytest.mark.parametrize("r", [0.2, 0.5, 0.75, 0.85, 0.95, 0.999, 0.9999])
-    def test_against_120_panels(self, r):
-        data = standard_data()
-        for d in DIRECTIONS_16:
-            z = r * d
-            s, weights = _reference_rule(z)
-            ref = float((weights @ (s * data.curl_source(s * z)))[1])
-            ref_xi = (-z.imag * ref, z.real * ref)
-            xi = data.xi_at(z)
-            assert max(abs(a - b) for a, b in zip(xi, ref_xi)) <= 1e-12 * max(1.0, abs(z * ref)), z
-            s, weights = _rule_alone(z)
-            coarse, val = weights @ (s * data.curl_source(s * z))
-            assert abs(coarse - val) <= 1e-9 * max(1.0, abs(val)), z
-        assert data.xi_fallbacks == 0
+    """The k panels graded toward 1/|z|: what they cover, and xi at the
+    centre and at radii below double precision."""
 
     @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-17, 0.3, 0.9, 0.99999])
     def test_the_panels_cover_the_unit_interval(self, r):
         k = _k(r)
-        s, weights = _rule_toward_the_circle(np.array([r]), k)
-        assert s.shape == (1, 33 * k) and weights.shape == (1, 2, 33 * k)
+        s, half = _rule_toward_the_circle(np.array([r]), k)
+        assert s.shape == (1, 33 * k) and half.shape == (1, k)
         assert 0.0 < s.min() and s.max() < 1.0 and np.all(np.diff(s) > 0)
         # both rows integrate 1 and s over [0, 1]
-        assert np.allclose(weights[0] @ np.ones(33 * k), 1.0, rtol=0, atol=1e-15)
-        assert np.allclose(weights[0] @ s[0], 0.5, rtol=0, atol=1e-15)
+        for row in _K33[1]:
+            weights = (half[0, :, None] * row).ravel()
+            assert abs(weights.sum() - 1.0) <= 1e-15
+            assert abs(weights @ s[0] - 0.5) <= 1e-15
         if r < 1e-16:  # the limit r -> 0: one panel, [0, 1]
             assert np.allclose(s, (_K33[0] + 1.0) / 2, rtol=0, atol=1e-16)
 
@@ -591,29 +561,6 @@ class TestRuleTowardTheCircle:
                 assert all(map(math.isfinite, xi)), z
                 # the integrand is s curl_source(0) to double precision
                 assert xi == pytest.approx((-z.imag * c0 / 2, z.real * c0 / 2), rel=1e-14), z
-        assert data.xi_fallbacks == 0
-
-    def test_a_failure_falls_back_to_the_graded_rule(self, monkeypatch):
-        """A NaN at a node of the new rule alone sends its point, and no
-        other, to the graded rule of k + 1 panels: bit for bit its value,
-        and one fallback."""
-        z, other = 0.6 + 0.3j, 0.5 + 0.5j
-        assert _k(z) == _k(other) == 2
-        node = _rule_alone(z)[0][40]  # in the second panel
-        assert node not in _graded_rule(2)[0]
-        clean = standard_data()
-        expected = _xi_on(clean, z, _graded_rule(2)), _xi_alone(clean, other)
-        assert expected[0] != _xi_alone(clean, z)
-        source, poisoned = HolomorphicData.curl_source, z * np.array([node])[0]
-
-        def nan_at_node(self, zs):
-            return np.where(zs == poisoned, np.nan, source(self, zs))
-
-        monkeypatch.setattr(HolomorphicData, "curl_source", nan_at_node)
-        data = standard_data()
-        data.fill([z, other])
-        assert (data.xi_at(z), data.xi_at(other)) == expected
-        assert data.xi_fallbacks == 1
 
 
 def _mixed_radii_points():

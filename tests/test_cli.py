@@ -272,13 +272,6 @@ class TestCommands:
         assert "status=fail" in err.split("check=contact ")[1].splitlines()[0]
         assert "failed_check=contact" in err.splitlines()
 
-    @pytest.mark.parametrize("argv", [["verify", "--grid", "5"], ["curvature-scan", "--grid", "2"]],
-                             ids=["verify", "curvature-scan"])
-    def test_xi_fallbacks_go_to_stderr_only(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert "xi_fallbacks=0" in capsys.readouterr().err.splitlines()
-        assert "xi_fallbacks" not in (tmp_path / "manifest.json").read_text()
-
     def test_sweep_flat(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "data": {"kind": "flat"},

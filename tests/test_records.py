@@ -474,8 +474,7 @@ class TestXiNodes:
     def test_verify_prefetch_node_count(self, monkeypatch, tmp_path):
         """verify --grid 10 sends 33 k nodes through curl_source for each
         point of its prefetch, the k panels of its rule, and no others:
-        a count that no machine moves.  A point redone on the fallback
-        rule would add 33 (k + 1) nodes."""
+        a count that no machine moves."""
         seen = {"points": None, "nodes": 0}
         fill, source = HolomorphicData.fill, HolomorphicData.curl_source
 
