@@ -364,7 +364,8 @@ class HolomorphicData:
                 z = all_z[chunk]
                 s, half = _rule_toward_the_circle(radii[chunk], k)
                 f = s * self.curl_source(z[:, None] * s)
-                # each point's G16 and K33 sums on each panel, then over its panels
+                # G16 and K33 on each panel, then over the panels: one matmul per
+                # stacked point, so a point's sums do not depend on its chunk
                 panels = f.reshape(len(chunk), k, -1) @ _K33[1].T
                 coarse, val = (half[:, None, :] @ panels)[:, 0].T
                 err = abs(coarse - val)
