@@ -570,8 +570,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path):
     rows = []
     verdicts = {}
     elements = _tessellation_elements(tessellate(cfg.depth))
-    sweeps = {tag: divergence_sweep(data, targets, tag, floor=cfg.sweep_floor)
-              for tag in ("sphere", "disc")}
+    sweeps = divergence_sweep(data, targets, ("sphere", "disc"), floor=cfg.sweep_floor)
     for k, target in enumerate(targets):
         for tag, reports in sweeps.items():
             rep = reports[k]

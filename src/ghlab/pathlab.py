@@ -11,8 +11,8 @@ the two slice metrics must agree.  Every length is the integral of a
 pointwise speed on adaptive 8-node Gauss-Legendre panels, halved until
 a panel and its two halves agree to within its share of the tolerance.
 Paths, speeds and integrands take arrays, and one driver halves the
-panels of many intervals in rounds: a sweep's rungs and targets share
-one speed call per round.
+panels of many intervals in rounds: a sweep's rungs, targets and metric
+tags share one speed call per round.
 """
 
 from __future__ import annotations
@@ -130,8 +130,10 @@ _ROUND_PANELS = 1024
 
 
 def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
-    """Integrate integrand(s, points, velocities) over each job
-    (path, lo, hi) to absolute tolerance tol > 0: one row of sums per job.
+    """Integrate integrand(s, points, velocities, job) over each job
+    (path, lo, hi) to absolute tolerance tol > 0: one row of sums per job,
+    and no rows for no jobs.  job holds the number of each node's job in
+    the list, so one integrand can measure different jobs differently.
 
     Each [lo, hi] starts as one panel.  A panel is accepted as the sum
     over its two halves when that sum is within the panel's share of tol
@@ -142,9 +144,12 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
     sums its accepted halves left to right, so its sum does not depend on
     the other jobs.  Evaluation failures, and a panel sum that is not
     finite, surface as PathError in the round they happen, naming what
-    failed, the path and job, and an s interval holding the failing node."""
+    failed, the path and job, and an s interval holding the failing node:
+    the integrand is run again on each job's own nodes to find it."""
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
+    if not jobs:
+        return np.zeros((0, 0))
     slot = {}
     on_path = np.array([slot.setdefault(path, len(slot)) for path, _, _ in jobs])
     paths = list(slot)
@@ -165,7 +170,7 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
             at = node_path == k
             x[at], v[at] = path.at(s[at]), path.vel(s[at])
         try:
-            vals = np.asarray(integrand(s, x, v), dtype=float)
+            vals = np.asarray(integrand(s, x, v, node_job), dtype=float)
         except PathError:
             raise
         except GHLabError as exc:
@@ -173,7 +178,7 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
             for j in np.unique(job):
                 at = node_job == j
                 try:
-                    integrand(s[at], x[at], v[at])
+                    integrand(s[at], x[at], v[at], node_job[at])
                 except GHLabError as again:
                     raise failure(j, s[at].min(), s[at].max(), again) from again
             raise PathError(f"{what} failed: {exc}") from exc
@@ -223,31 +228,52 @@ def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", v, M, v), 0.0))
 
 
-def _speed_fn(tag: str, data: HolomorphicData | None, dim: int):
-    """speed(s, points, velocities) of the tagged metric over arrays."""
-    if tag not in METRIC_TAGS:
-        raise ValueError(f"unknown metric tag {tag!r}")
-    if tag == "euclid":
-        return lambda s, x, v: np.linalg.norm(v, axis=-1)
-    if data is None:
-        raise ValueError(f"metric tag {tag!r} needs holomorphic data")
-    if tag in ("sphere", "disc") and dim != 2:
-        raise ValueError(f"metric tag {tag!r} measures disc paths (dim 2)")
-    if tag in ("g3", "gs") and dim != 3:
-        raise ValueError(f"metric tag {tag!r} measures slice paths (dim 3)")
+def _speed_fn(tags, data: HolomorphicData | None, dim: int):
+    """speed(s, points, velocities, job) over arrays.  tags is one metric
+    tag, taken at every node, or a sequence of tags, one per job, each
+    node taking its job's.  One call evaluates the cover once for all of
+    its sphere and disc nodes, and psi's jet on its disc nodes only."""
+    single = isinstance(tags, str)
+    names = [tags] if single else list(dict.fromkeys(tags))
+    for tag in names:
+        if tag not in METRIC_TAGS:
+            raise ValueError(f"unknown metric tag {tag!r}")
+        if tag != "euclid" and data is None:
+            raise ValueError(f"metric tag {tag!r} needs holomorphic data")
+        if tag in ("sphere", "disc") and dim != 2:
+            raise ValueError(f"metric tag {tag!r} measures disc paths (dim 2)")
+        if tag in ("g3", "gs") and dim != 3:
+            raise ValueError(f"metric tag {tag!r} measures slice paths (dim 3)")
+    tag_of_job = None if single else np.array([names.index(t) for t in tags], dtype=int)
+    covered = np.array([tag in ("sphere", "disc") for tag in names])
 
-    if tag == "sphere":
-        def speed(s, x, v):
-            m = data.cover.metric_factors_in_disc(_disc(x))
+    def metric(tag, z, v, m):
+        """The speeds in one tag's metric, m the conformal factor at z
+        for the sphere and disc tags."""
+        if tag == "euclid":
+            return np.linalg.norm(v, axis=-1)
+        if tag == "sphere":
             return np.sqrt(np.maximum(m, 0.0)) * np.hypot(v[:, 0], v[:, 1])
-        return speed
-
-    if tag == "disc":
-        return lambda s, x, v: _quadratic(v, data.g_sigma(_disc(x)))
-
-    def speed(s, x, v):
-        frame = data.slice_frames(_disc(x))
+        if tag == "disc":
+            return _quadratic(v, data.g_sigma(z, m))
+        frame = data.slice_frames(z)
         return _quadratic(v, frame.g3 if tag == "g3" else frame.g_s)
+
+    def speed(s, x, v, job):
+        z = _disc(x)
+        if len(names) == 1:
+            m = data.cover.metric_factors_in_disc(z) if covered[0] else None
+            return metric(names[0], z, v, m)
+        tag_at = tag_of_job[job]
+        m, near = np.zeros(len(s)), covered[tag_at]
+        if near.any():
+            m[near] = data.cover.metric_factors_in_disc(z[near])
+        out = np.empty(len(s))
+        for k, tag in enumerate(names):
+            at = tag_at == k
+            if at.any():
+                out[at] = metric(tag, z[at], v[at], m[at])
+        return out
 
     return speed
 
@@ -300,31 +326,41 @@ class SweepReport:
     target: complex
 
 
-def divergence_sweep(data: HolomorphicData, targets, tag: str,
+def divergence_sweep(data: HolomorphicData, targets, tag,
                      floor: float = 0.05, tol: float = 1e-6):
     """Radial-path length ladders toward boundary targets, classified:
-    a SweepReport for one target, a list of them for a sequence.
+    a SweepReport for one target, a list of them for a sequence (empty
+    for no targets).  For a sequence of tags, a dict of those by tag.
 
     The lengths are taken at the radii of DEFAULT_LADDER, every rung of
-    every target in one adaptive quadrature.  The verdict is
-    "divergent-evidence" when every ladder increment exceeds the floor,
-    "bounded-evidence" otherwise.  A desk-scale surrogate: nothing here
-    proves infinite length, it only reports whether growth keeps
-    clearing a fixed positive bar.
+    every target in every tag in one adaptive quadrature, so that a
+    round evaluates the cover once for the nodes of all tags.  Each
+    length is the one its tag's own sweep gives, bit for bit.  The
+    verdict is "divergent-evidence" when every ladder increment exceeds
+    the floor, "bounded-evidence" otherwise.  A desk-scale surrogate:
+    nothing here proves infinite length, it only reports whether growth
+    keeps clearing a fixed positive bar.
     """
     single = np.ndim(targets) == 0
     targets = [targets] if single else list(targets)
-    jobs = [(path, lo, r) for path in map(ParamPath.radial, targets)
-            for lo, r in zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER)]
-    pieces = _integrate_all(jobs, _speed_fn(tag, data, 2), tol, "metric evaluation")
-    reports = []
-    for target, rungs in zip(targets, pieces.reshape(len(targets), -1).tolist()):
-        profile = LengthProfile(tag=tag, entries=tuple(zip(DEFAULT_LADDER, accumulate(rungs))))
-        grows = all(d > floor for d in profile.increments())
-        verdict = "divergent-evidence" if grows else "bounded-evidence"
-        reports.append(SweepReport(profile=profile, verdict=verdict, floor=floor,
-                                   target=_unit_target(target)))
-    return reports[0] if single else reports
+    tags = [tag] if isinstance(tag, str) else list(tag)
+    paths = [ParamPath.radial(target) for target in targets]
+    rungs = list(zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER))
+    jobs = [(path, lo, r) for _ in tags for path in paths for lo, r in rungs]
+    per_job = [t for t in tags for _ in paths for _ in rungs]
+    pieces = _integrate_all(jobs, _speed_fn(per_job, data, 2), tol, "metric evaluation")
+    sweeps = {}
+    for name, ladders in zip(tags, pieces.reshape(len(tags), len(targets), len(rungs)).tolist()):
+        reports = []
+        for target, lengths in zip(targets, ladders):
+            profile = LengthProfile(tag=name,
+                                    entries=tuple(zip(DEFAULT_LADDER, accumulate(lengths))))
+            grows = all(d > floor for d in profile.increments())
+            verdict = "divergent-evidence" if grows else "bounded-evidence"
+            reports.append(SweepReport(profile=profile, verdict=verdict, floor=floor,
+                                       target=_unit_target(target)))
+        sweeps[name] = reports[0] if single else reports
+    return sweeps[tag] if isinstance(tag, str) else sweeps
 
 
 def log_variation_check(path: ParamPath, data: HolomorphicData,
@@ -348,7 +384,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
                 f"path left the doubled class-{region} region at s = {svals[~member][0]}")
     lhs = path_length(path, "disc", data)
 
-    def variation(s, x, v):
+    def variation(s, x, v, job):
         psi, dpsi, _ = data.psi.jet(_disc(x))
         return abs((dpsi * _disc(v)).imag) / psi.imag
 
@@ -381,7 +417,7 @@ def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalRepor
         raise ValueError("horizontal length wants a slice path (u, v, theta)")
     state = {"max_beta": 0.0, "rerouted": False}
 
-    def lengths(s, x, v):
+    def lengths(s, x, v, job):
         frame = data.slice_frames(_disc(x))
         G3, Gs, b = frame.g3, frame.g_s, frame.beta
         Gb = np.linalg.solve(G3, b[..., None])[..., 0]

@@ -190,6 +190,30 @@ class TestSweeps:
         rep = divergence_sweep(DATA, GENERIC, "sphere", floor=5.0)
         assert rep.verdict == "bounded-evidence"
 
+    @pytest.mark.parametrize("data,targets", [
+        (DATA, [1.0, 1j, -1.0, -1j, GENERIC]),
+        (FLAT, [1.0, 1j, GENERIC]),
+    ], ids=["standard", "flat"])
+    def test_shared_sweep_is_each_tags_own(self, data, targets):
+        """Both tags in one quadrature: every report is the single-tag
+        sweep's, every length bit for bit."""
+        shared = divergence_sweep(data, targets, ("sphere", "disc"))
+        assert list(shared) == ["sphere", "disc"]
+        for tag, reports in shared.items():
+            alone = divergence_sweep(data, targets, tag)
+            assert reports == alone
+            for rep, own in zip(reports, alone):
+                lengths = [length.hex() for _, length in rep.profile.entries]
+                assert lengths == [length.hex() for _, length in own.profile.entries]
+
+    def test_shared_sweep_of_one_target(self):
+        shared = divergence_sweep(DATA, 1.0, ["disc", "sphere"])
+        assert shared == {tag: divergence_sweep(DATA, 1.0, tag) for tag in ("disc", "sphere")}
+
+    def test_empty_sweep(self):
+        assert divergence_sweep(DATA, [], "sphere") == []
+        assert divergence_sweep(DATA, [], ("sphere", "disc")) == {"sphere": [], "disc": []}
+
 
 def _quad_lengths(target, tag, ladder):
     """Cumulative lengths of the radial path at each rung by adaptive
@@ -236,16 +260,18 @@ class TestSweepQuadrature:
             assert abs(length - want) <= 1e-9, r
 
 
-def _depth_first(path, integrand, lo, hi, tol):
+def _depth_first(path, integrand, lo, hi, tol, job=0):
     """The depth-first quadrature that the round-based driver replaced,
     kept as its oracle: the same panels, accept rule, depth cap and order
-    of summation, with one integrand call per panel pair."""
+    of summation, with one integrand call per panel pair, all of whose
+    nodes belong to job."""
 
     def gauss(*edges):
         p, q = np.array(edges[:-1]), np.array(edges[1:])
         half = 0.5 * (q - p)
         s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
-        vals = np.asarray(integrand(s, path.at(s), path.vel(s)), dtype=float)
+        vals = np.asarray(integrand(s, path.at(s), path.vel(s), np.full(s.size, job)),
+                          dtype=float)
         return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
 
     total = 0.0
@@ -296,13 +322,31 @@ class TestFrontier:
         for k, (path, lo, hi) in enumerate(jobs):
             assert np.array_equal(got[k], _depth_first(path, speed, lo, hi, tol)), k
 
+    @pytest.mark.parametrize("tol", [1e-5, 1e-9])
+    def test_mixed_tags_match_the_depth_first_oracle(self, tol):
+        """One speed for a job list of several tags: each job's sum is its
+        own tag's depth-first sum, though a call evaluates the cover once
+        for the sphere and disc nodes of all jobs."""
+        jobs = FRONTIER_JOBS["euclid"][2:] + _DISC_JOBS + _DISC_JOBS[::-1]
+        tags = ["euclid"] + ["sphere", "disc"] * len(_DISC_JOBS)
+        got = _integrate_all(jobs, _speed_fn(tags, DATA, 2), tol, "metric evaluation")
+        for k, ((path, lo, hi), tag) in enumerate(zip(jobs, tags)):
+            want = _depth_first(path, _speed_fn(tag, DATA, 2), lo, hi, tol, job=k)
+            assert np.array_equal(got[k], want), (k, tag)
+
+    def test_no_jobs_no_sums(self):
+        def never(s, x, v, job):
+            raise AssertionError("no job, no integrand call")
+
+        assert _integrate_all([], never, 1e-6, "integrand").size == 0
+
     def test_round_cap_changes_calls_not_sums(self, monkeypatch):
         speed = _speed_fn("disc", DATA, 2)
         sizes = []
 
-        def counted(s, x, v):
+        def counted(s, x, v, job):
             sizes.append(len(s))
-            return speed(s, x, v)
+            return speed(s, x, v, job)
 
         whole = _integrate_all(_DISC_JOBS, counted, 1e-9, "metric evaluation")
         calls = len(sizes)
@@ -319,7 +363,7 @@ class TestFrontier:
         seg = segment(0.0, 1.0)
         calls = []
 
-        def step(s, x, v):
+        def step(s, x, v, job):
             calls.append(len(s))
             return (x[:, 0] > 1.0 / 3.0).astype(float)
 
@@ -339,7 +383,7 @@ class TestFrontier:
                 (segment(0.2, 0.7 + 0.1j), 0.0, 1.0)]
         calls = []
 
-        def poisoned(s, x, v):
+        def poisoned(s, x, v, job):
             calls.append(len(s))
             # the second segment alone is all NaN (or inf)
             on_second = np.abs(_disc(v) - 0.5j) < 1e-12
@@ -352,35 +396,45 @@ class TestFrontier:
         assert calls == [3 * _GL_NODES.size]
 
     def test_failure_names_its_path_and_interval(self, monkeypatch):
-        """A round holds every target's rungs; the PathError names the one
-        path that fails and an s interval of it holding a failing node."""
+        """A round holds every target's rungs, of every tag of a shared
+        sweep; the PathError names the one path that fails, in the one tag
+        whose speed fails there, and an s interval of it holding a failing
+        node."""
         factory = ghlab.pathlab._speed_fn
+        # (tags swept, the tag whose speed fails, its first GENERIC job):
+        # jobs run tag by tag, each tag 3 targets of 5 rungs
+        cases = [("sphere", "sphere", 5), (("sphere", "disc"), "disc", 20),
+                 (("disc", "sphere"), "disc", 5)]
+        for tags, failing_tag, first in cases:
 
-        def failing_factory(*args):
-            speed = factory(*args)
+            def failing_factory(per_job, *args):
+                speed = factory(per_job, *args)
 
-            def failing(s, x, v):
-                # the GENERIC radius fails beyond 0.95
-                bad = (np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
-                if bad.any():
-                    raise PunctureError(f"z = {_disc(x)[bad][0]} is numerically at a cusp")
-                return speed(s, x, v)
+                def failing(s, x, v, job):
+                    # the GENERIC radius fails beyond 0.95, in one tag
+                    tag = per_job if isinstance(per_job, str) else np.asarray(per_job)[job]
+                    bad = ((np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
+                           & (tag == failing_tag))
+                    if bad.any():
+                        raise PunctureError(f"z = {_disc(x)[bad][0]} is numerically at a cusp")
+                    return speed(s, x, v, job)
 
-            return failing
+                return failing
 
-        monkeypatch.setattr(ghlab.pathlab, "_speed_fn", failing_factory)
-        with pytest.raises(PathError) as info:
-            divergence_sweep(DATA, [1.0, GENERIC, 1j], "sphere")
-        found = re.search(r"on path (\d+) \(job (\d+)\) for s in \[(\S+), (\S+)\]",
-                          str(info.value))
-        assert found, str(info.value)
-        path, job = int(found[1]), int(found[2])
-        a, b = float(found[3]), float(found[4])
-        assert path == 1
-        # the GENERIC jobs are 5..9, one per rung; job 6 is [0.9, 0.99]
-        lo, hi = ((0.0,) + DEFAULT_LADDER)[job - 5], DEFAULT_LADDER[job - 5]
-        assert 5 <= job < 10
-        assert lo <= a < b <= hi and b > 0.95
+            monkeypatch.setattr(ghlab.pathlab, "_speed_fn", failing_factory)
+            with pytest.raises(PathError) as info:
+                divergence_sweep(DATA, [1.0, GENERIC, 1j], tags)
+            found = re.search(r"on path (\d+) \(job (\d+)\) for s in \[(\S+), (\S+)\]",
+                              str(info.value))
+            assert found, str(info.value)
+            path, job = int(found[1]), int(found[2])
+            a, b = float(found[3]), float(found[4])
+            assert path == 1
+            # the GENERIC jobs of the failing tag are first + 0..4, one per
+            # rung; first + 1 is [0.9, 0.99]
+            lo, hi = ((0.0,) + DEFAULT_LADDER)[job - first], DEFAULT_LADDER[job - first]
+            assert first <= job < first + 5, tags
+            assert lo <= a < b <= hi and b > 0.95
 
 
 class TestLogVariation:

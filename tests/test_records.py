@@ -182,31 +182,46 @@ class TestEvaluationCounts:
     def test_default_sweep_speed_evaluations(self, monkeypatch, tmp_path):
         """Speed evaluations of one default sweep: 8 Gauss-Legendre nodes
         on each panel, and each halved panel's sum carried down.  The
-        speed takes arrays, and each metric tag refines every rung of
-        every target in rounds: one call for all first panels and one
-        per round of halvings, 8 calls per tag."""
-        taken = {"calls": 0, "nodes": 0}
-        factory = ghlab.pathlab._speed_fn
+        speed takes arrays, and the sweep refines every rung of every
+        target in both metric tags in rounds: one call for all first
+        panels and one per round of halvings, 11 calls in all, the disc
+        tag's rounds, with the sphere tag's 5 riding along (16 calls when
+        each tag ran its own quadrature).  Each call takes one cover batch
+        over all of its nodes and one psi jet batch over its disc nodes."""
+        taken = dict.fromkeys(("calls", "nodes", "charts", "chart_nodes", "jets"), 0)
+        factory, chart = ghlab.pathlab._speed_fn, ModularCover.chart
+        jet = ghlab.holo.blaschke_derivs
 
         def counted_factory(*args):
             speed = factory(*args)
 
-            def counted(s, x, v):
+            def counted(s, x, v, job):
                 taken["calls"] += 1
                 taken["nodes"] += len(s)
-                return speed(s, x, v)
+                return speed(s, x, v, job)
 
             return counted
 
+        def counted_chart(self, zs):
+            taken["charts"] += 1
+            taken["chart_nodes"] += np.size(zs)
+            return chart(self, zs)
+
+        def counted_jet(spec, z):
+            taken["jets"] += 1
+            return jet(spec, z)
+
         monkeypatch.setattr(ghlab.pathlab, "_speed_fn", counted_factory)
+        monkeypatch.setattr(ModularCover, "chart", counted_chart)
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
         runs = []
         for run in range(2):
-            taken.update(calls=0, nodes=0)
+            taken.update(dict.fromkeys(taken, 0))
             assert main(["sweep", "--out", str(tmp_path / str(run))]) == 0
             runs.append(dict(taken))
         assert runs[0] == runs[1]
-        assert runs[0]["nodes"] <= 3920
-        assert runs[0]["calls"] <= 16
+        assert runs[0] == {"calls": 11, "nodes": 3920, "charts": 11, "chart_nodes": 3920,
+                           "jets": 11}
 
     def test_horizontal_length_fills_each_batch_once(self, monkeypatch):
         # one first panel of 8 nodes and one refinement of 16: two fills,
