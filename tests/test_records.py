@@ -185,9 +185,9 @@ class TestEvaluationCounts:
         speed takes arrays, and the sweep refines every rung of every
         target in both metric tags in rounds: one call for all first
         panels and one per round of halvings, 11 calls in all, the disc
-        tag's rounds, with the sphere tag's 5 riding along (16 calls when
-        each tag ran its own quadrature).  Each call takes one cover batch
-        over all of its nodes and one psi jet batch over its disc nodes."""
+        tag's rounds, with the sphere tag's 5 riding along.  Each call
+        takes one cover batch over all of its nodes and one psi jet batch
+        over its disc nodes."""
         taken = dict.fromkeys(("calls", "nodes", "charts", "chart_nodes", "jets"), 0)
         factory, chart = ghlab.pathlab._speed_fn, ModularCover.chart
         jet = ghlab.holo.blaschke_derivs
