@@ -502,19 +502,16 @@ class HolomorphicData:
         f["drho"], f["built"] = pull[:, 0], True
         self._store[which][rows] = f
 
-    def g_sigma(self, z, m=None) -> np.ndarray:
+    def g_sigma(self, z, m) -> np.ndarray:
         """Quotient metric on the disc: the canonical-slice metric with
         the circle direction reduced away, over an array of z as one
-        (..., 2, 2) array.  m is the cover's conformal factor at z
-        (metric_factors_in_disc), computed here unless given.  Needs no
-        xi, and keeps no record: path quadratures call it at nodes no
-        stencil revisits."""
+        (..., 2, 2) array, m the cover's conformal factor at z
+        (metric_factors_in_disc).  Needs no xi, and keeps no record:
+        path quadratures call it at nodes no stencil revisits."""
         z = np.asarray(z, dtype=complex)
         psi, dpsi, _ = self.psi.jet(z)
         grad = np.stack((dpsi.imag, dpsi.real), axis=-1)
         # where m reads 0 the radial part still makes sense
-        if m is None:
-            m = self.cover.metric_factors_in_disc(z)
         G = grad[..., :, None] * grad[..., None, :] + (psi.imag**2 * m)[..., None, None] * np.eye(2)
         return G / (np.abs(psi) ** 2)[..., None, None]
 

@@ -80,7 +80,7 @@ class ParamPath:
     def vel(self, s) -> np.ndarray:
         """The constant velocity end - start at each s."""
         d = self.end - self.start
-        return np.broadcast_to(d, np.shape(s) + d.shape)
+        return np.full(np.shape(s) + d.shape, d)
 
     def point(self, s):
         """The disc point u + i v at s, one parameter or an array."""
@@ -163,12 +163,17 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
         half = 0.5 * (q - p)
         s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
         node_job = np.repeat(job, _GL_NODES.size)
+        # each path sampled once, on its nodes: order[edges[k]:edges[k + 1]]
         node_path = on_path[node_job]
+        order = np.argsort(node_path, kind="stable")
+        edges = np.searchsorted(node_path[order], np.arange(len(paths) + 1))
         x = np.empty(s.shape + (paths[0].dim,))
         v = np.empty_like(x)
-        for k, path in enumerate(paths):
-            at = node_path == k
-            x[at], v[at] = path.at(s[at]), path.vel(s[at])
+        for path, a, b in zip(paths, edges[:-1].tolist(), edges[1:].tolist()):
+            if a < b:
+                at = order[a:b]
+                s_k = s[at]
+                x[at], v[at] = path.at(s_k), path.vel(s_k)
         try:
             vals = np.asarray(integrand(s, x, v, node_job), dtype=float)
         except PathError:
@@ -214,12 +219,14 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
         rounds += chunks(split)
 
     # each job adds its accepted halves from 0.0 in s order, the order of
-    # the depth-first stack, so that no other job moves its rounding
+    # the depth-first stack, so that no other job moves its rounding; in
+    # Python floats, whose sums round as numpy's float64 sums do
     job, p, left, right = (np.concatenate(a) for a in zip(*accepted))
-    totals = np.zeros((len(jobs), left.shape[-1]))
-    for k in np.lexsort((p, job)):
-        totals[job[k]] = totals[job[k]] + left[k] + right[k]
-    return totals
+    order = np.lexsort((p, job))
+    totals = [[0.0] * left.shape[-1] for _ in jobs]
+    for j, lhalf, rhalf in zip(job[order].tolist(), left[order].tolist(), right[order].tolist()):
+        totals[j] = [t + a + b for t, a, b in zip(totals[j], lhalf, rhalf)]
+    return np.array(totals)
 
 
 def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -229,12 +236,11 @@ def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _speed_fn(tags, data: HolomorphicData | None, dim: int):
-    """speed(s, points, velocities, job) over arrays.  tags is one metric
-    tag, taken at every node, or a sequence of tags, one per job, each
-    node taking its job's.  One call evaluates the cover once for all of
-    its sphere and disc nodes, and psi's jet on its disc nodes only."""
-    single = isinstance(tags, str)
-    names = [tags] if single else list(dict.fromkeys(tags))
+    """speed(s, points, velocities, job) over arrays, for a sequence of
+    metric tags, one per job: each node takes its job's.  One call
+    evaluates the cover once for all of its sphere and disc nodes, and
+    psi's jet on its disc nodes only."""
+    names = list(dict.fromkeys(tags))
     for tag in names:
         if tag not in METRIC_TAGS:
             raise ValueError(f"unknown metric tag {tag!r}")
@@ -244,7 +250,7 @@ def _speed_fn(tags, data: HolomorphicData | None, dim: int):
             raise ValueError(f"metric tag {tag!r} measures disc paths (dim 2)")
         if tag in ("g3", "gs") and dim != 3:
             raise ValueError(f"metric tag {tag!r} measures slice paths (dim 3)")
-    tag_of_job = None if single else np.array([names.index(t) for t in tags], dtype=int)
+    tag_of_job = np.array([names.index(t) for t in tags], dtype=int)
     covered = np.array([tag in ("sphere", "disc") for tag in names])
 
     def metric(tag, z, v, m):
@@ -260,11 +266,7 @@ def _speed_fn(tags, data: HolomorphicData | None, dim: int):
         return _quadratic(v, frame.g3 if tag == "g3" else frame.g_s)
 
     def speed(s, x, v, job):
-        z = _disc(x)
-        if len(names) == 1:
-            m = data.cover.metric_factors_in_disc(z) if covered[0] else None
-            return metric(names[0], z, v, m)
-        tag_at = tag_of_job[job]
+        z, tag_at = _disc(x), tag_of_job[job]
         m, near = np.zeros(len(s)), covered[tag_at]
         if near.any():
             m[near] = data.cover.metric_factors_in_disc(z[near])
@@ -290,7 +292,7 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
         raise ValueError(f"upto = {upto} outside (0, 1]")
     if path.proper and upto >= 1.0:
         raise ValueError("proper paths must be truncated below 1")
-    speed = _speed_fn(tag, data, path.dim)
+    speed = _speed_fn([tag], data, path.dim)
     return float(_integrate_all([(path, 0.0, upto)], speed, tol, "metric evaluation")[0, 0])
 
 
@@ -343,7 +345,8 @@ def divergence_sweep(data: HolomorphicData, targets, tag,
     """
     single = np.ndim(targets) == 0
     targets = [targets] if single else list(targets)
-    tags = [tag] if isinstance(tag, str) else list(tag)
+    one_tag = isinstance(tag, str)
+    tags = [tag] if one_tag else list(tag)
     paths = [ParamPath.radial(target) for target in targets]
     rungs = list(zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER))
     jobs = [(path, lo, r) for _ in tags for path in paths for lo, r in rungs]
@@ -360,7 +363,7 @@ def divergence_sweep(data: HolomorphicData, targets, tag,
             reports.append(SweepReport(profile=profile, verdict=verdict, floor=floor,
                                        target=_unit_target(target)))
         sweeps[name] = reports[0] if single else reports
-    return sweeps[tag] if isinstance(tag, str) else sweeps
+    return sweeps[tag] if one_tag else sweeps
 
 
 def log_variation_check(path: ParamPath, data: HolomorphicData,

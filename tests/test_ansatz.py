@@ -264,11 +264,13 @@ class TestCanonicalSlice:
         z = 0.31 - 0.22j
         g3 = DATA.slice_frame(z).g3
         A, c, d = g3[:2, :2], g3[:2, 2], g3[2, 2]
-        assert np.abs(A - np.outer(c, c) / d - DATA.g_sigma(z)).max() < 1e-12
+        m = DATA.cover.metric_factors_in_disc(z)
+        assert np.abs(A - np.outer(c, c) / d - DATA.g_sigma(z, m)).max() < 1e-12
 
     def test_quotient_metric_positive(self):
         for z in SAMPLE_POINTS:
-            assert np.linalg.eigvalsh(DATA.g_sigma(z)).min() > 0
+            m = DATA.cover.metric_factors_in_disc(z)
+            assert np.linalg.eigvalsh(DATA.g_sigma(z, m)).min() > 0
 
 
 class TestZeroSlice:

@@ -227,7 +227,8 @@ def _quad_lengths(target, tag, ladder):
             return math.sqrt(max(float(DATA.cover.metric_factors_in_disc(r * t)), 0.0))
     else:
         def speed(r):
-            return math.sqrt(max(float(v @ DATA.g_sigma(r * t) @ v), 0.0))
+            m = DATA.cover.metric_factors_in_disc(r * t)
+            return math.sqrt(max(float(v @ DATA.g_sigma(r * t, m) @ v), 0.0))
 
     total, lo, lengths, errs = 0.0, 0.0, [], []
     for r in ladder:
@@ -260,17 +261,17 @@ class TestSweepQuadrature:
             assert abs(length - want) <= 1e-9, r
 
 
-def _depth_first(path, integrand, lo, hi, tol, job=0):
+def _depth_first(path, integrand, lo, hi, tol):
     """The depth-first quadrature that the round-based driver replaced,
     kept as its oracle: the same panels, accept rule, depth cap and order
     of summation, with one integrand call per panel pair, all of whose
-    nodes belong to job."""
+    nodes belong to job 0."""
 
     def gauss(*edges):
         p, q = np.array(edges[:-1]), np.array(edges[1:])
         half = 0.5 * (q - p)
         s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
-        vals = np.asarray(integrand(s, path.at(s), path.vel(s), np.full(s.size, job)),
+        vals = np.asarray(integrand(s, path.at(s), path.vel(s), np.zeros(s.size, dtype=int)),
                           dtype=float)
         return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
 
@@ -317,7 +318,7 @@ class TestFrontier:
     @pytest.mark.parametrize("tag", sorted(FRONTIER_JOBS))
     def test_sums_match_the_depth_first_oracle(self, tag, tol):
         jobs = FRONTIER_JOBS[tag]
-        speed = _speed_fn(tag, DATA, jobs[0][0].dim)
+        speed = _speed_fn([tag] * len(jobs), DATA, jobs[0][0].dim)
         got = _integrate_all(jobs, speed, tol, "metric evaluation")
         for k, (path, lo, hi) in enumerate(jobs):
             assert np.array_equal(got[k], _depth_first(path, speed, lo, hi, tol)), k
@@ -331,7 +332,7 @@ class TestFrontier:
         tags = ["euclid"] + ["sphere", "disc"] * len(_DISC_JOBS)
         got = _integrate_all(jobs, _speed_fn(tags, DATA, 2), tol, "metric evaluation")
         for k, ((path, lo, hi), tag) in enumerate(zip(jobs, tags)):
-            want = _depth_first(path, _speed_fn(tag, DATA, 2), lo, hi, tol, job=k)
+            want = _depth_first(path, _speed_fn([tag], DATA, 2), lo, hi, tol)
             assert np.array_equal(got[k], want), (k, tag)
 
     def test_no_jobs_no_sums(self):
@@ -341,7 +342,7 @@ class TestFrontier:
         assert _integrate_all([], never, 1e-6, "integrand").size == 0
 
     def test_round_cap_changes_calls_not_sums(self, monkeypatch):
-        speed = _speed_fn("disc", DATA, 2)
+        speed = _speed_fn(["disc"] * len(_DISC_JOBS), DATA, 2)
         sizes = []
 
         def counted(s, x, v, job):
@@ -412,7 +413,7 @@ class TestFrontier:
 
                 def failing(s, x, v, job):
                     # the GENERIC radius fails beyond 0.95, in one tag
-                    tag = per_job if isinstance(per_job, str) else np.asarray(per_job)[job]
+                    tag = np.asarray(per_job)[job]
                     bad = ((np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
                            & (tag == failing_tag))
                     if bad.any():

@@ -146,9 +146,11 @@ class TestEvaluationCounts:
             assert _taken(counts, lambda: data.metric(rho, Z)) == (0, 0)
 
     def test_g_sigma_keeps_no_record(self, counts):
+        # one psi jet per call, and the conformal factor from the caller
         data = standard_data()
-        assert _taken(counts, lambda: data.g_sigma(Z)) == (1, 1)
-        assert _taken(counts, lambda: data.g_sigma(Z)) == (1, 1)
+        m = data.cover.metric_factors_in_disc(Z)
+        assert _taken(counts, lambda: data.g_sigma(Z, m)) == (1, 0)
+        assert _taken(counts, lambda: data.g_sigma(Z, m)) == (1, 0)
 
     def test_zero_search_takes_one_circle_batch(self, counts, monkeypatch):
         kinds = []  # per Blaschke jet outside xi: was z an array
@@ -611,13 +613,16 @@ class TestRecords:
         np.testing.assert_allclose(variant.xi_at(Z), np.array(data.xi_at(Z)) / 2, rtol=1e-9)
 
     def test_g_sigma_computes_no_xi(self, monkeypatch):
+        def quotient(d, z):
+            return d.g_sigma(z, d.cover.metric_factors_in_disc(z))
+
         data = standard_data()
-        expected = data.g_sigma(Z)
+        expected = quotient(data, Z)
 
         def no_quadrature(*args, **kwargs):
             raise AssertionError("g_sigma ran the xi quadrature")
 
         monkeypatch.setattr(HolomorphicData, "curl_source", no_quadrature)
         fresh = standard_data()
-        assert np.array_equal(fresh.g_sigma(Z), expected)
-        assert np.array_equal(fresh.g_sigma(-0.4 + 0.1j), data.g_sigma(-0.4 + 0.1j))
+        assert np.array_equal(quotient(fresh, Z), expected)
+        assert np.array_equal(quotient(fresh, -0.4 + 0.1j), quotient(data, -0.4 + 0.1j))
