@@ -316,15 +316,18 @@ def _svg_circle(center: complex, r: float, color: str, width: float = 0.004) -> 
     )
 
 
-def _side_polyline(side, segments: int = 32) -> list:
+_ARC_SEGMENTS = 32
+
+
+def _side_polyline(side) -> list:
     va, vb = side.endpoints
     if side.kind == "diameter":
         return [va, vb]
     c = side.center
     ta = cmath.phase(va - c)
     delta = cmath.phase((vb - c) / (va - c))
-    return [c + abs(va - c) * cmath.exp(1j * (ta + delta * k / segments))
-            for k in range(segments + 1)]
+    return [c + abs(va - c) * cmath.exp(1j * (ta + delta * k / _ARC_SEGMENTS))
+            for k in range(_ARC_SEGMENTS + 1)]
 
 
 def _tessellation_elements(tess) -> list:

@@ -276,10 +276,13 @@ def hororegion_test(
     boundary-vertex component is z in.
 
     r must satisfy check_ball_radius.  Component naming needs an
-    enumerated tessellation, one z and a cusp height of at least 1; with
-    tess=None only membership is returned, and z may be an array.
+    enumerated tessellation, one z (else ValueError) and a cusp height
+    of at least 1; with tess=None only membership is returned, and z may
+    be an array.
     """
     check_ball_radius(r)
+    if tess is not None and np.ndim(z) != 0:
+        raise ValueError("naming a component needs one z; pass tess=None for an array")
     member = puncture_distance(cover, z, j) < (2.0 * r if doubled else r)
     if tess is None or not member:
         return member, None

@@ -11,8 +11,8 @@ the two slice metrics must agree.  Every length is the integral of a
 pointwise speed on adaptive 8-node Gauss-Legendre panels, halved until
 a panel and its two halves agree to within its share of the tolerance.
 Paths, speeds and integrands take arrays, and one driver halves the
-panels of many intervals in rounds: a sweep's rungs, targets and metric
-tags share one speed call per round.
+panels of many intervals in rounds: a sweep's rungs and targets share one
+speed call per round, and its metric tags are columns of that speed.
 """
 
 from __future__ import annotations
@@ -130,22 +130,23 @@ _ROUND_PANELS = 1024
 
 
 def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
-    """Integrate integrand(s, points, velocities, job) over each job
-    (path, lo, hi) to absolute tolerance tol > 0: one row of sums per job,
-    and no rows for no jobs.  job holds the number of each node's job in
-    the list, so one integrand can measure different jobs differently.
+    """Integrate integrand(s, points, velocities), N values or an (N, k)
+    array of k columns at N nodes, over each job (path, lo, hi) to
+    absolute tolerance tol > 0: one row of k sums per job, and no rows for
+    no jobs.
 
     Each [lo, hi] starts as one panel.  A panel is accepted as the sum
     over its two halves when that sum is within the panel's share of tol
-    of the panel's own Gauss-Legendre sum; otherwise both halves are split
-    again, each carrying its sum.  The halving runs in rounds over the open
-    panels of every job: one integrand call per round, on both halves of
-    each panel, with each path sampled once over all of its panels.  A job
-    sums its accepted halves left to right, so its sum does not depend on
-    the other jobs.  Evaluation failures, and a panel sum that is not
-    finite, surface as PathError in the round they happen, naming what
-    failed, the path and job, and an s interval holding the failing node:
-    the integrand is run again on each job's own nodes to find it."""
+    of the panel's own Gauss-Legendre sum in every column; otherwise both
+    halves are split again, each carrying its sums.  The halving runs in
+    rounds over the open panels of every job: one integrand call per
+    round, on both halves of each panel, with each path sampled once over
+    all of its panels.  A job sums its accepted halves left to right, so
+    its sums do not depend on the other jobs.  Evaluation failures, and a
+    panel sum that is not finite, surface as PathError in the round they
+    happen, naming what failed, the path and job, and an s interval
+    holding the failing node: the integrand is run again on each job's
+    own nodes to find it."""
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
     if not jobs:
@@ -175,7 +176,7 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
                 s_k = s[at]
                 x[at], v[at] = path.at(s_k), path.vel(s_k)
         try:
-            vals = np.asarray(integrand(s, x, v, node_job), dtype=float)
+            vals = np.asarray(integrand(s, x, v), dtype=float)
         except PathError:
             raise
         except GHLabError as exc:
@@ -183,7 +184,7 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
             for j in np.unique(job):
                 at = node_job == j
                 try:
-                    integrand(s[at], x[at], v[at], node_job[at])
+                    integrand(s[at], x[at], v[at])
                 except GHLabError as again:
                     raise failure(j, s[at].min(), s[at].max(), again) from again
             raise PathError(f"{what} failed: {exc}") from exc
@@ -236,12 +237,11 @@ def _quadratic(v: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _speed_fn(tags, data: HolomorphicData | None, dim: int):
-    """speed(s, points, velocities, job) over arrays, for a sequence of
-    metric tags, one per job: each node takes its job's.  One call
-    evaluates the cover once for all of its sphere and disc nodes, and
-    psi's jet on its disc nodes only."""
-    names = list(dict.fromkeys(tags))
-    for tag in names:
+    """speed(s, points, velocities) over arrays: an (N, len(tags)) array,
+    one column of speeds per metric tag.  One call evaluates the cover
+    once for all of its nodes if a sphere or disc tag needs it, and psi's
+    jet only for the disc tag."""
+    for tag in tags:
         if tag not in METRIC_TAGS:
             raise ValueError(f"unknown metric tag {tag!r}")
         if tag != "euclid" and data is None:
@@ -250,8 +250,7 @@ def _speed_fn(tags, data: HolomorphicData | None, dim: int):
             raise ValueError(f"metric tag {tag!r} measures disc paths (dim 2)")
         if tag in ("g3", "gs") and dim != 3:
             raise ValueError(f"metric tag {tag!r} measures slice paths (dim 3)")
-    tag_of_job = np.array([names.index(t) for t in tags], dtype=int)
-    covered = np.array([tag in ("sphere", "disc") for tag in names])
+    covered = not {"sphere", "disc"}.isdisjoint(tags)
 
     def metric(tag, z, v, m):
         """The speeds in one tag's metric, m the conformal factor at z
@@ -265,17 +264,10 @@ def _speed_fn(tags, data: HolomorphicData | None, dim: int):
         frame = data.slice_frames(z)
         return _quadratic(v, frame.g3 if tag == "g3" else frame.g_s)
 
-    def speed(s, x, v, job):
-        z, tag_at = _disc(x), tag_of_job[job]
-        m, near = np.zeros(len(s)), covered[tag_at]
-        if near.any():
-            m[near] = data.cover.metric_factors_in_disc(z[near])
-        out = np.empty(len(s))
-        for k, tag in enumerate(names):
-            at = tag_at == k
-            if at.any():
-                out[at] = metric(tag, z[at], v[at], m[at])
-        return out
+    def speed(s, x, v):
+        z = _disc(x)
+        m = data.cover.metric_factors_in_disc(z) if covered else None
+        return np.stack([metric(tag, z, v, m) for tag in tags], axis=-1)
 
     return speed
 
@@ -328,42 +320,40 @@ class SweepReport:
     target: complex
 
 
-def divergence_sweep(data: HolomorphicData, targets, tag,
-                     floor: float = 0.05, tol: float = 1e-6):
-    """Radial-path length ladders toward boundary targets, classified:
-    a SweepReport for one target, a list of them for a sequence (empty
-    for no targets).  For a sequence of tags, a dict of those by tag.
+def divergence_sweep(data: HolomorphicData, targets, tags,
+                     floor: float = 0.05, tol: float = 1e-6) -> dict:
+    """Radial-path length ladders toward each of the boundary targets,
+    classified: {tag: [SweepReport per target]} for the metric tags of
+    tags, {} for no tags.
 
     The lengths are taken at the radii of DEFAULT_LADDER, every rung of
-    every target in every tag in one adaptive quadrature, so that a
-    round evaluates the cover once for the nodes of all tags.  Each
-    length is the one its tag's own sweep gives, bit for bit.  The
-    verdict is "divergent-evidence" when every ladder increment exceeds
-    the floor, "bounded-evidence" otherwise.  A desk-scale surrogate:
-    nothing here proves infinite length, it only reports whether growth
-    keeps clearing a fixed positive bar.
+    every target in one adaptive quadrature whose speed has one column
+    per tag, so that a round evaluates the cover once for all tags.  A
+    panel is halved until every column meets tol.  The verdict is
+    "divergent-evidence" when every ladder increment exceeds the floor,
+    "bounded-evidence" otherwise.  A desk-scale surrogate: nothing here
+    proves infinite length, it only reports whether growth keeps
+    clearing a fixed positive bar.
     """
-    single = np.ndim(targets) == 0
-    targets = [targets] if single else list(targets)
-    one_tag = isinstance(tag, str)
-    tags = [tag] if one_tag else list(tag)
+    targets, tags = list(targets), list(tags)
     paths = [ParamPath.radial(target) for target in targets]
     rungs = list(zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER))
-    jobs = [(path, lo, r) for _ in tags for path in paths for lo, r in rungs]
-    per_job = [t for t in tags for _ in paths for _ in rungs]
-    pieces = _integrate_all(jobs, _speed_fn(per_job, data, 2), tol, "metric evaluation")
+    # no tags, no columns: nothing to integrate
+    jobs = [(path, lo, r) for path in paths for lo, r in rungs] if tags else []
+    pieces = _integrate_all(jobs, _speed_fn(tags, data, 2), tol, "metric evaluation")
+    ladders = pieces.reshape(len(targets), len(rungs), len(tags))
     sweeps = {}
-    for name, ladders in zip(tags, pieces.reshape(len(tags), len(targets), len(rungs)).tolist()):
+    for k, tag in enumerate(tags):
         reports = []
-        for target, lengths in zip(targets, ladders):
-            profile = LengthProfile(tag=name,
+        for target, lengths in zip(targets, ladders[..., k].tolist()):
+            profile = LengthProfile(tag=tag,
                                     entries=tuple(zip(DEFAULT_LADDER, accumulate(lengths))))
             grows = all(d > floor for d in profile.increments())
             verdict = "divergent-evidence" if grows else "bounded-evidence"
             reports.append(SweepReport(profile=profile, verdict=verdict, floor=floor,
                                        target=_unit_target(target)))
-        sweeps[name] = reports[0] if single else reports
-    return sweeps[tag] if one_tag else sweeps
+        sweeps[tag] = reports
+    return sweeps
 
 
 def log_variation_check(path: ParamPath, data: HolomorphicData,
@@ -387,7 +377,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
                 f"path left the doubled class-{region} region at s = {svals[~member][0]}")
     lhs = path_length(path, "disc", data)
 
-    def variation(s, x, v, job):
+    def variation(s, x, v):
         psi, dpsi, _ = data.psi.jet(_disc(x))
         return abs((dpsi * _disc(v)).imag) / psi.imag
 
@@ -420,7 +410,7 @@ def horizontal_length(path: ParamPath, data: HolomorphicData) -> HorizontalRepor
         raise ValueError("horizontal length wants a slice path (u, v, theta)")
     state = {"max_beta": 0.0, "rerouted": False}
 
-    def lengths(s, x, v, job):
+    def lengths(s, x, v):
         frame = data.slice_frames(_disc(x))
         G3, Gs, b = frame.g3, frame.g_s, frame.beta
         Gb = np.linalg.solve(G3, b[..., None])[..., 0]

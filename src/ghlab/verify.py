@@ -564,7 +564,7 @@ def _polish(psi, z: complex, mult: int, radius: float):
 
 def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroReport:
     """All zeros of the contact form inside |z| < radius, with a
-    certified count.
+    certified count; 0 < radius < 1, else ValueError.
 
     On the canonical slice beta vanishes exactly where psi' = 0 and
     Re psi = 0.  The zeros of psi' inside the circle are counted and
@@ -588,6 +588,8 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     precision, into roots too far apart to merge: it comes back as
     several simple zeros within about 1e-2 of it.
     """
+    if not 0.0 < radius < 1.0:
+        raise ValueError(f"radius = {radius} outside (0, 1)")
     psi = data.psi
     n_nodes = _CIRCLE_NODES
     nodes = radius * np.exp(2j * math.pi * np.arange(n_nodes) / n_nodes)

@@ -165,10 +165,10 @@ def test_contact_structure_suite():
 
 
 def test_completeness_evidence_and_region_constants():
-    generic = divergence_sweep(DATA, complex(math.cos(0.7), math.sin(0.7)),
-                               "sphere")
-    vertex_sphere = divergence_sweep(DATA, 1.0 + 0j, "sphere")
-    vertex_disc = divergence_sweep(DATA, 1.0 + 0j, "disc")
+    generic = divergence_sweep(DATA, [complex(math.cos(0.7), math.sin(0.7))],
+                               ["sphere"])["sphere"][0]
+    vertex = divergence_sweep(DATA, [1.0 + 0j], ["sphere", "disc"])
+    vertex_sphere, vertex_disc = vertex["sphere"][0], vertex["disc"][0]
     verdicts_ok = (generic.verdict == "divergent-evidence"
                    and vertex_sphere.verdict == "bounded-evidence"
                    and vertex_disc.verdict == "divergent-evidence")

@@ -391,6 +391,13 @@ class TestHororegions:
         )
         assert not inner and outer
 
+    def test_naming_needs_one_z(self):
+        zs = np.array([0.97, 0.97j])
+        with pytest.raises(ValueError, match="naming a component needs one z"):
+            hororegion_test(self.cover, zs, 2, r=0.1, tess=self.tess)
+        member, idx = hororegion_test(self.cover, zs, 2, r=0.1)
+        assert member.tolist() == [True, False] and idx is None
+
     def test_radius_precondition(self):
         with pytest.raises(ValueError):
             hororegion_test(self.cover, 0j, 1, r=1.0)

@@ -116,7 +116,7 @@ class TestLength:
         with pytest.raises(ValueError, match="must be positive"):
             path_length(seg, "disc", DATA, tol=tol)
         with pytest.raises(ValueError, match="must be positive"):
-            divergence_sweep(DATA, GENERIC, "sphere", tol=tol)
+            divergence_sweep(DATA, [GENERIC], ["sphere"], tol=tol)
 
     def test_proper_path_needs_truncation(self):
         with pytest.raises(ValueError):
@@ -160,9 +160,14 @@ class TestHexagon:
             RegionConstants(c1=0.1, c2=-0.2, c3=0.1)
 
 
+def _sweep(target, tag, **kwargs):
+    """The report of a one-target, one-tag sweep."""
+    return divergence_sweep(DATA, [target], [tag], **kwargs)[tag][0]
+
+
 class TestSweeps:
     def test_generic_target_sphere_diverges(self):
-        rep = divergence_sweep(DATA, GENERIC, "sphere")
+        rep = _sweep(GENERIC, "sphere")
         assert rep.verdict == "divergent-evidence"
         lengths = [length for _, length in rep.profile.entries]
         assert lengths == sorted(lengths)
@@ -171,14 +176,14 @@ class TestSweeps:
         assert lengths[0] > 4.0 and lengths[-1] > 13.0
 
     def test_vertex_target_sphere_saturates(self):
-        rep = divergence_sweep(DATA, 1.0, "sphere")
+        rep = _sweep(1.0, "sphere")
         assert rep.verdict == "bounded-evidence"
         lengths = [length for _, length in rep.profile.entries]
         assert lengths[0] == pytest.approx(0.6435, abs=1e-3)
         assert lengths[-1] - lengths[0] < 1e-6
 
     def test_vertex_target_disc_diverges(self):
-        rep = divergence_sweep(DATA, 1.0, "disc")
+        rep = _sweep(1.0, "disc")
         assert rep.verdict == "divergent-evidence"
         # increments settle at half log 10 per decade: Im psi falls like
         # the square root of the boundary distance
@@ -187,32 +192,39 @@ class TestSweeps:
         )
 
     def test_floor_controls_verdict(self):
-        rep = divergence_sweep(DATA, GENERIC, "sphere", floor=5.0)
+        rep = _sweep(GENERIC, "sphere", floor=5.0)
         assert rep.verdict == "bounded-evidence"
+
+    @staticmethod
+    def _matches_own_sweeps(data, targets, tags):
+        """Both tags as columns of one speed: each tag's reports are its
+        one-tag sweep's verdicts, every length within the sweep's tol."""
+        shared = divergence_sweep(data, targets, tags)
+        assert list(shared) == list(tags)
+        for tag, reports in shared.items():
+            alone = divergence_sweep(data, targets, [tag])[tag]
+            assert len(reports) == len(alone) == len(targets)
+            for rep, own in zip(reports, alone):
+                assert (rep.verdict, rep.target, rep.floor) == (own.verdict, own.target, own.floor)
+                for (r, length), (r_own, length_own) in zip(rep.profile.entries,
+                                                             own.profile.entries):
+                    assert r == r_own and abs(length - length_own) <= 1e-6, (tag, r)
 
     @pytest.mark.parametrize("data,targets", [
         (DATA, [1.0, 1j, -1.0, -1j, GENERIC]),
         (FLAT, [1.0, 1j, GENERIC]),
     ], ids=["standard", "flat"])
     def test_shared_sweep_is_each_tags_own(self, data, targets):
-        """Both tags in one quadrature: every report is the single-tag
-        sweep's, every length bit for bit."""
-        shared = divergence_sweep(data, targets, ("sphere", "disc"))
-        assert list(shared) == ["sphere", "disc"]
-        for tag, reports in shared.items():
-            alone = divergence_sweep(data, targets, tag)
-            assert reports == alone
-            for rep, own in zip(reports, alone):
-                lengths = [length.hex() for _, length in rep.profile.entries]
-                assert lengths == [length.hex() for _, length in own.profile.entries]
+        self._matches_own_sweeps(data, targets, ("sphere", "disc"))
 
     def test_shared_sweep_of_one_target(self):
-        shared = divergence_sweep(DATA, 1.0, ["disc", "sphere"])
-        assert shared == {tag: divergence_sweep(DATA, 1.0, tag) for tag in ("disc", "sphere")}
+        self._matches_own_sweeps(DATA, [1.0], ["disc", "sphere"])
 
     def test_empty_sweep(self):
-        assert divergence_sweep(DATA, [], "sphere") == []
+        assert divergence_sweep(DATA, [], ["sphere"]) == {"sphere": []}
         assert divergence_sweep(DATA, [], ("sphere", "disc")) == {"sphere": [], "disc": []}
+        assert divergence_sweep(DATA, [1.0], []) == {}
+        assert divergence_sweep(DATA, [], []) == {}
 
 
 def _quad_lengths(target, tag, ladder):
@@ -246,7 +258,7 @@ class TestSweepQuadrature:
     @pytest.mark.parametrize("tag", ["sphere", "disc"])
     @pytest.mark.parametrize("target", [1.0, 1j, -1.0, GENERIC])
     def test_every_rung_within_tol(self, target, tag):
-        rep = divergence_sweep(DATA, target, tag, tol=1e-6)
+        rep = _sweep(target, tag, tol=1e-6)
         ladder = [r for r, _ in rep.profile.entries]
         ref, errs = _quad_lengths(target, tag, ladder)
         assert max(errs) < 1e-10
@@ -254,7 +266,7 @@ class TestSweepQuadrature:
             assert abs(length - want) <= 1e-6, (target, tag, r)
 
     def test_generic_sphere_at_tight_tol(self):
-        rep = divergence_sweep(DATA, GENERIC, "sphere", tol=1e-9)
+        rep = _sweep(GENERIC, "sphere", tol=1e-9)
         ref, errs = _quad_lengths(GENERIC, "sphere", DEFAULT_LADDER)
         assert max(errs) < 1e-10
         for (r, length), want in zip(rep.profile.entries, ref):
@@ -264,15 +276,13 @@ class TestSweepQuadrature:
 def _depth_first(path, integrand, lo, hi, tol):
     """The depth-first quadrature that the round-based driver replaced,
     kept as its oracle: the same panels, accept rule, depth cap and order
-    of summation, with one integrand call per panel pair, all of whose
-    nodes belong to job 0."""
+    of summation, with one integrand call per panel pair."""
 
     def gauss(*edges):
         p, q = np.array(edges[:-1]), np.array(edges[1:])
         half = 0.5 * (q - p)
         s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
-        vals = np.asarray(integrand(s, path.at(s), path.vel(s), np.zeros(s.size, dtype=int)),
-                          dtype=float)
+        vals = np.asarray(integrand(s, path.at(s), path.vel(s)), dtype=float)
         return half[:, None] * (_GL_WEIGHTS @ vals.reshape(p.size, _GL_NODES.size, -1))
 
     total = 0.0
@@ -318,36 +328,34 @@ class TestFrontier:
     @pytest.mark.parametrize("tag", sorted(FRONTIER_JOBS))
     def test_sums_match_the_depth_first_oracle(self, tag, tol):
         jobs = FRONTIER_JOBS[tag]
-        speed = _speed_fn([tag] * len(jobs), DATA, jobs[0][0].dim)
+        speed = _speed_fn([tag], DATA, jobs[0][0].dim)
         got = _integrate_all(jobs, speed, tol, "metric evaluation")
         for k, (path, lo, hi) in enumerate(jobs):
             assert np.array_equal(got[k], _depth_first(path, speed, lo, hi, tol)), k
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-9])
     def test_mixed_tags_match_the_depth_first_oracle(self, tol):
-        """One speed for a job list of several tags: each job's sum is its
-        own tag's depth-first sum, though a call evaluates the cover once
-        for the sphere and disc nodes of all jobs."""
-        jobs = FRONTIER_JOBS["euclid"][2:] + _DISC_JOBS + _DISC_JOBS[::-1]
-        tags = ["euclid"] + ["sphere", "disc"] * len(_DISC_JOBS)
-        got = _integrate_all(jobs, _speed_fn(tags, DATA, 2), tol, "metric evaluation")
-        for k, ((path, lo, hi), tag) in enumerate(zip(jobs, tags)):
-            want = _depth_first(path, _speed_fn([tag], DATA, 2), lo, hi, tol)
-            assert np.array_equal(got[k], want), (k, tag)
+        """A speed of two tag columns: each job's row is the depth-first
+        sum of both columns, on panels halved until both meet tol."""
+        speed = _speed_fn(["sphere", "disc"], DATA, 2)
+        got = _integrate_all(_DISC_JOBS, speed, tol, "metric evaluation")
+        assert got.shape == (len(_DISC_JOBS), 2)
+        for k, (path, lo, hi) in enumerate(_DISC_JOBS):
+            assert np.array_equal(got[k], _depth_first(path, speed, lo, hi, tol)), k
 
     def test_no_jobs_no_sums(self):
-        def never(s, x, v, job):
+        def never(s, x, v):
             raise AssertionError("no job, no integrand call")
 
         assert _integrate_all([], never, 1e-6, "integrand").size == 0
 
     def test_round_cap_changes_calls_not_sums(self, monkeypatch):
-        speed = _speed_fn(["disc"] * len(_DISC_JOBS), DATA, 2)
+        speed = _speed_fn(["disc"], DATA, 2)
         sizes = []
 
-        def counted(s, x, v, job):
+        def counted(s, x, v):
             sizes.append(len(s))
-            return speed(s, x, v, job)
+            return speed(s, x, v)
 
         whole = _integrate_all(_DISC_JOBS, counted, 1e-9, "metric evaluation")
         calls = len(sizes)
@@ -364,7 +372,7 @@ class TestFrontier:
         seg = segment(0.0, 1.0)
         calls = []
 
-        def step(s, x, v, job):
+        def step(s, x, v):
             calls.append(len(s))
             return (x[:, 0] > 1.0 / 3.0).astype(float)
 
@@ -384,7 +392,7 @@ class TestFrontier:
                 (segment(0.2, 0.7 + 0.1j), 0.0, 1.0)]
         calls = []
 
-        def poisoned(s, x, v, job):
+        def poisoned(s, x, v):
             calls.append(len(s))
             # the second segment alone is all NaN (or inf)
             on_second = np.abs(_disc(v) - 0.5j) < 1e-12
@@ -397,44 +405,40 @@ class TestFrontier:
         assert calls == [3 * _GL_NODES.size]
 
     def test_failure_names_its_path_and_interval(self, monkeypatch):
-        """A round holds every target's rungs, of every tag of a shared
-        sweep; the PathError names the one path that fails, in the one tag
-        whose speed fails there, and an s interval of it holding a failing
-        node."""
+        """A round holds every target's rungs; the PathError of a sweep
+        whose disc column fails names the one path that fails and an s
+        interval of it holding a failing node.  The sphere column alone
+        does not fail."""
         factory = ghlab.pathlab._speed_fn
-        # (tags swept, the tag whose speed fails, its first GENERIC job):
-        # jobs run tag by tag, each tag 3 targets of 5 rungs
-        cases = [("sphere", "sphere", 5), (("sphere", "disc"), "disc", 20),
-                 (("disc", "sphere"), "disc", 5)]
-        for tags, failing_tag, first in cases:
 
-            def failing_factory(per_job, *args):
-                speed = factory(per_job, *args)
+        def failing_factory(tags, *args):
+            speed = factory(tags, *args)
 
-                def failing(s, x, v, job):
-                    # the GENERIC radius fails beyond 0.95, in one tag
-                    tag = np.asarray(per_job)[job]
-                    bad = ((np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
-                           & (tag == failing_tag))
-                    if bad.any():
-                        raise PunctureError(f"z = {_disc(x)[bad][0]} is numerically at a cusp")
-                    return speed(s, x, v, job)
+            def failing(s, x, v):
+                # the GENERIC radius fails beyond 0.95, in the disc column
+                bad = (np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
+                if "disc" in tags and bad.any():
+                    raise PunctureError(f"z = {_disc(x)[bad][0]} is numerically at a cusp")
+                return speed(s, x, v)
 
-                return failing
+            return failing
 
-            monkeypatch.setattr(ghlab.pathlab, "_speed_fn", failing_factory)
+        monkeypatch.setattr(ghlab.pathlab, "_speed_fn", failing_factory)
+        targets = [1.0, GENERIC, 1j]
+        assert len(divergence_sweep(DATA, targets, ["sphere"])["sphere"]) == 3
+        for tags in (["disc"], ["sphere", "disc"], ["disc", "sphere"]):
             with pytest.raises(PathError) as info:
-                divergence_sweep(DATA, [1.0, GENERIC, 1j], tags)
+                divergence_sweep(DATA, targets, tags)
             found = re.search(r"on path (\d+) \(job (\d+)\) for s in \[(\S+), (\S+)\]",
                               str(info.value))
             assert found, str(info.value)
             path, job = int(found[1]), int(found[2])
             a, b = float(found[3]), float(found[4])
             assert path == 1
-            # the GENERIC jobs of the failing tag are first + 0..4, one per
-            # rung; first + 1 is [0.9, 0.99]
-            lo, hi = ((0.0,) + DEFAULT_LADDER)[job - first], DEFAULT_LADDER[job - first]
-            assert first <= job < first + 5, tags
+            # jobs run target by target, 5 rungs each: the GENERIC jobs
+            # are 5..9, one per rung; job 6 is [0.9, 0.99]
+            assert 5 <= job < 10, tags
+            lo, hi = ((0.0,) + DEFAULT_LADDER)[job - 5], DEFAULT_LADDER[job - 5]
             assert lo <= a < b <= hi and b > 0.95
 
 

@@ -184,12 +184,11 @@ class TestEvaluationCounts:
     def test_default_sweep_speed_evaluations(self, monkeypatch, tmp_path):
         """Speed evaluations of one default sweep: 8 Gauss-Legendre nodes
         on each panel, and each halved panel's sum carried down.  The
-        speed takes arrays, and the sweep refines every rung of every
-        target in both metric tags in rounds: one call for all first
-        panels and one per round of halvings, 11 calls in all, the disc
-        tag's rounds, with the sphere tag's 5 riding along.  Each call
-        takes one cover batch over all of its nodes and one psi jet batch
-        over its disc nodes."""
+        speed takes arrays, one column per metric tag, and the sweep
+        refines every rung of every target in rounds: one call for all
+        first panels and one per round of halvings, 11 calls in all, the
+        disc column's rounds.  Each call takes one cover batch and one
+        psi jet batch, both over all of its nodes."""
         taken = dict.fromkeys(("calls", "nodes", "charts", "chart_nodes", "jets"), 0)
         factory, chart = ghlab.pathlab._speed_fn, ModularCover.chart
         jet = ghlab.holo.blaschke_derivs
@@ -197,10 +196,10 @@ class TestEvaluationCounts:
         def counted_factory(*args):
             speed = factory(*args)
 
-            def counted(s, x, v, job):
+            def counted(s, x, v):
                 taken["calls"] += 1
                 taken["nodes"] += len(s)
-                return speed(s, x, v, job)
+                return speed(s, x, v)
 
             return counted
 
@@ -222,7 +221,7 @@ class TestEvaluationCounts:
             assert main(["sweep", "--out", str(tmp_path / str(run))]) == 0
             runs.append(dict(taken))
         assert runs[0] == runs[1]
-        assert runs[0] == {"calls": 11, "nodes": 3920, "charts": 11, "chart_nodes": 3920,
+        assert runs[0] == {"calls": 11, "nodes": 2776, "charts": 11, "chart_nodes": 2776,
                            "jets": 11}
 
     def test_horizontal_length_fills_each_batch_once(self, monkeypatch):

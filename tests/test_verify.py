@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ghlab.holo
 import ghlab.verify
 from ghlab.ansatz import HolomorphicData, beta_cross_check, standard_data
 from ghlab.cli import interior_points
@@ -487,6 +488,17 @@ class TestBetaZeros:
         assert rep.radius == 0.9
         assert rep.nodes % 2 == 0
         assert rep.min_dpsi > 0.1
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.0, 1.5, math.nan])
+    def test_radius_outside_the_disc_rejected(self, radius, monkeypatch):
+        """A circle not strictly inside the disc is a bad argument, not a
+        false mathematical failure: no jet is taken."""
+        def no_jet(spec, z):
+            raise AssertionError("psi's jet taken")
+
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", no_jet)
+        with pytest.raises(ValueError, match=re.escape(f"radius = {radius} outside (0, 1)")):
+            beta_zero_search(DATA, radius=radius)
 
     @pytest.mark.parametrize("radius", [0.665, 0.66253])
     def test_zero_near_the_circle_is_not_counted(self, radius):
