@@ -477,7 +477,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
     _check_stencil_reach("fd.h", fdc.h, 1, points)
     # one fill and one frame assembly for every stencil point of the pass
-    data.slice_frames([w for z in points for w in stencil_points(z, fdc)])
+    data.slice_frames(stencil_points(points, fdc))
     # every check runs once, over the stack of centres
     z = np.array(points)
     frame, rec = data.slice_frames(z), data.record(z)
@@ -537,8 +537,8 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     h = cfg.fd.curvature_h
     # the nested stencil around z reaches z + h (s + i t) with |s| + |t| <= 2
     _check_stencil_reach("fd.curvature_h", h, 2, zpts)
-    data.fill([w for z in zpts for step in (h, h / 2.0)
-               for w in stencil_points(z, FDConfig(step, richardson=0), depth=2)])
+    data.fill(np.concatenate([stencil_points(zpts, FDConfig(step, richardson=0), depth=2)
+                              for step in (h, h / 2.0)]))
     for rho in (0.9, 1.1, 1.3):
         x = np.array([[rho, z.real, z.imag] for z in zpts])
         try:

@@ -18,6 +18,7 @@ speed call per round, and its metric tags are columns of that speed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 
@@ -333,8 +334,13 @@ def divergence_sweep(data: HolomorphicData, targets, tags,
     "divergent-evidence" when every ladder increment exceeds the floor,
     "bounded-evidence" otherwise.  A desk-scale surrogate: nothing here
     proves infinite length, it only reports whether growth keeps
-    clearing a fixed positive bar.
+    clearing a fixed positive bar.  A string for tags or a number for
+    targets is a TypeError: each must be a sequence.
     """
+    if isinstance(tags, str):
+        raise TypeError(f"tags = {tags!r}: a sequence of metric tags, not one string")
+    if isinstance(targets, numbers.Number):
+        raise TypeError(f"targets = {targets!r}: a sequence of boundary points, not one")
     targets, tags = list(targets), list(tags)
     paths = [ParamPath.radial(target) for target in targets]
     rungs = list(zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER))

@@ -99,14 +99,18 @@ def _partials(field, x, config: FDConfig, n: Optional[int] = None, value: bool =
     return (F0.reshape(x.shape[:-1] + F0.shape[1:]), P) if value else P
 
 
-def stencil_points(z: complex, config: FDConfig, depth: int = 1) -> list:
-    """Every z at which `depth` nested _partials along (u, v) around z
-    evaluate their field, z included, from the same shift builder: the
-    stencils of verify (depth 1) and of curvature (depth 2)."""
-    pts = np.array([[z.real, z.imag]])
+def stencil_points(zs, config: FDConfig, depth: int = 1) -> np.ndarray:
+    """Every z at which `depth` nested _partials along (u, v) around the
+    centres zs evaluate their field, centres included, from the same
+    shift builder: the stencils of verify (depth 1) and of curvature
+    (depth 2).  One flat complex array, centre by centre, that keeps
+    the points repeated within and between stencils."""
+    z = np.asarray(zs, dtype=complex).reshape(-1, 1)
+    pts = np.stack((z.real, z.imag), axis=-1)  # (centre, point, (u, v))
     for _ in range(depth):
-        pts = np.concatenate((pts, _stencil(pts, _steps(config)).reshape(-1, 2)))
-    return [complex(u, v) for u, v in dict.fromkeys(map(tuple, pts.tolist()))]
+        shifted = _stencil(pts, _steps(config)).reshape(len(z), -1, 2)
+        pts = np.concatenate((pts, shifted), axis=1)
+    return pts.view(complex).ravel()
 
 
 def _exterior(P: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
@@ -484,14 +488,12 @@ _CIRCLE_NODES = 512
 # The winding number must lie this close to an integer and to its
 # half-rule value.
 _WINDING_TOL = 1e-6
-# Roots closer than this are one zero, and no polishing step moves
-# further.
+# Roots closer than this are one zero, whatever their reach.
 _CLUSTER_RADIUS = 1e-3
 # Relative to max |psi'| on the circle: the least |psi'| on the circle
-# that is trusted, and the largest |psi'| at a polished zero.
+# that is trusted, and the largest |psi'| at a located zero.
 _DPSI_FLOOR = 1e-8
 _ZERO_FLOOR = 1e-10
-_POLISH_STEPS = 3
 _RE_PSI_TOL = 1e-12
 
 
@@ -527,39 +529,21 @@ def _power_sum_roots(p: np.ndarray) -> np.ndarray:
     return np.roots([(-1) ** k * c for k, c in enumerate(e)])
 
 
-def _clusters(roots) -> list:
+def _clusters(roots, reach) -> list:
     """(centroid, size) of each group of roots linked by steps shorter
-    than _CLUSTER_RADIUS: the roots of a multiple zero spread on a
-    small circle, wider than the gap between neighbours."""
+    than _CLUSTER_RADIUS or than the sum of their reaches: the roots of
+    a multiple zero spread around it, wider than the gap between
+    neighbours, and each lies within its reach of it."""
     groups = []
-    for r in roots:
-        merged, rest = [r], []
+    for r, s in zip(roots, reach):
+        merged, rest = [(r, s)], []
         for g in groups:
-            if min(abs(r - x) for x in g) < _CLUSTER_RADIUS:
+            if any(abs(r - x) < max(_CLUSTER_RADIUS, s + t) for x, t in g):
                 merged += g
             else:
                 rest.append(g)
         groups = rest + [merged]
-    return [(complex(sum(g) / len(g)), len(g)) for g in groups]
-
-
-def _polish(psi, z: complex, mult: int, radius: float):
-    """Newton steps z <- z - mult psi'/psi'' for a zero of psi' of that
-    multiplicity, each kept only if it shrinks |psi'| and moves less than
-    _CLUSTER_RADIUS inside the circle: near a multiple zero the rounding
-    of psi' can throw a step anywhere.  Returns z, psi and psi' there."""
-    w, d1, d2 = psi.jet(z)
-    for _ in range(_POLISH_STEPS):
-        if d1 == 0 or d2 == 0:
-            break
-        step = z - mult * d1 / d2
-        if not (abs(step - z) < _CLUSTER_RADIUS and abs(step) < radius):
-            break
-        w_s, d1_s, d2_s = psi.jet(step)
-        if not abs(d1_s) < abs(d1):
-            break
-        z, w, d1, d2 = step, w_s, d1_s, d2_s
-    return z, w, d1
+    return [(sum(x for x, _ in g) / len(g), len(g)) for g in groups]
 
 
 def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroReport:
@@ -577,16 +561,24 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     must lie within _WINDING_TOL of an integer and of the sum over every
     other node, and |psi'| must stay clear of 0 on the circle; else
     ZeroCountError.  Newton's identities turn s_1, ..., s_n into a
-    polynomial whose roots are the zeros.  Roots linked by steps under
-    _CLUSTER_RADIUS make one zero of their multiplicity, at their
-    centroid, which a few Newton steps polish; zeros that polish to
-    within _CLUSTER_RADIUS of each other merge.  The multiplicities of
-    the zeros confirmed by |psi'| must add up to n, else ZeroCountError.
-    The zeros of beta are those where Re psi vanishes as well.
+    polynomial whose roots are the zeros.  Rounding spreads the roots of
+    an m-fold zero a around it, out to where psi' ~ (z - a)^m reaches
+    its noise, so each root lies within its reach n |psi'/psi''| of a.
+    Roots linked by steps shorter than _CLUSTER_RADIUS or than the sum
+    of their reaches make one zero of their multiplicity, at their
+    centroid.  One batched jet is taken at the roots inside the circle
+    and at the centroids of the roots linked by _CLUSTER_RADIUS alone;
+    a second, at the new centroids, only where the reaches link more.
+    A zero is kept where |psi'| is at most _ZERO_FLOOR times the largest
+    on the circle, and the kept multiplicities must add up to n, else
+    ZeroCountError.  The zeros of beta are those where Re psi vanishes
+    as well.
 
-    A zero of psi' of multiplicity six or more splits, in double
-    precision, into roots too far apart to merge: it comes back as
-    several simple zeros within about 1e-2 of it.
+    The count is certified; the multiplicities are not.  Where the roots
+    of a zero of high multiplicity spread as far as another zero, the
+    reaches link both into one zero at their centroid, which |psi'|
+    still confirms: B = z^2 ((a - z)/(1 - conj(a) z))^12 with |a| = 0.1
+    comes back as one zero of multiplicity 13.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError(f"radius = {radius} outside (0, 1)")
@@ -611,24 +603,21 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
             f"rule, is not a count")
     power_sums = (nodes ** np.arange(1, n + 1)[:, None] * q).mean(axis=1)
 
-    located = []  # (z, multiplicity, psi there)
-    pending = _clusters(_power_sum_roots(power_sums))
-    while pending:
-        centre, mult = pending.pop()
-        if abs(centre) >= radius:
-            continue
-        z, w, dpsi = _polish(psi, centre, mult, radius)
-        if abs(dpsi) > _ZERO_FLOOR * scale:
-            continue
-        near = [t for t in located if abs(t[0] - z) < _CLUSTER_RADIUS]
-        if near:
-            # the roots of one multiple zero spread wider than the
-            # cluster radius and polished towards it: merge them
-            located = [t for t in located if t not in near]
-            total = mult + sum(t[1] for t in near)
-            pending.append(((mult * z + sum(t[1] * t[0] for t in near)) / total, total))
-        else:
-            located.append((z, mult, w))
+    roots = _power_sum_roots(power_sums)
+    roots = roots[np.abs(roots) < radius]
+    clusters = _clusters(roots.tolist(), itertools.repeat(0.0))
+    # the roots for their reach, the centroids to confirm
+    w, dpsi, d2 = psi.jet(np.concatenate((roots, [z for z, _ in clusters])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(dpsi == 0, 0.0, n * np.abs(dpsi / d2))[:len(roots)]
+    w, dpsi = w[len(roots):], dpsi[len(roots):]
+    linked = _clusters(roots.tolist(), reach.tolist())
+    if len(linked) < len(clusters):
+        # the roots of a multiple zero spread wider than _CLUSTER_RADIUS
+        clusters = linked
+        w, dpsi, _ = psi.jet(np.array([z for z, _ in clusters], dtype=complex))
+    located = [(z, mult, v) for (z, mult), v, d in zip(clusters, w.tolist(), np.abs(dpsi))
+               if d <= _ZERO_FLOOR * scale]  # (z, multiplicity, psi there)
     found = sum(mult for _, mult, _ in located)
     if found != n:
         raise ZeroCountError(

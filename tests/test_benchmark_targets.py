@@ -2,15 +2,20 @@
 
 A traced function that is deleted or renamed turns its per-layer metrics
 into null without failing the run, so this checks every target here.
+So does a module of layers.MODULES that ``import ghlab.cli`` stops
+importing: its import time reads null.
 """
 
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +47,15 @@ def test_every_traced_target_resolves(harness):
             if layer.zarg not in params:
                 problems.append(f"{layer.name}: {layer.target} takes no {layer.zarg!r}")
     assert not problems, problems
+
+
+def test_cli_import_loads_every_timed_module(harness):
+    """A fresh interpreter, as perfbench/run.py times the imports."""
+    layers, _ = harness
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ghlab.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(proc.stdout.split())
+    assert not [m for m in layers.MODULES if f"ghlab.{m}" not in loaded]

@@ -226,6 +226,16 @@ class TestSweeps:
         assert divergence_sweep(DATA, [1.0], []) == {}
         assert divergence_sweep(DATA, [], []) == {}
 
+    def test_one_tag_string_rejected(self):
+        # not read as the one-letter tags "s", "p", ...
+        with pytest.raises(TypeError, match="tags = 'sphere': a sequence"):
+            divergence_sweep(DATA, [1.0], "sphere")
+
+    @pytest.mark.parametrize("target", [1.0, 1j, np.float64(-1.0)])
+    def test_one_target_rejected(self, target):
+        with pytest.raises(TypeError, match=re.escape(f"targets = {target!r}: a sequence")):
+            divergence_sweep(DATA, target, ["sphere"])
+
 
 def _quad_lengths(target, tag, ladder):
     """Cumulative lengths of the radial path at each rung by adaptive

@@ -173,11 +173,10 @@ class TestEvaluationCounts:
             kinds.clear()
             jets, covers = _taken(counts, search)
             assert jets == len(kinds)
-            # one batch on the circle; per zero of psi' a jet at the
-            # centroid and at most three Newton steps; then one record
-            # batch for the zeros of beta
-            assert kinds.count(True) == 2
-            assert kinds.count(False) <= 4 * len(report.critical_points) + len(report.zeros)
+            # one batch on the circle, one at the roots of psi' and the
+            # centroids of their clusters, one record batch for the zeros
+            # of beta, and no jet at one point
+            assert kinds == [True] * 3
             assert len(report.zeros) == count
             assert covers <= len(report.zeros)
 
@@ -301,7 +300,7 @@ class TestSharedFrames:
             taken.update(fields=0, builds=[])
             argv = ["verify", "--config", str(config), "--grid", str(n), "--seed", "0"]
             assert main(argv + ["--out", str(tmp_path / str(n))]) == code
-            stencils = {w for z in interior_points(n, 0) for w in stencil_points(z, FDConfig())}
+            stencils = set(stencil_points(interior_points(n, 0), FDConfig()).tolist())
             assert built[0] == len(kinds) * len(stencils)
             assert sorted(taken["builds"]) == kinds
             field_calls.append(taken["fields"])

@@ -97,7 +97,7 @@ class TestFDEngine:
         for x in centres:
             seen.clear()
             _partials(forms, x, config)
-            assert seen == set(stencil_points(complex(x[1], x[2]), config))
+            assert seen == set(stencil_points(complex(x[1], x[2]), config).tolist())
 
         def metric(X):
             seen.update((X[:, 1] + 1j * X[:, 2]).tolist())
@@ -106,7 +106,12 @@ class TestFDEngine:
         seen.clear()
         curvature(metric, centres[0], h=1e-3)
         z = complex(*centres[0, 1:])
-        assert seen == set(stencil_points(z, FDConfig(1e-3, richardson=0), depth=2))
+        assert seen == set(stencil_points(z, FDConfig(1e-3, richardson=0), depth=2).tolist())
+        # a stack of centres: one flat array of every centre's points
+        stack = centres[:, 1] + 1j * centres[:, 2]
+        for depth in (1, 2):
+            alone = set().union(*(stencil_points(w, config, depth).tolist() for w in stack))
+            assert set(stencil_points(stack, config, depth).tolist()) == alone
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -489,6 +494,27 @@ class TestBetaZeros:
         assert rep.nodes % 2 == 0
         assert rep.min_dpsi > 0.1
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_power_of_z_is_one_critical_point(self, m):
+        """B = z^m: psi' has one zero, of multiplicity m - 1, at 0.  The
+        power-sum roots of it spread by about 1e-3 from m = 7 on, beyond
+        the cluster radius, and their reaches link them."""
+        rep = beta_zero_search(HolomorphicData(cover=ModularCover(),
+                                               psi=psi_fn(BlaschkeSpec(m=m))))
+        (centre, mult), = rep.critical_points
+        assert mult == m - 1
+        assert abs(centre) < 1e-12
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("a", [0.3, 0.5j, cmath.rect(0.7, 2.0), -0.8])
+    def test_stacked_zero_is_one_critical_point(self, a, k):
+        """B = z ((a - z)/(1 - conj(a) z))^k: psi' has a zero of
+        multiplicity k - 1 at a and a simple one between 0 and a."""
+        spec = BlaschkeSpec(m=1, zeros=((a, k),))
+        rep = beta_zero_search(HolomorphicData(cover=ModularCover(), psi=psi_fn(spec)))
+        assert sorted(mult for _, mult in rep.critical_points) == sorted((1, k - 1))
+        assert min(abs(z - a) for z, mult in rep.critical_points if mult == k - 1) < 1e-12
+
     @pytest.mark.parametrize("radius", [0.0, -0.5, 1.0, 1.5, math.nan])
     def test_radius_outside_the_disc_rejected(self, radius, monkeypatch):
         """A circle not strictly inside the disc is a bad argument, not a
@@ -511,9 +537,8 @@ class TestBetaZeros:
 @st.composite
 def blaschke_specs(draw):
     """Degree 2 to 9: up to z^4 times zeros of multiplicity 1 or 2 with
-    0.01 <= |a| <= 0.8, at least 0.05 apart.  Zeros stacked at one
-    point would make a zero of psi' of any multiplicity, and past five
-    its roots split beyond the cluster radius in double precision."""
+    0.01 <= |a| <= 0.8, at least 0.05 apart.  Zeros stacked higher at
+    one point are drawn apart, in TestBetaZeros."""
     degree = draw(st.integers(2, 9))
     m = draw(st.integers(0, min(4, degree)))
     zeros = []
