@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -285,9 +284,9 @@ class HolomorphicData:
         """psi = 2i over the identity chart: V = 1/(2 rho), flat metric."""
         return cls(cover=IdentityChart(), psi=HoloFn.constant(2j))
 
-    @cached_property
-    def phi(self) -> HoloFn:
-        return self.psi.negate_reciprocal()
+    def phi(self, zs):
+        """phi = -1/psi at zs, an array or one point, by value."""
+        return -1.0 / self.psi(zs)
 
     def record(self, zs) -> PointRecord:
         """The records at the z of zs, in its shape, filled where missing."""

@@ -41,42 +41,26 @@ class HoloFn:
 
     ``jet(z)`` returns (f, f', f'') with exact complex derivatives, so
     one evaluation of the underlying product serves the value and both
-    derivatives.  A jet also takes an ndarray of z and returns three
-    arrays of its shape.  Calling a HoloFn gives jet(z)[0] bit for bit,
-    on an ndarray from ``value`` (no derivatives) where given.
+    derivatives.  z is an ndarray, with three arrays of its shape back,
+    or one point, taken as a 0-d array.  Calling a HoloFn gives
+    ``value(z)`` where given (no derivatives, bit for bit jet(z)[0]).
     """
 
-    jet: Callable[[complex], tuple]
+    jet: Callable
     value: Callable | None = None
 
-    def __call__(self, z: complex) -> complex:
-        if self.value is not None and isinstance(z, np.ndarray):
+    def __call__(self, z):
+        if self.value is not None:
             return self.value(z)
         return self.jet(z)[0]
 
     @classmethod
     def constant(cls, c: complex) -> "HoloFn":
         def jet(z):
-            if isinstance(z, np.ndarray):
-                zero = np.zeros(z.shape, complex)
-                return zero + c, zero, zero
-            return c, 0j, 0j
+            zero = np.zeros(np.shape(z), complex)[()]
+            return zero + c, zero, zero
 
         return cls(jet=jet)
-
-    def negate_reciprocal(self) -> "HoloFn":
-        """Return -1/f with derivatives by the quotient rule.
-
-        This is how phi is produced from psi (and vice versa: the map is
-        an involution).
-        """
-        jet = self.jet
-
-        def nr(z: complex):
-            w, d, d2 = jet(z)
-            return -1.0 / w, d / (w * w), d2 / (w * w) - 2.0 * d * d / (w * w * w)
-
-        return HoloFn(jet=nr, value=lambda z: -1.0 / self(z))
 
 
 @dataclass(frozen=True)
@@ -100,21 +84,16 @@ class BlaschkeSpec:
                 raise InvalidZeroError(f"zero {a} not in the punctured open disc")
 
     @cached_property
-    def factor_terms(self) -> tuple:
+    def factor_columns(self) -> tuple:
         """(a, conj(a), conj(a)/|a|, |a|^2 - 1) for each zero, once per
-        multiplicity: the constants of each factor's jet."""
+        multiplicity: the constants of each factor's jet, as four columns
+        (one row per factor) that broadcast against a flat array of z."""
         terms = []
         for a, mult in self.zeros:
             a = complex(a)
             ac = a.conjugate()
             terms += [(a, ac, ac / abs(a), abs(a) ** 2 - 1.0)] * mult
-        return tuple(terms)
-
-    @cached_property
-    def factor_columns(self) -> tuple:
-        """factor_terms as four column arrays (one row per factor), which
-        broadcast against a flat array of z."""
-        cols = np.array(self.factor_terms, dtype=complex).reshape(-1, 4)
+        cols = np.array(terms, dtype=complex).reshape(-1, 4)
         return tuple(cols[:, j:j + 1] for j in range(4))
 
 
@@ -146,27 +125,9 @@ def _power_with_derivs(m: int, z):
 
 
 def blaschke_derivs(spec: BlaschkeSpec, z):
-    """(B, B', B'') by product-rule accumulation over the factors.
-
-    Factor c (a - z)/den with c = conj(a)/|a| and den = 1 - conj(a) z
-    has derivative c (|a|^2 - 1)/den^2 and second derivative that times
-    2 conj(a)/den.  An ndarray z takes the batched path.
-    """
-    if isinstance(z, np.ndarray):
-        return _blaschke_batch(spec, z)
-    p, d1, d2 = _power_with_derivs(spec.m, z)
-    for a, ac, c, k in spec.factor_terms:
-        den = 1.0 - ac * z
-        if abs(den) < _DENOM_FLOOR:
-            raise PoleError(f"Blaschke factor pole at z={z} for zero a={a}")
-        f = c * (a - z) / den
-        core = k / (den * den)
-        f1 = c * core
-        f2 = c * core * 2.0 * ac / den
-        d2 = d2 * f + 2.0 * d1 * f1 + p * f2
-        d1 = d1 * f + p * f1
-        p = p * f
-    return p, d1, d2
+    """(B, B', B'') at z, an ndarray or one point, in its shape: the jet
+    of _blaschke_batch, under the name perfbench traces."""
+    return _blaschke_batch(spec, z)
 
 
 def _factor_values(a, ac, c, z):
@@ -181,12 +142,15 @@ def _factor_values(a, ac, c, z):
     return den, c * (a - z) / den
 
 
-def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray, derivs: bool = True):
-    """blaschke_derivs over an array of z: each factor's jet by the same
-    formulas, for all factors at once (one row per factor), then the
-    same product-rule accumulation.  The pole floor applies to the
-    whole batch.  With derivs False, B alone: the same factors and
-    products, bit for bit the first array of the jet."""
+def _blaschke_batch(spec: BlaschkeSpec, z, derivs: bool = True):
+    """(B, B', B'') at z, an ndarray or one point (a 0-d array), in its
+    shape.  Factor c (a - z)/den with c = conj(a)/|a| and den = 1 -
+    conj(a) z has derivative c (|a|^2 - 1)/den^2 and second derivative
+    that times 2 conj(a)/den, for all factors at once (one row per
+    factor); the product rule accumulates them.  The pole floor applies
+    to the whole batch.  With derivs False, B alone, a factor at a time:
+    bit for bit the first array of the jet."""
+    z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
     a, ac, c, k = spec.factor_columns
     p, d1, d2 = _power_with_derivs(spec.m, z)
@@ -194,7 +158,7 @@ def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray, derivs: bool = True):
         # a factor at a time: the same products, and no (factor, z) array
         for j in range(len(a)):
             p = p * _factor_values(a[j:j + 1], ac[j:j + 1], c[j:j + 1], z)[1][0]
-        return np.broadcast_to(p, z.shape).reshape(shape)
+        return np.broadcast_to(p, z.shape).reshape(shape)[()]
     den, f = _factor_values(a, ac, c, z)
     core = k / (den * den)
     f1 = c * core
@@ -204,25 +168,20 @@ def _blaschke_batch(spec: BlaschkeSpec, z: np.ndarray, derivs: bool = True):
         d1 = d1 * fk + p * f1k
         p = p * fk
     # the leading power alone may leave constants in the jet
-    return tuple(np.broadcast_to(x, z.shape).reshape(shape) for x in (p, d1, d2))
+    return tuple(np.broadcast_to(x, z.shape).reshape(shape)[()] for x in (p, d1, d2))
 
 
 def sqrt_right_halfplane(w):
-    """Square root branch on Re w > 0 with values in |arg| < pi/4.
-
-    The principal square root already does this; the point of the
-    wrapper is the hard domain check.  Inputs on the imaginary axis are
-    rejected, not perturbed.  An ndarray w is checked as a whole.
+    """Square root branch on Re w > 0 with values in |arg| < pi/4, at
+    an ndarray of w or at one w.  The principal square root already
+    does this; the point of the wrapper is the hard domain check, over
+    all of w.  Inputs on the imaginary axis are rejected, not perturbed.
     """
-    if isinstance(w, np.ndarray):
-        bad = ~(w.real > 0.0)
-        if bad.any():
-            raise BranchDomainError(f"Re w = {w.real[bad][0]} is not positive")
-        return np.sqrt(w)
-    w = complex(w)
-    if not w.real > 0.0:
-        raise BranchDomainError(f"Re w = {w.real} is not positive")
-    return cmath.sqrt(w)
+    w = np.asarray(w, dtype=complex)
+    bad = ~(w.real > 0.0)
+    if bad.any():
+        raise BranchDomainError(f"Re w = {w.real[bad][0]} is not positive")
+    return np.sqrt(w)[()]
 
 
 def psi_fn(spec: BlaschkeSpec) -> HoloFn:

@@ -3,12 +3,14 @@
 Nothing in ghlab calls these: each is an independent route to a value
 the package computes another way (a double integral, a root-bracketed
 crossing count, a general finite-difference stencil, point-by-point
-geodesic geometry), or a path the lab itself never runs (a circle).
+geodesic geometry, the Blaschke jet one point at a time), or a path the
+lab itself never runs (a circle).
 They live beside the tests that use them, as plain functions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,6 +64,44 @@ def base_triangle_image_area() -> float:
     area, _ = dblquad(integrand, 0.0, 1.0, y_floor, math.inf,
                       epsabs=1e-3, epsrel=1e-3)
     return area
+
+
+# ---- the Blaschke jet at one point ---------------------------------------
+
+
+def blaschke_jet(spec, z) -> tuple:
+    """(B, B', B'') at one z by product-rule accumulation over the
+    factors, in Python complex arithmetic, a factor at a time.
+
+    Factor c (a - z)/den with c = conj(a)/|a| and den = 1 - conj(a) z
+    has derivative c (|a|^2 - 1)/den^2 and second derivative that times
+    2 conj(a)/den."""
+    z, m = complex(z), spec.m
+    p = z**m
+    d1 = m * z ** (m - 1) if m else 0j
+    d2 = m * (m - 1) * z ** (m - 2) if m > 1 else 0j
+    for a, mult in spec.zeros:
+        a = complex(a)
+        ac = a.conjugate()
+        c, k = ac / abs(a), abs(a) ** 2 - 1.0
+        for _ in range(mult):
+            den = 1.0 - ac * z
+            f = c * (a - z) / den
+            core = k / (den * den)
+            f1 = c * core
+            f2 = c * core * 2.0 * ac / den
+            d2 = d2 * f + 2.0 * d1 * f1 + p * f2
+            d1 = d1 * f + p * f1
+            p = p * f
+    return p, d1, d2
+
+
+def psi_jet(spec, z) -> tuple:
+    """psi = i sqrt(1 - B) and its first two derivatives at one z, from
+    blaschke_jet and the principal square root of cmath."""
+    b, db, ddb = blaschke_jet(spec, z)
+    s = cmath.sqrt(1.0 - b)
+    return 1j * s, -1j * db / (2.0 * s), -1j * (ddb / (2.0 * s) + db * db / (4.0 * s**3))
 
 
 # ---- geodesics and triangles of the tessellation ------------------------

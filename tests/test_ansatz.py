@@ -273,6 +273,21 @@ class TestCanonicalSlice:
             assert np.linalg.eigvalsh(DATA.g_sigma(z, m)).min() > 0
 
 
+class TestPhi:
+    def test_negative_reciprocal_of_psi(self):
+        """phi = -1/psi by value, in the upper half-plane, bit for bit the
+        phi of the records; -1/phi gives psi back."""
+        zs = np.array([0.9 * r * cmath.exp(2.4j * k) for k, r in
+                       enumerate(np.linspace(0.02, 1.0, 50))])
+        phi, psi = DATA.phi(zs), DATA.psi(zs)
+        assert phi.shape == zs.shape
+        assert np.abs(phi * psi + 1).max() < 1e-12
+        assert (phi.imag > 0).all()  # psi in the sector forces phi upstairs
+        assert np.abs(-1.0 / phi - psi).max() < 1e-12
+        assert phi.tobytes() == DATA.record(zs).phi.tobytes()
+        assert DATA.phi(complex(zs[7])) == phi[7]
+
+
 class TestZeroSlice:
     data = standard_data(rho0_kind="constant", rho0_scale=0.7)
 

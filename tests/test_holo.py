@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghlab.holo
+from ghlab.ansatz import standard_data
 from ghlab.errors import BranchDomainError, InvalidMuError, InvalidZeroError, PoleError
 from ghlab.holo import (
     BlaschkeSpec,
@@ -23,6 +24,7 @@ from ghlab.holo import (
     validate_mu,
     vertex_targeted_spec,
 )
+from oracles import blaschke_jet, psi_jet
 
 # Shared data: four-vertex symmetric spec used across the suite.
 FOUR_VERTEX = vertex_targeted_spec([1, 1j, -1, -1j])
@@ -194,16 +196,6 @@ class TestPsi:
             rich = (4 * fine - coarse) / 3
             assert abs(psi.jet(z)[2] - rich) <= 1e-6 * max(1.0, abs(rich))
 
-    def test_negate_reciprocal_involution(self):
-        psi = psi_fn(FOUR_VERTEX)
-        phi = psi.negate_reciprocal()
-        for z in _interior_points(50):
-            assert abs(phi(z) * psi(z) + 1) < 1e-12
-            assert phi(z).imag > 0  # psi in the sector forces phi upstairs
-        back = phi.negate_reciprocal()
-        for z in _interior_points(10):
-            assert abs(back(z) - psi(z)) < 1e-12
-
 
 class TestMu:
     def test_identity_scale_is_pointwise_identity(self):
@@ -264,21 +256,29 @@ class TestMu:
                              for w in ws.tolist()]
 
 
+def _perturbed_psi_jet(z):
+    """mu o psi at one z for mu(w) = w + 0.05 w^2, by the chain rule."""
+    w, dw, d2w = psi_jet(FOUR_VERTEX, z)
+    return w + 0.05 * w * w, (1.0 + 0.1 * w) * dw, 0.1 * dw * dw + (1.0 + 0.1 * w) * d2w
+
+
 class TestBatchedJet:
-    """A jet over an ndarray of z equals the scalar jet point by point."""
+    """A jet over an ndarray of z equals the point-by-point product rule
+    of the oracle, and one point is a batch of one."""
 
     points = np.array(_interior_points(200, radius=0.99))
 
     @pytest.mark.parametrize("name", ["standard", "perturb_mu", "flat"])
     def test_matches_scalar_jet(self, name):
-        psi = {
-            "standard": psi_fn(FOUR_VERTEX),
-            "perturb_mu": apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
-            "flat": HoloFn.constant(2j),
+        psi, reference = {
+            "standard": (psi_fn(FOUR_VERTEX), lambda z: psi_jet(FOUR_VERTEX, z)),
+            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
+                           _perturbed_psi_jet),
+            "flat": (HoloFn.constant(2j), lambda z: (2j, 0j, 0j)),
         }[name]
         batch = psi.jet(self.points)
         for k in range(3):
-            scalar = np.array([psi.jet(complex(z))[k] for z in self.points])
+            scalar = np.array([reference(complex(z))[k] for z in self.points])
             assert batch[k].shape == self.points.shape
             # The four-fold symmetric product is a function of z^4, so
             # near 0 psi' ~ z^3 is a sum of O(1) factor terms that
@@ -293,7 +293,24 @@ class TestBatchedJet:
         for spec in (FOUR_VERTEX, BlaschkeSpec(m=1)):
             jet = blaschke_derivs(spec, grid)
             assert [x.shape for x in jet] == [grid.shape] * 3
-            assert jet[0][3, 7] == pytest.approx(blaschke_derivs(spec, grid[3, 7])[0], rel=1e-14)
+            assert jet[0][3, 7] == pytest.approx(blaschke_jet(spec, grid[3, 7])[0], rel=1e-14)
+
+    @pytest.mark.parametrize("spec", [FOUR_VERTEX, BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),))],
+                             ids=["four_vertex", "power_and_double_zero"])
+    def test_blaschke_jet_matches_the_product_rule(self, spec):
+        batch = blaschke_derivs(spec, self.points)
+        for k in range(3):
+            scalar = np.array([blaschke_jet(spec, z)[k] for z in self.points])
+            scale = np.abs(scalar).max()
+            np.testing.assert_allclose(batch[k], scalar, rtol=1e-14, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("spec", [FOUR_VERTEX, BlaschkeSpec(m=2), BlaschkeSpec()],
+                             ids=["four_vertex", "power", "empty"])
+    def test_one_point_is_a_batch_of_one(self, spec):
+        for z in self.points[::17]:
+            one, batch = blaschke_derivs(spec, complex(z)), blaschke_derivs(spec, np.array([z]))
+            assert all(np.shape(x) == () for x in one)
+            assert all(_same_bits(x, y[0]) for x, y in zip(one, batch))
 
     def test_pole_anywhere_in_the_batch_is_rejected(self):
         spec = BlaschkeSpec(zeros=((0.5, 1),))
@@ -325,17 +342,18 @@ class TestValuePath:
             "perturb_mu": apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
             "flat": HoloFn.constant(2j),
         }[name]
-        for f in (psi, psi.negate_reciprocal()):
-            assert _same_bits(f(self.points), f.jet(self.points)[0])
-            for z in self.points.ravel()[::7]:
-                assert _same_bits(f(complex(z)), f.jet(complex(z))[0])
+        assert _same_bits(psi(self.points), psi.jet(self.points)[0])
+        for z in self.points.ravel()[::7]:
+            assert _same_bits(psi(complex(z)), psi.jet(complex(z))[0])
 
     def test_array_value_takes_no_jet(self, monkeypatch):
         def no_jet(spec, z):
             raise AssertionError("a jet was taken")
 
-        psi = psi_fn(FOUR_VERTEX)
-        expected = psi.jet(self.points)[0]
+        data = standard_data()
+        expected = data.psi.jet(self.points)[0]
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", no_jet)
-        assert _same_bits(psi(self.points), expected)
-        assert _same_bits(psi.negate_reciprocal()(self.points), -1.0 / expected)
+        assert _same_bits(data.psi(self.points), expected)
+        # phi = -1/psi from psi's value, one point as a batch of one
+        assert _same_bits(data.phi(self.points), -1.0 / expected)
+        assert _same_bits(data.phi(self.points[3, 7]), -1.0 / expected[3, 7])
