@@ -102,6 +102,9 @@ class DataConfig:
             raise ConfigError("depths must be positive")
 
 
+MAX_GRID = 10_000  # the largest grid.samples and grid.resolution
+
+
 @dataclass(frozen=True)
 class GridConfig:
     samples: int = 24
@@ -111,6 +114,9 @@ class GridConfig:
     def __post_init__(self):
         if self.samples < 1 or self.resolution < 1:
             raise ConfigError("grid sizes must be positive")
+        for key, n in (("samples", self.samples), ("resolution", self.resolution)):
+            if n > MAX_GRID:
+                raise ConfigError(f"grid.{key} = {n} exceeds the bound {MAX_GRID}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
@@ -462,12 +468,22 @@ _VERIFY_CHECKS = (
 )
 
 
-def _check_stencil_reach(key: str, h: float, steps: int, points) -> None:
-    """A stencil of step h around each point reaches z + steps h e, e in
-    (1, i, -1, -i); ConfigError naming the key if that leaves the disc."""
+def _check_stencil_reach(key: str, hs: tuple, steps: int, points, rhos=()) -> None:
+    """The stencils of the steps hs (h first, then h/2 where halved) around
+    each point reach z + steps h e, e in (1, i, -1, -i); ConfigError
+    naming the key if that leaves the disc, or if a step rounds back
+    onto its centre in a coordinate it moves: u, v, and rho of rhos."""
+    h = hs[0]
     reach = max(abs(z + steps * h * e) for z in points for e in (1, 1j, -1, -1j))
     if not reach < 1.0:
         raise ConfigError(f"{key}: the stencil of h = {h} leaves the disc (|z| = {reach})")
+    z = np.array(points, dtype=complex)
+    for name, x in (("u", z.real), ("v", z.imag), ("rho", np.array(rhos, dtype=float))):
+        for step in hs:
+            lost = (x + step == x) | (x - step == x)
+            if lost.any():
+                raise ConfigError(f"{key}: the step {step} rounds back onto its centre "
+                                  f"at {name} = {float(x[lost][0])}")
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path):
@@ -475,7 +491,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     tol = cfg.tolerances
     fdc = cfg.fd.as_fd()
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
-    _check_stencil_reach("fd.h", fdc.h, 1, points)
+    _check_stencil_reach("fd.h", (fdc.h, fdc.h / 2.0)[:1 + fdc.richardson], 1, points)
     # one fill and one frame assembly for every stencil point of the pass
     data.slice_frames(stencil_points(points, fdc))
     # every check runs once, over the stack of centres
@@ -534,12 +550,12 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     fn = metric_field(data)
     rows = []
     zpts = interior_points(cfg.grid.resolution, cfg.grid.seed, radius=0.45)
-    h = cfg.fd.curvature_h
+    h, rhos = cfg.fd.curvature_h, (0.9, 1.1, 1.3)
     # the nested stencil around z reaches z + h (s + i t) with |s| + |t| <= 2
-    _check_stencil_reach("fd.curvature_h", h, 2, zpts)
+    _check_stencil_reach("fd.curvature_h", (h, h / 2.0), 2, zpts, rhos)
     data.fill(np.concatenate([stencil_points(zpts, FDConfig(step, richardson=0), depth=2)
                               for step in (h, h / 2.0)]))
-    for rho in (0.9, 1.1, 1.3):
+    for rho in rhos:
         x = np.array([[rho, z.real, z.imag] for z in zpts])
         try:
             coarse, _, noise = curvature_with_noise(fn, x, h=h)

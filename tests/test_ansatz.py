@@ -163,6 +163,31 @@ class TestHomogeneity:
             assert np.abs(g_lam - D[:, None] * g * D).max() <= 1e-15 * np.abs(g_lam).max()
 
 
+class TestScalarBroadcast:
+    """metric and symplectic broadcast a scalar rho or a scalar z against
+    an array of the other: the stack holds the value at each pair, bit
+    for bit."""
+
+    zs = np.array(SAMPLE_POINTS)
+    rhos = np.array([0.7, 1.1, 1.9, 3.0])
+
+    @pytest.mark.parametrize("name, tail", [("metric", (4, 4)), ("symplectic", (3, 4, 4))])
+    def test_scalar_rho_against_an_array_of_z(self, name, tail):
+        f = getattr(DATA, name)
+        stack = f(1.3, self.zs)
+        assert stack.shape == self.zs.shape + tail
+        for z, got in zip(self.zs, stack):
+            assert np.array_equal(got, f(1.3, z))
+
+    @pytest.mark.parametrize("name, tail", [("metric", (4, 4)), ("symplectic", (3, 4, 4))])
+    def test_scalar_z_against_an_array_of_rho(self, name, tail):
+        f, z = getattr(DATA, name), SAMPLE_POINTS[1]
+        stack = f(self.rhos.reshape(2, 2), z)
+        assert stack.shape == (2, 2) + tail
+        for rho, got in zip(self.rhos, stack.reshape((4,) + tail)):
+            assert np.array_equal(got, f(rho, z))
+
+
 class TestForms:
     @pytest.mark.parametrize("data", [FLAT, DATA], ids=["flat", "blaschke"])
     def test_symplectic_forms_closed(self, data):

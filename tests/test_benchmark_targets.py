@@ -3,10 +3,12 @@
 A traced function that is deleted or renamed turns its per-layer metrics
 into null without failing the run, so this checks every target here.
 So does a module of layers.MODULES that ``import ghlab.cli`` stops
-importing: its import time reads null.
+importing: its import time reads null.  A short traced run checks the
+report itself.
 """
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +61,18 @@ def test_cli_import_loads_every_timed_module(harness):
         env=env, capture_output=True, text=True, check=True, timeout=60)
     loaded = set(proc.stdout.split())
     assert not [m for m in layers.MODULES if f"ghlab.{m}" not in loaded]
+
+
+def test_traced_run_reports_every_metric():
+    """About 2 s of the traced beta-zeros workload, as perfbench/run.py
+    is run: its last stdout line is the JSON report, correct, and no
+    metric in it is null."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "beta-zeros",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["correct"] is True
+    assert report["metrics"]
+    assert not [name for name, m in report["metrics"].items() if m["value"] is None]

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import ghlab
 from ghlab.cli import (
+    MAX_GRID,
     DataConfig,
     ExperimentConfig,
+    GridConfig,
     MuConfig,
     Tolerances,
     build_data,
@@ -469,6 +471,55 @@ class TestEntryPoints:
             assert err.startswith("error=config ") and err.count("\n") == 1
             assert "fd.h" in err
             assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, fd, key, coordinate", [
+        # every centre of either command, in u and v
+        ("verify", {"h": 1e-20}, "fd.h", "u"),
+        ("curvature-scan", {"curvature_h": 1e-20}, "fd.curvature_h", "u"),
+        # h moves every |u|, |v| < 1, but h/2 of the Richardson pair
+        # rounds back wherever |u| >= 1/2
+        ("verify", {"h": 1e-16}, "fd.h", "u"),
+        # the scan's points keep |u|, |v| < 1/2, where both steps move
+        # them, but they round back onto rho = 1.1
+        ("curvature-scan", {"curvature_h": 8e-17}, "fd.curvature_h", "rho"),
+    ])
+    def test_collapsed_step_exits_two(self, tmp_path, capsys, command, fd, key, coordinate):
+        """A step that rounds back onto its centre differences nothing:
+        all-zero partials that would pass as a false success."""
+        p = write_config(tmp_path / "c.json", {"fd": fd})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error=config ") and err.count("\n") == 1
+        assert f"{key}: the step " in err and f"onto its centre at {coordinate} = " in err
+        assert not (out / "manifest.json").exists()
+
+    def test_unused_half_step_is_not_checked(self, tmp_path, capsys):
+        # without Richardson verify takes h = 1e-16 alone, which moves
+        # every centre: an honest, failing run rather than a config error
+        p = write_config(tmp_path / "c.json", {"fd": {"h": 1e-16, "richardson": 0}})
+        assert main(["verify", "--config", str(p), "--out", str(tmp_path / "o")]) in (0, 1)
+        assert "error=config" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key", [
+        (["verify", "--grid", "100000000000000000000"], "grid.samples"),
+        (["curvature-scan", "--grid", str(MAX_GRID + 1)], "grid.samples"),
+        (["build", "--config", "{config}"], "grid.resolution"),
+    ])
+    def test_grid_past_the_bound_exits_two(self, tmp_path, capsys, args, key):
+        p = write_config(tmp_path / "c.json", {"grid": {"resolution": MAX_GRID + 1}})
+        out = tmp_path / "o"
+        args = [a.format(config=p) for a in args]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error=config ") and err.count("\n") == 1
+        assert key in err and f"exceeds the bound {MAX_GRID}" in err
+        assert not out.exists()
+
+    def test_grid_at_the_bound_is_accepted(self):
+        assert GridConfig(samples=MAX_GRID, resolution=MAX_GRID).samples == MAX_GRID
+        with pytest.raises(ConfigError, match="grid.resolution"):
+            GridConfig(resolution=MAX_GRID + 1)
 
     def test_depth_flag_beyond_guard_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"

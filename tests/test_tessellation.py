@@ -3,11 +3,12 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from ghlab.errors import SizeError
+from ghlab.errors import ConvergenceError, SizeError
 from ghlab.tessellation import (
     AT_MINUS_ONE,
     Cusp,
@@ -205,6 +206,15 @@ class TestReduction:
             image = (a * tau + b) / (c * tau + d)
             assert abs(image - t) < 1e-9 * max(1.0, abs(t))
 
+    @pytest.mark.parametrize("tau, named", [
+        (0.1 - 0.5j, "(0.1-0.5j)"),
+        (2.0 + 0j, "(2+0j)"),
+        (np.array([1j, 0.3 + 2j, 2.0, -1j]), "(2+0j)"),
+    ], ids=["lower", "real_axis", "first_of_an_array"])
+    def test_off_the_upper_half_plane_is_a_convergence_error(self, tau, named):
+        with pytest.raises(ConvergenceError, match=re.escape(f"tau = {named} is not in the upper")):
+            reduce_to_fundamental(tau)
+
     def test_nearest_cusp_heights(self):
         cusps, heights = nearest_cusp(cayley(np.array([[0.99, 0.99j]])))
         assert cusps.shape == heights.shape == (1, 2)
@@ -237,6 +247,11 @@ class TestCuspClassify:
         assert cusp_classify(z, tess) is None
         deeper = tessellate(1)
         assert cusp_classify(z, deeper) is not None
+
+    def test_outside_the_disc_is_a_convergence_error(self):
+        # Cayley takes 1.5 to -0.2i, below the real axis
+        with pytest.raises(ConvergenceError, match=re.escape("tau = -0.2j is not in the upper")):
+            cusp_classify(1.5, tessellate(2))
 
     def test_array_matches_each_point(self):
         tess = tessellate(3)
