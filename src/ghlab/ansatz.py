@@ -44,7 +44,6 @@ from .errors import (
     InvalidDataError,
     MetricDomainError,
     PathError,
-    PunctureError,
 )
 from .holo import HoloFn, psi_fn, vertex_targeted_spec
 
@@ -228,7 +227,7 @@ _STORE = np.dtype([("z", complex), ("psi", complex), ("dpsi", complex), ("phi", 
 
 def _gather(cls, store: np.ndarray, rows: np.ndarray):
     """cls of the store's fields at rows: copies in the shape of rows, scalars for ()."""
-    fields = {name: store[name].take(rows, axis=0) for name in cls.__dataclass_fields__}
+    fields = {name: store[name][rows] for name in cls.__dataclass_fields__}
     return cls(**{name: a.item() if a.ndim == 0 else a for name, a in fields.items()})
 
 
@@ -317,9 +316,10 @@ class HolomorphicData:
     def fill(self, zs) -> None:
         """Append the record of every z in zs that has none, in one batch.
 
-        Every such z must lie in the open disc, checked before anything
-        is evaluated; no row is kept unless the whole batch succeeds.
-        One psi jet and one cover batch of (w, dw/dz) serve all points.
+        The cover goes first, so that a z outside the open disc raises
+        the cover's PunctureError before psi is evaluated; no row is kept
+        unless the whole batch succeeds.  One cover batch of (w, dw/dz)
+        and one psi jet serve all points.
         xi(z) = (-Im z, Re z) times the integral of s curl_source(s z)
         over s in [0, 1], on k = max(1, ceil(log2(1/(1 - |z|)))) panels
         graded toward 1/|z| (_rule_toward_the_circle): the K33 sum is
@@ -331,12 +331,9 @@ class HolomorphicData:
                if z not in self._index]
         if not new:
             return
-        outside = next((z for z in new if not abs(z) < 1.0), None)
-        if outside is not None:
-            raise PunctureError(f"|z| = {abs(outside)} is not inside the disc")
         z = np.array(new)
-        psi, dpsi, _ = self.psi.jet(z)
         w, dw_dz = self.cover.values(z)
+        psi, dpsi, _ = self.psi.jet(z)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         xi = self._xi(new)  # before rec: its chunks set the peak of a fill
@@ -396,7 +393,7 @@ class HolomorphicData:
         if z.shape != rho.shape:
             z = np.broadcast_to(z, np.broadcast(rho, z).shape)
         rows = self._rows(z)  # may fill: read the store after it
-        F = self._store["row"].take(rows, axis=0)
+        F = self._store["row"][rows]  # a copy: rows is an index array
         dx = F[..., 5:].reshape(z.shape + (3, 4))
         # the homothety: V and Theta_rho go as 1/rho, the du and dv columns of dx as rho
         inverse, linear, rho = F[..., :2], dx[..., 1:3], rho[..., None]
@@ -423,7 +420,7 @@ class HolomorphicData:
                 f"metric not positive definite at z = {complex(z)}: V = {float(V.flat[i])}")
         m = self._store["m"]
         if not _least(m) > 0:  # some conformal factor underflowed to 0: is one at z?
-            bad = ~(m.take(self._rows(z)) > 0)
+            bad = ~(m[self._rows(z)] > 0)
             if bad.any():
                 w = complex(np.ravel(z)[bad.argmax()])
                 raise MetricDomainError(f"conformal factor underflowed to 0 at |z| = {abs(w)}")

@@ -308,7 +308,7 @@ def _svg_open() -> list:
 
 
 def _svg_polyline(points, color: str, width: float = 0.004) -> str:
-    coords = " ".join(f"{_g(z.real)},{_g(-z.imag)}" for z in points)
+    coords = " ".join("%.17g,%.17g" % (z.real, -z.imag) for z in points)  # as _g formats them
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{_g(width)}"/>'
@@ -337,18 +337,10 @@ def _side_polyline(side) -> list:
 
 
 def _tessellation_elements(tess) -> list:
-    seen = set()
-    out = []
-    for tri in tess.triangles:
-        for side in tri.sides:
-            va, vb = side.endpoints
-            key = tuple(sorted((round(va.real, 12), round(va.imag, 12),
-                                round(vb.real, 12), round(vb.imag, 12))))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(_svg_polyline(_side_polyline(side), "#888888", 0.003))
-    return out
+    """One polyline per side: a child skips the side its parent drew."""
+    return [_svg_polyline(_side_polyline(side), "#888888", 0.003)
+            for tri in tess.triangles for k, side in enumerate(tri.sides)
+            if k != tri.shared_side]
 
 
 def write_svg(path: Path, elements: list) -> None:

@@ -35,19 +35,11 @@ metric_factors_in_disc() reads the conformal factor there as 0.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .errors import PunctureError
-from .tessellation import (
-    AT_MINUS_ONE,
-    Cusp,
-    Tessellation,
-    cayley,
-    cusp_classify,
-    reduce_to_fundamental,
-)
+from .tessellation import AT_MINUS_ONE, Cusp, cayley, reduce_to_fundamental
 
 DEFAULT_BALL_RADIUS = 0.1
 
@@ -94,9 +86,17 @@ def _theta_series(t):
 
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| over an array, rounded as CPython's abs(complex) rounds it
-    (numpy's abs can round |z| = 1 down), so that the disc check agrees
-    with that of HolomorphicData.fill."""
+    (numpy's abs can round |z| = 1 down)."""
     return np.hypot(z.real, z.imag)
+
+
+def _check_in_disc(zs: np.ndarray) -> None:
+    """The disc rule of every chart: PunctureError for the first z of a
+    flat array that is not inside the open disc."""
+    r = _modulus(zs)
+    outside = ~(r < 1.0)
+    if outside.any():
+        raise PunctureError(f"|z| = {r[outside][0]} is not inside the disc")
 
 
 def _lambda_batch(tau: np.ndarray):
@@ -176,7 +176,8 @@ def _metric_factors(w: np.ndarray, dw_dz: np.ndarray) -> np.ndarray:
 
 class _Chart:
     """What a covering chart gives over an array of z, from its
-    ``chart(zs)`` = (w, dw/dz, flipped)."""
+    ``chart(zs)`` = (w, dw/dz, flipped), which raises PunctureError for
+    the first z outside the open disc (_check_in_disc)."""
 
     def values(self, zs):
         """(w, dw/dz) over an array of z, as one batch: the checks of
@@ -215,9 +216,7 @@ class ModularCover(_Chart):
         derivative are given in its place."""
         zs = np.asarray(zs, dtype=complex)
         shape, zs = zs.shape, zs.ravel()
-        outside = _modulus(zs) >= 1.0
-        if outside.any():
-            raise PunctureError(f"|z| = {_modulus(zs[outside])[0]} is not inside the disc")
+        _check_in_disc(zs)
         zp = 1.0 + zs
         at_cusp = abs(zp) < AT_MINUS_ONE
         if at_cusp.any():
@@ -238,6 +237,7 @@ class IdentityChart(_Chart):
 
     def chart(self, zs):
         zs = np.asarray(zs, dtype=complex)
+        _check_in_disc(zs.ravel())
         return zs, np.ones_like(zs), np.zeros(zs.shape, bool)
 
 
@@ -264,32 +264,12 @@ def check_ball_radius(r: float) -> None:
         raise ValueError(f"ball radius {r} outside (0, pi/4)")
 
 
-def hororegion_test(
-    cover,
-    z: complex,
-    j: int,
-    r: float = DEFAULT_BALL_RADIUS,
-    doubled: bool = False,
-    tess: Optional[Tessellation] = None,
-):
-    """Is Phi(z) inside the (doubled) ball around puncture j, and which
-    boundary-vertex component is z in.
-
-    r must satisfy check_ball_radius.  Component naming needs an
-    enumerated tessellation, one z (else ValueError) and a cusp height
-    of at least 1; with tess=None only membership is returned, and z may
-    be an array.
-    """
+def hororegion_test(cover, z, j: int, r: float = DEFAULT_BALL_RADIUS,
+                    doubled: bool = False):
+    """Is Phi(z) inside the (doubled) ball around puncture j, at an array
+    of z or at one z.  r must satisfy check_ball_radius."""
     check_ball_radius(r)
-    if tess is not None and np.ndim(z) != 0:
-        raise ValueError("naming a component needs one z; pass tess=None for an array")
-    member = puncture_distance(cover, z, j) < (2.0 * r if doubled else r)
-    if tess is None or not member:
-        return member, None
-    idx = cusp_classify(z, tess, min_height=1.0)
-    if idx is None or puncture_class(tess.vertices[idx].cusp) != j:
-        return member, None
-    return member, idx
+    return puncture_distance(cover, z, j) < (2.0 * r if doubled else r)
 
 
 def geodesic_point(c1: Cusp, c2: Cusp, y):

@@ -184,6 +184,22 @@ def sqrt_right_halfplane(w):
     return np.sqrt(w)[()]
 
 
+def _flat_batch(flat):
+    """``flat``, which maps a flat array of z to an array or a tuple of
+    arrays of its length, at z of any shape or one point: one batch,
+    put back in the shape of z once at the end (scalars for one point),
+    so that one point is bit for bit a batch of one."""
+
+    def at(z):
+        z = np.asarray(z, dtype=complex)
+        out = flat(z.ravel())
+        if isinstance(out, tuple):
+            return tuple(x.reshape(z.shape)[()] for x in out)
+        return out.reshape(z.shape)[()]
+
+    return at
+
+
 def psi_fn(spec: BlaschkeSpec) -> HoloFn:
     """The full psi = i*sqrt(1-B) as a HoloFn, one product per jet.
 
@@ -200,8 +216,8 @@ def psi_fn(spec: BlaschkeSpec) -> HoloFn:
             -1j * (ddb / (2.0 * s) + db * db / (4.0 * s**3)),
         )
 
-    return HoloFn(jet=jet, value=lambda z: 1j * sqrt_right_halfplane(
-        1.0 - _blaschke_batch(spec, z, derivs=False)))
+    return HoloFn(jet=_flat_batch(jet), value=_flat_batch(lambda z: 1j * sqrt_right_halfplane(
+        1.0 - _blaschke_batch(spec, z, derivs=False))))
 
 
 def in_q2(w):
@@ -259,14 +275,14 @@ def validate_mu(mu: MuSpec, psi: HoloFn) -> None:
 
 
 def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:
-    """Validated composition mu o psi with chain-rule derivatives."""
+    """Validated composition mu o psi with chain-rule derivatives, each
+    on one flat batch."""
     validate_mu(mu, psi)
-    inner = psi.jet
     outer = mu.as_holo().jet
 
-    def jet(z: complex):
-        w, dw, d2w = inner(z)
+    def jet(z):
+        w, dw, d2w = psi.jet(z)
         m, dm, d2m = outer(w)
         return m, dm * dw, d2m * dw * dw + dm * d2w
 
-    return HoloFn(jet=jet, value=lambda z: outer(psi(z))[0])
+    return HoloFn(jet=_flat_batch(jet), value=_flat_batch(lambda z: outer(psi(z))[0]))

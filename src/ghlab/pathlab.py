@@ -377,7 +377,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
         raise ValueError("log variation check wants a disc path")
     if region is not None:
         svals = np.linspace(0.0, 1.0, 64)
-        member, _ = hororegion_test(data.cover, path.point(svals), region, doubled=True)
+        member = hororegion_test(data.cover, path.point(svals), region, doubled=True)
         if not member.all():
             raise RegionError(
                 f"path left the doubled class-{region} region at s = {svals[~member][0]}")

@@ -20,8 +20,7 @@ The orientation-preserving words of even length form the level-two
 congruence group: their integer matrices are congruent to the identity
 mod 2.  That group is also what the covering module reduces by, so the
 Cayley map and the standard fundamental-domain reduction with the group
-element tracked live here, over arrays, for the covering chart and for
-cusp classification (which boundary vertex a point is approaching).
+element tracked live here, over arrays, for the covering chart.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import numpy as np
 from .errors import ConvergenceError, SizeError
 
 MAX_DEPTH = 12
-DEFAULT_MIN_HEIGHT = 4.0
 
 
 # Closer than this to -1 a disc point is numerically at the cusp
@@ -142,6 +140,12 @@ class IdealTriangle:
         v = self.vertices
         return tuple(SideGeodesic.through(v[k], v[(k + 1) % 3]) for k in range(3))
 
+    @property
+    def shared_side(self):
+        """The side a child shares with its parent, which reflect keeps:
+        the last letter of its word; None at the root."""
+        return int(self.word[-1]) if self.word else None
+
 
 def base_triangle() -> IdealTriangle:
     """The depth-0 triangle: disc vertices 1, i, -1 (cusps 0, 1, infinity)."""
@@ -179,14 +183,6 @@ class Tessellation:
     triangles: tuple
     vertices: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_cusp_index", {v.cusp: v.index for v in self.vertices}
-        )
-
-    def vertex_index(self, cusp: Cusp):
-        return self._cusp_index.get(cusp)
-
     def max_boundary_gap(self) -> float:
         angles = sorted(math.atan2(v.z.imag, v.z.real) for v in self.vertices)
         gaps = [b - a for a, b in zip(angles, angles[1:])]
@@ -198,33 +194,23 @@ def tessellate(depth: int) -> Tessellation:
     """Enumerate all triangles of reflection depth <= depth.
 
     Words never repeat their last letter (an immediate repeat undoes the
-    reflection), giving 1 + 3 (2^depth - 1) triangles.
+    reflection), giving 1 + 3 (2^depth - 1) triangles.  The vertices are
+    the base cusps, then the one cusp each child adds: the one opposite
+    the side it shares with its parent.
     """
     if depth < 0:
         raise SizeError("depth must be nonnegative")
     if depth > MAX_DEPTH:
         raise SizeError(f"depth {depth} exceeds guard {MAX_DEPTH}")
     base = base_triangle()
-    triangles = [base]
-    frontier = [(base, None)]
+    triangles, cusps, frontier = [base], list(base.cusps), [base]
     for _ in range(depth):
-        nxt = []
-        for tri, banned in frontier:
-            for side in range(3):
-                if side == banned:
-                    continue
-                child = reflect(tri, side)
-                triangles.append(child)
-                nxt.append((child, side))
-        frontier = nxt
-    seen = {}
-    records = []
-    for tri in triangles:
-        for cusp in tri.cusps:
-            if cusp not in seen:
-                seen[cusp] = len(records)
-                records.append(VertexRecord(len(records), cusp, cusp.disc_point()))
-    return Tessellation(depth=depth, triangles=tuple(triangles), vertices=tuple(records))
+        frontier = [reflect(tri, side) for tri in frontier for side in range(3)
+                    if side != tri.shared_side]
+        triangles += frontier
+        cusps += [tri.cusps[(tri.shared_side + 2) % 3] for tri in frontier]
+    vertices = tuple(VertexRecord(i, c, c.disc_point()) for i, c in enumerate(cusps))
+    return Tessellation(depth=depth, triangles=tuple(triangles), vertices=vertices)
 
 
 def reduce_to_fundamental(tau, max_iter: int = 500):
@@ -253,30 +239,3 @@ def reduce_to_fundamental(tau, max_iter: int = 500):
         t = np.where(active, -1.0 / t, t)
         g = np.where(active, np.concatenate((-g[2:], g[:2])), g)
     raise ConvergenceError(f"fundamental-domain reduction did not settle for {tau[active][0]}")
-
-
-def nearest_cusp(tau):
-    """The cusp of maximal invariant height for tau, with that height, at
-    an array of tau (the cusps as an object array) or at one tau.
-
-    The height of tau at p/q is Im(tau)/|q tau - p|^2 (Im(tau) at
-    infinity); it is the sup over the orbit and is attained at
-    g^{-1}(infinity) = d/(-c) once g reduces tau to the fundamental domain.
-    """
-    t, g = reduce_to_fundamental(tau)
-    return np.frompyfunc(Cusp.make, 2, 1)(g[3], -g[2]), t.imag
-
-
-def cusp_classify(z, tess: Tessellation, min_height: float = DEFAULT_MIN_HEIGHT):
-    """Which enumerated boundary vertex z is approaching, at an array of z
-    (an object array) or at one z: the vertex index, or None where z sits
-    below the height threshold in every cusp or its cusp was not
-    enumerated.  A z numerically at -1 is at the cusp infinity."""
-    z = np.asarray(z, dtype=complex)
-    at_inf = abs(1.0 + z.ravel()) < AT_MINUS_ONE
-    # 0 stands in for a z at -1: its cusp is infinity too, at height 1
-    cusps, heights = nearest_cusp(cayley(np.where(at_inf, 0.0, z.ravel())))
-    heights[at_inf] = math.inf
-    index = [tess.vertex_index(c) if h >= min_height else None
-             for c, h in zip(cusps, heights.tolist())]
-    return np.array(index, object).reshape(z.shape)[()]

@@ -650,6 +650,18 @@ class TestBatchedXi:
             data.fill([0.1, 0.3j, 1.2, 0.5, 1.5j])
         assert data._index == {}
 
+    def test_flat_data_stops_outside_the_disc_before_psi(self):
+        def no_jet(z):
+            raise AssertionError("psi was evaluated")
+
+        data = HolomorphicData.flat_reference()
+        data.psi = HoloFn(jet=no_jet)
+        with pytest.raises(PunctureError, match=r"^\|z\| = 1\.2 is not inside the disc"):
+            data.fill([0.1, 0.3j, 1.2, 0.5, 1.5j])
+        with pytest.raises(PunctureError, match=r"^\|z\| = 1\.0 is not inside the disc"):
+            data.record(-1.0)
+        assert data._index == {}
+
     def test_a_jump_names_its_point(self, monkeypatch):
         def jump(self, zs):
             return np.where(abs(zs) < 0.2, 1.0, 2.0)

@@ -3,8 +3,8 @@
 A traced function that is deleted or renamed turns its per-layer metrics
 into null without failing the run, so this checks every target here.
 So does a module of layers.MODULES that ``import ghlab.cli`` stops
-importing: its import time reads null.  A short traced run checks the
-report itself.
+importing: its import time reads null.  A short traced run of each
+workload checks the report itself.
 """
 
 import inspect
@@ -63,12 +63,16 @@ def test_cli_import_loads_every_timed_module(harness):
     assert not [m for m in layers.MODULES if f"ghlab.{m}" not in loaded]
 
 
-def test_traced_run_reports_every_metric():
-    """About 2 s of the traced beta-zeros workload, as perfbench/run.py
-    is run: its last stdout line is the JSON report, correct, and no
-    metric in it is null."""
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_reports_every_metric(workload):
+    """About 2 s of each traced workload of BENCHMARK.json, as
+    perfbench/run.py is run: its last stdout line is the JSON report,
+    correct, and no metric in it is null."""
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "beta-zeros",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -202,6 +202,15 @@ class TestCommands:
         svg = (out / "tessellation.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("depth, sides", [(0, 3), (2, 21)])
+    def test_tessellation_svg_draws_every_side_once(self, tmp_path, depth, sides):
+        # 3 + 2 (T - 1) sides for T triangles; the diameter at depth 0 too
+        out = tmp_path / "o"
+        assert main(["tessellate", "--out", str(out), "--depth", str(depth)]) == 0
+        svg = (out / "tessellation.svg").read_text()
+        assert svg.count("<polyline") == sides
+        assert '<polyline points="-1,-0 1,-0"' in svg  # the base diameter
+
     def test_depth_override(self, tmp_path):
         out = tmp_path / "o"
         assert main(["tessellate", "--out", str(out), "--depth", "1"]) == 0

@@ -312,6 +312,23 @@ class TestBatchedJet:
             assert all(np.shape(x) == () for x in one)
             assert all(_same_bits(x, y[0]) for x, y in zip(one, batch))
 
+    @pytest.mark.parametrize("mu", [None, MuSpec(kind="scale", scale=2.0),
+                                    MuSpec(kind="perturb", eps=0.05)],
+                             ids=["psi", "scale2", "perturb05"])
+    def test_one_point_of_psi_is_a_batch_of_one(self, mu):
+        psi = standard_data().psi
+        psi = psi if mu is None else apply_mu(mu, psi)
+        rng = np.random.default_rng(11)
+        zs = 0.9 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+        # a point where psi'' of one point and of a batch once differed
+        zs[0] = 0.6274400262784292 - 0.680984383618818j
+        batch, values = psi.jet(zs), psi(zs)
+        for i, z in enumerate(zs.tolist()):
+            one = psi.jet(z)
+            assert all(np.shape(x) == () for x in one)
+            assert all(_same_bits(x, y[i]) for x, y in zip(one, batch)), z
+            assert _same_bits(psi(z), values[i]), z
+
     def test_pole_anywhere_in_the_batch_is_rejected(self):
         spec = BlaschkeSpec(zeros=((0.5, 1),))
         with pytest.raises(PoleError, match=r"z=\(2\+0j\)"):

@@ -10,13 +10,11 @@ import pytest
 
 from ghlab.errors import ConvergenceError, SizeError
 from ghlab.tessellation import (
-    AT_MINUS_ONE,
+    MAX_DEPTH,
     Cusp,
     base_triangle,
     cayley,
-    cusp_classify,
     halfplane_reflection_matrix,
-    nearest_cusp,
     reduce_to_fundamental,
     reflect,
     tessellate,
@@ -37,9 +35,6 @@ class TestCayley:
     def test_boundary_values(self):
         assert abs(cayley(1)) < 1e-15
         assert abs(cayley(1j) - 1) < 1e-15
-        # -1 itself is the cusp infinity, tested before the map
-        tess = tessellate(0)
-        assert cusp_classify(-1, tess) == tess.vertex_index(Cusp(1, 0))
 
     def test_round_trip(self):
         for k in range(40):
@@ -148,6 +143,32 @@ class TestTessellate:
             shared_parent = {parent.cusps[side], parent.cusps[(side + 1) % 3]}
             assert shared_child == shared_parent
 
+    @pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+    def test_vertices_are_the_base_cusps_then_each_childs_new_cusp(self, depth):
+        tess = tessellate(depth)
+        by_word = {t.word: t for t in tess.triangles}
+        new = []
+        for tri in tess.triangles[1:]:
+            (cusp,) = set(tri.cusps) - set(by_word[tri.word[:-1]].cusps)
+            new.append(cusp)
+        cusps = [v.cusp for v in tess.vertices]
+        assert cusps == list(base_triangle().cusps) + new
+        assert len(set(cusps)) == len(cusps)
+        assert [v.index for v in tess.vertices] == list(range(len(cusps)))
+
+    @pytest.mark.parametrize("depth", range(MAX_DEPTH + 1))
+    def test_kept_sides_are_every_side_once(self, depth):
+        tess = tessellate(depth)
+
+        def pair(tri, k):
+            return frozenset((tri.cusps[k], tri.cusps[(k + 1) % 3]))
+
+        kept = [pair(tri, k) for tri in tess.triangles for k in range(3)
+                if k != tri.shared_side]
+        assert len(kept) == 3 + 2 * (len(tess.triangles) - 1)
+        assert len(set(kept)) == len(kept)
+        assert set(kept) == {pair(tri, k) for tri in tess.triangles for k in range(3)}
+
     def test_interiors_pairwise_disjoint(self):
         tess = tessellate(3)
         rng = random.Random(7)
@@ -214,53 +235,3 @@ class TestReduction:
     def test_off_the_upper_half_plane_is_a_convergence_error(self, tau, named):
         with pytest.raises(ConvergenceError, match=re.escape(f"tau = {named} is not in the upper")):
             reduce_to_fundamental(tau)
-
-    def test_nearest_cusp_heights(self):
-        cusps, heights = nearest_cusp(cayley(np.array([[0.99, 0.99j]])))
-        assert cusps.shape == heights.shape == (1, 2)
-        assert cusps.tolist() == [[Cusp(0, 1), Cusp(1, 1)]]
-        assert heights[0] == pytest.approx([199.0, 99.5], rel=1e-9)
-        assert nearest_cusp(cayley(0.99j)) == (Cusp(1, 1), heights[0, 1])
-
-
-class TestCuspClassify:
-    def test_near_vertex_one_is_cusp_zero(self):
-        tess = tessellate(2)
-        idx = cusp_classify(0.99, tess)
-        assert idx is not None
-        assert tess.vertices[idx].cusp == Cusp(0, 1)
-
-    def test_near_vertex_i_is_cusp_one(self):
-        tess = tessellate(2)
-        idx = cusp_classify(0.99j, tess)
-        assert idx is not None
-        assert tess.vertices[idx].cusp == Cusp(1, 1)
-
-    def test_moderate_interior_point_unclassified(self):
-        # Height ~3.0 at cusp 0: below the default threshold, so no label.
-        tess = tessellate(2)
-        assert cusp_classify(0.6 * cmath.exp(0.3j), tess) is None
-
-    def test_unenumerated_cusp_returns_none(self):
-        tess = tessellate(0)  # only cusps 0, 1, infinity
-        z = 0.999 * Cusp.make(-1, 1).disc_point()  # heads for cusp -1
-        assert cusp_classify(z, tess) is None
-        deeper = tessellate(1)
-        assert cusp_classify(z, deeper) is not None
-
-    def test_outside_the_disc_is_a_convergence_error(self):
-        # Cayley takes 1.5 to -0.2i, below the real axis
-        with pytest.raises(ConvergenceError, match=re.escape("tau = -0.2j is not in the upper")):
-            cusp_classify(1.5, tessellate(2))
-
-    def test_array_matches_each_point(self):
-        tess = tessellate(3)
-        rng = np.random.default_rng(2)
-        zs = (1.0 - np.logspace(-5, -0.5, 60)) * np.exp(2j * np.pi * rng.random(60))
-        # within AT_MINUS_ONE of -1 the point is at the cusp infinity
-        zs = np.append(zs, [-1.0 + AT_MINUS_ONE / 2, 0.6 * cmath.exp(0.3j)]).reshape(2, -1)
-        got = cusp_classify(zs, tess)
-        assert got.shape == zs.shape
-        assert got.tolist() == [[cusp_classify(z, tess) for z in row] for row in zs.tolist()]
-        assert got[1, -2] == tess.vertex_index(Cusp(1, 0))
-        assert got[1, -1] is None and any(i is not None for i in got.ravel())
