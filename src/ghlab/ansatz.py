@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .covering import IdentityChart, ModularCover, _metric_factors, _stereo_lift
 from .errors import (
@@ -93,6 +92,19 @@ def sphere_jacobian(w, dw_dz):
     return p, np.moveaxis(du, 0, -1), np.moveaxis(dv, 0, -1)
 
 
+# The positive nodes of numpy's leggauss(16), ascending, and their
+# weights, as literals of the same doubles (that rule is symmetric bit
+# for bit).
+_GAUSS16_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+)
+_GAUSS16_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+)
 # The 33-node Kronrod extension of the 16-node Gauss-Legendre rule on
 # [-1, 1] (D. P. Laurie, Math. Comp. 66 (1997) 1133), rounded from an
 # 80-digit construction: the non-negative nodes it adds to leggauss(16),
@@ -116,12 +128,11 @@ def _kronrod_rule():
     """The 33 nodes on [-1, 1], ascending, with leggauss(16) at the odd
     indices, and a (2, 33) weight array: row 0 the G16 rule (zero on the
     added nodes), row 1 the K33 rule."""
-    gauss, gauss_w = leggauss(16)
     # the added nodes interlace with the Gauss nodes
     half = np.empty(17)
-    half[0::2], half[1::2] = _KRONROD_NODES, gauss[8:]
+    half[0::2], half[1::2] = _KRONROD_NODES, _GAUSS16_NODES
     weights = np.zeros((2, 33))
-    weights[0, 1::2] = gauss_w
+    weights[0, 1::2] = _GAUSS16_WEIGHTS[::-1] + _GAUSS16_WEIGHTS
     weights[1] = np.concatenate((_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS))
     return np.concatenate((-half[:0:-1], half)), weights
 

@@ -8,28 +8,31 @@ plane minus {0, 1}.  Stereographic projection then lands everything on
 the unit sphere with punctures at the images of w = 0, 1, infinity.
 
 Evaluation strategy: reduce tau into the standard fundamental domain
-while tracking the group element g.  There Im tau >= sqrt(3)/2, so
-|q| < 0.066 and theta2 and theta3 are sums of five and four terms,
-exact to double precision.  Evaluate lambda there by that one fixed
-series, then undo g through the six-element anharmonic table
+while tracking the group element g.  There Im tau >= sqrt(3)/2, so the
+nome q = exp(i pi tau) has |q| < 0.066, and theta2 = 2 q^(1/4) S2 with
+S2 = 1 + q^2 + q^6 + q^12 + q^20 and theta3 = 1 + 2 (q + q^4 + q^9 +
+q^16) are exact to double precision.  Evaluate lambda there from the
+nome alone, as x = 16 q (S2/theta3)^4 (one complex exp a point, and no
+q^(1/4)), then undo g through the six-element anharmonic table
 
     g^-1 mod 2 :  I -> x         T -> x/(x-1)    S -> 1-x
                   TS -> (x-1)/x  ST -> 1/(1-x)   TST -> 1/x
 
 and push the derivative through the same chain, using the closed form
 lambda' = i pi lambda (1-lambda) theta3^4 at the reduced point rather
-than differencing the series.
+than differencing the series.  The fourth powers are two squarings.
 
 Every evaluation takes an array of points in one batch: the Cayley map
-and the reduction of the tessellation module, then the series and the
-anharmonic table over the whole array.  Very close to a cusp the
-reduced lambda underflows to exactly 0; the cusp classes of infinity
-and 0 then give w = 0 or 1 exactly with zero derivative (harmless, the
-conformal factor vanishes), while the class of 1 would need 1/0.  The
-batch marks those points and gives the flipped chart 1/w there, and
-each caller applies its own rule: chart() passes the flipped chart on
-(puncture_distance reads it), values() raises PunctureError, and
-metric_factors_in_disc() reads the conformal factor there as 0.
+and the reduction of the tessellation module, then the series and one
+read of the anharmonic table (its coefficients and determinant) over
+the whole array.  Very close to a cusp the reduced lambda underflows
+to exactly 0; the cusp classes of infinity and 0 then give w = 0 or 1
+exactly with zero derivative (harmless, the conformal factor
+vanishes), while the class of 1 would need 1/0.  The batch marks those
+points and gives the flipped chart 1/w there, and each caller applies
+its own rule: chart() passes the flipped chart on (puncture_distance
+reads it), values() raises PunctureError, and metric_factors_in_disc()
+reads the conformal factor there as 0.
 """
 
 from __future__ import annotations
@@ -57,31 +60,31 @@ _ANHARMONIC = {
     (0, 1, 1, 1): (0, 1, -1, 1),    # ST   1/(1-x)
     (1, 0, 1, 1): (0, 1, 1, 0),     # TST  1/x
 }
-# The same table as arrays indexed by the parity code 8d + 4b + 2c + a.
-_MOEBIUS = np.zeros((16, 4))
-for _key, _coeffs in _ANHARMONIC.items():
-    _MOEBIUS[_key[0] * 8 + _key[1] * 4 + _key[2] * 2 + _key[3]] = _coeffs
+# The same table as one (5, 16) array, a column per parity code 8d + 4b
+# + 2c + a: the rows are A, B, C, D and the determinant AD - BC.
+_MOEBIUS = np.zeros((5, 16))
+for _key, (_a, _b, _c, _d) in _ANHARMONIC.items():
+    _MOEBIUS[:, _key[0] * 8 + _key[1] * 4 + _key[2] * 2 + _key[3]] = (
+        _a, _b, _c, _d, _a * _d - _b * _c)
 _PARITY_WEIGHTS = np.array([1, 4, 2, 8])
 # Below this the reduced lambda is too small to invert: 1e-150 keeps
 # the squared denominators of the derivative away from underflow.
 _LAMBDA_FLOOR = 1e-150
 
 
-def _theta_series(t):
-    """(theta2, theta3) over an array of t by the fixed series.  At
-    reduced points |q| <= exp(-pi sqrt(3)/2) < 0.066, so the first term
-    left out of either series is below 1e-29 of its sum."""
-    # theta2 = 2 q^(1/4) (1 + q^2 + q^6 + q^12 + q^20),
-    # theta3 = 1 + 2 (q + q^4 + q^9 + q^16), with q = exp(i pi tau)
+def _nome_series(t):
+    """(q, S2, theta3) over an array of t by the fixed series, with q =
+    exp(i pi t) the nome and theta2 = 2 q^(1/4) S2.  At reduced points
+    |q| <= exp(-pi sqrt(3)/2) < 0.066, so the first term left out of
+    either series is below 1e-29 of its sum."""
+    # S2 = 1 + q^2 + q^6 + q^12 + q^20, theta3 = 1 + 2 (q + q^4 + q^9 + q^16)
     q = np.exp(1j * math.pi * t)
     q2 = q * q
     q4 = q2 * q2
     q8 = q4 * q4
     q16 = q8 * q8
     q6 = q4 * q2
-    t2 = 2.0 * np.exp(0.25j * math.pi * t) * (1.0 + q2 + q6 + q6 * q6 + q16 * q4)
-    t3 = 1.0 + 2.0 * (q + q4 + q8 * q + q16)
-    return t2, t3
+    return q, 1.0 + q2 + q6 + q6 * q6 + q16 * q4, 1.0 + 2.0 * (q + q4 + q8 * q + q16)
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -101,9 +104,10 @@ def _check_in_disc(zs: np.ndarray) -> None:
 
 def _lambda_batch(tau: np.ndarray):
     """(lambda, lambda', flipped) over a flat array of tau in the upper
-    half-plane, in one batch: the reduction, the fixed series at
-    the reduced points, then the anharmonic map (A, B, C, D) of g^-1 and
-    the chain rule through d(g tau)/d tau = 1/(c tau + d)^2.
+    half-plane, in one batch: the reduction, the fixed series in the
+    nome at the reduced points, then the anharmonic map (A, B, C, D) of
+    g^-1 with its determinant and the chain rule through d(g tau)/d tau
+    = 1/(c tau + d)^2.
 
     Deep in a cusp of class 1 (the maps with D = 0) the reduced lambda
     is too small to invert.  flipped marks those points, and there the
@@ -116,15 +120,21 @@ def _lambda_batch(tau: np.ndarray):
     if off.any():
         raise PunctureError(f"tau = {tau[off][0]} lies on the boundary (cusp)")
     t_red, g = reduce_to_fundamental(tau)
-    t2, t3 = _theta_series(t_red)
-    x = (t2 / t3) ** 4
-    prime = 1j * math.pi * x * (1.0 - x) * t3**4
-    A, B, C, D = _MOEBIUS[_PARITY_WEIGHTS @ (g & 1)].T
+    q, s2, t3 = _nome_series(t_red)
+    # theta2^4 = 16 q S2^4, so lambda = 16 q (S2/theta3)^4; no in-place
+    # squares, which numpy rounds by batch size
+    r = s2 / t3
+    r2, t3_2 = r * r, t3 * t3
+    x = 16.0 * q * (r2 * r2)
+    prime = 1j * math.pi * x * (1.0 - x) * (t3_2 * t3_2)
+    A, B, C, D, det = _MOEBIUS.take(_PARITY_WEIGHTS @ (g & 1), axis=1)
     flipped = (D == 0) & (abs(x) < _LAMBDA_FLOOR)
     if flipped.any():
+        # the flipped chart swaps the rows, which turns the sign of AD - BC
         A, B, C, D = np.where(flipped, (C, D, A, B), (A, B, C, D))
+        det = np.where(flipped, -det, det)
     den, cz = C * x + D, g[2] * tau + g[3]
-    return (A * x + B) / den, (A * D - B * C) / (den * den) * prime / (cz * cz), flipped
+    return (A * x + B) / den, det / (den * den) * prime / (cz * cz), flipped
 
 
 def sphere_distance(p: np.ndarray, q: np.ndarray):

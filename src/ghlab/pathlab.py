@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .ansatz import HolomorphicData
 from .covering import (
@@ -121,11 +120,17 @@ def _disc(x: np.ndarray):
     return x[..., 0] + 1j * x[..., 1]
 
 
-# Nodes of the Gauss-Legendre rule on each panel; the depth cap ends the
+# Nodes and weights of the Gauss-Legendre rule on each panel: numpy's
+# leggauss(8), as literals of the same doubles.  The depth cap ends the
 # halving where a speed never settles (a jump inside the interval).  A
 # round refines at most _ROUND_PANELS panels, so that a tolerance no panel
 # can meet costs time but not memory.
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
+_GL_NODES = np.array((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                      -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                      0.7966664774136267, 0.9602898564975362))
+_GL_WEIGHTS = np.array((0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                        0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                        0.22238103445337443, 0.10122853629037706))
 _MAX_DEPTH = 28
 _ROUND_PANELS = 1024
 

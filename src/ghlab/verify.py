@@ -258,8 +258,16 @@ def quaternion_check(data: HolomorphicData, rho, z) -> dict:
     lost = ~(floor <= _FRAME_FLOOR)
     if lost.any():
         i = int(lost.argmax())
-        raise CoframeDomainError(f"coframe lost to rounding at |z| = {abs(complex(z[i]))}: "
-                                 f"frame metric off by {floor[i]:.3g}")
+        where = f"coframe lost to rounding at |z| = {abs(complex(z[i]))}: "
+        if np.isfinite(floor[i]):
+            raise CoframeDomainError(where + f"frame metric off by {floor[i]:.3g}")
+        # name the first of the products that is not finite, and V, which
+        # scales E^-1 by V^-1/2 and G by up to 1/V
+        name, value = next((name, a[i]) for name, a in (
+            ("metric G", G), ("coframe inverse E^-1", inv), ("frame metric E^-T G E^-1", G_frame))
+            if not np.isfinite(a[i]).all())
+        raise CoframeDomainError(where + f"{name} is not finite ({value[~np.isfinite(value)][0]}) "
+                                 f"at V = {float(fields[0][i]):.3g}")
     J = -forms
     J_next = J.take(_NEXT, axis=1)  # J_j beside J_i, (i, j, k) cyclic
     product = J @ J_next

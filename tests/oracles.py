@@ -3,8 +3,8 @@
 Nothing in ghlab calls these: each is an independent route to a value
 the package computes another way (a double integral, a root-bracketed
 crossing count, a general finite-difference stencil, point-by-point
-geodesic geometry, the Blaschke jet one point at a time), or a path the
-lab itself never runs (a circle).
+geodesic geometry, the Blaschke jet one point at a time, its value with
+no pole guard), or a path the lab itself never runs (a circle).
 They live beside the tests that use them, as plain functions.
 """
 
@@ -94,6 +94,20 @@ def blaschke_jet(spec, z) -> tuple:
             d1 = d1 * f + p * f1
             p = p * f
     return p, d1, d2
+
+
+def blaschke_values(spec, z) -> np.ndarray:
+    """B over an array of z, a factor at a time with no pole check:
+    z^m times c (a - z)/(1 - conj(a) z) for each zero, once per
+    multiplicity, with c = conj(a)/|a|, in numpy arithmetic."""
+    p = np.asarray(z, dtype=complex) ** spec.m
+    for a, mult in spec.zeros:
+        a = complex(a)
+        ac = a.conjugate()
+        c = ac / abs(a)
+        for _ in range(mult):
+            p = p * (c * (a - z) / (1.0 - ac * z))
+    return p
 
 
 def psi_jet(spec, z) -> tuple:

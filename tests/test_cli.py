@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, is_dataclass, replace
@@ -265,6 +266,19 @@ class TestCommands:
         assert "failed_check=closure" in err
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["commands"]["verify"]["status"] == "failed"
+
+    def test_verify_names_what_went_non_finite(self, tmp_path, capsys):
+        # V = 1e-300 Im(phi): G and E^-1 stay finite, their product does not
+        cfg = write_config(tmp_path / "c.json", {
+            "data": {"v_multiplier": 1e-300},
+            "grid": {"samples": 6},
+            "out_dir": str(tmp_path / "o"),
+        })
+        assert main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error=runtime kind=CoframeDomainError detail=coframe lost to "
+                         r"rounding at \|z\| = [0-9.]+: frame metric E\^-T G E\^-1 is not "
+                         r"finite \(nan\) at V = [0-9.]+e-300$", err, re.M), err
 
     def test_verify_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         # a NaN contact ratio at the third centre must not pass as a small value
@@ -541,16 +555,28 @@ class TestEntryPoints:
             main(["polish"])
         assert exc.value.code == 2
 
-    def test_import_loads_no_scipy(self):
-        # scipy is imported only where a root finder or dblquad runs
+    @staticmethod
+    def _import_cli_without(module):
+        """Exit status and stderr of a fresh interpreter that imports
+        ghlab.cli and asserts that module is not loaded."""
         src = str(Path(ghlab.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, ghlab.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"],
+             f"import sys, ghlab.cli; assert {module!r} not in sys.modules, '{module} loaded'"],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
-        assert proc.returncode == 0, proc.stderr
+        return proc.returncode, proc.stderr
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only where a root finder or dblquad runs
+        code, err = self._import_cli_without("scipy")
+        assert code == 0, err
+
+    def test_import_loads_no_numpy_polynomial(self):
+        # the Gauss-Legendre tables are literals, not leggauss calls
+        code, err = self._import_cli_without("numpy.polynomial")
+        assert code == 0, err
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "o"

@@ -12,7 +12,7 @@ from ghlab.covering import (
     IdentityChart,
     ModularCover,
     _metric_factors,
-    _theta_series,
+    _nome_series,
     geodesic_point,
     hororegion_test,
     puncture_class,
@@ -61,12 +61,19 @@ def _mp_theta(n, tau):
     return complex(mpmath.jtheta(n, 0, mpmath.mpc(q)))
 
 
+def _thetas(taus):
+    """(theta2, theta3) over an array of tau from the nome series that
+    lambda is summed from: theta2 = 2 q^(1/4) S2."""
+    _, s2, t3 = _nome_series(taus)
+    return 2.0 * np.exp(0.25j * math.pi * taus) * s2, t3
+
+
 def theta2(tau):
-    return complex(_theta_series(np.array([tau]))[0][0])
+    return complex(_thetas(np.array([tau]))[0][0])
 
 
 def theta3(tau):
-    return complex(_theta_series(np.array([tau]))[1][0])
+    return complex(_thetas(np.array([tau]))[1][0])
 
 
 def lambda_map(tau):
@@ -78,18 +85,25 @@ def lambda_prime(tau):
 
 
 class TestTheta:
-    """The fixed theta series that lambda is summed from.  Its first
-    left-out term is below 1e-26 wherever Im tau >= 0.8, which covers
-    the reduced points and every sample here."""
+    """The fixed series in the nome that lambda is summed from.  Its
+    first left-out term is below 1e-26 wherever Im tau >= 0.8, which
+    covers the reduced points and every sample here."""
 
     @pytest.mark.parametrize("tau", THETA_SAMPLES)
     @pytest.mark.parametrize("n,fn", [(2, theta2), (3, theta3)])
     def test_against_mpmath(self, tau, n, fn):
         assert abs(fn(tau) - _mp_theta(n, tau)) < 1e-14
 
+    @pytest.mark.parametrize("tau", THETA_SAMPLES)
+    def test_fourth_power_of_theta2_needs_no_quarter_power(self, tau):
+        # lambda's numerator theta2^4 = 16 q S2^4, from q alone
+        q, s2, _ = (complex(x[0]) for x in _nome_series(np.array([tau])))
+        ref = _mp_theta(2, tau) ** 4
+        assert abs(16.0 * q * s2**4 - ref) < 1e-14 * max(1.0, abs(ref))
+
     def test_batch_matches_point(self):
         taus = np.array(THETA_SAMPLES)
-        t2, t3 = _theta_series(taus)
+        t2, t3 = _thetas(taus)
         for k, tau in enumerate(THETA_SAMPLES):
             assert abs(t2[k] - theta2(tau)) < 1e-15
             assert abs(t3[k] - theta3(tau)) < 1e-15
@@ -329,6 +343,17 @@ class TestPunctures:
         assert flipped
         assert abs(w_inv) < 1e-200
         assert puncture_distance(self.cover, 0.9999j, 3) < 1e-100
+
+    @pytest.mark.parametrize("eps", [0.0075, 0.006, 0.005])
+    def test_flipped_chart_derivative_matches_its_difference(self, eps):
+        # the flipped chart swaps the anharmonic map's rows, which turns
+        # the sign of its determinant; 1/w ~ 1e-180 .. 1e-270 here
+        z = (1.0 - eps) * 1j
+        h = 1e-9
+        x, dx, flipped = self.cover.chart(np.array([z, z + h, z - h, z + 1j * h, z - 1j * h]))
+        assert flipped.all()
+        for fd in ((x[1] - x[2]) / (2 * h), (x[3] - x[4]) / (2j * h)):
+            assert abs(fd / dx[0] - 1.0) < 1e-6
 
     @given(z=cover_points)
     @example(z=0.9999j)

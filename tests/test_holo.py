@@ -24,7 +24,7 @@ from ghlab.holo import (
     validate_mu,
     vertex_targeted_spec,
 )
-from oracles import blaschke_jet, psi_jet
+from oracles import blaschke_jet, blaschke_values, psi_jet
 
 # Shared data: four-vertex symmetric spec used across the suite.
 FOUR_VERTEX = vertex_targeted_spec([1, 1j, -1, -1j])
@@ -374,3 +374,62 @@ class TestValuePath:
         # phi = -1/psi from psi's value, one point as a batch of one
         assert _same_bits(data.phi(self.points), -1.0 / expected)
         assert _same_bits(data.phi(self.points[3, 7]), -1.0 / expected[3, 7])
+
+
+class TestPoleGuard:
+    """psi's value path checks the pole floor once per batch, by the bound
+    |1 - conj(a) z| >= 1 - max|a| max|z|, and scans the factors only for
+    a batch past it."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        calls = []
+        scan = ghlab.holo._factor_values
+
+        def counted(*args):
+            calls.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(ghlab.holo, "_factor_values", counted)
+        return calls
+
+    def test_a_batch_inside_the_bound_is_not_scanned(self, monkeypatch):
+        calls = self._count_scans(monkeypatch)
+        # max|a| = 0.75, so every |z| < 1.33 is inside the bound
+        psi_fn(FOUR_VERTEX)(np.array(_interior_points(200, radius=0.99)))
+        ghlab.holo._blaschke_batch(FOUR_VERTEX, np.array(_interior_points(200, radius=1.3)),
+                                   derivs=False)
+        assert not calls
+        blaschke_derivs(FOUR_VERTEX, 0.5j)  # the jet checks all factors at once
+        assert len(calls) == 1
+
+    def test_a_batch_past_the_bound_is_scanned_and_unchanged(self, monkeypatch):
+        # max|a| = 1 - 2^-12: the points at |z| = 1.01 are past the bound
+        spec = vertex_targeted_spec([1, 1j, -1, -1j], depths=(1, 12))
+        z = np.concatenate((_interior_points(200, radius=0.9999),
+                            1.01 * np.exp(1j * np.linspace(0.1, 6.0, 20))))
+        expected = blaschke_derivs(spec, z)[0]
+        calls = self._count_scans(monkeypatch)
+        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False), expected)
+        assert len(calls) == len(spec.zeros)
+
+    def test_a_pole_raises_naming_the_first_factor_and_z(self):
+        # the factor order goes first: a = 0.5 before a = -0.5, then z
+        spec = BlaschkeSpec(zeros=((0.25, 1), (0.5, 1), (-0.5, 1)))
+        z = np.array([0.1, -2.0 + 0j, 2.0 + 0j])
+        text = re.escape("Blaschke factor pole at z=(2+0j) for zero a=(0.5+0j)")
+        with pytest.raises(PoleError, match=f"^{text}$"):
+            ghlab.holo._blaschke_batch(spec, z, derivs=False)
+        with pytest.raises(PoleError, match=f"^{text}$"):
+            psi_fn(spec)(z)
+        # the jet names the same factor and z
+        with pytest.raises(PoleError, match=f"^{text}$"):
+            blaschke_derivs(spec, z)
+
+    def test_outside_the_circle_inside_the_bound_matches_the_reference(self):
+        # 1 < |z| < 1/max|a| = 4/3: the guard passes the batch unscanned
+        spec = FOUR_VERTEX
+        z = np.array(_interior_points(100, radius=1.3))[78:]
+        assert np.all((np.abs(z) > 1.0) & (spec.zero_radius * np.abs(z) < 1.0))
+        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False),
+                          blaschke_values(spec, z))

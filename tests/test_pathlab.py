@@ -262,6 +262,16 @@ def _quad_lengths(target, tag, ladder):
     return lengths, errs
 
 
+def test_panel_rule_is_leggauss_bit_for_bit():
+    # the literal table stands in for numpy's leggauss(8), which the
+    # package no longer imports
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(8)
+    assert np.array_equal(_GL_NODES, nodes)
+    assert np.array_equal(_GL_WEIGHTS, weights)
+
+
 class TestSweepQuadrature:
     """Sweep lengths against adaptive quadrature with exact velocities."""
 
