@@ -18,15 +18,15 @@ Contracting X into the Omega_i and restricting to a slice produces the
 coframe omega_i with d(omega_i) = Omega_i globally, which is where all
 the slice structure equations come from.
 
-The xi part of the connection is produced by the radial homotopy
-inverse of the exterior derivative, so d xi = Im(phi) m du ^ dv holds
-by construction rather than by a separate integration.  The homotopy
-integral at z is a composite Gauss-Kronrod rule whose panels shrink
-geometrically toward s = 1/|z|, where s z meets the circle and the
-integrand stops being analytic, not toward s = 1 (L. N. Trefethen, "Is
-Gauss quadrature better than Clenshaw-Curtis?", SIAM Rev. 50 (2008)
-67).  Its integrand reads the value of psi only.  The per-z fields, xi
-among them, are made for every new point of a pass in one eager batch,
+The xi part of the connection needs only d xi = Im(phi) m du ^ dv,
+with m the cover's conformal factor.  m is the Laplacian of K = log(1 +
+|w|^2), the pulled-back Kahler potential of the round sphere, and f =
+Im phi is harmonic, so Green's identity d(f *dK - K *df) = (f Delta K -
+K Delta f) du ^ dv gives xi = f *dK - K *df in closed form, point by
+point, from w, w', psi and psi'.  It differs from the radial homotopy
+inverse of d by an exact form dF, that is by the gauge change theta ->
+theta + F, an isometry of the total space.  The per-z fields, xi among
+them, are made for every new point of a pass in one eager batch,
 HolomorphicData.fill, and kept as one row of the data's columnar store.
 """
 
@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import IdentityChart, ModularCover, _metric_factors, _stereo_lift
-from .errors import (
-    DegenerateMetricError,
-    InvalidDataError,
-    MetricDomainError,
-    PathError,
-)
+from .errors import DegenerateMetricError, InvalidDataError, MetricDomainError
 from .holo import HoloFn, psi_fn, vertex_targeted_spec
 
 
@@ -90,75 +85,6 @@ def sphere_jacobian(w, dw_dz):
     du = dpa * dw_dz.real + dpb * dw_dz.imag
     dv = -dpa * dw_dz.imag + dpb * dw_dz.real
     return p, np.moveaxis(du, 0, -1), np.moveaxis(dv, 0, -1)
-
-
-# The positive nodes of numpy's leggauss(16), ascending, and their
-# weights, as literals of the same doubles (that rule is symmetric bit
-# for bit).
-_GAUSS16_NODES = (
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-    0.9445750230732326, 0.9894009349916499,
-)
-_GAUSS16_WEIGHTS = (
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-    0.062253523938647456, 0.027152459411754176,
-)
-# The 33-node Kronrod extension of the 16-node Gauss-Legendre rule on
-# [-1, 1] (D. P. Laurie, Math. Comp. 66 (1997) 1133), rounded from an
-# 80-digit construction: the non-negative nodes it adds to leggauss(16),
-# and its weights at all of its non-negative nodes, ascending from 0.
-_KRONROD_NODES = (
-    0.0, 0.18916857901808373, 0.37148378087841627, 0.5404076763521397,
-    0.6897411066817623, 0.8142402870624444, 0.9091576670123429,
-    0.9715059509693926, 0.9982392741454446,
-)
-_KRONROD_WEIGHTS = (
-    0.0951542160804983, 0.09472840124723005, 0.09343867406092123,
-    0.09129203282819166, 0.08833750257911273, 0.08459580379259064,
-    0.08005394126371929, 0.07476982388559955, 0.06886299519153125,
-    0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
-    0.039512951202421966, 0.031260543647380526, 0.022498859440049444,
-    0.013257930688091158, 0.004742777049247318,
-)
-
-
-def _kronrod_rule():
-    """The 33 nodes on [-1, 1], ascending, with leggauss(16) at the odd
-    indices, and a (2, 33) weight array: row 0 the G16 rule (zero on the
-    added nodes), row 1 the K33 rule."""
-    # the added nodes interlace with the Gauss nodes
-    half = np.empty(17)
-    half[0::2], half[1::2] = _KRONROD_NODES, _GAUSS16_NODES
-    weights = np.zeros((2, 33))
-    weights[0, 1::2] = _GAUSS16_WEIGHTS[::-1] + _GAUSS16_WEIGHTS
-    weights[1] = np.concatenate((_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS))
-    return np.concatenate((-half[:0:-1], half)), weights
-
-
-_K33 = _kronrod_rule()
-_XI_CHUNK_NODES = 2048  # nodes per curl_source batch of fill, whole points
-
-
-def _rule_toward_the_circle(r: np.ndarray, n: int):
-    """The rule of xi at the radii r = |z| of N points: nodes s, an (N,
-    33 n) array, and the half-widths of their n panels, an (N, n) array,
-    which scale the weights _K33[1] of each panel.  s z meets the circle
-    at s = 1/r, where the integrand s curl_source(s z) stops being
-    analytic, so the panels shrink geometrically toward 1/r, not toward
-    1: their edges are s_j = (1 - (1 - r)^(j/n))/r, j = 0 .. n, and so
-    s_n = 1.  In the form below they tend to j/n as r -> 0 and are j/n
-    at r = 0, where 1/r - 1/r (1 - r)^(j/n) would lose every digit once
-    r < 2^-53.  On a panel, Gauss-Legendre converges at the rate of the
-    largest Bernstein ellipse that misses the singularity (L. N.
-    Trefethen, Approximation Theory and Approximation Practice, ch. 19)."""
-    frac = np.arange(n + 1) / n
-    edges = np.tile(frac, (len(r), 1))
-    np.divide(-np.expm1(np.log1p(-r)[:, None] * frac), r[:, None], out=edges,
-              where=r[:, None] > 0)
-    half = 0.5 * np.diff(edges)
-    return (edges[:, :-1, None] + half[:, :, None] * (_K33[0] + 1.0)).reshape(len(r), -1), half
 
 
 # The points where HolomorphicData checks that psi lands in the upper
@@ -303,14 +229,6 @@ class HolomorphicData:
         rows = self._rows(zs)  # may fill: read the store after it
         return _gather(PointRecord, self._store, rows)
 
-    def curl_source(self, zs: np.ndarray) -> np.ndarray:
-        """The du^dv density that d xi must reproduce, at an array of z.
-
-        The cover goes first, so that a batch leaving the disc raises
-        the cover's PunctureError.  Only psi's value is read."""
-        m = self.cover.metric_factors(zs)
-        return (-1.0 / self.psi(zs)).imag * m
-
     # ---- the records -------------------------------------------------
 
     def _rows(self, zs) -> np.ndarray:
@@ -330,14 +248,14 @@ class HolomorphicData:
         The cover goes first, so that a z outside the open disc raises
         the cover's PunctureError before psi is evaluated; no row is kept
         unless the whole batch succeeds.  One cover batch of (w, dw/dz)
-        and one psi jet serve all points.
-        xi(z) = (-Im z, Re z) times the integral of s curl_source(s z)
-        over s in [0, 1], on k = max(1, ceil(log2(1/(1 - |z|)))) panels
-        graded toward 1/|z| (_rule_toward_the_circle): the K33 sum is
-        the value, its gap to the G16 sum on the shared nodes the error,
-        which must stay within 1e-9 max(1, |value|), or PathError is
-        raised.  Points of one k share curl_source batches of up to
-        _XI_CHUNK_NODES nodes, and each point keeps its own two sums."""
+        and one psi jet serve all points, and each field is elementwise,
+        so one point is bit for bit a batch of one.
+        xi = f *dK - K *df with f = Im phi and K = log(1 + |w|^2), by
+        Green's identity (module docstring): with a = dK/dz = w' (conj(w)
+        / (1 + |w|^2)) and phi' = psi'/psi^2, xi_u = 2 f Im a + K Re phi'
+        and xi_v = 2 f Re a - K Im phi'.  a is formed in that order, so
+        that no product overflows while |w|^2 stays finite, which the
+        cover's flipped chart guarantees."""
         new = [z for z in dict.fromkeys(np.ravel(np.asarray(zs, dtype=complex)).tolist())
                if z not in self._index]
         if not new:
@@ -347,42 +265,17 @@ class HolomorphicData:
         psi, dpsi, _ = self.psi.jet(z)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
-        xi = self._xi(new)  # before rec: its chunks set the peak of a fill
+        s = w.real * w.real + w.imag * w.imag  # xi by Green's identity
+        a, K, f, dphi = dw_dz * (w.conj() / (1.0 + s)), np.log1p(s), phi.imag, dpsi / (psi * psi)
         rec = np.zeros(len(new), _STORE)  # no frame built yet
         rec["z"], rec["psi"], rec["dpsi"], rec["phi"], rec["m"], rec["p"] = z, psi, dpsi, phi, m, p
         row = rec["row"]  # a view: the writes below fill rec
-        row[:, 0], row[:, 1], row[:, 2:4], row[:, 4] = self.v_multiplier * phi.imag, phi.real, xi, 1
+        row[:, 0], row[:, 1], row[:, 4] = self.v_multiplier * phi.imag, phi.real, 1
+        row[:, 2], row[:, 3] = 2.0 * f * a.imag + K * dphi.real, 2.0 * f * a.real - K * dphi.imag
         row[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
         self._index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
         raw = (np.void, _STORE.itemsize)  # numpy copies structured rows field by field
         self._store = np.concatenate((self._store.view(raw), rec.view(raw))).view(_STORE)
-
-    def _xi(self, zs: list) -> np.ndarray:
-        """(xi_u, xi_v) at each disc point of zs, by the rule of fill: an
-        (N, 2) array."""
-        radii = [abs(z) for z in zs]  # CPython's |z|, which np.abs may miss by an ulp
-        by_k = {}
-        for i, r in enumerate(radii):
-            by_k.setdefault(max(1, math.ceil(-math.log2(1.0 - r))), []).append(i)
-        all_z, radii, xi = np.array(zs), np.array(radii), np.empty((len(zs), 2))
-        for k, idx in by_k.items():
-            step = max(1, _XI_CHUNK_NODES // (_K33[0].size * k))
-            for chunk in (idx[i:i + step] for i in range(0, len(idx), step)):
-                z = all_z[chunk]
-                s, half = _rule_toward_the_circle(radii[chunk], k)
-                f = s * self.curl_source(z[:, None] * s)
-                # G16 and K33 on each panel, then over the panels: one matmul per
-                # stacked point, so a point's sums do not depend on its chunk
-                panels = f.reshape(len(chunk), k, -1) @ _K33[1].T
-                coarse, val = (half[:, None, :] @ panels)[:, 0].T
-                err = abs(coarse - val)
-                bad = ~(np.isfinite(val) & (err <= 1e-9 * np.maximum(1.0, abs(val))))
-                if bad.any():
-                    j = int(bad.argmax())
-                    raise PathError(f"homotopy integral unreliable at z = {zs[chunk[j]]}: "
-                                    f"err {float(err[j])}")
-                xi[chunk] = np.stack((-z.imag * val, z.real * val), axis=-1)
-        return xi
 
     def xi_at(self, z: complex):
         """(xi_u, xi_v) at z, from the record at z."""
@@ -436,7 +329,10 @@ class HolomorphicData:
                 w = complex(np.ravel(z)[bad.argmax()])
                 raise MetricDomainError(f"conformal factor underflowed to 0 at |z| = {abs(w)}")
         V = V[..., None, None]
-        return theta[..., :, None] * theta[..., None, :] / V + V * (dx.swapaxes(-1, -2) @ dx)
+        # a V near the top of the double range overflows G, which
+        # quaternion_check then reports as a CoframeDomainError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return theta[..., :, None] * theta[..., None, :] / V + V * (dx.swapaxes(-1, -2) @ dx)
 
     def symplectic(self, rho, z) -> np.ndarray:
         """Omega_i = Theta ^ dx_i + V dx_j ^ dx_k, (i, j, k) cyclic, as
@@ -503,9 +399,10 @@ class HolomorphicData:
         f = np.zeros(n, _FRAME)
         f["rho"], f["V"], f["x"] = rho, V, rho[:, None] * p
         f["t_slice"] = [math.log(a) - math.log(b) for a, b in zip(rho.tolist(), zero[0].tolist())]
-        f["omega"] = rho[:, None, None] * gh_forms(V, theta, dx)[:, :, 0] @ pull
-        f["xflat"], f["x_norm_sq"] = (pull_t @ xflat4)[..., 0], rho * xflat4[:, 0, 0]
-        f["g3"], f["theta"] = pull_t @ G4 @ pull, (pull_t @ theta[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _metric_from
+            f["omega"] = rho[:, None, None] * gh_forms(V, theta, dx)[:, :, 0] @ pull
+            f["xflat"], f["x_norm_sq"] = (pull_t @ xflat4)[..., 0], rho * xflat4[:, 0, 0]
+            f["g3"], f["theta"] = pull_t @ G4 @ pull, (pull_t @ theta[..., None])[..., 0]
         f["drho"], f["built"] = pull[:, 0], True
         self._store[which][rows] = f
 

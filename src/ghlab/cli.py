@@ -478,6 +478,18 @@ def _check_stencil_reach(key: str, hs: tuple, steps: int, points, rhos=()) -> No
                                   f"at {name} = {float(x[lost][0])}")
 
 
+def _check_rho_reach(key: str, h: float, z: np.ndarray, rho: np.ndarray) -> None:
+    """The (rho, u, v) stencils around the centres z at their heights
+    rho step rho down by h, and by h/2 with Richardson, which rho - h > 0
+    covers; ConfigError naming the key, the first centre and its rho
+    where rho - h is not positive."""
+    below = ~(rho - h > 0)
+    if below.any():
+        i = int(below.argmax())
+        raise ConfigError(f"{key}: the step {h} takes rho below 0 at the centre "
+                          f"z = {complex(z[i])}, where rho = {float(rho[i])}")
+
+
 def cmd_verify(cfg: ExperimentConfig, out: Path):
     data = build_data(cfg.data)
     tol = cfg.tolerances
@@ -490,6 +502,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
     z = np.array(points)
     frame, rec = data.slice_frames(z), data.record(z)
     rho, t_slice, psi, phi = frame.rho, frame.t_slice, rec.psi, rec.phi
+    _check_rho_reach("fd.h", fdc.h, z, rho)
     values = {
         "cauchy_riemann": cauchy_riemann_residual(data.phi, z),
         "quaternion": np.max(list(quaternion_check(data, rho, z).values()), axis=0),

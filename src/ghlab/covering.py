@@ -198,14 +198,11 @@ class _Chart:
             raise PunctureError(f"z = {np.asarray(zs)[flipped][0]} is numerically at a cusp")
         return w, dw_dz
 
-    def metric_factors(self, zs) -> np.ndarray:
-        """The conformal factor m over an array of z, as one batch."""
-        return _metric_factors(*self.values(zs))
-
     def metric_factors_in_disc(self, zs) -> np.ndarray:
-        """metric_factors, read as 0 where z is inside the disc but
-        numerically at a cusp: there m decays like exp(-c/eps) and is far
-        below double precision.  Points outside the disc still raise."""
+        """The conformal factor m over an array of z, as one batch, read
+        as 0 where z is inside the disc but numerically at a cusp: there
+        m decays like exp(-c/eps) and is far below double precision.
+        Points outside the disc still raise."""
         w, dw_dz, flipped = self.chart(zs)
         return np.where(flipped, 0.0, _metric_factors(w, dw_dz))
 

@@ -283,8 +283,8 @@ def quaternion_check(data: HolomorphicData, rho, z) -> dict:
 
 
 # Centres per metric_fn call of curvature.  A centre holds about 32 KiB
-# while its stencil is in use, so a full stack stays below one xi chunk
-# of the prefetch that precedes a scan (about 570 KiB, by tracemalloc).
+# while its stencil is in use, so a full stack stays near the peak of
+# the fill that precedes a scan (470 KiB at --grid 12, by tracemalloc).
 _CURVATURE_CHUNK = 16
 
 

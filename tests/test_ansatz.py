@@ -10,8 +10,6 @@ from numpy.polynomial.legendre import leggauss
 import ghlab.ansatz
 from ghlab.ansatz import (
     HolomorphicData,
-    _K33,
-    _rule_toward_the_circle,
     beta_cross_check,
     sphere_jacobian,
     standard_data,
@@ -27,6 +25,8 @@ from ghlab.errors import (
 )
 from ghlab.holo import HoloFn, MuSpec
 from ghlab.pathlab import mu_variant
+import oracles
+from oracles import K33, curl_source, metric_factors, radial_sums, radial_xi
 
 FLAT = HolomorphicData.flat_reference()
 DATA = standard_data()
@@ -61,7 +61,7 @@ class TestFlatReference:
 
     @pytest.mark.parametrize("z", [0.3 + 0.2j, -0.5 + 0.1j, 0.7j])
     def test_xi_closed_form(self, z):
-        # radial homotopy of 2/(1+s^2|z|^2)^2 integrates to 1/(1+|z|^2)
+        # f = 1/2, phi' = 0 and a = conj(z)/(1 + |z|^2): the radial gauge's xi
         xi_u, xi_v = FLAT.xi_at(z)
         coeff = 1.0 / (1.0 + abs(z) ** 2)
         assert xi_u == pytest.approx(-z.imag * coeff, abs=1e-12)
@@ -393,23 +393,23 @@ DIRECTIONS_16 = [cmath.exp(1j * (0.5 + math.pi * j / 8)) for j in range(16)]
 
 
 def _quad_reference(data, z):
-    """The homotopy integral of xi_at by adaptive quadrature of the
+    """The radial homotopy integral by adaptive quadrature of the
     scalar integrand, with breakpoints at the panel edges so that it
     resolves the growth toward the circle; (value, error estimate)."""
     from scipy.integrate import quad
 
     def integrand(s):
         w = s * z
-        return s * (-1.0 / data.psi(w)).imag * float(data.cover.metric_factors(w))
+        return s * (-1.0 / data.psi(w)).imag * float(metric_factors(data.cover, w))
 
-    k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
-    edges = [1.0 - 0.5**j for j in range(1, k + 1)]
+    edges = [1.0 - 0.5**j for j in range(1, oracles.panel_count(z) + 1)]
     return quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=1000, points=edges)
 
 
 class TestHomotopyRule:
-    """xi_at's Gauss-Kronrod rule against adaptive quadrature, with the
-    gap of its G16 and K33 sums."""
+    """The radial reference rule of tests/oracles.py, xi in the radial
+    gauge, against adaptive quadrature, with the gap of its G16 and K33
+    sums; and xi_at at the cusps and off the disc."""
 
     @pytest.mark.parametrize("r", [0.2, 0.3, 0.5, 0.62, 0.75, 0.85, 0.9, 0.95, 0.97,
                                    0.99, 0.999, 0.9999, 0.99999])
@@ -419,11 +419,11 @@ class TestHomotopyRule:
             data = standard_data()
             ref, err = _quad_reference(data, z)
             assert err <= 1e-9 * max(1.0, abs(ref)), (z, err)
-            xi_u, xi_v = data.xi_at(z)
+            xi_u, xi_v = radial_xi(data, z)
             tol = 1e-11 * max(1.0, abs(ref))
             assert abs(xi_u + z.imag * ref) <= tol * abs(z.imag), z
             assert abs(xi_v - z.real * ref) <= tol * abs(z.real), z
-            coarse, val = _sums_alone(data, z)
+            coarse, val = radial_sums(data, z)
             assert abs(coarse - val) <= 1e-9 * max(1.0, abs(val)), z
 
     def test_deep_cusp_raises_like_the_scalar_chart(self):
@@ -442,12 +442,12 @@ class TestHomotopyRule:
     def test_a_jump_in_the_integrand_is_caught(self, monkeypatch):
         z = 0.6 + 0.3j
 
-        def jump(self, zs):
+        def jump(data, zs):
             return np.where(abs(zs) < abs(z) / 3, 1.0, 2.0)
 
-        monkeypatch.setattr(HolomorphicData, "curl_source", jump)
+        monkeypatch.setattr(oracles, "curl_source", jump)
         with pytest.raises(PathError, match="homotopy integral unreliable"):
-            standard_data().xi_at(z)
+            radial_xi(standard_data(), z)
 
 
 def _legendre_rows(n, xs):
@@ -512,17 +512,17 @@ def kronrod_oracle():
 
 
 class TestKronrodRule:
-    """The graded rule's 33-node panel rule against its definition."""
+    """The radial reference rule's 33-node panel rule against its definition."""
 
     def test_nodes_and_weights_against_mpmath(self, kronrod_oracle):
         nodes, weights, _ = kronrod_oracle
-        x, w = _K33
+        x, w = K33
         assert x[16] == 0.0
         assert np.all(np.abs(x - nodes) <= 4 * np.spacing(np.abs(nodes)))
         assert np.all(np.abs(w[1] - weights) <= 4 * np.spacing(weights))
 
     def test_gauss_is_leggauss_on_the_odd_nodes(self, kronrod_oracle):
-        x, w = _K33
+        x, w = K33
         gauss, gauss_w = leggauss(16)
         assert np.array_equal(x[1::2], gauss)
         assert np.array_equal(w[0, 1::2], gauss_w)
@@ -532,10 +532,10 @@ class TestKronrodRule:
         assert np.allclose(gauss[8:], kronrod_oracle[2], rtol=0, atol=1e-16)
 
     def test_every_weight_is_positive(self):
-        assert np.all(_K33[1][1] > 0)
+        assert np.all(K33[1][1] > 0)
 
     def test_degree_of_exactness(self):
-        x, w = _K33
+        x, w = K33
         k33 = w[1]
         # x^48 integrates to 2/49; a node rounded by half an ulp moves
         # its 48th power by up to 24 ulp
@@ -550,65 +550,41 @@ class TestKronrodRule:
         assert abs(rows[50] @ k33) > 1e-5
 
 
-def _k(z) -> int:
-    """The panel count of xi at z."""
-    return max(1, math.ceil(-math.log2(1.0 - abs(z))))
-
-
-def _sums_alone(data, z):
-    """The G16 and K33 sums of xi's homotopy integral at z != 0 by the
-    rule of fill on z alone, written out: the k panels between the edges
-    (1 - (1 - |z|)^(j/k))/|z|, j = 0 .. k, each summed with the K33
-    table, then weighted by its half-width.  numpy on one-point arrays."""
-    k, r = _k(z), np.array([abs(z)])
-    edges = (-np.expm1(np.log1p(-r)[:, None] * (np.arange(k + 1) / k)) / r[:, None])[0]
-    half = 0.5 * np.diff(edges)
-    s = (edges[:-1, None] + half[:, None] * (_K33[0] + 1.0)).ravel()
-    f = s * data.curl_source(s * z)
-    return half @ (f.reshape(k, -1) @ _K33[1].T)
-
-
-def _xi_alone(data, z):
-    """xi at z by the rule of fill on z alone, written out."""
-    val = float(_sums_alone(data, z)[1])
-    return (-z.imag * val, z.real * val)
-
-
 class TestRuleTowardTheCircle:
-    """The k panels graded toward 1/|z|: what they cover, and xi at the
-    centre and at radii below double precision."""
+    """The k panels of the radial reference rule, graded toward 1/|z|:
+    what they cover, and its xi at the centre and at radii below double
+    precision."""
 
     @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-17, 0.3, 0.9, 0.99999])
     def test_the_panels_cover_the_unit_interval(self, r):
-        k = _k(r)
-        s, half = _rule_toward_the_circle(np.array([r]), k)
+        k = oracles.panel_count(r)
+        s, half = oracles.rule_toward_the_circle(np.array([r]), k)
         assert s.shape == (1, 33 * k) and half.shape == (1, k)
         assert 0.0 < s.min() and s.max() < 1.0 and np.all(np.diff(s) > 0)
         # both rows integrate 1 and s over [0, 1]
-        for row in _K33[1]:
+        for row in K33[1]:
             weights = (half[0, :, None] * row).ravel()
             assert abs(weights.sum() - 1.0) <= 1e-15
             assert abs(weights @ s[0] - 0.5) <= 1e-15
         if r < 1e-16:  # the limit r -> 0: one panel, [0, 1]
-            assert np.allclose(s, (_K33[0] + 1.0) / 2, rtol=0, atol=1e-16)
+            assert np.allclose(s, (K33[0] + 1.0) / 2, rtol=0, atol=1e-16)
 
     def test_the_centre_and_radii_below_double_precision(self):
         data = standard_data()
-        assert data.xi_at(0j) == (0.0, 0.0)
-        c0 = float(data.curl_source(np.array([0j]))[0])
+        assert radial_xi(data, 0j) == (0.0, 0.0)
+        c0 = float(curl_source(data, np.array([0j]))[0])
         for r in (1e-17, 1e-300):
             for d in DIRECTIONS:
                 z = r * d
-                xi = data.xi_at(z)
+                xi = radial_xi(data, z)
                 assert all(map(math.isfinite, xi)), z
                 # the integrand is s curl_source(0) to double precision
                 assert xi == pytest.approx((-z.imag * c0 / 2, z.real * c0 / 2), rel=1e-14), z
 
 
 def _mixed_radii_points():
-    """Random points in |z| < 0.62 and DIRECTIONS at radii up to 0.99999
-    (k = 1 to 17), shuffled so that a batch mixes rules, with one point
-    twice."""
+    """Random points in |z| < 0.62 and DIRECTIONS at radii up to 0.99999,
+    shuffled, with one point twice."""
     rng = np.random.default_rng(8)
     inner = 0.62 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * math.pi * rng.uniform(size=40))
     outer = [r * d for r in (0.9, 0.99, 0.999, 0.9999, 0.99999) for d in DIRECTIONS]
@@ -618,7 +594,7 @@ def _mixed_radii_points():
 
 
 class TestBatchedXi:
-    """fill against the graded rule applied to one point at a time."""
+    """fill against one point at a time."""
 
     @pytest.mark.parametrize("make", [
         standard_data,
@@ -627,8 +603,6 @@ class TestBatchedXi:
     ], ids=["standard", "perturb_mu", "flat"])
     def test_bit_for_bit_per_point(self, make):
         zs = _mixed_radii_points()
-        ks = {max(1, math.ceil(-math.log2(1.0 - abs(z)))) for z in zs}
-        assert len(ks) >= 5 and max(ks) >= 17
         batch, single = make(), make()
         batch.xi_at(zs[3])  # a point that already has xi is left alone
         kept = batch.xi_at(zs[3])
@@ -638,14 +612,15 @@ class TestBatchedXi:
         assert batch.xi_at(zs[3]) == kept
         for z in zs:
             xi = batch.xi_at(z)
-            assert xi == single.xi_at(z) == _xi_alone(batch, z), z
+            assert all(map(math.isfinite, xi)), z
+            assert xi == single.xi_at(z), z
 
-    def test_outside_the_disc_stops_the_batch_before_any_quadrature(self, monkeypatch):
-        def no_quadrature(self, zs):
-            raise AssertionError("a quadrature ran")
+    def test_outside_the_disc_stops_the_batch_before_psi(self):
+        def no_jet(z):
+            raise AssertionError("psi was evaluated")
 
-        monkeypatch.setattr(HolomorphicData, "curl_source", no_quadrature)
         data = standard_data()
+        data.psi = HoloFn(jet=no_jet)
         with pytest.raises(PunctureError, match=r"^\|z\| = 1\.2 is not inside the disc"):
             data.fill([0.1, 0.3j, 1.2, 0.5, 1.5j])
         assert data._index == {}
@@ -662,14 +637,53 @@ class TestBatchedXi:
             data.record(-1.0)
         assert data._index == {}
 
-    def test_a_jump_names_its_point(self, monkeypatch):
-        def jump(self, zs):
-            return np.where(abs(zs) < 0.2, 1.0, 2.0)
 
-        monkeypatch.setattr(HolomorphicData, "curl_source", jump)
+# Circles (centre, radius) that reach |z| = 0.9: that circle itself, which
+# passes within 0.1 of the cusps 1, i, -1 and -i, and three off the centre.
+STOKES_CIRCLES = [(0j, 0.9), (0.25 + 0.15j, 0.9 - abs(0.25 + 0.15j)),
+                  (0.45 * cmath.exp(2.0j), 0.45), (0.6 * cmath.exp(-0.9j), 0.3)]
+
+
+class TestGreenXi:
+    """xi by Green's identity: by Stokes' theorem its circulation around
+    a circle is the integral of the curl source over the disc inside
+    (adaptive in the radius, each circle by the trapezoid rule), and it
+    is the radial gauge's circulation, the two gauges differing by an
+    exact form; and it is finite from the centre to the edge."""
+
+    @pytest.mark.parametrize("centre, radius", STOKES_CIRCLES)
+    def test_circulation_is_the_enclosed_source(self, centre, radius):
+        from scipy.integrate import quad
+
         data = standard_data()
-        with pytest.raises(PathError, match=r"unreliable at z = \(0\.5\+0\.3j\)"):
-            data.fill([0.1 + 0.05j, 0.15j, 0.5 + 0.3j])
+        n = 1024  # the trapezoid rule, geometrically convergent on a circle
+        turn = np.exp(2j * math.pi * np.arange(n) / n)
+        zs, dz = centre + radius * turn, 2j * math.pi * radius * turn / n
+        xi = data.record(zs).row[:, 2:4]
+        radial = np.array([radial_xi(data, z) for z in zs])
+        circulation, radial_circulation = (float(a[:, 0] @ dz.real + a[:, 1] @ dz.imag)
+                                           for a in (xi, radial))
+
+        def ring(r):  # r times the source's integral over the circle of radius r
+            return r * 2.0 * math.pi * float(curl_source(data, centre + r * turn).mean())
+
+        enclosed, err = quad(ring, 0.0, radius, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err <= 1e-12 * enclosed
+        assert circulation == pytest.approx(radial_circulation, rel=1e-10, abs=0)
+        assert circulation == pytest.approx(enclosed, rel=1e-10, abs=0)
+
+    def test_finite_from_the_centre_to_the_edge(self):
+        data = standard_data()
+        centre = data.xi_at(0j)
+        assert all(map(math.isfinite, centre))
+        for r in (1e-300, 1e-17, 0.99999):
+            zs = [r * d for d in DIRECTIONS]
+            data.fill(zs)
+            for z in zs:
+                xi = data.xi_at(z)
+                assert all(map(math.isfinite, xi)), z
+                if r < 1e-16:  # xi is smooth at 0
+                    assert xi == pytest.approx(centre, rel=1e-14, abs=1e-14), z
 
 
 class TestMetricDomain:
@@ -682,7 +696,7 @@ class TestMetricDomain:
         for d in DIRECTIONS + [1.0]:
             for r in radii:
                 z = complex(r * d)
-                m = data.cover.metric_factors(z)
+                m = metric_factors(data.cover, z)
                 try:
                     data.metric(1.0, z)
                 except MetricDomainError:

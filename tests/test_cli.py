@@ -51,6 +51,22 @@ ROUNDTRIP_CONFIG = {
 }
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports the same
+    ghlab as this suite, installed or not."""
+    src = str(Path(ghlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _fresh_ghlab(*args) -> subprocess.CompletedProcess:
+    """``ghlab args`` in a fresh interpreter that turns every
+    RuntimeWarning into an error."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ghlab.cli", *args],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+
+
 def reload(cfg: ExperimentConfig) -> ExperimentConfig:
     return parse_config(json.loads(json.dumps(asdict(cfg))))
 
@@ -524,6 +540,21 @@ class TestEntryPoints:
         assert main(["verify", "--config", str(p), "--out", str(tmp_path / "o")]) in (0, 1)
         assert "error=config" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("richardson", [0, 1])
+    def test_rho_step_below_the_slice_exits_two(self, tmp_path, capsys, richardson):
+        """Deep data puts a centre's slice height rho = Im psi below h
+        (6.1e-5 against 1e-4 at depth 30): the (rho, u, v) stencils of
+        closure and curl would step to rho < 0."""
+        p = write_config(tmp_path / "c.json", {"data": {"depths": [30]},
+                                               "fd": {"richardson": richardson}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error=config ") and err.count("\n") == 1
+        assert re.search(r"fd\.h: the step 0\.0001 takes rho below 0 at the centre "
+                         r"z = \(.+j\), where rho = 6\.1\d*e-05$", err.strip()), err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("args, key", [
         (["verify", "--grid", "100000000000000000000"], "grid.samples"),
         (["curvature-scan", "--grid", str(MAX_GRID + 1)], "grid.samples"),
@@ -555,16 +586,40 @@ class TestEntryPoints:
             main(["polish"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("depth", [26, 28, 30])
+    def test_deep_data_ends_in_check_lines_or_one_error_line(self, tmp_path, depth):
+        """verify on Blaschke zeros stacked deep toward the vertices, in
+        a fresh interpreter that makes every RuntimeWarning an error:
+        the run ends in its check lines, or in one error= line, and
+        never in a traceback."""
+        p = write_config(tmp_path / "c.json", {"data": {"depths": [depth]}})
+        proc = _fresh_ghlab("verify", "--config", str(p), "--out", str(tmp_path / "o"))
+        lines = proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
+        if proc.returncode in (0, 1) and lines[-1].startswith("command=verify status="):
+            assert sum(line.startswith("check=") for line in lines) == 9
+        else:
+            assert proc.returncode in (1, 2) and len(lines) == 1, proc.stderr
+            assert lines[0].startswith("error="), proc.stderr
+
+    def test_potential_past_the_double_range_is_a_coframe_error(self, tmp_path):
+        """A V of 1e308 overflows the metric; verify reports that as the
+        coframe's domain limit, with no RuntimeWarning on the way."""
+        p = write_config(tmp_path / "c.json", {"data": {"v_multiplier": 1e308}})
+        proc = _fresh_ghlab("verify", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1 and "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error=runtime kind=CoframeDomainError detail=coframe "
+                                      "lost to rounding at |z| = ")
+        assert proc.stderr.count("\n") == 1 and "metric G is not finite (inf)" in proc.stderr
+
     @staticmethod
     def _import_cli_without(module):
         """Exit status and stderr of a fresh interpreter that imports
         ghlab.cli and asserts that module is not loaded."""
-        src = str(Path(ghlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys, ghlab.cli; assert {module!r} not in sys.modules, '{module} loaded'"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, env=_child_env(),
         )
         return proc.returncode, proc.stderr
 
@@ -580,13 +635,10 @@ class TestEntryPoints:
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "o"
-        # the child imports the same ghlab as this suite, installed or not
-        src = str(Path(ghlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ghlab.cli", "tessellate",
              "--out", str(out), "--depth", "1"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0
         assert "command=tessellate status=ok" in proc.stderr

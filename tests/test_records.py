@@ -18,7 +18,6 @@ import math
 import numpy as np
 import pytest
 
-import ghlab.ansatz
 import ghlab.holo
 import ghlab.pathlab
 from ghlab.ansatz import HolomorphicData, SliceFrame, sphere_jacobian, standard_data
@@ -37,7 +36,7 @@ from ghlab.verify import (
     stencil_points,
     structure_coeffs,
 )
-from oracles import fd_exterior_derivative
+from oracles import fd_exterior_derivative, metric_factors
 
 Z = 0.3 + 0.2j
 RHO = 1.1
@@ -45,34 +44,20 @@ RHO = 1.1
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Jets and covering evaluations taken outside the xi quadrature.
-
-    The quadrature evaluates its integrand (curl_source) at nodes no
-    stencil revisits; those evaluations belong to xi, not to the point."""
-    tally = {"jets": 0, "covers": 0, "in_xi": 0}
+    """Jets and covering evaluations, a batch counting once."""
+    tally = {"jets": 0, "covers": 0}
     jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
-    source = HolomorphicData.curl_source
 
     def counted_jet(spec, z):
-        if not tally["in_xi"]:
-            tally["jets"] += 1
+        tally["jets"] += 1
         return jet(spec, z)
 
     def counted_chart(self, zs):
-        if not tally["in_xi"]:
-            tally["covers"] += 1
+        tally["covers"] += 1
         return chart(self, zs)
-
-    def quiet_source(self, zs):
-        tally["in_xi"] += 1
-        try:
-            return source(self, zs)
-        finally:
-            tally["in_xi"] -= 1
 
     monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
     monkeypatch.setattr(ModularCover, "chart", counted_chart)
-    monkeypatch.setattr(HolomorphicData, "curl_source", quiet_source)
     return tally
 
 
@@ -153,12 +138,11 @@ class TestEvaluationCounts:
         assert _taken(counts, lambda: data.g_sigma(Z, m)) == (1, 0)
 
     def test_zero_search_takes_one_circle_batch(self, counts, monkeypatch):
-        kinds = []  # per Blaschke jet outside xi: was z an array
+        kinds = []  # per Blaschke jet: was z an array
         counted = ghlab.holo.blaschke_derivs
 
         def typed_jet(spec, z):
-            if not counts["in_xi"]:
-                kinds.append(isinstance(z, np.ndarray))
+            kinds.append(isinstance(z, np.ndarray))
             return counted(spec, z)
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", typed_jet)
@@ -381,78 +365,52 @@ class TestGather:
 
 class TestXiCounts:
     def test_one_batch_per_cold_xi(self, monkeypatch):
+        """xi comes from the fields of the record: a cold point takes one
+        cover batch, then one psi jet batch, and no value of psi, which
+        an integrand of xi would read."""
         data = standard_data()
-        calls = {"xi": [], "record": []}
-        phase = ["record"]
+        calls = []
         jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
-        products, source = ghlab.holo._blaschke_batch, HolomorphicData.curl_source
+        products = ghlab.holo._blaschke_batch
 
         def counted_jet(spec, z):
-            calls[phase[0]].append("jet batch" if isinstance(z, np.ndarray) else "jet")
+            calls.append("jet batch" if isinstance(z, np.ndarray) else "jet")
             return jet(spec, z)
 
         def counted_products(spec, z, derivs=True):
             if not derivs:
-                calls[phase[0]].append("B batch")
+                calls.append("B batch")
             return products(spec, z, derivs)
 
         def counted_chart(self, zs):
-            calls[phase[0]].append("cover batch")
+            calls.append("cover batch")
             return chart(self, zs)
-
-        def counted_source(self, zs):
-            phase[0] = "xi"
-            try:
-                return source(self, zs)
-            finally:
-                phase[0] = "record"
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
         monkeypatch.setattr(ghlab.holo, "_blaschke_batch", counted_products)
         monkeypatch.setattr(ModularCover, "chart", counted_chart)
-        monkeypatch.setattr(HolomorphicData, "curl_source", counted_source)
         z = 0.22 + 0.13j
         first = data.xi_at(z)
-        # the integrand reads psi's value: one batch of B, and no jet;
-        # the rest of the record takes one jet batch and one cover batch
-        expected = {"xi": ["B batch", "cover batch"], "record": ["cover batch", "jet batch"]}
-        assert {k: sorted(v) for k, v in calls.items()} == expected
+        assert calls == ["cover batch", "jet batch"]
         assert data.xi_at(z) == first
-        assert {k: sorted(v) for k, v in calls.items()} == expected
-
-
-def _xi_chunks(data, zs) -> int:
-    """The curl_source batches fill needs for the points of zs that
-    have no record: per panel count k, whole points of 33 k nodes, at
-    most _XI_CHUNK_NODES nodes a batch, one point if its rule is larger.
-    k is read off z, and no record is made."""
-    per_k = {}
-    for z in map(complex, zs):
-        if z not in data._index:
-            k = max(1, math.ceil(-math.log2(1.0 - abs(z))))
-            per_k.setdefault(k, set()).add(z)
-    chunks = 0
-    for k, points in per_k.items():
-        size = 33 * k
-        chunks += math.ceil(len(points) / max(1, ghlab.ansatz._XI_CHUNK_NODES // size))
-    return chunks
+        assert calls == ["cover batch", "jet batch"]
+        data.fill([z, 0.5j, -0.3, 0.5j])
+        assert calls == ["cover batch", "jet batch"] * 2
 
 
 class TestXiPrefetch:
     """verify and curvature-scan make every record of the pass in one
-    fill before it: after that call no record is made, no cover is
-    evaluated and no quadrature runs, and inside it each curl_source
-    batch holds several whole points."""
+    fill before it, of one cover batch and one psi jet batch: after that
+    call no record is made and no cover is evaluated."""
 
     @pytest.mark.parametrize("argv", [["verify", "--grid", "10"],
                                       ["curvature-scan", "--grid", "2"]],
                              ids=["verify", "curvature-scan"])
     def test_one_prefetch_in_batches(self, argv, monkeypatch, tmp_path):
         phases = ("before", "during", "after")
-        state = {"phase": "before", "points": 0, "chunks": 0,
-                 "sources": dict.fromkeys(phases, 0), "made": dict.fromkeys(phases, 0),
-                 "covers": dict.fromkeys(phases, 0)}
-        fill, source = HolomorphicData.fill, HolomorphicData.curl_source
+        state = {"phase": "before", "points": 0, "made": dict.fromkeys(phases, 0),
+                 "covers": dict.fromkeys(phases, 0), "jets": dict.fromkeys(phases, 0)}
+        fill = HolomorphicData.fill
 
         def counted_fill(self, zs):
             # rows appended to the store, per phase
@@ -460,7 +418,6 @@ class TestXiPrefetch:
             if state["phase"] == "before":
                 zs = list(zs)
                 state["points"] = len(set(map(complex, zs)))
-                state["chunks"] = _xi_chunks(self, zs)
                 state["phase"] = "during"
                 fill(self, zs)
                 state["made"]["during"] += len(self._index) - rows
@@ -476,22 +433,22 @@ class TestXiPrefetch:
             return call
 
         monkeypatch.setattr(HolomorphicData, "fill", counted_fill)
-        monkeypatch.setattr(HolomorphicData, "curl_source", counted("sources", source))
         monkeypatch.setattr(ModularCover, "chart", counted("covers", ModularCover.chart))
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs",
+                            counted("jets", ghlab.holo.blaschke_derivs))
         assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
-        assert state["sources"]["before"] == state["sources"]["after"] == 0
         assert state["made"]["after"] == state["covers"]["after"] == 0
         assert state["made"]["during"] == state["points"]
-        assert 1 <= state["sources"]["during"] <= state["chunks"] < state["points"]
+        assert state["covers"]["during"] == state["jets"]["during"] == 1
 
 
 class TestXiNodes:
     def test_verify_prefetch_node_count(self, monkeypatch, tmp_path):
-        """verify --grid 10 sends 33 k nodes through curl_source for each
-        point of its prefetch, the k panels of its rule, and no others:
-        a count that no machine moves."""
+        """verify --grid 10 evaluates the cover at each distinct point of
+        its prefetch once, and nowhere else: no node of a quadrature.  A
+        count that no machine moves."""
         seen = {"points": None, "nodes": 0}
-        fill, source = HolomorphicData.fill, HolomorphicData.curl_source
+        fill, chart = HolomorphicData.fill, ModularCover.chart
 
         def first_fill(self, zs):
             if seen["points"] is None:
@@ -499,15 +456,13 @@ class TestXiNodes:
             fill(self, zs)
 
         def counted(self, zs):
-            seen["nodes"] += zs.size
-            return source(self, zs)
+            seen["nodes"] += np.size(zs)
+            return chart(self, zs)
 
         monkeypatch.setattr(HolomorphicData, "fill", first_fill)
-        monkeypatch.setattr(HolomorphicData, "curl_source", counted)
+        monkeypatch.setattr(ModularCover, "chart", counted)
         assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
-        panels = sum(max(1, math.ceil(-math.log2(1.0 - abs(z)))) for z in seen["points"])
-        assert len(seen["points"]) == 90
-        assert seen["nodes"] == 33 * panels == 3_861
+        assert len(seen["points"]) == seen["nodes"] == 90
 
 
 # Eight directions that avoid the cusps 1, i, -1 and -i.
@@ -543,9 +498,9 @@ class TestBatchAgainstPoint:
     def test_conformal_factor(self, sample):
         data, zs = sample
         for z in zs:
-            m = data.cover.metric_factors(z)
+            m = metric_factors(data.cover, z)
             assert abs(data.record(z).m - m) <= 1e-13 * m, z
-        assert data.record(0.99).m == data.cover.metric_factors(0.99) == 0.0
+        assert data.record(0.99).m == metric_factors(data.cover, 0.99) == 0.0
 
     def test_sphere_point(self, sample):
         data, zs = sample
@@ -617,10 +572,10 @@ class TestRecords:
         data = standard_data()
         expected = quotient(data, Z)
 
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("g_sigma ran the xi quadrature")
+        def no_record(*args, **kwargs):
+            raise AssertionError("g_sigma made a record, xi among its fields")
 
-        monkeypatch.setattr(HolomorphicData, "curl_source", no_quadrature)
+        monkeypatch.setattr(HolomorphicData, "fill", no_record)
         fresh = standard_data()
         assert np.array_equal(quotient(fresh, Z), expected)
         assert np.array_equal(quotient(fresh, -0.4 + 0.1j), quotient(data, -0.4 + 0.1j))
