@@ -95,26 +95,33 @@ _VALIDATION_RING = np.array([0j] + [
 ])
 
 
-@dataclass(frozen=True)
-class SliceFrame:
-    """A stack of slice points: coframe, scaling-field data, induced
-    metric, in the shape of the points (floats for one point).
+class _View:
+    """A read-only view of a store table at some rows: each field of its dtype
+    reads as a copy from its column, in the shape of the rows (a scalar for one)."""
+
+    __slots__ = ("_table", "_rows")
+
+    def __init__(self, table: np.ndarray, rows: np.ndarray):
+        self._table, self._rows = table, rows
+
+    def __getattr__(self, name):
+        # only fields: a private name (a copy or pickle probe) is never one
+        if name.startswith("_") or name not in self._table.dtype.names:
+            raise AttributeError(f"{type(self).__name__!r} has no field {name!r}")
+        a = self._table[name][self._rows]
+        return a.item() if a.ndim == 0 else a
+
+
+class SliceFrame(_View):
+    """A stack of slice points, the fields of _FRAME: coframe, scaling-field
+    data, induced metric, in the shape of the points (floats for one point).
 
     ``omega`` rows are the three coframe 1-forms over (du, dv, dtheta);
     ``xflat`` is the pullback of the metric dual of the scaling field,
     and ``theta`` and ``drho`` the pullbacks of Theta and drho.
     """
 
-    rho: float
-    t_slice: float
-    V: float
-    x: np.ndarray
-    omega: np.ndarray
-    xflat: np.ndarray
-    x_norm_sq: float
-    g3: np.ndarray
-    theta: np.ndarray
-    drho: np.ndarray
+    __slots__ = ()
 
     @property
     def lam0(self) -> float:
@@ -126,13 +133,13 @@ class SliceFrame:
 
     @property
     def g_s(self) -> np.ndarray:
-        return self.omega.swapaxes(-1, -2) @ self.omega
+        omega = self.omega
+        return omega.swapaxes(-1, -2) @ omega
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """The fields of the ansatz at a stack of disc points z, before rho
-    enters, in the shape of the points (Python scalars for one).
+class PointRecord(_View):
+    """The fields of the ansatz, those of _RECORD, at a stack of disc points
+    z, before rho enters, in the shape of the points (Python scalars for one).
 
     The homothety X = rho d/drho makes every field a power of rho times
     a function of z alone, and no field depends on theta.  So psi, psi',
@@ -142,30 +149,18 @@ class PointRecord:
     xi.  ``row`` holds V, Theta and the rows of dx at rho = 1.
     """
 
-    z: complex
-    psi: complex
-    dpsi: complex
-    phi: complex
-    m: float
-    p: np.ndarray
-    row: np.ndarray
+    __slots__ = ()
 
 
 _FRAME = np.dtype([("rho", float), ("t_slice", float), ("V", float), ("x", float, 3),
                    ("omega", float, (3, 3)), ("xflat", float, 3), ("x_norm_sq", float),
                    ("g3", float, (3, 3)), ("theta", float, 3), ("drho", float, 3),
                    ("built", bool)])
+_RECORD = np.dtype([("z", complex), ("psi", complex), ("dpsi", complex), ("phi", complex),
+                    ("m", float), ("p", float, 3), ("row", float, 17)])
 # One row of the store of HolomorphicData per disc point: the record that
 # fill appends, and the frame on each slice that _build_frames writes.
-_STORE = np.dtype([("z", complex), ("psi", complex), ("dpsi", complex), ("phi", complex),
-                   ("m", float), ("p", float, 3), ("row", float, 17),
-                   ("canonical", _FRAME), ("zero", _FRAME)])
-
-
-def _gather(cls, store: np.ndarray, rows: np.ndarray):
-    """cls of the store's fields at rows: copies in the shape of rows, scalars for ()."""
-    fields = {name: store[name][rows] for name in cls.__dataclass_fields__}
-    return cls(**{name: a.item() if a.ndim == 0 else a for name, a in fields.items()})
+_STORE = np.dtype([("record", _RECORD), ("canonical", _FRAME), ("zero", _FRAME)])
 
 
 def validate_rho0(kind: str, scale: float) -> None:
@@ -227,7 +222,7 @@ class HolomorphicData:
     def record(self, zs) -> PointRecord:
         """The records at the z of zs, in its shape, filled where missing."""
         rows = self._rows(zs)  # may fill: read the store after it
-        return _gather(PointRecord, self._store, rows)
+        return PointRecord(self._store["record"], rows)
 
     # ---- the records -------------------------------------------------
 
@@ -267,15 +262,16 @@ class HolomorphicData:
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         s = w.real * w.real + w.imag * w.imag  # xi by Green's identity
         a, K, f, dphi = dw_dz * (w.conj() / (1.0 + s)), np.log1p(s), phi.imag, dpsi / (psi * psi)
-        rec = np.zeros(len(new), _STORE)  # no frame built yet
+        store = np.zeros(len(new), _STORE)  # no frame built yet
+        rec = store["record"]  # views: the writes below fill store
         rec["z"], rec["psi"], rec["dpsi"], rec["phi"], rec["m"], rec["p"] = z, psi, dpsi, phi, m, p
-        row = rec["row"]  # a view: the writes below fill rec
+        row = rec["row"]
         row[:, 0], row[:, 1], row[:, 4] = self.v_multiplier * phi.imag, phi.real, 1
         row[:, 2], row[:, 3] = 2.0 * f * a.imag + K * dphi.real, 2.0 * f * a.real - K * dphi.imag
         row[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
         self._index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
         raw = (np.void, _STORE.itemsize)  # numpy copies structured rows field by field
-        self._store = np.concatenate((self._store.view(raw), rec.view(raw))).view(_STORE)
+        self._store = np.concatenate((self._store.view(raw), store.view(raw))).view(_STORE)
 
     def xi_at(self, z: complex):
         """(xi_u, xi_v) at z, from the record at z."""
@@ -297,7 +293,7 @@ class HolomorphicData:
         if z.shape != rho.shape:
             z = np.broadcast_to(z, np.broadcast(rho, z).shape)
         rows = self._rows(z)  # may fill: read the store after it
-        F = self._store["row"][rows]  # a copy: rows is an index array
+        F = self._store["record"]["row"][rows]  # a copy: rows is an index array
         dx = F[..., 5:].reshape(z.shape + (3, 4))
         # the homothety: V and Theta_rho go as 1/rho, the du and dv columns of dx as rho
         inverse, linear, rho = F[..., :2], dx[..., 1:3], rho[..., None]
@@ -322,7 +318,7 @@ class HolomorphicData:
             z = np.broadcast_to(np.asarray(z, dtype=complex), V.shape).flat[i]
             raise DegenerateMetricError(
                 f"metric not positive definite at z = {complex(z)}: V = {float(V.flat[i])}")
-        m = self._store["m"]
+        m = self._store["record"]["m"]
         if not _least(m) > 0:  # some conformal factor underflowed to 0: is one at z?
             bad = ~(m[self._rows(z)] > 0)
             if bad.any():
@@ -362,7 +358,7 @@ class HolomorphicData:
         new = np.flatnonzero(wanted & ~self._store[which]["built"])
         if new.size:
             self._build_frames(new, which)
-        return _gather(SliceFrame, self._store[which], rows)
+        return SliceFrame(self._store[which], rows)
 
     def slice_frame(self, z: complex, which: str = "canonical") -> SliceFrame:
         """The frame of the slice ``which`` at z: slice_frames on z alone."""
@@ -374,7 +370,7 @@ class HolomorphicData:
         metric, one set of forms, and each per-frame product as one
         matmul over the stack."""
         n = len(rows)
-        z, psi, dpsi, p = (self._store[name][rows] for name in ("z", "psi", "dpsi", "p"))
+        z, psi, dpsi, p = (self._store["record"][k][rows] for k in ("z", "psi", "dpsi", "p"))
         # each slice is a graph (rho over the disc, its (du, dv) gradient);
         # the zero slice is the graph of rho0
         k = self.rho0_scale

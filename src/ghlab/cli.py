@@ -260,8 +260,6 @@ def build_data(dc: DataConfig) -> HolomorphicData:
         if not dc.mu.is_identity():
             data = mu_variant(data, dc.mu.as_spec())
         return data
-    except ConfigError:
-        raise
     except GHLabError as exc:
         raise ConfigError(f"data construction failed: {exc}")
 
@@ -621,8 +619,10 @@ def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
         ("scale2", MuSpec(kind="scale", scale=2.0)),
         ("perturb05", MuSpec(kind="perturb", eps=0.05)),
     ]
-    if not cfg.data.mu.is_identity():
-        variants.append(("config", cfg.data.mu.as_spec()))
+    # a config mu equal to a built-in one would be compared with itself
+    mu = cfg.data.mu.as_spec()
+    if not cfg.data.mu.is_identity() and mu not in dict(variants).values():
+        variants.append(("config", mu))
     samples = fingerprint_samples()
     prints = {}
     for name, spec in variants:

@@ -170,17 +170,13 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
         half = 0.5 * (q - p)
         s = (p[:, None] + half[:, None] * (_GL_NODES + 1.0)).ravel()
         node_job = np.repeat(job, _GL_NODES.size)
-        # each path sampled once, on its nodes: order[edges[k]:edges[k + 1]]
         node_path = on_path[node_job]
-        order = np.argsort(node_path, kind="stable")
-        edges = np.searchsorted(node_path[order], np.arange(len(paths) + 1))
         x = np.empty(s.shape + (paths[0].dim,))
         v = np.empty_like(x)
-        for path, a, b in zip(paths, edges[:-1].tolist(), edges[1:].tolist()):
-            if a < b:
-                at = order[a:b]
-                s_k = s[at]
-                x[at], v[at] = path.at(s_k), path.vel(s_k)
+        for k in set(on_path[job].tolist()):  # each path sampled once, on its nodes
+            at = node_path == k
+            s_k = s[at]
+            x[at], v[at] = paths[k].at(s_k), paths[k].vel(s_k)
         try:
             vals = np.asarray(integrand(s, x, v), dtype=float)
         except PathError:

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateFrameError,
     DegenerateMetricError,
     InvalidDataError,
+    MetricDomainError,
     StencilError,
     ZeroCountError,
 )
@@ -301,7 +302,14 @@ def _curvature_stack(metric_fn, centres: np.ndarray, h: float):
     """The largest |Riemann| and |Ricci| and the scalar at each of N centres."""
     (N, d), steps = centres.shape, np.array((h,))
     pts = np.concatenate((centres, _stencil(centres, steps).reshape(-1, d)))
-    G, dG = _partials(metric_fn, pts, FDConfig(h, richardson=0), n=-1, value=True)
+
+    def finite(X):  # a metric past the double range is not differenced
+        G = metric_fn(X)
+        if not np.isfinite(G).all():
+            first = np.argwhere(~np.isfinite(G))[0, 0]
+            raise MetricDomainError(f"metric not finite at x = {X[first].tolist()}")
+        return G
+    G, dG = _partials(finite, pts, FDConfig(h, richardson=0), n=-1, value=True)
     dim = G.shape[-1]
     try:
         Ginv = np.linalg.inv(G)

@@ -340,6 +340,21 @@ class TestCommands:
         assert len(rows) == 3
         assert all(float(r.split(",")[2]) > 1e-4 for r in rows)
 
+    @pytest.mark.parametrize("mu,variants", [
+        ({"kind": "scale", "scale": 2.0}, 3),
+        ({"kind": "perturb", "eps_re": 0.05}, 3),
+        ({"kind": "scale", "scale": 1.5}, 4),
+    ])
+    def test_fingerprint_config_mu(self, tmp_path, mu, variants):
+        # a config mu equal to a built-in variant is not compared with itself
+        cfg = write_config(tmp_path / "c.json", {"data": {"mu": mu}})
+        out = tmp_path / "o"
+        assert main(["fingerprint", "--config", str(cfg), "--out", str(out)]) == 0
+        header = (out / "fingerprints.csv").read_text().splitlines()[0].split(",")
+        assert header[3:] == ["scale1", "scale2", "perturb05", "config"][:variants]
+        rows = (out / "fingerprint_distances.csv").read_text().splitlines()[1:]
+        assert len(rows) == variants * (variants - 1) // 2
+
     def test_curvature_scan_flat_is_flat(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "data": {"kind": "flat"},
@@ -611,6 +626,22 @@ class TestEntryPoints:
         assert proc.stderr.startswith("error=runtime kind=CoframeDomainError detail=coframe "
                                       "lost to rounding at |z| = ")
         assert proc.stderr.count("\n") == 1 and "metric G is not finite (inf)" in proc.stderr
+
+    def test_curvature_past_the_double_range_is_a_metric_domain_error(self, tmp_path, capsys):
+        """The same V makes curvature-scan stop at its first non-finite
+        metric, before it is differenced: one error line and exit 1, in
+        process and in a fresh interpreter, with no RuntimeWarning."""
+        p = write_config(tmp_path / "c.json", {"data": {"v_multiplier": 1e308}})
+        argv = ["curvature-scan", "--config", str(p), "--out", str(tmp_path / "o")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        proc = _fresh_ghlab(*argv)
+        for code, err in ((code, err), (proc.returncode, proc.stderr)):
+            assert code == 1 and "RuntimeWarning" not in err, err
+            assert err.startswith("error=runtime kind=MetricDomainError detail=metric not "
+                                  "finite at x = [0.9, "), err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "o" / "curvature.csv").exists()
 
     @staticmethod
     def _import_cli_without(module):

@@ -12,6 +12,7 @@ the batched records against the point functions.
 """
 
 import cmath
+import copy
 import json
 import math
 
@@ -20,7 +21,14 @@ import pytest
 
 import ghlab.holo
 import ghlab.pathlab
-from ghlab.ansatz import HolomorphicData, SliceFrame, sphere_jacobian, standard_data
+from ghlab.ansatz import (
+    _FRAME,
+    _RECORD,
+    HolomorphicData,
+    SliceFrame,
+    sphere_jacobian,
+    standard_data,
+)
 from ghlab.cli import interior_points, main
 from ghlab.covering import IdentityChart, ModularCover
 from ghlab.holo import HoloFn, MuSpec
@@ -226,8 +234,9 @@ class TestEvaluationCounts:
 
 def _bits(item) -> dict:
     """The bytes of each field of a record or slice frame, the derived
-    fields of a frame included."""
-    names = [*item.__dataclass_fields__]
+    fields of a frame included: the fields are those of the dtype of the
+    store table that the record or frame views."""
+    names = [*item._table.dtype.names]
     if isinstance(item, SliceFrame):
         names += ["lam0", "beta", "g_s"]
     return {name: np.asarray(getattr(item, name)).tobytes() for name in names}
@@ -340,13 +349,59 @@ class TestGather:
             z = complex(zs[idx])
             want = [single.record(z), single.slice_frame(z, "canonical"),
                     single.slice_frame(z, "zero")]
-            for stacked, one in zip(got, want):
-                for name, bits in _bits(one).items():
+            for stacked, one, table in zip(got, want, (_RECORD, _FRAME, _FRAME)):
+                checked = _bits(one)
+                # every field of the table, the built flag of a frame included
+                assert set(table.names) <= set(checked)
+                for name, bits in checked.items():
                     value, alone = getattr(stacked, name), getattr(one, name)
                     assert value.shape == zs.shape + np.shape(alone), name
                     assert value[idx].tobytes() == bits, (name, z)
                     if np.ndim(alone) == 0:
-                        assert type(alone) in (float, complex), name
+                        assert type(alone) in (float, complex, bool), name
+
+    @pytest.mark.parametrize("read", ["record", "slice_frames"])
+    def test_views_are_read_only(self, read):
+        data = standard_data()
+        for zs in (Z, [Z, -Z]):
+            view = getattr(data, read)(zs)
+            name = "psi" if read == "record" else "omega"
+            with pytest.raises(AttributeError):
+                setattr(view, name, 0.0)
+            with pytest.raises(AttributeError):
+                view.extra = 0.0
+            assert np.array_equal(getattr(view, name), getattr(getattr(data, read)(zs), name))
+
+    def test_unknown_names_raise(self):
+        data = standard_data()
+        for view in (data.record(Z), data.slice_frame(Z)):
+            for name in ("nope", "_table_copy", "__setstate__", "lam"):
+                with pytest.raises(AttributeError):
+                    getattr(view, name)
+        # the record sees no frame column, the frame no record field
+        with pytest.raises(AttributeError):
+            data.record(Z).canonical
+        with pytest.raises(AttributeError):
+            data.slice_frame(Z).psi
+        # copying probes private names and must not recurse
+        copied = copy.copy(data.slice_frame(Z))
+        assert copied.omega.tobytes() == data.slice_frame(Z).omega.tobytes()
+
+    def test_view_outlives_a_later_fill(self):
+        # fill replaces the store array: an older view keeps reading its rows
+        data = standard_data()
+        zs = [Z, -0.2 + 0.1j]
+        rec, frame = data.record(zs), data.slice_frames(zs)
+
+        def reads():
+            return [a.tobytes() for a in (rec.z, rec.psi, rec.row, frame.omega, frame.g_s)]
+
+        before = reads()
+        data.slice_frames(0.1j * np.arange(1, 8))
+        assert len(data._index) == 9
+        assert reads() == before
+        rec, frame = data.record(zs), data.slice_frames(zs)
+        assert reads() == before
 
     @pytest.mark.parametrize("make", ["blaschke", "flat"])
     def test_empty_input(self, make):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import re
 
@@ -396,17 +395,11 @@ class TestDegenerateFrames:
     Z = 0.3 + 0.2j
 
     @pytest.fixture
-    def nan_frames(self, monkeypatch):
+    def nan_frames(self):
+        # a NaN coframe at Z alone, planted in the kept frame's store row
         data = standard_data()
-        frames = data.slice_frames
-
-        def nan_omega(zs, which="canonical"):
-            # a NaN coframe at Z alone
-            f = frames(zs, which)
-            at_z = (np.asarray(zs) == self.Z)[..., None, None]
-            return dataclasses.replace(f, omega=np.where(at_z, np.nan, f.omega))
-
-        monkeypatch.setattr(data, "slice_frames", nan_omega)
+        data.slice_frame(self.Z)
+        data._store["canonical"]["omega"][data._index[self.Z]] = np.nan
         return data
 
     @pytest.mark.parametrize("check", [structure_coeffs, contact_ratio])
