@@ -64,6 +64,15 @@ class MuConfig:
             self.as_spec()
         except InvalidMuError as exc:
             raise ConfigError(str(exc))
+        # one config per map: a perturbation reads no scale and a scale no
+        # eps, and the perturbation by eps 0 is the identity, scale 1
+        if self.kind == "perturb":
+            object.__setattr__(self, "scale", 1.0)
+            if self.eps_re == self.eps_im == 0.0:
+                object.__setattr__(self, "kind", "scale")
+        if self.kind == "scale":
+            object.__setattr__(self, "eps_re", 0.0)
+            object.__setattr__(self, "eps_im", 0.0)
 
     def is_identity(self) -> bool:
         return self.kind == "scale" and self.scale == 1.0
@@ -272,9 +281,11 @@ def _g(x) -> str:
 
 
 def write_csv(path: Path, header: list, rows) -> None:
+    """A header line, then one line per row: strings as they are and any
+    other cell as _g writes it, in one format per row."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _g(c) for c in row))
+        lines.append(",".join(["%s" if isinstance(c, str) else "%.17g" for c in row]) % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -12,7 +12,8 @@ pointwise speed on adaptive 8-node Gauss-Legendre panels, halved until
 a panel and its two halves agree to within its share of the tolerance.
 Paths, speeds and integrands take arrays, and one driver halves the
 panels of many intervals in rounds: a sweep's rungs and targets share one
-speed call per round, and its metric tags are columns of that speed.
+speed call per round, and its metric tags are columns of that speed.  A
+sweep runs its radii at s = 1 - 10^-t, each rung a unit interval of t.
 """
 
 from __future__ import annotations
@@ -115,6 +116,27 @@ class ParamPath:
         return cls([z0.real, z0.imag, 0.0], [z0.real, z0.imag, 2.0 * math.pi * turns])
 
 
+@dataclass(frozen=True, eq=False)
+class _LogRadial:
+    """The path ParamPath.radial ``radial`` at s = 1 - 10^-t: t in
+    [k, k + 1] runs over s in [1 - 10^-k, 1 - 10^-(k+1)], and failures
+    name s."""
+
+    radial: ParamPath
+    dim = 2
+
+    @staticmethod
+    def s(t):
+        return 1.0 - 10.0 ** -np.asarray(t, dtype=float)
+
+    def at(self, t) -> np.ndarray:
+        return self.radial.at(self.s(t))
+
+    def vel(self, t) -> np.ndarray:
+        rate = math.log(10.0) * 10.0 ** -np.asarray(t, dtype=float)
+        return self.radial.vel(t) * rate[..., None]
+
+
 def _disc(x: np.ndarray):
     """The disc points u + i v of coordinates x, (u, v, ...) on the last axis."""
     return x[..., 0] + 1j * x[..., 1]
@@ -133,6 +155,11 @@ _GL_WEIGHTS = np.array((0.10122853629037706, 0.22238103445337443, 0.313706645877
                         0.22238103445337443, 0.10122853629037706))
 _MAX_DEPTH = 28
 _ROUND_PANELS = 1024
+# A panel's noise floor is _NOISE of its absolute sums (about 1e6 ulps;
+# a sweep's sphere speed at 1 - r = 1e-5 scatters by up to 2.6e-11 of
+# them).  A gap under it, no smaller per unit of s than its parent's, is
+# rounding in the speed, which halving cannot bring under a share of tol.
+_NOISE = 2.0 ** -32
 
 
 def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
@@ -152,7 +179,10 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
     panel sum that is not finite, surface as PathError in the round they
     happen, naming what failed, the path and job, and an s interval
     holding the failing node: the integrand is run again on each job's
-    own nodes to find it."""
+    own nodes to find it.  So does a gap above its share that stalls at
+    the panel's noise floor (see _NOISE), rather than halving on to
+    _MAX_DEPTH.  A path with a map ``s`` of its parameter (_LogRadial)
+    has failures named in s."""
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
     if not jobs:
@@ -163,6 +193,7 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
     lo, hi = np.array([job[1:] for job in jobs], dtype=float).T
 
     def failure(j, a, b, why):
+        a, b = getattr(paths[on_path[j]], "s", np.asarray)(np.array([a, b])).tolist()
         return PathError(f"{what} failed on path {on_path[j]} (job {j}) for s in [{a}, {b}]: {why}")
 
     def gauss(job, p, q):
@@ -199,26 +230,35 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
         return sums
 
     def chunks(panels):
-        """The panels (job, p, q, sum, depth), in rounds of at most
-        _ROUND_PANELS."""
+        """The panels (job, p, q, sum, depth, parent's gap), in rounds of
+        at most _ROUND_PANELS."""
         return [tuple(a[k:k + _ROUND_PANELS] for a in panels)
                 for k in range(0, panels[0].size, _ROUND_PANELS)]
 
     job = np.arange(len(jobs))
-    rounds = chunks((job, lo, hi, gauss(job, lo, hi), np.zeros(job.size, dtype=int)))
+    whole = gauss(job, lo, hi)
+    rounds = chunks((job, lo, hi, whole, np.zeros(job.size, dtype=int), np.full_like(whole, np.inf)))
     accepted = []
     while rounds:
-        job, p, q, whole, depth = rounds.pop()
+        job, p, q, whole, depth, before = rounds.pop()
         m = 0.5 * (p + q)
         # both halves of each panel, in order: the next round's panels
         halves = np.repeat(job, 2), np.stack((p, m), 1).ravel(), np.stack((m, q), 1).ravel()
         sums = gauss(*halves)
         left, right = sums[0::2], sums[1::2]
-        gap = np.max(np.abs(left + right - whole), axis=-1)
-        done = (depth >= _MAX_DEPTH) | (gap <= tol * (q - p) / (hi - lo)[job])
+        gaps = np.abs(left + right - whole)
+        share = tol * (q - p) / (hi - lo)[job]
+        floor = _NOISE * (np.abs(left) + np.abs(right))
+        noisy = (gaps > share[:, None]) & (gaps <= floor) & (2.0 * gaps >= before)
+        if noisy.any():
+            i, k = np.argwhere(noisy)[0]
+            raise failure(job[i], p[i], q[i], f"the gap {gaps[i, k]} of column {k} is above its "
+                          f"share {share[i]} of tol but under the noise floor {floor[i, k]}")
+        done = (depth >= _MAX_DEPTH) | (gaps.max(axis=-1) <= share)
         accepted.append((job[done], p[done], left[done], right[done]))
         again = np.repeat(~done, 2)
-        split = *(a[again] for a in halves), sums[again], np.repeat(depth + 1, 2)[again]
+        split = (*(a[again] for a in halves), sums[again], np.repeat(depth + 1, 2)[again],
+                 np.repeat(gaps, 2, axis=0)[again])
         rounds += chunks(split)
 
     # each job adds its accepted halves from 0.0 in s order, the order of
@@ -280,7 +320,8 @@ def path_length(path: ParamPath, tag: str, data: HolomorphicData | None = None,
 
     Adaptive Gauss-Legendre quadrature of the pointwise speed, absolute
     tolerance tol, with the path's exact velocity.  Metric evaluation
-    failures along the path surface as PathError.
+    failures along the path surface as PathError, and so does a tol
+    under the rounding of the speed (see _NOISE).
     """
     if not 0.0 < upto <= 1.0:
         raise ValueError(f"upto = {upto} outside (0, 1]")
@@ -330,8 +371,12 @@ def divergence_sweep(data: HolomorphicData, targets, tags,
 
     The lengths are taken at the radii of DEFAULT_LADDER, every rung of
     every target in one adaptive quadrature whose speed has one column
-    per tag, so that a round evaluates the cover once for all tags.  A
-    panel is halved until every column meets tol.  The verdict is
+    per tag, so that a round evaluates the cover once for all tags, at
+    radius s = 1 - 10^-t: rung k is t in [k, k + 1].  A panel is halved
+    until every column meets tol, absolute per rung.  A tol under the
+    speed's rounding raises PathError naming the job and radii (a default
+    sweep at 1e-11 or 1e-12 does, toward exp(0.7i); 1e-10 returns).  The
+    verdict is
     "divergent-evidence" when every ladder increment exceeds the floor,
     "bounded-evidence" otherwise.  A desk-scale surrogate: nothing here
     proves infinite length, it only reports whether growth keeps
@@ -343,10 +388,11 @@ def divergence_sweep(data: HolomorphicData, targets, tags,
     if isinstance(targets, numbers.Number):
         raise TypeError(f"targets = {targets!r}: a sequence of boundary points, not one")
     targets, tags = list(targets), list(tags)
-    paths = [ParamPath.radial(target) for target in targets]
-    rungs = list(zip((0.0,) + DEFAULT_LADDER, DEFAULT_LADDER))
+    # rung k of DEFAULT_LADDER, radii [1 - 10^-k, 1 - 10^-(k+1)], is t in [k, k + 1]
+    rungs = range(len(DEFAULT_LADDER))
+    paths = [_LogRadial(ParamPath.radial(target)) for target in targets]
     # no tags, no columns: nothing to integrate
-    jobs = [(path, lo, r) for path in paths for lo, r in rungs] if tags else []
+    jobs = [(path, k, k + 1.0) for path in paths for k in rungs] if tags else []
     pieces = _integrate_all(jobs, _speed_fn(tags, data, 2), tol, "metric evaluation")
     ladders = pieces.reshape(len(targets), len(rungs), len(tags))
     sweeps = {}

@@ -10,6 +10,7 @@ from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from ghlab.cli import (
     main,
     parse_config,
     sha256_file,
+    write_csv,
 )
 from ghlab.errors import ConfigError
 
@@ -165,6 +167,13 @@ class TestConfig:
     def test_bad_mu_kind_rejected(self):
         with pytest.raises(ConfigError):
             MuConfig(kind="rotate")
+
+    def test_mu_keeps_only_what_its_map_reads(self):
+        assert MuConfig(kind="perturb") == MuConfig() and MuConfig(kind="perturb").is_identity()
+        assert MuConfig(kind="perturb", eps_re=-0.0, eps_im=0.0, scale=2.0) == MuConfig()
+        assert MuConfig(scale=2.0, eps_re=0.3, eps_im=-0.1) == MuConfig(scale=2.0)
+        assert MuConfig(kind="perturb", scale=3.0, eps_im=0.05) == MuConfig(
+            kind="perturb", eps_im=0.05)
 
     def test_bad_ball_radius_rejected(self):
         with pytest.raises(ConfigError, match=r"ball radius 1\.0 outside \(0, pi/4\)"):
@@ -343,6 +352,9 @@ class TestCommands:
     @pytest.mark.parametrize("mu,variants", [
         ({"kind": "scale", "scale": 2.0}, 3),
         ({"kind": "perturb", "eps_re": 0.05}, 3),
+        ({"kind": "perturb"}, 3),
+        ({"kind": "scale", "scale": 2.0, "eps_re": 0.3}, 3),
+        ({"kind": "perturb", "scale": 3.0, "eps_re": 0.05}, 3),
         ({"kind": "scale", "scale": 1.5}, 4),
     ])
     def test_fingerprint_config_mu(self, tmp_path, mu, variants):
@@ -364,6 +376,16 @@ class TestCommands:
         assert main(["curvature-scan", "--config", str(cfg)]) == 0
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["commands"]["curvature-scan"]["summary"]["max_riemann"] < 1e-3
+
+
+def test_write_csv_cells(tmp_path):
+    # strings as they are, every other cell as "%.17g" % float(cell)
+    cells = ["a%s", 0.1, np.float32(0.1), np.int64(7), True, 2**60 + 1, -0.0, math.nan, 1e308]
+    want = "a%s,0.10000000000000001,0.10000000149011612,7,1,1.152921504606847e+18,-0,nan,1e+308"
+    assert want == ",".join(c if isinstance(c, str) else "%.17g" % float(c) for c in cells)
+    write_csv(tmp_path / "t.csv", ["h1", "h2"], [cells, tuple(cells[::-1])])
+    assert (tmp_path / "t.csv").read_text() == "\n".join(
+        ["h1,h2", want, ",".join(want.split(",")[::-1]), ""])
 
 
 class TestManifest:

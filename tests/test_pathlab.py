@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -292,6 +293,24 @@ class TestSweepQuadrature:
         for (r, length), want in zip(rep.profile.entries, ref):
             assert abs(length - want) <= 1e-9, r
 
+    @pytest.mark.parametrize("data,targets", [
+        (DATA, [1.0, 1j, -1.0, -1j, GENERIC]),
+        (FLAT, [1.0, 1j, GENERIC]),
+    ], ids=["standard", "flat"])
+    def test_every_rung_is_a_straight_length(self, data, targets):
+        """A sweep integrates each rung in t = -log10(1 - r); its length
+        is the difference of the straight radial lengths up to the rung's
+        two radii, each taken in s to the same tol."""
+        tol = 1e-6
+        sweeps = divergence_sweep(data, targets, ("sphere", "disc"), tol=tol)
+        for tag, reports in sweeps.items():
+            for target, rep in zip(targets, reports):
+                path = ParamPath.radial(target)
+                straight = [path_length(path, tag, data, upto=r, tol=tol)
+                            for r in DEFAULT_LADDER]
+                rungs = np.diff([0.0] + [length for _, length in rep.profile.entries])
+                assert np.all(np.abs(rungs - np.diff([0.0] + straight)) <= 2 * tol), (tag, target)
+
 
 def _depth_first(path, integrand, lo, hi, tol):
     """The depth-first quadrature that the round-based driver replaced,
@@ -424,6 +443,36 @@ class TestFrontier:
             _integrate_all(jobs, poisoned, 1e-9, "integrand")
         assert calls == [3 * _GL_NODES.size]
 
+    def test_noise_under_the_floor_raises(self):
+        """A speed that scatters by 1e-13 cannot meet tol 1e-15: once a
+        panel's gap is under its noise floor and no smaller per unit of s
+        than its parent's, the driver raises instead of halving on."""
+        calls = []
+
+        def noisy(s, x, v):
+            calls.append(len(s))
+            return 1.0 + 1e-13 * np.sin(1e12 * s)
+
+        with pytest.raises(PathError, match=re.escape(
+                "integrand failed on path 0 (job 0) for s in [0.5, 1.0]: the gap ")
+                + r"\S+ of column 0 is above its share 5e-16 of tol but under the noise floor"):
+            _integrate_all([(segment(0.0, 1.0), 0.0, 1.0)], noisy, 1e-15, "integrand")
+        # the first panel, its halves, and theirs
+        assert calls == [8, 16, 32]
+
+    def test_a_sweep_below_its_noise_floor_ends(self):
+        """At tol 1e-12 the sphere speed toward GENERIC in its last rung,
+        1 - r in [1e-5, 1e-4], is rounding: the sweep raises within a
+        second, naming that rung's radii."""
+        start = time.perf_counter()
+        with pytest.raises(PathError, match="under the noise floor") as info:
+            divergence_sweep(DATA, [1.0, 1j, -1.0, -1j, GENERIC], ("sphere", "disc"), tol=1e-12)
+        assert time.perf_counter() - start < 1.0
+        found = re.search(r"on path (\d+) \(job (\d+)\) for s in \[(\S+), (\S+)\]",
+                          str(info.value))
+        assert (int(found[1]), int(found[2])) == (4, 24)
+        assert DEFAULT_LADDER[3] <= float(found[3]) < float(found[4]) <= DEFAULT_LADDER[4]
+
     def test_failure_names_its_path_and_interval(self, monkeypatch):
         """A round holds every target's rungs; the PathError of a sweep
         whose disc column fails names the one path that fails and an s
@@ -436,7 +485,8 @@ class TestFrontier:
 
             def failing(s, x, v):
                 # the GENERIC radius fails beyond 0.95, in the disc column
-                bad = (np.abs(_disc(v) - GENERIC) < 1e-12) & (np.abs(_disc(x)) > 0.95)
+                z = _disc(x)
+                bad = (np.abs(z / np.abs(z) - GENERIC) < 1e-12) & (np.abs(z) > 0.95)
                 if "disc" in tags and bad.any():
                     raise PunctureError(f"z = {_disc(x)[bad][0]} is numerically at a cusp")
                 return speed(s, x, v)

@@ -176,10 +176,11 @@ class TestEvaluationCounts:
         """Speed evaluations of one default sweep: 8 Gauss-Legendre nodes
         on each panel, and each halved panel's sum carried down.  The
         speed takes arrays, one column per metric tag, and the sweep
-        refines every rung of every target in rounds: one call for all
-        first panels and one per round of halvings, 11 calls in all, the
-        disc column's rounds.  Each call takes one cover batch and one
-        psi jet batch, both over all of its nodes."""
+        refines every rung of every target, each a unit interval of
+        t = -log10(1 - r), in rounds: one call for all first panels and
+        one per round of halvings, 11 calls in all, the disc column's
+        rounds.  Each call takes one cover batch and one psi jet batch,
+        both over all of its nodes."""
         taken = dict.fromkeys(("calls", "nodes", "charts", "chart_nodes", "jets"), 0)
         factory, chart = ghlab.pathlab._speed_fn, ModularCover.chart
         jet = ghlab.holo.blaschke_derivs
@@ -212,7 +213,7 @@ class TestEvaluationCounts:
             assert main(["sweep", "--out", str(tmp_path / str(run))]) == 0
             runs.append(dict(taken))
         assert runs[0] == runs[1]
-        assert runs[0] == {"calls": 11, "nodes": 2776, "charts": 11, "chart_nodes": 2776,
+        assert runs[0] == {"calls": 11, "nodes": 1656, "charts": 11, "chart_nodes": 1656,
                            "jets": 11}
 
     def test_horizontal_length_fills_each_batch_once(self, monkeypatch):
