@@ -352,10 +352,10 @@ class TestCommands:
     @pytest.mark.parametrize("mu,variants", [
         ({"kind": "scale", "scale": 2.0}, 3),
         ({"kind": "perturb", "eps_re": 0.05}, 3),
+        ({"kind": "scale", "scale": 1.5}, 4),
         ({"kind": "perturb"}, 3),
         ({"kind": "scale", "scale": 2.0, "eps_re": 0.3}, 3),
         ({"kind": "perturb", "scale": 3.0, "eps_re": 0.05}, 3),
-        ({"kind": "scale", "scale": 1.5}, 4),
     ])
     def test_fingerprint_config_mu(self, tmp_path, mu, variants):
         # a config mu equal to a built-in variant is not compared with itself
