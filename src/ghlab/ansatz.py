@@ -183,11 +183,13 @@ class HolomorphicData:
     v_multiplier rescales the potential only; anything other than 1
     breaks the curl equation on purpose (used to exercise detectors).
 
-    The per-z fields are kept in one store of columns: ``_index`` maps
-    each z that fill has met to its row, which holds its record and its
-    frame on each slice once built.  The forms and metrics at a stack
-    of (rho, z) come from one assembly of V, Theta and dx gathered at
-    z (``_fields``); each slice frame is built once per (z, slice).
+    The per-z fields are kept in one store of columns, one row per z
+    that fill has met, which holds its record and its frame on each
+    slice once built.  ``_keys`` holds those z sorted and ``_key_rows``
+    the row of each, so that a stack of z finds its rows by one binary
+    search (``_rows``).  The forms and metrics at a stack of (rho, z)
+    come from one assembly of V, Theta and dx gathered at z
+    (``_fields``); each slice frame is built once per (z, slice).
     The store lives as long as the data, and ``replace`` starts a new
     object with none, so a changed psi never meets old rows.
     """
@@ -197,7 +199,10 @@ class HolomorphicData:
     rho0_kind: str = "canonical"
     rho0_scale: float = 1.0
     v_multiplier: float = 1.0
-    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(default_factory=lambda: np.zeros(0, complex), init=False,
+                              repr=False, compare=False)
+    _key_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp), init=False,
+                                  repr=False, compare=False)
     _store: np.ndarray = field(default_factory=lambda: np.zeros(0, _STORE), init=False,
                                repr=False, compare=False)
 
@@ -226,19 +231,26 @@ class HolomorphicData:
 
     # ---- the records -------------------------------------------------
 
+    def _find(self, z: np.ndarray):
+        """The place of each z of the flat array z in _keys, and whether
+        it is there: -0.0 equals 0.0, and a NaN is never found."""
+        at = np.searchsorted(self._keys, z)
+        if not self._keys.size:
+            return at, np.zeros(z.shape, dtype=bool)
+        return at, self._keys.take(at, mode="clip") == z
+
     def _rows(self, zs) -> np.ndarray:
         """The store rows of the z of zs, in its shape, filled where missing."""
         z = np.asarray(zs, dtype=complex)
-        keys = z.ravel().tolist()
-        try:
-            rows = [self._index[w] for w in keys]
-        except KeyError:
-            self.fill(keys)
-            rows = [self._index[w] for w in keys]
-        return np.array(rows, dtype=np.intp).reshape(z.shape)
+        at, found = self._find(z.ravel())
+        if not found.all():
+            self.fill(z.ravel()[~found])
+            at, _ = self._find(z.ravel())
+        return self._key_rows[at].reshape(z.shape)
 
     def fill(self, zs) -> None:
-        """Append the record of every z in zs that has none, in one batch.
+        """Append the record of every z in zs that has none, in one batch,
+        in the order the z first occur in zs.
 
         The cover goes first, so that a z outside the open disc raises
         the cover's PunctureError before psi is evaluated; no row is kept
@@ -251,25 +263,33 @@ class HolomorphicData:
         and xi_v = 2 f Re a - K Im phi'.  a is formed in that order, so
         that no product overflows while |w|^2 stays finite, which the
         cover's flipped chart guarantees."""
-        new = [z for z in dict.fromkeys(np.ravel(np.asarray(zs, dtype=complex)).tolist())
-               if z not in self._index]
-        if not new:
+        z = np.ravel(np.asarray(zs, dtype=complex))
+        if len(z) > 1:  # the first of each run of equal z, kept in batch order
+            order = np.argsort(z, kind="stable")
+            ordered, first = z[order], np.zeros(len(z), dtype=bool)
+            first[order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]] = True
+            z = z[first]
+        z = z[~self._find(z)[1]]
+        if not z.size:
             return
-        z = np.array(new)
         w, dw_dz = self.cover.values(z)
         psi, dpsi, _ = self.psi.jet(z)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         s = w.real * w.real + w.imag * w.imag  # xi by Green's identity
         a, K, f, dphi = dw_dz * (w.conj() / (1.0 + s)), np.log1p(s), phi.imag, dpsi / (psi * psi)
-        store = np.zeros(len(new), _STORE)  # no frame built yet
+        store = np.zeros(len(z), _STORE)  # no frame built yet
         rec = store["record"]  # views: the writes below fill store
         rec["z"], rec["psi"], rec["dpsi"], rec["phi"], rec["m"], rec["p"] = z, psi, dpsi, phi, m, p
         row = rec["row"]
         row[:, 0], row[:, 1], row[:, 4] = self.v_multiplier * phi.imag, phi.real, 1
         row[:, 2], row[:, 3] = 2.0 * f * a.imag + K * dphi.real, 2.0 * f * a.real - K * dphi.imag
         row[:, 5:].reshape(-1, 3, 4)[..., :3] = np.stack((p, dp_du, dp_dv), axis=-1)
-        self._index.update(zip(new, range(len(self._store), len(self._store) + len(new))))
+        keys = np.concatenate((self._keys, z))
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._key_rows = np.concatenate(
+            (self._key_rows, np.arange(len(self._store), len(keys), dtype=np.intp)))[order]
         raw = (np.void, _STORE.itemsize)  # numpy copies structured rows field by field
         self._store = np.concatenate((self._store.view(raw), store.view(raw))).view(_STORE)
 
@@ -279,7 +299,12 @@ class HolomorphicData:
 
     # ---- the Gibbons-Hawking fields ------------------------------------
     # rho and z broadcast to the batch axes that lead every field; a
-    # scalar (rho, z) is a batch of one.
+    # scalar (rho, z) is a batch of one.  The homothety X = rho d/drho
+    # fixes how each field goes with rho, by the weights w = WEIGHTS of
+    # (rho, u, v, theta): V as rho^-1, Theta_a as rho^(w_a - 1/2), the
+    # entry a of each dx_i as rho^(w_a + 1/2), and so g_ab and each
+    # Omega_i ab as rho^(w_a + w_b).
+    WEIGHTS = np.array([-0.5, 0.5, 0.5, 0.5])
 
     def _fields(self, rho, z):
         """(V, Theta, dx) at (rho, z) from the rows of z, which fill
@@ -395,8 +420,14 @@ class HolomorphicData:
         f = np.zeros(n, _FRAME)
         f["rho"], f["V"], f["x"] = rho, V, rho[:, None] * p
         f["t_slice"] = [math.log(a) - math.log(b) for a, b in zip(rho.tolist(), zero[0].tolist())]
+        # iota_X Omega_i reads row drho of each Omega_i alone: that row of
+        # gh_forms, Theta_0 dx_i - Theta dx_i0 + V (dx_j0 dx_k - dx_j dx_k0),
+        # with its products in its order
+        dx0, dxj, dxk = dx[..., :1], dx.take(_NEXT, axis=1), dx.take(_AFTER, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # as in _metric_from
-            f["omega"] = rho[:, None, None] * gh_forms(V, theta, dx)[:, :, 0] @ pull
+            drho_rows = (theta[:, None, :1] * dx - theta[:, None, :] * dx0
+                         + V[:, None, None] * (dxj[..., :1] * dxk - dxj * dxk[..., :1]))
+            f["omega"] = rho[:, None, None] * drho_rows @ pull
             f["xflat"], f["x_norm_sq"] = (pull_t @ xflat4)[..., 0], rho * xflat4[:, 0, 0]
             f["g3"], f["theta"] = pull_t @ G4 @ pull, (pull_t @ theta[..., None])[..., 0]
         f["drho"], f["built"] = pull[:, 0], True

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
-from .covering import check_ball_radius, puncture_class
+from .covering import _modulus, check_ball_radius, puncture_class
 from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError, StencilError
 from .holo import MuSpec
 from .pathlab import (
@@ -295,13 +295,14 @@ def sha256_file(path: Path) -> str:
 
 def interior_points(n: int, seed: int, radius: float = 0.62) -> list:
     """Golden-angle spiral with a small seeded jitter; deterministic."""
-    rng = np.random.default_rng(seed)
+    # one draw: the jitter of point k is entries 2k (angle) and 2k + 1 (radius)
+    jitter = np.random.default_rng(seed).standard_normal(2 * n).tolist()
     golden = math.pi * (3.0 - math.sqrt(5.0))
     pts = []
     for k in range(n):
         rad = radius * math.sqrt((k + 0.5) / n)
-        ang = golden * k + 0.02 * float(rng.standard_normal())
-        rad = min(rad + 0.005 * float(rng.standard_normal()), radius + 0.02)
+        ang = golden * k + 0.02 * jitter[2 * k]
+        rad = min(rad + 0.005 * jitter[2 * k + 1], radius + 0.02)
         pts.append(rad * cmath.exp(1j * ang))
     return pts
 
@@ -475,10 +476,10 @@ def _check_stencil_reach(key: str, hs: tuple, steps: int, points, rhos=()) -> No
     naming the key if that leaves the disc, or if a step rounds back
     onto its centre in a coordinate it moves: u, v, and rho of rhos."""
     h = hs[0]
-    reach = max(abs(z + steps * h * e) for z in points for e in (1, 1j, -1, -1j))
+    z = np.array(points, dtype=complex)
+    reach = float(max(_modulus(z + steps * h * e).max() for e in (1, 1j, -1, -1j)))
     if not reach < 1.0:
         raise ConfigError(f"{key}: the stencil of h = {h} leaves the disc (|z| = {reach})")
-    z = np.array(points, dtype=complex)
     for name, x in (("u", z.real), ("v", z.imag), ("rho", np.array(rhos, dtype=float))):
         for step in hs:
             lost = (x + step == x) | (x - step == x)

@@ -168,34 +168,55 @@ def _worst(a: np.ndarray, shape):
     return _shaped(np.abs(a).reshape(len(a), -1).max(axis=1), shape)
 
 
+# The degree k of each field that closure_residual and curl_residual
+# difference, which goes as rho^k (HolomorphicData.WEIGHTS): w_a + w_b
+# for the entry ab of each Omega_i, w_a - 1/2 for Theta_a and -1 for V.
+_W = HolomorphicData.WEIGHTS
+_FORM_DEGREE, _CURL_DEGREE = _W[:, None] + _W, np.append(_W[:3] - 0.5, -1.0)
+
+
+def _homogeneous_partials(field, rho, z, degree, config: FDConfig):
+    """The partials along (rho, u, v) of a field homogeneous in rho at
+    the centres (rho, z), an (N, 3, ...) stack: along (u, v) by one
+    field call on the centres and their (u, v) stencils, rho held at
+    each centre's, and along rho exactly, d_rho F = degree F / rho at
+    the centres.  ``field`` maps arrays (rho, z) to an (M, ...) array
+    of values, of the shape of degree past M."""
+    # the centres, then the stencil of each in turn: 2 points per step and direction
+    heights = np.concatenate((rho, np.repeat(rho, 4 * len(_steps(config)))))
+    F, P = _partials(lambda X: field(heights, X[:, 0] + 1j * X[:, 1]),
+                     np.stack((z.real, z.imag), axis=-1), config, value=True)
+    column = degree * F / rho.reshape((-1,) + (1,) * (F.ndim - 1))
+    return np.concatenate((column[:, None], P), axis=1)
+
+
 def closure_residual(data: HolomorphicData, rho, z, config: FDConfig = _DEFAULT_FD):
     """Worst component of d(Omega_i) over (rho, u, v, theta).
 
-    All three forms at every centre are differenced in one symplectic
-    call over the stencil; they do not depend on theta, so its column
-    of partials is zero."""
+    All three forms at every centre and on its (u, v) stencil are
+    differenced in one symplectic call; their rho column is exact
+    (_homogeneous_partials), and they do not depend on theta, so its
+    column of partials is zero."""
     z, rho, shape = _centres(z, rho)
-
-    def forms(X):
-        return data.symplectic(X[:, 0], X[:, 1] + 1j * X[:, 2])
-
-    x = np.stack((rho, z.real, z.imag), axis=-1)
-    return _worst(_exterior(_partials(forms, x, config, n=4), 2, axis=1), shape)
+    P = _homogeneous_partials(data.symplectic, rho, z, _FORM_DEGREE, config)
+    P = np.concatenate((P, np.zeros_like(P[:, :1])), axis=1)  # the theta column
+    return _worst(_exterior(P, 2, axis=1), shape)
 
 
 def curl_residual(data: HolomorphicData, rho, z, config: FDConfig = _DEFAULT_FD) -> dict:
-    """Components of d(eta) + *dV over (rho, u, v).
+    """Components of d(eta) + *dV over (rho, u, v), eta and V differenced
+    as the forms of closure_residual.
 
     The Hodge star of the flat base metric in these coordinates is
     *drho = rho^2 m du^dv, *du = -drho^dv, *dv = drho^du.
     """
     z, rho, shape = _centres(z, rho)
 
-    def eta_and_v(X):
-        V, theta, _ = data._fields(X[:, 0], X[:, 1] + 1j * X[:, 2])
+    def eta_and_v(rho, z):
+        V, theta, _ = data._fields(rho, z)
         return np.column_stack((theta[:, :3], V))
 
-    P = _partials(eta_and_v, np.stack((rho, z.real, z.imag), axis=-1), config)
+    P = _homogeneous_partials(eta_and_v, rho, z, _CURL_DEGREE, config)
     d_eta = _exterior(P[:, :, :3], 1, axis=1)
     grad_v = P[:, :, 3]
     m = data.record(z).m

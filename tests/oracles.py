@@ -5,7 +5,8 @@ the package computes another way (a double integral, a root-bracketed
 crossing count, a general finite-difference stencil, point-by-point
 geodesic geometry, the Blaschke jet one point at a time, its value with
 no pole guard, xi by the radial homotopy quadrature in the place of
-Green's identity), or a path the lab itself never runs (a circle).
+Green's identity, the verify points from scalar draws), or a path the
+lab itself never runs (a circle).
 They live beside the tests that use them, as plain functions.
 """
 
@@ -272,6 +273,33 @@ def fd_exterior_derivative(field, x, config: FDConfig = FDConfig()):
     one more index and is antisymmetric."""
     P = _partials(lambda X: [field(y) for y in X], x, config)
     return _exterior(P, P.ndim - 1)
+
+
+def fd_exterior_derivative_exact_rho(field, x, degree, config: FDConfig = FDConfig()):
+    """fd_exterior_derivative of a field homogeneous in rho = x[0], with
+    its column of partials along rho taken exactly rather than
+    differenced: d_rho F = degree F / rho at x, degree the power of rho
+    of each component of F."""
+    P = _partials(lambda X: [field(y) for y in X], x, config)
+    P[0] = degree * np.asarray(field(np.asarray(x, dtype=float))) / x[0]
+    return _exterior(P, P.ndim - 1)
+
+
+# ---- the verify points ---------------------------------------------------
+
+
+def interior_points_by_scalar_draws(n: int, seed: int, radius: float = 0.62) -> list:
+    """cli.interior_points with its jitter drawn one scalar at a time,
+    the angle's and then the radius's for each point in turn."""
+    rng = np.random.default_rng(seed)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    pts = []
+    for k in range(n):
+        rad = radius * math.sqrt((k + 0.5) / n)
+        ang = golden * k + 0.02 * float(rng.standard_normal())
+        rad = min(rad + 0.005 * float(rng.standard_normal()), radius + 0.02)
+        pts.append(rad * cmath.exp(1j * ang))
+    return pts
 
 
 # ---- paths ----------------------------------------------------------------

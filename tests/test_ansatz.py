@@ -162,6 +162,29 @@ class TestHomogeneity:
             g, g_lam = data.metric(rho, z), data.metric(lam * rho, z)
             assert np.abs(g_lam - D[:, None] * g * D).max() <= 1e-15 * np.abs(g_lam).max()
 
+    @pytest.mark.parametrize("lam", [0.5, 1.3, 2.7])
+    def test_fields_rescale_by_their_weights(self, lam):
+        """Omega_i(lam rho, z) = D Omega_i(rho, z) D with D = diag(lam^w),
+        V(lam rho, z) = V(rho, z) / lam and Theta_a(lam rho, z) =
+        lam^(w_a - 1/2) Theta_a(rho, z), w = HolomorphicData.WEIGHTS, to
+        rounding: the exact rho-dependence from which closure_residual
+        and curl_residual take their rho column."""
+        rng = np.random.default_rng(5)
+        w = HolomorphicData.WEIGHTS
+        D = lam ** w
+        radii, turns = np.sqrt(rng.uniform(size=200)), rng.uniform(size=200)
+        zs = 0.62 * radii * np.exp(2j * math.pi * turns)
+        rhos = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=200))
+        data = standard_data()
+        om, om_lam = data.symplectic(rhos, zs), data.symplectic(lam * rhos, zs)
+        (V, theta, _), (V_lam, theta_lam, _) = data._fields(rhos, zs), data._fields(lam * rhos, zs)
+        for i in range(len(zs)):
+            assert (np.abs(om_lam[i] - D[:, None] * om[i] * D).max()
+                    <= 1e-15 * np.abs(om_lam[i]).max()), zs[i]
+            assert abs(V_lam[i] - V[i] / lam) <= 1e-15 * V_lam[i], zs[i]
+            assert (np.abs(theta_lam[i] - lam ** (w - 0.5) * theta[i]).max()
+                    <= 1e-15 * np.abs(theta_lam[i]).max()), zs[i]
+
 
 class TestScalarBroadcast:
     """metric and symplectic broadcast a scalar rho or a scalar z against
@@ -381,9 +404,9 @@ class TestValidation:
     def test_xi_memoized(self):
         data = standard_data()
         first = data.xi_at(0.22 + 0.13j)
-        rows = len(data._index)
+        rows = len(data._store)
         assert data.xi_at(0.22 + 0.13j) == first
-        assert len(data._index) == rows
+        assert len(data._store) == rows
 
 
 # Eight directions that avoid the cusps 1, i, -1 and -i.
@@ -607,7 +630,7 @@ class TestBatchedXi:
         batch.xi_at(zs[3])  # a point that already has xi is left alone
         kept = batch.xi_at(zs[3])
         batch.fill(zs)
-        assert batch._index[zs[3]] == 0
+        assert batch._rows(zs[3]) == 0
         assert len(batch._store) == len(set(zs))
         assert batch.xi_at(zs[3]) == kept
         for z in zs:
@@ -623,7 +646,7 @@ class TestBatchedXi:
         data.psi = HoloFn(jet=no_jet)
         with pytest.raises(PunctureError, match=r"^\|z\| = 1\.2 is not inside the disc"):
             data.fill([0.1, 0.3j, 1.2, 0.5, 1.5j])
-        assert data._index == {}
+        assert len(data._store) == 0
 
     def test_flat_data_stops_outside_the_disc_before_psi(self):
         def no_jet(z):
@@ -635,7 +658,7 @@ class TestBatchedXi:
             data.fill([0.1, 0.3j, 1.2, 0.5, 1.5j])
         with pytest.raises(PunctureError, match=r"^\|z\| = 1\.0 is not inside the disc"):
             data.record(-1.0)
-        assert data._index == {}
+        assert len(data._store) == 0
 
 
 # Circles (centre, radius) that reach |z| = 0.9: that circle itself, which

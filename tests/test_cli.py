@@ -23,8 +23,10 @@ from ghlab.cli import (
     GridConfig,
     MuConfig,
     Tolerances,
+    _check_stencil_reach,
     build_data,
     config_hash,
+    interior_points,
     load_config,
     main,
     parse_config,
@@ -32,6 +34,7 @@ from ghlab.cli import (
     write_csv,
 )
 from ghlab.errors import ConfigError
+from oracles import interior_points_by_scalar_draws
 
 
 def write_config(path: Path, payload: dict) -> Path:
@@ -386,6 +389,34 @@ def test_write_csv_cells(tmp_path):
     write_csv(tmp_path / "t.csv", ["h1", "h2"], [cells, tuple(cells[::-1])])
     assert (tmp_path / "t.csv").read_text() == "\n".join(
         ["h1,h2", want, ",".join(want.split(",")[::-1]), ""])
+
+
+class TestVerifyPoints:
+    @pytest.mark.parametrize("seed", [0, 7, 16, 123])
+    @pytest.mark.parametrize("n", [1, 2, 12, 100, 400, 1000])
+    def test_one_draw_gives_the_scalar_draws(self, n, seed):
+        """interior_points draws its 2n jitters at once: the same points,
+        bit for bit, as two scalar draws per point in turn."""
+        got = np.array(interior_points(n, seed))
+        assert got.tobytes() == np.array(interior_points_by_scalar_draws(n, seed)).tobytes()
+        assert (np.array(interior_points(n, seed, radius=0.45)).tobytes()
+                == np.array(interior_points_by_scalar_draws(n, seed, radius=0.45)).tobytes())
+
+    @pytest.mark.parametrize("steps, h", [(1, 0.4), (1, 0.385), (2, 0.2), (1, 0.38)])
+    def test_stencil_reach_is_the_largest_modulus(self, steps, h):
+        """The reach of the stencils is max |z + steps h e| over the
+        points and e in (1, i, -1, -i), as CPython's abs rounds it;
+        ConfigError with that reach where it is not inside the disc."""
+        points = interior_points(24, 0) + [0.6, -0.6j, 0.3 - 0.3j]
+        reach = max(abs(z + steps * h * e) for z in points for e in (1, 1j, -1, -1j))
+        if reach < 1.0:
+            _check_stencil_reach("fd.h", (h,), steps, points)
+        else:
+            with pytest.raises(ConfigError) as info:
+                _check_stencil_reach("fd.h", (h,), steps, points)
+            assert str(info.value) == (f"fd.h: the stencil of h = {h} leaves the disc "
+                                       f"(|z| = {reach})")
+        assert (reach < 1.0) == (h == 0.38)
 
 
 class TestManifest:

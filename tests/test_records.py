@@ -15,6 +15,7 @@ import cmath
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from ghlab.ansatz import (
     _RECORD,
     HolomorphicData,
     SliceFrame,
+    gh_forms,
     sphere_jacobian,
     standard_data,
 )
 from ghlab.cli import interior_points, main
 from ghlab.covering import IdentityChart, ModularCover
+from ghlab.errors import PunctureError
 from ghlab.holo import HoloFn, MuSpec
 from ghlab.pathlab import mu_variant
 from ghlab.verify import (
@@ -44,7 +47,7 @@ from ghlab.verify import (
     stencil_points,
     structure_coeffs,
 )
-from oracles import fd_exterior_derivative, metric_factors
+from oracles import fd_exterior_derivative_exact_rho, metric_factors
 
 Z = 0.3 + 0.2j
 RHO = 1.1
@@ -345,7 +348,7 @@ class TestGather:
         stack, single = _data(make, kind), _data(make, kind)
         got = [stack.record(zs), stack.slice_frames(zs, "canonical"),
                stack.slice_frames(zs, "zero")]
-        assert len(stack._index) == 4
+        assert len(stack._store) == 4
         for idx in np.ndindex(zs.shape):
             z = complex(zs[idx])
             want = [single.record(z), single.slice_frame(z, "canonical"),
@@ -360,6 +363,21 @@ class TestGather:
                     assert value[idx].tobytes() == bits, (name, z)
                     if np.ndim(alone) == 0:
                         assert type(alone) in (float, complex, bool), name
+
+    @pytest.mark.parametrize("kind", ["canonical", "constant", "scaled"])
+    @pytest.mark.parametrize("make", ["blaschke", "flat"])
+    def test_coframe_is_the_drho_row_of_the_forms(self, make, kind):
+        """A frame's coframe is rho times row drho of each Omega_i, pulled
+        back to its slice: the frames form that row alone, bit for bit
+        the row of the whole forms."""
+        data, zs = _data(make, kind), np.array(interior_points(40, 3))
+        for which in ("canonical", "zero"):
+            frame = data.slice_frames(zs, which)
+            rho = frame.rho
+            pull = np.zeros((len(zs), 4, 3))
+            pull[:, 0], pull[:, 1, 0], pull[:, 2, 1], pull[:, 3, 2] = frame.drho, 1, 1, 1
+            whole = gh_forms(*data._fields(rho, zs))
+            assert frame.omega.tobytes() == (rho[:, None, None] * whole[:, :, 0] @ pull).tobytes()
 
     @pytest.mark.parametrize("read", ["record", "slice_frames"])
     def test_views_are_read_only(self, read):
@@ -399,7 +417,7 @@ class TestGather:
 
         before = reads()
         data.slice_frames(0.1j * np.arange(1, 8))
-        assert len(data._index) == 9
+        assert len(data._store) == 9
         assert reads() == before
         rec, frame = data.record(zs), data.slice_frames(zs)
         assert reads() == before
@@ -416,7 +434,64 @@ class TestGather:
             assert frame.rho.shape == frame.lam0.shape == (0,)
             assert frame.omega.shape == frame.g_s.shape == (0, 3, 3)
             assert frame.beta.shape == (0, 3)
-        assert data._index == {}
+        assert len(data._store) == 0
+
+
+class TestStoreIndex:
+    """The store finds a stack's rows by one binary search of its sorted
+    z: as a dict of z would, it gives -0.0 and 0.0 one row, a z met
+    again the row it got first, and a NaN or off-disc z no row."""
+
+    def test_signed_zeros_share_a_row(self):
+        data = HolomorphicData.flat_reference()
+        zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        assert data._rows(zeros).tolist() == [0, 0, 0, 0]
+        assert data._rows([complex(-0.0, 0.3), 0.3j, 0.1]).tolist() == [1, 1, 2]
+        assert len(data._store) == 3
+
+    def test_duplicates_within_a_batch_get_one_row(self):
+        data = standard_data()
+        a, b = 0.1 + 0.2j, -0.3j
+        data.fill([a, b, a, a, b, b])
+        assert len(data._store) == 2
+        assert data._rows([b, a, b]).tolist() == [1, 0, 1]
+
+    def test_rows_come_in_first_occurrence_order(self):
+        data = standard_data()
+        zs = [0.4, -0.2 + 0.1j, 0.4, 0.1j, -0.2 + 0.1j, -0.5, 0.1j]
+        data.fill(zs)
+        assert data._store["record"]["z"].tolist() == [0.4, -0.2 + 0.1j, 0.1j, -0.5]
+        assert data._rows(zs).tolist() == [0, 1, 0, 2, 1, 3, 2]
+
+    def test_a_later_fill_is_found_beside_the_earlier(self):
+        data = standard_data()
+        first, later = [0.3, -0.1j, 0.2 + 0.2j], [0.25, 0.3, -0.6 + 0.1j, -0.1j, 0.0]
+        data.fill(first)
+        data.fill(later)
+        assert data._store["record"]["z"].tolist() == first + [0.25, -0.6 + 0.1j, 0.0]
+        rows = data._rows(np.array([later, first + first[:2]]))
+        assert rows.tolist() == [[3, 0, 4, 1, 5], [0, 1, 2, 0, 1]]
+        assert len(data._store) == 6
+        # every row holds its own z
+        z = data._store["record"]["z"]
+        assert z[rows].tolist() == [later, first + first[:2]]
+
+    @pytest.mark.parametrize("batch, bad", [
+        ([0.1, complex(math.nan, 0.0), 1.2], "nan"),
+        ([0.1, 1.2, complex(math.nan, 0.0)], "1.2"),
+        ([0.1, 0.3j, 1.5j, 0.1, complex(0.2, math.nan)], "1.5"),
+        ([complex(math.nan, math.nan), complex(math.nan, math.nan)], "nan"),
+    ], ids=["nan-first", "off-disc-first", "off-disc-after-a-known-z", "two-nans"])
+    def test_nan_and_off_disc_raise_naming_the_first(self, batch, bad):
+        data = standard_data()
+        data.fill([0.1])
+        for call in (data.fill, data._rows):
+            with pytest.raises(PunctureError, match=rf"^\|z\| = {re.escape(bad)} is not "
+                                                     r"inside the disc$"):
+                call(batch)
+            assert len(data._store) == 1
+        # the failed batches left no key behind
+        assert data._rows([0.3j, 0.1]).tolist() == [1, 0]
 
 
 class TestXiCounts:
@@ -470,17 +545,17 @@ class TestXiPrefetch:
 
         def counted_fill(self, zs):
             # rows appended to the store, per phase
-            rows = len(self._index)
+            rows = len(self._store)
             if state["phase"] == "before":
                 zs = list(zs)
                 state["points"] = len(set(map(complex, zs)))
                 state["phase"] = "during"
                 fill(self, zs)
-                state["made"]["during"] += len(self._index) - rows
+                state["made"]["during"] += len(self._store) - rows
                 state["phase"] = "after"
             else:
                 fill(self, zs)
-                state["made"][state["phase"]] += len(self._index) - rows
+                state["made"][state["phase"]] += len(self._store) - rows
 
         def counted(kind, fn):
             def call(*args):
@@ -519,6 +594,34 @@ class TestXiNodes:
         monkeypatch.setattr(ModularCover, "chart", counted)
         assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
         assert len(seen["points"]) == seen["nodes"] == 90
+
+
+class TestRhoColumnPoints:
+    def test_verify_hands_fields_no_rho_shifted_point(self, monkeypatch, tmp_path):
+        """closure and curl take their rho column from the homothety: a
+        verify --grid 10 pass hands _fields only the slice height Im psi
+        of a point of the pass, never one moved along rho by a step.  Its
+        280 points are the 90 frames, the 10 centres of the quaternion
+        check and 10 centres with their 80 (u, v) stencil points for each
+        of closure and curl, at the centres' heights (340 with the
+        (rho, u, v) stencils, which moved rho)."""
+        seen = []
+        fields = HolomorphicData._fields
+
+        def recorded(self, rho, z):
+            seen.append((self, *np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                                    np.asarray(z, dtype=complex))))
+            return fields(self, rho, z)
+
+        monkeypatch.setattr(HolomorphicData, "_fields", recorded)
+        assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
+        data = seen[0][0]
+        assert all(d is data for d, _, _ in seen)
+        rho = np.concatenate([r.ravel() for _, r, _ in seen])
+        z = np.concatenate([w.ravel() for _, _, w in seen])
+        assert len(rho) == 280
+        heights = set(data.record(np.unique(z)).psi.imag.tolist())
+        assert set(rho.tolist()) <= heights
 
 
 # Eight directions that avoid the cusps 1, i, -1 and -i.
@@ -591,13 +694,18 @@ class TestRecords:
                 assert np.all(column == 0.0), name
 
     def test_closure_matches_the_four_dimensional_stencil(self):
+        """closure_residual differences along (u, v) alone, at the
+        centre's rho, and takes its rho column from the homothety: the
+        general stencil over (rho, u, v, theta), one point per call,
+        with the same exact rho column, gives its residual bit for bit."""
         data = standard_data()
+        degree = HolomorphicData.WEIGHTS[:, None] + HolomorphicData.WEIGHTS
         worst = 0.0
         for i in range(3):
             def two_form(x, i=i):
                 return data.symplectic(x[0], complex(x[1], x[2]))[i]
 
-            d = fd_exterior_derivative(two_form, [RHO, Z.real, Z.imag, 0.0])
+            d = fd_exterior_derivative_exact_rho(two_form, [RHO, Z.real, Z.imag, 0.0], degree)
             worst = max(worst, float(np.abs(d).max()))
         assert closure_residual(data, RHO, Z) == worst
 

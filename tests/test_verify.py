@@ -24,6 +24,8 @@ from ghlab.errors import (
 )
 from ghlab.holo import BlaschkeSpec, psi_fn
 from ghlab.verify import (
+    _CURL_DEGREE,
+    _FORM_DEGREE,
     BetaZeroReport,
     FDConfig,
     _partials,
@@ -162,6 +164,38 @@ class TestGibbonsHawking:
 
 
 DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
+
+
+class TestExactRhoColumn:
+    """closure_residual and curl_residual take the partials along rho of
+    the forms, of Theta and of V from the homothety, d_rho F = k F / rho
+    for a field that goes as rho^k.  That agrees with the central
+    difference along rho to within its truncation, h^2/6 |k (k - 1)
+    (k - 2)| |F| / rho^3 at leading order, which vanishes for k = 0
+    and 1, and rounding."""
+
+    H = 1e-3
+
+    @pytest.mark.parametrize("rho, z", [(1.1, 0.3 + 0.2j), (0.7, -0.2 - 0.35j), (2.5, 0.15 + 0.5j),
+                                        (0.3, -0.55 + 0.1j)])
+    def test_matches_the_difference_along_rho(self, rho, z):
+        def forms(X):
+            return DATA.symplectic(X[:, 0], z)
+
+        def eta_and_v(X):
+            V, theta, _ = DATA._fields(X[:, 0], z)
+            return np.column_stack((theta[:, :3], V))
+
+        for field, degree in ((forms, _FORM_DEGREE), (eta_and_v, _CURL_DEGREE)):
+            F, P = _partials(field, [rho], FDConfig(h=self.H, richardson=0), value=True)
+            exact = degree * F / rho
+            truncation = self.H ** 2 / 6 * np.abs(degree * (degree - 1) * (degree - 2) * F) / rho ** 3
+            assert np.all(np.abs(P[0] - exact) <= 1.5 * truncation + 1e-12 * np.abs(F).max())
+            # the difference sees the truncation of each nonzero entry of
+            # degree -1: V and Theta_rho (the forms have none)
+            seen = (np.broadcast_to(degree, F.shape) == -1) & (F != 0)
+            assert np.all(np.abs(P[0] - exact)[seen] > 0.5 * truncation[seen])
+            assert seen.sum() == (2 if field is eta_and_v else 0)
 
 
 class TestQuaternionDomain:
@@ -399,7 +433,7 @@ class TestDegenerateFrames:
         # a NaN coframe at Z alone, planted in the kept frame's store row
         data = standard_data()
         data.slice_frame(self.Z)
-        data._store["canonical"]["omega"][data._index[self.Z]] = np.nan
+        data._store["canonical"]["omega"][data._rows(self.Z)] = np.nan
         return data
 
     @pytest.mark.parametrize("check", [structure_coeffs, contact_ratio])
