@@ -489,15 +489,14 @@ def _check_stencil_reach(key: str, hs: tuple, steps: int, points, rhos=()) -> No
 
 
 def _check_rho_reach(key: str, h: float, z: np.ndarray, rho: np.ndarray) -> None:
-    """The (rho, u, v) stencils around the centres z at their heights
-    rho step rho down by h, and by h/2 with Richardson, which rho - h > 0
-    covers; ConfigError naming the key, the first centre and its rho
-    where rho - h is not positive."""
+    """The domain rule of verify: each centre's slice height rho = Im psi
+    must exceed the step h; ConfigError naming the key, the first centre
+    z where rho - h is not positive, its rho and the step."""
     below = ~(rho - h > 0)
     if below.any():
         i = int(below.argmax())
-        raise ConfigError(f"{key}: the step {h} takes rho below 0 at the centre "
-                          f"z = {complex(z[i])}, where rho = {float(rho[i])}")
+        raise ConfigError(f"{key}: the slice height rho = Im psi must exceed the step {h}, "
+                          f"but the centre z = {complex(z[i])} has rho = {float(rho[i])}")
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path):

@@ -4,9 +4,9 @@ Nothing in ghlab calls these: each is an independent route to a value
 the package computes another way (a double integral, a root-bracketed
 crossing count, a general finite-difference stencil, point-by-point
 geodesic geometry, the Blaschke jet one point at a time, its value with
-no pole guard, xi by the radial homotopy quadrature in the place of
-Green's identity, the verify points from scalar draws), or a path the
-lab itself never runs (a circle).
+no pole guard, the curl source Im(phi) m that d xi must reproduce, in
+the place of xi by Green's identity, the verify points from scalar
+draws), or a path the lab itself never runs (a circle).
 They live beside the tests that use them, as plain functions.
 """
 
@@ -69,7 +69,7 @@ def base_triangle_image_area() -> float:
     return area
 
 
-# ---- xi by the radial homotopy ------------------------------------------
+# ---- the conformal factor and the curl source ---------------------------
 
 
 def metric_factors(cover, zs) -> np.ndarray:
@@ -84,93 +84,6 @@ def curl_source(data, zs) -> np.ndarray:
     the cover's PunctureError."""
     m = metric_factors(data.cover, zs)
     return (-1.0 / data.psi(zs)).imag * m
-
-
-# The positive nodes of leggauss(16), ascending, and their weights.
-_GAUSS16_NODES = (
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-    0.9445750230732326, 0.9894009349916499,
-)
-_GAUSS16_WEIGHTS = (
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-    0.062253523938647456, 0.027152459411754176,
-)
-# The 33-node Kronrod extension of the 16-node Gauss-Legendre rule on
-# [-1, 1] (D. P. Laurie, Math. Comp. 66 (1997) 1133), rounded from an
-# 80-digit construction: the non-negative nodes it adds to leggauss(16),
-# and its weights at all of its non-negative nodes, ascending from 0.
-_KRONROD_NODES = (
-    0.0, 0.18916857901808373, 0.37148378087841627, 0.5404076763521397,
-    0.6897411066817623, 0.8142402870624444, 0.9091576670123429,
-    0.9715059509693926, 0.9982392741454446,
-)
-_KRONROD_WEIGHTS = (
-    0.0951542160804983, 0.09472840124723005, 0.09343867406092123,
-    0.09129203282819166, 0.08833750257911273, 0.08459580379259064,
-    0.08005394126371929, 0.07476982388559955, 0.06886299519153125,
-    0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
-    0.039512951202421966, 0.031260543647380526, 0.022498859440049444,
-    0.013257930688091158, 0.004742777049247318,
-)
-
-
-def _kronrod_rule():
-    """The 33 nodes on [-1, 1], ascending, with leggauss(16) at the odd
-    indices, and a (2, 33) weight array: row 0 the G16 rule (zero on the
-    added nodes), row 1 the K33 rule."""
-    half = np.empty(17)  # the added nodes interlace with the Gauss nodes
-    half[0::2], half[1::2] = _KRONROD_NODES, _GAUSS16_NODES
-    weights = np.zeros((2, 33))
-    weights[0, 1::2] = _GAUSS16_WEIGHTS[::-1] + _GAUSS16_WEIGHTS
-    weights[1] = np.concatenate((_KRONROD_WEIGHTS[:0:-1], _KRONROD_WEIGHTS))
-    return np.concatenate((-half[:0:-1], half)), weights
-
-
-K33 = _kronrod_rule()
-
-
-def panel_count(z) -> int:
-    """k = max(1, ceil(log2(1/(1 - |z|)))), the panels of the radial rule at z."""
-    return max(1, math.ceil(-math.log2(1.0 - abs(z))))
-
-
-def rule_toward_the_circle(r: np.ndarray, n: int):
-    """The radial rule at the radii r = |z| of N points: nodes s, an (N,
-    33 n) array, and the half-widths of their n panels, an (N, n) array,
-    which scale the weights K33[1] of each panel.  s z meets the circle
-    at s = 1/r, where the integrand s curl_source(s z) stops being
-    analytic, so the panels shrink geometrically toward 1/r: their edges
-    are s_j = (1 - (1 - r)^(j/n))/r, j = 0 .. n, which tend to j/n as r
-    -> 0 and are j/n at r = 0."""
-    frac = np.arange(n + 1) / n
-    edges = np.tile(frac, (len(r), 1))
-    np.divide(-np.expm1(np.log1p(-r)[:, None] * frac), r[:, None], out=edges,
-              where=r[:, None] > 0)
-    half = 0.5 * np.diff(edges)
-    return (edges[:, :-1, None] + half[:, :, None] * (K33[0] + 1.0)).reshape(len(r), -1), half
-
-
-def radial_sums(data, z) -> np.ndarray:
-    """The G16 and K33 sums of the homotopy integral of s curl_source(s
-    z) over s in [0, 1] at one z, on its panel_count(z) panels."""
-    k = panel_count(z)
-    s, half = rule_toward_the_circle(np.array([abs(z)]), k)
-    f = s[0] * curl_source(data, s[0] * z)
-    return half[0] @ (f.reshape(k, -1) @ K33[1].T)
-
-
-def radial_xi(data, z) -> tuple:
-    """(xi_u, xi_v) at one z in the radial gauge, by the radial homotopy
-    inverse of d: (-Im z, Re z) times the
-    K33 sum of radial_sums, whose gap to the G16 sum must stay within
-    1e-9 max(1, |value|), or PathError is raised."""
-    z = complex(z)
-    coarse, val = radial_sums(data, z)
-    if not abs(coarse - val) <= 1e-9 * max(1.0, abs(val)):
-        raise PathError(f"homotopy integral unreliable at z = {z}: err {abs(coarse - val)}")
-    return -z.imag * val, z.real * val
 
 
 # ---- the Blaschke jet at one point ---------------------------------------

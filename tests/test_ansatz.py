@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 import ghlab.ansatz
 from ghlab.ansatz import (
@@ -20,13 +19,11 @@ from ghlab.errors import (
     GHLabError,
     InvalidDataError,
     MetricDomainError,
-    PathError,
     PunctureError,
 )
 from ghlab.holo import HoloFn, MuSpec
 from ghlab.pathlab import mu_variant
-import oracles
-from oracles import K33, curl_source, metric_factors, radial_sums, radial_xi
+from oracles import curl_source, metric_factors
 
 FLAT = HolomorphicData.flat_reference()
 DATA = standard_data()
@@ -409,52 +406,13 @@ class TestValidation:
         assert len(data._store) == rows
 
 
-# Eight directions that avoid the cusps 1, i, -1 and -i.
-DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
-# DIRECTIONS and the eight directions halfway between them.
-DIRECTIONS_16 = [cmath.exp(1j * (0.5 + math.pi * j / 8)) for j in range(16)]
+class TestXiDomain:
+    """xi_at raises the cover's PunctureError at a deep cusp and off the
+    open disc."""
 
-
-def _quad_reference(data, z):
-    """The radial homotopy integral by adaptive quadrature of the
-    scalar integrand, with breakpoints at the panel edges so that it
-    resolves the growth toward the circle; (value, error estimate)."""
-    from scipy.integrate import quad
-
-    def integrand(s):
-        w = s * z
-        return s * (-1.0 / data.psi(w)).imag * float(metric_factors(data.cover, w))
-
-    edges = [1.0 - 0.5**j for j in range(1, oracles.panel_count(z) + 1)]
-    return quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=1000, points=edges)
-
-
-class TestHomotopyRule:
-    """The radial reference rule of tests/oracles.py, xi in the radial
-    gauge, against adaptive quadrature, with the gap of its G16 and K33
-    sums; and xi_at at the cusps and off the disc."""
-
-    @pytest.mark.parametrize("r", [0.2, 0.3, 0.5, 0.62, 0.75, 0.85, 0.9, 0.95, 0.97,
-                                   0.99, 0.999, 0.9999, 0.99999])
-    def test_matches_adaptive_quadrature(self, r):
-        for d in DIRECTIONS_16:
-            z = r * d
-            data = standard_data()
-            ref, err = _quad_reference(data, z)
-            assert err <= 1e-9 * max(1.0, abs(ref)), (z, err)
-            xi_u, xi_v = radial_xi(data, z)
-            tol = 1e-11 * max(1.0, abs(ref))
-            assert abs(xi_u + z.imag * ref) <= tol * abs(z.imag), z
-            assert abs(xi_v - z.real * ref) <= tol * abs(z.real), z
-            coarse, val = radial_sums(data, z)
-            assert abs(coarse - val) <= 1e-9 * max(1.0, abs(val)), z
-
-    def test_deep_cusp_raises_like_the_scalar_chart(self):
-        data = standard_data()
+    def test_deep_cusp_is_a_puncture(self):
         with pytest.raises(PunctureError):
-            _quad_reference(data, 0.999j)
-        with pytest.raises(PunctureError):
-            data.xi_at(0.999j)
+            standard_data().xi_at(0.999j)
 
     @pytest.mark.parametrize("z", [1.0, -1.0 + 0j, 1.2, 0.8 + 0.8j, 1j])
     def test_outside_the_open_disc_is_a_puncture(self, z):
@@ -462,147 +420,9 @@ class TestHomotopyRule:
             with pytest.raises(PunctureError):
                 data.xi_at(z)
 
-    def test_a_jump_in_the_integrand_is_caught(self, monkeypatch):
-        z = 0.6 + 0.3j
 
-        def jump(data, zs):
-            return np.where(abs(zs) < abs(z) / 3, 1.0, 2.0)
-
-        monkeypatch.setattr(oracles, "curl_source", jump)
-        with pytest.raises(PathError, match="homotopy integral unreliable"):
-            radial_xi(standard_data(), z)
-
-
-def _legendre_rows(n, xs):
-    """P_0 .. P_{n-1} at the points xs by the three-term recurrence, in
-    the arithmetic of the points."""
-    rows = [[1 for _ in xs], list(xs)]
-    for j in range(1, n - 1):
-        rows.append([((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-                     for x, p0, p1 in zip(xs, rows[-2], rows[-1])])
-    return rows[:n]
-
-
-@pytest.fixture(scope="module")
-def kronrod_oracle():
-    """The Gauss-Kronrod 16/33 rule on [-1, 1] at 70 digits, built apart
-    from the package: the added nodes are the zeros of the Stieltjes
-    polynomial E_17 (odd, monic, orthogonal to x^k P_16 for k < 17),
-    whose coefficients solve an exact rational system; the weights solve
-    sum w_i P_j(x_i) = 2 delta_j0 for j = 0 .. 32.  Nodes ascending."""
-    mpmath = pytest.importorskip("mpmath")
-    from fractions import Fraction
-
-    # P_16 as exact monomial coefficients
-    p0, p1 = [Fraction(1)], [Fraction(0), Fraction(1)]
-    for k in range(1, 16):
-        p2 = [Fraction(0)] + [Fraction(2 * k + 1, k + 1) * c for c in p1]
-        for i, c in enumerate(p0):
-            p2[i] -= Fraction(k, k + 1) * c
-        p0, p1 = p1, p2
-
-    def moment(m):  # the integral of x^m P_16 over [-1, 1]
-        return sum(c * Fraction(2, i + m + 1) for i, c in enumerate(p1) if (i + m) % 2 == 0)
-
-    # E_17 = x (y^8 + c_7 y^7 + ... + c_0) with y = x^2; the conditions
-    # for even k hold by parity
-    odd = range(1, 17, 2)
-    system = [[moment(j + k) for j in odd] + [-moment(17 + k)] for k in odd]
-    for col in range(8):  # Gauss-Jordan elimination over the rationals
-        pivot = next(r for r in range(col, 8) if system[r][col] != 0)
-        system[col], system[pivot] = system[pivot], system[col]
-        system[col] = [v / system[col][col] for v in system[col]]
-        for r in range(8):
-            if r != col and system[r][col] != 0:
-                system[r] = [a - system[r][col] * b for a, b in zip(system[r], system[col])]
-    with mpmath.workdps(70):
-        def mp(q):
-            return mpmath.mpf(q.numerator) / q.denominator
-
-        def positive_roots(coeffs):  # the even polynomial sum c_j y^j, y = x^2
-            ys = mpmath.polyroots([mp(c) for c in reversed(coeffs)], maxsteps=200, extraprec=300)
-            return [mpmath.sqrt(mpmath.re(y)) for y in ys]
-
-        added = positive_roots([system[r][8] for r in range(8)] + [Fraction(1)])
-        gauss = positive_roots(p1[0::2])
-        half = sorted(added + gauss)
-        nodes = [-x for x in reversed(half)] + [mpmath.mpf(0)] + half
-        A = mpmath.matrix(_legendre_rows(33, nodes))
-        weights = mpmath.lu_solve(A, mpmath.matrix([2] + [0] * 32))
-        return (np.array([float(x) for x in nodes]),
-                np.array([float(w) for w in weights]),
-                [float(x) for x in gauss])
-
-
-class TestKronrodRule:
-    """The radial reference rule's 33-node panel rule against its definition."""
-
-    def test_nodes_and_weights_against_mpmath(self, kronrod_oracle):
-        nodes, weights, _ = kronrod_oracle
-        x, w = K33
-        assert x[16] == 0.0
-        assert np.all(np.abs(x - nodes) <= 4 * np.spacing(np.abs(nodes)))
-        assert np.all(np.abs(w[1] - weights) <= 4 * np.spacing(weights))
-
-    def test_gauss_is_leggauss_on_the_odd_nodes(self, kronrod_oracle):
-        x, w = K33
-        gauss, gauss_w = leggauss(16)
-        assert np.array_equal(x[1::2], gauss)
-        assert np.array_equal(w[0, 1::2], gauss_w)
-        assert not w[0, 0::2].any()
-        # and the Gauss nodes interlace with the added ones
-        assert np.all(np.diff(x) > 0)
-        assert np.allclose(gauss[8:], kronrod_oracle[2], rtol=0, atol=1e-16)
-
-    def test_every_weight_is_positive(self):
-        assert np.all(K33[1][1] > 0)
-
-    def test_degree_of_exactness(self):
-        x, w = K33
-        k33 = w[1]
-        # x^48 integrates to 2/49; a node rounded by half an ulp moves
-        # its 48th power by up to 24 ulp
-        assert abs(k33 @ x**48 - 2.0 / 49.0) <= 48 * np.finfo(float).eps * (2.0 / 49.0)
-        # x^50's error, about 5e-18, lies below double precision; P_50
-        # carries it times its leading coefficient, about 9e13, while
-        # P_0 .. P_49 integrate exactly
-        rows = np.array(_legendre_rows(51, x))
-        exact = np.zeros(51)
-        exact[0] = 2.0
-        assert np.all(np.abs(rows[:50] @ k33 - exact[:50]) <= 1e-14)
-        assert abs(rows[50] @ k33) > 1e-5
-
-
-class TestRuleTowardTheCircle:
-    """The k panels of the radial reference rule, graded toward 1/|z|:
-    what they cover, and its xi at the centre and at radii below double
-    precision."""
-
-    @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-17, 0.3, 0.9, 0.99999])
-    def test_the_panels_cover_the_unit_interval(self, r):
-        k = oracles.panel_count(r)
-        s, half = oracles.rule_toward_the_circle(np.array([r]), k)
-        assert s.shape == (1, 33 * k) and half.shape == (1, k)
-        assert 0.0 < s.min() and s.max() < 1.0 and np.all(np.diff(s) > 0)
-        # both rows integrate 1 and s over [0, 1]
-        for row in K33[1]:
-            weights = (half[0, :, None] * row).ravel()
-            assert abs(weights.sum() - 1.0) <= 1e-15
-            assert abs(weights @ s[0] - 0.5) <= 1e-15
-        if r < 1e-16:  # the limit r -> 0: one panel, [0, 1]
-            assert np.allclose(s, (K33[0] + 1.0) / 2, rtol=0, atol=1e-16)
-
-    def test_the_centre_and_radii_below_double_precision(self):
-        data = standard_data()
-        assert radial_xi(data, 0j) == (0.0, 0.0)
-        c0 = float(curl_source(data, np.array([0j]))[0])
-        for r in (1e-17, 1e-300):
-            for d in DIRECTIONS:
-                z = r * d
-                xi = radial_xi(data, z)
-                assert all(map(math.isfinite, xi)), z
-                # the integrand is s curl_source(0) to double precision
-                assert xi == pytest.approx((-z.imag * c0 / 2, z.real * c0 / 2), rel=1e-14), z
+# Eight directions that avoid the cusps 1, i, -1 and -i.
+DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
 
 
 def _mixed_radii_points():
@@ -670,9 +490,8 @@ STOKES_CIRCLES = [(0j, 0.9), (0.25 + 0.15j, 0.9 - abs(0.25 + 0.15j)),
 class TestGreenXi:
     """xi by Green's identity: by Stokes' theorem its circulation around
     a circle is the integral of the curl source over the disc inside
-    (adaptive in the radius, each circle by the trapezoid rule), and it
-    is the radial gauge's circulation, the two gauges differing by an
-    exact form; and it is finite from the centre to the edge."""
+    (adaptive in the radius, each circle by the trapezoid rule); and it
+    is finite from the centre to the edge."""
 
     @pytest.mark.parametrize("centre, radius", STOKES_CIRCLES)
     def test_circulation_is_the_enclosed_source(self, centre, radius):
@@ -683,16 +502,13 @@ class TestGreenXi:
         turn = np.exp(2j * math.pi * np.arange(n) / n)
         zs, dz = centre + radius * turn, 2j * math.pi * radius * turn / n
         xi = data.record(zs).row[:, 2:4]
-        radial = np.array([radial_xi(data, z) for z in zs])
-        circulation, radial_circulation = (float(a[:, 0] @ dz.real + a[:, 1] @ dz.imag)
-                                           for a in (xi, radial))
+        circulation = float(xi[:, 0] @ dz.real + xi[:, 1] @ dz.imag)
 
         def ring(r):  # r times the source's integral over the circle of radius r
             return r * 2.0 * math.pi * float(curl_source(data, centre + r * turn).mean())
 
         enclosed, err = quad(ring, 0.0, radius, epsabs=0.0, epsrel=1e-13, limit=200)
         assert err <= 1e-12 * enclosed
-        assert circulation == pytest.approx(radial_circulation, rel=1e-10, abs=0)
         assert circulation == pytest.approx(enclosed, rel=1e-10, abs=0)
 
     def test_finite_from_the_centre_to_the_edge(self):

@@ -5,7 +5,8 @@ its name appears as a name or an attribute anywhere in the package.  The
 definitions that only tests or the benchmark tracer reach are the
 acceptance experiments and traced functions below; anything else nothing
 calls is dead API.  The reference computations that tests compare
-against live in tests/oracles.py, outside the package.
+against live in tests/oracles.py, outside the package; each of them must
+be named by a test module or by another of them.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import ghlab
 
 PACKAGE = Path(ghlab.__file__).parent
+TESTS = Path(__file__).parent
 
 ALLOWED = {
     "ansatz.HolomorphicData.xi_at": "traced by name in perfbench/layers.py (ansatz.xi)",
@@ -29,6 +31,12 @@ ALLOWED = {
 }
 
 
+def _names(tree) -> set:
+    """Every name used in a syntax tree, as a name or an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
 def _surface():
     """(definitions as {qualified name: name}, every name used)."""
     defined, used = {}, set()
@@ -41,11 +49,7 @@ def _surface():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _names(tree)
     return defined, used
 
 
@@ -60,3 +64,16 @@ def test_allow_list_is_current():
     defined, used = _surface()
     stale = [q for q in ALLOWED if q not in defined or defined[q] in used]
     assert stale == []
+
+
+def test_every_oracle_is_referenced():
+    # a reference left behind when its last test goes is dead
+    used = set().union(*(_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in TESTS.glob("test_*.py")))
+    body = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8")).body
+    bound = {node: [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             else [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+             for node in body}
+    dead = [name for node, names in bound.items() for name in names
+            if name not in used.union(*(_names(other) for other in body if other is not node))]
+    assert dead == []

@@ -611,16 +611,16 @@ class TestEntryPoints:
     @pytest.mark.parametrize("richardson", [0, 1])
     def test_rho_step_below_the_slice_exits_two(self, tmp_path, capsys, richardson):
         """Deep data puts a centre's slice height rho = Im psi below h
-        (6.1e-5 against 1e-4 at depth 30): the (rho, u, v) stencils of
-        closure and curl would step to rho < 0."""
+        (6.1e-5 against 1e-4 at depth 30), which the domain rule of
+        verify forbids."""
         p = write_config(tmp_path / "c.json", {"data": {"depths": [30]},
                                                "fd": {"richardson": richardson}})
         out = tmp_path / "o"
         assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error=config ") and err.count("\n") == 1
-        assert re.search(r"fd\.h: the step 0\.0001 takes rho below 0 at the centre "
-                         r"z = \(.+j\), where rho = 6\.1\d*e-05$", err.strip()), err
+        assert re.search(r"fd\.h: the slice height rho = Im psi must exceed the step 0\.0001, "
+                         r"but the centre z = \(.+j\) has rho = 6\.1\d*e-05$", err.strip()), err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("args, key", [
