@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import IdentityChart, ModularCover, _metric_factors, _stereo_lift
+from .covering import IdentityChart, ModularCover, _metric_factors, _modulus, _stereo_lift
 from .errors import DegenerateMetricError, InvalidDataError, MetricDomainError
 from .holo import HoloFn, psi_fn, vertex_targeted_spec
 
@@ -419,7 +419,7 @@ class HolomorphicData:
         xflat4 = rho[:, None, None] * G4[..., :1]
         f = np.zeros(n, _FRAME)
         f["rho"], f["V"], f["x"] = rho, V, rho[:, None] * p
-        f["t_slice"] = [math.log(a) - math.log(b) for a, b in zip(rho.tolist(), zero[0].tolist())]
+        f["t_slice"] = np.log(rho) - np.log(zero[0])
         # iota_X Omega_i reads row drho of each Omega_i alone: that row of
         # gh_forms, Theta_0 dx_i - Theta dx_i0 + V (dx_j0 dx_k - dx_j dx_k0),
         # with its products in its order
@@ -466,9 +466,7 @@ def beta_cross_check(data: HolomorphicData, z):
     A = np.empty((len(rho), 1, 2, 2))
     A[:, 0, 0, 0] = A[:, 0, 1, 1] = -rec.psi.real
     A[:, 0, 0, 1], A[:, 0, 1, 0] = -1.0, rho * rho
-    # |phi| as CPython's abs rounds it
-    rhs = np.stack((f.theta / np.hypot(phi.real, phi.imag)[:, None] ** 2, rho[:, None] * f.drho),
-                   -1)
+    rhs = np.stack((f.theta / _modulus(phi)[:, None] ** 2, rho[:, None] * f.drho), -1)
     solved = np.linalg.solve(A, rhs[..., None])[..., 0]
     out = {
         "beta_solved": solved[..., 0],

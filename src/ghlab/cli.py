@@ -517,8 +517,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
         "quaternion": np.max(list(quaternion_check(data, rho, z).values()), axis=0),
         "closure": closure_residual(data, rho, z, config=fdc),
         "curl": curl_residual(data, rho, z, config=fdc)["max"],
-        # |phi| and |psi - psi_rec| as CPython's abs rounds them
-        "slice_identity": np.max([abs(frame.V - np.hypot(phi.real, phi.imag) ** 2),
+        "slice_identity": np.max([abs(frame.V - _modulus(phi) ** 2),
                                   abs(rho - psi.imag), abs(t_slice)], axis=0),
     }
     fit = structure_coeffs(data, z, "zero", config=fdc)
@@ -530,6 +529,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path):
         "beta_cross": np.maximum(
             abs(cross["beta_solved"] - cross["beta_direct"]).max(axis=1),
             abs(cross["gamma_solved"] - cross["gamma_direct"]).max(axis=1)),
+        # |psi - psi_rec| as CPython's abs rounds it
         "psi_reconstruction": np.hypot(-frame.beta[:, 2] - psi.real, rho - psi.imag),
         "contact": abs(ratio - algebraic),
     })

@@ -31,10 +31,6 @@ import numpy as np
 from .errors import BranchDomainError, InvalidMuError, InvalidZeroError, PoleError
 
 _DENOM_FLOOR = 1e-300
-# A batch with max|a| max|z| <= 1 - _POLE_MARGIN is clear of the pole
-# floor: |1 - conj(a) z| >= 1 - |a| |z|, and the margin stays far above
-# the few ulps of 1 by which the computed den and bound may be off.
-_POLE_MARGIN = 1e-12
 _Q2_LO = math.pi / 4
 _Q2_HI = 3 * math.pi / 4
 
@@ -100,11 +96,6 @@ class BlaschkeSpec:
         cols = np.array(terms, dtype=complex).reshape(-1, 4)
         return tuple(cols[:, j:j + 1] for j in range(4))
 
-    @cached_property
-    def zero_radius(self) -> float:
-        """max |a| over the zeros, 0 for none: the bound of the pole floor."""
-        return max((abs(complex(a)) for a, _ in self.zeros), default=0.0)
-
 
 def vertex_targeted_spec(vertices, depths=(1, 2)) -> BlaschkeSpec:
     """Place zeros a = (1 - 2^-j) * v for each unit-modulus target v.
@@ -139,45 +130,29 @@ def blaschke_derivs(spec: BlaschkeSpec, z):
     return _blaschke_batch(spec, z)
 
 
-def _factor_values(a, ac, c, z):
-    """den = 1 - conj(a) z and the factor values c (a - z) / den over a
-    flat array of z, one row per factor of the columns given, after the
-    pole floor, which names the first factor and z that breach it."""
+def _blaschke_batch(spec: BlaschkeSpec, z, derivs: bool = True):
+    """(B, B', B'') at z, an ndarray or one point (a 0-d array), in its
+    shape, or B alone with derivs False: bit for bit the jet's first
+    array.  One table holds factor c (a - z)/den, with c = conj(a)/|a|
+    and den = 1 - conj(a) z, at every z (one row per factor), after the
+    pole floor on den, which names the first factor and z that breach
+    it.  A factor's derivative is c (|a|^2 - 1)/den^2 and its second
+    derivative that times 2 conj(a)/den; the product rule accumulates
+    the rows."""
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
+    a, ac, c, k = spec.factor_columns
     den = 1.0 - ac * z
     near = abs(den) < _DENOM_FLOOR
     if near.any():
         row, col = np.argwhere(near)[0]
         raise PoleError(f"Blaschke factor pole at z={z[col]} for zero a={a[row, 0]}")
-    return den, c * (a - z) / den
-
-
-def _blaschke_batch(spec: BlaschkeSpec, z, derivs: bool = True):
-    """(B, B', B'') at z, an ndarray or one point (a 0-d array), in its
-    shape.  Factor c (a - z)/den with c = conj(a)/|a| and den = 1 -
-    conj(a) z has derivative c (|a|^2 - 1)/den^2 and second derivative
-    that times 2 conj(a)/den, for all factors at once (one row per
-    factor); the product rule accumulates them.  The pole floor applies
-    to the whole batch.
-
-    With derivs False, B alone, a factor at a time with the same
-    products: bit for bit the first array of the jet.  There the floor
-    is checked once per batch: |1 - conj(a) z| >= 1 - |a| |z|, so a
-    batch with max|a| max|z| <= 1 - _POLE_MARGIN cannot breach it, and
-    only a batch past that bound is scanned factor by factor
-    (_factor_values), for the PoleError naming the first factor and z."""
-    z = np.asarray(z, dtype=complex)
-    shape, z = z.shape, z.ravel()
-    a, ac, c, k = spec.factor_columns
+    f = c * (a - z) / den
     p, d1, d2 = _power_with_derivs(spec.m, z)
     if not derivs:
-        if not spec.zero_radius * np.abs(z).max(initial=0.0) <= 1.0 - _POLE_MARGIN:
-            for j in range(len(a)):  # raises for the first factor and z on the floor
-                _factor_values(a[j:j + 1], ac[j:j + 1], c[j:j + 1], z)
-        # the jet's products, and no (factor, z) array
-        for aj, acj, cj in zip(a[:, 0], ac[:, 0], c[:, 0]):
-            p = p * (cj * (aj - z) / (1.0 - acj * z))
+        for fk in f:
+            p = p * fk
         return np.broadcast_to(p, z.shape).reshape(shape)[()]
-    den, f = _factor_values(a, ac, c, z)
     core = k / (den * den)
     f1 = c * core
     f2 = c * core * 2.0 * ac / den

@@ -1,7 +1,8 @@
 """Every definition in ghlab has a use inside ghlab, or a reason to exist.
 
-A top-level function or class, or a public method, counts as used when
-its name appears as a name or an attribute anywhere in the package.  The
+A top-level function or class, a public method, or a name bound by a
+top-level assignment counts as used when its name is read as a name, or
+appears as an attribute, anywhere in the package.  The
 definitions that only tests or the benchmark tracer reach are the
 acceptance experiments and traced functions below; anything else nothing
 calls is dead API.  The reference computations that tests compare
@@ -32,8 +33,10 @@ ALLOWED = {
 
 
 def _names(tree) -> set:
-    """Every name used in a syntax tree, as a name or an attribute."""
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Every name used in a syntax tree, read as a name or as an
+    attribute: an assignment's own target does not count."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
@@ -45,6 +48,11 @@ def _surface():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (t.id for tree in targets for t in ast.walk(tree)
+                             if isinstance(t, ast.Name)):
+                    defined[f"{path.stem}.{name}"] = name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):

@@ -346,22 +346,56 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _blaschke_fn(spec) -> HoloFn:
+    """B as a HoloFn: its jet is blaschke_derivs, its value the value
+    path of _blaschke_batch."""
+    return HoloFn(jet=lambda z: blaschke_derivs(spec, z),
+                  value=lambda z: ghlab.holo._blaschke_batch(spec, z, derivs=False))
+
+
 class TestValuePath:
     """Calling a HoloFn gives jet(z)[0] bit for bit, and psi's value of
     an array takes no derivatives."""
 
     points = np.array(_interior_points(200, radius=0.99)).reshape(10, 20)
 
-    @pytest.mark.parametrize("name", ["standard", "perturb_mu", "flat"])
+    @pytest.mark.parametrize("name", ["standard", "perturb_mu", "flat", "power_and_double_zero",
+                                      "power", "empty", "deep_past_1_over_max_a"])
     def test_value_is_the_jet_value(self, name):
-        psi = {
-            "standard": psi_fn(FOUR_VERTEX),
-            "perturb_mu": apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
-            "flat": HoloFn.constant(2j),
+        fn, z = {
+            "standard": (psi_fn(FOUR_VERTEX), self.points),
+            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
+                           self.points),
+            "flat": (HoloFn.constant(2j), self.points),
+            "power_and_double_zero": (_blaschke_fn(BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),))),
+                                      self.points),
+            "power": (_blaschke_fn(BlaschkeSpec(m=2)), self.points),
+            "empty": (_blaschke_fn(BlaschkeSpec()), self.points),
+            # max|a| = 1 - 2^-12, so |z| = 1.01 is past 1/max|a|
+            "deep_past_1_over_max_a": (
+                _blaschke_fn(vertex_targeted_spec([1, 1j, -1, -1j], depths=(1, 12))),
+                1.01 * self.points / abs(self.points)),
         }[name]
-        assert _same_bits(psi(self.points), psi.jet(self.points)[0])
-        for z in self.points.ravel()[::7]:
-            assert _same_bits(psi(complex(z)), psi.jet(complex(z))[0])
+        assert _same_bits(fn(z), fn.jet(z)[0])
+        for zk in z.ravel()[::7]:
+            assert _same_bits(fn(complex(zk)), fn.jet(complex(zk))[0])
+
+    @given(zeros=st.lists(st.tuples(zero_points, st.integers(1, 3)), min_size=1, max_size=4),
+           m=st.integers(0, 3),
+           z=st.lists(st.complex_numbers(max_magnitude=1.3, allow_nan=False), min_size=1,
+                      max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_the_jet_value_at_drawn_zeros(self, zeros, m, z):
+        # |z| up to 1.3 goes past 1/|a| for |a| > 1/1.3: near a pole
+        # both paths raise the same PoleError
+        spec, z = BlaschkeSpec(m=m, zeros=tuple(zeros)), np.array(z, dtype=complex)
+        try:
+            expected = blaschke_derivs(spec, z)[0]
+        except PoleError as exc:
+            with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+                ghlab.holo._blaschke_batch(spec, z, derivs=False)
+        else:
+            assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False), expected)
 
     def test_array_value_takes_no_jet(self, monkeypatch):
         def no_jet(spec, z):
@@ -377,41 +411,18 @@ class TestValuePath:
 
 
 class TestPoleGuard:
-    """psi's value path checks the pole floor once per batch, by the bound
-    |1 - conj(a) z| >= 1 - max|a| max|z|, and scans the factors only for
-    a batch past it."""
+    """psi's value and the jet take B from one table of factors, after
+    one check of the pole floor on its denominators: the value is the
+    jet's first array wherever the floor holds, and both raise the same
+    PoleError where it does not."""
 
-    @staticmethod
-    def _count_scans(monkeypatch):
-        calls = []
-        scan = ghlab.holo._factor_values
-
-        def counted(*args):
-            calls.append(1)
-            return scan(*args)
-
-        monkeypatch.setattr(ghlab.holo, "_factor_values", counted)
-        return calls
-
-    def test_a_batch_inside_the_bound_is_not_scanned(self, monkeypatch):
-        calls = self._count_scans(monkeypatch)
-        # max|a| = 0.75, so every |z| < 1.33 is inside the bound
-        psi_fn(FOUR_VERTEX)(np.array(_interior_points(200, radius=0.99)))
-        ghlab.holo._blaschke_batch(FOUR_VERTEX, np.array(_interior_points(200, radius=1.3)),
-                                   derivs=False)
-        assert not calls
-        blaschke_derivs(FOUR_VERTEX, 0.5j)  # the jet checks all factors at once
-        assert len(calls) == 1
-
-    def test_a_batch_past_the_bound_is_scanned_and_unchanged(self, monkeypatch):
-        # max|a| = 1 - 2^-12: the points at |z| = 1.01 are past the bound
+    def test_a_batch_past_the_bound_is_unchanged(self):
+        # max|a| = 1 - 2^-12: the points at |z| = 1.01 are past 1/max|a|
         spec = vertex_targeted_spec([1, 1j, -1, -1j], depths=(1, 12))
         z = np.concatenate((_interior_points(200, radius=0.9999),
                             1.01 * np.exp(1j * np.linspace(0.1, 6.0, 20))))
         expected = blaschke_derivs(spec, z)[0]
-        calls = self._count_scans(monkeypatch)
         assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False), expected)
-        assert len(calls) == len(spec.zeros)
 
     def test_a_pole_raises_naming_the_first_factor_and_z(self):
         # the factor order goes first: a = 0.5 before a = -0.5, then z
@@ -427,9 +438,9 @@ class TestPoleGuard:
             blaschke_derivs(spec, z)
 
     def test_outside_the_circle_inside_the_bound_matches_the_reference(self):
-        # 1 < |z| < 1/max|a| = 4/3: the guard passes the batch unscanned
+        # 1 < |z| < 1/max|a| = 4/3, with max|a| = 0.75 for FOUR_VERTEX
         spec = FOUR_VERTEX
         z = np.array(_interior_points(100, radius=1.3))[78:]
-        assert np.all((np.abs(z) > 1.0) & (spec.zero_radius * np.abs(z) < 1.0))
+        assert np.all((np.abs(z) > 1.0) & (0.75 * np.abs(z) < 1.0))
         assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False),
                           blaschke_values(spec, z))

@@ -629,10 +629,9 @@ DIRECTIONS = [cmath.exp(1j * (0.5 + 2 * math.pi * j / 8)) for j in range(8)]
 
 
 class TestBatchAgainstPoint:
-    """A record's fields come from one batch.  They agree with the
-    point functions (the scalar psi jet, the cover on a batch of one) to
-    rounding: the scalar jet divides complex numbers as CPython does,
-    not as numpy does."""
+    """A record's fields come from one batch, and they equal the point
+    functions exactly: psi's jet and the cover's value at one point are
+    each a batch of one."""
 
     @pytest.fixture(scope="class")
     def sample(self):
@@ -647,25 +646,21 @@ class TestBatchAgainstPoint:
 
     def test_psi_jet(self, sample):
         data, zs = sample
-        recs = [data.record(z) for z in zs]
-        jets = [data.psi.jet(z) for z in zs]
-        for name, got, want in (("psi", [r.psi for r in recs], [j[0] for j in jets]),
-                                ("dpsi", [r.dpsi for r in recs], [j[1] for j in jets])):
-            got, want = np.array(got), np.array(want)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+        for z in zs:
+            rec, jet = data.record(z), data.psi.jet(z)
+            assert rec.psi == jet[0] and rec.dpsi == jet[1], z
 
     def test_conformal_factor(self, sample):
         data, zs = sample
         for z in zs:
-            m = metric_factors(data.cover, z)
-            assert abs(data.record(z).m - m) <= 1e-13 * m, z
+            assert data.record(z).m == metric_factors(data.cover, z), z
         assert data.record(0.99).m == metric_factors(data.cover, 0.99) == 0.0
 
     def test_sphere_point(self, sample):
         data, zs = sample
         for z in zs:
             p = sphere_jacobian(*data.cover.value(z))[0]
-            assert np.abs(data.record(z).p - p).max() <= 1e-13, z
+            assert np.array_equal(data.record(z).p, p), z
 
     def test_sphere_jacobian_on_an_array_is_per_point(self, sample):
         data, zs = sample
