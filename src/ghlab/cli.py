@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
 from .covering import _modulus, check_ball_radius, puncture_class
-from .errors import ConfigError, GHLabError, InvalidDataError, InvalidMuError, StencilError
+from .errors import ConfigError, GHLabError, StencilError
 from .holo import MuSpec
 from .pathlab import (
     divergence_sweep,
@@ -60,10 +60,7 @@ class MuConfig:
     eps_im: float = 0.0
 
     def __post_init__(self):
-        try:
-            self.as_spec()
-        except InvalidMuError as exc:
-            raise ConfigError(str(exc))
+        self.as_spec()
         # one config per map: a perturbation reads no scale and a scale no
         # eps, and the perturbation by eps 0 is the identity, scale 1
         if self.kind == "perturb":
@@ -97,14 +94,8 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("blaschke", "flat"):
             raise ConfigError(f"data kind {self.kind!r} not in (blaschke, flat)")
-        try:
-            check_ball_radius(self.ball_radius)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        try:
-            validate_rho0(self.rho0_kind, self.rho0_scale)
-        except InvalidDataError as exc:
-            raise ConfigError(str(exc))
+        check_ball_radius(self.ball_radius)
+        validate_rho0(self.rho0_kind, self.rho0_scale)
         if not self.v_multiplier > 0:
             raise ConfigError("v_multiplier must be positive")
         if not all(d > 0 for d in self.depths):
@@ -131,24 +122,6 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class FDSettings:
-    h: float = 1e-4
-    richardson: int = 1
-    curvature_h: float = 1e-3
-
-    def __post_init__(self):
-        try:
-            self.as_fd()
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if not self.curvature_h > 0:
-            raise ConfigError("curvature step must be positive")
-
-    def as_fd(self) -> FDConfig:
-        return FDConfig(h=self.h, richardson=self.richardson)
-
-
-@dataclass(frozen=True)
 class Tolerances:
     closure: float = 1e-4
     curl: float = 1e-4
@@ -171,7 +144,7 @@ class Tolerances:
 class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    fd: FDSettings = field(default_factory=FDSettings)
+    fd: FDConfig = field(default_factory=FDConfig)
     tolerances: Tolerances = field(default_factory=Tolerances)
     out_dir: str = "out"
     depth: int = 2
@@ -190,7 +163,7 @@ def _parse(tp, raw, where: str):
     Dataclasses take JSON objects with no unknown keys, tuples take
     arrays, ``float`` takes any finite number and ``int``/``str`` take
     exactly their type; ``bool`` is never a number.  Each failure names
-    its path, e.g. ``config.grid.samples``.
+    its path, e.g. ``config.grid.samples``, and so does a section's rule.
     """
     if is_dataclass(tp):
         if not isinstance(raw, dict):
@@ -202,7 +175,7 @@ def _parse(tp, raw, where: str):
         kwargs = {k: _parse(hints[k], v, f"{where}.{k}") for k, v in raw.items()}
         try:
             return tp(**kwargs)
-        except ConfigError as exc:
+        except (ValueError, GHLabError) as exc:
             raise ConfigError(f"{where}: {exc}")
     if get_origin(tp) is tuple:
         if not isinstance(raw, list):
@@ -470,24 +443,6 @@ _VERIFY_CHECKS = (
 )
 
 
-def _check_stencil_reach(key: str, hs: tuple, steps: int, points, rhos=()) -> None:
-    """The stencils of the steps hs (h first, then h/2 where halved) around
-    each point reach z + steps h e, e in (1, i, -1, -i); ConfigError
-    naming the key if that leaves the disc, or if a step rounds back
-    onto its centre in a coordinate it moves: u, v, and rho of rhos."""
-    h = hs[0]
-    z = np.array(points, dtype=complex)
-    reach = float(max(_modulus(z + steps * h * e).max() for e in (1, 1j, -1, -1j)))
-    if not reach < 1.0:
-        raise ConfigError(f"{key}: the stencil of h = {h} leaves the disc (|z| = {reach})")
-    for name, x in (("u", z.real), ("v", z.imag), ("rho", np.array(rhos, dtype=float))):
-        for step in hs:
-            lost = (x + step == x) | (x - step == x)
-            if lost.any():
-                raise ConfigError(f"{key}: the step {step} rounds back onto its centre "
-                                  f"at {name} = {float(x[lost][0])}")
-
-
 def _check_rho_reach(key: str, h: float, z: np.ndarray, rho: np.ndarray) -> None:
     """The domain rule of verify: each centre's slice height rho = Im psi
     must exceed the step h; ConfigError naming the key, the first centre
@@ -502,27 +457,29 @@ def _check_rho_reach(key: str, h: float, z: np.ndarray, rho: np.ndarray) -> None
 def cmd_verify(cfg: ExperimentConfig, out: Path):
     data = build_data(cfg.data)
     tol = cfg.tolerances
-    fdc = cfg.fd.as_fd()
     points = interior_points(cfg.grid.samples, cfg.grid.seed)
-    _check_stencil_reach("fd.h", (fdc.h, fdc.h / 2.0)[:1 + fdc.richardson], 1, points)
-    # one fill and one frame assembly for every stencil point of the pass
-    data.slice_frames(stencil_points(points, fdc))
+    try:
+        # one fill and one frame assembly for every stencil point of the pass
+        data.slice_frames(stencil_points(points, cfg.fd))
+    except StencilError as exc:
+        raise ConfigError(f"fd.h: {exc}") from exc
     # every check runs once, over the stack of centres
     z = np.array(points)
     frame, rec = data.slice_frames(z), data.record(z)
     rho, t_slice, psi, phi = frame.rho, frame.t_slice, rec.psi, rec.phi
-    _check_rho_reach("fd.h", fdc.h, z, rho)
+    _check_rho_reach("fd.h", cfg.fd.h, z, rho)
     values = {
         "cauchy_riemann": cauchy_riemann_residual(data.phi, z),
         "quaternion": np.max(list(quaternion_check(data, rho, z).values()), axis=0),
-        "closure": closure_residual(data, rho, z, config=fdc),
-        "curl": curl_residual(data, rho, z, config=fdc)["max"],
+        "closure": closure_residual(data, rho, z, config=cfg.fd),
+        "curl": curl_residual(data, rho, z, config=cfg.fd)["max"],
+        # the canonical slice is the unit level set of X, for every rho0 kind
         "slice_identity": np.max([abs(frame.V - _modulus(phi) ** 2),
-                                  abs(rho - psi.imag), abs(t_slice)], axis=0),
+                                  abs(rho - psi.imag), abs(frame.x_norm_sq - 1.0)], axis=0),
     }
-    fit = structure_coeffs(data, z, "zero", config=fdc)
+    fit = structure_coeffs(data, z, "zero", config=cfg.fd)
     cross = beta_cross_check(data, z)
-    contact = contact_ratio(data, z, config=fdc)
+    contact = contact_ratio(data, z, config=cfg.fd)
     ratio, algebraic = contact["ratio"], contact["algebraic"]
     values.update({
         "structure": np.maximum(fit.residual, abs(fit.lam0 - np.exp(t_slice))),
@@ -564,18 +521,16 @@ def cmd_curvature_scan(cfg: ExperimentConfig, out: Path):
     fn = metric_field(data)
     rows = []
     zpts = interior_points(cfg.grid.resolution, cfg.grid.seed, radius=0.45)
-    h, rhos = cfg.fd.curvature_h, (0.9, 1.1, 1.3)
-    # the nested stencil around z reaches z + h (s + i t) with |s| + |t| <= 2
-    _check_stencil_reach("fd.curvature_h", (h, h / 2.0), 2, zpts, rhos)
-    data.fill(np.concatenate([stencil_points(zpts, FDConfig(step, richardson=0), depth=2)
-                              for step in (h, h / 2.0)]))
-    for rho in rhos:
-        x = np.array([[rho, z.real, z.imag] for z in zpts])
-        try:
-            coarse, _, noise = curvature_with_noise(fn, x, h=h)
-        except StencilError as exc:
-            # the scan's rho values are fixed, so the step is at fault
-            raise ConfigError(f"fd.curvature_h: {exc}") from exc
+    h = cfg.fd.curvature_h
+    try:
+        data.fill(np.concatenate([stencil_points(zpts, FDConfig(step, richardson=0), depth=2)
+                                  for step in (h, h / 2.0)]))
+        scans = [(rho, curvature_with_noise(fn, np.array([[rho, z.real, z.imag] for z in zpts]),
+                                            h=h)) for rho in (0.9, 1.1, 1.3)]
+    except StencilError as exc:
+        # the scan's points and rho values are fixed, so the step is at fault
+        raise ConfigError(f"fd.curvature_h: {exc}") from exc
+    for rho, (coarse, _, noise) in scans:
         columns = np.column_stack((coarse.riemann_max, coarse.ricci_max, coarse.scalar,
                                    noise["riemann"], noise["ricci"]))
         rows += [[rho, z.real, z.imag, *c] for z, c in zip(zpts, columns.tolist())]

@@ -68,7 +68,7 @@ class DegenerateFrameError(GHLabError):
 
 
 class StencilError(GHLabError):
-    """A finite-difference stencil point could not be evaluated."""
+    """A finite-difference stencil leaves its domain, or a step rounds back onto its centre."""
 
 
 class PathError(GHLabError):

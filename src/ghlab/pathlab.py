@@ -143,8 +143,8 @@ def _disc(x: np.ndarray):
 
 
 # Nodes and weights of the Gauss-Legendre rule on each panel: numpy's
-# leggauss(8), as literals of the same doubles.  The depth cap ends the
-# halving where a speed never settles (a jump inside the interval).  A
+# leggauss(8), as literals of the same doubles.  A panel at the depth cap
+# whose gap is still above its share raises (a jump inside the interval).  A
 # round refines at most _ROUND_PANELS panels, so that a tolerance no panel
 # can meet costs time but not memory.
 _GL_NODES = np.array((-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
@@ -181,8 +181,9 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
     holding the failing node: the integrand is run again on each job's
     own nodes to find it.  So does a gap above its share that stalls at
     the panel's noise floor (see _NOISE), rather than halving on to
-    _MAX_DEPTH.  A path with a map ``s`` of its parameter (_LogRadial)
-    has failures named in s."""
+    _MAX_DEPTH, and so does a gap still above its share at _MAX_DEPTH.
+    A path with a map ``s`` of its parameter (_LogRadial) has failures
+    named in s."""
     if not tol > 0:
         raise ValueError(f"tol = {tol} must be positive")
     if not jobs:
@@ -254,7 +255,12 @@ def _integrate_all(jobs, integrand, tol: float, what: str) -> np.ndarray:
             i, k = np.argwhere(noisy)[0]
             raise failure(job[i], p[i], q[i], f"the gap {gaps[i, k]} of column {k} is above its "
                           f"share {share[i]} of tol but under the noise floor {floor[i, k]}")
-        done = (depth >= _MAX_DEPTH) | (gaps.max(axis=-1) <= share)
+        done = gaps.max(axis=-1) <= share
+        capped = ~done & (depth >= _MAX_DEPTH)
+        if capped.any():
+            i = int(capped.argmax())
+            raise failure(job[i], p[i], q[i], f"the gap {gaps[i].max()} is above its share "
+                          f"{share[i]} of tol at the depth cap {_MAX_DEPTH}")
         accepted.append((job[done], p[done], left[done], right[done]))
         again = np.repeat(~done, 2)
         split = (*(a[again] for a in halves), sums[again], np.repeat(depth + 1, 2)[again],

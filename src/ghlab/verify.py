@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ansatz import _AFTER, _NEXT, HolomorphicData, gh_forms, wedge
+from .covering import _modulus
 from .errors import (
     CoframeDomainError,
     DegenerateFrameError,
@@ -35,14 +36,19 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FDConfig:
+    """The steps of verify (h, halved for Richardson) and of curvature-scan."""
+
     h: float = 1e-4
     richardson: int = 1
+    curvature_h: float = 1e-3
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("step must be positive")
         if self.richardson not in (0, 1):
             raise ValueError("only zero or one Richardson levels supported")
+        if not self.curvature_h > 0:
+            raise ValueError("curvature step must be positive")
 
 
 _DEFAULT_FD = FDConfig()
@@ -105,13 +111,26 @@ def stencil_points(zs, config: FDConfig, depth: int = 1) -> np.ndarray:
     centres zs evaluate their field, centres included, from the same
     shift builder: the stencils of verify (depth 1) and of curvature
     (depth 2).  One flat complex array, centre by centre, that keeps
-    the points repeated within and between stencils."""
+    the points repeated within and between stencils.  StencilError where
+    a step rounds back onto its centre in the u or v it moves, at any
+    level, which would difference nothing, or where a point leaves the
+    open disc."""
     z = np.asarray(zs, dtype=complex).reshape(-1, 1)
-    pts = np.stack((z.real, z.imag), axis=-1)  # (centre, point, (u, v))
+    pts, steps = np.stack((z.real, z.imag), axis=-1), _steps(config)  # (centre, point, (u, v))
     for _ in range(depth):
-        shifted = _stencil(pts, _steps(config)).reshape(len(z), -1, 2)
+        x, h = pts[..., None, :], steps[:, None]  # (centre, point, step, (u, v))
+        lost = (x + h == x) | (x - h == x)
+        if lost.any():  # name u before v, then h before h/2, then the first point
+            k, j = np.argwhere(lost.any(axis=(0, 1)).T)[0]
+            raise StencilError(f"the step {float(steps[j])} rounds back onto its centre "
+                               f"at {'uv'[k]} = {float(pts[..., k][lost[..., j, k]][0])}")
+        shifted = _stencil(pts, steps).reshape(len(z), -1, 2)
         pts = np.concatenate((pts, shifted), axis=1)
-    return pts.view(complex).ravel()
+    pts = pts.view(complex).ravel()
+    reach = float(_modulus(pts).max(initial=0.0))
+    if not reach < 1.0:
+        raise StencilError(f"the stencil of h = {config.h} leaves the disc (|z| = {reach})")
+    return pts
 
 
 def _exterior(P: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
@@ -369,14 +388,18 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     shrink a known-zero residual fourfold.  When x has fewer coordinates
     than the metric has dimensions, the metric does not depend on the
     rest (theta, for metric_field): their partials are zero and are not
-    differenced.
+    differenced.  StencilError where a rho is within 2.5 h of the cone
+    point, or where h rounds back onto it.
     """
     x = np.asarray(x, dtype=float)
     centres = x.reshape(-1, x.shape[-1])
-    low = ~(centres[:, 0] > 2.5 * h)
+    rho = centres[:, 0]
+    low = ~(rho > 2.5 * h)
     if low.any():
-        raise StencilError(f"rho = {centres[low.argmax(), 0]} too close to the cone point "
-                           f"for h = {h}")
+        raise StencilError(f"rho = {rho[low.argmax()]} too close to the cone point for h = {h}")
+    lost = (rho + h == rho) | (rho - h == rho)
+    if lost.any():
+        raise StencilError(f"the step {h} rounds back onto its centre at rho = {rho[lost][0]}")
     parts = [_curvature_stack(metric_fn, centres[k:k + _CURVATURE_CHUNK], h)
              for k in range(0, len(centres), _CURVATURE_CHUNK)]
     riemann, ricci, scalar = (_shaped(np.concatenate(p), x.shape[:-1]) for p in zip(*parts))

@@ -7,7 +7,8 @@ definitions that only tests or the benchmark tracer reach are the
 acceptance experiments and traced functions below; anything else nothing
 calls is dead API.  The reference computations that tests compare
 against live in tests/oracles.py, outside the package; each of them must
-be named by a test module or by another of them.
+be named by a test module or by another of them.  Every name a module
+imports at its top level is read in that module.
 """
 
 import ast
@@ -72,6 +73,33 @@ def test_allow_list_is_current():
     defined, used = _surface()
     stale = [q for q in ALLOWED if q not in defined or defined[q] in used]
     assert stale == []
+
+
+def _unused_imports(source: str) -> list:
+    """The names the module-level imports of a module bind and that the
+    module never reads as a name; ``from __future__`` binds none."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_import_is_read():
+    unused = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
+
+
+def test_a_leftover_import_is_caught():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
+    leftover = source.replace("from .errors import ConfigError,",
+                              "from .errors import InvalidMuError, ConfigError,")
+    assert leftover != source and _unused_imports(leftover) == ["InvalidMuError"]
 
 
 def test_every_oracle_is_referenced():

@@ -23,7 +23,6 @@ from ghlab.cli import (
     GridConfig,
     MuConfig,
     Tolerances,
-    _check_stencil_reach,
     build_data,
     config_hash,
     interior_points,
@@ -33,7 +32,8 @@ from ghlab.cli import (
     sha256_file,
     write_csv,
 )
-from ghlab.errors import ConfigError
+from ghlab.errors import ConfigError, StencilError
+from ghlab.verify import FDConfig, stencil_points
 from oracles import interior_points_by_scalar_draws
 
 
@@ -167,10 +167,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Tolerances(curl=0.0)
 
-    def test_bad_mu_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            MuConfig(kind="rotate")
-
     def test_mu_keeps_only_what_its_map_reads(self):
         assert MuConfig(kind="perturb") == MuConfig() and MuConfig(kind="perturb").is_identity()
         assert MuConfig(kind="perturb", eps_re=-0.0, eps_im=0.0, scale=2.0) == MuConfig()
@@ -178,9 +174,22 @@ class TestConfig:
         assert MuConfig(kind="perturb", scale=3.0, eps_im=0.05) == MuConfig(
             kind="perturb", eps_im=0.05)
 
-    def test_bad_ball_radius_rejected(self):
-        with pytest.raises(ConfigError, match=r"ball radius 1\.0 outside \(0, pi/4\)"):
-            DataConfig(ball_radius=1.0)
+    @pytest.mark.parametrize("raw, message", [
+        ({"data": {"mu": {"kind": "rotate"}}}, "config.data.mu: unknown mu kind 'rotate'"),
+        ({"data": {"mu": {"scale": -2.0}}}, "config.data.mu: scale must be positive"),
+        ({"data": {"ball_radius": 1.0}}, "config.data: ball radius 1.0 outside (0, pi/4)"),
+        ({"data": {"rho0_kind": "fancy"}}, "config.data: unknown rho0 kind 'fancy'"),
+        ({"data": {"rho0_scale": 0.0}}, "config.data: rho0_scale must be positive"),
+        ({"fd": {"h": -1e-4}}, "config.fd: step must be positive"),
+        ({"fd": {"richardson": 2}}, "config.fd: only zero or one Richardson levels supported"),
+        ({"fd": {"curvature_h": 0.0}}, "config.fd: curvature step must be positive"),
+    ])
+    def test_each_section_rule_is_a_config_error(self, raw, message):
+        """The rule of each section, written once in the layer that owns
+        it, reaches the loader as a ConfigError naming the section."""
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == message
 
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -281,6 +290,21 @@ class TestCommands:
             "out_dir": str(tmp_path / "o"),
         })
         assert main(["verify", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("data, code", [
+        ({"rho0_kind": "scaled", "rho0_scale": 1.7}, 0),
+        ({"rho0_kind": "constant", "rho0_scale": 1.7}, 0),
+        ({"v_multiplier": 1.000001}, 1),
+    ])
+    def test_slice_identity_holds_on_every_rho0_kind(self, tmp_path, capsys, data, code):
+        """The canonical slice is the unit level set of X, whichever rho0
+        picks the other slice, and a V off |phi|^2 by 1e-6 still fails."""
+        cfg = write_config(tmp_path / "c.json", {"data": data, "grid": {"samples": 6}})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        line = next(x for x in err.splitlines() if x.startswith("check=slice_identity "))
+        assert line.endswith("status=pass" if code == 0 else "status=fail"), err
+        assert ("failed_check=" in err) == (code == 1)
 
     def test_verify_corrupted_names_curl(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
@@ -402,21 +426,27 @@ class TestVerifyPoints:
         assert (np.array(interior_points(n, seed, radius=0.45)).tobytes()
                 == np.array(interior_points_by_scalar_draws(n, seed, radius=0.45)).tobytes())
 
-    @pytest.mark.parametrize("steps, h", [(1, 0.4), (1, 0.385), (2, 0.2), (1, 0.38)])
-    def test_stencil_reach_is_the_largest_modulus(self, steps, h):
-        """The reach of the stencils is max |z + steps h e| over the
-        points and e in (1, i, -1, -i), as CPython's abs rounds it;
-        ConfigError with that reach where it is not inside the disc."""
+
+    @pytest.mark.parametrize("depth, h", [(1, 0.4), (1, 0.385), (2, 0.2), (1, 0.38), (2, 0.15)])
+    def test_stencil_reach_is_the_largest_modulus(self, depth, h):
+        """The reach of the stencils, which verify and curvature-scan
+        report at exit 2, is the largest |z| over the points of
+        stencil_points, as CPython's abs rounds it; StencilError with it
+        where it is not inside the disc.  The points of depth 2 are
+        those of depth 1 around each point of depth 1."""
         points = interior_points(24, 0) + [0.6, -0.6j, 0.3 - 0.3j]
-        reach = max(abs(z + steps * h * e) for z in points for e in (1, 1j, -1, -1j))
+        reach_of = points
+        for _ in range(depth):
+            reach_of = reach_of + [w + e for w in reach_of for e in (h, 1j * h, -h, -1j * h)]
+        reach = max(abs(w) for w in reach_of)
+        config = FDConfig(h, richardson=0)
         if reach < 1.0:
-            _check_stencil_reach("fd.h", (h,), steps, points)
+            assert set(stencil_points(points, config, depth).tolist()) == set(reach_of)
         else:
-            with pytest.raises(ConfigError) as info:
-                _check_stencil_reach("fd.h", (h,), steps, points)
-            assert str(info.value) == (f"fd.h: the stencil of h = {h} leaves the disc "
-                                       f"(|z| = {reach})")
-        assert (reach < 1.0) == (h == 0.38)
+            with pytest.raises(StencilError) as info:
+                stencil_points(points, config, depth)
+            assert str(info.value) == f"the stencil of h = {h} leaves the disc (|z| = {reach})"
+        assert (reach < 1.0) == (h in (0.38, 0.15))
 
 
 class TestManifest:

@@ -315,7 +315,8 @@ class TestSweepQuadrature:
 def _depth_first(path, integrand, lo, hi, tol):
     """The depth-first quadrature that the round-based driver replaced,
     kept as its oracle: the same panels, accept rule, depth cap and order
-    of summation, with one integrand call per panel pair."""
+    of summation, with one integrand call per panel pair.  A panel over
+    its share at the depth cap raises, as in the driver."""
 
     def gauss(*edges):
         p, q = np.array(edges[:-1]), np.array(edges[1:])
@@ -331,8 +332,10 @@ def _depth_first(path, integrand, lo, hi, tol):
         m = 0.5 * (p + q)
         left, right = gauss(p, m, q)
         gap = np.max(np.abs(left + right - whole))
-        if depth >= _MAX_DEPTH or gap <= tol * (q - p) / (hi - lo):
+        if gap <= tol * (q - p) / (hi - lo):
             total = total + left + right
+        elif depth >= _MAX_DEPTH:
+            raise PathError(f"the depth cap on [{p}, {q}]")
         else:
             stack += [(m, q, right, depth + 1), (p, m, left, depth + 1)]
     return total
@@ -408,6 +411,8 @@ class TestFrontier:
         assert max(sizes[1:]) <= 2 * 2 * _GL_NODES.size
 
     def test_depth_cap_ends_a_jump(self):
+        """A jump inside the interval never settles: the round at the
+        depth cap raises, naming the job and the panel that holds it."""
         seg = segment(0.0, 1.0)
         calls = []
 
@@ -415,11 +420,19 @@ class TestFrontier:
             calls.append(len(s))
             return (x[:, 0] > 1.0 / 3.0).astype(float)
 
-        (got,) = _integrate_all([(seg, 0.0, 1.0)], step, 1e-12, "step")
+        with pytest.raises(PathError) as info:
+            _integrate_all([(seg, 0.0, 1.0)], step, 1e-12, "step")
         # the first panel, then one round per depth 0 .. _MAX_DEPTH
         assert len(calls) == _MAX_DEPTH + 2
-        assert np.array_equal(got, _depth_first(seg, step, 0.0, 1.0, 1e-12))
-        assert abs(got[0] - 2.0 / 3.0) <= 2.0 ** -_MAX_DEPTH
+        found = re.fullmatch(r"step failed on path 0 \(job 0\) for s in \[(.+), (.+)\]: the gap "
+                             r"(.+) is above its share (.+) of tol at the depth cap 28",
+                             str(info.value))
+        assert found, info.value
+        a, b, gap, share = map(float, found.groups())
+        assert a < 1.0 / 3.0 < b and b - a == 2.0 ** -_MAX_DEPTH
+        assert gap > share == 1e-12 * 2.0 ** -_MAX_DEPTH
+        with pytest.raises(PathError, match=re.escape(f"the depth cap on [{a}, {b}]")):
+            _depth_first(seg, step, 0.0, 1.0, 1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_a_non_finite_integrand_stops_in_its_first_round(self, bad):

@@ -267,14 +267,13 @@ class TestSharedFrames:
         assert main(["verify", "--grid", "10", "--seed", "0", "--out", str(tmp_path)]) == 0
         assert built[0] == 90
 
-    @pytest.mark.parametrize("kind,code", [("canonical", 0), ("constant", 1)])
+    @pytest.mark.parametrize("kind,code", [("canonical", 0), ("constant", 0)])
     def test_verify_counts_do_not_grow_with_the_grid(self, built, monkeypatch, tmp_path,
                                                      kind, code):
         """verify builds each frame once, in one assembly per slice kind,
         and makes as many field assemblies at 20 centres as at 5: each
-        check runs once over the stack of centres.  (With a constant
-        rho0 the zero slice is not the unit slice, so slice_identity
-        fails by design; the counts are the same either way.)"""
+        check runs once over the stack of centres.  (A constant rho0
+        builds the zero slice as well as the canonical one.)"""
         taken = {"fields": 0, "builds": []}
         fields, build = HolomorphicData._fields, HolomorphicData._build_frames
 

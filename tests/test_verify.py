@@ -119,6 +119,30 @@ class TestFDEngine:
             FDConfig(h=0.0)
         with pytest.raises(ValueError):
             FDConfig(richardson=3)
+        with pytest.raises(ValueError, match="curvature step must be positive"):
+            FDConfig(curvature_h=0.0)
+
+    def test_a_step_that_rounds_back_raises_at_any_level(self):
+        """A step that rounds back onto a centre in the u or v it moves
+        raises, naming u before v and h before h/2.  u0 just below 1/2
+        moves by 4e-17 onto 1/2, where half an ulp is 5.6e-17: the nested
+        stencil of curvature would not move it on."""
+        u0 = math.nextafter(0.5, 0.0)
+        config = FDConfig(4e-17, richardson=0)
+        assert 0.5 in stencil_points(u0, config).real.tolist()
+        with pytest.raises(StencilError, match=re.escape(
+                "the step 4e-17 rounds back onto its centre at u = 0.5")):
+            stencil_points(u0, config, depth=2)
+        with pytest.raises(StencilError, match=re.escape(
+                "the step 1e-20 rounds back onto its centre at u = 0.3")):
+            stencil_points(0.3 + 0.2j, FDConfig(1e-20))
+        # u = 0.1 moves by 5e-17, v = 0.9 does not, nor does u = 0.6 by h/2
+        with pytest.raises(StencilError, match=re.escape(
+                "the step 5e-17 rounds back onto its centre at v = 0.9")):
+            stencil_points([0.3j, 0.1 + 0.9j], FDConfig(5e-17, richardson=0))
+        with pytest.raises(StencilError, match=re.escape(
+                "the step 5e-17 rounds back onto its centre at u = 0.6")):
+            stencil_points([0.3j, 0.6 + 0.1j], FDConfig(1e-16))
 
     def test_cauchy_riemann(self):
         assert cauchy_riemann_residual(lambda z: z * z, 0.3 + 0.2j) < 1e-9
@@ -334,6 +358,12 @@ class TestCurvature:
     def test_cone_point_guard(self):
         with pytest.raises(StencilError):
             curvature(metric_field(FLAT), [1e-3, 0.1, 0.1, 0.0], h=1e-3)
+
+    def test_a_step_that_rounds_back_onto_rho_raises(self):
+        # 0.1 + 1e-17 moves, 1.1 + 1e-17 == 1.1: a rho partial of zeros
+        with pytest.raises(StencilError, match=re.escape(
+                "the step 1e-17 rounds back onto its centre at rho = 1.1")):
+            curvature(metric_field(DATA), [[0.1, 0.1, 0.1], [1.1, 0.3, 0.2]], h=1e-17)
 
     def test_singular_metric_is_a_degenerate_metric(self):
         with pytest.raises(DegenerateMetricError, match=r"x = \[1\.0, 0\.0, 0\.0\]"):
