@@ -32,7 +32,7 @@ from ghlab.cli import (
     sha256_file,
     write_csv,
 )
-from ghlab.errors import ConfigError, StencilError
+from ghlab.errors import ConfigError, InvalidMuError, StencilError
 from ghlab.verify import FDConfig, stencil_points
 from oracles import interior_points_by_scalar_draws
 
@@ -166,6 +166,14 @@ class TestConfig:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             Tolerances(curl=0.0)
+
+    def test_bad_mu_kind_rejected(self):
+        """MuConfig raises its own InvalidMuError; the loader reports it
+        as a ConfigError at config.data.mu."""
+        with pytest.raises(InvalidMuError, match="unknown mu kind 'rotate'"):
+            MuConfig(kind="rotate")
+        with pytest.raises(ConfigError, match=r"^config\.data\.mu: unknown mu kind 'rotate'$"):
+            parse_config({"data": {"mu": {"kind": "rotate"}}})
 
     def test_mu_keeps_only_what_its_map_reads(self):
         assert MuConfig(kind="perturb") == MuConfig() and MuConfig(kind="perturb").is_identity()
