@@ -33,13 +33,13 @@ HolomorphicData.fill, and kept as one row of the data's columnar store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .covering import IdentityChart, ModularCover, _metric_factors, _modulus, _stereo_lift
 from .errors import DegenerateMetricError, InvalidDataError, MetricDomainError
-from .holo import HoloFn, psi_fn, vertex_targeted_spec
+from .holo import HoloFn, MuSpec, apply_mu, psi_fn, vertex_targeted_spec
 
 
 def wedge(a, b):
@@ -482,3 +482,8 @@ def standard_data(vertices=(1, 1j, -1, -1j), depths=(1, 2), **kwargs) -> Holomor
     return HolomorphicData(
         cover=ModularCover(), psi=psi_fn(vertex_targeted_spec(vertices, depths)), **kwargs
     )
+
+
+def mu_variant(data: HolomorphicData, mu: MuSpec) -> HolomorphicData:
+    """Same covering chart, psi post-composed with mu (validated)."""
+    return replace(data, psi=apply_mu(mu, data.psi))

@@ -24,15 +24,14 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .ansatz import HolomorphicData, beta_cross_check, standard_data, validate_rho0
-from .covering import _modulus, check_ball_radius, puncture_class
+from .ansatz import HolomorphicData, beta_cross_check, mu_variant, standard_data, validate_rho0
+from .covering import _modulus, puncture_class
 from .errors import ConfigError, GHLabError, StencilError
 from .holo import MuSpec
 from .pathlab import (
     divergence_sweep,
     fingerprint_distance,
     fingerprint_samples,
-    mu_variant,
     radial_graph_fingerprint,
 )
 from .tessellation import MAX_DEPTH, tessellate
@@ -53,48 +52,19 @@ from .verify import (
 
 
 @dataclass(frozen=True)
-class MuConfig:
-    kind: str = "scale"
-    scale: float = 1.0
-    eps_re: float = 0.0
-    eps_im: float = 0.0
-
-    def __post_init__(self):
-        self.as_spec()
-        # one config per map: a perturbation reads no scale and a scale no
-        # eps, and the perturbation by eps 0 is the identity, scale 1
-        if self.kind == "perturb":
-            object.__setattr__(self, "scale", 1.0)
-            if self.eps_re == self.eps_im == 0.0:
-                object.__setattr__(self, "kind", "scale")
-        if self.kind == "scale":
-            object.__setattr__(self, "eps_re", 0.0)
-            object.__setattr__(self, "eps_im", 0.0)
-
-    def is_identity(self) -> bool:
-        return self.kind == "scale" and self.scale == 1.0
-
-    def as_spec(self) -> MuSpec:
-        return MuSpec(kind=self.kind, scale=self.scale,
-                      eps=complex(self.eps_re, self.eps_im))
-
-
-@dataclass(frozen=True)
 class DataConfig:
     kind: str = "blaschke"
     vertices: tuple[tuple[float, float], ...] = (
         (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
     depths: tuple[int, ...] = (1, 2)
-    ball_radius: float = 0.1
     rho0_kind: str = "canonical"
     rho0_scale: float = 1.0
     v_multiplier: float = 1.0
-    mu: MuConfig = field(default_factory=MuConfig)
+    mu: MuSpec = field(default_factory=MuSpec)
 
     def __post_init__(self):
         if self.kind not in ("blaschke", "flat"):
             raise ConfigError(f"data kind {self.kind!r} not in (blaschke, flat)")
-        check_ball_radius(self.ball_radius)
         validate_rho0(self.rho0_kind, self.rho0_scale)
         if not self.v_multiplier > 0:
             raise ConfigError("v_multiplier must be positive")
@@ -240,7 +210,7 @@ def build_data(dc: DataConfig) -> HolomorphicData:
                 **common,
             )
         if not dc.mu.is_identity():
-            data = mu_variant(data, dc.mu.as_spec())
+            data = mu_variant(data, dc.mu)
         return data
     except GHLabError as exc:
         raise ConfigError(f"data construction failed: {exc}")
@@ -407,7 +377,6 @@ def cmd_hororegions(cfg: ExperimentConfig, out: Path):
         "class_1": counts[1],
         "class_2": counts[2],
         "class_3": counts[3],
-        "ball_radius": cfg.data.ball_radius,
     }
     return True, [csv_path, svg_path], summary
 
@@ -579,21 +548,18 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path):
 
 
 def cmd_fingerprint(cfg: ExperimentConfig, out: Path):
-    base = build_data(replace(cfg.data, mu=MuConfig()))
+    base = build_data(replace(cfg.data, mu=MuSpec()))
     variants = [
-        ("scale1", None),
+        ("scale1", MuSpec()),
         ("scale2", MuSpec(kind="scale", scale=2.0)),
-        ("perturb05", MuSpec(kind="perturb", eps=0.05)),
+        ("perturb05", MuSpec(kind="perturb", eps_re=0.05)),
     ]
     # a config mu equal to a built-in one would be compared with itself
-    mu = cfg.data.mu.as_spec()
-    if not cfg.data.mu.is_identity() and mu not in dict(variants).values():
-        variants.append(("config", mu))
+    if cfg.data.mu not in dict(variants).values():
+        variants.append(("config", cfg.data.mu))
     samples = fingerprint_samples()
-    prints = {}
-    for name, spec in variants:
-        data = base if spec is None else mu_variant(base, spec)
-        prints[name] = radial_graph_fingerprint(data, samples)
+    prints = {name: radial_graph_fingerprint(mu_variant(base, spec), samples)
+              for name, spec in variants}
 
     rows = []
     for i, z in enumerate(samples):

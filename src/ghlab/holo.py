@@ -225,26 +225,41 @@ class MuSpec:
     """Post-composition map for the deformation family psi_mu = mu o psi.
 
     kind "scale": mu(w) = scale * w, scale > 0.
-    kind "perturb": mu(w) = w + eps * w^2 for small |eps|.
+    kind "perturb": mu(w) = w + eps * w^2 for small |eps|, with
+    eps = eps_re + i eps_im.
     Both kinds fix 0; a validation sample of mu(psi) values must stay
-    inside the sector pi/4 < arg < 3pi/4.
+    inside the sector pi/4 < arg < 3pi/4.  This is the ``data.mu``
+    section of a config, so each map has one spec: after validation a
+    perturbation keeps no scale and a scale no eps, and the perturbation
+    by eps 0 is the identity, scale 1.
     """
 
     kind: str = "scale"
     scale: float = 1.0
-    eps: complex = 0.0
+    eps_re: float = 0.0
+    eps_im: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("scale", "perturb"):
             raise InvalidMuError(f"unknown mu kind {self.kind!r}")
         if self.kind == "scale" and not self.scale > 0:
             raise InvalidMuError("scale must be positive")
+        if self.kind == "perturb":
+            object.__setattr__(self, "scale", 1.0)
+            if self.eps_re == self.eps_im == 0.0:
+                object.__setattr__(self, "kind", "scale")
+        if self.kind == "scale":
+            object.__setattr__(self, "eps_re", 0.0)
+            object.__setattr__(self, "eps_im", 0.0)
+
+    def is_identity(self) -> bool:
+        return self.kind == "scale" and self.scale == 1.0
 
     def as_holo(self) -> HoloFn:
         if self.kind == "scale":
             c = self.scale
             return HoloFn(jet=lambda w: (c * w, complex(c), 0j))
-        e = complex(self.eps)
+        e = complex(self.eps_re, self.eps_im)
         return HoloFn(jet=lambda w: (w + e * w * w, 1.0 + 2.0 * e * w, 2.0 * e))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -37,7 +37,6 @@ from .covering import (
     sphere_distance,
 )
 from .errors import GHLabError, PathError, RegionError
-from .holo import MuSpec, apply_mu
 from .tessellation import Cusp
 
 METRIC_TAGS = ("euclid", "sphere", "disc", "g3", "gs")
@@ -606,8 +605,3 @@ def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError("fingerprints need a common sample set")
     return float(np.max(np.abs(a - b))) if len(a) else 0.0
-
-
-def mu_variant(data: HolomorphicData, mu: MuSpec) -> HolomorphicData:
-    """Same covering chart, psi post-composed with mu (validated)."""
-    return replace(data, psi=apply_mu(mu, data.psi))

@@ -374,6 +374,16 @@ def _curvature_stack(metric_fn, centres: np.ndarray, h: float):
     return _worst(riem, (N,)), _worst(ricci, (N,)), scalar
 
 
+def _check_rho_step(rho: np.ndarray, h: float) -> None:
+    """StencilError unless every rho passes the cone rule rho > 2.5 h and moves by h."""
+    low = ~(rho > 2.5 * h)
+    if low.any():
+        raise StencilError(f"rho = {rho[low.argmax()]} too close to the cone point for h = {h}")
+    lost = (rho + h == rho) | (rho - h == rho)
+    if lost.any():
+        raise StencilError(f"the step {h} rounds back onto its centre at rho = {rho[lost][0]}")
+
+
 def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     """Riemann and Ricci by plain nested central differences at a centre
     x (d,) or a stack of them (N, d), an error naming the first failing one.
@@ -393,13 +403,7 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
     """
     x = np.asarray(x, dtype=float)
     centres = x.reshape(-1, x.shape[-1])
-    rho = centres[:, 0]
-    low = ~(rho > 2.5 * h)
-    if low.any():
-        raise StencilError(f"rho = {rho[low.argmax()]} too close to the cone point for h = {h}")
-    lost = (rho + h == rho) | (rho - h == rho)
-    if lost.any():
-        raise StencilError(f"the step {h} rounds back onto its centre at rho = {rho[lost][0]}")
+    _check_rho_step(centres[:, 0], h)
     parts = [_curvature_stack(metric_fn, centres[k:k + _CURVATURE_CHUNK], h)
              for k in range(0, len(centres), _CURVATURE_CHUNK)]
     riemann, ricci, scalar = (_shaped(np.concatenate(p), x.shape[:-1]) for p in zip(*parts))
@@ -407,7 +411,11 @@ def curvature(metric_fn, x, h: float = 1e-3) -> CurvatureReport:
 
 
 def curvature_with_noise(metric_fn, x, h: float = 1e-3):
-    """The reports at h and h/2 and the floors taken from them, at x as curvature."""
+    """The reports at h and h/2 and the floors taken from them, at x as
+    curvature; both steps are checked before either pass runs."""
+    rho = np.asarray(x, dtype=float)[..., 0].ravel()
+    for step in (h, h / 2.0):
+        _check_rho_step(rho, step)
     coarse = curvature(metric_fn, x, h)
     fine = curvature(metric_fn, x, h / 2.0)
     noise = {

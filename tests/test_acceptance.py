@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from ghlab.ansatz import HolomorphicData, beta_cross_check, standard_data
+from ghlab.ansatz import HolomorphicData, beta_cross_check, mu_variant, standard_data
 from ghlab.cli import interior_points, main
 from ghlab.covering import puncture_distance
 from ghlab.pathlab import (
@@ -24,7 +24,6 @@ from ghlab.pathlab import (
     hexagon_constants,
     horizontal_length,
     log_variation_check,
-    mu_variant,
     path_length,
     radial_graph_fingerprint,
 )
@@ -230,7 +229,7 @@ def test_mu_family_fingerprints_separate():
         radial_graph_fingerprint(
             mu_variant(DATA, MuSpec(kind="scale", scale=2.0)), samples),
         radial_graph_fingerprint(
-            mu_variant(DATA, MuSpec(kind="perturb", eps=0.05)), samples),
+            mu_variant(DATA, MuSpec(kind="perturb", eps_re=0.05)), samples),
     ]
     dists = [fingerprint_distance(prints[i], prints[j])
              for i in range(3) for j in range(i + 1, 3)]

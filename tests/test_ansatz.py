@@ -10,6 +10,7 @@ import ghlab.ansatz
 from ghlab.ansatz import (
     HolomorphicData,
     beta_cross_check,
+    mu_variant,
     sphere_jacobian,
     standard_data,
     wedge,
@@ -22,7 +23,6 @@ from ghlab.errors import (
     PunctureError,
 )
 from ghlab.holo import HoloFn, MuSpec
-from ghlab.pathlab import mu_variant
 from oracles import curl_source, metric_factors
 
 FLAT = HolomorphicData.flat_reference()
@@ -441,7 +441,7 @@ class TestBatchedXi:
 
     @pytest.mark.parametrize("make", [
         standard_data,
-        lambda: mu_variant(standard_data(), MuSpec(kind="perturb", eps=0.05 + 0.02j)),
+        lambda: mu_variant(standard_data(), MuSpec(kind="perturb", eps_re=0.05, eps_im=0.02)),
         HolomorphicData.flat_reference,
     ], ids=["standard", "perturb_mu", "flat"])
     def test_bit_for_bit_per_point(self, make):

@@ -21,7 +21,6 @@ from ghlab.cli import (
     DataConfig,
     ExperimentConfig,
     GridConfig,
-    MuConfig,
     Tolerances,
     build_data,
     config_hash,
@@ -33,6 +32,7 @@ from ghlab.cli import (
     write_csv,
 )
 from ghlab.errors import ConfigError, InvalidMuError, StencilError
+from ghlab.holo import MuSpec
 from ghlab.verify import FDConfig, stencil_points
 from oracles import interior_points_by_scalar_draws
 
@@ -106,11 +106,20 @@ class TestConfig:
         assert parse_config({}) == cfg
 
     def test_hash_is_pinned(self):
-        # manifests written by earlier versions keep their config hash
+        # a config's hash moves only when its keys or values do
         assert config_hash(ExperimentConfig()) == (
-            "b7adf2c6cae17a65d40e4a0c05a8c53467eef3ccf680b1d6ebf6838eb9a82dab")
+            "de8ced82624afbaa28305e6cea9a29143e6679955207663c79e5602d6d362b67")
         assert config_hash(parse_config(ROUNDTRIP_CONFIG)) == (
-            "e3b940f635778d2103b6d8908305a93a34896d288e360e7788b32dcf3a20e31b")
+            "8d6f23bd4f60dd2f50e3f96401dc2c1066da24f773b193427dcacecdb7e3ac72")
+
+    def test_readme_example_config_loads(self):
+        """The example config under "Command line" in README.md names
+        only keys and values the loader accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"^```json\n(.*?)^```$", section, re.S | re.M).group(1)
+        cfg = parse_config(json.loads(block))
+        assert reload(cfg) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -168,24 +177,25 @@ class TestConfig:
             Tolerances(curl=0.0)
 
     def test_bad_mu_kind_rejected(self):
-        """MuConfig raises its own InvalidMuError; the loader reports it
+        """MuSpec raises its own InvalidMuError; the loader reports it
         as a ConfigError at config.data.mu."""
         with pytest.raises(InvalidMuError, match="unknown mu kind 'rotate'"):
-            MuConfig(kind="rotate")
+            MuSpec(kind="rotate")
         with pytest.raises(ConfigError, match=r"^config\.data\.mu: unknown mu kind 'rotate'$"):
             parse_config({"data": {"mu": {"kind": "rotate"}}})
 
     def test_mu_keeps_only_what_its_map_reads(self):
-        assert MuConfig(kind="perturb") == MuConfig() and MuConfig(kind="perturb").is_identity()
-        assert MuConfig(kind="perturb", eps_re=-0.0, eps_im=0.0, scale=2.0) == MuConfig()
-        assert MuConfig(scale=2.0, eps_re=0.3, eps_im=-0.1) == MuConfig(scale=2.0)
-        assert MuConfig(kind="perturb", scale=3.0, eps_im=0.05) == MuConfig(
+        assert type(ExperimentConfig().data.mu) is MuSpec
+        assert MuSpec(kind="perturb") == MuSpec() and MuSpec(kind="perturb").is_identity()
+        assert MuSpec(kind="perturb", eps_re=-0.0, eps_im=0.0, scale=2.0) == MuSpec()
+        assert MuSpec(scale=2.0, eps_re=0.3, eps_im=-0.1) == MuSpec(scale=2.0)
+        assert MuSpec(kind="perturb", scale=3.0, eps_im=0.05) == MuSpec(
             kind="perturb", eps_im=0.05)
 
     @pytest.mark.parametrize("raw, message", [
         ({"data": {"mu": {"kind": "rotate"}}}, "config.data.mu: unknown mu kind 'rotate'"),
         ({"data": {"mu": {"scale": -2.0}}}, "config.data.mu: scale must be positive"),
-        ({"data": {"ball_radius": 1.0}}, "config.data: ball radius 1.0 outside (0, pi/4)"),
+        ({"data": {"v_multiplier": 0.0}}, "config.data: v_multiplier must be positive"),
         ({"data": {"rho0_kind": "fancy"}}, "config.data: unknown rho0 kind 'fancy'"),
         ({"data": {"rho0_scale": 0.0}}, "config.data: rho0_scale must be positive"),
         ({"fd": {"h": -1e-4}}, "config.fd: step must be positive"),
@@ -229,7 +239,7 @@ class TestBuildData:
 
     def test_mu_scale_applied(self):
         plain = build_data(DataConfig())
-        scaled = build_data(DataConfig(mu=MuConfig(kind="scale", scale=2.0)))
+        scaled = build_data(DataConfig(mu=MuSpec(kind="scale", scale=2.0)))
         z = 0.2 + 0.1j
         assert scaled.psi(z) == pytest.approx(2.0 * plain.psi(z))
 
@@ -391,6 +401,7 @@ class TestCommands:
         ({"kind": "perturb"}, 3),
         ({"kind": "scale", "scale": 2.0, "eps_re": 0.3}, 3),
         ({"kind": "perturb", "scale": 3.0, "eps_re": 0.05}, 3),
+        ({"kind": "perturb", "eps_im": 0.05}, 4),
     ])
     def test_fingerprint_config_mu(self, tmp_path, mu, variants):
         # a config mu equal to a built-in variant is not compared with itself
@@ -531,6 +542,13 @@ class TestReproducibility:
         assert (out_a / "fields.csv").read_bytes() != (out_b / "fields.csv").read_bytes()
 
 
+# the detail a row of test_unusable_config_exits_two must print
+_EXIT_TWO_DETAILS = {
+    # a removed key is an unknown one
+    '{"data": {"ball_radius": 0.8}}': "detail=unknown config.data keys: ['ball_radius']\n",
+}
+
+
 class TestEntryPoints:
     def test_bad_config_exits_two(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -570,6 +588,7 @@ class TestEntryPoints:
         assert main([command, "--config", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error=config ") and err.count("\n") == 1
+        assert _EXIT_TWO_DETAILS.get(text, "") in err
         assert not out.exists()
 
     def test_curvature_step_past_the_scan_exits_two(self, tmp_path, capsys):

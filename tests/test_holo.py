@@ -211,12 +211,12 @@ class TestMu:
             assert abs(composed(z) - 2 * psi(z)) < 1e-15
 
     def test_perturb_direct_substitution(self):
-        mu = MuSpec(kind="perturb", eps=0.05).as_holo()
+        mu = MuSpec(kind="perturb", eps_re=0.05).as_holo()
         assert mu(1j) == pytest.approx(-0.05 + 1j)
 
     def test_chain_rule_derivative(self):
         psi = psi_fn(FOUR_VERTEX)
-        composed = apply_mu(MuSpec(kind="perturb", eps=0.05), psi)
+        composed = apply_mu(MuSpec(kind="perturb", eps_re=0.05), psi)
         h = 1e-5
         for z in _interior_points(25, radius=0.8):
             coarse = (composed(z + h) - composed(z - h)) / (2 * h)
@@ -228,7 +228,7 @@ class TestMu:
         # w + 3 w^2 turns psi values near i*0.9 far past arg 3pi/4
         psi = psi_fn(FOUR_VERTEX)
         with pytest.raises(InvalidMuError):
-            apply_mu(MuSpec(kind="perturb", eps=3.0), psi)
+            apply_mu(MuSpec(kind="perturb", eps_re=3.0), psi)
 
     def test_rejection_names_the_one_failing_sample(self):
         # psi = i but near one sample, where it rises to 20 i: there
@@ -239,7 +239,7 @@ class TestMu:
             w = 1j + 19j * np.exp(-abs(z - target) ** 2 / 1e-4)
             return w, 0.0 * w, 0.0 * w
 
-        mu = MuSpec(kind="perturb", eps=0.1)
+        mu = MuSpec(kind="perturb", eps_re=0.1)
         psi = HoloFn(jet=jet)
         inside = in_q2(mu.as_holo()(psi(ghlab.holo._MU_SAMPLES)))
         assert np.flatnonzero(~inside).tolist() == [37]
@@ -272,7 +272,7 @@ class TestBatchedJet:
     def test_matches_scalar_jet(self, name):
         psi, reference = {
             "standard": (psi_fn(FOUR_VERTEX), lambda z: psi_jet(FOUR_VERTEX, z)),
-            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
+            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps_re=0.05), psi_fn(FOUR_VERTEX)),
                            _perturbed_psi_jet),
             "flat": (HoloFn.constant(2j), lambda z: (2j, 0j, 0j)),
         }[name]
@@ -313,7 +313,7 @@ class TestBatchedJet:
             assert all(_same_bits(x, y[0]) for x, y in zip(one, batch))
 
     @pytest.mark.parametrize("mu", [None, MuSpec(kind="scale", scale=2.0),
-                                    MuSpec(kind="perturb", eps=0.05)],
+                                    MuSpec(kind="perturb", eps_re=0.05)],
                              ids=["psi", "scale2", "perturb05"])
     def test_one_point_of_psi_is_a_batch_of_one(self, mu):
         psi = standard_data().psi
@@ -364,7 +364,7 @@ class TestValuePath:
     def test_value_is_the_jet_value(self, name):
         fn, z = {
             "standard": (psi_fn(FOUR_VERTEX), self.points),
-            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps=0.05), psi_fn(FOUR_VERTEX)),
+            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps_re=0.05), psi_fn(FOUR_VERTEX)),
                            self.points),
             "flat": (HoloFn.constant(2j), self.points),
             "power_and_double_zero": (_blaschke_fn(BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),))),

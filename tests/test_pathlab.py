@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ghlab.covering
 import ghlab.pathlab
-from ghlab.ansatz import HolomorphicData, standard_data
+from ghlab.ansatz import HolomorphicData, mu_variant, standard_data
 from ghlab.errors import (
     ConvergenceError,
     InvalidMuError,
@@ -36,7 +36,6 @@ from ghlab.pathlab import (
     hexagon_constants,
     horizontal_length,
     log_variation_check,
-    mu_variant,
     path_length,
     radial_graph_fingerprint,
 )
@@ -669,7 +668,7 @@ class TestFingerprints:
         samples = fingerprint_samples()
         f1 = radial_graph_fingerprint(DATA, samples)
         fp = radial_graph_fingerprint(
-            mu_variant(DATA, MuSpec(kind="perturb", eps=0.05)), samples
+            mu_variant(DATA, MuSpec(kind="perturb", eps_re=0.05)), samples
         )
         assert fingerprint_distance(f1, fp) > 1e-4
 
@@ -679,4 +678,4 @@ class TestFingerprints:
 
     def test_mu_validation_runs(self):
         with pytest.raises(InvalidMuError):
-            mu_variant(DATA, MuSpec(kind="perturb", eps=3.0))
+            mu_variant(DATA, MuSpec(kind="perturb", eps_re=3.0))

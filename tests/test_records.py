@@ -28,6 +28,7 @@ from ghlab.ansatz import (
     HolomorphicData,
     SliceFrame,
     gh_forms,
+    mu_variant,
     sphere_jacobian,
     standard_data,
 )
@@ -35,7 +36,6 @@ from ghlab.cli import interior_points, main
 from ghlab.covering import IdentityChart, ModularCover
 from ghlab.errors import PunctureError
 from ghlab.holo import HoloFn, MuSpec
-from ghlab.pathlab import mu_variant
 from ghlab.verify import (
     FDConfig,
     _partials,

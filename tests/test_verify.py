@@ -365,6 +365,21 @@ class TestCurvature:
                 "the step 1e-17 rounds back onto its centre at rho = 1.1")):
             curvature(metric_field(DATA), [[0.1, 0.1, 0.1], [1.1, 0.3, 0.2]], h=1e-17)
 
+    def test_both_steps_are_checked_before_the_first_pass(self):
+        # 0.9 + 8e-17 moves and 0.9 + 4e-17 == 0.9: the fine step fails,
+        # and the coarse pass must not run first
+        calls = []
+        fn = metric_field(DATA)
+
+        def counting(X):
+            calls.append(len(X))
+            return fn(X)
+
+        with pytest.raises(StencilError, match=re.escape(
+                "the step 4e-17 rounds back onto its centre at rho = 0.9")):
+            curvature_with_noise(counting, [0.9, 0.1, 0.1], h=8e-17)
+        assert calls == []
+
     def test_singular_metric_is_a_degenerate_metric(self):
         with pytest.raises(DegenerateMetricError, match=r"x = \[1\.0, 0\.0, 0\.0\]"):
             curvature(lambda X: np.zeros((len(X), 4, 4)), [1.0, 0.0, 0.0])
