@@ -255,8 +255,8 @@ class HolomorphicData:
         The cover goes first, so that a z outside the open disc raises
         the cover's PunctureError before psi is evaluated; no row is kept
         unless the whole batch succeeds.  One cover batch of (w, dw/dz)
-        and one psi jet serve all points, and each field is elementwise,
-        so one point is bit for bit a batch of one.
+        and one first-order psi jet (psi, psi') serve all points, and each
+        field is elementwise, so one point is bit for bit a batch of one.
         xi = f *dK - K *df with f = Im phi and K = log(1 + |w|^2), by
         Green's identity (module docstring): with a = dK/dz = w' (conj(w)
         / (1 + |w|^2)) and phi' = psi'/psi^2, xi_u = 2 f Im a + K Re phi'
@@ -273,7 +273,7 @@ class HolomorphicData:
         if not z.size:
             return
         w, dw_dz = self.cover.values(z)
-        psi, dpsi, _ = self.psi.jet(z)
+        psi, dpsi = self.psi.jet1(z)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         s = w.real * w.real + w.imag * w.imag  # xi by Green's identity
@@ -437,10 +437,10 @@ class HolomorphicData:
         """Quotient metric on the disc: the canonical-slice metric with
         the circle direction reduced away, over an array of z as one
         (..., 2, 2) array, m the cover's conformal factor at z
-        (metric_factors_in_disc).  Needs no xi, and keeps no record:
-        path quadratures call it at nodes no stencil revisits."""
+        (metric_factors_in_disc).  Needs no xi and no psi'', and keeps
+        no record: path quadratures call it at nodes no stencil revisits."""
         z = np.asarray(z, dtype=complex)
-        psi, dpsi, _ = self.psi.jet(z)
+        psi, dpsi = self.psi.jet1(z)
         grad = np.stack((dpsi.imag, dpsi.real), axis=-1)
         # where m reads 0 the radial part still makes sense
         G = grad[..., :, None] * grad[..., None, :] + (psi.imag**2 * m)[..., None, None] * np.eye(2)

@@ -275,23 +275,24 @@ def _svg_circle(center: complex, r: float, color: str, width: float = 0.004) -> 
     )
 
 
-_ARC_SEGMENTS = 32
-
-
-def _side_polyline(side) -> list:
+def _svg_side(side, color: str, width: float) -> str:
+    """A diameter as a polyline, a circular side as its minor SVG arc,
+    swept positively (y is flipped) where it turns clockwise."""
     va, vb = side.endpoints
     if side.kind == "diameter":
-        return [va, vb]
+        return _svg_polyline([va, vb], color, width)
     c = side.center
-    ta = cmath.phase(va - c)
-    delta = cmath.phase((vb - c) / (va - c))
-    return [c + abs(va - c) * cmath.exp(1j * (ta + delta * k / _ARC_SEGMENTS))
-            for k in range(_ARC_SEGMENTS + 1)]
+    r, sweep = _g(abs(va - c)), int(cmath.phase((vb - c) / (va - c)) < 0)
+    return (
+        f'<path d="M {_g(va.real)},{_g(-va.imag)} A {r},{r} 0 0 {sweep} '
+        f'{_g(vb.real)},{_g(-vb.imag)}" fill="none" stroke="{color}" '
+        f'stroke-width="{_g(width)}"/>'
+    )
 
 
 def _tessellation_elements(tess) -> list:
-    """One polyline per side: a child skips the side its parent drew."""
-    return [_svg_polyline(_side_polyline(side), "#888888", 0.003)
+    """One element per side: a child skips the side its parent drew."""
+    return [_svg_side(side, "#888888", 0.003)
             for tri in tess.triangles for k, side in enumerate(tri.sides)
             if k != tri.shared_side]
 

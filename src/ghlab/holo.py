@@ -15,7 +15,9 @@ the required sector automatically.
 Everything carries analytic first and second derivatives; a HoloFn is
 the jet (f, f', f'') at a point, so consumers never have to difference
 anything that is known in closed form, and one Blaschke product per
-point serves all three.
+point serves all three.  A consumer takes the jet to the order it
+reads: (psi, psi') in ``fill``, ``g_sigma`` and ``log_variation_check``,
+psi'' as well in the circle and root batches of ``beta_zero_search``.
 """
 
 from __future__ import annotations
@@ -43,16 +45,22 @@ class HoloFn:
     one evaluation of the underlying product serves the value and both
     derivatives.  z is an ndarray, with three arrays of its shape back,
     or one point, taken as a 0-d array.  Calling a HoloFn gives
-    ``value(z)`` where given (no derivatives, bit for bit jet(z)[0]).
+    ``value(z)`` where given (no derivatives, bit for bit jet(z)[0]), and
+    ``jet1(z)``, for callers that read no f'', gives ``slope(z)`` where
+    given ((f, f'), bit for bit jet(z)[:2]).
     """
 
     jet: Callable
     value: Callable | None = None
+    slope: Callable | None = None
 
     def __call__(self, z):
         if self.value is not None:
             return self.value(z)
         return self.jet(z)[0]
+
+    def jet1(self, z):
+        return self.jet(z)[:2] if self.slope is None else self.slope(z)
 
     @classmethod
     def constant(cls, c: complex) -> "HoloFn":
@@ -124,21 +132,23 @@ def _power_with_derivs(m: int, z):
     return z**m, m * z ** (m - 1), m * (m - 1) * z ** (m - 2)
 
 
-def blaschke_derivs(spec: BlaschkeSpec, z):
-    """(B, B', B'') at z, an ndarray or one point, in its shape: the jet
-    of _blaschke_batch, under the name perfbench traces."""
-    return _blaschke_batch(spec, z)
+def blaschke_derivs(spec: BlaschkeSpec, z, order: int = 2):
+    """(B, B', B'') at z, an ndarray or one point, in its shape, or
+    (B, B') at order 1: the jet of _blaschke_batch, under the name
+    perfbench traces."""
+    return _blaschke_batch(spec, z, order)
 
 
-def _blaschke_batch(spec: BlaschkeSpec, z, derivs: bool = True):
+def _blaschke_batch(spec: BlaschkeSpec, z, order: int = 2):
     """(B, B', B'') at z, an ndarray or one point (a 0-d array), in its
-    shape, or B alone with derivs False: bit for bit the jet's first
-    array.  One table holds factor c (a - z)/den, with c = conj(a)/|a|
-    and den = 1 - conj(a) z, at every z (one row per factor), after the
-    pole floor on den, which names the first factor and z that breach
-    it.  A factor's derivative is c (|a|^2 - 1)/den^2 and its second
-    derivative that times 2 conj(a)/den; the product rule accumulates
-    the rows."""
+    shape, to order 2; (B, B') at order 1 and B alone at order 0, each
+    bit for bit the leading arrays of the full jet.  One table holds
+    factor c (a - z)/den, with c = conj(a)/|a| and den = 1 - conj(a) z,
+    at every z (one row per factor), after the pole floor on den, which
+    names the first factor and z that breach it.  A factor's derivative
+    is c (|a|^2 - 1)/den^2 and its second derivative that times
+    2 conj(a)/den; the product rule accumulates the rows, and no table
+    or sum above the requested order is formed."""
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
     a, ac, c, k = spec.factor_columns
@@ -147,21 +157,22 @@ def _blaschke_batch(spec: BlaschkeSpec, z, derivs: bool = True):
     if near.any():
         row, col = np.argwhere(near)[0]
         raise PoleError(f"Blaschke factor pole at z={z[col]} for zero a={a[row, 0]}")
-    f = c * (a - z) / den
+    tables = [c * (a - z) / den]
+    if order:
+        core = k / (den * den)
+        tables.append(c * core)
+    if order > 1:
+        tables.append(c * core * 2.0 * ac / den)
     p, d1, d2 = _power_with_derivs(spec.m, z)
-    if not derivs:
-        for fk in f:
-            p = p * fk
-        return np.broadcast_to(p, z.shape).reshape(shape)[()]
-    core = k / (den * den)
-    f1 = c * core
-    f2 = c * core * 2.0 * ac / den
-    for fk, f1k, f2k in zip(f, f1, f2):
-        d2 = d2 * fk + 2.0 * d1 * f1k + p * f2k
-        d1 = d1 * fk + p * f1k
+    for fk, *dk in zip(*tables):
+        if order > 1:
+            d2 = d2 * fk + 2.0 * d1 * dk[0] + p * dk[1]
+        if order:
+            d1 = d1 * fk + p * dk[0]
         p = p * fk
     # the leading power alone may leave constants in the jet
-    return tuple(np.broadcast_to(x, z.shape).reshape(shape)[()] for x in (p, d1, d2))
+    jet = tuple(np.broadcast_to(x, z.shape).reshape(shape)[()] for x in (p, d1, d2)[:order + 1])
+    return jet if order else jet[0]
 
 
 def sqrt_right_halfplane(w):
@@ -200,17 +211,16 @@ def psi_fn(spec: BlaschkeSpec) -> HoloFn:
     psi'' = -i [ B''/(2 s) + B'^2/(4 s^3) ].
     """
 
-    def jet(z):
-        b, db, ddb = blaschke_derivs(spec, z)
+    def jet(z, order=2):
+        b, db, *ddb = blaschke_derivs(spec, z, order)
         s = sqrt_right_halfplane(1.0 - b)
-        return (
-            1j * s,
-            -1j * db / (2.0 * s),
-            -1j * (ddb / (2.0 * s) + db * db / (4.0 * s**3)),
-        )
+        first = 1j * s, -1j * db / (2.0 * s)
+        if not ddb:
+            return first
+        return (*first, -1j * (ddb[0] / (2.0 * s) + db * db / (4.0 * s**3)))
 
-    return HoloFn(jet=_flat_batch(jet), value=_flat_batch(lambda z: 1j * sqrt_right_halfplane(
-        1.0 - _blaschke_batch(spec, z, derivs=False))))
+    return HoloFn(jet=_flat_batch(jet), slope=_flat_batch(lambda z: jet(z, 1)), value=_flat_batch(
+        lambda z: 1j * sqrt_right_halfplane(1.0 - _blaschke_batch(spec, z, 0))))
 
 
 def in_q2(w):
@@ -293,4 +303,10 @@ def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:
         m, dm, d2m = outer(w)
         return m, dm * dw, d2m * dw * dw + dm * d2w
 
-    return HoloFn(jet=_flat_batch(jet), value=_flat_batch(lambda z: outer(psi(z))[0]))
+    def slope(z):
+        w, dw = psi.jet1(z)
+        m, dm, _ = outer(w)
+        return m, dm * dw
+
+    return HoloFn(jet=_flat_batch(jet), slope=_flat_batch(slope),
+                  value=_flat_batch(lambda z: outer(psi(z))[0]))

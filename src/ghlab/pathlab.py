@@ -287,7 +287,7 @@ def _speed_fn(tags, data: HolomorphicData | None, dim: int):
     """speed(s, points, velocities) over arrays: an (N, len(tags)) array,
     one column of speeds per metric tag.  One call evaluates the cover
     once for all of its nodes if a sphere or disc tag needs it, and psi's
-    jet only for the disc tag."""
+    first-order jet only for the disc tag."""
     for tag in tags:
         if tag not in METRIC_TAGS:
             raise ValueError(f"unknown metric tag {tag!r}")
@@ -436,7 +436,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
     lhs = path_length(path, "disc", data)
 
     def variation(s, x, v):
-        psi, dpsi, _ = data.psi.jet(_disc(x))
+        psi, dpsi = data.psi.jet1(_disc(x))
         return abs((dpsi * _disc(v)).imag) / psi.imag
 
     (rhs,) = _integrate_all([(path, 0.0, 1.0)], variation, 1e-6, "psi evaluation")[0]

@@ -636,7 +636,8 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     of their reaches make one zero of their multiplicity, at their
     centroid.  One batched jet is taken at the roots inside the circle
     and at the centroids of the roots linked by _CLUSTER_RADIUS alone;
-    a second, at the new centroids, only where the reaches link more.
+    a second, of psi and psi' alone, at the new centroids, only where
+    the reaches link more.
     A zero is kept where |psi'| is at most _ZERO_FLOOR times the largest
     on the circle, and the kept multiplicities must add up to n, else
     ZeroCountError.  The zeros of beta are those where Re psi vanishes
@@ -683,7 +684,7 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     if len(linked) < len(clusters):
         # the roots of a multiple zero spread wider than _CLUSTER_RADIUS
         clusters = linked
-        w, dpsi, _ = psi.jet(np.array([z for z, _ in clusters], dtype=complex))
+        w, dpsi = psi.jet1(np.array([z for z, _ in clusters], dtype=complex))
     located = [(z, mult, v) for (z, mult), v, d in zip(clusters, w.tolist(), np.abs(dpsi))
                if d <= _ZERO_FLOOR * scale]  # (z, multiplicity, psi there)
     found = sum(mult for _, mult, _ in located)

@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment driver."""
 
+import cmath
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from ghlab.cli import (
 )
 from ghlab.errors import ConfigError, InvalidMuError, StencilError
 from ghlab.holo import MuSpec
+from ghlab.tessellation import tessellate
 from ghlab.verify import FDConfig, stencil_points
 from oracles import interior_points_by_scalar_draws
 
@@ -260,12 +263,64 @@ class TestCommands:
 
     @pytest.mark.parametrize("depth, sides", [(0, 3), (2, 21)])
     def test_tessellation_svg_draws_every_side_once(self, tmp_path, depth, sides):
-        # 3 + 2 (T - 1) sides for T triangles; the diameter at depth 0 too
+        # 3 + 2 (T - 1) sides for T triangles, a polyline per diameter
+        # and an arc per circular side; the diameter at depth 0 too
         out = tmp_path / "o"
         assert main(["tessellate", "--out", str(out), "--depth", str(depth)]) == 0
         svg = (out / "tessellation.svg").read_text()
-        assert svg.count("<polyline") == sides
+        assert svg.count("<polyline") + svg.count("<path") == sides
         assert '<polyline points="-1,-0 1,-0"' in svg  # the base diameter
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_each_circular_side_is_its_exact_arc(self, tmp_path, depth):
+        """Each arc element runs between its side's cusps on the circle
+        of the side, and its flags pick the arc through the middle of
+        the side, which SVG's endpoint parametrisation (y flipped)
+        recovers: the arc ends a and b at radius r, the large-arc flag 0
+        and sweep flag s have their centre at (a + b)/2 + k (y', -x'),
+        + for s = 1, with (x', y') = (a - b)/2, and sweep through its
+        angle in the positive sense for s = 1, else the negative."""
+        out = tmp_path / "o"
+        assert main(["tessellate", "--out", str(out), "--depth", str(depth)]) == 0
+        root = ElementTree.parse(out / "tessellation.svg").getroot()
+        drawn = [el for el in root if el.tag.endswith(("polyline", "path"))]
+        sides = [side for tri in tessellate(depth).triangles
+                 for k, side in enumerate(tri.sides) if k != tri.shared_side]
+        assert len(drawn) == len(sides) == 3 + 2 * (len(tessellate(depth).triangles) - 1)
+        arcs = 0
+        for el, side in zip(drawn, sides):
+            va, vb = side.endpoints
+            assert el.tag.endswith("polyline" if side.kind == "diameter" else "path")
+            if side.kind == "diameter":
+                continue
+            arcs += 1
+            m = re.fullmatch(r"M (\S+),(\S+) A (\S+),(\S+) 0 0 ([01]) (\S+),(\S+)",
+                             el.get("d"))
+            x0, y0, rx, ry, sweep, x1, y1 = m.groups()
+            a, b = complex(float(x0), float(y0)), complex(float(x1), float(y1))
+            assert (a, b) == (va.conjugate(), vb.conjugate())  # the cusps, y flipped
+            c = side.center
+            assert float(rx) == float(ry) == abs(va - c)
+            r = float(rx)
+            # the middle point of the side, where the 33-point polyline
+            # that drew it before had its 17th point
+            ta, delta = cmath.phase(va - c), cmath.phase((vb - c) / (va - c))
+            middle = (c + r * cmath.exp(1j * (ta + delta / 2))).conjugate()
+            half = (a - b) / 2
+            k = math.sqrt(max(r * r - abs(half) ** 2, 0.0)) / abs(half)
+            centre = (a + b) / 2 + (1 if sweep == "1" else -1) * k * complex(half.imag, -half.real)
+            t0, t1 = cmath.phase(a - centre), cmath.phase(b - centre)
+            turn = (t1 - t0) % (2 * math.pi)
+            if sweep == "0":
+                turn -= 2 * math.pi
+            assert abs(centre + r * cmath.exp(1j * (t0 + turn / 2)) - middle) < 1e-12
+        assert arcs == len(sides) - 1  # the base side is the one diameter
+
+    def test_both_svgs_parse(self, tmp_path):
+        assert main(["tessellate", "--out", str(tmp_path / "t")]) == 0
+        assert main(["sweep", "--out", str(tmp_path / "s")]) == 0
+        for path in (tmp_path / "t" / "tessellation.svg", tmp_path / "s" / "sweep_paths.svg"):
+            assert ElementTree.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_depth_override(self, tmp_path):
         out = tmp_path / "o"

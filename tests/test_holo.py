@@ -350,7 +350,7 @@ def _blaschke_fn(spec) -> HoloFn:
     """B as a HoloFn: its jet is blaschke_derivs, its value the value
     path of _blaschke_batch."""
     return HoloFn(jet=lambda z: blaschke_derivs(spec, z),
-                  value=lambda z: ghlab.holo._blaschke_batch(spec, z, derivs=False))
+                  value=lambda z: ghlab.holo._blaschke_batch(spec, z, order=0))
 
 
 class TestValuePath:
@@ -393,9 +393,9 @@ class TestValuePath:
             expected = blaschke_derivs(spec, z)[0]
         except PoleError as exc:
             with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
-                ghlab.holo._blaschke_batch(spec, z, derivs=False)
+                ghlab.holo._blaschke_batch(spec, z, order=0)
         else:
-            assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False), expected)
+            assert _same_bits(ghlab.holo._blaschke_batch(spec, z, order=0), expected)
 
     def test_array_value_takes_no_jet(self, monkeypatch):
         def no_jet(spec, z):
@@ -422,7 +422,7 @@ class TestPoleGuard:
         z = np.concatenate((_interior_points(200, radius=0.9999),
                             1.01 * np.exp(1j * np.linspace(0.1, 6.0, 20))))
         expected = blaschke_derivs(spec, z)[0]
-        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False), expected)
+        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, order=0), expected)
 
     def test_a_pole_raises_naming_the_first_factor_and_z(self):
         # the factor order goes first: a = 0.5 before a = -0.5, then z
@@ -430,7 +430,7 @@ class TestPoleGuard:
         z = np.array([0.1, -2.0 + 0j, 2.0 + 0j])
         text = re.escape("Blaschke factor pole at z=(2+0j) for zero a=(0.5+0j)")
         with pytest.raises(PoleError, match=f"^{text}$"):
-            ghlab.holo._blaschke_batch(spec, z, derivs=False)
+            ghlab.holo._blaschke_batch(spec, z, order=0)
         with pytest.raises(PoleError, match=f"^{text}$"):
             psi_fn(spec)(z)
         # the jet names the same factor and z
@@ -442,5 +442,49 @@ class TestPoleGuard:
         spec = FOUR_VERTEX
         z = np.array(_interior_points(100, radius=1.3))[78:]
         assert np.all((np.abs(z) > 1.0) & (0.75 * np.abs(z) < 1.0))
-        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, derivs=False),
+        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, order=0),
                           blaschke_values(spec, z))
+
+
+class TestFirstOrder:
+    """A HoloFn's first-order jet is (f, f') of its full jet, bit for
+    bit, without f'': psi and mu o psi supply their own, and the
+    constant falls back to the slice."""
+
+    points = np.array(_interior_points(150, radius=0.99))
+
+    @pytest.mark.parametrize("name", ["four_vertex", "three_vertex", "scale2", "perturb05",
+                                      "constant"])
+    def test_jet1_is_the_jet_to_first_order(self, name):
+        fn = {
+            "four_vertex": lambda: standard_data().psi,
+            "three_vertex": lambda: standard_data(vertices=(1, -1, 1j)).psi,
+            "scale2": lambda: apply_mu(MuSpec(kind="scale", scale=2.0), standard_data().psi),
+            "perturb05": lambda: apply_mu(MuSpec(kind="perturb", eps_re=0.05),
+                                          standard_data().psi),
+            "constant": lambda: HoloFn.constant(2j),
+        }[name]()
+        assert (fn.slope is None) == (name == "constant")
+        for z in (self.points, self.points[:0], complex(self.points[41])):
+            first, full = fn.jet1(z), fn.jet(z)
+            assert len(first) == 2
+            assert all(_same_bits(x, y) for x, y in zip(first, full[:2])), z
+
+    @pytest.mark.parametrize("spec", [FOUR_VERTEX, BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),)),
+                                      BlaschkeSpec(m=2), BlaschkeSpec()],
+                             ids=["four_vertex", "power_and_double_zero", "power", "empty"])
+    def test_blaschke_order_one_is_the_leading_pair(self, spec):
+        for z in (self.points, self.points[:0], complex(self.points[41])):
+            first, full = blaschke_derivs(spec, z, 1), blaschke_derivs(spec, z)
+            assert len(first) == 2 and len(full) == 3
+            assert all(_same_bits(x, y) for x, y in zip(first, full[:2]))
+
+    def test_a_pole_raises_the_same_text_at_every_order(self):
+        spec = BlaschkeSpec(zeros=((0.25, 1), (0.5, 1), (-0.5, 1)))
+        z = np.array([0.1, -2.0 + 0j, 2.0 + 0j])
+        text = re.escape("Blaschke factor pole at z=(2+0j) for zero a=(0.5+0j)")
+        for order in (0, 1, 2):
+            with pytest.raises(PoleError, match=f"^{text}$"):
+                blaschke_derivs(spec, z, order)
+        with pytest.raises(PoleError, match=f"^{text}$"):
+            psi_fn(spec).jet1(z)

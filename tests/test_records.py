@@ -55,13 +55,15 @@ RHO = 1.1
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Jets and covering evaluations, a batch counting once."""
-    tally = {"jets": 0, "covers": 0}
+    """Jets and covering evaluations, a batch counting once, and the
+    order of each jet."""
+    tally = {"jets": 0, "covers": 0, "orders": []}
     jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
 
-    def counted_jet(spec, z):
+    def counted_jet(spec, z, order=2):
         tally["jets"] += 1
-        return jet(spec, z)
+        tally["orders"].append(order)
+        return jet(spec, z, order)
 
     def counted_chart(self, zs):
         tally["covers"] += 1
@@ -147,14 +149,16 @@ class TestEvaluationCounts:
         m = data.cover.metric_factors_in_disc(Z)
         assert _taken(counts, lambda: data.g_sigma(Z, m)) == (1, 0)
         assert _taken(counts, lambda: data.g_sigma(Z, m)) == (1, 0)
+        # g_sigma reads psi and psi' alone: no psi'' is formed
+        assert counts["orders"] == [1, 1]
 
     def test_zero_search_takes_one_circle_batch(self, counts, monkeypatch):
         kinds = []  # per Blaschke jet: was z an array
         counted = ghlab.holo.blaschke_derivs
 
-        def typed_jet(spec, z):
+        def typed_jet(spec, z, order=2):
             kinds.append(isinstance(z, np.ndarray))
-            return counted(spec, z)
+            return counted(spec, z, order)
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", typed_jet)
         for vertices, count in (((1, 1j, -1, -1j), 5), ((1, -1, 1j), 1)):
@@ -166,8 +170,12 @@ class TestEvaluationCounts:
                 report = beta_zero_search(data)
 
             kinds.clear()
+            counts["orders"].clear()
             jets, covers = _taken(counts, search)
             assert jets == len(kinds)
+            # the circle batch and the root batch read psi''; the record
+            # batch of the zeros of beta reads psi and psi' alone
+            assert counts["orders"] == [2, 2, 1]
             # one batch on the circle, one at the roots of psi' and the
             # centroids of their clusters, one record batch for the zeros
             # of beta, and no jet at one point
@@ -203,9 +211,9 @@ class TestEvaluationCounts:
             taken["chart_nodes"] += np.size(zs)
             return chart(self, zs)
 
-        def counted_jet(spec, z):
+        def counted_jet(spec, z, order=2):
             taken["jets"] += 1
-            return jet(spec, z)
+            return jet(spec, z, order)
 
         monkeypatch.setattr(ghlab.pathlab, "_speed_fn", counted_factory)
         monkeypatch.setattr(ModularCover, "chart", counted_chart)
@@ -499,18 +507,19 @@ class TestXiCounts:
         cover batch, then one psi jet batch, and no value of psi, which
         an integrand of xi would read."""
         data = standard_data()
-        calls = []
+        calls, orders = [], []
         jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
         products = ghlab.holo._blaschke_batch
 
-        def counted_jet(spec, z):
+        def counted_jet(spec, z, order=2):
             calls.append("jet batch" if isinstance(z, np.ndarray) else "jet")
-            return jet(spec, z)
+            orders.append(order)
+            return jet(spec, z, order)
 
-        def counted_products(spec, z, derivs=True):
-            if not derivs:
+        def counted_products(spec, z, order=2):
+            if not order:
                 calls.append("B batch")
-            return products(spec, z, derivs)
+            return products(spec, z, order)
 
         def counted_chart(self, zs):
             calls.append("cover batch")
@@ -526,6 +535,8 @@ class TestXiCounts:
         assert calls == ["cover batch", "jet batch"]
         data.fill([z, 0.5j, -0.3, 0.5j])
         assert calls == ["cover batch", "jet batch"] * 2
+        # a record reads psi and psi' alone: no psi'' is formed
+        assert orders == [1, 1]
 
 
 class TestXiPrefetch:
