@@ -273,7 +273,7 @@ class HolomorphicData:
         if not z.size:
             return
         w, dw_dz = self.cover.values(z)
-        psi, dpsi = self.psi.jet1(z)
+        psi, dpsi = self.psi.jet(z, 1)
         phi, m = -1.0 / psi, _metric_factors(w, dw_dz)
         p, dp_du, dp_dv = sphere_jacobian(w, dw_dz)
         s = w.real * w.real + w.imag * w.imag  # xi by Green's identity
@@ -440,7 +440,7 @@ class HolomorphicData:
         (metric_factors_in_disc).  Needs no xi and no psi'', and keeps
         no record: path quadratures call it at nodes no stencil revisits."""
         z = np.asarray(z, dtype=complex)
-        psi, dpsi = self.psi.jet1(z)
+        psi, dpsi = self.psi.jet(z, 1)
         grad = np.stack((dpsi.imag, dpsi.real), axis=-1)
         # where m reads 0 the radial part still makes sense
         G = grad[..., :, None] * grad[..., None, :] + (psi.imag**2 * m)[..., None, None] * np.eye(2)

@@ -13,11 +13,13 @@ disc into itself, 1 - B stays in the right half-plane and psi lands in
 the required sector automatically.
 
 Everything carries analytic first and second derivatives; a HoloFn is
-the jet (f, f', f'') at a point, so consumers never have to difference
-anything that is known in closed form, and one Blaschke product per
-point serves all three.  A consumer takes the jet to the order it
-reads: (psi, psi') in ``fill``, ``g_sigma`` and ``log_variation_check``,
-psi'' as well in the circle and root batches of ``beta_zero_search``.
+its jet (f, f', f'') at a point, taken to an order, so consumers never
+have to difference anything that is known in closed form, and one
+Blaschke product per point serves the value and every derivative.  A
+consumer takes the jet to the order it reads: psi alone where it calls
+the function, (psi, psi') in ``fill``, ``g_sigma`` and
+``log_variation_check``, psi'' as well in the circle and root batches of
+``beta_zero_search``.
 """
 
 from __future__ import annotations
@@ -39,34 +41,27 @@ _Q2_HI = 3 * math.pi / 4
 
 @dataclass(frozen=True)
 class HoloFn:
-    """A holomorphic function given by its second-order jet.
+    """A holomorphic function given by its jet.
 
-    ``jet(z)`` returns (f, f', f'') with exact complex derivatives, so
-    one evaluation of the underlying product serves the value and both
-    derivatives.  z is an ndarray, with three arrays of its shape back,
-    or one point, taken as a 0-d array.  Calling a HoloFn gives
-    ``value(z)`` where given (no derivatives, bit for bit jet(z)[0]), and
-    ``jet1(z)``, for callers that read no f'', gives ``slope(z)`` where
-    given ((f, f'), bit for bit jet(z)[:2]).
+    ``jet(z, order=2)`` returns (f, f', f'')[:order + 1] with exact
+    complex derivatives, so one evaluation of the underlying product
+    serves the value and the derivatives, and none above ``order`` is
+    formed: each order's arrays are bit for bit the leading arrays of
+    the full jet.  z is an ndarray, with arrays of its shape back, or
+    one point, taken as a 0-d array.  Calling a HoloFn gives f alone,
+    ``jet(z, 0)[0]``.
     """
 
     jet: Callable
-    value: Callable | None = None
-    slope: Callable | None = None
 
     def __call__(self, z):
-        if self.value is not None:
-            return self.value(z)
-        return self.jet(z)[0]
-
-    def jet1(self, z):
-        return self.jet(z)[:2] if self.slope is None else self.slope(z)
+        return self.jet(z, 0)[0]
 
     @classmethod
     def constant(cls, c: complex) -> "HoloFn":
-        def jet(z):
+        def jet(z, order=2):
             zero = np.zeros(np.shape(z), complex)[()]
-            return zero + c, zero, zero
+            return (zero + c, zero, zero)[:order + 1]
 
         return cls(jet=jet)
 
@@ -124,31 +119,25 @@ def vertex_targeted_spec(vertices, depths=(1, 2)) -> BlaschkeSpec:
     return BlaschkeSpec(m=0, zeros=tuple(zeros))
 
 
-def _power_with_derivs(m: int, z):
+def _power_with_derivs(m: int, z, order: int) -> list:
+    """The derivatives of z^m to ``order``, and no power of z above it."""
     if m == 0:
-        return 1.0 + 0j, 0j, 0j
+        return [1.0 + 0j, 0j, 0j][:order + 1]
     if m == 1:
-        return z, 1.0 + 0j, 0j
-    return z**m, m * z ** (m - 1), m * (m - 1) * z ** (m - 2)
+        return [z, 1.0 + 0j, 0j][:order + 1]
+    return [z**m] + [math.perm(m, j) * z ** (m - j) for j in range(1, order + 1)]
 
 
 def blaschke_derivs(spec: BlaschkeSpec, z, order: int = 2):
-    """(B, B', B'') at z, an ndarray or one point, in its shape, or
-    (B, B') at order 1: the jet of _blaschke_batch, under the name
-    perfbench traces."""
-    return _blaschke_batch(spec, z, order)
-
-
-def _blaschke_batch(spec: BlaschkeSpec, z, order: int = 2):
-    """(B, B', B'') at z, an ndarray or one point (a 0-d array), in its
-    shape, to order 2; (B, B') at order 1 and B alone at order 0, each
-    bit for bit the leading arrays of the full jet.  One table holds
-    factor c (a - z)/den, with c = conj(a)/|a| and den = 1 - conj(a) z,
-    at every z (one row per factor), after the pole floor on den, which
-    names the first factor and z that breach it.  A factor's derivative
-    is c (|a|^2 - 1)/den^2 and its second derivative that times
-    2 conj(a)/den; the product rule accumulates the rows, and no table
-    or sum above the requested order is formed."""
+    """(B, B', B'')[:order + 1] at z, an ndarray or one point (a 0-d
+    array), in its shape, each order bit for bit the leading arrays of
+    the full jet.  One table holds factor c (a - z)/den, with
+    c = conj(a)/|a| and den = 1 - conj(a) z, at every z (one row per
+    factor), after the pole floor on den, which names the first factor
+    and z that breach it.  A factor's derivative is c (|a|^2 - 1)/den^2
+    and its second derivative that times 2 conj(a)/den; the product rule
+    accumulates the rows, and no power, table or sum above the requested
+    order is formed."""
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
     a, ac, c, k = spec.factor_columns
@@ -163,16 +152,15 @@ def _blaschke_batch(spec: BlaschkeSpec, z, order: int = 2):
         tables.append(c * core)
     if order > 1:
         tables.append(c * core * 2.0 * ac / den)
-    p, d1, d2 = _power_with_derivs(spec.m, z)
+    jet = _power_with_derivs(spec.m, z, order)
     for fk, *dk in zip(*tables):
         if order > 1:
-            d2 = d2 * fk + 2.0 * d1 * dk[0] + p * dk[1]
+            jet[2] = jet[2] * fk + 2.0 * jet[1] * dk[0] + jet[0] * dk[1]
         if order:
-            d1 = d1 * fk + p * dk[0]
-        p = p * fk
+            jet[1] = jet[1] * fk + jet[0] * dk[0]
+        jet[0] = jet[0] * fk
     # the leading power alone may leave constants in the jet
-    jet = tuple(np.broadcast_to(x, z.shape).reshape(shape)[()] for x in (p, d1, d2)[:order + 1])
-    return jet if order else jet[0]
+    return tuple(np.broadcast_to(x, z.shape).reshape(shape)[()] for x in jet)
 
 
 def sqrt_right_halfplane(w):
@@ -189,17 +177,14 @@ def sqrt_right_halfplane(w):
 
 
 def _flat_batch(flat):
-    """``flat``, which maps a flat array of z to an array or a tuple of
-    arrays of its length, at z of any shape or one point: one batch,
-    put back in the shape of z once at the end (scalars for one point),
-    so that one point is bit for bit a batch of one."""
+    """``flat``, which maps a flat array of z and an order to the jet's
+    arrays of its length, at z of any shape or one point: one batch, put
+    back in the shape of z once at the end (scalars for one point), so
+    that one point is bit for bit a batch of one."""
 
-    def at(z):
+    def at(z, order=2):
         z = np.asarray(z, dtype=complex)
-        out = flat(z.ravel())
-        if isinstance(out, tuple):
-            return tuple(x.reshape(z.shape)[()] for x in out)
-        return out.reshape(z.shape)[()]
+        return tuple(x.reshape(z.shape)[()] for x in flat(z.ravel(), order))
 
     return at
 
@@ -211,16 +196,17 @@ def psi_fn(spec: BlaschkeSpec) -> HoloFn:
     psi'' = -i [ B''/(2 s) + B'^2/(4 s^3) ].
     """
 
-    def jet(z, order=2):
-        b, db, *ddb = blaschke_derivs(spec, z, order)
-        s = sqrt_right_halfplane(1.0 - b)
-        first = 1j * s, -1j * db / (2.0 * s)
-        if not ddb:
-            return first
-        return (*first, -1j * (ddb[0] / (2.0 * s) + db * db / (4.0 * s**3)))
+    def jet(z, order):
+        b = blaschke_derivs(spec, z, order)
+        s = sqrt_right_halfplane(1.0 - b[0])
+        out = [1j * s]
+        if order:
+            out.append(-1j * b[1] / (2.0 * s))
+        if order > 1:
+            out.append(-1j * (b[2] / (2.0 * s) + b[1] * b[1] / (4.0 * s**3)))
+        return out
 
-    return HoloFn(jet=_flat_batch(jet), slope=_flat_batch(lambda z: jet(z, 1)), value=_flat_batch(
-        lambda z: 1j * sqrt_right_halfplane(1.0 - _blaschke_batch(spec, z, 0))))
+    return HoloFn(jet=_flat_batch(jet))
 
 
 def in_q2(w):
@@ -265,12 +251,13 @@ class MuSpec:
     def is_identity(self) -> bool:
         return self.kind == "scale" and self.scale == 1.0
 
-    def as_holo(self) -> HoloFn:
+    def jet(self, w):
+        """(mu, mu', mu'') at w."""
         if self.kind == "scale":
             c = self.scale
-            return HoloFn(jet=lambda w: (c * w, complex(c), 0j))
+            return c * w, complex(c), 0j
         e = complex(self.eps_re, self.eps_im)
-        return HoloFn(jet=lambda w: (w + e * w * w, 1.0 + 2.0 * e * w, 2.0 * e))
+        return w + e * w * w, 1.0 + 2.0 * e * w, 2.0 * e
 
 
 # The points where validate_mu checks mu o psi: rings of 48 points at
@@ -284,7 +271,7 @@ _MU_SAMPLES = np.array([
 def validate_mu(mu: MuSpec, psi: HoloFn) -> None:
     """Check the sector condition on mu(psi(z)) over _MU_SAMPLES, in
     one batch; InvalidMuError names the first sample that fails."""
-    w = mu.as_holo()(psi(_MU_SAMPLES))
+    w = mu.jet(psi(_MU_SAMPLES))[0]
     bad = ~in_q2(w)
     if bad.any():
         i = bad.argmax()
@@ -293,20 +280,18 @@ def validate_mu(mu: MuSpec, psi: HoloFn) -> None:
 
 
 def apply_mu(mu: MuSpec, psi: HoloFn) -> HoloFn:
-    """Validated composition mu o psi with chain-rule derivatives, each
-    on one flat batch."""
+    """Validated composition mu o psi with chain-rule derivatives to the
+    order of the jet, on one flat batch."""
     validate_mu(mu, psi)
-    outer = mu.as_holo().jet
 
-    def jet(z):
-        w, dw, d2w = psi.jet(z)
-        m, dm, d2m = outer(w)
-        return m, dm * dw, d2m * dw * dw + dm * d2w
+    def jet(z, order):
+        w = psi.jet(z, order)
+        m, dm, d2m = mu.jet(w[0])
+        out = [m]
+        if order:
+            out.append(dm * w[1])
+        if order > 1:
+            out.append(d2m * w[1] * w[1] + dm * w[2])
+        return out
 
-    def slope(z):
-        w, dw = psi.jet1(z)
-        m, dm, _ = outer(w)
-        return m, dm * dw
-
-    return HoloFn(jet=_flat_batch(jet), slope=_flat_batch(slope),
-                  value=_flat_batch(lambda z: outer(psi(z))[0]))
+    return HoloFn(jet=_flat_batch(jet))

@@ -436,7 +436,7 @@ def log_variation_check(path: ParamPath, data: HolomorphicData,
     lhs = path_length(path, "disc", data)
 
     def variation(s, x, v):
-        psi, dpsi = data.psi.jet1(_disc(x))
+        psi, dpsi = data.psi.jet(_disc(x), 1)
         return abs((dpsi * _disc(v)).imag) / psi.imag
 
     (rhs,) = _integrate_all([(path, 0.0, 1.0)], variation, 1e-6, "psi evaluation")[0]

@@ -684,7 +684,7 @@ def beta_zero_search(data: HolomorphicData, radius: float = 0.9) -> BetaZeroRepo
     if len(linked) < len(clusters):
         # the roots of a multiple zero spread wider than _CLUSTER_RADIUS
         clusters = linked
-        w, dpsi = psi.jet1(np.array([z for z, _ in clusters], dtype=complex))
+        w, dpsi = psi.jet(np.array([z for z, _ in clusters], dtype=complex), 1)
     located = [(z, mult, v) for (z, mult), v, d in zip(clusters, w.tolist(), np.abs(dpsi))
                if d <= _ZERO_FLOOR * scale]  # (z, multiplicity, psi there)
     found = sum(mult for _, mult, _ in located)

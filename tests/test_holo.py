@@ -211,8 +211,8 @@ class TestMu:
             assert abs(composed(z) - 2 * psi(z)) < 1e-15
 
     def test_perturb_direct_substitution(self):
-        mu = MuSpec(kind="perturb", eps_re=0.05).as_holo()
-        assert mu(1j) == pytest.approx(-0.05 + 1j)
+        mu = MuSpec(kind="perturb", eps_re=0.05)
+        assert mu.jet(1j)[0] == pytest.approx(-0.05 + 1j)
 
     def test_chain_rule_derivative(self):
         psi = psi_fn(FOUR_VERTEX)
@@ -235,13 +235,13 @@ class TestMu:
         # w + 0.1 w^2 = -40 + 20 i, past arg 3pi/4, while i - 0.1 is inside
         target = complex(ghlab.holo._MU_SAMPLES[37])
 
-        def jet(z):
+        def jet(z, order=2):
             w = 1j + 19j * np.exp(-abs(z - target) ** 2 / 1e-4)
-            return w, 0.0 * w, 0.0 * w
+            return (w, 0.0 * w, 0.0 * w)[:order + 1]
 
         mu = MuSpec(kind="perturb", eps_re=0.1)
         psi = HoloFn(jet=jet)
-        inside = in_q2(mu.as_holo()(psi(ghlab.holo._MU_SAMPLES)))
+        inside = in_q2(mu.jet(psi(ghlab.holo._MU_SAMPLES))[0])
         assert np.flatnonzero(~inside).tolist() == [37]
         with pytest.raises(InvalidMuError, match=re.escape(f"mu(psi({target})) = ")):
             validate_mu(mu, psi)
@@ -347,38 +347,50 @@ def _same_bits(a, b) -> bool:
 
 
 def _blaschke_fn(spec) -> HoloFn:
-    """B as a HoloFn: its jet is blaschke_derivs, its value the value
-    path of _blaschke_batch."""
-    return HoloFn(jet=lambda z: blaschke_derivs(spec, z),
-                  value=lambda z: ghlab.holo._blaschke_batch(spec, z, order=0))
+    """B as a HoloFn: its jet is blaschke_derivs."""
+    return HoloFn(jet=lambda z, order=2: blaschke_derivs(spec, z, order))
 
 
-class TestValuePath:
-    """Calling a HoloFn gives jet(z)[0] bit for bit, and psi's value of
-    an array takes no derivatives."""
+class TestJetOrder:
+    """A HoloFn's jet to order k is the leading k + 1 arrays of its full
+    jet, bit for bit, and calling it is the jet's first array."""
 
     points = np.array(_interior_points(200, radius=0.99)).reshape(10, 20)
 
-    @pytest.mark.parametrize("name", ["standard", "perturb_mu", "flat", "power_and_double_zero",
-                                      "power", "empty", "deep_past_1_over_max_a"])
-    def test_value_is_the_jet_value(self, name):
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["four_vertex", "three_vertex", "scale2", "perturb05",
+                                      "constant", "power_and_double_zero", "power", "empty",
+                                      "deep_past_1_over_max_a"])
+    def test_jet_to_order_is_the_leading_arrays(self, name, order):
         fn, z = {
-            "standard": (psi_fn(FOUR_VERTEX), self.points),
-            "perturb_mu": (apply_mu(MuSpec(kind="perturb", eps_re=0.05), psi_fn(FOUR_VERTEX)),
-                           self.points),
-            "flat": (HoloFn.constant(2j), self.points),
-            "power_and_double_zero": (_blaschke_fn(BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),))),
-                                      self.points),
-            "power": (_blaschke_fn(BlaschkeSpec(m=2)), self.points),
-            "empty": (_blaschke_fn(BlaschkeSpec()), self.points),
+            "four_vertex": lambda: (standard_data().psi, self.points),
+            "three_vertex": lambda: (standard_data(vertices=(1, -1, 1j)).psi, self.points),
+            "scale2": lambda: (apply_mu(MuSpec(kind="scale", scale=2.0), standard_data().psi),
+                               self.points),
+            "perturb05": lambda: (apply_mu(MuSpec(kind="perturb", eps_re=0.05),
+                                           standard_data().psi), self.points),
+            "constant": lambda: (HoloFn.constant(2j), self.points),
+            "power_and_double_zero": lambda: (
+                _blaschke_fn(BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),))), self.points),
+            "power": lambda: (_blaschke_fn(BlaschkeSpec(m=2)), self.points),
+            "empty": lambda: (_blaschke_fn(BlaschkeSpec()), self.points),
             # max|a| = 1 - 2^-12, so |z| = 1.01 is past 1/max|a|
-            "deep_past_1_over_max_a": (
+            "deep_past_1_over_max_a": lambda: (
                 _blaschke_fn(vertex_targeted_spec([1, 1j, -1, -1j], depths=(1, 12))),
                 1.01 * self.points / abs(self.points)),
-        }[name]
-        assert _same_bits(fn(z), fn.jet(z)[0])
-        for zk in z.ravel()[::7]:
-            assert _same_bits(fn(complex(zk)), fn.jet(complex(zk))[0])
+        }[name]()
+        for zk in (z, z[:0], complex(z[2, 1])):
+            part, full = fn.jet(zk, order), fn.jet(zk)
+            assert len(part) == order + 1 and len(full) == 3
+            assert all(_same_bits(x, y) for x, y in zip(part, full)), zk
+            assert _same_bits(fn(zk), full[0]), zk
+
+
+class TestValuePath:
+    """psi's value of an array is one Blaschke batch at order 0, bit for
+    bit the jet's first array."""
+
+    points = TestJetOrder.points
 
     @given(zeros=st.lists(st.tuples(zero_points, st.integers(1, 3)), min_size=1, max_size=4),
            m=st.integers(0, 3),
@@ -387,33 +399,40 @@ class TestValuePath:
     @settings(max_examples=200, deadline=None)
     def test_value_is_the_jet_value_at_drawn_zeros(self, zeros, m, z):
         # |z| up to 1.3 goes past 1/|a| for |a| > 1/1.3: near a pole
-        # both paths raise the same PoleError
+        # every order raises the same PoleError
         spec, z = BlaschkeSpec(m=m, zeros=tuple(zeros)), np.array(z, dtype=complex)
         try:
             expected = blaschke_derivs(spec, z)[0]
         except PoleError as exc:
             with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
-                ghlab.holo._blaschke_batch(spec, z, order=0)
+                blaschke_derivs(spec, z, 0)
         else:
-            assert _same_bits(ghlab.holo._blaschke_batch(spec, z, order=0), expected)
+            assert _same_bits(blaschke_derivs(spec, z, 0)[0], expected)
 
     def test_array_value_takes_no_jet(self, monkeypatch):
-        def no_jet(spec, z):
-            raise AssertionError("a jet was taken")
+        orders = []
+        jet = ghlab.holo.blaschke_derivs
+
+        def counted_jet(spec, z, order=2):
+            orders.append(order)
+            return jet(spec, z, order)
 
         data = standard_data()
         expected = data.psi.jet(self.points)[0]
-        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", no_jet)
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
         assert _same_bits(data.psi(self.points), expected)
+        # one Blaschke call, and it forms no derivative
+        assert orders == [0]
         # phi = -1/psi from psi's value, one point as a batch of one
         assert _same_bits(data.phi(self.points), -1.0 / expected)
         assert _same_bits(data.phi(self.points[3, 7]), -1.0 / expected[3, 7])
+        assert orders == [0, 0, 0]
 
 
 class TestPoleGuard:
-    """psi's value and the jet take B from one table of factors, after
-    one check of the pole floor on its denominators: the value is the
-    jet's first array wherever the floor holds, and both raise the same
+    """B comes at every order from one table of factors, after one check
+    of the pole floor on its denominators: the value is the jet's first
+    array wherever the floor holds, and every order raises the same
     PoleError where it does not."""
 
     def test_a_batch_past_the_bound_is_unchanged(self):
@@ -422,7 +441,7 @@ class TestPoleGuard:
         z = np.concatenate((_interior_points(200, radius=0.9999),
                             1.01 * np.exp(1j * np.linspace(0.1, 6.0, 20))))
         expected = blaschke_derivs(spec, z)[0]
-        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, order=0), expected)
+        assert _same_bits(blaschke_derivs(spec, z, 0)[0], expected)
 
     def test_a_pole_raises_naming_the_first_factor_and_z(self):
         # the factor order goes first: a = 0.5 before a = -0.5, then z
@@ -430,7 +449,7 @@ class TestPoleGuard:
         z = np.array([0.1, -2.0 + 0j, 2.0 + 0j])
         text = re.escape("Blaschke factor pole at z=(2+0j) for zero a=(0.5+0j)")
         with pytest.raises(PoleError, match=f"^{text}$"):
-            ghlab.holo._blaschke_batch(spec, z, order=0)
+            blaschke_derivs(spec, z, 0)
         with pytest.raises(PoleError, match=f"^{text}$"):
             psi_fn(spec)(z)
         # the jet names the same factor and z
@@ -442,33 +461,14 @@ class TestPoleGuard:
         spec = FOUR_VERTEX
         z = np.array(_interior_points(100, radius=1.3))[78:]
         assert np.all((np.abs(z) > 1.0) & (0.75 * np.abs(z) < 1.0))
-        assert _same_bits(ghlab.holo._blaschke_batch(spec, z, order=0),
-                          blaschke_values(spec, z))
+        assert _same_bits(blaschke_derivs(spec, z, 0)[0], blaschke_values(spec, z))
 
 
 class TestFirstOrder:
-    """A HoloFn's first-order jet is (f, f') of its full jet, bit for
-    bit, without f'': psi and mu o psi supply their own, and the
-    constant falls back to the slice."""
+    """The Blaschke jet to first order is (B, B') of its full jet, bit
+    for bit, without B'', and a pole raises one text at every order."""
 
     points = np.array(_interior_points(150, radius=0.99))
-
-    @pytest.mark.parametrize("name", ["four_vertex", "three_vertex", "scale2", "perturb05",
-                                      "constant"])
-    def test_jet1_is_the_jet_to_first_order(self, name):
-        fn = {
-            "four_vertex": lambda: standard_data().psi,
-            "three_vertex": lambda: standard_data(vertices=(1, -1, 1j)).psi,
-            "scale2": lambda: apply_mu(MuSpec(kind="scale", scale=2.0), standard_data().psi),
-            "perturb05": lambda: apply_mu(MuSpec(kind="perturb", eps_re=0.05),
-                                          standard_data().psi),
-            "constant": lambda: HoloFn.constant(2j),
-        }[name]()
-        assert (fn.slope is None) == (name == "constant")
-        for z in (self.points, self.points[:0], complex(self.points[41])):
-            first, full = fn.jet1(z), fn.jet(z)
-            assert len(first) == 2
-            assert all(_same_bits(x, y) for x, y in zip(first, full[:2])), z
 
     @pytest.mark.parametrize("spec", [FOUR_VERTEX, BlaschkeSpec(m=3, zeros=((0.4 - 0.3j, 2),)),
                                       BlaschkeSpec(m=2), BlaschkeSpec()],
@@ -486,5 +486,5 @@ class TestFirstOrder:
         for order in (0, 1, 2):
             with pytest.raises(PoleError, match=f"^{text}$"):
                 blaschke_derivs(spec, z, order)
-        with pytest.raises(PoleError, match=f"^{text}$"):
-            psi_fn(spec).jet1(z)
+            with pytest.raises(PoleError, match=f"^{text}$"):
+                psi_fn(spec).jet(z, order)

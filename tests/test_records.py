@@ -4,10 +4,11 @@ Every field of the ansatz is a power of rho times a function of z, and
 none depends on theta, so the psi jet, the covering value and xi are
 taken once per disc point, by one eager HolomorphicData.fill for every
 new point of a batch, and shared by every form assembled there.  These
-tests count Blaschke jets (calls of ``blaschke_derivs``) and covering
-evaluations (calls of ``ModularCover.chart``, which every cover
-evaluation goes through), a batch counting once, so a regression in the
-sharing shows as a count rather than as timing noise.  They also pin
+tests count psi jets (calls of ``blaschke_derivs`` of order 1 or 2),
+psi values (its calls of order 0) and covering evaluations (calls of
+``ModularCover.chart``, which every cover evaluation goes through), a
+batch counting once, so a regression in the sharing shows as a count
+rather than as timing noise.  They also pin
 the batched records against the point functions.
 """
 
@@ -55,14 +56,17 @@ RHO = 1.1
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Jets and covering evaluations, a batch counting once, and the
-    order of each jet."""
-    tally = {"jets": 0, "covers": 0, "orders": []}
+    """Jets, values and covering evaluations, a batch counting once, and
+    the order of each jet."""
+    tally = {"jets": 0, "values": 0, "covers": 0, "orders": []}
     jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
 
     def counted_jet(spec, z, order=2):
-        tally["jets"] += 1
-        tally["orders"].append(order)
+        if order:
+            tally["jets"] += 1
+            tally["orders"].append(order)
+        else:
+            tally["values"] += 1
         return jet(spec, z, order)
 
     def counted_chart(self, zs):
@@ -153,11 +157,12 @@ class TestEvaluationCounts:
         assert counts["orders"] == [1, 1]
 
     def test_zero_search_takes_one_circle_batch(self, counts, monkeypatch):
-        kinds = []  # per Blaschke jet: was z an array
+        kinds = []  # per psi jet: was z an array
         counted = ghlab.holo.blaschke_derivs
 
         def typed_jet(spec, z, order=2):
-            kinds.append(isinstance(z, np.ndarray))
+            if order:
+                kinds.append(isinstance(z, np.ndarray))
             return counted(spec, z, order)
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", typed_jet)
@@ -191,8 +196,10 @@ class TestEvaluationCounts:
         t = -log10(1 - r), in rounds: one call for all first panels and
         one per round of halvings, 11 calls in all, the disc column's
         rounds.  Each call takes one cover batch and one psi jet batch,
-        both over all of its nodes."""
-        taken = dict.fromkeys(("calls", "nodes", "charts", "chart_nodes", "jets"), 0)
+        both over all of its nodes, to first order: the speed reads no
+        psi''.  The one value of psi is the validation ring of the data."""
+        taken = dict.fromkeys(("calls", "nodes", "charts", "chart_nodes", "jets",
+                               "second_order_jets", "values"), 0)
         factory, chart = ghlab.pathlab._speed_fn, ModularCover.chart
         jet = ghlab.holo.blaschke_derivs
 
@@ -212,7 +219,8 @@ class TestEvaluationCounts:
             return chart(self, zs)
 
         def counted_jet(spec, z, order=2):
-            taken["jets"] += 1
+            taken["jets" if order else "values"] += 1
+            taken["second_order_jets"] += order == 2
             return jet(spec, z, order)
 
         monkeypatch.setattr(ghlab.pathlab, "_speed_fn", counted_factory)
@@ -225,7 +233,7 @@ class TestEvaluationCounts:
             runs.append(dict(taken))
         assert runs[0] == runs[1]
         assert runs[0] == {"calls": 11, "nodes": 1656, "charts": 11, "chart_nodes": 1656,
-                           "jets": 11}
+                           "jets": 11, "second_order_jets": 0, "values": 1}
 
     def test_horizontal_length_fills_each_batch_once(self, monkeypatch):
         # one first panel of 8 nodes and one refinement of 16: two fills,
@@ -509,24 +517,20 @@ class TestXiCounts:
         data = standard_data()
         calls, orders = [], []
         jet, chart = ghlab.holo.blaschke_derivs, ModularCover.chart
-        products = ghlab.holo._blaschke_batch
 
         def counted_jet(spec, z, order=2):
+            if not order:
+                calls.append("B batch")
+                return jet(spec, z, order)
             calls.append("jet batch" if isinstance(z, np.ndarray) else "jet")
             orders.append(order)
             return jet(spec, z, order)
-
-        def counted_products(spec, z, order=2):
-            if not order:
-                calls.append("B batch")
-            return products(spec, z, order)
 
         def counted_chart(self, zs):
             calls.append("cover batch")
             return chart(self, zs)
 
         monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
-        monkeypatch.setattr(ghlab.holo, "_blaschke_batch", counted_products)
         monkeypatch.setattr(ModularCover, "chart", counted_chart)
         z = 0.22 + 0.13j
         first = data.xi_at(z)
@@ -550,8 +554,9 @@ class TestXiPrefetch:
     def test_one_prefetch_in_batches(self, argv, monkeypatch, tmp_path):
         phases = ("before", "during", "after")
         state = {"phase": "before", "points": 0, "made": dict.fromkeys(phases, 0),
-                 "covers": dict.fromkeys(phases, 0), "jets": dict.fromkeys(phases, 0)}
-        fill = HolomorphicData.fill
+                 "covers": dict.fromkeys(phases, 0), "jets": dict.fromkeys(phases, 0),
+                 "values": dict.fromkeys(phases, 0)}
+        fill, chart, jet = HolomorphicData.fill, ModularCover.chart, ghlab.holo.blaschke_derivs
 
         def counted_fill(self, zs):
             # rows appended to the store, per phase
@@ -567,20 +572,22 @@ class TestXiPrefetch:
                 fill(self, zs)
                 state["made"][state["phase"]] += len(self._store) - rows
 
-        def counted(kind, fn):
-            def call(*args):
-                state[kind][state["phase"]] += 1
-                return fn(*args)
-            return call
+        def counted_chart(self, zs):
+            state["covers"][state["phase"]] += 1
+            return chart(self, zs)
+
+        def counted_jet(spec, z, order=2):
+            state["jets" if order else "values"][state["phase"]] += 1
+            return jet(spec, z, order)
 
         monkeypatch.setattr(HolomorphicData, "fill", counted_fill)
-        monkeypatch.setattr(ModularCover, "chart", counted("covers", ModularCover.chart))
-        monkeypatch.setattr(ghlab.holo, "blaschke_derivs",
-                            counted("jets", ghlab.holo.blaschke_derivs))
+        monkeypatch.setattr(ModularCover, "chart", counted_chart)
+        monkeypatch.setattr(ghlab.holo, "blaschke_derivs", counted_jet)
         assert main(argv + ["--seed", "0", "--out", str(tmp_path)]) == 0
         assert state["made"]["after"] == state["covers"]["after"] == 0
         assert state["made"]["during"] == state["points"]
         assert state["covers"]["during"] == state["jets"]["during"] == 1
+        assert state["values"]["during"] == 0
 
 
 class TestXiNodes:
